@@ -27,7 +27,7 @@ from .errors import (
     SummabilityWitnessMissing,
 )
 from .graphs import strongly_connected_components
-from .pressure import PotentialSpec, truncation_ladder
+from .pressure import PotentialSpec, _reuse_geometry, truncation_ladder
 from .systems import (
     check_separation,
     subsystem,
@@ -218,6 +218,7 @@ def _divergence_floor(system, scope):
     return max(0.0, floor) if floor is not None else 0.0
 
 
+@_reuse_geometry()
 def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
                     scope="auto", conorm=False, epsilon=None,
                     horizon_cap=DEFAULT_HORIZON_CAP,
@@ -378,6 +379,7 @@ def _boolean_bisect(above, floor, ceil, tol):
     return lo, hi
 
 
+@_reuse_geometry()
 def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
                    scope="auto", epsilon=None, check_conditions=False):
     """Certified upper dimension estimate: the larger of the pressure-root
@@ -420,6 +422,7 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
     )
 
 
+@_reuse_geometry()
 def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
                    scope="auto", epsilon=None, check_conditions=False):
     """Certified lower dimension estimate from the conorm potential.

@@ -432,14 +432,17 @@ def admissible_words(matrix, length, alphabet):
             return [b for b in alphabet if matrix.index.get(b, -1) in allowed]
         return [b for b in matrix.row(a, alphabet)]
 
-    def extend(prefix):
-        if len(prefix) == length:
-            yield tuple(prefix)
-            return
-        for b in successors(prefix[-1]):
-            prefix.append(b)
-            yield from extend(prefix)
-            prefix.pop()
-
     for a in alphabet:
-        yield from extend([a])
+        yield from _extend_words([a], length, successors)
+
+
+def _extend_words(prefix, length, successors):
+    # module level, not a closure over itself: a self-referencing closure is
+    # a reference cycle that keeps its captured arguments until a gc pass
+    if len(prefix) == length:
+        yield tuple(prefix)
+        return
+    for b in successors(prefix[-1]):
+        prefix.append(b)
+        yield from _extend_words(prefix, length, successors)
+        prefix.pop()

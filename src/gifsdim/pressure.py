@@ -18,7 +18,10 @@ Three routes, each valid at every finite stage rather than only in the limit:
 """
 
 import math
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -34,7 +37,6 @@ from .errors import (
 )
 from .graphs import FiniteTransition, admissible_words, strongly_connected_components
 from .shapes import Ball
-from .systems import subsystem
 
 __all__ = [
     "PotentialSpec",
@@ -177,7 +179,9 @@ class WeightedMatrix:
     depth 1).  The entry is the derivative range of u's first letter over
     the enclosure of w (all m maps applied), raised to s, so transition
     products sandwich true cylinder weights: inf products below, sup
-    products above.
+    products above.  Everything but the power of s comes from geometry, which
+    is s-independent and shared by every exponent a solve probes at this
+    horizon and depth.
     """
 
     states: tuple
@@ -187,6 +191,27 @@ class WeightedMatrix:
     depth: int
     horizon: int
     potential: PotentialSpec
+    geometry: object
+
+
+@dataclass(eq=False)
+class StateGeometry:
+    """The s-independent part of the depth-m word-state matrices.
+
+    indices/indptr give the CSR pattern of the transitions; lower/upper hold,
+    per nonzero in that order, the derivative range of the source state's
+    first letter over the enclosure of the target state.  classes caches the
+    nontrivial state-level strongly connected classes as (states, sorted
+    index array) pairs once pressure_spectral has computed them.
+    """
+
+    states: tuple
+    transitions: FiniteTransition
+    indices: np.ndarray
+    indptr: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    classes: tuple = None
 
 
 def _letter_transition(system, letters):
@@ -395,13 +420,24 @@ def pressure_word_sum(system, potential, n, k, scope="truncated", a_star=32):
     )
 
 
-def build_weighted_matrix(system, potential, k, m=1):
-    """Assemble the depth-m word-state transition matrices over letters(k)."""
-    if m < 1:
-        raise ValueError(f"refinement depth must be >= 1, got {m}")
-    letters = system.letters(k)
-    if not letters:
-        raise NoAdmissibleWords(f"no letters within horizon {k}")
+def _enclosure(system, word, memo):
+    """Image of the terminal seed under all of word's maps.  Shared suffixes
+    are memoized in memo, since sibling states reuse them.  Module level on
+    purpose: a closure calling itself is a reference cycle that would keep
+    the system and memo alive until a gc pass."""
+    shape = memo.get(word)
+    if shape is None:
+        if len(word) == 1:
+            shape = system.seed_image(word[0])[0]
+        else:
+            shape, _ = mapslib.image_enclosure(
+                system.map_of(word[0]), _enclosure(system, word[1:], memo)
+            )
+        memo[word] = shape
+    return shape
+
+
+def _build_geometry(system, letters, m, conorm):
     g = system.graph
     if m == 1:
         states = [(e,) for e in letters]
@@ -425,56 +461,116 @@ def build_weighted_matrix(system, potential, k, m=1):
             by_prefix.setdefault(w[:-1], []).append(j)
         succ = [by_prefix.get(w[1:], []) for w in states]
 
-    # enclosure of a word = image of the terminal seed under all its maps;
-    # shared suffixes are memoized since sibling states reuse them
     memo = {}
-
-    def enclosure(word):
-        shape = memo.get(word)
-        if shape is not None:
-            return shape
-        if len(word) == 1:
-            shape = system.seed_image(word[0])[0]
-        else:
-            shape, _ = mapslib.image_enclosure(
-                system.map_of(word[0]), enclosure(word[1:])
-            )
-        memo[word] = shape
-        return shape
-
-    s = potential.s
     rows, cols, los, his = [], [], [], []
     for i, u in enumerate(states):
         spec = system.map_of(u[0])
         for j in succ[i]:
             rng = mapslib.derivative_range_over_set(
-                spec, enclosure(states[j]), conorm=potential.conorm
+                spec, _enclosure(system, states[j], memo), conorm=conorm
             )
             rows.append(i)
             cols.append(j)
-            if s == 0.0:
-                los.append(1.0)
-                his.append(1.0)
-            else:
-                los.append(rng.lower**s)
-                his.append(rng.upper**s)
+            los.append(rng.lower)
+            his.append(rng.upper)
 
-    nstates = len(states)
+    # scipy puts the entries in canonical CSR order; both range arrays take
+    # the same permutation, so raising them to s later commutes with it
+    shape = (len(states), len(states))
+    lo = sp.csr_matrix((np.asarray(los, dtype=float), (rows, cols)), shape=shape)
+    hi = sp.csr_matrix((np.asarray(his, dtype=float), (rows, cols)), shape=shape)
+    arrays = (lo.indices, lo.indptr, lo.data, hi.data)
+    # the matrices of every exponent share these arrays
+    for arr in arrays:
+        arr.flags.writeable = False
+    return StateGeometry(tuple(states), FiniteTransition(states, succ), *arrays)
+
+
+class _GeometrySlot:
+    """The last geometry built inside one solve, with the system and key it
+    was built for."""
+
+    __slots__ = ("system", "key", "geometry")
+
+    def __init__(self):
+        self.system = None
+        self.key = None
+        self.geometry = None
+
+
+_SOLVE_GEOMETRY = ContextVar("gifsdim_solve_geometry", default=None)
+
+
+@contextmanager
+def _reuse_geometry():
+    """Keep the last state geometry for the duration of the block.
+
+    Inside it, build_weighted_matrix hands the same StateGeometry back while
+    the system, letters, depth and selector stay the same, and builds a new
+    one (dropping the old) when any of them moves.  The solve entry points
+    wrap themselves in this, so no geometry outlives the solve that built
+    it.  Outside any block every call builds afresh.
+    """
+    token = _SOLVE_GEOMETRY.set(_GeometrySlot())
+    try:
+        yield
+    finally:
+        _SOLVE_GEOMETRY.reset(token)
+
+
+def _geometry(system, letters, m, conorm):
+    slot = _SOLVE_GEOMETRY.get()
+    if slot is None:
+        return _build_geometry(system, letters, m, conorm)
+    key = (tuple(letters), m, conorm)
+    if slot.system is not system or slot.key != key:
+        # drop the old geometry before building its successor, and leave
+        # the slot empty should the build raise
+        slot.system = slot.key = slot.geometry = None
+        slot.geometry = _build_geometry(system, letters, m, conorm)
+        slot.system, slot.key = system, key
+    return slot.geometry
+
+
+def _powers(ranges, s):
+    """ranges**s element by element through libm pow, exactly as x**s
+    rounds; numpy's vectorised power can differ from it in the last ulp."""
+    return np.fromiter(
+        map(pow, ranges.tolist(), repeat(s)), dtype=float, count=len(ranges)
+    )
+
+
+def build_weighted_matrix(system, potential, k, m=1):
+    """Assemble the depth-m word-state transition matrices over letters(k).
+
+    The geometry (states, transitions, derivative ranges) does not depend on
+    s.  Within one solve (bowen_dimension, lower_estimate, upper_estimate)
+    it is built once per horizon and depth, and later calls only raise each
+    range to potential.s; outside a solve every call builds it afresh.
+    """
+    if m < 1:
+        raise ValueError(f"refinement depth must be >= 1, got {m}")
+    letters = system.letters(k)
+    if not letters:
+        raise NoAdmissibleWords(f"no letters within horizon {k}")
+    geom = _geometry(system, letters, m, potential.conorm)
+    s = potential.s
+    shape = (len(geom.states), len(geom.states))
     inf_mat = sp.csr_matrix(
-        (np.asarray(los), (rows, cols)), shape=(nstates, nstates)
+        (_powers(geom.lower, s), geom.indices, geom.indptr), shape=shape
     )
     sup_mat = sp.csr_matrix(
-        (np.asarray(his), (rows, cols)), shape=(nstates, nstates)
+        (_powers(geom.upper, s), geom.indices, geom.indptr), shape=shape
     )
-    transitions = FiniteTransition(states, succ)
     return WeightedMatrix(
-        states=tuple(states),
+        states=geom.states,
         inf_weights=inf_mat,
         sup_weights=sup_mat,
-        transitions=transitions,
+        transitions=geom.transitions,
         depth=m,
         horizon=len(letters),
         potential=potential,
+        geometry=geom,
     )
 
 
@@ -558,6 +654,20 @@ def _cw_bracket(mat, tol=CW_TOL, max_iter=CW_MAX_ITER):
     return lo, hi, stalled, iterations
 
 
+def _state_classes(geom):
+    """Nontrivial state classes of geom in dependency order, each with its
+    sorted index array; computed on first use and kept on the geometry."""
+    if geom.classes is None:
+        tr = geom.transitions
+        dec = strongly_connected_components(tr, tr.n)
+        geom.classes = tuple(
+            (cls, np.array([tr.index[st] for st in cls], dtype=int))
+            for cls, trivial in zip(dec.classes, dec.trivial)
+            if not trivial
+        )
+    return geom.classes
+
+
 def pressure_spectral(
     system,
     potential,
@@ -577,16 +687,12 @@ def pressure_spectral(
     periodic word at this depth: bracket (-inf, -inf).
     """
     wm = build_weighted_matrix(system, potential, k, m)
-    dec = strongly_connected_components(wm.transitions, wm.transitions.n)
     lower = -math.inf
     upper = -math.inf
     best = None
     comps = []
     stalled = False
-    for cls, trivial in zip(dec.classes, dec.trivial):
-        if trivial:
-            continue
-        idx = np.array(sorted(wm.transitions.index[st] for st in cls), dtype=int)
+    for cls, idx in _state_classes(wm.geometry):
         sub_inf = wm.inf_weights[idx][:, idx]
         sub_sup = wm.sup_weights[idx][:, idx]
         lo_inf, _, st_a, _ = _cw_bracket(sub_inf, tol, max_iter)
@@ -629,34 +735,40 @@ def pressure_scc_max(
     """Pressure of the truncation as the max over its letter-level
     strongly connected components, with per-component attribution.
 
-    Each nontrivial component is restricted to a subsystem and bracketed by
-    pressure_spectral at depth m; the max of lowers and max of uppers
-    bracket the max of the true component pressures.  component holds the
-    argmax class (first in dependency order on ties); components holds
-    (class, lower, upper) for every nontrivial class.
+    One pressure_spectral pass over the whole truncation brackets every
+    nontrivial state-level class at depth m.  A state cycle never leaves a
+    letter class, and every letter of a cycling word is the first letter of
+    some state on the cycle, so each state class is attributed to the
+    letter class spanned by its states' first letters; a letter class takes
+    the max of the lowers and the max of the uppers of its state classes.
+    The max over letter classes brackets the max of the true component
+    pressures.  component holds the argmax class (first in dependency order
+    on ties); components holds (class, lower, upper) for every nontrivial
+    class, its letters in enumeration order.
     """
     letters = system.letters(k)
     if not letters:
         raise NoAdmissibleWords(f"no letters within horizon {k}")
-    fin = _letter_transition(system, letters)
-    dec = strongly_connected_components(fin, fin.n)
+    try:
+        whole = pressure_spectral(system, potential, k, m, tol, max_iter)
+    except NoAdmissibleWords:
+        # no m-letter word at all, so no cycle: every class is trivial
+        whole = None
+    position = {e: i for i, e in enumerate(letters)}
+    brackets = {}
+    for cls, c_lower, c_upper in whole.components if whole else ():
+        key = tuple(sorted({w[0] for w in cls}, key=position.__getitem__))
+        lo, hi = brackets.get(key, (-math.inf, -math.inf))
+        brackets[key] = (max(lo, c_lower), max(hi, c_upper))
     lower = -math.inf
     upper = -math.inf
     best = None
-    comps = []
-    stalled = False
-    for cls, trivial in zip(dec.classes, dec.trivial):
-        if trivial:
-            continue
-        sub = subsystem(system, edges=cls, name=f"{system.name}-scc")
-        est = pressure_spectral(sub, potential, len(cls), m, tol, max_iter)
-        comps.append((cls, est.lower, est.upper))
-        stalled = stalled or est.stalled
-        if est.upper > upper:
-            upper = est.upper
+    for cls, (lo, hi) in brackets.items():
+        if hi > upper:
+            upper = hi
             best = cls
-        if est.lower > lower:
-            lower = est.lower
+        if lo > lower:
+            lower = lo
     return PressureEstimate(
         lower=lower,
         upper=upper,
@@ -665,9 +777,9 @@ def pressure_scc_max(
         horizon=len(letters),
         depth=m,
         scope="truncated",
-        stalled=stalled,
+        stalled=whole.stalled if whole else False,
         component=best,
-        components=tuple(comps),
+        components=tuple((cls, lo, hi) for cls, (lo, hi) in brackets.items()),
     )
 
 

@@ -16,12 +16,15 @@ Frozen oracles used here:
     so the certified bracket stays wider than the finite-case ones.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import gifsdim.dimension as dimension_module
 from gifsdim.dimension import (
     DimensionResult,
     bowen_dimension,
@@ -264,6 +267,46 @@ def test_cf_lower_estimate_conorm():
     res = lower_estimate(cf_system())
     assert res.s_lower >= 0.9
     assert res.s_lower <= res.s_upper <= 3.0
+
+
+def test_solves_share_no_geometry_across_calls(monkeypatch):
+    # one system object through a conorm solve and two norm solves must
+    # probe exactly what fresh systems probe: no geometry kept from an
+    # earlier solve or built for the other selector
+    evals = []
+    ladder = dimension_module.truncation_ladder
+
+    def recorded(system, potential, horizons, depth=1, **kw):
+        ests = ladder(system, potential, horizons, depth, **kw)
+        evals.append((potential.s, potential.conorm, tuple(horizons), depth,
+                      [(e.lower, e.upper) for e in ests]))
+        return ests
+
+    monkeypatch.setattr(dimension_module, "truncation_ladder", recorded)
+
+    def run(solve, sysm):
+        evals.clear()
+        res = solve(sysm, s_tol=1e-4)
+        return res, list(evals)
+
+    solves = (lower_estimate, bowen_dimension, bowen_dimension)
+    gc.disable()
+    try:
+        shared = cf_system((1, 2))
+        ref = weakref.ref(shared)
+        got = [run(solve, shared) for solve in solves]
+        del shared
+        assert ref() is None  # nothing a solve leaves behind holds the system
+    finally:
+        gc.enable()
+    # the conorm solve stays at depth 1 while the norm solve deepens, so the
+    # later solves start on a key the earlier one left behind
+    assert got[0][1][-1][3] == 1 < got[1][1][-1][3]
+    for (res, trail), solve in zip(got, solves):
+        want, want_trail = run(solve, cf_system((1, 2)))
+        assert trail == want_trail
+        assert (res.s_lower, res.s_upper, res.evals) == (
+            want.s_lower, want.s_upper, want.evals)
 
 
 def test_norm_conorm_overlap_on_similarity():

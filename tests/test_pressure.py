@@ -15,7 +15,9 @@ Frozen oracles used here:
     max over blocks.
 """
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -36,6 +38,7 @@ from gifsdim.pressure import (
     pressure_scc_max,
     pressure_spectral,
     pressure_word_sum,
+    _reuse_geometry,
     truncation_ladder,
 )
 from gifsdim.scenarios import (
@@ -45,7 +48,7 @@ from gifsdim.scenarios import (
     moran_system,
 )
 from gifsdim.shapes import Ball
-from gifsdim.systems import GifsSystem, SeedSet
+from gifsdim.systems import GifsSystem, SeedSet, subsystem
 
 
 def two_loop():
@@ -247,6 +250,46 @@ def test_spectral_stall_flag_and_strictness():
         )
 
 
+def _same_bits(a, b):
+    return all(
+        x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        for x, y in zip((a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr))
+    )
+
+
+def test_reweighting_matches_a_fresh_build_bitwise():
+    for make, k, m in ((lambda: cf_system(letters=(1, 2)), 2, 3), (ladder_system, 12, 1)):
+        sys = make()
+        with _reuse_geometry():
+            first = build_weighted_matrix(sys, PotentialSpec(0.3), k, m)
+            second = build_weighted_matrix(sys, PotentialSpec(0.7), k, m)
+            zero = build_weighted_matrix(sys, PotentialSpec(0.0), k, m)
+            other = build_weighted_matrix(sys, PotentialSpec(0.7, conorm=True), k, m)
+        assert second.geometry is first.geometry is zero.geometry
+        assert other.geometry is not first.geometry
+        fresh = build_weighted_matrix(make(), PotentialSpec(0.7), k, m)
+        assert _same_bits(second.inf_weights, fresh.inf_weights)
+        assert _same_bits(second.sup_weights, fresh.sup_weights)
+        assert second.states == fresh.states
+        for mat in (zero.inf_weights, zero.sup_weights):
+            assert (mat.data == 1.0).all()
+            assert mat.nnz == fresh.sup_weights.nnz
+
+
+def test_weighted_matrix_build_leaves_no_reference_cycle():
+    # a cycle through the enclosure memo would keep the system alive until
+    # a full collection
+    gc.disable()
+    try:
+        sys = cf_system(letters=(1, 2))
+        ref = weakref.ref(sys)
+        build_weighted_matrix(sys, PotentialSpec(0.5), 2, 4)
+        del sys
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_weighted_matrix_interval_order():
     cf = cf_system(letters=(1, 2))
     wm = build_weighted_matrix(cf, PotentialSpec(1.0), 2, 2)
@@ -381,11 +424,27 @@ def test_scc_max_all_trivial_is_minus_infinity():
         1: SeedSet(1, Ball((3.0,), 0.5), Ball((3.0,), 0.75)),
     }
     sys = GifsSystem(graph, seeds, {"down": Similarity(0.5, (0.0,))}, 1, name="arrow")
-    est = pressure_scc_max(sys, PotentialSpec(1.0), 2, 1)
-    assert est.lower == -math.inf
-    assert est.upper == -math.inf
-    assert est.component is None
-    assert est.components == ()
+    # at depth 2 there is not even an admissible word
+    for m in (1, 2):
+        est = pressure_scc_max(sys, PotentialSpec(1.0), 2, m)
+        assert est.lower == -math.inf
+        assert est.upper == -math.inf
+        assert est.component is None
+        assert est.components == ()
+
+
+def test_scc_max_attribution_matches_subsystems_at_depth():
+    # the subsystem route is the reference: each letter class restricted
+    # to its own system and bracketed there
+    for seed in range(5):
+        sys, _, groups = dag_of_cycles(seed)
+        pot = PotentialSpec(1.0)
+        for m in (2, 3):
+            est = pressure_scc_max(sys, pot, 64, m)
+            assert len(est.components) == len(groups)
+            for cls, lo, hi in est.components:
+                ref = pressure_spectral(subsystem(sys, edges=cls), pot, len(cls), m)
+                assert (lo, hi) == (ref.lower, ref.upper)
 
 
 # ---------------------------------------------------------------------------
