@@ -61,7 +61,9 @@ class DimensionResult:
     from a declared floor rather than a pressure sign).  conditions carries
     (check, status) provenance pairs.  summability_part is the threshold
     term that competed inside an upper estimate's max; root_bracket the raw
-    pressure-root bracket before that max.
+    pressure-root bracket before that max.  stop_reason (bowen_dimension
+    only, and left out of record()) names why refinement ended: "tolerance",
+    "state_cap", "depth_limit", "stuck", "budget" or "empty".
     """
 
     s_lower: float
@@ -75,6 +77,7 @@ class DimensionResult:
     summability_part: float = 0.0
     root_bracket: object = None
     evals: int = 0
+    stop_reason: str = None
 
     def __post_init__(self):
         if self.s_lower > self.s_upper + 1e-12:
@@ -147,6 +150,7 @@ class _PressureProbe:
         self.horizon_cap = horizon_cap
         self.state_cap = state_cap
         self.evals = 0
+        self.limit = None
 
     def bracket(self, s):
         self.evals += 1
@@ -161,11 +165,13 @@ class _PressureProbe:
         if self.m >= 24:
             # enclosure radii contract geometrically per level; past this
             # depth the weights stop moving in float64
+            self.limit = "depth_limit"
             return False
         letters = self.system.letters(self.k)
         if _count_words(self.system, letters, self.m + 1, self.state_cap) <= self.state_cap:
             self.m += 1
             return True
+        self.limit = "state_cap"
         return False
 
 
@@ -284,7 +290,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
         # no admissible words at all: empty pressure, dimension collapses
         return DimensionResult(
             s_lower=floor, s_upper=floor, theta=theta, scope=scope,
-            conditions=conditions, evals=probe.evals,
+            conditions=conditions, evals=probe.evals, stop_reason="empty",
         )
     s_hi, p_high = s_max, est
 
@@ -296,13 +302,14 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
         return DimensionResult(
             s_lower=floor, s_upper=floor, theta=theta, scope=scope,
             pressure_at_upper=est, component=est.component,
-            conditions=conditions, evals=probe.evals,
+            conditions=conditions, evals=probe.evals, stop_reason="tolerance",
         )
     if est is not None and est.lower >= 0.0:
         p_low = est
 
     straddle_width = None
     stuck = 0
+    stop = None
     while s_hi - s_lo > s_tol and not out_of_budget():
         mid = 0.5 * (s_lo + s_hi)
         est = probe.bracket(mid)
@@ -323,7 +330,10 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
                 stuck = 0
             straddle_width = width
             if stuck >= 3 or not probe.refine():
+                stop = "stuck" if stuck >= 3 else probe.limit
                 break
+    if stop is None:
+        stop = "tolerance" if s_hi - s_lo <= s_tol else "budget"
 
     if s_hi - s_lo > s_tol:
         # refinement is spent and the midpoint straddles: the leftover gap
@@ -348,6 +358,8 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
             else:
                 hi_a = mid
         s_hi = hi_b
+        if lo_b - lo_a > s_tol or hi_b - hi_a > s_tol:
+            stop = "budget"
 
     component = None
     for src in (p_high, p_low):
@@ -358,6 +370,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
         s_lower=s_lo, s_upper=s_hi, theta=theta, scope=scope,
         pressure_at_lower=p_low, pressure_at_upper=p_high,
         component=component, conditions=conditions, evals=probe.evals,
+        stop_reason=stop,
     )
 
 

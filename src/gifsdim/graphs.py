@@ -417,32 +417,22 @@ def irreducible_truncation(matrix, n, ladder=None, budget=DEFAULT_CONNECTOR_BUDG
     return ladder.stage(n), ladder
 
 
-def admissible_words(matrix, length, alphabet):
-    """All admissible words of `length` letters over `alphabet`, DFS in
-    lexicographic order with respect to the alphabet's order."""
-    if length < 1:
-        raise ValueError("word length must be >= 1")
-    alphabet = list(alphabet)
-    fin = isinstance(matrix, FiniteTransition)
-
-    def successors(a):
-        if fin:
-            ia = matrix.index[a]
-            allowed = set(matrix.succ[ia])
-            return [b for b in alphabet if matrix.index.get(b, -1) in allowed]
-        return [b for b in matrix.row(a, alphabet)]
-
-    for a in alphabet:
-        yield from _extend_words([a], length, successors)
-
-
-def _extend_words(prefix, length, successors):
-    # module level, not a closure over itself: a self-referencing closure is
-    # a reference cycle that keeps its captured arguments until a gc pass
-    if len(prefix) == length:
-        yield tuple(prefix)
-        return
-    for b in successors(prefix[-1]):
-        prefix.append(b)
-        yield from _extend_words(prefix, length, successors)
-        prefix.pop()
+def word_levels(adj, m):
+    """Admissible words of 1..m letters over letter positions, where adj[a, b]
+    says b may follow a.  Level j+1 is, for each letter a in order, a
+    followed by each level-j word whose first letter a may precede, so every
+    level is in lexicographic order.  Returns one (words, tails, blocks)
+    triple per level: the words as rows of positions, the index of each
+    word's tail (word[1:]) in the level below, and the offsets at which
+    each first letter's block of words starts and ends."""
+    n = len(adj)
+    words = np.arange(n)[:, None]
+    levels = [(words, None, np.arange(n + 1))]
+    for _ in range(m - 1):
+        groups = [np.flatnonzero(adj[a, words[:, 0]]) for a in range(n)]
+        blocks = np.cumsum([0] + [len(t) for t in groups])
+        tails = np.concatenate(groups)
+        first = np.repeat(np.arange(n), np.diff(blocks))
+        words = np.column_stack((first, words[tails]))
+        levels.append((words, tails, blocks))
+    return levels

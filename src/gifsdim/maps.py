@@ -22,6 +22,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainViolation, MixedFamily, UnsupportedShape
 from .shapes import Ball, Box, as_complex, circumball
 
@@ -287,18 +289,56 @@ def derivative_conorm(spec, point):
     return derivative_norm(spec, point)
 
 
-def _moebius_disk_params(spec, shape):
-    """Center/radius of the pre-inversion disk e+z (or its perturbed form)."""
-    ball = shape if isinstance(shape, Ball) else circumball(shape)
-    exact = isinstance(shape, Ball)
-    c = as_complex(ball.center)
+def _moebius_disk(spec, cx, cy, r):
+    """Centre (real, imaginary) and radius of the disk that the inversion
+    sees: e + B(c, r), or e + 1/2 + eps*(B(c, r) - 1/2) when perturbed.
+    Real component arithmetic, elementwise over floats or float64 arrays,
+    rounds as the complex scalar formulas do."""
     if isinstance(spec, MoebiusCF):
-        return spec.e + c, ball.radius, exact
-    return (
-        spec.e + 0.5 + spec.epsilon * (c - 0.5),
-        spec.epsilon * ball.radius,
-        exact,
-    )
+        return spec.e.real + cx, spec.e.imag + cy, r
+    eps = spec.epsilon
+    return (spec.e.real + 0.5) + eps * (cx - 0.5), spec.e.imag + eps * cy, eps * r
+
+
+def moebius_derivative_range(spec, cx, cy, r):
+    """(lower, upper) of |T'| over the disks B((cx, cy), r), elementwise:
+    |e+z| ranges over [|e+c|-rho, |e+c|+rho].  np.hypot and np.float_power
+    round as abs(complex) and libm pow do, so arrays and the scalar wrapper
+    give the same bits."""
+    ar, ai, rho = _moebius_disk(spec, cx, cy, r)
+    dist = np.hypot(ar, ai)
+    gap = dist - rho
+    if (gap <= _POLE_MARGIN).any():
+        raise DomainViolation(f"set reaches within {np.min(gap):.3g} of the pole")
+    scale = spec.epsilon if isinstance(spec, PerturbedMoebiusCF) else 1.0
+    return scale / np.float_power(dist + rho, 2), scale / np.float_power(gap, 2)
+
+
+def disk_image(spec, cx, cy, r):
+    """Centre (cx, cy) and radius of the image disks of planar disks
+    B((cx, cy), r), elementwise over floats or float64 arrays.  Inversion
+    w -> 1/w sends B(a, rho) to B(conj(a)/(|a|^2-rho^2), rho/(|a|^2-rho^2))
+    when 0 is outside the disk; affine maps round as apply() does."""
+    if isinstance(spec, _MOEBIUS_KINDS):
+        ar, ai, rho = _moebius_disk(spec, cx, cy, r)
+        mod2 = np.float_power(np.hypot(ar, ai), 2) - np.float_power(rho, 2)
+        if (mod2 <= _POLE_MARGIN).any():
+            raise DomainViolation("pole inside or touching the set")
+        return ar / mod2, -ai / mod2, rho / mod2
+    if spec.dim != 2:
+        raise UnsupportedShape(f"disk images need a planar map, not dimension {spec.dim}")
+    if isinstance(spec, Constant):
+        x, y = spec.target
+        return np.full_like(cx, x), np.full_like(cy, y), np.zeros_like(r)
+    lin = complex(_linear_scalar(spec))
+    if getattr(spec, "reflect", False):
+        cy = -cy
+    shift = as_complex(spec.translation)
+    if isinstance(spec, PerturbedAffine):
+        shift += spec.epsilon * as_complex(spec.drift)
+    x = lin.real * cx - lin.imag * cy + shift.real
+    y = lin.real * cy + lin.imag * cx + shift.imag
+    return x, y, abs(_linear_scalar(spec)) * r
 
 
 def derivative_range_over_set(spec, shape, conorm=False):
@@ -319,18 +359,9 @@ def derivative_range_over_set(spec, shape, conorm=False):
             raise UnsupportedShape(type(shape).__name__)
         if shape.dim != 2:
             raise UnsupportedShape("Moebius maps act on the plane")
-        center, rho, _ = _moebius_disk_params(spec, shape)
-        dist = abs(center)
-        if dist - rho <= _POLE_MARGIN:
-            raise DomainViolation(
-                f"set reaches within {dist - rho:.3g} of the pole"
-            )
-        scale = spec.epsilon if isinstance(spec, PerturbedMoebiusCF) else 1.0
-        return DerivativeRange(
-            scale / (dist + rho) ** 2,
-            scale / (dist - rho) ** 2,
-            certified=True,
-        )
+        ball = circumball(shape)
+        lo, hi = moebius_derivative_range(spec, *ball.center, ball.radius)
+        return DerivativeRange(float(lo), float(hi), certified=True)
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 
@@ -371,15 +402,10 @@ def image_enclosure(spec, shape):
     if isinstance(spec, _MOEBIUS_KINDS):
         if shape.dim != 2:
             raise UnsupportedShape("Moebius maps act on the plane")
-        center, rho, exact = _moebius_disk_params(spec, shape)
-        mod2 = abs(center) ** 2 - rho ** 2
-        if mod2 <= _POLE_MARGIN:
-            raise DomainViolation("pole inside or touching the set")
-        # Inversion w -> 1/w sends B(a, rho) to B(conj(a)/(|a|^2-rho^2),
-        # rho/(|a|^2-rho^2)) when 0 is outside the disk.
-        img_center = center.conjugate() / mod2
-        img_radius = rho / mod2
-        return Ball((img_center.real, img_center.imag), img_radius), exact
+        # boxes go through their circumscribed ball: certified, not exact
+        ball = circumball(shape)
+        x, y, radius = disk_image(spec, *ball.center, ball.radius)
+        return Ball((x, y), float(radius)), isinstance(shape, Ball)
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 
@@ -389,8 +415,9 @@ def _log_deriv_lipschitz(spec, neighborhoods):
         return 0.0
     best = 0.0
     for shape in neighborhoods:
-        center, rho, _ = _moebius_disk_params(spec, shape)
-        low = abs(center) - rho
+        ball = circumball(shape)
+        ar, ai, rho = _moebius_disk(spec, *ball.center, ball.radius)
+        low = float(np.hypot(ar, ai)) - rho
         if low <= _POLE_MARGIN:
             raise DomainViolation("neighborhood reaches the pole")
         # |d/dz log|T'|| = 2*scale/|denominator|; the perturbed family's

@@ -21,7 +21,6 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
-from itertools import repeat
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +34,8 @@ from .errors import (
     NoAdmissibleWords,
     NonAdmissibleWord,
 )
-from .graphs import FiniteTransition, admissible_words, strongly_connected_components
-from .shapes import Ball
+from .graphs import FiniteTransition, strongly_connected_components, word_levels
+from .shapes import Ball, circumball
 
 __all__ = [
     "PotentialSpec",
@@ -420,70 +419,71 @@ def pressure_word_sum(system, potential, n, k, scope="truncated", a_star=32):
     )
 
 
-def _enclosure(system, word, memo):
-    """Image of the terminal seed under all of word's maps.  Shared suffixes
-    are memoized in memo, since sibling states reuse them.  Module level on
-    purpose: a closure calling itself is a reference cycle that would keep
-    the system and memo alive until a gc pass."""
-    shape = memo.get(word)
-    if shape is None:
-        if len(word) == 1:
-            shape = system.seed_image(word[0])[0]
-        else:
-            shape, _ = mapslib.image_enclosure(
-                system.map_of(word[0]), _enclosure(system, word[1:], memo)
-            )
-        memo[word] = shape
-    return shape
-
-
 def _build_geometry(system, letters, m, conorm):
-    g = system.graph
-    if m == 1:
-        states = [(e,) for e in letters]
-    else:
-        fin = _letter_transition(system, letters)
-        states = list(admissible_words(fin, m, letters))
-    if not states:
+    """States, CSR pattern and derivative ranges as float64 arrays, built
+    one word length at a time with a Python loop over letters only."""
+    adj = _letter_transition(system, letters).dense
+    levels = word_levels(adj, m)
+    words, tails, blocks = levels[-1]
+    if not len(words):
         raise NoAdmissibleWords(
             f"no admissible words of length {m} over {len(letters)} letters"
         )
-    index = {w: i for i, w in enumerate(states)}
+    picked = np.fromiter(letters, dtype=object, count=len(letters))
+    states = tuple(map(tuple, picked[words].tolist()))
 
+    # u -> w exactly when w = u[1:] + c with c allowed after u's last letter.
+    # At depth >= 2 the words extending one (m-1)-word form a contiguous block
+    # of the lexicographic level, so each row's successors are a range.
+    n_succ = adj.sum(axis=1)
+    count = n_succ[words[:, -1]]
+    indptr = np.concatenate(([0], np.cumsum(count))).astype(np.int32)
     if m == 1:
-        by_initial = {}
-        for w, j in index.items():
-            by_initial.setdefault(g.initial(w[0]), []).append(j)
-        succ = [by_initial.get(g.terminal(w[0]), []) for w in states]
+        indices = np.flatnonzero(adj) % len(letters)
     else:
-        by_prefix = {}
-        for w, j in index.items():
-            by_prefix.setdefault(w[:-1], []).append(j)
-        succ = [by_prefix.get(w[1:], []) for w in states]
+        ext = n_succ[levels[-2][0][:, -1]]
+        starts = (np.cumsum(ext) - ext)[tails] - indptr[:-1]
+        indices = np.repeat(starts, count) + np.arange(indptr[-1])
+    indices = indices.astype(np.int32)
 
-    memo = {}
-    rows, cols, los, his = [], [], [], []
-    for i, u in enumerate(states):
-        spec = system.map_of(u[0])
-        for j in succ[i]:
-            rng = mapslib.derivative_range_over_set(
-                spec, _enclosure(system, states[j], memo), conorm=conorm
+    specs = [system.map_of(e) for e in letters]
+    moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
+    if any(moebius):
+        # the enclosure disk of every word, level by level: a word's disk is
+        # its tail's disk mapped through its first letter
+        cx, cy, r = np.array([
+            (*ball.center, ball.radius)
+            for ball in (circumball(system.seed_image(e)[0]) for e in letters)
+        ]).T
+        for _, tails_j, blocks_j in levels[1:]:
+            disks = np.empty((3, len(tails_j)))
+            for a, spec in enumerate(specs):
+                rows = slice(blocks_j[a], blocks_j[a + 1])
+                t = tails_j[rows]
+                disks[:, rows] = mapslib.disk_image(spec, cx[t], cy[t], r[t])
+            cx, cy, r = disks
+
+    lower, upper = np.empty((2, len(indices)))
+    for a, spec in enumerate(specs):
+        nz = slice(indptr[blocks[a]], indptr[blocks[a + 1]])
+        if moebius[a]:
+            t = indices[nz]
+            lower[nz], upper[nz] = mapslib.moebius_derivative_range(
+                spec, cx[t], cy[t], r[t]
             )
-            rows.append(i)
-            cols.append(j)
-            los.append(rng.lower)
-            his.append(rng.upper)
+        else:
+            # an affine range does not depend on the set it ranges over
+            rng = mapslib.derivative_range_over_set(spec, None, conorm=conorm)
+            lower[nz], upper[nz] = rng.lower, rng.upper
 
-    # scipy puts the entries in canonical CSR order; both range arrays take
-    # the same permutation, so raising them to s later commutes with it
-    shape = (len(states), len(states))
-    lo = sp.csr_matrix((np.asarray(los, dtype=float), (rows, cols)), shape=shape)
-    hi = sp.csr_matrix((np.asarray(his, dtype=float), (rows, cols)), shape=shape)
-    arrays = (lo.indices, lo.indptr, lo.data, hi.data)
+    flat = indices.tolist()
+    ptr = indptr.tolist()
+    succ = [flat[i:j] for i, j in zip(ptr, ptr[1:])]
+    arrays = (indices, indptr, lower, upper)
     # the matrices of every exponent share these arrays
     for arr in arrays:
         arr.flags.writeable = False
-    return StateGeometry(tuple(states), FiniteTransition(states, succ), *arrays)
+    return StateGeometry(states, FiniteTransition(states, succ), *arrays)
 
 
 class _GeometrySlot:
@@ -532,14 +532,6 @@ def _geometry(system, letters, m, conorm):
     return slot.geometry
 
 
-def _powers(ranges, s):
-    """ranges**s element by element through libm pow, exactly as x**s
-    rounds; numpy's vectorised power can differ from it in the last ulp."""
-    return np.fromiter(
-        map(pow, ranges.tolist(), repeat(s)), dtype=float, count=len(ranges)
-    )
-
-
 def build_weighted_matrix(system, potential, k, m=1):
     """Assemble the depth-m word-state transition matrices over letters(k).
 
@@ -556,11 +548,13 @@ def build_weighted_matrix(system, potential, k, m=1):
     geom = _geometry(system, letters, m, potential.conorm)
     s = potential.s
     shape = (len(geom.states), len(geom.states))
+    # np.float_power rounds as x**s does (libm pow per element); np.power's
+    # vector kernels can differ from it in the last ulp
     inf_mat = sp.csr_matrix(
-        (_powers(geom.lower, s), geom.indices, geom.indptr), shape=shape
+        (np.float_power(geom.lower, s), geom.indices, geom.indptr), shape=shape
     )
     sup_mat = sp.csr_matrix(
-        (_powers(geom.upper, s), geom.indices, geom.indptr), shape=shape
+        (np.float_power(geom.upper, s), geom.indices, geom.indptr), shape=shape
     )
     return WeightedMatrix(
         states=geom.states,
@@ -592,7 +586,7 @@ def _equilibrate_scales(nstates, row, col, logw):
         if not finite.all():
             fill = nxt[finite].min() if finite.any() else 0.0
             nxt[~finite] = fill
-        if np.allclose(nxt, d, rtol=0.0, atol=1e-9):
+        if np.abs(nxt - d).max() <= 1e-9:
             return nxt
         d = nxt
     return d

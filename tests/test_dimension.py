@@ -184,6 +184,15 @@ def test_cf_digit_pair_matches_external_constant():
     assert res.scope == "truncated"
 
 
+def test_stop_reason_names_why_refinement_ended():
+    capped = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5, state_cap=4)
+    assert capped.stop_reason == "state_cap"
+    assert capped.width > 1e-5
+    assert "stop_reason" not in capped.record()
+    cantor = bowen_dimension(moran_system([1 / 3, 1 / 3]), s_tol=1e-9)
+    assert cantor.stop_reason == "tolerance"
+
+
 def test_union_component_max_law():
     sysm = union_system()
     comp = dimension_per_component(sysm)

@@ -140,6 +140,17 @@ def test_disk_image_is_exact_disk():
         assert abs(abs(w - (0.75 + 0j)) - 0.25) < 1e-12
 
 
+def test_off_axis_disk_images_are_exact():
+    # complex letters and an off-axis disk: every boundary point maps onto
+    # the boundary of the computed image disk
+    for spec in (MoebiusCF(2 + 1j), PerturbedMoebiusCF(1 - 1j, 0.3)):
+        img, exact = image_enclosure(spec, Ball((0.4, 0.1), 0.3))
+        assert exact
+        for t in np.linspace(0.0, 2 * math.pi, 37):
+            w = apply(spec, (0.4 + 0.3 * math.cos(t), 0.1 + 0.3 * math.sin(t)))
+            assert abs(math.dist(w, img.center) - img.radius) < 1e-12
+
+
 def test_second_branch_tangent_to_first():
     img1, _ = image_enclosure(MoebiusCF(1), STANDARD_DISK)
     img2, _ = image_enclosure(MoebiusCF(2), STANDARD_DISK)

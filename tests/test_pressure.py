@@ -16,11 +16,13 @@ Frozen oracles used here:
 """
 
 import gc
+import itertools
 import math
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.optimize import brentq
 
 from gifsdim.errors import (
@@ -29,7 +31,13 @@ from gifsdim.errors import (
     NonAdmissibleWord,
 )
 from gifsdim.graphs import DirectedMultigraph, Enumeration
-from gifsdim.maps import Similarity
+from gifsdim.maps import (
+    ConformalAffine,
+    MoebiusCF,
+    Similarity,
+    derivative_range_over_set,
+    image_enclosure,
+)
 from gifsdim.pressure import (
     PotentialSpec,
     PressureEstimate,
@@ -44,8 +52,10 @@ from gifsdim.pressure import (
 from gifsdim.scenarios import (
     affine_demo,
     cf_system,
+    gaussian_alphabet,
     ladder_system,
     moran_system,
+    perturbed_cf,
 )
 from gifsdim.shapes import Ball
 from gifsdim.systems import GifsSystem, SeedSet, subsystem
@@ -276,9 +286,86 @@ def test_reweighting_matches_a_fresh_build_bitwise():
             assert mat.nnz == fresh.sup_weights.nnz
 
 
+def reference_geometry(system, k, m):
+    """The scalar algorithm the array geometry replaced: states in
+    lexicographic order, one derivative_range_over_set per nonzero over
+    memoised image_enclosure disks."""
+    g = system.graph
+    states = [
+        w for w in itertools.product(system.letters(k), repeat=m)
+        if all(g.terminal(a) == g.initial(b) for a, b in zip(w, w[1:]))
+    ]
+    memo = {}
+
+    def enclosure(w):
+        if w not in memo:
+            memo[w] = (system.seed_image(w[0])[0] if len(w) == 1 else
+                       image_enclosure(system.map_of(w[0]), enclosure(w[1:]))[0])
+        return memo[w]
+
+    entries = [
+        (i, j, derivative_range_over_set(system.map_of(u[0]), enclosure(w)))
+        for i, u in enumerate(states) for j, w in enumerate(states)
+        if (u[1:] == w[:-1] if m > 1 else g.terminal(u[0]) == g.initial(w[0]))
+    ]
+    rows, cols, ranges = zip(*entries)
+    shape = (len(states), len(states))
+    lo = sp.csr_matrix(([r.lower for r in ranges], (rows, cols)), shape=shape)
+    hi = sp.csr_matrix(([r.upper for r in ranges], (rows, cols)), shape=shape)
+    return tuple(states), lo, hi
+
+
+def moebius_with_affine_letters():
+    """CF letters 1 and 2 beside a reflected affine letter and a rotated
+    similarity, on the CF seed disk."""
+    cf = cf_system(letters=(1, 2, 3, 4))
+    maps = {
+        1: MoebiusCF(1),
+        2: MoebiusCF(2),
+        3: ConformalAffine(0.3 + 0.1j, (0.2, 0.1), reflect=True),
+        4: Similarity(0.2, (0.5, 0.0), rotation=0.7),
+    }
+    seeds = {0: cf.seed(0)}
+    return GifsSystem(cf.graph, seeds, maps, 2, name="cf-affine")
+
+
+def test_array_geometry_matches_scalar_reference_bitwise():
+    cases = [(lambda: cf_system(letters=(1, 2)), 2, range(1, 7)),
+             (lambda: cf_system(gaussian_alphabet(2)), 64, range(1, 4)),
+             (ladder_system, 12, range(1, 3)),
+             (affine_demo, 8, range(1, 4)),
+             (lambda: moran_system([1 / 3, 1 / 3]), 2, range(1, 4)),
+             (moebius_with_affine_letters, 4, range(1, 4))]
+    for eps in (0.0, 0.25):
+        cases.append((lambda eps=eps: perturbed_cf((1, 2), (1, 2, 3), eps), 3, range(1, 5)))
+    for make, k, depths in cases:
+        for m in depths:
+            geom = build_weighted_matrix(make(), PotentialSpec(1.0), k, m).geometry
+            states, lo, hi = reference_geometry(make(), k, m)
+            assert geom.states == states, (make, m)
+            assert np.array_equal(geom.indices, lo.indices)
+            assert np.array_equal(geom.indptr, lo.indptr)
+            assert geom.lower.tobytes() == lo.data.tobytes(), (make, m)
+            assert geom.upper.tobytes() == hi.data.tobytes(), (make, m)
+
+
+def test_float_power_rounds_as_libm_pow():
+    # the reweight raises every derivative range with np.float_power and the
+    # disk maths takes |z| with np.hypot; a host where either rounds unlike
+    # x ** s or abs(complex) would move brackets by ulps
+    rng = np.random.default_rng(20261018)
+    x = 1.0 - rng.random(50000)
+    for s in (0, 0.3, 0.531, 1, 1.25, 2, 3):
+        want = np.array([v ** s for v in x.tolist()])
+        assert np.float_power(x, s).tobytes() == want.tobytes(), s
+    y = rng.normal(size=x.size)
+    want = np.array([abs(complex(a, b)) for a, b in zip(x.tolist(), y.tolist())])
+    assert np.hypot(x, y).tobytes() == want.tobytes()
+
+
 def test_weighted_matrix_build_leaves_no_reference_cycle():
-    # a cycle through the enclosure memo would keep the system alive until
-    # a full collection
+    # a reference cycle left by a build would keep the system alive until a
+    # full collection
     gc.disable()
     try:
         sys = cf_system(letters=(1, 2))
