@@ -11,6 +11,10 @@ Three routes, each valid at every finite stage rather than only in the limit:
   and sup weight matrices sandwich the cylinder potential entrywise, so
   their spectral radii (enclosed per strongly connected component by
   Collatz-Wielandt ratios around a power iteration) bracket the pressure.
+  The geometry and each component's Collatz-Wielandt data (class pattern,
+  entry positions) do not depend on s and are built once per geometry;
+  each exponent only reweights them, and within a solve the iteration
+  starts from the previous exponent's scales and iterate.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -20,7 +24,7 @@ Three routes, each valid at every finite stage rather than only in the limit:
 import math
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -199,9 +203,14 @@ class StateGeometry:
 
     indices/indptr give the CSR pattern of the transitions; lower/upper hold,
     per nonzero in that order, the derivative range of the source state's
-    first letter over the enclosure of the target state.  classes caches the
-    nontrivial state-level strongly connected classes as (states, sorted
-    index array) pairs once pressure_spectral has computed them.
+    first letter over the enclosure of the target state.  classes caches,
+    once pressure_spectral has computed them, the nontrivial state-level
+    strongly connected classes as _ClassPlan objects: each class's states,
+    the positions of its entries among the nonzeros and its local CSR
+    pattern, plus the scales and iterate of the last probe on each side,
+    from which the next exponent's power iteration starts.  A geometry lives
+    at most as long as the solve that built it (see _reuse_geometry), so no
+    warm start outlives a solve.
     """
 
     states: tuple
@@ -568,8 +577,8 @@ def build_weighted_matrix(system, potential, k, m=1):
     )
 
 
-def _equilibrate_scales(nstates, row, col, logw):
-    """Diagonal scales from a max-plus eigenvector estimate.
+def _equilibrate_scales(row, col, logw, d):
+    """Diagonal scales from a max-plus eigenvector estimate, iterated from d.
 
     Long-chain systems have Perron vectors spanning thousands of orders of
     magnitude, far past float64, which zeroes components of the power
@@ -577,7 +586,7 @@ def _equilibrate_scales(nstates, row, col, logw):
     every Collatz-Wielandt certificate, so a partially converged estimate
     is still safe; quality only affects conditioning.
     """
-    d = np.zeros(nstates)
+    nstates = len(d)
     for _ in range(min(nstates, 512)):
         nxt = np.full(nstates, -np.inf)
         np.maximum.at(nxt, row, logw + d[col])
@@ -592,36 +601,91 @@ def _equilibrate_scales(nstates, row, col, logw):
     return d
 
 
-def _cw_bracket(mat, tol=CW_TOL, max_iter=CW_MAX_ITER):
-    """Certified spectral-radius bracket for a nonnegative matrix.
+@dataclass(eq=False)
+class _ClassPlan:
+    """The s-independent Collatz-Wielandt data of one nontrivial state class.
 
+    positions picks the class's entries out of the geometry's nonzeros in
+    the canonical CSR order of the class matrix (rows, then columns, in
+    local indices), which fixes the order of every matvec sum; row/col are
+    their local coordinates and indices/indptr the class matrix's CSR
+    pattern (indices is col as int32; row/col stay intp, which numpy's
+    gathers and np.maximum.at take without a per-call conversion).  Entries
+    that vanish at some exponent stay in the pattern as explicit zeros,
+    which leave every positive row sum's bits unchanged.  warm holds, per
+    side (0 inf, 1 sup), the exponent, max-plus scales and final iterate of
+    the last probe.
+    """
+
+    states: tuple
+    positions: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    warm: list = field(default_factory=lambda: [None, None])
+
+
+def _class_plan(geom, states, idx):
+    """The _ClassPlan of the class whose state indices, ascending, are idx.
+
+    The geometry's rows list their columns in ascending order, and local
+    indices keep that order, so taking the class's entries row by row gives
+    the canonical order a COO -> CSR conversion of the class matrix has.
+    """
+    local = np.full(len(geom.states), -1)
+    local[idx] = np.arange(len(idx))
+    starts = geom.indptr[idx]
+    counts = geom.indptr[idx + 1] - starts
+    # every nonzero of the class's rows, row by row in column order
+    positions = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+    positions += np.arange(counts.sum())
+    col = local[geom.indices[positions]]
+    inside = col >= 0
+    positions, col = positions[inside], col[inside]
+    row = np.repeat(np.arange(len(idx)), counts)[inside]
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(idx)))))
+    return _ClassPlan(
+        states, positions, row, col, col.astype(np.int32), indptr.astype(np.int32)
+    )
+
+
+def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
+    """Certified spectral-radius bracket for one class matrix.
+
+    weights holds one side's entries in the geometry's nonzero order.
     Power iteration on I + B/theta (the shift keeps iterates strictly
     positive and defeats periodicity).  Every iterate gives Collatz-
     Wielandt bounds min_i (Mv)_i/v_i <= rho(M) <= max_i (Mv)_i/v_i -- the
     lower via a nonnegative left Perron vector u (u(Mv) >= min_ratio * uv
     and uv > 0 since v > 0), the upper likewise -- so the running
-    intersection over iterations stays certified.  Returns
-    (lo, hi, stalled, iterations).
+    intersection over iterations stays certified for any positive start
+    and any positive conjugation.  A probe after one at a positive s_prev
+    on the same side starts the scale search from (s / s_prev) times the
+    old scales (the max-plus eigenvector of s*L is s times that of L) and
+    the power iteration from the old iterate; otherwise it starts cold,
+    from zero scales and v = 1.  Returns (lo, hi, stalled, iterations).
     """
-    nstates = mat.shape[0]
-    if nstates == 0:
+    nstates = len(plan.indptr) - 1
+    with np.errstate(divide="ignore"):
+        logw = np.log(weights[plan.positions])
+    if logw.max() == -np.inf:
         return 0.0, 0.0, False, 0
-    coo = mat.tocoo()
-    keep = coo.data > 0.0
-    row, col = coo.row[keep], coo.col[keep]
-    logw = np.log(coo.data[keep])
-    if logw.size == 0:
-        return 0.0, 0.0, False, 0
-    d = _equilibrate_scales(nstates, row, col, logw)
-    data = np.exp(logw + d[col] - d[row])
+    warm = plan.warm[side]
+    if warm is not None and warm[0] > 0.0:
+        s_prev, d, v = warm
+        d = _equilibrate_scales(plan.row, plan.col, logw, (s / s_prev) * d)
+    else:
+        d = _equilibrate_scales(plan.row, plan.col, logw, np.zeros(nstates))
+        v = np.ones(nstates)
+    data = np.exp(logw + d[plan.col] - d[plan.row])
     if not np.isfinite(data).all():
         d = np.zeros(nstates)
         data = np.exp(logw)
     theta = float(data.max())
     scaled = sp.csr_matrix(
-        (data / theta, (row, col)), shape=(nstates, nstates)
+        (data / theta, plan.indices, plan.indptr), shape=(nstates, nstates)
     )
-    v = np.ones(nstates)
     best_lo = 0.0
     best_hi = math.inf
     stalled = True
@@ -641,6 +705,7 @@ def _cw_bracket(mat, tol=CW_TOL, max_iter=CW_MAX_ITER):
         # the floor keeps v strictly positive even if a component still
         # underflows; any positive test vector certifies, just loosely
         v = np.maximum(w / w.max(), 1e-300)
+    plan.warm[side] = (s, d, v)
     lo = max(best_lo - 1.0, 0.0) * theta
     hi = max(best_hi - 1.0, 0.0) * theta
     if lo > hi:
@@ -649,13 +714,14 @@ def _cw_bracket(mat, tol=CW_TOL, max_iter=CW_MAX_ITER):
 
 
 def _state_classes(geom):
-    """Nontrivial state classes of geom in dependency order, each with its
-    sorted index array; computed on first use and kept on the geometry."""
+    """Nontrivial state classes of geom in dependency order, each as its
+    _ClassPlan; computed on first use and kept on the geometry, so the
+    plans and their warm starts live exactly as long as the geometry."""
     if geom.classes is None:
         tr = geom.transitions
         dec = strongly_connected_components(tr, tr.n)
         geom.classes = tuple(
-            (cls, np.array([tr.index[st] for st in cls], dtype=int))
+            _class_plan(geom, cls, np.array([tr.index[st] for st in cls], dtype=int))
             for cls, trivial in zip(dec.classes, dec.trivial)
             if not trivial
         )
@@ -686,13 +752,15 @@ def pressure_spectral(
     best = None
     comps = []
     stalled = False
-    for cls, idx in _state_classes(wm.geometry):
-        sub_inf = wm.inf_weights[idx][:, idx]
-        sub_sup = wm.sup_weights[idx][:, idx]
-        lo_inf, _, st_a, _ = _cw_bracket(sub_inf, tol, max_iter)
-        _, hi_sup, st_b, _ = _cw_bracket(sub_sup, tol, max_iter)
+    s = potential.s
+    for plan in _state_classes(wm.geometry):
+        lo_inf, _, st_a, _ = _cw_bracket(
+            plan, 0, wm.inf_weights.data, s, tol, max_iter)
+        _, hi_sup, st_b, _ = _cw_bracket(
+            plan, 1, wm.sup_weights.data, s, tol, max_iter)
         c_lower = _safe_log(lo_inf)
         c_upper = _safe_log(hi_sup)
+        cls = plan.states
         comps.append((cls, c_lower, c_upper))
         stalled = stalled or st_a or st_b
         if c_upper > upper:

@@ -184,6 +184,19 @@ def test_cf_digit_pair_matches_external_constant():
     assert res.scope == "truncated"
 
 
+def test_solve_brackets_are_pinned_bitwise():
+    # warm-started probes move pressure brackets in their last bits; the
+    # bisection's sign decisions, and so the dimension brackets, must not
+    pinned = (
+        (moran_system([1 / 3, 1 / 3]), 1e-7, "0x1.4309380000000p-1", "0x1.43093a0000000p-1"),
+        (cf_system(letters=(1, 2)), 1e-5, "0x1.1003400000000p-1", "0x1.10040c0000000p-1"),
+        (ladder_system(), 1e-3, "0x1.4380000000000p-1", "0x1.63a4000000000p-1"),
+    )
+    for sysm, s_tol, lower, upper in pinned:
+        res = bowen_dimension(sysm, s_tol=s_tol)
+        assert (res.s_lower.hex(), res.s_upper.hex()) == (lower, upper), sysm.name
+
+
 def test_stop_reason_names_why_refinement_ended():
     capped = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5, state_cap=4)
     assert capped.stop_reason == "state_cap"
@@ -316,6 +329,11 @@ def test_solves_share_no_geometry_across_calls(monkeypatch):
         assert trail == want_trail
         assert (res.s_lower, res.s_upper, res.evals) == (
             want.s_lower, want.s_upper, want.evals)
+    # back to back on one system: no warm start leaks from the first solve
+    first, second = got[1][0], got[2][0]
+    for name in ("pressure_at_lower", "pressure_at_upper"):
+        a, b = getattr(first, name), getattr(second, name)
+        assert (a.lower.hex(), a.upper.hex()) == (b.lower.hex(), b.upper.hex())
 
 
 def test_norm_conorm_overlap_on_similarity():

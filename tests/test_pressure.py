@@ -30,7 +30,11 @@ from gifsdim.errors import (
     NoAdmissibleWords,
     NonAdmissibleWord,
 )
-from gifsdim.graphs import DirectedMultigraph, Enumeration
+from gifsdim.graphs import (
+    DirectedMultigraph,
+    Enumeration,
+    strongly_connected_components,
+)
 from gifsdim.maps import (
     ConformalAffine,
     MoebiusCF,
@@ -39,6 +43,8 @@ from gifsdim.maps import (
     image_enclosure,
 )
 from gifsdim.pressure import (
+    CW_MAX_ITER,
+    CW_TOL,
     PotentialSpec,
     PressureEstimate,
     build_weighted_matrix,
@@ -375,6 +381,138 @@ def test_weighted_matrix_build_leaves_no_reference_cycle():
         assert ref() is None
     finally:
         gc.enable()
+
+
+def reference_equilibrate_scales(nstates, row, col, logw):
+    d = np.zeros(nstates)
+    for _ in range(min(nstates, 512)):
+        nxt = np.full(nstates, -np.inf)
+        np.maximum.at(nxt, row, logw + d[col])
+        nxt -= nxt.max()
+        finite = np.isfinite(nxt)
+        if not finite.all():
+            fill = nxt[finite].min() if finite.any() else 0.0
+            nxt[~finite] = fill
+        if np.abs(nxt - d).max() <= 1e-9:
+            return nxt
+        d = nxt
+    return d
+
+
+def reference_cw_bracket(mat):
+    """Cold Collatz-Wielandt bracket of one sliced class matrix: zeros
+    dropped, scales from zero, rebuilt from COO, iterated from v = 1."""
+    nstates = mat.shape[0]
+    coo = mat.tocoo()
+    keep = coo.data > 0.0
+    row, col = coo.row[keep], coo.col[keep]
+    logw = np.log(coo.data[keep])
+    if logw.size == 0:
+        return 0.0, 0.0, False
+    d = reference_equilibrate_scales(nstates, row, col, logw)
+    data = np.exp(logw + d[col] - d[row])
+    if not np.isfinite(data).all():
+        data = np.exp(logw)
+    theta = float(data.max())
+    scaled = sp.csr_matrix((data / theta, (row, col)), shape=(nstates, nstates))
+    v = np.ones(nstates)
+    best_lo, best_hi, stalled = 0.0, math.inf, True
+    for _ in range(CW_MAX_ITER):
+        w = scaled @ v + v
+        ratios = w / v
+        best_lo = max(best_lo, float(ratios.min()))
+        best_hi = min(best_hi, float(ratios.max()))
+        if best_hi - best_lo <= CW_TOL:
+            stalled = False
+            break
+        v = np.maximum(w / w.max(), 1e-300)
+    lo = max(best_lo - 1.0, 0.0) * theta
+    hi = max(best_hi - 1.0, 0.0) * theta
+    return min(lo, hi), hi, stalled
+
+
+def reference_spectral(system, potential, k, m):
+    """The route the per-class plans replaced: every class sliced out of the
+    full weight matrices at each exponent and bracketed cold."""
+    wm = build_weighted_matrix(system, potential, k, m)
+    tr = wm.transitions
+    dec = strongly_connected_components(tr, tr.n)
+    lower = upper = -math.inf
+    stalled = False
+    comps = []
+    for cls, trivial in zip(dec.classes, dec.trivial):
+        if trivial:
+            continue
+        idx = np.array([tr.index[st] for st in cls], dtype=int)
+        lo, _, st_a = reference_cw_bracket(wm.inf_weights[idx][:, idx])
+        _, hi, st_b = reference_cw_bracket(wm.sup_weights[idx][:, idx])
+        c_lower = math.log(lo) if lo > 0.0 else -math.inf
+        c_upper = math.log(hi) if hi > 0.0 else -math.inf
+        comps.append((cls, c_lower, c_upper))
+        stalled = stalled or st_a or st_b
+        upper = max(upper, c_upper)
+        lower = max(lower, c_lower)
+    return lower, upper, stalled, comps
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+def test_cold_spectral_matches_slicing_reference_bitwise():
+    cases = [(lambda: cf_system(letters=(1, 2)), 2, range(1, 9)),
+             (lambda: cf_system(gaussian_alphabet(2)), 64, range(1, 3)),
+             (ladder_system, 64, (1, 2)),
+             (ladder_system, 512, (1,)),
+             (lambda: moran_system([1 / 3, 1 / 3]), 2, range(1, 4))]
+    cases += [(lambda seed=seed: dag_of_cycles(seed)[0], 64, range(1, 4))
+              for seed in range(5)]
+    for make, k, depths in cases:
+        for m in depths:
+            for s in (0.0, 0.4, 0.9, 1.5):
+                for conorm in (False, True):
+                    pot = PotentialSpec(s, conorm=conorm)
+                    est = pressure_spectral(make(), pot, k, m)
+                    lower, upper, stalled, comps = reference_spectral(make(), pot, k, m)
+                    where = (make, k, m, s, conorm)
+                    assert _bits(est.lower) == _bits(lower), where
+                    assert _bits(est.upper) == _bits(upper), where
+                    assert est.stalled == stalled, where
+                    assert len(est.components) == len(comps), where
+                    for (cls, lo, hi), (rcls, rlo, rhi) in zip(est.components, comps):
+                        assert cls == rcls, where
+                        assert (_bits(lo), _bits(hi)) == (_bits(rlo), _bits(rhi)), where
+
+
+def test_warm_probes_agree_with_cold_ones():
+    sequence = (2.0, 0.0, 1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625, 0.671875)
+    cases = ((lambda: cf_system(letters=(1, 2)), (2, 10), (2, 9)),
+             (ladder_system, (512, 1), (256, 1)))
+    for make, (k, m), (k2, m2) in cases:
+        cold = [pressure_spectral(make(), PotentialSpec(s), k, m) for s in sequence]
+        sys = make()
+        with _reuse_geometry():
+            warm = [pressure_spectral(sys, PotentialSpec(s), k, m) for s in sequence]
+            moved = pressure_spectral(sys, PotentialSpec(sequence[-1]), k2, m2)
+        differs = False
+        for s, w, c in zip(sequence, warm, cold):
+            assert not w.stalled, (make, s)
+            assert max(w.lower, c.lower) <= min(w.upper, c.upper), (make, s)
+            for got, want in ((w.lower, c.lower), (w.upper, c.upper)):
+                # log endpoints: 4 * CW_TOL relative on the spectral radius
+                assert abs(got - want) <= 4 * CW_TOL, (make, s, got, want)
+            differs = differs or (_bits(w.lower), _bits(w.upper)) != (
+                _bits(c.lower), _bits(c.upper))
+        # the first probe on the geometry is cold; later ones start warm
+        assert (_bits(warm[0].lower), _bits(warm[0].upper)) == (
+            _bits(cold[0].lower), _bits(cold[0].upper))
+        assert differs, make
+        # a new horizon or depth is a new geometry, and its first probe cold
+        fresh = pressure_spectral(make(), PotentialSpec(sequence[-1]), k2, m2)
+        assert (_bits(moved.lower), _bits(moved.upper)) == (
+            _bits(fresh.lower), _bits(fresh.upper))
+        assert [(_bits(lo), _bits(hi)) for _, lo, hi in moved.components] == [
+            (_bits(lo), _bits(hi)) for _, lo, hi in fresh.components]
 
 
 def test_weighted_matrix_interval_order():
