@@ -149,9 +149,7 @@ class FiniteTransition:
         self.states = list(states)
         self.index = {s: i for i, s in enumerate(self.states)}
         self.succ = [sorted(row) for row in succ_indices]
-        n = len(self.states)
-        self._dense = None
-        self.n = n
+        self.n = len(self.states)
 
     @classmethod
     def from_matrix(cls, matrix, k):
@@ -176,12 +174,12 @@ class FiniteTransition:
 
     @property
     def dense(self):
-        if self._dense is None:
-            m = np.zeros((self.n, self.n), dtype=np.int8)
-            for i, row in enumerate(self.succ):
-                m[i, row] = 1
-            self._dense = m
-        return self._dense
+        """A new n x n int8 adjacency matrix; it is not cached, so an object
+        kept for its successor lists does not keep n**2 bytes alive."""
+        m = np.zeros((self.n, self.n), dtype=np.int8)
+        for i, row in enumerate(self.succ):
+            m[i, row] = 1
+        return m
 
     def out_degree(self, i):
         return len(self.succ[i])

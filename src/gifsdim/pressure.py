@@ -11,10 +11,14 @@ Three routes, each valid at every finite stage rather than only in the limit:
   and sup weight matrices sandwich the cylinder potential entrywise, so
   their spectral radii (enclosed per strongly connected component by
   Collatz-Wielandt ratios around a power iteration) bracket the pressure.
-  The geometry and each component's Collatz-Wielandt data (class pattern,
+  The state-level components are read off the letter-level ones: each
+  nontrivial letter class gives one, all m-words over its letters.  The
+  geometry and each component's Collatz-Wielandt data (class pattern,
   entry positions) do not depend on s and are built once per geometry;
   each exponent only reweights them, and within a solve the iteration
-  starts from the previous exponent's scales and iterate.
+  starts from the previous exponent's scales and iterate.  When every
+  entry's range is a single value (affine letters) the two matrices are
+  one, and one iteration gives both sides.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -184,13 +188,13 @@ class WeightedMatrix:
     products sandwich true cylinder weights: inf products below, sup
     products above.  Everything but the power of s comes from geometry, which
     is s-independent and shared by every exponent a solve probes at this
-    horizon and depth.
+    horizon and depth.  When the geometry holds one array for both sides,
+    sup_weights is inf_weights.
     """
 
     states: tuple
     inf_weights: object
     sup_weights: object
-    transitions: object
     depth: int
     horizon: int
     potential: PotentialSpec
@@ -201,20 +205,24 @@ class WeightedMatrix:
 class StateGeometry:
     """The s-independent part of the depth-m word-state matrices.
 
-    indices/indptr give the CSR pattern of the transitions; lower/upper hold,
-    per nonzero in that order, the derivative range of the source state's
-    first letter over the enclosure of the target state.  classes caches,
-    once pressure_spectral has computed them, the nontrivial state-level
-    strongly connected classes as _ClassPlan objects: each class's states,
-    the positions of its entries among the nonzeros and its local CSR
-    pattern, plus the scales and iterate of the last probe on each side,
-    from which the next exponent's power iteration starts.  A geometry lives
-    at most as long as the solve that built it (see _reuse_geometry), so no
-    warm start outlives a solve.
+    letter_graph is the transition structure of the letters and words the
+    states as rows of letter positions; from these two _state_classes reads
+    off the state classes.  indices/indptr give the CSR pattern of the
+    transitions; lower/upper hold, per nonzero in that order, the derivative
+    range of the source state's first letter over the enclosure of the
+    target state, and are one array when the two coincide elementwise.
+    classes caches, once pressure_spectral has computed them, the nontrivial
+    state-level strongly connected classes as _ClassPlan objects: each
+    class's states, the positions of its entries among the nonzeros and its
+    local CSR pattern, plus the scales and iterate of the last probe on each
+    side, from which the next exponent's power iteration starts.  A geometry
+    lives at most as long as the solve that built it (see _reuse_geometry),
+    so no warm start outlives a solve.
     """
 
     states: tuple
-    transitions: FiniteTransition
+    letter_graph: FiniteTransition
+    words: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     lower: np.ndarray
@@ -431,7 +439,8 @@ def pressure_word_sum(system, potential, n, k, scope="truncated", a_star=32):
 def _build_geometry(system, letters, m, conorm):
     """States, CSR pattern and derivative ranges as float64 arrays, built
     one word length at a time with a Python loop over letters only."""
-    adj = _letter_transition(system, letters).dense
+    letter_graph = _letter_transition(system, letters)
+    adj = letter_graph.dense
     levels = word_levels(adj, m)
     words, tails, blocks = levels[-1]
     if not len(words):
@@ -485,14 +494,15 @@ def _build_geometry(system, letters, m, conorm):
             rng = mapslib.derivative_range_over_set(spec, None, conorm=conorm)
             lower[nz], upper[nz] = rng.lower, rng.upper
 
-    flat = indices.tolist()
-    ptr = indptr.tolist()
-    succ = [flat[i:j] for i, j in zip(ptr, ptr[1:])]
-    arrays = (indices, indptr, lower, upper)
+    if np.array_equal(lower, upper):
+        # one array for both sides tells the spectral layer that one power
+        # iteration serves both
+        upper = lower
+    arrays = (words, indices, indptr, lower, upper)
     # the matrices of every exponent share these arrays
     for arr in arrays:
         arr.flags.writeable = False
-    return StateGeometry(states, FiniteTransition(states, succ), *arrays)
+    return StateGeometry(states, letter_graph, *arrays)
 
 
 class _GeometrySlot:
@@ -544,7 +554,7 @@ def _geometry(system, letters, m, conorm):
 def build_weighted_matrix(system, potential, k, m=1):
     """Assemble the depth-m word-state transition matrices over letters(k).
 
-    The geometry (states, transitions, derivative ranges) does not depend on
+    The geometry (states, CSR pattern, derivative ranges) does not depend on
     s.  Within one solve (bowen_dimension, lower_estimate, upper_estimate)
     it is built once per horizon and depth, and later calls only raise each
     range to potential.s; outside a solve every call builds it afresh.
@@ -562,14 +572,17 @@ def build_weighted_matrix(system, potential, k, m=1):
     inf_mat = sp.csr_matrix(
         (np.float_power(geom.lower, s), geom.indices, geom.indptr), shape=shape
     )
-    sup_mat = sp.csr_matrix(
-        (np.float_power(geom.upper, s), geom.indices, geom.indptr), shape=shape
-    )
+    if geom.upper is geom.lower:
+        sup_mat = inf_mat
+    else:
+        sup_mat = sp.csr_matrix(
+            (np.float_power(geom.upper, s), geom.indices, geom.indptr),
+            shape=shape,
+        )
     return WeightedMatrix(
         states=geom.states,
         inf_weights=inf_mat,
         sup_weights=sup_mat,
-        transitions=geom.transitions,
         depth=m,
         horizon=len(letters),
         potential=potential,
@@ -614,7 +627,7 @@ class _ClassPlan:
     that vanish at some exponent stay in the pattern as explicit zeros,
     which leave every positive row sum's bits unchanged.  warm holds, per
     side (0 inf, 1 sup), the exponent, max-plus scales and final iterate of
-    the last probe.
+    the last probe; side 1 stays unused while the two sides are one array.
     """
 
     states: tuple
@@ -713,17 +726,40 @@ def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
     return lo, hi, stalled, iterations
 
 
+def _cycling_classes(letter_graph, words):
+    """Indices (ascending) into words of each nontrivial state class of the
+    word states, in the dependency order of the letter classes.
+
+    A word state lies on a cycle exactly when all its letters lie in one
+    nontrivial letter class C: the letters of a cycling word lie on one
+    letter cycle, and a path inside C from a word's last letter back to its
+    first closes the word into a cycle.  Such paths join any two m-words
+    over C as well, so C gives exactly one state class, all m-words over C,
+    and every other state is trivial.  A state path from one class to
+    another spells a letter path between their letter classes, so the
+    letter order is a dependency order of the state classes.
+    """
+    dec = strongly_connected_components(letter_graph, letter_graph.n)
+    out = []
+    for cls, trivial in zip(dec.classes, dec.trivial):
+        if not trivial:
+            inside = np.zeros(letter_graph.n, dtype=bool)
+            inside[[letter_graph.index[e] for e in cls]] = True
+            out.append(np.flatnonzero(inside[words].all(axis=1)))
+    return out
+
+
 def _state_classes(geom):
     """Nontrivial state classes of geom in dependency order, each as its
     _ClassPlan; computed on first use and kept on the geometry, so the
-    plans and their warm starts live exactly as long as the geometry."""
+    plans and their warm starts live exactly as long as the geometry.  The
+    classes come from the k letters, not from a search over the states
+    (see _cycling_classes)."""
     if geom.classes is None:
-        tr = geom.transitions
-        dec = strongly_connected_components(tr, tr.n)
+        states = geom.states
         geom.classes = tuple(
-            _class_plan(geom, cls, np.array([tr.index[st] for st in cls], dtype=int))
-            for cls, trivial in zip(dec.classes, dec.trivial)
-            if not trivial
+            _class_plan(geom, tuple(states[i] for i in idx.tolist()), idx)
+            for idx in _cycling_classes(geom.letter_graph, geom.words)
         )
     return geom.classes
 
@@ -744,7 +780,9 @@ def pressure_spectral(
     entries, so log of their radii bracket the pressure; radii are enclosed
     per strongly connected component of the state graph and combined by max
     (block-triangular spectral radius).  All components trivial means no
-    periodic word at this depth: bracket (-inf, -inf).
+    periodic word at this depth: bracket (-inf, -inf).  When the two
+    matrices are one (affine letters) a single iteration per component
+    gives both ends, exactly as two would.
     """
     wm = build_weighted_matrix(system, potential, k, m)
     lower = -math.inf
@@ -753,11 +791,14 @@ def pressure_spectral(
     comps = []
     stalled = False
     s = potential.s
+    shared = wm.sup_weights is wm.inf_weights
     for plan in _state_classes(wm.geometry):
-        lo_inf, _, st_a, _ = _cw_bracket(
+        lo_inf, hi_sup, st_a, _ = _cw_bracket(
             plan, 0, wm.inf_weights.data, s, tol, max_iter)
-        _, hi_sup, st_b, _ = _cw_bracket(
-            plan, 1, wm.sup_weights.data, s, tol, max_iter)
+        st_b = False
+        if not shared:
+            _, hi_sup, st_b, _ = _cw_bracket(
+                plan, 1, wm.sup_weights.data, s, tol, max_iter)
         c_lower = _safe_log(lo_inf)
         c_upper = _safe_log(hi_sup)
         cls = plan.states

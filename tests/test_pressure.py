@@ -33,7 +33,9 @@ from gifsdim.errors import (
 from gifsdim.graphs import (
     DirectedMultigraph,
     Enumeration,
+    FiniteTransition,
     strongly_connected_components,
+    word_levels,
 )
 from gifsdim.maps import (
     ConformalAffine,
@@ -54,6 +56,9 @@ from gifsdim.pressure import (
     pressure_word_sum,
     _reuse_geometry,
     truncation_ladder,
+    _cw_bracket,
+    _cycling_classes,
+    _state_classes,
 )
 from gifsdim.scenarios import (
     affine_demo,
@@ -432,10 +437,12 @@ def reference_cw_bracket(mat):
 
 
 def reference_spectral(system, potential, k, m):
-    """The route the per-class plans replaced: every class sliced out of the
-    full weight matrices at each exponent and bracketed cold."""
+    """The route the per-class plans replaced: a state-level search for the
+    classes, then every class sliced out of the full weight matrices at each
+    exponent and bracketed cold."""
     wm = build_weighted_matrix(system, potential, k, m)
-    tr = wm.transitions
+    ptr, cols = wm.inf_weights.indptr.tolist(), wm.inf_weights.indices.tolist()
+    tr = FiniteTransition(wm.states, [cols[i:j] for i, j in zip(ptr, ptr[1:])])
     dec = strongly_connected_components(tr, tr.n)
     lower = upper = -math.inf
     stalled = False
@@ -513,6 +520,97 @@ def test_warm_probes_agree_with_cold_ones():
             _bits(fresh.lower), _bits(fresh.upper))
         assert [(_bits(lo), _bits(hi)) for _, lo, hi in moved.components] == [
             (_bits(lo), _bits(hi)) for _, lo, hi in fresh.components]
+
+
+def two_side_spectral(system, potential, k, m):
+    """pressure_spectral's components with one Collatz-Wielandt call per
+    side, on the same plans and warm starts."""
+    wm = build_weighted_matrix(system, potential, k, m)
+    comps = []
+    for plan in _state_classes(wm.geometry):
+        lo, _, st_a, _ = _cw_bracket(plan, 0, wm.inf_weights.data, potential.s)
+        _, hi, st_b, _ = _cw_bracket(plan, 1, wm.sup_weights.data, potential.s)
+        comps.append((plan.states, _bits(math.log(lo) if lo > 0.0 else -math.inf),
+                      _bits(math.log(hi) if hi > 0.0 else -math.inf), st_a or st_b))
+    return comps
+
+
+def test_shared_side_matches_two_side_calls_bitwise():
+    # affine letters give equal inf and sup ranges, and then one power
+    # iteration per class stands in for both sides
+    sequence = (2.0, 0.0, 1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625)
+    cases = ((ladder_system, 64, 1), (ladder_system, 512, 1),
+             (lambda: moran_system([1 / 3, 1 / 3]), 2, 3))
+    for make, k, m in cases:
+        wm = build_weighted_matrix(make(), PotentialSpec(0.5), k, m)
+        assert wm.geometry.upper is wm.geometry.lower
+        assert wm.sup_weights is wm.inf_weights
+        for warm in (False, True):
+            sys, ref_sys = make(), make()
+            with _reuse_geometry():
+                got = [pressure_spectral(sys if warm else make(), PotentialSpec(s), k, m)
+                       for s in sequence]
+            with _reuse_geometry():
+                want = [two_side_spectral(ref_sys if warm else make(), PotentialSpec(s), k, m)
+                        for s in sequence]
+            for s, est, comps in zip(sequence, got, want):
+                where = (make, k, warm, s)
+                assert [(cls, _bits(lo), _bits(hi)) for cls, lo, hi in est.components] == [
+                    c[:3] for c in comps], where
+                assert est.stalled == any(c[3] for c in comps), where
+    cf = build_weighted_matrix(cf_system(letters=(1, 2)), PotentialSpec(0.5), 2, 3)
+    assert cf.sup_weights is not cf.inf_weights
+
+
+def state_graph(adj, words):
+    """Successor lists of the word states, straight from the definition:
+    u -> w when w continues u by one letter."""
+    index = {tuple(w): i for i, w in enumerate(words.tolist())}
+    succ = []
+    for u in words.tolist():
+        row = [index.get(tuple(u[1:]) + (c,)) for c in np.flatnonzero(adj[u[-1]]).tolist()]
+        succ.append([i for i in row if i is not None])
+    return succ
+
+
+def test_derived_state_classes_match_state_search():
+    # Tarjan on the state graph is the reference.  Both orders are
+    # dependency orders, but classes no path joins may come out in either
+    # order, so only such ties can move which class a bracket names as its
+    # component; the order is therefore checked against reachability
+    rng = np.random.default_rng(20261018)
+    cases = several = 0
+    for _ in range(3800):
+        k = int(rng.integers(1, 8))
+        m = int(rng.integers(1, 5))
+        adj = (rng.random((k, k)) < rng.uniform(0.0, 0.6)).astype(np.int8)
+        words = word_levels(adj, m)[-1][0]
+        if not len(words):
+            continue
+        cases += 1
+        letters = FiniteTransition(range(k), [np.flatnonzero(row).tolist() for row in adj])
+        derived = _cycling_classes(letters, words)
+        succ = state_graph(adj, words)
+        dec = strongly_connected_components(FiniteTransition(range(len(words)), succ),
+                                            len(words))
+        assert {tuple(idx.tolist()) for idx in derived} == set(dec.nontrivial_classes())
+        several += len(derived) > 1
+        position = np.full(len(words), -1)
+        for order, idx in enumerate(derived):
+            assert (np.diff(idx) > 0).all()
+            position[idx] = order
+        for order, idx in enumerate(derived):
+            # nothing reachable from a class lies in an earlier class
+            seen = set(idx.tolist())
+            stack = list(seen)
+            while stack:
+                for j in succ[stack.pop()]:
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+            reached = position[list(seen)]
+            assert not (reached[reached >= 0] < order).any()
+    assert cases > 3000 and several > 500
 
 
 def test_weighted_matrix_interval_order():
