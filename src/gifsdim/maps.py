@@ -205,10 +205,6 @@ _AFFINE_KINDS = (Similarity, ConformalAffine, Constant, PerturbedAffine)
 _MOEBIUS_KINDS = (MoebiusCF, PerturbedMoebiusCF)
 
 
-def map_dim(spec):
-    return spec.dim
-
-
 def _linear_scalar(spec):
     """Complex scalar (or real, D=1) of an affine map's derivative."""
     if isinstance(spec, Similarity):

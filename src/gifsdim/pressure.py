@@ -18,7 +18,12 @@ Three routes, each valid at every finite stage rather than only in the limit:
   each exponent only reweights them, and within a solve the iteration
   starts from the previous exponent's scales and iterate.  When every
   entry's range is a single value (affine letters) the two matrices are
-  one, and one iteration gives both sides.
+  one, and one iteration gives both sides.  The matrices are CsrWeights
+  records of numpy arrays, and each class's power iteration multiplies by
+  numpy alone; every matvec sums each row from 0.0 in ascending column
+  order, one rounded product and one rounded sum per entry, exactly as
+  scipy's CSR matvec does, so each bracket is bit-identical to the one a
+  scipy matrix gives.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -31,7 +36,6 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import maps as mapslib
 from .errors import (
@@ -177,6 +181,26 @@ class PressureEstimate:
         return rec
 
 
+@dataclass(frozen=True, eq=False)
+class CsrWeights:
+    """One side's transition weights in compressed sparse row (CSR) form.
+
+    Row i holds the weights data[indptr[i]:indptr[i + 1]] in the columns
+    indices[indptr[i]:indptr[i + 1]], ascending; shape is (states, states).
+    indices and indptr are the geometry's arrays, shared by both sides and
+    every exponent.
+    """
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+    shape: tuple
+
+    @property
+    def nnz(self):
+        return len(self.data)
+
+
 @dataclass(frozen=True)
 class WeightedMatrix:
     """Depth-m word states with inf/sup transition weight matrices.
@@ -186,10 +210,13 @@ class WeightedMatrix:
     depth 1).  The entry is the derivative range of u's first letter over
     the enclosure of w (all m maps applied), raised to s, so transition
     products sandwich true cylinder weights: inf products below, sup
-    products above.  Everything but the power of s comes from geometry, which
-    is s-independent and shared by every exponent a solve probes at this
-    horizon and depth.  When the geometry holds one array for both sides,
-    sup_weights is inf_weights.
+    products above.  inf_weights and sup_weights are CsrWeights records
+    over the geometry's pattern; the class matvecs of pressure_spectral
+    sum each row of them in ascending column order, as a scipy CSR matvec
+    does (see _class_matvec).  Everything but the power of s comes from
+    geometry, which is s-independent and shared by every exponent a solve
+    probes at this horizon and depth.  When the geometry holds one array
+    for both sides, sup_weights is inf_weights.
     """
 
     states: tuple
@@ -569,15 +596,14 @@ def build_weighted_matrix(system, potential, k, m=1):
     shape = (len(geom.states), len(geom.states))
     # np.float_power rounds as x**s does (libm pow per element); np.power's
     # vector kernels can differ from it in the last ulp
-    inf_mat = sp.csr_matrix(
-        (np.float_power(geom.lower, s), geom.indices, geom.indptr), shape=shape
+    inf_mat = CsrWeights(
+        np.float_power(geom.lower, s), geom.indices, geom.indptr, shape
     )
     if geom.upper is geom.lower:
         sup_mat = inf_mat
     else:
-        sup_mat = sp.csr_matrix(
-            (np.float_power(geom.upper, s), geom.indices, geom.indptr),
-            shape=shape,
+        sup_mat = CsrWeights(
+            np.float_power(geom.upper, s), geom.indices, geom.indptr, shape
         )
     return WeightedMatrix(
         states=geom.states,
@@ -590,19 +616,26 @@ def build_weighted_matrix(system, potential, k, m=1):
     )
 
 
-def _equilibrate_scales(row, col, logw, d):
+def _equilibrate_scales(plan, logw, d):
     """Diagonal scales from a max-plus eigenvector estimate, iterated from d.
 
     Long-chain systems have Perron vectors spanning thousands of orders of
     magnitude, far past float64, which zeroes components of the power
     iterate.  Conjugating by a positive diagonal preserves the spectrum and
     every Collatz-Wielandt certificate, so a partially converged estimate
-    is still safe; quality only affects conditioning.
+    is still safe; quality only affects conditioning.  logw holds the
+    class's log-weights in plan order.  A maximum is exact in any order,
+    so a plan stored b-major takes its row maxima with one reduction.
     """
     nstates = len(d)
     for _ in range(min(nstates, 512)):
-        nxt = np.full(nstates, -np.inf)
-        np.maximum.at(nxt, row, logw + d[col])
+        terms = logw + d[plan.col]
+        if plan.fan:
+            # entry b*n + i lies in row i
+            nxt = np.maximum.reduce(terms.reshape(plan.fan, nstates), axis=0)
+        else:
+            nxt = np.full(nstates, -np.inf)
+            np.maximum.at(nxt, plan.row, terms)
         nxt -= nxt.max()
         finite = np.isfinite(nxt)
         if not finite.all():
@@ -619,23 +652,28 @@ class _ClassPlan:
     """The s-independent Collatz-Wielandt data of one nontrivial state class.
 
     positions picks the class's entries out of the geometry's nonzeros in
-    the canonical CSR order of the class matrix (rows, then columns, in
-    local indices), which fixes the order of every matvec sum; row/col are
-    their local coordinates and indices/indptr the class matrix's CSR
-    pattern (indices is col as int32; row/col stay intp, which numpy's
-    gathers and np.maximum.at take without a per-call conversion).  Entries
-    that vanish at some exponent stay in the pattern as explicit zeros,
-    which leave every positive row sum's bits unchanged.  warm holds, per
-    side (0 inf, 1 sup), the exponent, max-plus scales and final iterate of
-    the last probe; side 1 stays unused while the two sides are one array.
+    the order the class matvec reads them (see _class_matvec); row/col are
+    their local coordinates (intp, which numpy's gathers, np.bincount and
+    np.maximum.at take without a per-call conversion).  fan selects the
+    matvec form.  It is |C| when the class has the pattern of all m-words
+    over a letter class C in which every letter may follow every other:
+    with R = n/|C|, row a*R + r (a letter a, an (m-1)-word r) then holds
+    exactly the columns r*|C| + b, b = 0..|C|-1, and the entries are stored
+    b-major, (b, a, r).  Any other class has fan 0 and its entries in CSR
+    order (rows, then ascending columns).  Either way each row's entries
+    are summed in ascending column order, as scipy's csr_matvec sums them.
+    Entries that vanish at some exponent stay in the pattern as explicit
+    zeros, which leave every positive row sum's bits unchanged.  warm
+    holds, per side (0 inf, 1 sup), the exponent, max-plus scales and final
+    iterate of the last probe; side 1 stays unused while the two sides are
+    one array.
     """
 
     states: tuple
     positions: np.ndarray
     row: np.ndarray
     col: np.ndarray
-    indices: np.ndarray
-    indptr: np.ndarray
+    fan: int
     warm: list = field(default_factory=lambda: [None, None])
 
 
@@ -644,7 +682,8 @@ def _class_plan(geom, states, idx):
 
     The geometry's rows list their columns in ascending order, and local
     indices keep that order, so taking the class's entries row by row gives
-    the canonical order a COO -> CSR conversion of the class matrix has.
+    the class matrix's CSR order; a class with the complete pattern is then
+    reordered b-major.
     """
     local = np.full(len(geom.states), -1)
     local[idx] = np.arange(len(idx))
@@ -657,10 +696,47 @@ def _class_plan(geom, states, idx):
     inside = col >= 0
     positions, col = positions[inside], col[inside]
     row = np.repeat(np.arange(len(idx)), counts)[inside]
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=len(idx)))))
-    return _ClassPlan(
-        states, positions, row, col, col.astype(np.int32), indptr.astype(np.int32)
-    )
+    n = len(idx)
+    fan = len(col) // n
+    entry = np.arange(len(col))
+    if (len(col) == n * fan and n % fan == 0
+            and np.array_equal(row, entry // fan)
+            and np.array_equal(col, row % (n // fan) * fan + entry % fan)):
+        # CSR entry i*fan + b moves to b*n + i
+        order = entry.reshape(n, fan).T.ravel()
+        positions, row, col = positions[order], row[order], col[order]
+    else:
+        fan = 0
+    return _ClassPlan(states, positions, row, col, fan)
+
+
+def _class_matvec(plan, data):
+    """v -> B v for the class matrix B whose entries, in plan order, are data.
+
+    Each row is summed from 0.0 over its entries in ascending column order,
+    one rounded multiply and one rounded add per entry, as scipy's
+    csr_matvec does, so both forms are bit-identical to it.  With fan =
+    |C|, data viewed as W[b, a, r] is the weight of a*R + r -> r*|C| + b;
+    it is multiplied by v[r*|C| + b], broadcast over a, and reduced over b,
+    the outermost axis, which numpy adds in sequence.  Any other class
+    scatters data * v[col] with np.bincount, which adds in entry order.
+    The returned function reuses its output array.
+    """
+    n, c = len(plan.states), plan.fan
+    if not c:
+        row, col = plan.row, plan.col
+        return lambda v: np.bincount(row, weights=data * v[col], minlength=n)
+    r = n // c
+    weights = data.reshape(c, c, r)
+    terms = np.empty((c, c, r))
+    out = np.empty(n)
+
+    def matvec(v):
+        np.multiply(weights, v.reshape(r, c).T[:, None, :], out=terms)
+        np.add.reduce(terms, axis=0, out=out.reshape(c, r))
+        return out
+
+    return matvec
 
 
 def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
@@ -679,7 +755,7 @@ def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
     the power iteration from the old iterate; otherwise it starts cold,
     from zero scales and v = 1.  Returns (lo, hi, stalled, iterations).
     """
-    nstates = len(plan.indptr) - 1
+    nstates = len(plan.states)
     with np.errstate(divide="ignore"):
         logw = np.log(weights[plan.positions])
     if logw.max() == -np.inf:
@@ -687,27 +763,30 @@ def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
     warm = plan.warm[side]
     if warm is not None and warm[0] > 0.0:
         s_prev, d, v = warm
-        d = _equilibrate_scales(plan.row, plan.col, logw, (s / s_prev) * d)
+        d = _equilibrate_scales(plan, logw, (s / s_prev) * d)
+        v = v.copy()  # the loop below reuses its iterates' storage
     else:
-        d = _equilibrate_scales(plan.row, plan.col, logw, np.zeros(nstates))
+        d = _equilibrate_scales(plan, logw, np.zeros(nstates))
         v = np.ones(nstates)
     data = np.exp(logw + d[plan.col] - d[plan.row])
     if not np.isfinite(data).all():
         d = np.zeros(nstates)
         data = np.exp(logw)
     theta = float(data.max())
-    scaled = sp.csr_matrix(
-        (data / theta, plan.indices, plan.indptr), shape=(nstates, nstates)
-    )
+    matvec = _class_matvec(plan, data / theta)
+    # w, the ratios and the next iterate are buffers, and the reductions
+    # skip ndarray.min/max's Python wrapper
+    w, ratios, nxt = np.empty(nstates), np.empty(nstates), np.empty(nstates)
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
     best_lo = 0.0
     best_hi = math.inf
     stalled = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        w = scaled @ v + v
-        ratios = w / v
-        cur_lo = float(ratios.min())
-        cur_hi = float(ratios.max())
+        np.add(matvec(v), v, out=w)
+        np.divide(w, v, out=ratios)
+        cur_lo = float(lowest(ratios))
+        cur_hi = float(highest(ratios))
         if cur_lo > best_lo:
             best_lo = cur_lo
         if cur_hi < best_hi:
@@ -717,7 +796,9 @@ def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
             break
         # the floor keeps v strictly positive even if a component still
         # underflows; any positive test vector certifies, just loosely
-        v = np.maximum(w / w.max(), 1e-300)
+        np.divide(w, highest(w), out=nxt)
+        np.maximum(nxt, 1e-300, out=nxt)
+        v, nxt = nxt, v
     plan.warm[side] = (s, d, v)
     lo = max(best_lo - 1.0, 0.0) * theta
     hi = max(best_hi - 1.0, 0.0) * theta

@@ -66,8 +66,6 @@ class Box:
         return math.dist(self.lo, self.hi)
 
 
-def shape_dim(shape):
-    return shape.dim
 
 
 def diameter(shape):
@@ -87,10 +85,6 @@ def as_complex(point):
     raise UnsupportedShape(f"points of dimension {len(point)}")
 
 
-def from_complex(z, dim):
-    if dim == 1:
-        return (z.real,)
-    return (z.real, z.imag)
 
 
 def contains_point(shape, point, tol=GEOM_TOL):
@@ -103,31 +97,6 @@ def contains_point(shape, point, tol=GEOM_TOL):
     raise UnsupportedShape(type(shape).__name__)
 
 
-def contains_shape(outer, inner, tol=GEOM_TOL):
-    """Certified `inner subset of outer` test (conservative: False may mean
-    merely unproven for mixed shape kinds)."""
-    if isinstance(outer, Ball) and isinstance(inner, Ball):
-        return (
-            math.dist(outer.center, inner.center) + inner.radius
-            <= outer.radius + tol
-        )
-    if isinstance(outer, Box) and isinstance(inner, Box):
-        return all(
-            ol - tol <= il and ih <= oh + tol
-            for ol, oh, il, ih in zip(outer.lo, outer.hi, inner.lo, inner.hi)
-        )
-    if isinstance(outer, Box) and isinstance(inner, Ball):
-        return all(
-            l - tol <= c - inner.radius and c + inner.radius <= h + tol
-            for l, h, c in zip(outer.lo, outer.hi, inner.center)
-        )
-    if isinstance(outer, Ball) and isinstance(inner, Box):
-        # All corners inside the ball suffices (balls are convex).
-        corners = _corners(inner)
-        return all(
-            math.dist(outer.center, c) <= outer.radius + tol for c in corners
-        )
-    raise UnsupportedShape(f"{type(outer).__name__} vs {type(inner).__name__}")
 
 
 def interior_margin(outer, inner):
@@ -207,18 +176,6 @@ def overlap_witness_point(a, b):
     )
 
 
-def dilate(shape, delta):
-    """Closed delta-neighborhood (balls stay balls, boxes stay boxes)."""
-    if delta < 0:
-        raise ValueError("negative dilation")
-    if isinstance(shape, Ball):
-        return Ball(shape.center, shape.radius + delta)
-    if isinstance(shape, Box):
-        return Box(
-            tuple(l - delta for l in shape.lo),
-            tuple(h + delta for h in shape.hi),
-        )
-    raise UnsupportedShape(type(shape).__name__)
 
 
 def circumball(shape):
@@ -226,15 +183,4 @@ def circumball(shape):
         return shape
     if isinstance(shape, Box):
         return Ball(shape.center, 0.5 * shape.diameter)
-    raise UnsupportedShape(type(shape).__name__)
-
-
-def bounding_box(shape):
-    if isinstance(shape, Box):
-        return shape
-    if isinstance(shape, Ball):
-        return Box(
-            tuple(c - shape.radius for c in shape.center),
-            tuple(c + shape.radius for c in shape.center),
-        )
     raise UnsupportedShape(type(shape).__name__)

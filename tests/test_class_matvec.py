@@ -1,0 +1,108 @@
+"""The Collatz-Wielandt class matvecs against scipy's CSR matvec, by bytes.
+
+Both numpy forms in pressure._class_matvec promise to add each row's terms
+from 0.0 in ascending column order, as scipy's csr_matvec does.  The
+weights span many binary orders of magnitude, so a sum taken in any other
+order (numpy's pairwise summation, a reversed or blocked loop) changes
+low bits and fails here.
+"""
+
+from types import SimpleNamespace
+
+import numpy as np
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from gifsdim.pressure import _class_matvec, _class_plan, _ClassPlan
+
+SETTINGS = settings(max_examples=60, deadline=None)
+
+
+def geometry(cols_per_row):
+    """A stand-in for StateGeometry: just the CSR pattern _class_plan reads."""
+    counts = [len(c) for c in cols_per_row]
+    indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    indices = np.array([j for c in cols_per_row for j in c], dtype=np.int32)
+    return SimpleNamespace(states=tuple(range(len(counts))), indices=indices,
+                           indptr=indptr)
+
+
+def random_weights(rng, nnz, zero_frac):
+    """Weights in [0, 1] spread over 60 binary orders, some exactly zero."""
+    data = rng.random(nnz) * np.exp2(-rng.integers(0, 60, nnz))
+    data[rng.random(nnz) < zero_frac] = 0.0
+    return data
+
+
+def check(geom, plan, rng, zero_frac):
+    n = len(geom.states)
+    data = random_weights(rng, len(geom.indices), zero_frac)
+    v = np.maximum(rng.random(n) * np.exp2(-rng.integers(0, 40, n)), 1e-300)
+    want = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(n, n)) @ v
+    got = _class_matvec(plan, data[plan.positions])(v)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    # a second call reuses the output array and must not depend on the first
+    v2 = v[::-1].copy()
+    want2 = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(n, n)) @ v2
+    assert _class_matvec(plan, data[plan.positions])(v2).tobytes() == want2.tobytes()
+
+
+def csr_plan(geom):
+    """The same class with its entries in CSR order, for the bincount form."""
+    n = len(geom.states)
+    row = np.repeat(np.arange(n), np.diff(geom.indptr))
+    col = geom.indices.astype(np.intp)
+    return _ClassPlan(geom.states, np.arange(len(col)), row, col, 0)
+
+
+@SETTINGS
+@given(letters=st.integers(2, 8), depth=st.integers(1, 4),
+       zero_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_complete_class_matvecs_match_scipy_bytes(letters, depth, zero_frac, seed):
+    # all m-words over letters that may all follow each other: word
+    # a*R + r goes to r*|C| + b for every letter b
+    n = letters**depth
+    tails = n // letters
+    geom = geometry([[i % tails * letters + b for b in range(letters)]
+                     for i in range(n)])
+    plan = _class_plan(geom, geom.states, np.arange(n))
+    assert plan.fan == letters
+    rng = np.random.default_rng(seed)
+    check(geom, plan, rng, zero_frac)
+    check(geom, csr_plan(geom), rng, zero_frac)
+
+
+@SETTINGS
+@given(n=st.integers(2, 400), branch=st.floats(0.0, 0.3),
+       zero_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_chain_class_matvecs_match_scipy_bytes(n, branch, zero_frac, seed):
+    # a cycle through every state, most rows holding its single entry, some
+    # rows branching back to earlier states and one row to every 4th state
+    rng = np.random.default_rng(seed)
+    rows = []
+    for i in range(n):
+        cols = {(i + 1) % n}
+        if rng.random() < branch:
+            cols.update(rng.integers(0, n, int(rng.integers(1, 4))).tolist())
+        rows.append(sorted(cols))
+    rows[-1] = sorted(set(rows[-1]) | set(range(0, n, 4)))
+    geom = geometry(rows)
+    plan = _class_plan(geom, geom.states, np.arange(n))
+    assert plan.fan == 0
+    check(geom, plan, rng, zero_frac)
+
+
+def test_class_plan_keeps_only_in_class_entries():
+    # states 0-3 form the complete class over two letters; state 4 only
+    # feeds into it, so its row is not the class's and its column is dropped
+    rows = [[0, 1, 4], [2, 3], [0, 1], [2, 3, 4], [0]]
+    geom = geometry(rows)
+    plan = _class_plan(geom, (0, 1, 2, 3), np.arange(4))
+    assert plan.fan == 2
+    rng = np.random.default_rng(7)
+    data = random_weights(rng, len(geom.indices), 0.2)
+    v = rng.random(4) + 0.5
+    inner = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(5, 5))[:4][:, :4]
+    got = _class_matvec(plan, data[plan.positions])(v)
+    assert got.tobytes() == (inner @ v).tobytes()

@@ -1,8 +1,9 @@
 """Import-cost guard.
 
-scipy.sparse.csgraph and scipy.sparse.linalg each add about 9 MB of
-resident memory and over 0.1 s to a process that imports them.  A solve
-needs neither, so importing gifsdim and solving must leave both unloaded.
+numpy is gifsdim's only runtime dependency.  Importing scipy.sparse alone
+adds about 0.2 s and 20 MB of resident memory to a process, more than a
+typical solve costs, so importing gifsdim, solving and running a
+truncation ladder must leave every scipy module unloaded.
 """
 
 import os
@@ -14,22 +15,33 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 PROGRAM = """
 import sys
+
+def scipy_modules():
+    return sorted(name for name in sys.modules
+                  if name == "scipy" or name.startswith("scipy."))
+
 import gifsdim
+from gifsdim.pressure import PotentialSpec, truncation_ladder
 from gifsdim.scenarios import cf_system, moran_system
+print("import", scipy_modules())
 
 cantor = moran_system([1 / 3, 1 / 3], offsets=[0.0, 2 / 3], name="cantor")
 for system in (cantor, cf_system(letters=(1, 2))):
     res = gifsdim.bowen_dimension(system, s_tol=1e-3)
     assert res.s_lower <= res.s_upper
-print(sorted(name for name in ("scipy.sparse.csgraph", "scipy.sparse.linalg")
-             if name in sys.modules))
+print("solve", scipy_modules())
+
+ladder = truncation_ladder(cf_system(), PotentialSpec(1.5), (5, 10))
+assert ladder[-1].scope == "full"
+print("ladder", scipy_modules())
 """
 
 
-def test_solve_loads_no_csgraph_or_sparse_linalg():
+def test_import_and_solve_load_no_scipy():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", PROGRAM], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "[]", out.stderr
+    assert out.stdout.split("\n")[:3] == [
+        "import []", "solve []", "ladder []"], out.stdout + out.stderr

@@ -436,11 +436,18 @@ def reference_cw_bracket(mat):
     return min(lo, hi), hi, stalled
 
 
+def as_csr(weights):
+    """The scipy CSR matrix of a CsrWeights record."""
+    return sp.csr_matrix((weights.data, weights.indices, weights.indptr),
+                         shape=weights.shape)
+
+
 def reference_spectral(system, potential, k, m):
     """The route the per-class plans replaced: a state-level search for the
     classes, then every class sliced out of the full weight matrices at each
-    exponent and bracketed cold."""
+    exponent and bracketed cold, with scipy's slicing and matvec."""
     wm = build_weighted_matrix(system, potential, k, m)
+    inf_mat, sup_mat = as_csr(wm.inf_weights), as_csr(wm.sup_weights)
     ptr, cols = wm.inf_weights.indptr.tolist(), wm.inf_weights.indices.tolist()
     tr = FiniteTransition(wm.states, [cols[i:j] for i, j in zip(ptr, ptr[1:])])
     dec = strongly_connected_components(tr, tr.n)
@@ -451,8 +458,8 @@ def reference_spectral(system, potential, k, m):
         if trivial:
             continue
         idx = np.array([tr.index[st] for st in cls], dtype=int)
-        lo, _, st_a = reference_cw_bracket(wm.inf_weights[idx][:, idx])
-        _, hi, st_b = reference_cw_bracket(wm.sup_weights[idx][:, idx])
+        lo, _, st_a = reference_cw_bracket(inf_mat[idx][:, idx])
+        _, hi, st_b = reference_cw_bracket(sup_mat[idx][:, idx])
         c_lower = math.log(lo) if lo > 0.0 else -math.inf
         c_upper = math.log(hi) if hi > 0.0 else -math.inf
         comps.append((cls, c_lower, c_upper))
@@ -617,8 +624,8 @@ def test_weighted_matrix_interval_order():
     cf = cf_system(letters=(1, 2))
     wm = build_weighted_matrix(cf, PotentialSpec(1.0), 2, 2)
     assert len(wm.states) == 4
-    inf_d = wm.inf_weights.toarray()
-    sup_d = wm.sup_weights.toarray()
+    inf_d = as_csr(wm.inf_weights).toarray()
+    sup_d = as_csr(wm.sup_weights).toarray()
     # each state (a, b) chains to exactly the two states (b, *)
     mask = sup_d > 0
     assert mask.sum() == 8
