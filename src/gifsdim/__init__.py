@@ -21,6 +21,7 @@ from .errors import (
     AlphabetMismatch,
     BudgetExhausted,
     ConditionViolation,
+    CrossedBracket,
     DegenerateBounds,
     GifsError,
     InvalidAlphabet,
@@ -90,6 +91,7 @@ __all__ = [
     "ConformalAffine",
     "Constant",
     "ContractionBound",
+    "CrossedBracket",
     "DegenerateBounds",
     "DimensionResult",
     "DirectedMultigraph",

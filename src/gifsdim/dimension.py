@@ -10,6 +10,26 @@ full bounds, so both endpoints stay certified without materializing the
 whole alphabet.  Below the witness's declared divergence exponent the
 level-1 sums are provably infinite, hence so is the pressure, which makes
 that exponent a certified dimension floor under the same convention.
+
+A pressure bracket says more than its sign.  P'(s) = -chi, the Lyapunov
+exponent, and the state geometry bounds chi: every letter's derivative at
+a point of the limit set lies in the range its geometry entry holds, so
+with chi_min = -log(max upper) and chi_max = -log(min lower) over the
+entries, a word of n letters has derivative in [exp(-n chi_max),
+exp(-n chi_min)].  Raising its weight from the power s to t > s scales it
+by a factor in [exp(-n chi_max (t-s)), exp(-n chi_min (t-s))]; summing
+over words and taking (1/n) log,
+
+    -chi_max (t - s) <= P(t) - P(s) <= -chi_min (t - s).
+
+So a bracket [a, b] of P(s) puts the root in s + [a, b] / [chi_min,
+chi_max] (interval division), whatever the bracket's sign, and a probe
+beside the root pins it to within (b - a) / chi_min.  The solver uses this
+mean-value bound, as McMullen (Amer. J. Math. 1998) and Jenkinson and
+Pollicott (Adv. Math. 2018) do, with every operation that forms a bound
+rounded outward.  chi_min needs every letter of the system, so for a
+countable alphabet only the lower end steps (the truncation's root is at
+most the full one); the upper end keeps the sign rule.
 """
 
 import math
@@ -20,6 +40,7 @@ import numpy as np
 from .errors import (
     BudgetExhausted,
     ConditionViolation,
+    CrossedBracket,
     DomainViolation,
     IrregularSystem,
     MixedFamily,
@@ -27,7 +48,12 @@ from .errors import (
     SummabilityWitnessMissing,
 )
 from .graphs import strongly_connected_components
-from .pressure import PotentialSpec, _reuse_geometry, truncation_ladder
+from .pressure import (
+    PotentialSpec,
+    _geometry,
+    _reuse_geometry,
+    truncation_ladder,
+)
 from .systems import (
     check_separation,
     subsystem,
@@ -57,13 +83,15 @@ class DimensionResult:
 
     theta is the summability-threshold bracket that was consulted (zero
     width for finite alphabets).  pressure_at_lower / pressure_at_upper are
-    the estimates that certified the endpoints (None when an endpoint came
-    from a declared floor rather than a pressure sign).  conditions carries
+    the estimates that last moved the endpoints, by sign or by a
+    mean-value step, so an estimate may sit at another s than its endpoint
+    (None when an endpoint came from a declared floor).  conditions carries
     (check, status) provenance pairs.  summability_part is the threshold
     term that competed inside an upper estimate's max; root_bracket the raw
     pressure-root bracket before that max.  stop_reason (bowen_dimension
     only, and left out of record()) names why refinement ended: "tolerance",
-    "state_cap", "depth_limit", "stuck", "budget" or "empty".
+    "state_cap", "depth_limit", "stuck", "budget" or "empty"; depth and
+    horizon (bowen_dimension only, also left out) are the final m and k.
     """
 
     s_lower: float
@@ -78,6 +106,8 @@ class DimensionResult:
     root_bracket: object = None
     evals: int = 0
     stop_reason: str = None
+    depth: int = None
+    horizon: int = None
 
     def __post_init__(self):
         if self.s_lower > self.s_upper + 1e-12:
@@ -131,6 +161,37 @@ def _count_words(system, letters, length, cap):
     return float(x.sum())
 
 
+def _lyapunov_range(geom):
+    """(chi_min, chi_max) with every letter's derivative at a point of the
+    limit set in [exp(-chi_max), exp(-chi_min)], read off the geometry's
+    per-entry ranges and rounded outward.  chi_min is clamped at 0 (the
+    pressure is taken nonincreasing, as the sign rule takes it), which
+    leaves the enclosure ends that divide by it unbounded; chi_max is inf
+    unless the smallest range lies in (0, 1).  A geometry with no entries
+    bounds nothing."""
+    top = float(geom.upper.max(initial=0.0))
+    bottom = float(geom.lower.min(initial=math.inf))
+    chi_min = 0.0
+    if 0.0 < top < 1.0:
+        chi_min = max(0.0, math.nextafter(-math.log(top), -math.inf))
+    chi_max = math.inf
+    if 0.0 < bottom < 1.0:
+        chi_max = math.nextafter(-math.log(bottom), math.inf)
+    return chi_min, chi_max
+
+
+def _outward_step(s, p, chi, toward):
+    """s + p / chi rounded toward `toward` (-inf for a lower root bound,
+    +inf for an upper one): the quotient and the sum each move one ulp that
+    way from their rounded value, so the result bounds the exact value.  A
+    zero slope or an infinite pressure bound gives no bound, toward itself.
+    """
+    if chi == 0.0 or not math.isfinite(p):
+        return toward
+    q = math.nextafter(p / chi, toward)
+    return math.nextafter(s + q, toward)
+
+
 class _PressureProbe:
     """Pressure brackets at adjustable horizon/depth, with refinement.
 
@@ -151,12 +212,54 @@ class _PressureProbe:
         self.state_cap = state_cap
         self.evals = 0
         self.limit = None
+        self._slopes = (None, None)
 
     def bracket(self, s):
         self.evals += 1
         pot = PotentialSpec(s, conorm=self.conorm, epsilon=self.epsilon)
         ests = truncation_ladder(self.system, pot, [self.k], depth=self.m)
         return ests[-1] if self.scope == "full" else ests[0]
+
+    def slopes(self):
+        """(chi_min, chi_max, whole) at the current horizon and depth: the
+        Lyapunov range of the truncation's geometry (the one the last
+        bracket was built on, so a solve builds it once), and whether that
+        truncation is the whole system the brackets' uppers are for."""
+        key, value = self._slopes
+        if key != (self.k, self.m):
+            letters = self.system.letters(self.k)
+            try:
+                chi = _lyapunov_range(
+                    _geometry(self.system, letters, self.m, self.conorm))
+            except NoAdmissibleWords:
+                chi = (0.0, math.inf)
+            # the exhaustion test _full_upper applies to a full-scope upper
+            whole = self.scope == "truncated" or (
+                self.system.is_finite
+                and len(self.system.letters(2 * self.k + 16)) == len(letters))
+            value = (*chi, whole)
+            self._slopes = ((self.k, self.m), value)
+        return value
+
+    def enclosure(self, s, est):
+        """Certified root enclosure from the bracket est at s.
+
+        The root lies in s + [est.lower, est.upper] / [chi_min, chi_max]
+        (see the module docstring), each end rounded outward, and on the side a
+        sign certifies, within s.  The upper end takes no step unless the
+        geometry's truncation is the whole system.
+        """
+        chi_min, chi_max, whole = self.slopes()
+        a, b = est.lower, est.upper
+        lo = _outward_step(s, a, chi_min if a < 0.0 else chi_max, -math.inf)
+        hi = math.inf
+        if whole:
+            hi = _outward_step(s, b, chi_min if b > 0.0 else chi_max, math.inf)
+        if a >= 0.0:
+            lo = max(lo, s)
+        if b <= 0.0:
+            hi = min(hi, s)
+        return lo, hi
 
     def refine(self):
         if not self.system.is_finite and self.k < self.horizon_cap:
@@ -173,6 +276,94 @@ class _PressureProbe:
             return True
         self.limit = "state_cap"
         return False
+
+
+class _RootBracket:
+    """The running certified root bracket [lower, upper] of one solve, with
+    the pressure estimates that last moved each end."""
+
+    def __init__(self, lower, upper):
+        self.lower = lower
+        self.upper = upper
+        self.at_lower = None
+        self.at_upper = None
+
+    @property
+    def width(self):
+        return self.upper - self.lower
+
+    def narrow(self, s, est, enclosure):
+        """Intersect with the root enclosure est gave at s; an empty
+        intersection raises CrossedBracket instead of being collapsed."""
+        lo, hi = enclosure
+        if lo > self.lower:
+            self.lower, self.at_lower = lo, est
+        if hi < self.upper:
+            self.upper, self.at_upper = hi, est
+        if self.lower > self.upper:
+            raise CrossedBracket(
+                s, est.lower, est.upper, self.lower, self.upper)
+
+
+def _centre(est):
+    return 0.5 * (est.lower + est.upper)
+
+
+def _next_probe(root, trail, chi_min, chi_max):
+    """Where to probe next: the Newton point of the last bracket's centre,
+    clipped into the middle (1 - 2/16) of the running bracket.
+
+    The slope is the secant through that centre and the one of the latest
+    probe at another s when it is positive, else the middle of the
+    geometry's Lyapunov range; with neither, or no finite centre, the probe
+    bisects.  A heuristic only: every bound comes from the certified
+    enclosures, wherever the probe is.
+    """
+    lo, hi = root.lower, root.upper
+    t = 0.5 * (lo + hi)
+    s, centre = trail[-1][0], _centre(trail[-1][1])
+    if math.isfinite(centre):
+        chi = 0.0
+        prev = next((p for p in reversed(trail) if p[0] != s), None)
+        if prev is not None and math.isfinite(_centre(prev[1])):
+            chi = (_centre(prev[1]) - centre) / (s - prev[0])
+        if not chi > 0.0 and math.isfinite(chi_max):
+            chi = 0.5 * (chi_min + chi_max)
+        if chi > 0.0:
+            t = s + centre / min(max(chi, chi_min), chi_max)
+    margin = (hi - lo) / 16.0
+    return min(max(t, lo + margin), hi - margin)
+
+
+def _squeeze_point(lo, hi, seen, side, tol):
+    """Next probe of the endpoint squeeze, over the search interval [lo, hi]
+    that holds the sign change of the lowers (side 0) or uppers (side 1).
+
+    Aims tol/8 inside the squeezed end's side of the secant root through
+    the nearest probes in seen on either side of the change, and, once
+    that end sits near the root, closes the search from the other side;
+    bisects while seen has no such pair.  Every probe keeps tol/8 from
+    both ends, so each one shrinks the search by at least that much.
+    """
+    step = tol / 8.0
+    pos = neg = None
+    for s, est in seen:
+        f = est.upper if side else est.lower
+        if not math.isfinite(f):
+            continue
+        if f > 0.0 or (f == 0.0 and side == 0):
+            if pos is None or s > pos[0]:
+                pos = (s, f)
+        elif neg is None or s < neg[0]:
+            neg = (s, f)
+    t = 0.5 * (lo + hi)
+    if pos is not None and neg is not None and pos[0] < neg[0]:
+        r = pos[0] + pos[1] * (neg[0] - pos[0]) / (pos[1] - neg[1])
+        if side == 0:
+            t = r - step if r - step > lo + step else lo + 0.9 * tol
+        else:
+            t = r + step if r + step < hi - step else hi - 0.9 * tol
+    return min(max(t, lo + step), hi - step)
 
 
 def _gather_conditions(system, horizon):
@@ -231,15 +422,28 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
                     state_cap=DEFAULT_STATE_CAP,
                     max_evals=DEFAULT_MAX_EVALS,
                     check_conditions=True):
-    """Bisection for the pressure zero with certified endpoints.
+    """Certified bracket of the pressure zero, by mean-value steps.
 
-    Keeps s_lower where the pressure is certifiably >= 0 (or at the
-    declared divergence floor) and s_upper where it is certifiably <= 0.
-    A midpoint whose bracket straddles zero triggers refinement (horizon,
-    then depth); when refinement and tolerance are both exhausted the
-    achieved bracket is returned as-is.  IrregularSystem when no certified
-    sign change exists in [floor, s_max]; BudgetExhausted when the eval
-    budget dies before both endpoints are certified.
+    Each probe's pressure bracket [a, b] at s becomes the root enclosure
+    s + [a, b] / [chi_min, chi_max] (see the module docstring) and is
+    intersected with the running [s_lower, s_upper]; a sign certified at s
+    also moves that end to s.  chi comes from the state geometry at the
+    probe's horizon and depth, built once for the solve.  The upper end
+    steps only when the geometry's truncation is the whole system: chi_min
+    must bound the derivative of every letter, and a countable alphabet's
+    letters beyond the horizon are bounded only by the tail witness.
+
+    Probes go to the Newton point of the last bracket's centre, with the
+    secant slope through an earlier probe.  A probe that straddles zero
+    and leaves the bracket wider than s_tol/2 (the working target; a
+    straddling probe's own enclosure is (b - a) / chi_min wide) refines
+    the horizon, then the depth, and is repeated at the same s.  When
+    refinement stops (state_cap, depth_limit) or stops buying width
+    ("stuck"), each end is squeezed separately at the final knobs.  An
+    empty intersection raises CrossedBracket rather than being collapsed.
+    IrregularSystem when no certified sign change exists in [floor,
+    s_max]; BudgetExhausted when the eval budget dies before the ceiling
+    is certified.
     """
     scope, s_tol, horizon, s_max = _resolve_defaults(
         system, scope, s_tol, horizon, s_max
@@ -262,19 +466,37 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
     def out_of_budget():
         return probe.evals >= max_evals
 
-    # certify the ceiling: pressure upper <= 0 somewhere
-    p_high = None
+    def result(stop, component=None):
+        return DimensionResult(
+            s_lower=root.lower, s_upper=root.upper, theta=theta, scope=scope,
+            pressure_at_lower=root.at_lower, pressure_at_upper=root.at_upper,
+            component=component, conditions=conditions, evals=probe.evals,
+            stop_reason=stop, depth=probe.m, horizon=probe.k,
+        )
+
+    # certify the ceiling: pressure upper <= 0 at s_max
+    root = _RootBracket(floor, s_max)
+    trail = []  # (s, estimate) of every probe, for probe placement
+
+    def probe_at(s):
+        est = probe.bracket(s)
+        trail.append((s, est))
+        return est
+
     try:
-        est = probe.bracket(s_max)
+        est = probe_at(s_max)
     except NoAdmissibleWords:
-        est = None
-    while est is not None and est.upper > 0.0:
+        # no admissible words at all: empty pressure, dimension collapses
+        root.upper = floor
+        return result("empty")
+    while est.upper > 0.0:
         if est.lower > 0.0:
             # certified positive at the scan ceiling: no zero in range
             raise IrregularSystem(
                 f"pressure certified positive at s={s_max:.6g} "
                 f"(bracket [{est.lower:.4g}, {est.upper:.4g}])"
             )
+        root.narrow(s_max, est, probe.enclosure(s_max, est))
         if out_of_budget():
             raise BudgetExhausted(
                 f"no certified ceiling within {max_evals} pressure evals "
@@ -285,93 +507,82 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
                 f"pressure stays above zero up to s={s_max:.6g} "
                 f"(upper {est.upper:.4g}); no certified sign change"
             )
-        est = probe.bracket(s_max)
-    if est is None:
-        # no admissible words at all: empty pressure, dimension collapses
-        return DimensionResult(
-            s_lower=floor, s_upper=floor, theta=theta, scope=scope,
-            conditions=conditions, evals=probe.evals, stop_reason="empty",
-        )
-    s_hi, p_high = s_max, est
+        est = probe_at(s_max)
+    root.at_upper = est
+    root.narrow(s_max, est, probe.enclosure(s_max, est))
 
-    s_lo = floor
-    p_low = None
-    est = probe.bracket(floor) if floor < s_hi else None
-    if est is not None and est.upper <= 0.0:
-        # the whole range is at or below zero: dimension sits at the floor
-        return DimensionResult(
-            s_lower=floor, s_upper=floor, theta=theta, scope=scope,
-            pressure_at_upper=est, component=est.component,
-            conditions=conditions, evals=probe.evals, stop_reason="tolerance",
-        )
-    if est is not None and est.lower >= 0.0:
-        p_low = est
+    if root.lower <= floor:
+        est = probe_at(floor)
+        if est.upper <= 0.0:
+            # the whole range is at or below zero: dimension sits at the floor
+            root.upper, root.at_upper = floor, est
+            return result("tolerance", est.component)
+        root.narrow(floor, est, probe.enclosure(floor, est))
 
+    # The working target is half the tolerance, about what bisection ends
+    # at; a probe whose own enclosure is wider than that while straddling
+    # zero asks for a deeper geometry, not only for another probe.
+    target = 0.5 * s_tol
     straddle_width = None
     stuck = 0
     stop = None
-    while s_hi - s_lo > s_tol and not out_of_budget():
-        mid = 0.5 * (s_lo + s_hi)
-        est = probe.bracket(mid)
-        if est.lower >= 0.0:
-            s_lo, p_low = mid, est
-            straddle_width, stuck = None, 0
-        elif est.upper <= 0.0:
-            s_hi, p_high = mid, est
-            straddle_width, stuck = None, 0
+    refined_at = None
+    while root.width > target and not out_of_budget():
+        if refined_at is not None and root.lower < refined_at < root.upper:
+            s = refined_at
         else:
-            # straddling zero: refine, but give up once refinement stops
-            # buying width (the leftover gap is then a property of the
-            # bounds, e.g. a declared tail upper vs truncated lowers)
-            width = est.upper - est.lower
-            if straddle_width is not None and not (width < 0.97 * straddle_width):
-                stuck += 1
-            else:
-                stuck = 0
-            straddle_width = width
-            if stuck >= 3 or not probe.refine():
-                stop = "stuck" if stuck >= 3 else probe.limit
-                break
+            chi_min, chi_max, _ = probe.slopes()
+            s = _next_probe(root, trail, chi_min, chi_max)
+        refined_at = None
+        est = probe_at(s)
+        root.narrow(s, est, probe.enclosure(s, est))
+        if not (est.lower < 0.0 < est.upper) or root.width <= target:
+            straddle_width, stuck = None, 0
+            continue
+        # straddling zero: refine, but give up once refinement stops
+        # buying width (the leftover gap is then a property of the
+        # bounds, e.g. a declared tail upper vs truncated lowers)
+        width = est.upper - est.lower
+        if straddle_width is not None and not (width < 0.97 * straddle_width):
+            stuck += 1
+        else:
+            stuck = 0
+        straddle_width = width
+        if stuck >= 3 or not probe.refine():
+            stop = "stuck" if stuck >= 3 else probe.limit
+            break
+        refined_at = s
     if stop is None:
-        stop = "tolerance" if s_hi - s_lo <= s_tol else "budget"
+        stop = "tolerance" if root.width <= s_tol else "budget"
 
-    if s_hi - s_lo > s_tol:
-        # refinement is spent and the midpoint straddles: the leftover gap
-        # belongs to the bounds themselves, not to the bisection.  Squeeze
+    if root.width > s_tol:
+        # refinement is spent and the probes straddle: the leftover gap
+        # belongs to the bounds themselves, not to the search.  Squeeze
         # each endpoint separately at the final knobs so the reported
         # bracket matches what the bounds can actually certify.
-        lo_a, lo_b = s_lo, s_hi
-        while lo_b - lo_a > s_tol and not out_of_budget():
-            mid = 0.5 * (lo_a + lo_b)
-            est = probe.bracket(mid)
-            if est.lower >= 0.0:
-                lo_a, p_low = mid, est
-            else:
-                lo_b = mid
-        s_lo = lo_a
-        hi_a, hi_b = s_lo, s_hi
-        while hi_b - hi_a > s_tol and not out_of_budget():
-            mid = 0.5 * (hi_a + hi_b)
-            est = probe.bracket(mid)
-            if est.upper <= 0.0:
-                hi_b, p_high = mid, est
-            else:
-                hi_a = mid
-        s_hi = hi_b
-        if lo_b - lo_a > s_tol or hi_b - hi_a > s_tol:
-            stop = "budget"
+        seen = trail[-1:]  # the last probe ran at the final knobs
+        for side in (0, 1):
+            lo, hi = root.lower, root.upper
+            while hi - lo > s_tol and not out_of_budget():
+                s = _squeeze_point(lo, hi, seen, side, s_tol)
+                est = probe_at(s)
+                root.narrow(s, est, probe.enclosure(s, est))
+                seen.append((s, est))
+                if side == 0:
+                    lo = root.lower
+                    hi = min(s if est.lower < 0.0 else hi, root.upper)
+                else:
+                    lo = max(s if est.upper > 0.0 else lo, root.lower)
+                    hi = root.upper
+            if hi - lo > s_tol:
+                stop = "budget"
 
     component = None
-    for src in (p_high, p_low):
+    for src in (root.at_upper, root.at_lower):
         if src is not None and src.component is not None:
             component = src.component
             break
-    return DimensionResult(
-        s_lower=s_lo, s_upper=s_hi, theta=theta, scope=scope,
-        pressure_at_lower=p_low, pressure_at_upper=p_high,
-        component=component, conditions=conditions, evals=probe.evals,
-        stop_reason=stop,
-    )
+    return result(stop, component)
 
 
 def _boolean_bisect(above, floor, ceil, tol):

@@ -15,19 +15,6 @@ class NonSimpleGraph(GifsError):
     """A vertex-coding operation was asked of a graph with parallel edges."""
 
 
-class ConnectorSearchExhausted(GifsError):
-    """BFS could not find a connector word within its budget."""
-
-    def __init__(self, source, target, budget):
-        self.source = source
-        self.target = target
-        self.budget = budget
-        super().__init__(
-            f"no connector word from {source!r} to {target!r} "
-            f"within budget {budget}"
-        )
-
-
 class NonAdmissibleWord(GifsError):
     """A word violates the transition structure it was evaluated against."""
 
@@ -78,6 +65,27 @@ class IrregularSystem(GifsError):
     def __init__(self, message, sign_pattern=None):
         self.sign_pattern = sign_pattern
         super().__init__(message)
+
+
+class CrossedBracket(GifsError):
+    """A certified root enclosure missed the running root bracket.
+
+    Every enclosure is certified on its own, so a crossing means some
+    pressure bracket was wrong.  s and (lower, upper) name the probe and its
+    pressure bracket; (root_lower, root_upper) is the crossed root bracket
+    its enclosure left.
+    """
+
+    def __init__(self, s, lower, upper, root_lower, root_upper):
+        self.s = s
+        self.lower = lower
+        self.upper = upper
+        self.root_lower = root_lower
+        self.root_upper = root_upper
+        super().__init__(
+            f"pressure bracket [{lower!r}, {upper!r}] at s={s!r} crossed the "
+            f"root bracket: [{root_lower!r}, {root_upper!r}]"
+        )
 
 
 class BudgetExhausted(GifsError):

@@ -3,22 +3,18 @@
 Countable vertex/edge sets are handled through deterministic enumerations:
 every operation that needs concrete data materializes a finite prefix (a
 "horizon") and records how much it looked at.  Nothing here mutates shared
-state; the one cache (TruncationLadder's connector table) is append-only so
-ladders stay monotone across stages.
+state.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConnectorSearchExhausted, NonSimpleGraph
-
-DEFAULT_CONNECTOR_BUDGET = 64
+from .errors import NonSimpleGraph
 
 
 class Enumeration:
@@ -303,116 +299,6 @@ def is_irreducible(matrix, horizon=None) -> bool:
     if len(dec.classes) != 1:
         return False
     return not dec.trivial[0]
-
-
-class TruncationLadder:
-    """Monotone ladder of irreducible truncations of a countable matrix.
-
-    Stage n starts from the first n states T_n, adds every letter of a cached
-    connector word for each ordered pair in T_n x T_n, and grants S_n-minus-T_n
-    states only the transitions their connectors use.  Caching connectors
-    (first stage that needs a pair wins, lexicographically-first shortest BFS
-    word) makes stages nested: S_n grows, matrices grow entrywise, and every
-    stage matrix is dominated by the original.
-    """
-
-    def __init__(self, matrix: TransitionMatrix, budget=DEFAULT_CONNECTOR_BUDGET,
-                 search_horizon=None):
-        self.matrix = matrix
-        self.budget = budget
-        self.search_horizon = search_horizon
-        self._connectors = {}          # (i, j) -> tuple of intermediate letters
-
-    def connector(self, i, j, horizon=None):
-        """Shortest word w (possibly empty) with i . w . j admissible."""
-        key = (i, j)
-        if key in self._connectors:
-            return self._connectors[key]
-        horizon = self.search_horizon or horizon or 256
-        states = self.matrix.states.prefix(horizon)
-        if i not in states or j not in states:
-            raise ConnectorSearchExhausted(i, j, self.budget)
-        # BFS over suffixes; parents reconstruct the path.  Expansion follows
-        # enumeration order, so the shortest connector is deterministic.
-        parent = {i: None}
-        frontier = deque([(i, 0)])
-        found = False
-        while frontier:
-            a, depth = frontier.popleft()
-            if depth > self.budget:
-                break
-            for b in self.matrix.row(a, states):
-                if b == j:
-                    parent.setdefault(("goal",), a)
-                    found = True
-                    frontier.clear()
-                    break
-                if b not in parent and depth + 1 <= self.budget:
-                    parent[b] = a
-                    frontier.append((b, depth + 1))
-        if not found:
-            raise ConnectorSearchExhausted(i, j, self.budget)
-        word = []
-        a = parent[("goal",)]
-        while a != i:
-            word.append(a)
-            a = parent[a]
-        word.reverse()
-        self._connectors[key] = tuple(word)
-        return self._connectors[key]
-
-    def stage(self, n):
-        """States S_n and matrix A_n of the n-th truncation."""
-        base = self.matrix.states.prefix(n)
-        if len(base) < n:
-            n = len(base)   # finite set ran out; use everything
-        allowed = set()     # transitions granted to connector-only states
-        order = list(base)
-        seen = set(base)
-        horizon = max(256, 4 * n)
-        for i in base:
-            for j in base:
-                w = self.connector(i, j, horizon=horizon)
-                full = (i, *w, j)
-                for a, b in zip(full, full[1:]):
-                    allowed.add((a, b))
-                for a in w:
-                    if a not in seen:
-                        seen.add(a)
-                        order.append(a)
-        states = order
-        base_set = set(base)
-        state_set = set(states)
-        pairs = []
-        for a in states:
-            if a in base_set:
-                for b in self.matrix.row(a, states):
-                    pairs.append((a, b))
-            else:
-                for (x, b) in allowed:
-                    if x == a and b in state_set:
-                        pairs.append((a, b))
-        fin = FiniteTransition.from_pairs(states, pairs)
-        return TruncationStage(base=tuple(base), states=tuple(states), matrix=fin)
-
-
-@dataclass(frozen=True)
-class TruncationStage:
-    base: tuple       # T_n, the first n states
-    states: tuple     # S_n in deterministic order (T_n first)
-    matrix: FiniteTransition
-
-
-def irreducible_truncation(matrix, n, ladder=None, budget=DEFAULT_CONNECTOR_BUDGET,
-                           search_horizon=None):
-    """One stage of an irreducible-truncation ladder.
-
-    Pass the same `ladder` object across calls to get the nested family;
-    a fresh ladder is created otherwise.
-    """
-    if ladder is None:
-        ladder = TruncationLadder(matrix, budget=budget, search_horizon=search_horizon)
-    return ladder.stage(n), ladder
 
 
 def word_levels(adj, m):

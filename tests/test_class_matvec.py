@@ -83,8 +83,8 @@ def test_chain_class_matvecs_match_scipy_bytes(n, branch, zero_frac, seed):
     rows = []
     for i in range(n):
         cols = {(i + 1) % n}
-        if rng.random() < branch:
-            cols.update(rng.integers(0, n, int(rng.integers(1, 4))).tolist())
+        if i and rng.random() < branch:
+            cols.update(rng.integers(0, i, int(rng.integers(1, 4))).tolist())
         rows.append(sorted(cols))
     rows[-1] = sorted(set(rows[-1]) | set(range(0, n, 4)))
     geom = geometry(rows)

@@ -17,16 +17,23 @@ Frozen oracles used here:
 """
 
 import gc
+import itertools
 import math
 import weakref
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import gifsdim.dimension as dimension_module
 from gifsdim.dimension import (
     DimensionResult,
+    _lyapunov_range,
+    _outward_step,
     bowen_dimension,
     dimension_per_component,
     lower_estimate,
@@ -34,11 +41,18 @@ from gifsdim.dimension import (
 )
 from gifsdim.errors import (
     BudgetExhausted,
+    CrossedBracket,
+    GifsError,
     IrregularSystem,
     SummabilityWitnessMissing,
 )
 from gifsdim.graphs import DirectedMultigraph, Enumeration
 from gifsdim.maps import Similarity
+from gifsdim.pressure import (
+    PotentialSpec,
+    build_weighted_matrix,
+    truncation_ladder,
+)
 from gifsdim.scenarios import (
     affine_demo,
     cf_system,
@@ -185,16 +199,146 @@ def test_cf_digit_pair_matches_external_constant():
 
 
 def test_solve_brackets_are_pinned_bitwise():
-    # warm-started probes move pressure brackets in their last bits; the
-    # bisection's sign decisions, and so the dimension brackets, must not
+    # the mean-value steps moved every bracket off the one sign bisection
+    # pinned before (old); each new one must meet it, be no wider, and stay
+    # consistent with the reference: the value itself for cantor and CF
+    # {1, 2}, the [two-loop floor, golden ceiling] for the ladder
     pinned = (
-        (moran_system([1 / 3, 1 / 3]), 1e-7, "0x1.4309380000000p-1", "0x1.43093a0000000p-1"),
-        (cf_system(letters=(1, 2)), 1e-5, "0x1.1003400000000p-1", "0x1.10040c0000000p-1"),
-        (ladder_system(), 1e-3, "0x1.4380000000000p-1", "0x1.63a4000000000p-1"),
+        (moran_system([1 / 3, 1 / 3]), 1e-7,
+         ("0x1.4309398353537p-1", "0x1.4309398353543p-1"),
+         ("0x1.4309380000000p-1", "0x1.43093a0000000p-1"), (CANTOR, CANTOR)),
+        (cf_system(letters=(1, 2)), 1e-5,
+         ("0x1.1003ea34a274dp-1", "0x1.10042d7434200p-1"),
+         ("0x1.1003400000000p-1", "0x1.10040c0000000p-1"),
+         (CF_DIGITS_12, CF_DIGITS_12)),
+        (ladder_system(), 1e-3,
+         ("0x1.4382fb18d8df4p-1", "0x1.63847f39566d1p-1"),
+         ("0x1.4380000000000p-1", "0x1.63a4000000000p-1"), (TWO_LOOP, GOLDEN)),
     )
-    for sysm, s_tol, lower, upper in pinned:
+    for sysm, s_tol, new, old, (floor, ceiling) in pinned:
         res = bowen_dimension(sysm, s_tol=s_tol)
-        assert (res.s_lower.hex(), res.s_upper.hex()) == (lower, upper), sysm.name
+        assert (res.s_lower.hex(), res.s_upper.hex()) == new, sysm.name
+        lo, hi = map(float.fromhex, new)
+        old_lo, old_hi = map(float.fromhex, old)
+        assert lo <= old_hi and old_lo <= hi, sysm.name
+        assert hi - lo <= old_hi - old_lo, sysm.name
+        assert lo <= ceiling and floor <= hi, sysm.name
+
+
+def test_cf_pair_refines_only_until_the_enclosure_fits():
+    # the sign rule needed 39 evals and depth 14 here; a straddling probe's
+    # own enclosure fits s_tol/2 by depth 11
+    res = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5)
+    assert res.evals < 39
+    assert res.depth <= 11 and res.horizon == 2
+    assert res.stop_reason == "tolerance"
+    assert contains(res, CF_DIGITS_12)
+    rec = res.record()
+    assert "depth" not in rec and "horizon" not in rec
+
+
+def test_cf_pair_meets_a_tolerance_no_sign_can_reach():
+    # at s_tol=1e-4 the sign rule ended at 1.83e-4: its midpoint sat 1e-8
+    # from the root, where no depth certifies the sign
+    res = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-4)
+    assert res.width <= 1e-4
+    assert res.stop_reason == "tolerance"
+    assert contains(res, CF_DIGITS_12)
+
+
+def test_crossed_root_enclosures_raise(monkeypatch):
+    # a probe whose bracket contradicts the ceiling's must raise, naming
+    # itself, instead of collapsing the bracket
+    ladder = dimension_module.truncation_ladder
+    fakes = iter([(-0.1, -0.05)])
+
+    def inconsistent(system, potential, horizons, depth=1, **kw):
+        lower, upper = next(fakes, (0.5, 0.6))
+        return [replace(e, lower=lower, upper=upper)
+                for e in ladder(system, potential, horizons, depth, **kw)]
+
+    monkeypatch.setattr(dimension_module, "truncation_ladder", inconsistent)
+    with pytest.raises(CrossedBracket) as err:
+        bowen_dimension(moran_system([1 / 3, 1 / 3]), check_conditions=False)
+    assert isinstance(err.value, GifsError)
+    assert (err.value.lower, err.value.upper) == (0.5, 0.6)
+    assert 1.9 < err.value.s < 2.0  # inside the ceiling's enclosure
+    assert err.value.root_lower > err.value.root_upper
+
+
+STEP_FLOATS = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=STEP_FLOATS, p=STEP_FLOATS, chi=st.floats(1e-6, 1e3))
+def test_outward_step_encloses_the_exact_step(s, p, chi):
+    with mpmath.workdps(50):
+        exact = mpmath.mpf(s) + mpmath.mpf(p) / mpmath.mpf(chi)
+        lo = _outward_step(s, p, chi, -math.inf)
+        hi = _outward_step(s, p, chi, math.inf)
+        assert lo <= exact <= hi
+    # outward by a few ulps of the terms, not more
+    assert hi - lo <= 8 * math.ulp(abs(s) + abs(p / chi))
+
+
+def test_outward_step_without_a_slope_bounds_nothing():
+    assert _outward_step(0.5, -1.0, 0.0, -math.inf) == -math.inf
+    assert _outward_step(0.5, 1.0, 0.0, math.inf) == math.inf
+    assert _outward_step(0.5, math.inf, 0.7, math.inf) == math.inf
+    assert _outward_step(0.5, -math.inf, 0.7, -math.inf) == -math.inf
+    # an infinite chi_max: the step is s itself, one ulp outward
+    below = math.nextafter(0.5, 0.0)
+    assert _outward_step(0.5, 0.3, math.inf, -math.inf) == below
+
+
+def lyapunov_range(system, k, m):
+    geom = build_weighted_matrix(system, PotentialSpec(1.0), k, m).geometry
+    chi_min, chi_max = _lyapunov_range(geom)
+    # outward against the logs of the extreme entries at 50 digits
+    with mpmath.workdps(50):
+        assert chi_min <= -mpmath.log(mpmath.mpf(float(geom.upper.max())))
+        assert chi_max >= -mpmath.log(mpmath.mpf(float(geom.lower.min())))
+    return chi_min, chi_max
+
+
+MORAN_RATIOS = st.lists(st.floats(0.05, 0.6), min_size=2, max_size=6)
+
+
+@settings(max_examples=25, deadline=None)
+@given(ratios=MORAN_RATIOS, s=st.floats(0.0, 3.0), dt=st.floats(1e-3, 2.0))
+def test_moran_solve_and_slope_cone(ratios, s, dt):
+    # P(s) = log sum r_i**s exactly; the solved bracket holds its root and
+    # P(t) - P(s) lies in the cone the geometry's chi gives
+    root = moran_root(ratios)
+    res = bowen_dimension(moran_system(ratios), s_max=4.0,
+                          check_conditions=False)
+    assert res.s_lower - 2e-14 <= root <= res.s_upper + 2e-14
+    assert res.width <= 1e-6
+    chi_min, chi_max = lyapunov_range(moran_system(ratios), len(ratios), 1)
+    t = s + dt
+    with mpmath.workdps(50):
+        pressure = [mpmath.log(mpmath.fsum(mpmath.mpf(r) ** mpmath.mpf(x)
+                                           for r in ratios)) for x in (s, t)]
+        span = mpmath.mpf(t) - mpmath.mpf(s)
+        assert -chi_max * span <= pressure[1] - pressure[0] <= -chi_min * span
+
+
+def test_cf_pair_brackets_stay_in_the_slope_cone():
+    # at each depth, brackets at s < t must admit values P(s), P(t) with
+    # -chi_max (t - s) <= P(t) - P(s) <= -chi_min (t - s)
+    sysm = cf_system(letters=(1, 2))
+    exponents = (0.2, 0.45, 0.53, 0.531, 0.6, 0.9, 1.5)
+    for m in range(4, 9):
+        chi_min, chi_max = lyapunov_range(sysm, 2, m)
+        assert 0.0 < chi_min <= chi_max < math.inf
+        brackets = [
+            truncation_ladder(sysm, PotentialSpec(x), [2], depth=m)[0]
+            for x in exponents
+        ]
+        pairs = itertools.combinations(zip(exponents, brackets), 2)
+        for (s, p), (t, q) in pairs:
+            assert q.lower <= p.upper - chi_min * (t - s), (m, s, t)
+            assert q.upper >= p.lower - chi_max * (t - s), (m, s, t)
 
 
 def test_stop_reason_names_why_refinement_ended():

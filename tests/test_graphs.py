@@ -5,8 +5,6 @@ Claims checked here:
     - vertex-coding builder rejects parallel edges
     - Tarjan classes match a brute-force reachability oracle on random digraphs
     - class order is dependency order; trivial classes are flagged
-    - irreducible-truncation stages are nested, dominated by the original
-      matrix, agree with it on base rows, and are irreducible
     - word levels are lexicographic, admissible, and counted by the
       matrix-power oracle
 """
@@ -16,36 +14,17 @@ import itertools
 import numpy as np
 import pytest
 
-from gifsdim.errors import ConnectorSearchExhausted, NonSimpleGraph
+from gifsdim.errors import NonSimpleGraph
 from gifsdim.graphs import (
     DirectedMultigraph,
-    Enumeration,
     FiniteTransition,
-    TransitionMatrix,
-    TruncationLadder,
     build_edge_transition,
     build_vertex_transition,
     finite_enumeration,
-    irreducible_truncation,
     is_irreducible,
     strongly_connected_components,
     word_levels,
 )
-
-
-def ladder_vertex_matrix():
-    """Descending ladder rule: 1 reaches every u >= 1, v >= 2 reaches v-1."""
-
-    def naturals():
-        v = 1
-        while True:
-            yield v
-            v += 1
-
-    def entry(v, u):
-        return v == 1 or u == v - 1
-
-    return TransitionMatrix(Enumeration(factory=naturals), entry)
 
 
 def multigraph_from_lists(vertices, edge_table):
@@ -165,59 +144,6 @@ def test_is_irreducible_cases():
     assert is_irreducible(loop)
     split = FiniteTransition.from_pairs([0, 1], [(0, 0), (1, 1)])
     assert not is_irreducible(split)
-
-
-# -- irreducible truncation ---------------------------------------------------
-
-def test_ladder_truncation_stage3_is_plain_restriction():
-    mat = ladder_vertex_matrix()
-    stage, _ = irreducible_truncation(mat, 3)
-    assert stage.base == (1, 2, 3)
-    assert set(stage.states) == {1, 2, 3}
-    want = {(1, 1), (1, 2), (1, 3), (2, 1), (3, 2)}
-    got = {
-        (stage.matrix.states[i], stage.matrix.states[j])
-        for i in range(stage.matrix.n)
-        for j in stage.matrix.succ[i]
-    }
-    assert got == want
-    assert is_irreducible(stage.matrix)
-
-
-def test_truncation_ladder_invariants_monotone():
-    mat = ladder_vertex_matrix()
-    ladder = TruncationLadder(mat)
-    prev_states = None
-    prev_pairs = None
-    for n in range(1, 7):
-        stage = ladder.stage(n)
-        states = set(stage.states)
-        pairs = {
-            (stage.matrix.states[i], stage.matrix.states[j])
-            for i in range(stage.matrix.n)
-            for j in stage.matrix.succ[i]
-        }
-        # dominated by the original matrix
-        for a, b in pairs:
-            assert mat.entry(a, b)
-        # base rows equal the original within S_n
-        for a in stage.base:
-            for b in stage.states:
-                assert ((a, b) in pairs) == mat.entry(a, b)
-        assert is_irreducible(stage.matrix)
-        if prev_states is not None:
-            assert prev_states <= states
-            assert prev_pairs <= pairs
-        prev_states, prev_pairs = states, pairs
-
-
-def test_truncation_budget_exhaustion_raises():
-    # two separate self-loops: no path between them at any budget
-    fin_states = finite_enumeration([0, 1])
-    mat = TransitionMatrix(fin_states, lambda a, b: a == b)
-    ladder = TruncationLadder(mat, budget=8)
-    with pytest.raises(ConnectorSearchExhausted):
-        ladder.stage(2)
 
 
 # -- admissible words ---------------------------------------------------------
