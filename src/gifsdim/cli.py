@@ -419,8 +419,8 @@ def _cmd_analyze(config, stream):
     sep = check_separation(system, mode="SSC", **kwargs)
     letters = system.letters(config.horizon or 64)
     fin = _letter_transition(system, letters)
-    dec = strongly_connected_components(fin, fin.n)
-    sizes = [len(cls) for cls, triv in zip(dec.classes, dec.trivial) if not triv]
+    classes = strongly_connected_components(fin).nontrivial_classes()
+    sizes = [len(cls) for cls in classes]
 
     findings = [
         {"check": name, "status": entry.status, "detail": entry.detail}

@@ -50,8 +50,11 @@ from .errors import (
 from .graphs import strongly_connected_components
 from .pressure import (
     PotentialSpec,
+    _exhausts,
     _geometry,
+    _letter_transition,
     _reuse_geometry,
+    _vertex_incidence,
     truncation_ladder,
 )
 from .systems import (
@@ -143,16 +146,10 @@ class DimensionResult:
 
 def _count_words(system, letters, length, cap):
     """Admissible word count at this length, clipped just past cap."""
-    g = system.graph
-    verts = {}
-    for e in letters:
-        for v in (g.initial(e), g.terminal(e)):
-            verts.setdefault(v, len(verts))
-    ini = np.array([verts[g.initial(e)] for e in letters], dtype=int)
-    ter = np.array([verts[g.terminal(e)] for e in letters], dtype=int)
+    nverts, ini, ter = _vertex_incidence(system, letters)
     x = np.ones(len(letters))
     for _ in range(length - 1):
-        sums = np.zeros(len(verts))
+        sums = np.zeros(nverts)
         np.add.at(sums, ini, x)
         x = sums[ter]
         total = float(x.sum())
@@ -228,15 +225,10 @@ class _PressureProbe:
         key, value = self._slopes
         if key != (self.k, self.m):
             letters = self.system.letters(self.k)
-            try:
-                chi = _lyapunov_range(
-                    _geometry(self.system, letters, self.m, self.conorm))
-            except NoAdmissibleWords:
-                chi = (0.0, math.inf)
+            chi = _lyapunov_range(
+                _geometry(self.system, letters, self.m, self.conorm))
             # the exhaustion test _full_upper applies to a full-scope upper
-            whole = self.scope == "truncated" or (
-                self.system.is_finite
-                and len(self.system.letters(2 * self.k + 16)) == len(letters))
+            whole = self.scope == "truncated" or _exhausts(self.system, self.k)
             value = (*chi, whole)
             self._slopes = ((self.k, self.m), value)
         return value
@@ -687,15 +679,9 @@ def dimension_per_component(system, horizon=None, **opts):
         horizon = (
             len(system.letters(4096)) if system.is_finite else DEFAULT_HORIZON
         )
-    letters = system.letters(horizon)
-    from .pressure import _letter_transition
-
-    fin = _letter_transition(system, letters)
-    dec = strongly_connected_components(fin, fin.n)
+    fin = _letter_transition(system, system.letters(horizon))
     out = {}
-    for cls, trivial in zip(dec.classes, dec.trivial):
-        if trivial:
-            continue
+    for cls in strongly_connected_components(fin).nontrivial_classes():
         sub = subsystem(system, edges=cls, name=f"{system.name}-cls")
         out[cls] = bowen_dimension(sub, check_conditions=False, **opts)
     return out

@@ -11,10 +11,6 @@ class GifsError(Exception):
     """Base class for all package errors."""
 
 
-class NonSimpleGraph(GifsError):
-    """A vertex-coding operation was asked of a graph with parallel edges."""
-
-
 class NonAdmissibleWord(GifsError):
     """A word violates the transition structure it was evaluated against."""
 
@@ -90,14 +86,6 @@ class CrossedBracket(GifsError):
 
 class BudgetExhausted(GifsError):
     """A hard budget was hit before any certified answer existed."""
-
-
-class IterationStall(GifsError):
-    """Power iteration exhausted its budget before the requested gap.
-
-    Raised only on request (strict_convergence=True); the default path
-    returns the widest certified bracket with the stalled flag set.
-    """
 
 
 class SchemaViolation(GifsError):

@@ -1,9 +1,10 @@
-"""Directed multigraphs, transition matrices, and symbolic-word machinery.
+"""Directed multigraphs, strongly connected classes, and admissible words.
 
 Countable vertex/edge sets are handled through deterministic enumerations:
 every operation that needs concrete data materializes a finite prefix (a
-"horizon") and records how much it looked at.  Nothing here mutates shared
-state.
+"horizon").  The solver reads one graph path: the letters of a truncation
+as a FiniteTransition, their strongly connected classes, and the word
+levels over them.  Nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-
-from .errors import NonSimpleGraph
 
 
 class Enumeration:
@@ -66,19 +65,12 @@ class Enumeration:
         return item in self._cache
 
 
-def finite_enumeration(items):
-    return Enumeration(items=list(items))
-
-
 @dataclass(frozen=True)
 class DirectedMultigraph:
     """Directed multigraph with countably many vertices and edges.
 
-    `initial`/`terminal` map an edge id to its endpoints.  `has_edge` is an
-    optional fast predicate for simple graphs (at most one edge per ordered
-    vertex pair); when absent it is derived from the materialized edge list.
-    `simple` records what the constructor knows: True/False, or None for
-    "verify on a prefix when asked".
+    `initial`/`terminal` map an edge id to its endpoints.  `simple` records
+    what the constructor knows: True/False, or None when unknown.
     """
 
     vertices: Enumeration
@@ -86,56 +78,12 @@ class DirectedMultigraph:
     initial: Callable
     terminal: Callable
     simple: Optional[bool] = None
-    has_edge: Optional[Callable] = None
 
     def edge_prefix(self, k):
         return self.edges.prefix(k)
 
     def vertex_prefix(self, k):
         return self.vertices.prefix(k)
-
-    def check_simple(self, edge_horizon):
-        """Raise NonSimpleGraph if a parallel edge pair is materialized."""
-        if self.simple is False:
-            raise NonSimpleGraph("graph declared non-simple")
-        seen = {}
-        for e in self.edge_prefix(edge_horizon):
-            key = (self.initial(e), self.terminal(e))
-            if key in seen:
-                raise NonSimpleGraph(
-                    f"parallel edges {seen[key]!r} and {e!r} on pair {key}"
-                )
-            seen[key] = e
-        return True
-
-    def edge_between(self, v, u, edge_horizon):
-        """The unique edge v->u within the horizon, or None (simple graphs)."""
-        for e in self.edge_prefix(edge_horizon):
-            if self.initial(e) == v and self.terminal(e) == u:
-                return e
-        return None
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """0-1 transition structure over a countable, enumerated state set.
-
-    `entry(a, b)` decides admissibility of the two-letter word ab.  An
-    optional `successors_within(a, states)` accelerates row scans; the default
-    filters the supplied state list through `entry`.
-    """
-
-    states: Enumeration
-    entry: Callable
-    successors_within: Optional[Callable] = None
-
-    def row(self, a, states):
-        if self.successors_within is not None:
-            return list(self.successors_within(a, states))
-        return [b for b in states if self.entry(a, b)]
-
-    def materialize(self, k):
-        return FiniteTransition.from_matrix(self, k)
 
 
 class FiniteTransition:
@@ -148,25 +96,12 @@ class FiniteTransition:
         self.n = len(self.states)
 
     @classmethod
-    def from_matrix(cls, matrix, k):
-        states = matrix.states.prefix(k)
-        index = {s: i for i, s in enumerate(states)}
-        succ = [
-            [index[b] for b in matrix.row(a, states)]
-            for a in states
-        ]
-        return cls(states, succ)
-
-    @classmethod
     def from_pairs(cls, states, pairs):
         index = {s: i for i, s in enumerate(states)}
         succ = [[] for _ in states]
         for a, b in pairs:
             succ[index[a]].append(index[b])
         return cls(states, succ)
-
-    def entry(self, a, b):
-        return self.index[b] in set(self.succ[self.index[a]])
 
     @property
     def dense(self):
@@ -177,16 +112,14 @@ class FiniteTransition:
             m[i, row] = 1
         return m
 
-    def out_degree(self, i):
-        return len(self.succ[i])
-
 
 @dataclass(frozen=True)
 class SccDecomposition:
     """Strongly connected classes in dependency order (upstream first).
 
     A class is trivial when it is a single state without a self-loop; such
-    classes carry no periodic words and are kept but flagged.
+    classes carry no periodic words and are kept but flagged.  horizon is
+    the number of states searched.
     """
 
     classes: tuple
@@ -197,43 +130,12 @@ class SccDecomposition:
         return [c for c, t in zip(self.classes, self.trivial) if not t]
 
 
-def build_edge_transition(graph: DirectedMultigraph) -> TransitionMatrix:
-    """Edge-coding transitions: ee' admissible iff terminal(e) == initial(e')."""
-
-    def entry(e, e2):
-        return graph.terminal(e) == graph.initial(e2)
-
-    def successors_within(e, states):
-        v = graph.terminal(e)
-        return [e2 for e2 in states if graph.initial(e2) == v]
-
-    return TransitionMatrix(graph.edges, entry, successors_within)
-
-
-def build_vertex_transition(
-    graph: DirectedMultigraph, edge_horizon=4096
-) -> TransitionMatrix:
-    """Vertex-coding transitions for simple graphs: vu admissible iff the
-    edge vu exists.  Raises NonSimpleGraph on parallel edges."""
-    if graph.has_edge is not None:
-        if graph.simple is False:
-            raise NonSimpleGraph("graph declared non-simple")
-        return TransitionMatrix(graph.vertices, graph.has_edge)
-    graph.check_simple(edge_horizon)
-    pairs = {
-        (graph.initial(e), graph.terminal(e))
-        for e in graph.edge_prefix(edge_horizon)
-    }
-    return TransitionMatrix(graph.vertices, lambda v, u: (v, u) in pairs)
-
-
-def strongly_connected_components(matrix, horizon) -> SccDecomposition:
-    """Tarjan's algorithm (iterative) on the first `horizon` states.
+def strongly_connected_components(fin: FiniteTransition) -> SccDecomposition:
+    """Tarjan's algorithm (iterative) on every state of fin.
 
     Classes come out in dependency order: if any edge runs from class X to
     class Y (X != Y) then X appears before Y.
     """
-    fin = matrix if isinstance(matrix, FiniteTransition) else matrix.materialize(horizon)
     n = fin.n
     index = [-1] * n
     low = [0] * n
@@ -288,17 +190,6 @@ def strongly_connected_components(matrix, horizon) -> SccDecomposition:
         for comp in comps
     )
     return SccDecomposition(classes=classes, trivial=trivial, horizon=fin.n)
-
-
-def is_irreducible(matrix, horizon=None) -> bool:
-    """Whole materialized state set forms one class with a periodic word."""
-    fin = matrix if isinstance(matrix, FiniteTransition) else matrix.materialize(horizon)
-    if fin.n == 0:
-        return False
-    dec = strongly_connected_components(fin, fin.n)
-    if len(dec.classes) != 1:
-        return False
-    return not dec.trivial[0]
 
 
 def word_levels(adj, m):

@@ -145,11 +145,6 @@ class PerturbedMoebiusCF:
     def dim(self):
         return 2
 
-    @property
-    def limit_point(self):
-        z = 1.0 / (self.e + 0.5)
-        return (z.real, z.imag)
-
 
 @dataclass(frozen=True)
 class DerivativeRange:

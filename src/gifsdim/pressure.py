@@ -11,8 +11,10 @@ Three routes, each valid at every finite stage rather than only in the limit:
   and sup weight matrices sandwich the cylinder potential entrywise, so
   their spectral radii (enclosed per strongly connected component by
   Collatz-Wielandt ratios around a power iteration) bracket the pressure.
-  The state-level components are read off the letter-level ones: each
-  nontrivial letter class gives one, all m-words over its letters.  The
+  The graphs are not strongly connected, so the pressure is the max over
+  the components.  The state-level components are read off the
+  letter-level ones: each nontrivial letter class gives one, all m-words
+  over its letters, and is reported under that letter class.  The
   geometry and each component's Collatz-Wielandt data (class pattern,
   entry positions) do not depend on s and are built once per geometry;
   each exponent only reweights them, and within a solve the iteration
@@ -41,7 +43,6 @@ from . import maps as mapslib
 from .errors import (
     ConditionViolation,
     DomainViolation,
-    IterationStall,
     MixedFamily,
     NoAdmissibleWords,
     NonAdmissibleWord,
@@ -57,12 +58,13 @@ __all__ = [
     "pressure_word_sum",
     "build_weighted_matrix",
     "pressure_spectral",
-    "pressure_scc_max",
     "truncation_ladder",
 ]
 
 CW_TOL = 1e-10
 CW_MAX_ITER = 100000
+# block length a* of the Fekete bound on edge-unit tails
+FEKETE_BLOCK = 32
 
 
 def _xlog(s, value):
@@ -240,11 +242,12 @@ class StateGeometry:
     target state, and are one array when the two coincide elementwise.
     classes caches, once pressure_spectral has computed them, the nontrivial
     state-level strongly connected classes as _ClassPlan objects: each
-    class's states, the positions of its entries among the nonzeros and its
-    local CSR pattern, plus the scales and iterate of the last probe on each
-    side, from which the next exponent's power iteration starts.  A geometry
-    lives at most as long as the solve that built it (see _reuse_geometry),
-    so no warm start outlives a solve.
+    class's letter class and size, the positions of its entries among the
+    nonzeros and its local CSR pattern, plus the scales and iterate of the
+    last probe on each side, from which the next exponent's power iteration
+    starts.  A geometry lives at most as long as the solve that built it
+    (see _reuse_geometry), so no warm start outlives a solve.  A truncation
+    with no m-letter word has a geometry with no states.
     """
 
     states: tuple
@@ -265,6 +268,25 @@ def _letter_transition(system, letters):
         by_initial.setdefault(g.initial(f), []).append(j)
     succ = [by_initial.get(g.terminal(e), []) for e in letters]
     return FiniteTransition(list(letters), succ)
+
+
+def _vertex_incidence(system, letters):
+    """(vertex count, initial, terminal): the vertices the letters touch,
+    numbered in order of first appearance, and each letter's endpoints as
+    arrays of those numbers."""
+    g = system.graph
+    verts = {}
+    for e in letters:
+        for v in (g.initial(e), g.terminal(e)):
+            verts.setdefault(v, len(verts))
+    ini = np.array([verts[g.initial(e)] for e in letters], dtype=int)
+    ter = np.array([verts[g.terminal(e)] for e in letters], dtype=int)
+    return len(verts), ini, ter
+
+
+def _exhausts(system, k):
+    """Whether the first k letters are the whole (finite) alphabet."""
+    return system.is_finite and len(system.letters(2 * k + 16)) == len(system.letters(k))
 
 
 def cylinder_weight(system, word, potential):
@@ -355,7 +377,7 @@ def _anchor_point(shape):
     return tuple(shape.center)
 
 
-def pressure_word_sum(system, potential, n, k, scope="truncated", a_star=32):
+def pressure_word_sum(system, potential, n, k, scope="truncated"):
     """Word-sum pressure bracket at word length n over the first k letters.
 
     upper: (1/n) log of the sup-weight sum over admissible n-letter words
@@ -448,7 +470,7 @@ def pressure_word_sum(system, potential, n, k, scope="truncated", a_star=32):
     tail_term = 0.0
     if scope == "full":
         upper, tail_term, divergence = _full_upper(
-            system, potential, k, a_star, exhausted_upper=upper
+            system, potential, k, exhausted_upper=upper
         )
     return PressureEstimate(
         lower=lower,
@@ -470,10 +492,6 @@ def _build_geometry(system, letters, m, conorm):
     adj = letter_graph.dense
     levels = word_levels(adj, m)
     words, tails, blocks = levels[-1]
-    if not len(words):
-        raise NoAdmissibleWords(
-            f"no admissible words of length {m} over {len(letters)} letters"
-        )
     picked = np.fromiter(letters, dtype=object, count=len(letters))
     states = tuple(map(tuple, picked[words].tolist()))
 
@@ -585,6 +603,8 @@ def build_weighted_matrix(system, potential, k, m=1):
     s.  Within one solve (bowen_dimension, lower_estimate, upper_estimate)
     it is built once per horizon and depth, and later calls only raise each
     range to potential.s; outside a solve every call builds it afresh.
+    No letter within the horizon raises NoAdmissibleWords; letters with no
+    m-letter word give matrices with no states.
     """
     if m < 1:
         raise ValueError(f"refinement depth must be >= 1, got {m}")
@@ -651,6 +671,9 @@ def _equilibrate_scales(plan, logw, d):
 class _ClassPlan:
     """The s-independent Collatz-Wielandt data of one nontrivial state class.
 
+    letters is the letter class whose m-words the class holds, and size
+    the number of those words.
+
     positions picks the class's entries out of the geometry's nonzeros in
     the order the class matvec reads them (see _class_matvec); row/col are
     their local coordinates (intp, which numpy's gathers, np.bincount and
@@ -669,7 +692,8 @@ class _ClassPlan:
     one array.
     """
 
-    states: tuple
+    letters: tuple
+    size: int
     positions: np.ndarray
     row: np.ndarray
     col: np.ndarray
@@ -677,8 +701,9 @@ class _ClassPlan:
     warm: list = field(default_factory=lambda: [None, None])
 
 
-def _class_plan(geom, states, idx):
-    """The _ClassPlan of the class whose state indices, ascending, are idx.
+def _class_plan(geom, letters, idx):
+    """The _ClassPlan of the class whose state indices, ascending, are idx,
+    labelled by its letter class.
 
     The geometry's rows list their columns in ascending order, and local
     indices keep that order, so taking the class's entries row by row gives
@@ -707,7 +732,7 @@ def _class_plan(geom, states, idx):
         positions, row, col = positions[order], row[order], col[order]
     else:
         fan = 0
-    return _ClassPlan(states, positions, row, col, fan)
+    return _ClassPlan(letters, n, positions, row, col, fan)
 
 
 def _class_matvec(plan, data):
@@ -722,7 +747,7 @@ def _class_matvec(plan, data):
     scatters data * v[col] with np.bincount, which adds in entry order.
     The returned function reuses its output array.
     """
-    n, c = len(plan.states), plan.fan
+    n, c = plan.size, plan.fan
     if not c:
         row, col = plan.row, plan.col
         return lambda v: np.bincount(row, weights=data * v[col], minlength=n)
@@ -739,7 +764,7 @@ def _class_matvec(plan, data):
     return matvec
 
 
-def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
+def _cw_bracket(plan, side, weights, s):
     """Certified spectral-radius bracket for one class matrix.
 
     weights holds one side's entries in the geometry's nonzero order.
@@ -753,9 +778,12 @@ def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
     on the same side starts the scale search from (s / s_prev) times the
     old scales (the max-plus eigenvector of s*L is s times that of L) and
     the power iteration from the old iterate; otherwise it starts cold,
-    from zero scales and v = 1.  Returns (lo, hi, stalled, iterations).
+    from zero scales and v = 1.  The iteration stops once the bracket is
+    CW_TOL wide, or stalls after CW_MAX_ITER steps.  Returns (lo, hi,
+    stalled, iterations).
     """
-    nstates = len(plan.states)
+    tol, max_iter = CW_TOL, CW_MAX_ITER
+    nstates = plan.size
     with np.errstate(divide="ignore"):
         logw = np.log(weights[plan.positions])
     if logw.max() == -np.inf:
@@ -808,8 +836,9 @@ def _cw_bracket(plan, side, weights, s, tol=CW_TOL, max_iter=CW_MAX_ITER):
 
 
 def _cycling_classes(letter_graph, words):
-    """Indices (ascending) into words of each nontrivial state class of the
-    word states, in the dependency order of the letter classes.
+    """(letter class, indices) of each nontrivial state class of the word
+    states, in the dependency order of the letter classes: the indices,
+    ascending, point into words.
 
     A word state lies on a cycle exactly when all its letters lie in one
     nontrivial letter class C: the letters of a cycling word lie on one
@@ -820,13 +849,11 @@ def _cycling_classes(letter_graph, words):
     another spells a letter path between their letter classes, so the
     letter order is a dependency order of the state classes.
     """
-    dec = strongly_connected_components(letter_graph, letter_graph.n)
     out = []
-    for cls, trivial in zip(dec.classes, dec.trivial):
-        if not trivial:
-            inside = np.zeros(letter_graph.n, dtype=bool)
-            inside[[letter_graph.index[e] for e in cls]] = True
-            out.append(np.flatnonzero(inside[words].all(axis=1)))
+    for cls in strongly_connected_components(letter_graph).nontrivial_classes():
+        inside = np.zeros(letter_graph.n, dtype=bool)
+        inside[[letter_graph.index[e] for e in cls]] = True
+        out.append((cls, np.flatnonzero(inside[words].all(axis=1))))
     return out
 
 
@@ -837,33 +864,31 @@ def _state_classes(geom):
     classes come from the k letters, not from a search over the states
     (see _cycling_classes)."""
     if geom.classes is None:
-        states = geom.states
         geom.classes = tuple(
-            _class_plan(geom, tuple(states[i] for i in idx.tolist()), idx)
-            for idx in _cycling_classes(geom.letter_graph, geom.words)
+            _class_plan(geom, cls, idx)
+            for cls, idx in _cycling_classes(geom.letter_graph, geom.words)
         )
     return geom.classes
 
 
-def pressure_spectral(
-    system,
-    potential,
-    k,
-    m=1,
-    tol=CW_TOL,
-    max_iter=CW_MAX_ITER,
-    strict_convergence=False,
-):
-    """Spectral pressure bracket of the truncated subsystem at depth m.
+def pressure_spectral(system, potential, k, m=1):
+    """Spectral pressure bracket of the truncation at depth m, as the max
+    over its strongly connected letter classes, with per-class attribution.
 
     The inf/sup weight matrices dominate/are dominated by the true cylinder
     potential entrywise, and the spectral radius is monotone in nonnegative
-    entries, so log of their radii bracket the pressure; radii are enclosed
-    per strongly connected component of the state graph and combined by max
-    (block-triangular spectral radius).  All components trivial means no
-    periodic word at this depth: bracket (-inf, -inf).  When the two
-    matrices are one (affine letters) a single iteration per component
-    gives both ends, exactly as two would.
+    entries, so log of their radii bracket the pressure.  The state graph
+    is block triangular over its strongly connected classes, so its radius
+    is the max of theirs.  Each nontrivial letter class gives exactly one
+    state class, all m-words over its letters (see _cycling_classes), so
+    one bracket per letter class, and the max over them, brackets the max
+    of the true component pressures.  component holds the argmax letter
+    class (first in dependency order on ties); components holds (class,
+    lower, upper) for every nontrivial letter class, its letters in
+    enumeration order.  No nontrivial class, even with no m-letter word at
+    all, means no periodic word: bracket (-inf, -inf) and no component.
+    When the two matrices are one (affine letters) a single iteration per
+    class gives both ends, exactly as two would.
     """
     wm = build_weighted_matrix(system, potential, k, m)
     lower = -math.inf
@@ -874,26 +899,19 @@ def pressure_spectral(
     s = potential.s
     shared = wm.sup_weights is wm.inf_weights
     for plan in _state_classes(wm.geometry):
-        lo_inf, hi_sup, st_a, _ = _cw_bracket(
-            plan, 0, wm.inf_weights.data, s, tol, max_iter)
+        lo_inf, hi_sup, st_a, _ = _cw_bracket(plan, 0, wm.inf_weights.data, s)
         st_b = False
         if not shared:
-            _, hi_sup, st_b, _ = _cw_bracket(
-                plan, 1, wm.sup_weights.data, s, tol, max_iter)
+            _, hi_sup, st_b, _ = _cw_bracket(plan, 1, wm.sup_weights.data, s)
         c_lower = _safe_log(lo_inf)
         c_upper = _safe_log(hi_sup)
-        cls = plan.states
-        comps.append((cls, c_lower, c_upper))
+        comps.append((plan.letters, c_lower, c_upper))
         stalled = stalled or st_a or st_b
         if c_upper > upper:
             upper = c_upper
-            best = cls
+            best = plan.letters
         if c_lower > lower:
             lower = c_lower
-    if strict_convergence and stalled:
-        raise IterationStall(
-            f"power iteration hit {max_iter} iterations before gap {tol}"
-        )
     return PressureEstimate(
         lower=lower,
         upper=upper,
@@ -908,66 +926,7 @@ def pressure_spectral(
     )
 
 
-def pressure_scc_max(
-    system,
-    potential,
-    k,
-    m=1,
-    tol=CW_TOL,
-    max_iter=CW_MAX_ITER,
-):
-    """Pressure of the truncation as the max over its letter-level
-    strongly connected components, with per-component attribution.
-
-    One pressure_spectral pass over the whole truncation brackets every
-    nontrivial state-level class at depth m.  A state cycle never leaves a
-    letter class, and every letter of a cycling word is the first letter of
-    some state on the cycle, so each state class is attributed to the
-    letter class spanned by its states' first letters; a letter class takes
-    the max of the lowers and the max of the uppers of its state classes.
-    The max over letter classes brackets the max of the true component
-    pressures.  component holds the argmax class (first in dependency order
-    on ties); components holds (class, lower, upper) for every nontrivial
-    class, its letters in enumeration order.
-    """
-    letters = system.letters(k)
-    if not letters:
-        raise NoAdmissibleWords(f"no letters within horizon {k}")
-    try:
-        whole = pressure_spectral(system, potential, k, m, tol, max_iter)
-    except NoAdmissibleWords:
-        # no m-letter word at all, so no cycle: every class is trivial
-        whole = None
-    position = {e: i for i, e in enumerate(letters)}
-    brackets = {}
-    for cls, c_lower, c_upper in whole.components if whole else ():
-        key = tuple(sorted({w[0] for w in cls}, key=position.__getitem__))
-        lo, hi = brackets.get(key, (-math.inf, -math.inf))
-        brackets[key] = (max(lo, c_lower), max(hi, c_upper))
-    lower = -math.inf
-    upper = -math.inf
-    best = None
-    for cls, (lo, hi) in brackets.items():
-        if hi > upper:
-            upper = hi
-            best = cls
-        if lo > lower:
-            lower = lo
-    return PressureEstimate(
-        lower=lower,
-        upper=upper,
-        s=potential.s,
-        epsilon=potential.epsilon,
-        horizon=len(letters),
-        depth=m,
-        scope="truncated",
-        stalled=whole.stalled if whole else False,
-        component=best,
-        components=tuple((cls, lo, hi) for cls, (lo, hi) in brackets.items()),
-    )
-
-
-def _fekete_edge_upper(system, potential, k, a_star=32):
+def _fekete_edge_upper(system, potential, k):
     """(upper, tail_term) for edge-unit tails: log(Lambda + C*T).
 
     A_l = sum over admissible l-letter words over the truncation of the
@@ -996,6 +955,7 @@ def _fekete_edge_upper(system, potential, k, a_star=32):
         return math.inf, tail
     g = system.graph
     s = potential.s
+    a_star = FEKETE_BLOCK
     weights = np.array(
         [
             mapslib.derivative_range_over_set(
@@ -1008,12 +968,7 @@ def _fekete_edge_upper(system, potential, k, a_star=32):
     )
     weights = weights**s if s != 0.0 else np.ones_like(weights)
 
-    verts = {}
-    for e in letters:
-        for v in (g.initial(e), g.terminal(e)):
-            verts.setdefault(v, len(verts))
-    ini = np.array([verts[g.initial(e)] for e in letters], dtype=int)
-    ter = np.array([verts[g.terminal(e)] for e in letters], dtype=int)
+    nverts, ini, ter = _vertex_incidence(system, letters)
 
     log_a = []
     x = weights.copy()
@@ -1023,7 +978,7 @@ def _fekete_edge_upper(system, potential, k, a_star=32):
         log_a.append(_safe_log(total) + shift if total > 0.0 else -math.inf)
         if level == a_star or total <= 0.0:
             break
-        sums = np.zeros(len(verts))
+        sums = np.zeros(nverts)
         np.add.at(sums, ini, x)
         x = weights * sums[ter]
         peak = float(x.max(initial=0.0))
@@ -1050,19 +1005,17 @@ def _fekete_edge_upper(system, potential, k, a_star=32):
     return upper, tail
 
 
-def _full_upper(system, potential, k, a_star=32, exhausted_upper=None):
+def _full_upper(system, potential, k, exhausted_upper):
     """(upper, tail_term, divergence) for the untruncated system.
 
-    Finite alphabets that the horizon exhausts need no correction.  Edge-
-    unit witnesses get the Fekete-composition bound; any witness may also
+    Finite alphabets that the horizon exhausts need no correction: their
+    upper is exhausted_upper, the truncation's own.  Edge-unit witnesses
+    get the Fekete-composition bound; any witness may also
     declare a family-proved pressure_upper(s), and the minimum of the
     available certified uppers is reported.  No witness, or no finite route,
     means upper = +inf.
     """
-    letters = system.letters(k)
-    count = len(letters)
-    exhausted = system.is_finite and len(system.letters(2 * k + 16)) == count
-    if exhausted and exhausted_upper is not None:
+    if _exhausts(system, k):
         return exhausted_upper, 0.0, False
     witness = system.tail
     if witness is None:
@@ -1075,7 +1028,7 @@ def _full_upper(system, potential, k, a_star=32, exhausted_upper=None):
     # an empty-tail witness only certifies a sum once the horizon covers
     # the whole alphabet, and that case returned above
     if witness.unit == "edge" and witness.kind != "finite":
-        upper, tail = _fekete_edge_upper(system, potential, k, a_star)
+        upper, tail = _fekete_edge_upper(system, potential, k)
         candidates.append(upper)
         tail_term = tail
     declared = getattr(witness, "pressure_upper", None)
@@ -1094,15 +1047,7 @@ def _full_upper(system, potential, k, a_star=32, exhausted_upper=None):
     return upper, tail_term, False
 
 
-def truncation_ladder(
-    system,
-    potential,
-    horizons,
-    depth=1,
-    tol=CW_TOL,
-    max_iter=CW_MAX_ITER,
-    a_star=32,
-):
+def truncation_ladder(system, potential, horizons, depth=1):
     """Pressure brackets along nested truncations plus a closing full entry.
 
     Reported lowers are running maxima over completed stages: a smaller
@@ -1121,7 +1066,7 @@ def truncation_ladder(
     running = -math.inf
     last = None
     for k in hs:
-        est = pressure_scc_max(system, potential, k, depth, tol, max_iter)
+        est = pressure_spectral(system, potential, k, depth)
         last = est
         if est.lower < running:
             est = replace(est, lower=running)
@@ -1129,7 +1074,7 @@ def truncation_ladder(
             running = est.lower
         out.append(est)
     upper, tail_term, divergence = _full_upper(
-        system, potential, hs[-1], a_star, exhausted_upper=last.upper
+        system, potential, hs[-1], exhausted_upper=last.upper
     )
     out.append(
         PressureEstimate(

@@ -101,7 +101,6 @@ def ladder_system():
         initial=lambda e: e[0],
         terminal=lambda e: e[1],
         simple=True,
-        has_edge=lambda v, u: (v == 1 and u >= 1) or (v >= 2 and u == v - 1),
     )
     tail = TailWitness(
         kind="geometric",
@@ -199,7 +198,6 @@ def affine_demo():
         initial=lambda e: e[0],
         terminal=lambda e: e[1],
         simple=True,
-        has_edge=lambda v, u: (v, u) in set(edges),
     )
     return GifsSystem(
         graph, _affine_seeds(), maps, 2,
@@ -229,7 +227,6 @@ def perturbed_affine(epsilon):
         initial=lambda e: e[0],
         terminal=lambda e: e[1],
         simple=True,
-        has_edge=lambda v, u: (v, u) in set(edges),
     )
     return GifsSystem(
         graph, _affine_seeds(), maps, 2,

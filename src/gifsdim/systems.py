@@ -25,11 +25,7 @@ from .errors import (
     DomainViolation,
     NonAdmissibleWord,
 )
-from .graphs import (
-    DirectedMultigraph,
-    Enumeration,
-    build_edge_transition,
-)
+from .graphs import DirectedMultigraph, Enumeration
 from .shapes import (
     GEOM_TOL,
     diameter,
@@ -141,7 +137,6 @@ class GifsSystem:
         self._map_cache = {}
         self._range_cache = {}
         self._image_cache = {}
-        self._transition = None
         self._adjacency = None
         self._adjacency_horizon = 0
         self._distortion_cache = {}
@@ -175,11 +170,6 @@ class GifsSystem:
     @property
     def is_finite(self):
         return self.graph.edges.is_finite
-
-    def transition(self):
-        if self._transition is None:
-            self._transition = build_edge_transition(self.graph)
-        return self._transition
 
     # ---- derivative data -------------------------------------------------
 
@@ -321,13 +311,6 @@ class ConditionReport:
     @property
     def passed(self):
         return all(c.status != "violated" for c in self.checks.values())
-
-    def summary_lines(self):
-        out = []
-        for name in sorted(self.checks):
-            c = self.checks[name]
-            out.append(f"{name}: {c.status} ({c.detail})")
-        return out
 
 
 @dataclass(frozen=True)
@@ -585,7 +568,6 @@ def reduce_to_simple(system):
         initial=lambda p: p[0],
         terminal=lambda p: p[1],
         simple=True,
-        has_edge=lambda v, u: g.terminal(v) == g.initial(u),
     )
     return GifsSystem(
         graph, seeds, maps, system.ambient_dim,
@@ -754,19 +736,12 @@ def subsystem(system, vertices=None, edges=None, name=None):
                 if v not in seen:
                     seen.append(v)
         vertices = seen
-    vertices = tuple(vertices)
-    eset = set(edges)
     graph = DirectedMultigraph(
-        vertices=Enumeration(items=vertices),
+        vertices=Enumeration(items=tuple(vertices)),
         edges=Enumeration(items=edges),
         initial=g.initial,
         terminal=g.terminal,
         simple=g.simple,
-        has_edge=(
-            (lambda v, u: g.has_edge(v, u) and (v, u) in eset)
-            if g.simple and g.has_edge is not None and all(isinstance(e, tuple) for e in edges)
-            else None
-        ),
     )
     return GifsSystem(
         graph, system._seed_fn, system._map_fn, system.ambient_dim,

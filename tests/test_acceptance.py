@@ -16,6 +16,7 @@ import time
 import numpy as np
 from scipy.optimize import brentq
 
+from gifsdim import pressure
 from gifsdim.dimension import bowen_dimension, lower_estimate
 from gifsdim.graphs import DirectedMultigraph, Enumeration
 from gifsdim.maps import Similarity
@@ -26,7 +27,7 @@ from gifsdim.perturb import (
     dimension_sweep,
     pressure_convergence_probe,
 )
-from gifsdim.pressure import PotentialSpec, pressure_scc_max, truncation_ladder
+from gifsdim.pressure import PotentialSpec, pressure_spectral, truncation_ladder
 from gifsdim.render import coding_convergence_probe, coding_map, generate_point_cloud
 from gifsdim.scenarios import (
     cf_system,
@@ -155,7 +156,8 @@ def _dag_of_cycles(rng):
     return sysm, ratios
 
 
-def test_c03_scc_max_matches_dense_spectrum():
+def test_c03_scc_max_matches_dense_spectrum(monkeypatch):
+    monkeypatch.setattr(pressure, "CW_TOL", 1e-12)
     rng = np.random.default_rng(40123)
     for trial in range(5):
         sysm, ratios = _dag_of_cycles(rng)
@@ -169,7 +171,7 @@ def test_c03_scc_max_matches_dense_spectrum():
                     dense[idx[a], idx[b]] = ratios[b] ** s
         rho = max(abs(np.linalg.eigvals(dense)))
         assert rho > 0.0
-        est = pressure_scc_max(sysm, PotentialSpec(s), 100, m=1, tol=1e-12)
+        est = pressure_spectral(sysm, PotentialSpec(s), 100, m=1)
         width = est.upper - est.lower
         assert width <= 1e-8
         assert est.lower - 1e-9 <= math.log(rho) <= est.upper + 1e-9

@@ -53,7 +53,7 @@ def csr_plan(geom):
     n = len(geom.states)
     row = np.repeat(np.arange(n), np.diff(geom.indptr))
     col = geom.indices.astype(np.intp)
-    return _ClassPlan(geom.states, np.arange(len(col)), row, col, 0)
+    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0)
 
 
 @SETTINGS

@@ -285,3 +285,50 @@ def test_runconfig_is_frozen():
     with pytest.raises(Exception):
         cfg.digest = "nope"
     assert isinstance(cfg, RunConfig)
+
+
+# stdout of main(), byte for byte.  The cf run ends at depth 7, and its
+# component still names the letters of its class, not 7-letter word states.
+GOLDEN_STDOUT = (
+    (["dimension", "--set", "scenario=affine_demo"],
+     '{"command": "dimension", '
+     '"config_digest": "39de30c407bdb7c47177f4f9478ab3808872763fda94f0c55ce327ac081598cb", '
+     '"result": {"component": ["(1, 1)", "(1, 2)", "(2, 1)"], '
+     '"conditions": {"conformal-family": "certified", '
+     '"separation": "certified-separated", "summability": "finite-alphabet", '
+     '"validation": "passed"}, "evals": 5, "s_lower": 0.43181116276980025, '
+     '"s_upper": 0.43181118118191275, "scope": "truncated", "theta": [0.0, '
+     '0.0]}, "scenario": "affine_demo", "seed": 0}\n'),
+    (["dimension", "--set", "scenario=cf", "--set", 'scenario_options={"letters": [1, 2]}',
+      "--set", "s_tol=1e-3"],
+     '{"command": "dimension", '
+     '"config_digest": "b611339f82ffe0f44cb5df88dcad67a6624d289d633d1401caccdbd45ceb1f41", '
+     '"result": {"component": ["(1+0j)", "(2+0j)"], '
+     '"conditions": {"conformal-family": "certified", '
+     '"separation": "inconclusive", "summability": "finite-alphabet", '
+     '"validation": "passed"}, "evals": 12, "s_lower": 0.5310907111384666, '
+     '"s_upper": 0.5313638327449132, "scope": "truncated", "theta": [0.0, '
+     '0.0]}, "s_tol": 0.001, "scenario": "cf", "seed": 0}\n'),
+    (["components", "--set", "scenario=affine_demo"],
+     '{"command": "components", "component": ["(1, 1)", "(1, 2)", "(2, 1)"], '
+     '"config_digest": "39de30c407bdb7c47177f4f9478ab3808872763fda94f0c55ce327ac081598cb", '
+     '"result": {"component": ["(1, 1)", "(1, 2)", "(2, 1)"], "evals": 5, '
+     '"s_lower": 0.43181116276980025, "s_upper": 0.43181118118191275, '
+     '"scope": "truncated", "theta": [0.0, 0.0]}, "scenario": "affine_demo", '
+     '"seed": 0}\n'),
+    (["pressure", "--set", "scenario=ladder_6_1", "--set", "s=0.55"],
+     '{"command": "pressure", '
+     '"config_digest": "20cfb04fd7e98b255cdd2f7098f9720e04c7c7000a60e1e1f1c5a0aaa965bd97", '
+     '"depth": 1, "estimate": {"depth": 1, "divergence": false, "horizon": 64, '
+     '"lower": 0.0802481679134941, "s": 0.55, "scope": "full", '
+     '"stalled": false, "tail_term": 0.0, "upper": 0.13935892564926286}, '
+     '"horizon": 64, "scenario": "ladder_6_1", "seed": 0}\n'),
+)
+
+
+@pytest.mark.parametrize("argv, want", GOLDEN_STDOUT, ids=(
+    "dimension-affine_demo", "dimension-cf12", "components-affine_demo",
+    "pressure-ladder_6_1"))
+def test_records_match_golden_stdout(argv, want, capsys):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want

@@ -25,8 +25,8 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
+from gifsdim import pressure
 from gifsdim.errors import (
-    IterationStall,
     NoAdmissibleWords,
     NonAdmissibleWord,
 )
@@ -51,7 +51,6 @@ from gifsdim.pressure import (
     PressureEstimate,
     build_weighted_matrix,
     cylinder_weight,
-    pressure_scc_max,
     pressure_spectral,
     pressure_word_sum,
     _reuse_geometry,
@@ -256,19 +255,16 @@ def test_spectral_agrees_with_word_sum_on_similarities():
         assert spec.width < 1e-9
 
 
-def test_spectral_stall_flag_and_strictness():
+def test_spectral_stall_flag_and_strictness(monkeypatch):
     # the loop-plus-2-cycle matrix [[.4,.25],[.3,0]] cannot close its
     # Collatz-Wielandt gap in a single iteration (the two-loop rank-one
     # matrix can, once the iterate is scale-equilibrated)
+    monkeypatch.setattr(pressure, "CW_MAX_ITER", 1)
     sys = affine_demo()
     rho = 0.5 * (0.4 + math.sqrt(0.16 + 4 * 0.075))
-    est = pressure_spectral(sys, PotentialSpec(1.0), 3, 1, max_iter=1)
+    est = pressure_spectral(sys, PotentialSpec(1.0), 3, 1)
     assert est.stalled
     assert est.lower - 1e-12 <= math.log(rho) <= est.upper + 1e-12
-    with pytest.raises(IterationStall):
-        pressure_spectral(
-            sys, PotentialSpec(1.0), 3, 1, max_iter=1, strict_convergence=True
-        )
 
 
 def _same_bits(a, b):
@@ -445,12 +441,15 @@ def as_csr(weights):
 def reference_spectral(system, potential, k, m):
     """The route the per-class plans replaced: a state-level search for the
     classes, then every class sliced out of the full weight matrices at each
-    exponent and bracketed cold, with scipy's slicing and matvec."""
+    exponent and bracketed cold, with scipy's slicing and matvec.  Each
+    class is named by the letters its states start with, in enumeration
+    order."""
     wm = build_weighted_matrix(system, potential, k, m)
     inf_mat, sup_mat = as_csr(wm.inf_weights), as_csr(wm.sup_weights)
     ptr, cols = wm.inf_weights.indptr.tolist(), wm.inf_weights.indices.tolist()
     tr = FiniteTransition(wm.states, [cols[i:j] for i, j in zip(ptr, ptr[1:])])
-    dec = strongly_connected_components(tr, tr.n)
+    dec = strongly_connected_components(tr)
+    position = {e: i for i, e in enumerate(system.letters(k))}
     lower = upper = -math.inf
     stalled = False
     comps = []
@@ -462,7 +461,8 @@ def reference_spectral(system, potential, k, m):
         _, hi, st_b = reference_cw_bracket(sup_mat[idx][:, idx])
         c_lower = math.log(lo) if lo > 0.0 else -math.inf
         c_upper = math.log(hi) if hi > 0.0 else -math.inf
-        comps.append((cls, c_lower, c_upper))
+        first = tuple(sorted({state[0] for state in cls}, key=position.__getitem__))
+        comps.append((first, c_lower, c_upper))
         stalled = stalled or st_a or st_b
         upper = max(upper, c_upper)
         lower = max(lower, c_lower)
@@ -531,13 +531,19 @@ def test_warm_probes_agree_with_cold_ones():
 
 def two_side_spectral(system, potential, k, m):
     """pressure_spectral's components with one Collatz-Wielandt call per
-    side, on the same plans and warm starts."""
+    side, on the same plans and warm starts, each named by the letters its
+    states start with."""
     wm = build_weighted_matrix(system, potential, k, m)
+    position = {e: i for i, e in enumerate(system.letters(k))}
     comps = []
     for plan in _state_classes(wm.geometry):
         lo, _, st_a, _ = _cw_bracket(plan, 0, wm.inf_weights.data, potential.s)
         _, hi, st_b, _ = _cw_bracket(plan, 1, wm.sup_weights.data, potential.s)
-        comps.append((plan.states, _bits(math.log(lo) if lo > 0.0 else -math.inf),
+        # the geometry rows that hold the class's entries are its states
+        rows = np.searchsorted(wm.geometry.indptr, plan.positions, side="right") - 1
+        first = tuple(sorted({wm.states[i][0] for i in rows.tolist()},
+                             key=position.__getitem__))
+        comps.append((first, _bits(math.log(lo) if lo > 0.0 else -math.inf),
                       _bits(math.log(hi) if hi > 0.0 else -math.inf), st_a or st_b))
     return comps
 
@@ -598,15 +604,17 @@ def test_derived_state_classes_match_state_search():
         letters = FiniteTransition(range(k), [np.flatnonzero(row).tolist() for row in adj])
         derived = _cycling_classes(letters, words)
         succ = state_graph(adj, words)
-        dec = strongly_connected_components(FiniteTransition(range(len(words)), succ),
-                                            len(words))
-        assert {tuple(idx.tolist()) for idx in derived} == set(dec.nontrivial_classes())
+        dec = strongly_connected_components(FiniteTransition(range(len(words)), succ))
+        derived_sets = {tuple(idx.tolist()) for _, idx in derived}
+        assert derived_sets == set(dec.nontrivial_classes())
         several += len(derived) > 1
         position = np.full(len(words), -1)
-        for order, idx in enumerate(derived):
+        for order, (cls, idx) in enumerate(derived):
             assert (np.diff(idx) > 0).all()
+            # each class is labelled by the letters its words are spelled in
+            assert list(cls) == np.unique(words[idx]).tolist()
             position[idx] = order
-        for order, idx in enumerate(derived):
+        for order, (_, idx) in enumerate(derived):
             # nothing reachable from a class lies in an earlier class
             seen = set(idx.tolist())
             stack = list(seen)
@@ -720,11 +728,9 @@ def test_scc_max_matches_dense_eigenvalues():
         sys, ratios, groups = dag_of_cycles(seed)
         rho = dense_radius(sys, ratios)
         pot = PotentialSpec(1.0)
-        est = pressure_scc_max(sys, pot, 64, 1)
+        est = pressure_spectral(sys, pot, 64, 1)
         assert est.lower - 1e-8 <= math.log(rho) <= est.upper + 1e-8
         assert est.width < 1e-8
-        whole = pressure_spectral(sys, pot, 64, 1)
-        assert whole.lower - 1e-8 <= math.log(rho) <= whole.upper + 1e-8
 
 
 def test_scc_max_attribution_points_at_dominant_cycle():
@@ -734,7 +740,7 @@ def test_scc_max_attribution_points_at_dominant_cycle():
         for grp in groups
     ]
     dominant = groups[means.index(max(means))]
-    est = pressure_scc_max(sys, PotentialSpec(1.0), 64, 1)
+    est = pressure_spectral(sys, PotentialSpec(1.0), 64, 1)
     assert sorted(est.component) == sorted(dominant)
     assert len(est.components) == len(groups)
     for cls, lo, hi in est.components:
@@ -756,7 +762,7 @@ def test_scc_max_all_trivial_is_minus_infinity():
     sys = GifsSystem(graph, seeds, {"down": Similarity(0.5, (0.0,))}, 1, name="arrow")
     # at depth 2 there is not even an admissible word
     for m in (1, 2):
-        est = pressure_scc_max(sys, PotentialSpec(1.0), 2, m)
+        est = pressure_spectral(sys, PotentialSpec(1.0), 2, m)
         assert est.lower == -math.inf
         assert est.upper == -math.inf
         assert est.component is None
@@ -770,7 +776,7 @@ def test_scc_max_attribution_matches_subsystems_at_depth():
         sys, _, groups = dag_of_cycles(seed)
         pot = PotentialSpec(1.0)
         for m in (2, 3):
-            est = pressure_scc_max(sys, pot, 64, m)
+            est = pressure_spectral(sys, pot, 64, m)
             assert len(est.components) == len(groups)
             for cls, lo, hi in est.components:
                 ref = pressure_spectral(subsystem(sys, edges=cls), pot, len(cls), m)
