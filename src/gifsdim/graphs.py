@@ -40,11 +40,6 @@ class Enumeration:
     def is_finite(self):
         return self._finite
 
-    @property
-    def size(self):
-        """Number of elements, or None when countably infinite."""
-        return len(self._cache) if self._finite else None
-
     def prefix(self, k):
         """First min(k, size) elements as a list."""
         if k < 0:
@@ -94,14 +89,6 @@ class FiniteTransition:
         self.index = {s: i for i, s in enumerate(self.states)}
         self.succ = [sorted(row) for row in succ_indices]
         self.n = len(self.states)
-
-    @classmethod
-    def from_pairs(cls, states, pairs):
-        index = {s: i for i, s in enumerate(states)}
-        succ = [[] for _ in states]
-        for a, b in pairs:
-            succ[index[a]].append(index[b])
-        return cls(states, succ)
 
     @property
     def dense(self):

@@ -18,14 +18,18 @@ Three routes, each valid at every finite stage rather than only in the limit:
   geometry and each component's Collatz-Wielandt data (class pattern,
   entry positions) do not depend on s and are built once per geometry;
   each exponent only reweights them, and within a solve the iteration
-  starts from the previous exponent's scales and iterate.  When every
-  entry's range is a single value (affine letters) the two matrices are
-  one, and one iteration gives both sides.  The matrices are CsrWeights
-  records of numpy arrays, and each class's power iteration multiplies by
-  numpy alone; every matvec sums each row from 0.0 in ascending column
-  order, one rounded product and one rounded sum per entry, exactly as
-  scipy's CSR matvec does, so each bracket is bit-identical to the one a
-  scipy matrix gives.
+  starts from the previous exponent's scales and iterate.  A class of a
+  few hubs joined by chains (the countable ladder's) starts instead from
+  its Perron vector, which eliminating the chains gives (see chains.py):
+  the ladder's 511-state class at k = 512 then closes in one iteration,
+  not about 530, and the bracket still comes only from the iteration's
+  ratios.  When every entry's range is a single value (affine letters)
+  the two matrices are one, and one iteration gives both sides.  The
+  matrices are CsrWeights records of numpy arrays, and each class's power
+  iteration multiplies by numpy alone; every matvec sums each row from
+  0.0 in ascending column order, one rounded product and one rounded sum
+  per entry, exactly as scipy's CSR matvec does, so the bracket of each
+  class without chains is bit-identical to the one a scipy matrix gives.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -39,6 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import chains as chainlib
 from . import maps as mapslib
 from .errors import (
     ConditionViolation,
@@ -686,10 +691,13 @@ class _ClassPlan:
     order (rows, then ascending columns).  Either way each row's entries
     are summed in ascending column order, as scipy's csr_matvec sums them.
     Entries that vanish at some exponent stay in the pattern as explicit
-    zeros, which leave every positive row sum's bits unchanged.  warm
-    holds, per side (0 inf, 1 sup), the exponent, max-plus scales and final
-    iterate of the last probe; side 1 stays unused while the two sides are
-    one array.
+    zeros, which leave every positive row sum's bits unchanged.  chains
+    holds a fan-0 class's hubs and chains (chains.HubChains) when it has
+    at most chains.HUB_MAX hubs, and is None otherwise; _cw_bracket then
+    starts from the Perron vector that eliminating the chains gives.
+    Complete-pattern classes never take that route.  warm holds, per side
+    (0 inf, 1 sup), the exponent, scales and final iterate of the last
+    probe; side 1 stays unused while the two sides are one array.
     """
 
     letters: tuple
@@ -698,6 +706,7 @@ class _ClassPlan:
     row: np.ndarray
     col: np.ndarray
     fan: int
+    chains: object = None
     warm: list = field(default_factory=lambda: [None, None])
 
 
@@ -708,7 +717,7 @@ def _class_plan(geom, letters, idx):
     The geometry's rows list their columns in ascending order, and local
     indices keep that order, so taking the class's entries row by row gives
     the class matrix's CSR order; a class with the complete pattern is then
-    reordered b-major.
+    reordered b-major, and any other class gets its chains.
     """
     local = np.full(len(geom.states), -1)
     local[idx] = np.arange(len(idx))
@@ -729,10 +738,9 @@ def _class_plan(geom, letters, idx):
             and np.array_equal(col, row % (n // fan) * fan + entry % fan)):
         # CSR entry i*fan + b moves to b*n + i
         order = entry.reshape(n, fan).T.ravel()
-        positions, row, col = positions[order], row[order], col[order]
-    else:
-        fan = 0
-    return _ClassPlan(letters, n, positions, row, col, fan)
+        return _ClassPlan(letters, n, positions[order], row[order], col[order], fan)
+    return _ClassPlan(letters, n, positions, row, col, 0,
+                      chainlib.hub_chains(n, row, col))
 
 
 def _class_matvec(plan, data):
@@ -778,9 +786,15 @@ def _cw_bracket(plan, side, weights, s):
     on the same side starts the scale search from (s / s_prev) times the
     old scales (the max-plus eigenvector of s*L is s times that of L) and
     the power iteration from the old iterate; otherwise it starts cold,
-    from zero scales and v = 1.  The iteration stops once the bracket is
-    CW_TOL wide, or stalls after CW_MAX_ITER steps.  Returns (lo, hi,
-    stalled, iterations).
+    from zero scales and v = 1.  A class with chains takes as its scales
+    the log Perron vector that eliminating them gives (chains.perron_log)
+    and starts from v = 1: the same iteration as one started from that
+    vector, while every entry stays within its row sum, about rho, where
+    the vector itself may span past float64.  That start reads no warm
+    state; the stored scales and iterate only serve a probe where the
+    elimination fails.  The iteration stops once the bracket is CW_TOL
+    wide, or stalls after CW_MAX_ITER steps.  Returns (lo, hi, stalled,
+    iterations).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
@@ -789,7 +803,13 @@ def _cw_bracket(plan, side, weights, s):
     if logw.max() == -np.inf:
         return 0.0, 0.0, False, 0
     warm = plan.warm[side]
-    if warm is not None and warm[0] > 0.0:
+    logv = None
+    if plan.chains is not None:
+        logv = chainlib.perron_log(plan.chains, plan.row, logw)
+    if logv is not None:
+        d = logv
+        v = np.ones(nstates)
+    elif warm is not None and warm[0] > 0.0:
         s_prev, d, v = warm
         d = _equilibrate_scales(plan, logw, (s / s_prev) * d)
         v = v.copy()  # the loop below reuses its iterates' storage

@@ -25,7 +25,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.optimize import brentq
 
-from gifsdim import pressure
+from gifsdim import chains, pressure
 from gifsdim.errors import (
     NoAdmissibleWords,
     NonAdmissibleWord,
@@ -257,11 +257,16 @@ def test_spectral_agrees_with_word_sum_on_similarities():
 
 def test_spectral_stall_flag_and_strictness(monkeypatch):
     # the loop-plus-2-cycle matrix [[.4,.25],[.3,0]] cannot close its
-    # Collatz-Wielandt gap in a single iteration (the two-loop rank-one
-    # matrix can, once the iterate is scale-equilibrated)
+    # Collatz-Wielandt gap in a single iteration from v = 1 (the two-loop
+    # rank-one matrix can, once the iterate is scale-equilibrated); from
+    # the Perron vector its two hubs and one chain state give, it can
     monkeypatch.setattr(pressure, "CW_MAX_ITER", 1)
     sys = affine_demo()
     rho = 0.5 * (0.4 + math.sqrt(0.16 + 4 * 0.075))
+    est = pressure_spectral(sys, PotentialSpec(1.0), 3, 1)
+    assert not est.stalled
+    assert est.lower - 1e-12 <= math.log(rho) <= est.upper + 1e-12
+    monkeypatch.setattr(chains, "HUB_MAX", 0)
     est = pressure_spectral(sys, PotentialSpec(1.0), 3, 1)
     assert est.stalled
     assert est.lower - 1e-12 <= math.log(rho) <= est.upper + 1e-12
@@ -438,12 +443,29 @@ def as_csr(weights):
                          shape=weights.shape)
 
 
+def dense_log_radius(mat):
+    """log rho of a sliced class matrix from numpy's dense eigenvalues,
+    after conjugating it by max-plus scales so that LAPACK sees entries
+    of one size; the conjugation rounds each entry by 1 ulp, which moves
+    rho by as little."""
+    coo = mat.tocoo()
+    keep = coo.data > 0.0
+    row, col = coo.row[keep], coo.col[keep]
+    if not keep.any():
+        return -math.inf
+    logw = np.log(coo.data[keep])
+    d = reference_equilibrate_scales(mat.shape[0], row, col, logw)
+    dense = np.zeros(mat.shape)
+    dense[row, col] = np.exp(logw + d[col] - d[row] - logw.max())
+    return math.log(np.abs(np.linalg.eigvals(dense)).max()) + logw.max()
+
+
 def reference_spectral(system, potential, k, m):
     """The route the per-class plans replaced: a state-level search for the
     classes, then every class sliced out of the full weight matrices at each
     exponent and bracketed cold, with scipy's slicing and matvec.  Each
     class is named by the letters its states start with, in enumeration
-    order."""
+    order, and also carries its sliced inf and sup matrices."""
     wm = build_weighted_matrix(system, potential, k, m)
     inf_mat, sup_mat = as_csr(wm.inf_weights), as_csr(wm.sup_weights)
     ptr, cols = wm.inf_weights.indptr.tolist(), wm.inf_weights.indices.tolist()
@@ -462,7 +484,8 @@ def reference_spectral(system, potential, k, m):
         c_lower = math.log(lo) if lo > 0.0 else -math.inf
         c_upper = math.log(hi) if hi > 0.0 else -math.inf
         first = tuple(sorted({state[0] for state in cls}, key=position.__getitem__))
-        comps.append((first, c_lower, c_upper))
+        comps.append((first, c_lower, c_upper,
+                      (inf_mat[idx][:, idx], sup_mat[idx][:, idx])))
         stalled = stalled or st_a or st_b
         upper = max(upper, c_upper)
         lower = max(lower, c_lower)
@@ -474,6 +497,11 @@ def _bits(x):
 
 
 def test_cold_spectral_matches_slicing_reference_bitwise():
+    # a class that starts from its chain elimination (the ladder's, and
+    # the dag's 2- and 3-cycles) moves off the reference bits: its bracket
+    # must meet the reference's, be no wider, and hold the dense radius,
+    # to the 1e-12 relative that LAPACK and the unrounded Collatz-Wielandt
+    # bounds leave; every other class keeps its bits
     cases = [(lambda: cf_system(letters=(1, 2)), 2, range(1, 9)),
              (lambda: cf_system(gaussian_alphabet(2)), 64, range(1, 3)),
              (ladder_system, 64, (1, 2)),
@@ -481,28 +509,49 @@ def test_cold_spectral_matches_slicing_reference_bitwise():
              (lambda: moran_system([1 / 3, 1 / 3]), 2, range(1, 4))]
     cases += [(lambda seed=seed: dag_of_cycles(seed)[0], 64, range(1, 4))
               for seed in range(5)]
+    routes = 0
     for make, k, depths in cases:
         for m in depths:
             for s in (0.0, 0.4, 0.9, 1.5):
                 for conorm in (False, True):
                     pot = PotentialSpec(s, conorm=conorm)
                     est = pressure_spectral(make(), pot, k, m)
+                    plans = _state_classes(build_weighted_matrix(make(), pot, k, m).geometry)
                     lower, upper, stalled, comps = reference_spectral(make(), pot, k, m)
                     where = (make, k, m, s, conorm)
-                    assert _bits(est.lower) == _bits(lower), where
-                    assert _bits(est.upper) == _bits(upper), where
                     assert est.stalled == stalled, where
-                    assert len(est.components) == len(comps), where
-                    for (cls, lo, hi), (rcls, rlo, rhi) in zip(est.components, comps):
+                    assert len(est.components) == len(comps) == len(plans), where
+                    for plan, (cls, lo, hi), (rcls, rlo, rhi, mats) in zip(
+                            plans, est.components, comps):
                         assert cls == rcls, where
-                        assert (_bits(lo), _bits(hi)) == (_bits(rlo), _bits(rhi)), where
+                        if plan.chains is None:
+                            assert (_bits(lo), _bits(hi)) == (_bits(rlo), _bits(rhi)), where
+                            continue
+                        routes += 1
+                        assert max(lo, rlo) <= min(hi, rhi), where
+                        assert hi - lo <= rhi - rlo, where
+                        dense = [dense_log_radius(mats[0])]
+                        same = (mats[0] != mats[1]).nnz == 0
+                        dense.append(dense[0] if same else dense_log_radius(mats[1]))
+                        assert lo - 1e-12 <= dense[0] and dense[1] <= hi + 1e-12, (where, dense)
+                    assert est.lower == max(lo for _, lo, _ in est.components), where
+                    assert est.upper == max(hi for _, _, hi in est.components), where
+                    if all(plan.chains is None for plan in plans):
+                        assert _bits(est.lower) == _bits(lower), where
+                        assert _bits(est.upper) == _bits(upper), where
+    assert routes > 0
 
 
-def test_warm_probes_agree_with_cold_ones():
+def test_warm_probes_agree_with_cold_ones(monkeypatch):
+    # with its chain elimination off, the ladder's class starts warm as the
+    # CF class does; with it on, every probe starts from the elimination,
+    # which reads no warm state, so warm probes repeat cold ones bit for bit
     sequence = (2.0, 0.0, 1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625, 0.671875)
-    cases = ((lambda: cf_system(letters=(1, 2)), (2, 10), (2, 9)),
-             (ladder_system, (512, 1), (256, 1)))
-    for make, (k, m), (k2, m2) in cases:
+    cases = ((lambda: cf_system(letters=(1, 2)), (2, 10), (2, 9), 0),
+             (ladder_system, (512, 1), (256, 1), 0),
+             (ladder_system, (512, 1), (256, 1), chains.HUB_MAX))
+    for make, (k, m), (k2, m2), hub_max in cases:
+        monkeypatch.setattr(chains, "HUB_MAX", hub_max)
         cold = [pressure_spectral(make(), PotentialSpec(s), k, m) for s in sequence]
         sys = make()
         with _reuse_geometry():
@@ -520,7 +569,7 @@ def test_warm_probes_agree_with_cold_ones():
         # the first probe on the geometry is cold; later ones start warm
         assert (_bits(warm[0].lower), _bits(warm[0].upper)) == (
             _bits(cold[0].lower), _bits(cold[0].upper))
-        assert differs, make
+        assert differs == (hub_max == 0), make
         # a new horizon or depth is a new geometry, and its first probe cold
         fresh = pressure_spectral(make(), PotentialSpec(sequence[-1]), k2, m2)
         assert (_bits(moved.lower), _bits(moved.upper)) == (
