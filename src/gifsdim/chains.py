@@ -5,8 +5,8 @@ one successor inside the class.  Every other state has one, so the class
 is a few hubs joined by chains, and its Perron vector is fixed by the
 hubs': inducing on the hubs (the first-return reduction) turns the
 class's eigenproblem into one on a |H| x |H| matrix, solved here in
-closed form for up to two hubs and by a short LAPACK-free iteration
-above that.  The countable ladder's class is this shape: one hub letter
+closed form, without LAPACK, for the one or two hubs that the ladder's
+classes have.  The countable ladder's class is this shape: one hub letter
 with infinite out-degree and spines stepping back down to it.
 
 The spectral layer (pressure._cw_bracket) starts its power iteration from
@@ -21,8 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# classes with at most this many hubs take the chain elimination
-HUB_MAX = 8
+# classes with at most this many hubs take the chain elimination, which
+# solves their first-return problem in closed form; the countable
+# ladder's class at depth 1 has two
+HUB_MAX = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,6 +125,9 @@ def perron_log(chains, row, ldata):
         if perron is None:
             break
         f, left, right = perron
+        if not math.isfinite(f):
+            # every first-return path holds a vanished entry
+            return None
         # after the first step |f| falls until rounding stops it
         if newton > 1 and not abs(f) < abs(best[0]):
             break
@@ -159,81 +164,37 @@ def _logsum(x):
     return top + math.log(np.exp(x - top).sum())
 
 
-def _maxplus_vector(logs):
-    """A max-plus eigenvector p of the small log matrix logs, or None.
-
-    lam, the largest mean log-weight of a cycle, is found over closed
-    walks of at most h steps; column j of the Kleene plus of logs - lam,
-    for a node j on a cycle of that mean, then satisfies max_k (logs_ik +
-    p_k) = lam + p_i.  It is finite when every node reaches j.
-    """
-    h = len(logs)
-    lam = -math.inf
-    power = logs
-    for k in range(1, h + 1):
-        if k > 1:
-            power = (power[:, :, None] + logs).max(axis=1)
-        lam = max(lam, power.diagonal().max() / k)
-    if not lam > -math.inf:
-        return None
-    step = logs - lam
-    plus = power = step
-    for _ in range(h - 1):
-        power = (power[:, :, None] + step).max(axis=1)
-        plus = np.maximum(plus, power)
-    p = plus[:, np.argmax(plus.diagonal())]
-    return p if np.isfinite(p).all() else None
-
-
 def _hub_perron(logs):
-    """(log rho, log left, log right) for the small nonnegative matrix
-    exp(logs): the log of its spectral radius and of a nonnegative left
-    and right eigenvector for it, or None.
+    """(log rho, log left, log right) for the nonnegative matrix exp(logs)
+    on one or two hubs: the log of its spectral radius and of a positive
+    left and right eigenvector for it, or None.
 
-    The matrix is first conjugated by exp(p), p a max-plus eigenvector,
-    which makes every row's largest entry the largest cycle mean, so that
-    rho over the largest entry lies in [1, h] and no entry that matters
-    leaves float64 range.  Two hubs then take the closed form, each
-    difference rho - a_ii formed without cancellation.  More square I +
-    mat/max(mat) until it stops changing: the powers of a nonnegative
-    matrix are sums of products, formed with small relative error, and
-    they tend to a multiple of right * left (up to 2**64 power steps).
+    Two hubs are first conjugated by exp(p), p = (0, (c - b)/2) for the
+    off-diagonal logs b and c, which makes the matrix symmetric, so that
+    its left and right eigenvectors are one, and then scaled by its
+    largest entry, which bounds rho within a factor 2.  rho then takes
+    the closed form, rho minus the larger diagonal entry formed without
+    cancellation, and the eigenvector's smaller entry is kept as a log,
+    since it may lie far below float64 range when the hubs' first-return
+    paths to themselves outweigh those between them.
     """
-    h = len(logs)
-    if h == 1:
+    if len(logs) == 1:
         zero = np.zeros(1)
         return float(logs[0, 0]), zero, zero
-    p = _maxplus_vector(logs)
-    if p is None:
+    (a, b), (c, d) = logs.tolist()
+    half = 0.5 * (b + c)
+    if half == -math.inf:
         return None
-    balanced = logs + p - p[:, None]
-    top = balanced.max()
-    mat = np.exp(balanced - top)
-    if h == 2:
-        (a, b), (c, d) = mat.tolist()
-        q = 0.5 * (a - d)
-        r = math.sqrt(q * q + b * c)
-        if q >= 0.0:
-            ra, rd = (b * c / (q + r) if r > 0.0 else 0.0), q + r
-        else:
-            ra, rd = r - q, b * c / (r - q)
-        rho = a + ra
-        right = np.array((b, ra) if b + ra >= rd + c else (rd, c))
-        left = np.array((c, ra) if c + ra >= rd + b else (rd, b))
+    top = max(a, d, half)
+    big, small = math.exp(max(a, d) - top), math.exp(min(a, d) - top)
+    e = math.exp(half - top)
+    q = 0.5 * (big - small)
+    if q > 0.0:
+        r = math.sqrt(q * q + e * e)
+        rise = e * e / (q + r)
+        tilt = half - top - math.log(q + r)
     else:
-        power = mat.copy()
-        power.flat[:: h + 1] += 1.0
-        for _ in range(64):
-            square = np.add.reduce(power[:, :, None] * power[None, :, :], axis=1)
-            square /= square.max()
-            settled = np.all(np.abs(square - power) <= 2.0**-50 * square)
-            power = square
-            if settled:
-                break
-        right, left = power.sum(axis=1), power.sum(axis=0)
-        rho = float((left * np.add.reduce(mat * right, axis=1)).sum()
-                    / (left * right).sum())
-    if not rho > 0.0:
-        return None
-    with np.errstate(divide="ignore"):
-        return top + math.log(rho), np.log(left) - p, np.log(right) + p
+        rise, tilt = e, 0.0
+    vec = np.array((0.0, tilt) if a >= d else (tilt, 0.0))
+    p = np.array((0.0, 0.5 * (c - b)))
+    return top + math.log(big + rise), vec - p, vec + p

@@ -19,11 +19,12 @@ rho(B) by as much, and the Collatz-Wielandt bounds are not rounded outward
 yet, so containment is checked to 1e-12 relative.
 """
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gifsdim import chains, pressure
@@ -111,6 +112,9 @@ CLASSES = dict(hubs=st.integers(1, HUB_MAX), extra=st.integers(0, 6),
 
 @SETTINGS
 @given(**CLASSES)
+# two hubs whose paths between them weigh e**-1399 against their loops':
+# the closed form's vector spans past float64 and is kept in logs
+@example(hubs=2, extra=4, max_len=8, zero_frac=0.0, seed=3)
 def test_chain_start_brackets_the_known_root_at_once(hubs, extra, max_len, zero_frac,
                                                      seed):
     _, plan, weights, rho = drawn_class(hubs, extra, max_len, zero_frac, seed)
@@ -128,6 +132,30 @@ def test_single_cycle_takes_state_zero_as_its_hub(length):
     lo, hi, stalled, iterations = bracket(plan, weights)
     assert not stalled and iterations <= 2
     assert_contains(lo, hi, rho)
+
+
+@pytest.mark.parametrize("zero_at", [0, 5])
+def test_a_vanished_cycle_entry_gives_no_start_and_no_warning(zero_at, monkeypatch):
+    # an 8-cycle whose entry from state zero_at weighs 0 at this exponent
+    # (the hub's own entry, or a chain state's) has no positive Perron
+    # vector: the elimination gives none, without a floating-point
+    # warning, and the iteration from v = 1 still holds rho = 0
+    length = 8
+    geom = SimpleNamespace(
+        states=tuple(range(length)),
+        indices=np.array([(i + 1) % length for i in range(length)], dtype=np.int32),
+        indptr=np.arange(length + 1, dtype=np.int32))
+    weights = np.exp(np.random.default_rng(zero_at).uniform(-300.0, 300.0, length))
+    weights[zero_at] = 0.0
+    plan = class_plan(geom)
+    with np.errstate(divide="ignore"):
+        ldata = np.log(weights[plan.positions])
+    monkeypatch.setattr(pressure, "CW_MAX_ITER", 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert chains.perron_log(plan.chains, plan.row, ldata) is None
+        lo, hi, _, _ = bracket(plan, weights)
+    assert lo == 0.0 <= hi
 
 
 @pytest.mark.parametrize("length", [40, 300])

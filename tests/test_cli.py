@@ -290,7 +290,8 @@ def test_runconfig_is_frozen():
 # stdout of main(), byte for byte.  The cf run ends at depth 7, and its
 # component still names the letters of its class, not 7-letter word states.
 # The affine_demo and ladder brackets moved when their classes began
-# starting from the chain elimination (see below).
+# starting from the chain elimination; INSIDE holds the brackets pinned
+# before that, which the moved ones must lie in.
 GOLDEN_STDOUT = (
     (["dimension", "--set", "scenario=affine_demo"],
      '{"command": "dimension", '
@@ -299,7 +300,7 @@ GOLDEN_STDOUT = (
      '"conditions": {"conformal-family": "certified", '
      '"separation": "certified-separated", "summability": "finite-alphabet", '
      '"validation": "passed"}, "evals": 5, "s_lower": 0.431811162786498, '
-     '"s_upper": 0.43181118117734724, "scope": "truncated", "theta": [0.0, '
+     '"s_upper": 0.43181118117734735, "scope": "truncated", "theta": [0.0, '
      '0.0]}, "scenario": "affine_demo", "seed": 0}\n'),
     (["dimension", "--set", "scenario=cf", "--set", 'scenario_options={"letters": [1, 2]}',
       "--set", "s_tol=1e-3"],
@@ -315,7 +316,7 @@ GOLDEN_STDOUT = (
      '{"command": "components", "component": ["(1, 1)", "(1, 2)", "(2, 1)"], '
      '"config_digest": "39de30c407bdb7c47177f4f9478ab3808872763fda94f0c55ce327ac081598cb", '
      '"result": {"component": ["(1, 1)", "(1, 2)", "(2, 1)"], "evals": 5, '
-     '"s_lower": 0.431811162786498, "s_upper": 0.43181118117734724, '
+     '"s_lower": 0.431811162786498, "s_upper": 0.43181118117734735, '
      '"scope": "truncated", "theta": [0.0, 0.0]}, "scenario": "affine_demo", '
      '"seed": 0}\n'),
     (["pressure", "--set", "scenario=ladder_6_1", "--set", "s=0.55"],
@@ -328,31 +329,26 @@ GOLDEN_STDOUT = (
 )
 
 
-@pytest.mark.parametrize("argv, want", GOLDEN_STDOUT, ids=(
-    "dimension-affine_demo", "dimension-cf12", "components-affine_demo",
-    "pressure-ladder_6_1"))
-def test_records_match_golden_stdout(argv, want, capsys):
+INSIDE = {"dimension-affine_demo": (0.43181116276980025, 0.43181118118191275),
+          "components-affine_demo": (0.43181116276980025, 0.43181118118191275),
+          "pressure-ladder_6_1": (0.0802481679134941, 0.13935892564926286)}
+GOLDEN_IDS = ("dimension-affine_demo", "dimension-cf12", "components-affine_demo",
+              "pressure-ladder_6_1")
+
+
+@pytest.mark.parametrize("argv, want, inside", [
+    (argv, want, INSIDE.get(name)) for (argv, want), name in zip(GOLDEN_STDOUT, GOLDEN_IDS)],
+    ids=GOLDEN_IDS)
+def test_records_match_golden_stdout(argv, want, inside, capsys):
     assert main(argv) == 0
-    assert capsys.readouterr().out == want
-
-
-def test_chain_elimination_moved_golden_brackets_inward():
-    # each re-pinned record lies inside the bracket pinned before it:
-    # affine_demo's dimension on both ends, and the ladder's pressure on
-    # its lower end (its upper end is the declared full-system bound)
-    before = {"dimension-affine_demo": (0.43181116276980025, 0.43181118118191275),
-              "components-affine_demo": (0.43181116276980025, 0.43181118118191275),
-              "pressure-ladder_6_1": (0.0802481679134941, 0.13935892564926286)}
-    ids = ("dimension-affine_demo", "dimension-cf12", "components-affine_demo",
-           "pressure-ladder_6_1")
-    for name, (_, want) in zip(ids, GOLDEN_STDOUT):
-        if name not in before:
-            continue
-        rec = json.loads(want)
-        lo, hi = before[name]
+    out = capsys.readouterr().out
+    assert out == want
+    if inside is not None:
+        rec = json.loads(out)
         if "estimate" in rec:
-            new_lo, new_hi = rec["estimate"]["lower"], rec["estimate"]["upper"]
-            assert new_hi == hi, name
+            # the ladder's upper end is the declared full-system bound
+            lo, hi = rec["estimate"]["lower"], rec["estimate"]["upper"]
+            assert hi == inside[1]
         else:
-            new_lo, new_hi = rec["result"]["s_lower"], rec["result"]["s_upper"]
-        assert lo <= new_lo <= new_hi <= hi, name
+            lo, hi = rec["result"]["s_lower"], rec["result"]["s_upper"]
+        assert inside[0] <= lo <= hi <= inside[1]

@@ -496,12 +496,9 @@ def _bits(x):
     return float(x).hex()
 
 
-def test_cold_spectral_matches_slicing_reference_bitwise():
-    # a class that starts from its chain elimination (the ladder's, and
-    # the dag's 2- and 3-cycles) moves off the reference bits: its bracket
-    # must meet the reference's, be no wider, and hold the dense radius,
-    # to the 1e-12 relative that LAPACK and the unrounded Collatz-Wielandt
-    # bounds leave; every other class keeps its bits
+def slicing_cases():
+    """(make, k, m, potential) of every probe checked against the slicing
+    reference."""
     cases = [(lambda: cf_system(letters=(1, 2)), 2, range(1, 9)),
              (lambda: cf_system(gaussian_alphabet(2)), 64, range(1, 3)),
              (ladder_system, 64, (1, 2)),
@@ -509,36 +506,59 @@ def test_cold_spectral_matches_slicing_reference_bitwise():
              (lambda: moran_system([1 / 3, 1 / 3]), 2, range(1, 4))]
     cases += [(lambda seed=seed: dag_of_cycles(seed)[0], 64, range(1, 4))
               for seed in range(5)]
-    routes = 0
     for make, k, depths in cases:
         for m in depths:
             for s in (0.0, 0.4, 0.9, 1.5):
                 for conorm in (False, True):
-                    pot = PotentialSpec(s, conorm=conorm)
-                    est = pressure_spectral(make(), pot, k, m)
-                    plans = _state_classes(build_weighted_matrix(make(), pot, k, m).geometry)
-                    lower, upper, stalled, comps = reference_spectral(make(), pot, k, m)
-                    where = (make, k, m, s, conorm)
-                    assert est.stalled == stalled, where
-                    assert len(est.components) == len(comps) == len(plans), where
-                    for plan, (cls, lo, hi), (rcls, rlo, rhi, mats) in zip(
-                            plans, est.components, comps):
-                        assert cls == rcls, where
-                        if plan.chains is None:
-                            assert (_bits(lo), _bits(hi)) == (_bits(rlo), _bits(rhi)), where
-                            continue
-                        routes += 1
-                        assert max(lo, rlo) <= min(hi, rhi), where
-                        assert hi - lo <= rhi - rlo, where
-                        dense = [dense_log_radius(mats[0])]
-                        same = (mats[0] != mats[1]).nnz == 0
-                        dense.append(dense[0] if same else dense_log_radius(mats[1]))
-                        assert lo - 1e-12 <= dense[0] and dense[1] <= hi + 1e-12, (where, dense)
-                    assert est.lower == max(lo for _, lo, _ in est.components), where
-                    assert est.upper == max(hi for _, _, hi in est.components), where
-                    if all(plan.chains is None for plan in plans):
-                        assert _bits(est.lower) == _bits(lower), where
-                        assert _bits(est.upper) == _bits(upper), where
+                    yield make, k, m, PotentialSpec(s, conorm=conorm)
+
+
+def test_cold_spectral_matches_slicing_reference_bitwise(monkeypatch):
+    # with the chain elimination off, every class runs the reference's
+    # cold iteration
+    monkeypatch.setattr(chains, "HUB_MAX", 0)
+    for make, k, m, pot in slicing_cases():
+        est = pressure_spectral(make(), pot, k, m)
+        lower, upper, stalled, comps = reference_spectral(make(), pot, k, m)
+        where = (make, k, m, pot.s, pot.conorm)
+        assert _bits(est.lower) == _bits(lower), where
+        assert _bits(est.upper) == _bits(upper), where
+        assert est.stalled == stalled, where
+        assert len(est.components) == len(comps), where
+        for (cls, lo, hi), (rcls, rlo, rhi, _) in zip(est.components, comps):
+            assert cls == rcls, where
+            assert (_bits(lo), _bits(hi)) == (_bits(rlo), _bits(rhi)), where
+
+
+def test_chain_start_meets_slicing_reference_and_dense_radius():
+    # a class that starts from its chain elimination (the ladder's, and
+    # the dag's cycles) moves off the reference bits: its bracket must
+    # meet the reference's, be no wider, and hold the dense radius, to the
+    # 1e-12 relative that LAPACK and the unrounded Collatz-Wielandt bounds
+    # leave; every other class keeps its bits
+    routes = 0
+    for make, k, m, pot in slicing_cases():
+        est = pressure_spectral(make(), pot, k, m)
+        plans = _state_classes(build_weighted_matrix(make(), pot, k, m).geometry)
+        _, _, stalled, comps = reference_spectral(make(), pot, k, m)
+        where = (make, k, m, pot.s, pot.conorm)
+        assert est.stalled == stalled, where
+        assert len(est.components) == len(comps) == len(plans), where
+        for plan, (cls, lo, hi), (rcls, rlo, rhi, mats) in zip(
+                plans, est.components, comps):
+            assert cls == rcls, where
+            if plan.chains is None:
+                assert (_bits(lo), _bits(hi)) == (_bits(rlo), _bits(rhi)), where
+                continue
+            routes += 1
+            assert max(lo, rlo) <= min(hi, rhi), where
+            assert hi - lo <= rhi - rlo, where
+            dense = [dense_log_radius(mats[0])]
+            same = (mats[0] != mats[1]).nnz == 0
+            dense.append(dense[0] if same else dense_log_radius(mats[1]))
+            assert lo - 1e-12 <= dense[0] and dense[1] <= hi + 1e-12, (where, dense)
+        assert est.lower == max(lo for _, lo, _ in est.components), where
+        assert est.upper == max(hi for _, _, hi in est.components), where
     assert routes > 0
 
 
