@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .dimension import bowen_dimension, dimension_per_component
+from .dimension import bowen_dimension, default_horizon, dimension_per_component
 from .errors import (
     ConditionViolation,
     GifsError,
@@ -37,13 +37,14 @@ from .maps import (
     Similarity,
 )
 from .perturb import (
+    _full_entry,
     affine_family,
     cf_family,
     degeneracy_divergence_probe,
     dimension_sweep,
     sweep_csv,
 )
-from .pressure import PotentialSpec, _letter_transition, truncation_ladder
+from .pressure import PotentialSpec, _letter_transition
 from .render import generate_point_cloud, rasterize
 from .scenarios import (
     affine_demo,
@@ -456,15 +457,8 @@ def _cmd_analyze(config, stream):
 def _cmd_pressure(config, stream):
     _require(config, "s")
     system = _build_system(config)
-    if config.horizon is not None:
-        horizon = config.horizon
-    elif system.is_finite:
-        horizon = max(1, len(system.letters(1 << 20)))
-    else:
-        horizon = 64
-    est = truncation_ladder(
-        system, PotentialSpec(config.s), [horizon], depth=config.depth or 1
-    )[-1]
+    depth = config.depth or 1
+    est = _full_entry(system, PotentialSpec(config.s), depth, config.horizon)
     payload = {
         "estimate": {
             "lower": est.lower,
@@ -480,7 +474,7 @@ def _cmd_pressure(config, stream):
     }
     _emit(
         config, stream,
-        [_record(config, "pressure", payload, horizon=horizon, depth=config.depth or 1)],
+        [_record(config, "pressure", payload, horizon=est.horizon, depth=depth)],
     )
     return 0
 
@@ -578,12 +572,7 @@ def _default_bounds(system):
 def _cmd_render(config, stream):
     _require(config, "output")
     system = _build_system(config)
-    if config.horizon is not None:
-        horizon = config.horizon
-    elif system.is_finite:
-        horizon = max(1, len(system.letters(1 << 20)))
-    else:
-        horizon = 64
+    horizon = default_horizon(system, config.horizon)
     cloud = generate_point_cloud(
         system, config.render_depth or 6, horizon, cap=config.cap or 100000
     )

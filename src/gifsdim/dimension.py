@@ -33,6 +33,7 @@ most the full one); the upper end keeps the sign rule.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -197,11 +198,10 @@ class _PressureProbe:
     states while the admissible-word count stays within state_cap.
     """
 
-    def __init__(self, system, scope, conorm, epsilon, horizon, depth,
-                 horizon_cap, state_cap):
+    def __init__(self, system, scope, epsilon, horizon, depth, horizon_cap,
+                 state_cap):
         self.system = system
         self.scope = scope
-        self.conorm = conorm
         self.epsilon = epsilon
         self.k = horizon
         self.m = depth
@@ -213,7 +213,7 @@ class _PressureProbe:
 
     def bracket(self, s):
         self.evals += 1
-        pot = PotentialSpec(s, conorm=self.conorm, epsilon=self.epsilon)
+        pot = PotentialSpec(s, epsilon=self.epsilon)
         ests = truncation_ladder(self.system, pot, [self.k], depth=self.m)
         return ests[-1] if self.scope == "full" else ests[0]
 
@@ -225,8 +225,7 @@ class _PressureProbe:
         key, value = self._slopes
         if key != (self.k, self.m):
             letters = self.system.letters(self.k)
-            chi = _lyapunov_range(
-                _geometry(self.system, letters, self.m, self.conorm))
+            chi = _lyapunov_range(_geometry(self.system, letters, self.m))
             # the exhaustion test _full_upper applies to a full-scope upper
             whole = self.scope == "truncated" or _exhausts(self.system, self.k)
             value = (*chi, whole)
@@ -385,16 +384,23 @@ def _gather_conditions(system, horizon):
     return tuple(entries)
 
 
+def default_horizon(system, horizon=None):
+    """horizon when given, else the alphabet horizon of a solve: every
+    letter of a finite system (so its brackets are for the whole system),
+    DEFAULT_HORIZON letters of a countable one."""
+    if horizon is not None:
+        return horizon
+    if system.is_finite:
+        return max(1, len(system.letters(sys.maxsize)))
+    return DEFAULT_HORIZON
+
+
 def _resolve_defaults(system, scope, s_tol, horizon, s_max):
     if scope == "auto":
         scope = "truncated" if system.is_finite else "full"
     if s_tol is None:
         s_tol = FINITE_S_TOL if system.is_finite else INFINITE_S_TOL
-    if horizon is None:
-        if system.is_finite:
-            horizon = max(1, len(system.letters(4096)))
-        else:
-            horizon = DEFAULT_HORIZON
+    horizon = default_horizon(system, horizon)
     if s_max is None:
         s_max = system.ambient_dim + 1.0
     return scope, s_tol, horizon, s_max
@@ -409,7 +415,7 @@ def _divergence_floor(system, scope):
 
 @_reuse_geometry()
 def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
-                    scope="auto", conorm=False, epsilon=None,
+                    scope="auto", epsilon=None,
                     horizon_cap=DEFAULT_HORIZON_CAP,
                     state_cap=DEFAULT_STATE_CAP,
                     max_evals=DEFAULT_MAX_EVALS,
@@ -451,7 +457,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
         summ = summability_interval(system)
         theta = (summ.theta_low, summ.theta_high)
     probe = _PressureProbe(
-        system, scope, conorm, epsilon, horizon, depth, horizon_cap, state_cap
+        system, scope, epsilon, horizon, depth, horizon_cap, state_cap
     )
     floor = _divergence_floor(system, scope)
 
@@ -597,7 +603,7 @@ def _boolean_bisect(above, floor, ceil, tol):
 
 @_reuse_geometry()
 def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
-                   scope="auto", epsilon=None, check_conditions=False):
+                   scope="auto", epsilon=None):
     """Certified upper dimension estimate: the larger of the pressure-root
     threshold (where the computed sup-weight pressure upper crosses zero)
     and the summability threshold of per-vertex successor sups.
@@ -609,9 +615,8 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
     scope, s_tol, horizon, s_max = _resolve_defaults(
         system, scope, s_tol, horizon, s_max
     )
-    conditions = _gather_conditions(system, horizon) if check_conditions else ()
     probe = _PressureProbe(
-        system, scope, False, epsilon, horizon, depth,
+        system, scope, epsilon, horizon, depth,
         DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP,
     )
 
@@ -623,7 +628,7 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
     root_lo, root_hi = _boolean_bisect(above, 0.0, s_max, s_tol)
 
-    summ = summability_interval(system, selector="norm")
+    summ = summability_interval(system)
     c_lo = summ.theta_low
     c_hi = summ.theta_high if math.isfinite(summ.theta_high) else summ.theta_low
     return DimensionResult(
@@ -631,7 +636,6 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
         s_upper=max(root_hi, c_hi),
         theta=(summ.theta_low, summ.theta_high),
         scope=scope,
-        conditions=conditions,
         summability_part=c_hi,
         root_bracket=(root_lo, root_hi),
         evals=probe.evals,
@@ -640,19 +644,19 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
 @_reuse_geometry()
 def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
-                   scope="auto", epsilon=None, check_conditions=False):
-    """Certified lower dimension estimate from the conorm potential.
+                   scope="auto", epsilon=None):
+    """Certified lower dimension estimate.
 
-    Bisects the exponent where the certified pressure lower bound (smallest
-    singular value weights) crosses zero; the s_lower end is a true
-    dimension lower bound.  Systems with no returning words report zero.
+    Bisects the exponent where the certified pressure lower bound (the
+    inf-weight matrices' spectral radius) crosses zero; the s_lower end is
+    a true dimension lower bound.  Systems with no returning words report
+    zero.
     """
     scope, s_tol, horizon, s_max = _resolve_defaults(
         system, scope, s_tol, horizon, s_max
     )
-    conditions = _gather_conditions(system, horizon) if check_conditions else ()
     probe = _PressureProbe(
-        system, scope, True, epsilon, horizon, depth,
+        system, scope, epsilon, horizon, depth,
         DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP,
     )
 
@@ -663,10 +667,7 @@ def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
             return False
 
     lo, hi = _boolean_bisect(above, 0.0, s_max, s_tol)
-    return DimensionResult(
-        s_lower=lo, s_upper=hi, scope=scope,
-        conditions=conditions, evals=probe.evals,
-    )
+    return DimensionResult(s_lower=lo, s_upper=hi, scope=scope, evals=probe.evals)
 
 
 def dimension_per_component(system, horizon=None, **opts):
@@ -675,11 +676,8 @@ def dimension_per_component(system, horizon=None, **opts):
     Returns {class: DimensionResult}; the global dimension is the interval
     max over the values (asserted against the unrestricted solve in tests).
     """
-    if horizon is None:
-        horizon = (
-            len(system.letters(4096)) if system.is_finite else DEFAULT_HORIZON
-        )
-    fin = _letter_transition(system, system.letters(horizon))
+    letters = system.letters(default_horizon(system, horizon))
+    fin = _letter_transition(system, letters)
     out = {}
     for cls in strongly_connected_components(fin).nontrivial_classes():
         sub = subsystem(system, edges=cls, name=f"{system.name}-cls")

@@ -11,9 +11,9 @@ Supported families (ambient dimension D in {1, 2}):
     z -> 1/(e + 1/2 + eps*(z - 1/2)).  Disk geometry is exact: the image of a
     disk is a disk, and |T'| ranges over a disk are closed-form.
 
-Derivative "conorm" means the reciprocal of the inverse-derivative norm; for
-every conformal family here it coincides with the norm, and it is zero for
-constant maps (the degenerate flag of the range records that).
+Every family is conformal, so one number, the operator norm ||T'||, is the
+size of a derivative; it is zero for constant maps (the degenerate flag of
+a derivative range records that).
 """
 
 from __future__ import annotations
@@ -188,13 +188,6 @@ class DistortionProfile:
     log_product_ratio: float
     c_mt: float = 1.0
 
-    @property
-    def product_ratio(self):
-        try:
-            return math.exp(self.log_product_ratio)
-        except OverflowError:
-            return math.inf
-
 
 _AFFINE_KINDS = (Similarity, ConformalAffine, Constant, PerturbedAffine)
 _MOEBIUS_KINDS = (MoebiusCF, PerturbedMoebiusCF)
@@ -274,12 +267,6 @@ def derivative_norm(spec, point):
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 
-def derivative_conorm(spec, point):
-    """Reciprocal of ||(T')^{-1}||; equals the norm for conformal maps and
-    0 for constant maps (degenerate, no inverse branch)."""
-    return derivative_norm(spec, point)
-
-
 def _moebius_disk(spec, cx, cy, r):
     """Centre (real, imaginary) and radius of the disk that the inversion
     sees: e + B(c, r), or e + 1/2 + eps*(B(c, r) - 1/2) when perturbed.
@@ -332,14 +319,13 @@ def disk_image(spec, cx, cy, r):
     return x, y, abs(_linear_scalar(spec)) * r
 
 
-def derivative_range_over_set(spec, shape, conorm=False):
-    """Certified range of ||T'|| (or the conorm) over a shape.
+def derivative_range_over_set(spec, shape):
+    """Certified range of ||T'|| over a shape.
 
     Affine families give exact one-point ranges.  Moebius families on balls
     use the closed-form |e+z| in [|e+c|-rho, |e+c|+rho]; boxes go through the
     circumscribed ball, still certified but conservative.
     """
-    del conorm  # conorm == norm for every supported family
     if isinstance(spec, Constant):
         return DerivativeRange(0.0, 0.0, certified=True, degenerate=True)
     if isinstance(spec, _AFFINE_KINDS):

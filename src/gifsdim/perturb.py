@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import bowen_dimension
+from .dimension import bowen_dimension, default_horizon
 from .errors import GifsError, InvalidAlphabet, SummabilityWitnessMissing
 from .errors import ConditionViolation
 from .graphs import DirectedMultigraph, Enumeration
@@ -61,8 +61,7 @@ class PerturbationFamily:
     collapses to as eps -> 0.  builder(eps) is expected to pass validation
     for every eps below epsilon0.  summable_above is the declared infimum
     of exponents where the extension-wide sup-derivative sum converges
-    uniformly in eps; conorm_summable_above is the same with conorm
-    weights (equal for the conformal families shipped here).
+    uniformly in eps.
     """
 
     base: GifsSystem
@@ -71,7 +70,6 @@ class PerturbationFamily:
     degenerate_limit: object
     epsilon0: float
     summable_above: float = 0.0
-    conorm_summable_above: float = 0.0
     infinite: bool = False
     name: str = "family"
 
@@ -113,7 +111,6 @@ def cf_family(sub_letters=(1, 2), full_letters=None):
         degenerate_limit=limit,
         epsilon0=1.0,
         summable_above=1.0 if infinite else 0.0,
-        conorm_summable_above=1.0 if infinite else 0.0,
         infinite=infinite,
         name="cf-family" if infinite else f"cf-family({len(sub_set)}+{len(extras)})",
     )
@@ -275,11 +272,10 @@ class PressureRow:
         }
 
 
-def _full_entry(system, potential, depth):
-    if system.is_finite:
-        horizon = max(1, len(system.letters(1 << 20)))
-    else:
-        horizon = 64
+def _full_entry(system, potential, depth, horizon=None):
+    """The closing full-scope entry of a one-horizon truncation ladder at
+    default_horizon(system, horizon)."""
+    horizon = default_horizon(system, horizon)
     return truncation_ladder(system, potential, [horizon], depth=depth)[-1]
 
 

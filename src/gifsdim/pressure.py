@@ -1,12 +1,7 @@
 """Certified two-sided brackets for the pressure of derivative-weighted shifts.
 
-Three routes, each valid at every finite stage rather than only in the limit:
+Two routes, each valid at every finite stage rather than only in the limit:
 
-* word sums: the sup-weight partition sum over admissible n-letter words is
-  submultiplicative (enclosures only shrink when a word grows), so
-  (1/n) log Z_n upper-bounds the truncated pressure at every n; inf-weight
-  sums over returning words sharing a fixed first letter are
-  supermultiplicative and give the matching lower bound.
 * spectral: depth-m word states with interval transition weights; the inf
   and sup weight matrices sandwich the cylinder potential entrywise, so
   their spectral radii (enclosed per strongly connected component by
@@ -45,22 +40,14 @@ import numpy as np
 
 from . import chains as chainlib
 from . import maps as mapslib
-from .errors import (
-    ConditionViolation,
-    DomainViolation,
-    MixedFamily,
-    NoAdmissibleWords,
-    NonAdmissibleWord,
-)
+from .errors import NoAdmissibleWords
 from .graphs import FiniteTransition, strongly_connected_components, word_levels
-from .shapes import Ball, circumball
+from .shapes import circumball
 
 __all__ = [
     "PotentialSpec",
     "PressureEstimate",
     "WeightedMatrix",
-    "cylinder_weight",
-    "pressure_word_sum",
     "build_weighted_matrix",
     "pressure_spectral",
     "truncation_ladder",
@@ -72,13 +59,6 @@ CW_MAX_ITER = 100000
 FEKETE_BLOCK = 32
 
 
-def _xlog(s, value):
-    """s * log(value) with the 0 -> -inf convention (weights may vanish)."""
-    if value <= 0.0:
-        return -math.inf
-    return s * math.log(value)
-
-
 def _safe_log(x):
     if x <= 0.0:
         return -math.inf
@@ -87,17 +67,15 @@ def _safe_log(x):
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Exponent and norm selector for the derivative potential.
+    """Exponent of the derivative potential.
 
-    A word is weighted by the product of ||T'||**s factors (operator norm;
-    the conorm selector switches to the smallest singular value, which
-    coincides with the norm for conformal families).  epsilon is metadata
-    carried into result records by perturbation sweeps; it never changes a
-    weight.
+    A word is weighted by the product of its ||T'||**s factors.  Every map
+    family here is conformal, so the operator norm is the only derivative
+    size there is.  epsilon is metadata carried into result records by
+    perturbation sweeps; it never changes a weight.
     """
 
     s: float
-    conorm: bool = False
     epsilon: object = None
 
     def __post_init__(self):
@@ -109,7 +87,11 @@ class PotentialSpec:
 
     @property
     def selector(self):
-        return "conorm" if self.conorm else "norm"
+        # always "norm", the one derivative size; kept only because
+        # bench/spans.py (_describe_geometry) keys each traced geometry
+        # build on it, and bench/test_bench.py runs that traced solve in the
+        # tier-1 suite.  The next benchmark change drops both.
+        return "norm"
 
 
 @dataclass(frozen=True)
@@ -119,8 +101,8 @@ class PressureEstimate:
     scope "truncated": the bracket holds for the materialized subsystem.
     scope "full": it holds for the untruncated system (lowers come from
     truncations, which exhaust the full pressure from below; the upper folds
-    in the tail witness).  lower may be -inf (no returning word at the
-    probed length) and upper +inf (no usable tail bound at this exponent).
+    in the tail witness).  lower may be -inf (no periodic word in the
+    truncation) and upper +inf (no usable tail bound at this exponent).
     divergence marks exponents where the witness proves the level-1 tail
     sum infinite.  stalled marks a power iteration that hit its budget; the
     bracket is still certified, just wide.
@@ -130,7 +112,6 @@ class PressureEstimate:
     upper: float
     s: float
     epsilon: object = None
-    word_length: object = None
     horizon: object = None
     depth: object = None
     scope: str = "truncated"
@@ -158,23 +139,11 @@ class PressureEstimate:
     def width(self):
         return self.upper - self.lower
 
-    @property
-    def lambda_lower(self):
-        return math.exp(self.lower) if self.lower > -math.inf else 0.0
-
-    @property
-    def lambda_upper(self):
-        try:
-            return math.exp(self.upper)
-        except OverflowError:
-            return math.inf
-
     def record(self):
         """JSON-style result record with stable key order."""
         rec = {"s": float(self.s)}
         if self.epsilon is not None:
             rec["epsilon"] = float(self.epsilon)
-        rec["n"] = self.word_length
         rec["k"] = self.horizon
         rec["m"] = self.depth
         rec["lower"] = self.lower
@@ -294,203 +263,7 @@ def _exhausts(system, k):
     return system.is_finite and len(system.letters(2 * k + 16)) == len(system.letters(k))
 
 
-def cylinder_weight(system, word, potential):
-    """Certified range of the weight of a cylinder, given as an interval.
-
-    The word's final letter only localizes the cylinder; each earlier letter
-    contributes one factor, the derivative range of its map over the
-    enclosure of the strict suffix behind it, raised to s.  Two routes are
-    intersected: interval products over the nested suffix enclosures, and
-    evaluation along the orbit of the terminal seed's anchor point widened
-    by the family's distortion envelope.  Either alone is certified; the
-    intersection is the reported range.
-    """
-    w = tuple(word)
-    if len(w) < 2:
-        raise NonAdmissibleWord("cylinder weights need at least two letters")
-    g = system.graph
-    for a, b in zip(w, w[1:]):
-        if g.terminal(a) != g.initial(b):
-            raise NonAdmissibleWord(f"{a} cannot precede {b}")
-    s = potential.s
-    if s == 0.0:
-        return (1.0, 1.0)
-
-    last = w[-1]
-    shape, _ = system.seed_image(last)
-    lo_log = 0.0
-    hi_log = 0.0
-    for i in range(len(w) - 2, -1, -1):
-        rng = mapslib.derivative_range_over_set(
-            system.map_of(w[i]), shape, conorm=potential.conorm
-        )
-        lo_log += _xlog(s, rng.lower)
-        hi_log += _xlog(s, rng.upper)
-        if i > 0:
-            shape, _ = mapslib.image_enclosure(system.map_of(w[i]), shape)
-
-    slack = _distortion_slack(system, s)
-    if slack is not None:
-        try:
-            anchor = _anchor_point(system.seed(g.terminal(last)).seed)
-            pt = mapslib.apply(system.map_of(last), anchor)
-            point_log = 0.0
-            for i in range(len(w) - 2, -1, -1):
-                # degenerate ball = exact derivative at the orbit point
-                rng = mapslib.derivative_range_over_set(
-                    system.map_of(w[i]),
-                    Ball(tuple(pt), 0.0),
-                    conorm=potential.conorm,
-                )
-                point_log += _xlog(s, rng.upper)
-                if i > 0:
-                    pt = mapslib.apply(system.map_of(w[i]), pt)
-        except DomainViolation:
-            point_log = None
-        if point_log is not None:
-            cand_lo = point_log - slack
-            cand_hi = point_log + slack
-            # keep whichever side is tighter; fall back wholesale if
-            # rounding makes the two certified routes cross
-            new_lo = max(lo_log, cand_lo)
-            new_hi = min(hi_log, cand_hi)
-            if new_lo <= new_hi:
-                lo_log, hi_log = new_lo, new_hi
-
-    lo = math.exp(lo_log) if lo_log > -math.inf else 0.0
-    try:
-        hi = math.exp(hi_log)
-    except OverflowError:
-        hi = math.inf
-    return (lo, hi)
-
-
-def _distortion_slack(system, s):
-    """s * log of the family's certified sup/inf product ratio, or None."""
-    try:
-        prof = system.distortion()
-    except (MixedFamily, ConditionViolation, DomainViolation, ValueError):
-        return None
-    if not math.isfinite(prof.log_product_ratio):
-        return None
-    return s * prof.log_product_ratio
-
-
-def _anchor_point(shape):
-    if not hasattr(shape, "center"):
-        raise TypeError(f"no anchor point for {type(shape).__name__}")
-    return tuple(shape.center)
-
-
-def pressure_word_sum(system, potential, n, k, scope="truncated"):
-    """Word-sum pressure bracket at word length n over the first k letters.
-
-    upper: (1/n) log of the sup-weight sum over admissible n-letter words
-    (each letter's factor ranges over the enclosure of the strict suffix
-    behind it, the last over its terminal seed).  Valid at every n: growing
-    a word only shrinks the enclosures its prefix factors range over, so
-    sup-sums are submultiplicative.
-    lower: the better of two certified routes.  Route one sums inf-weights
-    over words that share a fixed first letter a and return to a's initial
-    vertex; gluing two such words at the shared letter keeps admissibility
-    and only deepens enclosures, so these sums are supermultiplicative and
-    (1/n) log of them never exceeds the pressure, at the cost of the fixed
-    anchor's weight spread over n.  Route two takes the returning-word
-    ratio bound per diagonal block: the depth-1 inf-weight matrix,
-    Collatz-Wielandt enclosed per strongly connected component, which has
-    no anchor cost and is exact for similarity weights.  -inf when neither
-    route certifies anything at this length.
-
-    scope "full" keeps the truncated lower (truncations exhaust the full
-    pressure from below) and replaces the upper by the tail-corrected bound.
-    """
-    if n < 1:
-        raise ValueError(f"word length must be >= 1, got {n}")
-    if k < 1:
-        raise ValueError(f"alphabet horizon must be >= 1, got {k}")
-    if scope not in ("truncated", "full"):
-        raise ValueError(f"unknown scope {scope!r}")
-    letters = system.letters(k)
-    if not letters:
-        raise NoAdmissibleWords(f"no letters within horizon {k}")
-    g = system.graph
-    s = potential.s
-    preds = {}
-    for f in letters:
-        preds.setdefault(g.terminal(f), []).append(f)
-
-    sup_total = -math.inf
-    anchor_sums = {}
-    seen_any = False
-
-    def grow(first, depth, shape, logsup, loginf, return_vertex):
-        nonlocal sup_total, seen_any
-        if depth == n:
-            seen_any = True
-            sup_total = float(np.logaddexp(sup_total, logsup))
-            if return_vertex == g.initial(first):
-                prev = anchor_sums.get(first, -math.inf)
-                anchor_sums[first] = float(np.logaddexp(prev, loginf))
-            return
-        for f in preds.get(g.initial(first), ()):
-            rng = mapslib.derivative_range_over_set(
-                system.map_of(f), shape, conorm=potential.conorm
-            )
-            if depth + 1 < n:
-                nshape, _ = mapslib.image_enclosure(system.map_of(f), shape)
-            else:
-                nshape = None
-            grow(
-                f,
-                depth + 1,
-                nshape,
-                logsup + _xlog(s, rng.upper),
-                loginf + _xlog(s, rng.lower),
-                return_vertex,
-            )
-
-    for e in letters:
-        seed = system.seed(g.terminal(e)).seed
-        rng = mapslib.derivative_range_over_set(
-            system.map_of(e), seed, conorm=potential.conorm
-        )
-        shape = system.seed_image(e)[0] if n > 1 else None
-        grow(e, 1, shape, _xlog(s, rng.upper), _xlog(s, rng.lower), g.terminal(e))
-
-    if not seen_any:
-        raise NoAdmissibleWords(
-            f"no admissible {n}-letter words over {len(letters)} letters"
-        )
-    upper = sup_total / n
-    lower = max(anchor_sums.values()) / n if anchor_sums else -math.inf
-    spectral = pressure_spectral(system, potential, k, 1)
-    if spectral.lower > lower:
-        lower = spectral.lower
-    if lower > upper:
-        # the two routes bound the same quantity, so any crossing is
-        # rounding noise at the last-digit scale
-        lower = upper
-
-    divergence = False
-    tail_term = 0.0
-    if scope == "full":
-        upper, tail_term, divergence = _full_upper(
-            system, potential, k, exhausted_upper=upper
-        )
-    return PressureEstimate(
-        lower=lower,
-        upper=upper,
-        s=s,
-        epsilon=potential.epsilon,
-        word_length=n,
-        horizon=len(letters),
-        scope=scope,
-        divergence=divergence,
-        tail_term=tail_term,
-    )
-
-
-def _build_geometry(system, letters, m, conorm):
+def _build_geometry(system, letters, m):
     """States, CSR pattern and derivative ranges as float64 arrays, built
     one word length at a time with a Python loop over letters only."""
     letter_graph = _letter_transition(system, letters)
@@ -541,7 +314,7 @@ def _build_geometry(system, letters, m, conorm):
             )
         else:
             # an affine range does not depend on the set it ranges over
-            rng = mapslib.derivative_range_over_set(spec, None, conorm=conorm)
+            rng = mapslib.derivative_range_over_set(spec, None)
             lower[nz], upper[nz] = rng.lower, rng.upper
 
     if np.array_equal(lower, upper):
@@ -575,10 +348,10 @@ def _reuse_geometry():
     """Keep the last state geometry for the duration of the block.
 
     Inside it, build_weighted_matrix hands the same StateGeometry back while
-    the system, letters, depth and selector stay the same, and builds a new
-    one (dropping the old) when any of them moves.  The solve entry points
-    wrap themselves in this, so no geometry outlives the solve that built
-    it.  Outside any block every call builds afresh.
+    the system, letters and depth stay the same, and builds a new one
+    (dropping the old) when any of them moves.  The solve entry points wrap
+    themselves in this, so no geometry outlives the solve that built it.
+    Outside any block every call builds afresh.
     """
     token = _SOLVE_GEOMETRY.set(_GeometrySlot())
     try:
@@ -587,16 +360,16 @@ def _reuse_geometry():
         _SOLVE_GEOMETRY.reset(token)
 
 
-def _geometry(system, letters, m, conorm):
+def _geometry(system, letters, m):
     slot = _SOLVE_GEOMETRY.get()
     if slot is None:
-        return _build_geometry(system, letters, m, conorm)
-    key = (tuple(letters), m, conorm)
+        return _build_geometry(system, letters, m)
+    key = (tuple(letters), m)
     if slot.system is not system or slot.key != key:
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
         slot.system = slot.key = slot.geometry = None
-        slot.geometry = _build_geometry(system, letters, m, conorm)
+        slot.geometry = _build_geometry(system, letters, m)
         slot.system, slot.key = system, key
     return slot.geometry
 
@@ -616,7 +389,7 @@ def build_weighted_matrix(system, potential, k, m=1):
     letters = system.letters(k)
     if not letters:
         raise NoAdmissibleWords(f"no letters within horizon {k}")
-    geom = _geometry(system, letters, m, potential.conorm)
+    geom = _geometry(system, letters, m)
     s = potential.s
     shape = (len(geom.states), len(geom.states))
     # np.float_power rounds as x**s does (libm pow per element); np.power's
@@ -979,9 +752,7 @@ def _fekete_edge_upper(system, potential, k):
     weights = np.array(
         [
             mapslib.derivative_range_over_set(
-                system.map_of(e),
-                system.seed(g.terminal(e)).seed,
-                conorm=potential.conorm,
+                system.map_of(e), system.seed(g.terminal(e)).seed
             ).upper
             for e in letters
         ]

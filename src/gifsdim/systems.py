@@ -36,6 +36,11 @@ from .shapes import (
 
 DEFAULT_VERTEX_HORIZON = 64
 DEFAULT_EDGE_HORIZON = 4096
+# most letter pairs a depth-2 contraction certificate composes
+PAIR_BUDGET = 300000
+# relative slack between consecutive partial-sum increments that a
+# divergent summability verdict still accepts as nondecreasing
+INCREMENT_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -254,12 +259,11 @@ class GifsSystem:
 # contraction certificates
 
 
-def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON,
-                            pair_budget=300000):
+def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     """Certify uniform contraction on working neighborhoods over the
     materialized edges: depth 1 when the plain sup is below 1, else depth 2
     via pairwise composition bounds sup||(T_e o T_f)'|| <=
-    sup_{T_f(O)}||T_e'|| * sup_O||T_f'||."""
+    sup_{T_f(O)}||T_e'|| * sup_O||T_f'||, over at most PAIR_BUDGET pairs."""
     edges = system.letters(horizon_edges)
     if not edges:
         raise ConditionViolation("no edges to certify")
@@ -280,9 +284,9 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON,
             inner = mapslib.derivative_range_over_set(system.map_of(e), image)
             rho = max(rho, inner.upper * sups[f])
             checked += 1
-            if checked > pair_budget:
+            if checked > PAIR_BUDGET:
                 raise ConditionViolation(
-                    f"pair budget {pair_budget} exhausted at rho={rho:.4g}"
+                    f"pair budget {PAIR_BUDGET} exhausted at rho={rho:.4g}"
                 )
     if rho >= 1.0:
         raise ConditionViolation(
@@ -323,14 +327,13 @@ class SeparationReport:
     horizon_edges: int = 0
 
 
-def check_separation(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON,
-                     tol=GEOM_TOL):
+def check_separation(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
     """Pairwise disjointness of sibling seed images.
 
     Sibling = same initial vertex.  The seed images stand in for the
     limit-set-restricted images, which makes a `certified-separated` SSC
     verdict conservative (stronger than needed).  Touching images
-    (gap within tol of 0) still certify the open variant, since interiors
+    (gap within GEOM_TOL of 0) still certify the open variant, since interiors
     of touching closed balls/boxes are disjoint, but leave the strong
     variant inconclusive.  An `overlap-witness` needs exact enclosures;
     overlap of a conservative enclosure proves nothing.
@@ -354,7 +357,7 @@ def check_separation(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON,
                 pairs += 1
                 gap = separation_gap(si, sj)
                 min_gap = min(min_gap, gap)
-                if gap < -tol:
+                if gap < -GEOM_TOL:
                     if exact_i and exact_j:
                         point = overlap_witness_point(si, sj)
                         return SeparationReport(
@@ -364,7 +367,7 @@ def check_separation(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON,
                     if verdict != "overlap-witness":
                         verdict = "inconclusive"
                         witness = (group[i], group[j], None)
-                elif mode == "SSC" and gap <= tol:
+                elif mode == "SSC" and gap <= GEOM_TOL:
                     # touching closed images: cannot certify strong disjointness
                     if verdict == "certified-separated":
                         verdict = "inconclusive"
@@ -600,7 +603,6 @@ def translate_word(word, system):
 
 @dataclass(frozen=True)
 class SummabilityEstimate:
-    selector: str
     unit: str
     theta_low: float
     theta_high: float
@@ -609,8 +611,7 @@ class SummabilityEstimate:
     horizons: tuple
 
 
-def _unit_terms(system, unit, count, s, selector):
-    del selector  # conorm == norm for every supported family
+def _unit_terms(system, unit, count, s):
     if unit == "vertex":
         out = []
         for v in system.vertices_prefix(count):
@@ -620,8 +621,7 @@ def _unit_terms(system, unit, count, s, selector):
     return [system.letter_range(e).upper ** s for e in system.letters(count)]
 
 
-def summability_verdict(system, s, horizons, unit, selector="norm",
-                        divergence_threshold=1e3, increment_tol=0.05):
+def summability_verdict(system, s, horizons, unit, divergence_threshold=1e3):
     """One exponent: `summable` (finite tail witness), `divergent`
     (partial sums past the threshold with nondecreasing increments), or
     `inconclusive`."""
@@ -630,7 +630,7 @@ def summability_verdict(system, s, horizons, unit, selector="norm",
         t = witness.bound(horizons[-1], s)
         if math.isfinite(t):
             return "summable"
-    terms = _unit_terms(system, unit, horizons[-1], s, selector)
+    terms = _unit_terms(system, unit, horizons[-1], s)
     partial = []
     acc = 0.0
     idx = 0
@@ -642,7 +642,7 @@ def summability_verdict(system, s, horizons, unit, selector="norm",
     increments = [b - a for a, b in zip(partial, partial[1:])]
     if partial[-1] > divergence_threshold and increments:
         ok = all(
-            b >= a * (1.0 - increment_tol)
+            b >= a * (1.0 - INCREMENT_TOL)
             for a, b in zip(increments, increments[1:])
         )
         if ok and increments[-1] > 0:
@@ -650,9 +650,8 @@ def summability_verdict(system, s, horizons, unit, selector="norm",
     return "inconclusive"
 
 
-def summability_interval(system, selector="norm", horizons=None, unit=None,
-                         s_max=None, resolution=1e-3,
-                         divergence_threshold=1e3):
+def summability_interval(system, horizons=None, unit=None, s_max=None,
+                         resolution=1e-3, divergence_threshold=1e3):
     """Estimate the summability threshold by bisecting the exponent line.
 
     theta_high is the infimum of exponents certified summable (via the tail
@@ -672,9 +671,7 @@ def summability_interval(system, selector="norm", horizons=None, unit=None,
     verdicts = []
 
     def classify(s):
-        v = summability_verdict(
-            system, s, horizons, unit, selector, divergence_threshold
-        )
+        v = summability_verdict(system, s, horizons, unit, divergence_threshold)
         verdicts.append((s, v))
         return v
 
@@ -703,7 +700,7 @@ def summability_interval(system, selector="norm", horizons=None, unit=None,
     if system.tail is not None and system.tail.diverges_below is not None:
         declared = system.tail.diverges_below
     return SummabilityEstimate(
-        selector, unit, lo_div,
+        unit, lo_div,
         hi_sum if math.isfinite(hi_sum) else math.inf,
         declared, tuple(verdicts), tuple(horizons),
     )

@@ -356,6 +356,19 @@ def test_stop_reason_names_why_refinement_ended():
     assert cantor.stop_reason == "tolerance"
 
 
+def test_default_horizon_takes_every_letter_of_a_finite_system():
+    # past 4,096 letters a prefix would be solved in truncated scope, and its
+    # s_upper would bound that subsystem, not the system
+    def horizon(system, given=None):
+        return dimension_module._resolve_defaults(system, "auto", None, given, None)[2]
+
+    big = moran_system([1e-4] * 5000)
+    assert horizon(big) == 5000
+    assert horizon(big, 7) == 7
+    assert horizon(moran_system([0.5, 0.25])) == 2
+    assert horizon(ladder_system()) == dimension_module.DEFAULT_HORIZON == 64
+
+
 def test_union_component_max_law():
     sysm = union_system()
     comp = dimension_per_component(sysm)
@@ -442,15 +455,15 @@ def test_cf_lower_estimate_conorm():
 
 
 def test_solves_share_no_geometry_across_calls(monkeypatch):
-    # one system object through a conorm solve and two norm solves must
-    # probe exactly what fresh systems probe: no geometry kept from an
-    # earlier solve or built for the other selector
+    # one system object through a lower_estimate solve and two
+    # bowen_dimension solves must probe exactly what fresh systems probe:
+    # no geometry or warm start kept from an earlier solve
     evals = []
     ladder = dimension_module.truncation_ladder
 
     def recorded(system, potential, horizons, depth=1, **kw):
         ests = ladder(system, potential, horizons, depth, **kw)
-        evals.append((potential.s, potential.conorm, tuple(horizons), depth,
+        evals.append((potential.s, tuple(horizons), depth,
                       [(e.lower, e.upper) for e in ests]))
         return ests
 
@@ -471,9 +484,9 @@ def test_solves_share_no_geometry_across_calls(monkeypatch):
         assert ref() is None  # nothing a solve leaves behind holds the system
     finally:
         gc.enable()
-    # the conorm solve stays at depth 1 while the norm solve deepens, so the
+    # lower_estimate stays at depth 1 while bowen_dimension deepens, so the
     # later solves start on a key the earlier one left behind
-    assert got[0][1][-1][3] == 1 < got[1][1][-1][3]
+    assert got[0][1][-1][2] == 1 < got[1][1][-1][2]
     for (res, trail), solve in zip(got, solves):
         want, want_trail = run(solve, cf_system((1, 2)))
         assert trail == want_trail

@@ -6,7 +6,7 @@ Claims covered:
       1/(1+z) on B(1/2, 1/2)            -> [1/4, 1]
       perturbed e=1, eps=0.1 on B(1/2,1/2) -> [0.04162330905306972,
                                                0.04756242568370987]
-      conorm of z -> 1/(2+i+z) at 0     -> 0.2
+      norm of z -> 1/(2+i+z) at 0       -> 0.2
   * sampled derivative norms never escape a certified range
   * disk images under inversion are exact (sampled boundary points land on
     the image boundary); pole inside a set raises DomainViolation
@@ -29,7 +29,6 @@ from gifsdim.maps import (
     PerturbedMoebiusCF,
     Similarity,
     apply,
-    derivative_conorm,
     derivative_norm,
     derivative_range_over_set,
     distortion_profile,
@@ -99,7 +98,7 @@ def test_perturbed_cf_range_frozen_values():
 
 
 def test_conorm_point_value():
-    got = derivative_conorm(MoebiusCF(2 + 1j), (0.0, 0.0))
+    got = derivative_norm(MoebiusCF(2 + 1j), (0.0, 0.0))
     assert got == pytest.approx(1.0 / abs(2 + 1j) ** 2, rel=1e-14)
     assert got == pytest.approx(0.2, rel=1e-12)
 
@@ -204,7 +203,7 @@ def test_pole_inside_set_raises():
 def test_constant_map_degenerate_range():
     rng = derivative_range_over_set(Constant((0.0, 0.0)), STANDARD_DISK)
     assert rng.degenerate and rng.lower == 0.0 and rng.upper == 0.0
-    assert derivative_conorm(Constant((0.0, 0.0)), (0.1, 0.2)) == 0.0
+    assert derivative_norm(Constant((0.0, 0.0)), (0.1, 0.2)) == 0.0
 
 
 def test_perturbed_affine_limit():
@@ -220,7 +219,6 @@ def test_affine_distortion_profile_is_zero():
     assert prof.holder_constant == 0.0
     assert prof.chain_constant == 0.0
     assert prof.log_product_ratio == 0.0
-    assert prof.product_ratio == 1.0
 
 
 def test_moebius_distortion_bounds_sampled_increments():

@@ -5,9 +5,6 @@ Frozen oracles used here:
     at s=1 is [[.5,.5],[.125,.125]], rank one, spectral radius 0.625; the
     exponent solving (1/2)**s + (1/8)**s = 1 is 0.55146308974... (real root
     of t**3 + t = 1 pulled back through t = 2**-s).
-  * continued-fraction letter 1: |1+z| runs over [1.5, 2] on the image disk
-    B(3/4, 1/4), so the depth-2 cylinder factor at s=2 is
-    [2**-4, 1.5**-4] = [0.0625, 0.19753...].
   * hub-and-spine declared full upper: log((1 + 2**s)/4**s), equal to log 2
     at s = 0 and crossing zero at log2 of the golden ratio.
   * dag-of-cycles: spectral radius of a weighted cycle of length L is the
@@ -23,13 +20,8 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.optimize import brentq
 
 from gifsdim import chains, pressure
-from gifsdim.errors import (
-    NoAdmissibleWords,
-    NonAdmissibleWord,
-)
 from gifsdim.graphs import (
     DirectedMultigraph,
     Enumeration,
@@ -50,9 +42,7 @@ from gifsdim.pressure import (
     PotentialSpec,
     PressureEstimate,
     build_weighted_matrix,
-    cylinder_weight,
     pressure_spectral,
-    pressure_word_sum,
     _reuse_geometry,
     truncation_ladder,
     _cw_bracket,
@@ -75,17 +65,12 @@ def two_loop():
     return moran_system([0.5, 0.125])
 
 
-def s_root_two_loop():
-    return brentq(lambda s: 0.5**s + 0.125**s - 1.0, 0.1, 1.0, xtol=1e-14)
-
-
 # ---------------------------------------------------------------------------
 # potential / estimate plumbing
 
 
 def test_potential_spec_validation():
     assert PotentialSpec(0.7).selector == "norm"
-    assert PotentialSpec(0.7, conorm=True).selector == "conorm"
     with pytest.raises(ValueError):
         PotentialSpec(-0.1)
     with pytest.raises(ValueError):
@@ -95,14 +80,9 @@ def test_potential_spec_validation():
 
 
 def test_estimate_lambda_bracket_and_record():
-    est = PressureEstimate(
-        lower=-0.5, upper=-0.25, s=1.0, word_length=4, horizon=2
-    )
-    assert est.lambda_lower == pytest.approx(math.exp(-0.5))
-    assert est.lambda_upper == pytest.approx(math.exp(-0.25))
+    est = PressureEstimate(lower=-0.5, upper=-0.25, s=1.0, horizon=2)
     rec = est.record()
     assert rec["s"] == 1.0
-    assert rec["n"] == 4
     assert rec["k"] == 2
     assert rec["lower"] == -0.5
     assert rec["scope"] == "truncated"
@@ -110,94 +90,6 @@ def test_estimate_lambda_bracket_and_record():
     assert "epsilon" not in rec
     with pytest.raises(ValueError):
         PressureEstimate(lower=0.2, upper=0.1, s=1.0)
-
-
-# ---------------------------------------------------------------------------
-# cylinder weights
-
-
-def test_cylinder_weight_similarity_exact():
-    sys = moran_system([0.5, 0.25])
-    lo, hi = cylinder_weight(sys, (0, 1, 0), PotentialSpec(1.0))
-    assert lo == pytest.approx(0.125, rel=1e-12)
-    assert hi == pytest.approx(0.125, rel=1e-12)
-
-
-def test_cylinder_weight_cf_depth_two():
-    cf = cf_system()
-    lo, hi = cylinder_weight(cf, (1, 1), PotentialSpec(2.0))
-    assert 1.0 / 16 - 1e-12 <= lo <= hi <= 1.0
-    # the suffix enclosure actually tightens past the crude seed range
-    assert hi < 0.25
-
-
-def test_cylinder_weight_zero_exponent():
-    cf = cf_system()
-    assert cylinder_weight(cf, (1, 2), PotentialSpec(0.0)) == (1.0, 1.0)
-
-
-def test_cylinder_weight_rejects_bad_words():
-    sys = moran_system([0.5, 0.25])
-    with pytest.raises(NonAdmissibleWord):
-        cylinder_weight(sys, (0,), PotentialSpec(1.0))
-    lad = ladder_system()
-    with pytest.raises(NonAdmissibleWord):
-        cylinder_weight(lad, ((2, 1), (3, 2)), PotentialSpec(1.0))
-
-
-# ---------------------------------------------------------------------------
-# word sums
-
-
-def test_word_sum_zero_exponent_counts_words():
-    est = pressure_word_sum(two_loop(), PotentialSpec(0.0), 4, 2)
-    assert est.upper == pytest.approx(math.log(2), abs=1e-12)
-    assert est.lower == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_word_sum_three_half_loops():
-    sys = moran_system([0.5, 0.5, 0.5], offsets=[0.0, 0.25, 0.5])
-    est = pressure_word_sum(sys, PotentialSpec(1.0), 5, 3)
-    assert est.upper == pytest.approx(math.log(1.5), abs=1e-12)
-    assert est.lower == pytest.approx(math.log(1.5), abs=1e-12)
-
-
-def test_word_sum_brackets_zero_at_dimension_root():
-    s = s_root_two_loop()
-    est = pressure_word_sum(two_loop(), PotentialSpec(s), 8, 2)
-    assert est.lower <= 0.0 <= est.upper
-    assert est.width < 1e-3
-
-
-def test_word_sum_upper_is_submultiplicative():
-    cf = cf_system(letters=(1, 2))
-    pot = PotentialSpec(1.2)
-    logz = {}
-    for n in range(1, 7):
-        logz[n] = pressure_word_sum(cf, pot, n, 2).upper * n
-    for n in range(1, 4):
-        for m in range(1, 4):
-            assert logz[n + m] <= logz[n] + logz[m] + 1e-9
-
-
-def test_word_sum_no_returning_words():
-    graph = DirectedMultigraph(
-        vertices=Enumeration(items=(0, 1)),
-        edges=Enumeration(items=("down",)),
-        initial=lambda e: 0,
-        terminal=lambda e: 1,
-        simple=False,
-    )
-    seeds = {
-        0: SeedSet(0, Ball((0.0,), 0.5), Ball((0.0,), 0.75)),
-        1: SeedSet(1, Ball((3.0,), 0.5), Ball((3.0,), 0.75)),
-    }
-    sys = GifsSystem(graph, seeds, {"down": Similarity(0.5, (0.0,))}, 1, name="arrow")
-    est = pressure_word_sum(sys, PotentialSpec(1.0), 1, 2)
-    assert est.lower == -math.inf
-    assert math.isfinite(est.upper)
-    with pytest.raises(NoAdmissibleWords):
-        pressure_word_sum(sys, PotentialSpec(1.0), 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +141,7 @@ def test_spectral_agrees_with_word_sum_on_similarities():
         pot = PotentialSpec(s)
         closed = math.log(0.5**s + 0.125**s)
         spec = pressure_spectral(sys, pot, 2, 1)
-        words = pressure_word_sum(sys, pot, 6, 2)
-        for est in (spec, words):
-            assert est.lower - 1e-9 <= closed <= est.upper + 1e-9
+        assert spec.lower - 1e-9 <= closed <= spec.upper + 1e-9
         assert spec.width < 1e-9
 
 
@@ -286,7 +176,7 @@ def test_reweighting_matches_a_fresh_build_bitwise():
             first = build_weighted_matrix(sys, PotentialSpec(0.3), k, m)
             second = build_weighted_matrix(sys, PotentialSpec(0.7), k, m)
             zero = build_weighted_matrix(sys, PotentialSpec(0.0), k, m)
-            other = build_weighted_matrix(sys, PotentialSpec(0.7, conorm=True), k, m)
+            other = build_weighted_matrix(sys, PotentialSpec(0.7), k, m + 1)
         assert second.geometry is first.geometry is zero.geometry
         assert other.geometry is not first.geometry
         fresh = build_weighted_matrix(make(), PotentialSpec(0.7), k, m)
@@ -509,8 +399,7 @@ def slicing_cases():
     for make, k, depths in cases:
         for m in depths:
             for s in (0.0, 0.4, 0.9, 1.5):
-                for conorm in (False, True):
-                    yield make, k, m, PotentialSpec(s, conorm=conorm)
+                yield make, k, m, PotentialSpec(s)
 
 
 def test_cold_spectral_matches_slicing_reference_bitwise(monkeypatch):
@@ -520,7 +409,7 @@ def test_cold_spectral_matches_slicing_reference_bitwise(monkeypatch):
     for make, k, m, pot in slicing_cases():
         est = pressure_spectral(make(), pot, k, m)
         lower, upper, stalled, comps = reference_spectral(make(), pot, k, m)
-        where = (make, k, m, pot.s, pot.conorm)
+        where = (make, k, m, pot.s)
         assert _bits(est.lower) == _bits(lower), where
         assert _bits(est.upper) == _bits(upper), where
         assert est.stalled == stalled, where
@@ -541,7 +430,7 @@ def test_chain_start_meets_slicing_reference_and_dense_radius():
         est = pressure_spectral(make(), pot, k, m)
         plans = _state_classes(build_weighted_matrix(make(), pot, k, m).geometry)
         _, _, stalled, comps = reference_spectral(make(), pot, k, m)
-        where = (make, k, m, pot.s, pot.conorm)
+        where = (make, k, m, pot.s)
         assert est.stalled == stalled, where
         assert len(est.components) == len(comps) == len(plans), where
         for plan, (cls, lo, hi), (rcls, rlo, rhi, mats) in zip(

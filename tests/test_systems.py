@@ -241,13 +241,6 @@ def test_summability_cf_threshold_near_one():
     assert est_fin.theta_high == 0.0 or est_fin.theta_high < 0.01  # finite: all s summable
 
 
-def test_summability_norm_conorm_agree():
-    sys = cf_system([1, 2, 3])
-    a = summability_interval(sys, selector="norm")
-    b = summability_interval(sys, selector="conorm")
-    assert [v for _, v in a.verdicts] == [v for _, v in b.verdicts]
-
-
 def test_subsystem_restriction():
     lad = ladder_system()
     sub = subsystem(lad, vertices=(1, 2))
