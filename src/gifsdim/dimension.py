@@ -42,9 +42,7 @@ from .errors import (
     BudgetExhausted,
     ConditionViolation,
     CrossedBracket,
-    DomainViolation,
     IrregularSystem,
-    MixedFamily,
     NoAdmissibleWords,
     SummabilityWitnessMissing,
 )
@@ -59,7 +57,7 @@ from .pressure import (
     truncation_ladder,
 )
 from .systems import (
-    check_separation,
+    SEPARATION_STATUS,
     subsystem,
     summability_interval,
     validate_conditions,
@@ -358,25 +356,36 @@ def _squeeze_point(lo, hi, seen, side, tol):
 
 
 def _gather_conditions(system, horizon):
-    """Cheap provenance pass: which hypotheses are certified at this scale."""
-    entries = []
+    """Cheap provenance pass: which hypotheses are certified at this scale.
+
+    Every label reads the one validate_conditions report over the first
+    min(horizon, 256) letters:
+      * validation: no entry of the report is violated;
+      * separation: the verdict of its separation-strong entry (the SSC
+        check of sibling seed images), whose overlap witness, if any, is
+        raised as a ConditionViolation;
+      * conformal-family: certified when its uniform-contraction and
+        neighborhood-domain entries are both satisfied -- a contraction
+        rate in (0, 1) on neighborhoods clear of every pole, which with
+        conformality gives bounded distortion -- else unavailable;
+    and summability reads the system's alphabet and tail witness.
+    """
     k = min(horizon, 256)
     report = validate_conditions(system, horizon_vertices=32, horizon_edges=k)
-    entries.append(("validation", "passed" if report.passed else "violated"))
-    sep = check_separation(system, mode="SSC", horizon_edges=k)
-    entries.append(("separation", sep.verdict))
-    try:
-        system.distortion()
-        entries.append(("conformal-family", "certified"))
-    except (MixedFamily, ConditionViolation, DomainViolation, ValueError):
-        entries.append(("conformal-family", "unavailable"))
+    entries = [("validation", "passed" if report.passed else "violated")]
+    sep = report.checks["separation-strong"]
+    verdicts = {status: verdict for verdict, status in SEPARATION_STATUS.items()}
+    entries.append(("separation", verdicts[sep.status]))
+    conformal = all(report.checks[key].status == "satisfied"
+                    for key in ("uniform-contraction", "neighborhood-domain"))
+    entries.append(("conformal-family", "certified" if conformal else "unavailable"))
     if system.is_finite:
         entries.append(("summability", "finite-alphabet"))
     elif system.tail is not None:
         entries.append(("summability", "witness-declared"))
     else:
         entries.append(("summability", "missing"))
-    if sep.verdict == "overlap-witness":
+    if sep.status == "violated":
         raise ConditionViolation(
             "sibling seed images overlap; dimension brackets need separation",
             witness=sep.witness,

@@ -19,7 +19,6 @@ a derivative range records that).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,27 +167,6 @@ class DerivativeRange:
         return self.upper - self.lower
 
 
-@dataclass(frozen=True)
-class DistortionProfile:
-    """Bounded-distortion data for a map family.
-
-    holder_constant: C with | ||T'x|| - ||T'y|| | <= C*||T'x||*|x-y|^beta on
-    the working neighborhoods; 0 for affine families.
-    chain_constant: the same control propagated along arbitrary compositions
-    (geometric series times an infinite product; finite whenever the family
-    contracts).
-    log_product_ratio: log of the bound on sup/inf of derivative products
-    over a cylinder; exp() of it can overflow for Moebius families, so the
-    log is the stored quantity.
-    """
-
-    holder_constant: float
-    beta: float
-    chain_constant: float
-    log_product_ratio: float
-    c_mt: float = 1.0
-
-
 _AFFINE_KINDS = (Similarity, ConformalAffine, Constant, PerturbedAffine)
 _MOEBIUS_KINDS = (MoebiusCF, PerturbedMoebiusCF)
 
@@ -245,25 +223,6 @@ def apply(spec, point):
             raise DomainViolation(f"point {point} too close to pole")
         w = 1.0 / den
         return (w.real, w.imag)
-    raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
-
-
-def derivative_norm(spec, point):
-    """||T'(point)|| (operator norm of the derivative)."""
-    if isinstance(spec, Constant):
-        return 0.0
-    if isinstance(spec, _AFFINE_KINDS):
-        return abs(_linear_scalar(spec))
-    if isinstance(spec, MoebiusCF):
-        den = spec.e + as_complex(point)
-        if abs(den) < _POLE_MARGIN:
-            raise DomainViolation("derivative at a pole")
-        return 1.0 / abs(den) ** 2
-    if isinstance(spec, PerturbedMoebiusCF):
-        den = spec.e + 0.5 + spec.epsilon * (as_complex(point) - 0.5)
-        if abs(den) < _POLE_MARGIN:
-            raise DomainViolation("derivative at a pole")
-        return spec.epsilon / abs(den) ** 2
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 
@@ -384,64 +343,3 @@ def image_enclosure(spec, shape):
         x, y, radius = disk_image(spec, *ball.center, ball.radius)
         return Ball((x, y), float(radius)), isinstance(shape, Ball)
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
-
-
-def _log_deriv_lipschitz(spec, neighborhoods):
-    """Lipschitz constant of x -> log||T'(x)|| over the given shapes."""
-    if isinstance(spec, _AFFINE_KINDS):
-        return 0.0
-    best = 0.0
-    for shape in neighborhoods:
-        ball = circumball(shape)
-        ar, ai, rho = _moebius_disk(spec, *ball.center, ball.radius)
-        low = float(np.hypot(ar, ai)) - rho
-        if low <= _POLE_MARGIN:
-            raise DomainViolation("neighborhood reaches the pole")
-        # |d/dz log|T'|| = 2*scale/|denominator|; the perturbed family's
-        # inner derivative contributes the factor eps.
-        scale = spec.epsilon if isinstance(spec, PerturbedMoebiusCF) else 1.0
-        best = max(best, 2.0 * scale / low)
-    return best
-
-
-def distortion_profile(maps, neighborhoods, rate, beta=1.0, c_mt=1.0):
-    """Distortion constants for a family of maps on working neighborhoods.
-
-    `rate` is the family's uniform contraction bound in (0,1) (use the
-    depth-adjusted effective rate for families that only contract after two
-    steps).  The Lipschitz constant L of log||T'|| is converted to the
-    multiplicative form via C = L*exp(L*diam), then propagated along
-    compositions with the standard geometric-series/infinite-product bound.
-    """
-    if not maps:
-        raise MixedFamily("empty family")
-    for spec in maps:
-        if not isinstance(spec, _AFFINE_KINDS + _MOEBIUS_KINDS):
-            raise MixedFamily(f"no distortion envelope for {type(spec).__name__}")
-    if not (0.0 < rate < 1.0):
-        raise ValueError(f"rate {rate} outside (0,1)")
-    sup_diam = max(s.diameter for s in neighborhoods)
-    lip = max(_log_deriv_lipschitz(spec, neighborhoods) for spec in maps)
-    if lip == 0.0:
-        return DistortionProfile(0.0, beta, 0.0, 0.0, c_mt)
-    try:
-        holder = lip * math.exp(lip * sup_diam)
-    except OverflowError:
-        holder = math.inf
-    if not math.isfinite(holder):
-        return DistortionProfile(math.inf, beta, math.inf, math.inf, c_mt)
-    # chain constant: (C*c_mt^beta/(1-r^beta)) * prod_i (1 + C*c_mt^beta*
-    # diam^beta * r^(i*beta)), computed in log space; the product converges
-    # geometrically.
-    rb = rate ** beta
-    head = holder * c_mt ** beta / (1.0 - rb)
-    log_prod = 0.0
-    term = holder * (c_mt ** beta) * (sup_diam ** beta)
-    for _ in range(100000):
-        log_prod += math.log1p(term)
-        term *= rb
-        if term < 1e-17:
-            break
-    chain = head * math.exp(log_prod) if math.isfinite(head) else math.inf
-    log_ratio = chain * sup_diam ** beta
-    return DistortionProfile(holder, beta, chain, log_ratio, c_mt)

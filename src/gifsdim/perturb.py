@@ -43,7 +43,6 @@ from .scenarios import (
     perturbed_affine,
     perturbed_cf,
 )
-from .shapes import center_point, diameter
 from .systems import ContractionBound, GifsSystem, finite_tail
 
 # relative slack when comparing consecutive ladder increments; lattice
@@ -207,8 +206,6 @@ def build_perturbed_affine(base, perturbations, extension, epsilon, name=None):
         maps,
         base.ambient_dim,
         tail=finite_tail("edge"),
-        beta=base.beta,
-        c_mt=base.c_mt,
         name=name or f"{base.name}-extended(eps={eps:g})",
     )
     rate = max(sysm.letter_range(e).upper for e in edges)
@@ -235,7 +232,7 @@ def degenerate_deviation(family, epsilon, horizon=8):
     for e in family.degenerate_letters(horizon):
         encl, _ = sysm.seed_image(e)
         a = family.degenerate_limit(e)
-        worst = max(worst, math.dist(center_point(encl), a) + 0.5 * diameter(encl))
+        worst = max(worst, math.dist(encl.center, a) + 0.5 * encl.diameter)
     return worst
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import maps as mapslib
 from .errors import AlphabetMismatch, DegenerateBounds, NonAdmissibleWord
-from .shapes import Ball, Box, diameter
+from .shapes import Box, contains_point
 
 __all__ = [
     "PointCloud",
@@ -27,15 +27,6 @@ __all__ = [
     "rasterize",
     "coding_convergence_probe",
 ]
-
-
-def _shape_contains(shape, point, tol=1e-9):
-    if isinstance(shape, Ball):
-        return math.dist(point, shape.center) <= shape.radius + tol
-    return all(
-        lo - tol <= x <= hi + tol
-        for x, lo, hi in zip(point, shape.lo, shape.hi)
-    )
 
 
 def coding_map(system, word, anchor=None):
@@ -51,14 +42,14 @@ def coding_map(system, word, anchor=None):
     if anchor is None:
         anchor = seed.center
     anchor = tuple(float(c) for c in anchor)
-    if not _shape_contains(seed, anchor):
+    if not contains_point(seed, anchor, tol=1e-9):
         raise NonAdmissibleWord(
             f"anchor {anchor} lies outside the terminal seed"
         )
     pt = anchor
     for e in reversed(word):
         pt = mapslib.apply(system.map_of(e), pt)
-    return pt, diameter(shape)
+    return pt, shape.diameter
 
 
 @dataclass(frozen=True)
@@ -161,7 +152,7 @@ def rasterize(cloud, bounds, resolution):
     grid = np.zeros((height, width), dtype=np.int64)
     x0, x1 = bounds.lo[0], bounds.hi[0]
     for pt, _, _ in cloud.points:
-        if not _shape_contains(bounds, pt, tol=0.0):
+        if not contains_point(bounds, pt, tol=0.0):
             continue
         col = min(int((pt[0] - x0) / (x1 - x0) * width), width - 1)
         if bounds.dim == 1:
@@ -180,7 +171,7 @@ class CodingProbe:
     observed is the largest raw distance over the sampled words; certified
     adds both truncation radii, so it bounds the gap for the sampled
     INFINITE words; lemma_bound is the a-priori geometric-series bound
-    c_mt * comparison / (1 - rate) * deviation, with deviation a certified
+    comparison / (1 - rate) * deviation, with deviation a certified
     sup over edges of the pointwise map difference.
     """
 
@@ -217,8 +208,8 @@ def _map_deviation(base, perturbed, e):
     img_p, _ = perturbed.seed_image(e)
     return (
         math.dist(img_b.center, img_p.center)
-        + 0.5 * diameter(img_b)
-        + 0.5 * diameter(img_p)
+        + 0.5 * img_b.diameter
+        + 0.5 * img_p.diameter
     )
 
 
@@ -254,8 +245,9 @@ def coding_convergence_probe(base, perturbed, epsilon, sample, horizon=None):
     if cb is None or cb.effective_rate >= 1.0:
         lemma_bound = math.inf
     else:
-        c_mt = max(base.c_mt, perturbed.c_mt)
-        lemma_bound = c_mt * cb.comparison / (1.0 - cb.effective_rate) * deviation
+        # the mean-value constant of the lemma is 1: every seed is a Ball
+        # or a Box, and both are convex
+        lemma_bound = cb.comparison / (1.0 - cb.effective_rate) * deviation
     return CodingProbe(
         observed=observed,
         certified=certified,

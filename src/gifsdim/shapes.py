@@ -66,16 +66,6 @@ class Box:
         return math.dist(self.lo, self.hi)
 
 
-
-
-def diameter(shape):
-    return shape.diameter
-
-
-def center_point(shape):
-    return tuple(shape.center)
-
-
 def as_complex(point):
     """View a 2-D point as a complex number (1-D points map to the real line)."""
     if len(point) == 1:

@@ -28,7 +28,6 @@ from .errors import (
 from .graphs import DirectedMultigraph, Enumeration
 from .shapes import (
     GEOM_TOL,
-    diameter,
     interior_margin,
     overlap_witness_point,
     separation_gap,
@@ -41,6 +40,12 @@ PAIR_BUDGET = 300000
 # relative slack between consecutive partial-sum increments that a
 # divergent summability verdict still accepts as nondecreasing
 INCREMENT_TOL = 0.05
+# report status of each separation verdict, one to one
+SEPARATION_STATUS = {
+    "certified-separated": "satisfied",
+    "overlap-witness": "violated",
+    "inconclusive": "inconclusive",
+}
 
 
 @dataclass(frozen=True)
@@ -113,16 +118,23 @@ def finite_tail(unit="edge"):
 
 
 class GifsSystem:
-    """Graph plus seeds plus edge maps, with cached derivative ranges.
+    """Graph plus seeds plus edge maps, with cached derivative ranges and
+    seed images.
 
     seeds/maps may be dicts (finite systems) or callables (countable ones).
-    vertex_bound, when given, must return sup over ALL out-edges of a vertex
-    of the derivative sup on the terminal seed; it is required for vertices
-    of infinite out-degree.
+    contraction, when given, is a declared ContractionBound that the
+    condition checks re-check instead of certifying from scratch; tail is
+    the TailWitness of a countable alphabet.  vertex_bound, when given, must
+    return sup over ALL out-edges of a vertex of the derivative sup on the
+    terminal seed; it is required for vertices of infinite out-degree.
+    The system carries no distortion constants: every map family is
+    conformal, so bounded distortion follows from uniform contraction on
+    pole-free neighborhoods (Mauldin and Urbanski, Graph Directed Markov
+    Systems, 2003), and no bracket reads a distortion constant.
     """
 
     def __init__(self, graph, seeds, maps, ambient_dim, contraction=None,
-                 tail=None, vertex_bound=None, beta=1.0, c_mt=1.0,
+                 tail=None, vertex_bound=None,
                  name="system", reduction=None, edge_horizon_cap=None):
         self.graph = graph
         self._seed_fn = seeds.__getitem__ if hasattr(seeds, "__getitem__") else seeds
@@ -131,8 +143,6 @@ class GifsSystem:
         self.contraction = contraction
         self.tail = tail
         self.vertex_bound = vertex_bound
-        self.beta = float(beta)
-        self.c_mt = float(c_mt)
         self.name = name
         self.reduction = reduction
         # deepest materialization that stays inside float64 (seed radii or
@@ -144,7 +154,6 @@ class GifsSystem:
         self._image_cache = {}
         self._adjacency = None
         self._adjacency_horizon = 0
-        self._distortion_cache = {}
 
     # ---- basic accessors -------------------------------------------------
 
@@ -232,27 +241,6 @@ class GifsSystem:
         if not outs:
             return None
         return max(self.letter_range(e).upper for e in outs)
-
-    # ---- distortion ------------------------------------------------------
-
-    def distortion(self, horizon_edges=256):
-        if horizon_edges in self._distortion_cache:
-            return self._distortion_cache[horizon_edges]
-        edges = self.letters(horizon_edges)
-        fams = [self.map_of(e) for e in edges]
-        nbhds = []
-        seen = set()
-        for e in edges:
-            v = self.graph.terminal(e)
-            if v not in seen:
-                seen.add(v)
-                nbhds.append(self.seed(v).neighborhood)
-        cb = self.contraction or contraction_certificate(self, horizon_edges)
-        prof = mapslib.distortion_profile(
-            fams, nbhds, cb.effective_rate, beta=self.beta, c_mt=self.c_mt
-        )
-        self._distortion_cache[horizon_edges] = prof
-        return prof
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +382,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     bad_seed = bad_margin = None
     for v in verts:
         ss = system.seed(v)
-        d = diameter(ss.seed)
+        d = ss.seed.diameter
         sup_diam = max(sup_diam, d)
         if not (d > 0.0) or not math.isfinite(d):
             bad_seed = v
@@ -486,13 +474,8 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     # separation, both flavors
     for mode, key in (("SSC", "separation-strong"), ("OSC", "separation-open")):
         rep = check_separation(system, mode, horizon_edges)
-        status = {
-            "certified-separated": "satisfied",
-            "overlap-witness": "violated",
-            "inconclusive": "inconclusive",
-        }[rep.verdict]
         checks[key] = CheckEntry(
-            status,
+            SEPARATION_STATUS[rep.verdict],
             f"{rep.pairs_checked} sibling pairs, min gap {rep.min_gap:.3g}",
             rep.witness,
         )
@@ -510,7 +493,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
         if sup <= 0.0:
             degenerate = v
             break
-        c_cj = max(c_cj, diameter(system.seed(v).seed) / sup)
+        c_cj = max(c_cj, system.seed(v).seed.diameter / sup)
     checks["seed-contractibility"] = CheckEntry(
         "violated" if degenerate is not None else "satisfied",
         f"c_CJ = {c_cj:.6g} over {len(verts) - skipped} vertices "
@@ -576,7 +559,6 @@ def reduce_to_simple(system):
         graph, seeds, maps, system.ambient_dim,
         contraction=system.contraction,
         tail=finite_tail("vertex"),
-        beta=system.beta, c_mt=system.c_mt,
         name=system.name + "-reduced",
         reduction=ReductionNotes(system.name, dead),
     )
@@ -744,6 +726,5 @@ def subsystem(system, vertices=None, edges=None, name=None):
         graph, system._seed_fn, system._map_fn, system.ambient_dim,
         contraction=system.contraction,
         tail=finite_tail("vertex" if g.simple else "edge"),
-        beta=system.beta, c_mt=system.c_mt,
         name=name or (system.name + "-sub"),
     )

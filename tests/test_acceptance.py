@@ -288,7 +288,7 @@ def test_c08_coding_map_suite():
     pairs = cf_system(tuple(gaussian_alphabet(2)))
     letters = list(pairs.letters(100))
     cb = pairs.contraction
-    c_cp = pairs.c_mt * cb.comparison * 1.5
+    c_cp = cb.comparison * 1.5
     rng = np.random.default_rng(77)
     for _ in range(1000):
         j = int(rng.integers(2, 13))

@@ -30,11 +30,14 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import gifsdim.dimension as dimension_module
+import gifsdim.systems as systems_module
 from gifsdim.dimension import (
     DimensionResult,
+    _gather_conditions,
     _lyapunov_range,
     _outward_step,
     bowen_dimension,
+    default_horizon,
     dimension_per_component,
     lower_estimate,
     upper_estimate,
@@ -47,7 +50,8 @@ from gifsdim.errors import (
     SummabilityWitnessMissing,
 )
 from gifsdim.graphs import DirectedMultigraph, Enumeration
-from gifsdim.maps import Similarity
+from gifsdim.maps import ConformalAffine, MoebiusCF, Similarity
+from gifsdim.perturb import affine_family, cf_family
 from gifsdim.pressure import (
     PotentialSpec,
     build_weighted_matrix,
@@ -56,9 +60,12 @@ from gifsdim.pressure import (
 from gifsdim.scenarios import (
     affine_demo,
     cf_system,
+    gaussian_alphabet,
     ladder_system,
     ladder_truncation,
     moran_system,
+    perturbed_affine,
+    perturbed_cf,
 )
 from gifsdim.shapes import Ball
 from gifsdim.systems import ContractionBound, GifsSystem, SeedSet, finite_tail
@@ -448,7 +455,7 @@ def test_cf_upper_estimate_summability_enters():
     assert res.theta[1] >= 0.98
 
 
-def test_cf_lower_estimate_conorm():
+def test_cf_lower_estimate_bracket():
     res = lower_estimate(cf_system())
     assert res.s_lower >= 0.9
     assert res.s_lower <= res.s_upper <= 3.0
@@ -499,7 +506,7 @@ def test_solves_share_no_geometry_across_calls(monkeypatch):
         assert (a.lower.hex(), a.upper.hex()) == (b.lower.hex(), b.upper.hex())
 
 
-def test_norm_conorm_overlap_on_similarity():
+def test_upper_lower_overlap_on_similarity():
     sysm = moran_system([0.5, 0.25])
     up = upper_estimate(sysm)
     low = lower_estimate(sysm)
@@ -527,6 +534,83 @@ def test_empty_edge_system_upper_is_zero():
     res = upper_estimate(sysm)
     assert res.root_bracket == (0.0, 0.0)
     assert res.s_upper <= 0.05
+
+
+# ---------------------------------------------------------------------------
+# condition labels
+
+
+def _labels(separation, summability="finite-alphabet"):
+    return (("validation", "passed"), ("separation", separation),
+            ("conformal-family", "certified"), ("summability", summability))
+
+
+@pytest.mark.parametrize("build, want", [
+    (lambda: moran_system([1 / 3, 1 / 3], offsets=[0.0, 2 / 3], name="cantor"),
+     _labels("certified-separated")),
+    (affine_demo, _labels("certified-separated")),
+    (lambda: perturbed_affine(0.0), _labels("certified-separated")),
+    (lambda: perturbed_affine(0.5), _labels("certified-separated")),
+    (lambda: affine_family().builder(0.25), _labels("certified-separated")),
+    (lambda: cf_system((1, 2)), _labels("inconclusive")),
+    (lambda: cf_system(tuple(gaussian_alphabet(4))), _labels("inconclusive")),
+    (cf_system, _labels("inconclusive", "witness-declared")),
+    (ladder_system, _labels("inconclusive", "witness-declared")),
+    (lambda: ladder_truncation(6), _labels("inconclusive")),
+    (lambda: perturbed_cf((1, 2), (1, 2, 3), 0.5), _labels("inconclusive")),
+    (lambda: cf_family((1, 2), (1, 2, 3)).builder(0.25), _labels("inconclusive")),
+], ids=["cantor", "affine_demo", "perturbed_affine(0)", "perturbed_affine(0.5)",
+        "affine_family-row", "cf12", "gaussian4", "cf", "ladder",
+        "ladder_truncation(6)", "perturbed_cf", "cf_family-row"])
+def test_shipped_systems_keep_their_condition_labels(build, want):
+    sysm = build()
+    assert _gather_conditions(sysm, default_horizon(sysm)) == want
+
+
+def _one_loop(spec, neighborhood):
+    """One vertex with one loop through spec on the seed B((0.5, 0), 0.5)."""
+    graph = DirectedMultigraph(
+        vertices=Enumeration(items=(0,)),
+        edges=Enumeration(items=("a",)),
+        initial=lambda e: 0,
+        terminal=lambda e: 0,
+        simple=True,
+    )
+    seeds = {0: SeedSet(0, Ball((0.5, 0.0), 0.5), neighborhood)}
+    return GifsSystem(graph, seeds, {"a": spec}, 2, tail=finite_tail("edge"))
+
+
+@pytest.mark.parametrize("spec, neighborhood", [
+    (ConformalAffine(1.5, (0.0, 0.0)), Ball((0.5, 0.0), 0.75)),
+    # the neighborhood reaches the pole of 1/(1+z) at -1
+    (MoebiusCF(1), Ball((0.5, 0.0), 1.6)),
+], ids=["expanding", "pole"])
+def test_conformal_family_unavailable_without_contraction_off_the_pole(
+        spec, neighborhood):
+    sysm = _one_loop(spec, neighborhood)
+    assert _gather_conditions(sysm, default_horizon(sysm)) == (
+        ("validation", "violated"), ("separation", "certified-separated"),
+        ("conformal-family", "unavailable"), ("summability", "finite-alphabet"))
+
+
+def test_one_separation_pass_and_one_certificate_per_solve(monkeypatch):
+    calls = []
+    for module in (systems_module, dimension_module):
+        for name in ("check_separation", "contraction_certificate"):
+            fn = getattr(module, name, None)
+            if fn is None:
+                continue
+
+            def counted(system, *args, fn=fn, name=name, **kwargs):
+                calls.append((name, kwargs.get("mode", args[0] if args else None)))
+                return fn(system, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    sysm = ladder_truncation(6)
+    sysm.contraction = None  # certified, not declared
+    bowen_dimension(sysm, s_tol=1e-3)
+    assert calls.count(("check_separation", "SSC")) == 1
+    assert sum(name == "contraction_certificate" for name, _ in calls) <= 1
 
 
 # ---------------------------------------------------------------------------

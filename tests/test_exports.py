@@ -1,20 +1,16 @@
 """Export guard: no public name that only tests reach.
 
-Every name in the __all__ of pressure, dimension and render must either be
-re-exported by gifsdim.__all__ or be referenced somewhere in src/gifsdim
-outside its own definition and the __all__ lists.  A name that meets
-neither is library code that only tests call.
+Every public top-level function and class of every module in src/gifsdim,
+and every name in a module's __all__, must either be re-exported by
+gifsdim.__all__ or be referenced somewhere in src/gifsdim outside its own
+definition and the __all__ lists.  A name that meets neither is library
+code that only tests call.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gifsdim"
-GUARDED = ("pressure", "dimension", "render")
-
-
-def _module(name):
-    return ast.parse((PACKAGE / f"{name}.py").read_text())
 
 
 def _all_names(tree):
@@ -23,6 +19,15 @@ def _all_names(tree):
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             return [elt.value for elt in node.value.elts]
     return []
+
+
+def _public_names(tree):
+    defined = [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+    return dict.fromkeys(defined + _all_names(tree))
 
 
 def _references(tree, skip):
@@ -43,11 +48,11 @@ def _references(tree, skip):
 
 
 def test_every_guarded_public_name_is_exported_or_used():
-    exported = set(_all_names(_module("__init__")))
     trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    exported = set(_all_names(trees["__init__"]))
     unreached = []
-    for module in GUARDED:
-        for name in _all_names(trees[module]):
+    for module in sorted(trees):
+        for name in _public_names(trees[module]):
             if name in exported:
                 continue
             used = any(

@@ -10,8 +10,10 @@ Claims covered:
   * sampled derivative norms never escape a certified range
   * disk images under inversion are exact (sampled boundary points land on
     the image boundary); pole inside a set raises DomainViolation
-  * affine distortion profile is identically zero; Moebius profile bounds
-    sampled log-derivative increments along sampled pairs
+  * an unsupported map spec raises MixedFamily
+
+derivative_norm, the pointwise ||T'|| these claims compare against, lives
+here: the package itself only ever needs ranges over sets.
 """
 
 import cmath
@@ -20,23 +22,44 @@ import math
 import numpy as np
 import pytest
 
-from gifsdim.errors import DomainViolation, MixedFamily
+from gifsdim.errors import DomainViolation, MixedFamily, UnsupportedShape
 from gifsdim.maps import (
+    _AFFINE_KINDS,
+    _POLE_MARGIN,
     Constant,
     ConformalAffine,
     MoebiusCF,
     PerturbedAffine,
     PerturbedMoebiusCF,
     Similarity,
+    _linear_scalar,
     apply,
-    derivative_norm,
     derivative_range_over_set,
-    distortion_profile,
+    disk_image,
     image_enclosure,
 )
-from gifsdim.shapes import Ball, Box, contains_point, separation_gap
+from gifsdim.shapes import Ball, Box, as_complex, contains_point, separation_gap
 
 STANDARD_DISK = Ball((0.5, 0.0), 0.5)
+
+
+def derivative_norm(spec, point):
+    """||T'(point)|| (operator norm of the derivative)."""
+    if isinstance(spec, Constant):
+        return 0.0
+    if isinstance(spec, _AFFINE_KINDS):
+        return abs(_linear_scalar(spec))
+    if isinstance(spec, MoebiusCF):
+        den = spec.e + as_complex(point)
+        if abs(den) < _POLE_MARGIN:
+            raise DomainViolation("derivative at a pole")
+        return 1.0 / abs(den) ** 2
+    if isinstance(spec, PerturbedMoebiusCF):
+        den = spec.e + 0.5 + spec.epsilon * (as_complex(point) - 0.5)
+        if abs(den) < _POLE_MARGIN:
+            raise DomainViolation("derivative at a pole")
+        return spec.epsilon / abs(den) ** 2
+    raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 
 def _families():
@@ -97,7 +120,7 @@ def test_perturbed_cf_range_frozen_values():
     assert rng.upper == pytest.approx(0.04756242568370987, rel=1e-10)
 
 
-def test_conorm_point_value():
+def test_norm_point_value():
     got = derivative_norm(MoebiusCF(2 + 1j), (0.0, 0.0))
     assert got == pytest.approx(1.0 / abs(2 + 1j) ** 2, rel=1e-14)
     assert got == pytest.approx(0.2, rel=1e-12)
@@ -213,39 +236,12 @@ def test_perturbed_affine_limit():
     assert moved == pytest.approx((1.4, 0.4))
 
 
-def test_affine_distortion_profile_is_zero():
-    fam = [Similarity(0.4, (0.0, 0.0)), ConformalAffine(0.3j, (1.0, 0.0))]
-    prof = distortion_profile(fam, [Ball((0.0, 0.0), 1.0)], rate=0.4)
-    assert prof.holder_constant == 0.0
-    assert prof.chain_constant == 0.0
-    assert prof.log_product_ratio == 0.0
-
-
-def test_moebius_distortion_bounds_sampled_increments():
-    maps = [MoebiusCF(1), MoebiusCF(2), MoebiusCF(1 + 1j)]
-    nbhd = Ball((0.5, 0.0), 0.75)
-    prof = distortion_profile(maps, [nbhd], rate=0.67)
-    assert prof.holder_constant > 0.0
-    assert math.isfinite(prof.chain_constant)
-    rng_state = np.random.default_rng(99)
-    for spec in maps:
-        for _ in range(300):
-            t1, t2 = rng_state.uniform(0, 2 * math.pi, size=2)
-            r1, r2 = 0.75 * np.sqrt(rng_state.uniform(size=2))
-            p = (0.5 + r1 * math.cos(t1), r1 * math.sin(t1))
-            q = (0.5 + r2 * math.cos(t2), r2 * math.sin(t2))
-            a, b = derivative_norm(spec, p), derivative_norm(spec, q)
-            dist = math.hypot(p[0] - q[0], p[1] - q[1])
-            # the Lipschitz form implies |a-b| <= C * a * dist (beta=1)
-            assert abs(a - b) <= prof.holder_constant * a * dist + 1e-13
-
-
 def test_mixed_family_rejected():
     class Weird:
         dim = 2
 
     with pytest.raises(MixedFamily):
-        distortion_profile([MoebiusCF(1), Weird()], [STANDARD_DISK], rate=0.5)
+        disk_image(Weird(), 0.5, 0.0, 0.5)
 
 
 def test_box_through_circumball_is_conservative():

@@ -156,7 +156,7 @@ def test_cloud_radius_decay_and_refinement():
     seed_diam = 1.0
     shallow = generate_point_cloud(sysm, depth=3, horizon=2)
     deep = generate_point_cloud(sysm, depth=8, horizon=2)
-    bound = sysm.c_mt * cb.comparison * cb.effective_rate ** 3 * seed_diam
+    bound = cb.comparison * cb.effective_rate ** 3 * seed_diam
     for _, rad, _ in shallow.points:
         assert rad <= bound + 1e-12
     by_prefix = {}
@@ -293,7 +293,7 @@ def test_probe_lipschitz_pairs():
     sysm = cf_system(letters=tuple(gaussian_alphabet(2)))
     letters = list(sysm.letters(100))
     cb = sysm.contraction
-    c_cp = sysm.c_mt * cb.comparison * 1.5  # neighborhood diameter
+    c_cp = cb.comparison * 1.5  # neighborhood diameter
     rng = np.random.default_rng(20240816)
     for _ in range(1000):
         j = int(rng.integers(2, 13))
