@@ -56,7 +56,7 @@ from .scenarios import (
     perturbed_cf,
 )
 from .shapes import Ball, Box
-from .systems import check_separation, reduce_to_simple, validate_conditions
+from .systems import reduce_to_simple, validate_conditions
 
 _SYSTEM_SCENARIOS = (
     "ladder_6_1",
@@ -417,7 +417,7 @@ def _cmd_analyze(config, stream):
     if config.horizon is not None:
         kwargs["horizon_edges"] = config.horizon
     report = validate_conditions(system, **kwargs)
-    sep = check_separation(system, mode="SSC", **kwargs)
+    sep = report.separation
     letters = system.letters(config.horizon or 64)
     fin = _letter_transition(system, letters)
     classes = strongly_connected_components(fin).nontrivial_classes()

@@ -36,8 +36,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import (
     BudgetExhausted,
     ConditionViolation,
@@ -53,15 +51,9 @@ from .pressure import (
     _geometry,
     _letter_transition,
     _reuse_geometry,
-    _vertex_incidence,
     truncation_ladder,
 )
-from .systems import (
-    SEPARATION_STATUS,
-    subsystem,
-    summability_interval,
-    validate_conditions,
-)
+from .systems import subsystem, summability_interval, validate_conditions
 
 __all__ = [
     "DimensionResult",
@@ -84,7 +76,8 @@ class DimensionResult:
     """Certified dimension bracket with solve diagnostics.
 
     theta is the summability-threshold bracket that was consulted (zero
-    width for finite alphabets).  pressure_at_lower / pressure_at_upper are
+    width for finite alphabets).  scope is "truncated" when the system was
+    finite at solve start and "full" otherwise.  pressure_at_lower / pressure_at_upper are
     the estimates that last moved the endpoints, by sign or by a
     mean-value step, so an estimate may sit at another s than its endpoint
     (None when an endpoint came from a declared floor).  conditions carries
@@ -143,20 +136,6 @@ class DimensionResult:
         return rec
 
 
-def _count_words(system, letters, length, cap):
-    """Admissible word count at this length, clipped just past cap."""
-    nverts, ini, ter = _vertex_incidence(system, letters)
-    x = np.ones(len(letters))
-    for _ in range(length - 1):
-        sums = np.zeros(nverts)
-        np.add.at(sums, ini, x)
-        x = sums[ter]
-        total = float(x.sum())
-        if total > cap or total == 0.0:
-            return total
-    return float(x.sum())
-
-
 def _lyapunov_range(geom):
     """(chi_min, chi_max) with every letter's derivative at a point of the
     limit set in [exp(-chi_max), exp(-chi_min)], read off the geometry's
@@ -191,16 +170,18 @@ def _outward_step(s, p, chi, toward):
 class _PressureProbe:
     """Pressure brackets at adjustable horizon/depth, with refinement.
 
+    finite is whether the system was finite when the solve started.  A
+    finite system's horizon takes every letter, so its brackets are the
+    truncation's own (scope "truncated"); a countable system's are for the
+    full system, the tail witness closing the upper side (scope "full").
     Refinement order: widen the alphabet horizon first (countable systems
     only; finite alphabets saturate immediately), then deepen the word
-    states while the admissible-word count stays within state_cap.
+    states while the next depth's state count stays within state_cap.
     """
 
-    def __init__(self, system, scope, epsilon, horizon, depth, horizon_cap,
-                 state_cap):
+    def __init__(self, system, finite, horizon, depth, horizon_cap, state_cap):
         self.system = system
-        self.scope = scope
-        self.epsilon = epsilon
+        self.finite = finite
         self.k = horizon
         self.m = depth
         self.horizon_cap = horizon_cap
@@ -209,23 +190,29 @@ class _PressureProbe:
         self.limit = None
         self._slopes = (None, None)
 
+    @property
+    def scope(self):
+        return "truncated" if self.finite else "full"
+
     def bracket(self, s):
         self.evals += 1
-        pot = PotentialSpec(s, epsilon=self.epsilon)
-        ests = truncation_ladder(self.system, pot, [self.k], depth=self.m)
-        return ests[-1] if self.scope == "full" else ests[0]
+        ests = truncation_ladder(self.system, PotentialSpec(s), [self.k], depth=self.m)
+        return ests[0] if self.finite else ests[-1]
+
+    def geometry(self):
+        """The state geometry at the current horizon and depth: the one the
+        last bracket was built on, so a solve builds it once."""
+        return _geometry(self.system, self.system.letters(self.k), self.m)
 
     def slopes(self):
         """(chi_min, chi_max, whole) at the current horizon and depth: the
-        Lyapunov range of the truncation's geometry (the one the last
-        bracket was built on, so a solve builds it once), and whether that
-        truncation is the whole system the brackets' uppers are for."""
+        Lyapunov range of the current geometry, and whether its truncation
+        is the whole system the brackets' uppers are for."""
         key, value = self._slopes
         if key != (self.k, self.m):
-            letters = self.system.letters(self.k)
-            chi = _lyapunov_range(_geometry(self.system, letters, self.m))
+            chi = _lyapunov_range(self.geometry())
             # the exhaustion test _full_upper applies to a full-scope upper
-            whole = self.scope == "truncated" or _exhausts(self.system, self.k)
+            whole = self.finite or _exhausts(self.system, self.k)
             value = (*chi, whole)
             self._slopes = ((self.k, self.m), value)
         return value
@@ -259,8 +246,9 @@ class _PressureProbe:
             # depth the weights stop moving in float64
             self.limit = "depth_limit"
             return False
-        letters = self.system.letters(self.k)
-        if _count_words(self.system, letters, self.m + 1, self.state_cap) <= self.state_cap:
+        # the depth-m transitions u -> w are exactly the admissible
+        # (m+1)-letter words, the states of depth m + 1
+        if len(self.geometry().indices) <= self.state_cap:
             self.m += 1
             return True
         self.limit = "state_cap"
@@ -361,9 +349,9 @@ def _gather_conditions(system, horizon):
     Every label reads the one validate_conditions report over the first
     min(horizon, 256) letters:
       * validation: no entry of the report is violated;
-      * separation: the verdict of its separation-strong entry (the SSC
-        check of sibling seed images), whose overlap witness, if any, is
-        raised as a ConditionViolation;
+      * separation: the verdict of its SSC separation report (the check
+        behind its separation-strong entry), whose overlap witness, if
+        any, is raised as a ConditionViolation;
       * conformal-family: certified when its uniform-contraction and
         neighborhood-domain entries are both satisfied -- a contraction
         rate in (0, 1) on neighborhoods clear of every pole, which with
@@ -373,9 +361,8 @@ def _gather_conditions(system, horizon):
     k = min(horizon, 256)
     report = validate_conditions(system, horizon_vertices=32, horizon_edges=k)
     entries = [("validation", "passed" if report.passed else "violated")]
-    sep = report.checks["separation-strong"]
-    verdicts = {status: verdict for verdict, status in SEPARATION_STATUS.items()}
-    entries.append(("separation", verdicts[sep.status]))
+    sep = report.separation
+    entries.append(("separation", sep.verdict))
     conformal = all(report.checks[key].status == "satisfied"
                     for key in ("uniform-contraction", "neighborhood-domain"))
     entries.append(("conformal-family", "certified" if conformal else "unavailable"))
@@ -385,7 +372,7 @@ def _gather_conditions(system, horizon):
         entries.append(("summability", "witness-declared"))
     else:
         entries.append(("summability", "missing"))
-    if sep.status == "violated":
+    if sep.verdict == "overlap-witness":
         raise ConditionViolation(
             "sibling seed images overlap; dimension brackets need separation",
             witness=sep.witness,
@@ -404,32 +391,31 @@ def default_horizon(system, horizon=None):
     return DEFAULT_HORIZON
 
 
-def _resolve_defaults(system, scope, s_tol, horizon, s_max):
-    if scope == "auto":
-        scope = "truncated" if system.is_finite else "full"
+def _resolve_defaults(system, s_tol, horizon, s_max):
+    """(finite, s_tol, horizon, s_max): whether the system is finite at
+    solve start, which fixes the solve's scope, and the knobs' defaults."""
+    finite = system.is_finite
     if s_tol is None:
-        s_tol = FINITE_S_TOL if system.is_finite else INFINITE_S_TOL
+        s_tol = FINITE_S_TOL if finite else INFINITE_S_TOL
     horizon = default_horizon(system, horizon)
     if s_max is None:
         s_max = system.ambient_dim + 1.0
-    return scope, s_tol, horizon, s_max
-
-
-def _divergence_floor(system, scope):
-    if scope != "full" or system.is_finite or system.tail is None:
-        return 0.0
-    floor = system.tail.diverges_below
-    return max(0.0, floor) if floor is not None else 0.0
+    return finite, s_tol, horizon, s_max
 
 
 @_reuse_geometry()
 def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
-                    scope="auto", epsilon=None,
                     horizon_cap=DEFAULT_HORIZON_CAP,
                     state_cap=DEFAULT_STATE_CAP,
                     max_evals=DEFAULT_MAX_EVALS,
                     check_conditions=True):
     """Certified bracket of the pressure zero, by mean-value steps.
+
+    The scope follows from the system: a finite one is solved whole (its
+    default horizon takes every letter), a countable one for the full
+    system, truncated lowers against a tail-corrected upper, which needs a
+    declared tail witness.  To solve a truncation, pass it as a system
+    (subsystem, ladder_truncation).
 
     Each probe's pressure bracket [a, b] at s becomes the root enclosure
     s + [a, b] / [chi_min, chi_max] (see the module docstring) and is
@@ -452,30 +438,31 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
     s_max]; BudgetExhausted when the eval budget dies before the ceiling
     is certified.
     """
-    scope, s_tol, horizon, s_max = _resolve_defaults(
-        system, scope, s_tol, horizon, s_max
-    )
-    if scope == "full" and not system.is_finite and system.tail is None:
+    finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
+    if not finite and system.tail is None:
         raise SummabilityWitnessMissing(
             "full-system dimension needs a declared tail witness"
         )
     conditions = _gather_conditions(system, horizon) if check_conditions else ()
-    if system.is_finite or scope == "truncated":
-        theta = (0.0, 0.0)
-    else:
+    # a factory enumeration turns finite once a check runs it out, so these
+    # ask the system, not the start-of-solve flag
+    theta = (0.0, 0.0)
+    if not system.is_finite:
         summ = summability_interval(system)
         theta = (summ.theta_low, summ.theta_high)
-    probe = _PressureProbe(
-        system, scope, epsilon, horizon, depth, horizon_cap, state_cap
-    )
-    floor = _divergence_floor(system, scope)
+    floor = 0.0
+    if not system.is_finite and system.tail.diverges_below is not None:
+        # below it the level-1 sums, hence the pressure, are infinite
+        floor = max(0.0, system.tail.diverges_below)
+    probe = _PressureProbe(system, finite, horizon, depth, horizon_cap, state_cap)
 
     def out_of_budget():
         return probe.evals >= max_evals
 
     def result(stop, component=None):
         return DimensionResult(
-            s_lower=root.lower, s_upper=root.upper, theta=theta, scope=scope,
+            s_lower=root.lower, s_upper=root.upper, theta=theta,
+            scope=probe.scope,
             pressure_at_lower=root.at_lower, pressure_at_upper=root.at_upper,
             component=component, conditions=conditions, evals=probe.evals,
             stop_reason=stop, depth=probe.m, horizon=probe.k,
@@ -611,8 +598,7 @@ def _boolean_bisect(above, floor, ceil, tol):
 
 
 @_reuse_geometry()
-def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
-                   scope="auto", epsilon=None):
+def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     """Certified upper dimension estimate: the larger of the pressure-root
     threshold (where the computed sup-weight pressure upper crosses zero)
     and the summability threshold of per-vertex successor sups.
@@ -621,12 +607,9 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
     same computed quantity from below (useful for reporting, not itself a
     dimension bound).
     """
-    scope, s_tol, horizon, s_max = _resolve_defaults(
-        system, scope, s_tol, horizon, s_max
-    )
+    finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
     probe = _PressureProbe(
-        system, scope, epsilon, horizon, depth,
-        DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP,
+        system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
     )
 
     def above(s):
@@ -644,7 +627,7 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
         s_lower=max(root_lo, c_lo),
         s_upper=max(root_hi, c_hi),
         theta=(summ.theta_low, summ.theta_high),
-        scope=scope,
+        scope=probe.scope,
         summability_part=c_hi,
         root_bracket=(root_lo, root_hi),
         evals=probe.evals,
@@ -652,8 +635,7 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
 
 @_reuse_geometry()
-def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
-                   scope="auto", epsilon=None):
+def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     """Certified lower dimension estimate.
 
     Bisects the exponent where the certified pressure lower bound (the
@@ -661,12 +643,9 @@ def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
     a true dimension lower bound.  Systems with no returning words report
     zero.
     """
-    scope, s_tol, horizon, s_max = _resolve_defaults(
-        system, scope, s_tol, horizon, s_max
-    )
+    finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
     probe = _PressureProbe(
-        system, scope, epsilon, horizon, depth,
-        DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP,
+        system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
     )
 
     def above(s):
@@ -676,7 +655,7 @@ def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None,
             return False
 
     lo, hi = _boolean_bisect(above, 0.0, s_max, s_tol)
-    return DimensionResult(s_lower=lo, s_upper=hi, scope=scope, evals=probe.evals)
+    return DimensionResult(s_lower=lo, s_upper=hi, scope=probe.scope, evals=probe.evals)
 
 
 def dimension_per_component(system, horizon=None, **opts):

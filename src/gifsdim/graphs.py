@@ -52,13 +52,6 @@ class Enumeration:
                 break
         return self._cache[:k]
 
-    def __contains__(self, item):
-        # Only sound for finite enumerations; countable membership is the
-        # caller's problem (they hold the defining rule).
-        if not self._finite:
-            raise ValueError("membership test on countable enumeration")
-        return item in self._cache
-
 
 @dataclass(frozen=True)
 class DirectedMultigraph:

@@ -279,16 +279,14 @@ def _full_entry(system, potential, depth, horizon=None):
 def pressure_convergence_probe(family, s, epsilons, depth=2):
     """Pressure brackets of builder(eps) against the base, at a fixed
     exponent.  Row 0 is the base; eps rows follow in the given order."""
-    rows = [PressureRow(0.0, *_bracket(family.base, s, None, depth))]
-    for epsilon in epsilons:
-        eps = float(epsilon)
-        meta = eps if 0.0 < eps < 1.0 else None
-        rows.append(PressureRow(eps, *_bracket(family.builder(eps), s, meta, depth)))
+    rows = [PressureRow(0.0, *_bracket(family.base, s, depth))]
+    for eps in map(float, epsilons):
+        rows.append(PressureRow(eps, *_bracket(family.builder(eps), s, depth)))
     return rows
 
 
-def _bracket(system, s, eps_meta, depth):
-    est = _full_entry(system, PotentialSpec(s, epsilon=eps_meta), depth)
+def _bracket(system, s, depth):
+    est = _full_entry(system, PotentialSpec(s), depth)
     return est.lower, est.upper
 
 

@@ -71,19 +71,15 @@ class PotentialSpec:
 
     A word is weighted by the product of its ||T'||**s factors.  Every map
     family here is conformal, so the operator norm is the only derivative
-    size there is.  epsilon is metadata carried into result records by
-    perturbation sweeps; it never changes a weight.
+    size there is.
     """
 
     s: float
-    epsilon: object = None
 
     def __post_init__(self):
         s = self.s
         if not (isinstance(s, (int, float)) and math.isfinite(s) and s >= 0):
             raise ValueError(f"exponent must be finite and nonnegative, got {s!r}")
-        if self.epsilon is not None and not (0.0 < self.epsilon < 1.0):
-            raise ValueError(f"perturbation parameter outside (0,1): {self.epsilon!r}")
 
     @property
     def selector(self):
@@ -96,7 +92,8 @@ class PotentialSpec:
 
 @dataclass(frozen=True)
 class PressureEstimate:
-    """Certified pressure bracket plus the knobs that produced it.
+    """Certified pressure bracket plus the horizon and depth that produced
+    it.
 
     scope "truncated": the bracket holds for the materialized subsystem.
     scope "full": it holds for the untruncated system (lowers come from
@@ -111,7 +108,6 @@ class PressureEstimate:
     lower: float
     upper: float
     s: float
-    epsilon: object = None
     horizon: object = None
     depth: object = None
     scope: str = "truncated"
@@ -141,14 +137,8 @@ class PressureEstimate:
 
     def record(self):
         """JSON-style result record with stable key order."""
-        rec = {"s": float(self.s)}
-        if self.epsilon is not None:
-            rec["epsilon"] = float(self.epsilon)
-        rec["k"] = self.horizon
-        rec["m"] = self.depth
-        rec["lower"] = self.lower
-        rec["upper"] = self.upper
-        rec["scope"] = self.scope
+        rec = {"s": float(self.s), "k": self.horizon, "m": self.depth,
+               "lower": self.lower, "upper": self.upper, "scope": self.scope}
         if self.component is not None:
             rec["component"] = [repr(state) for state in self.component]
         rec["divergence_flag"] = bool(self.divergence)
@@ -709,7 +699,6 @@ def pressure_spectral(system, potential, k, m=1):
         lower=lower,
         upper=upper,
         s=potential.s,
-        epsilon=potential.epsilon,
         horizon=wm.horizon,
         depth=m,
         scope="truncated",
@@ -872,7 +861,6 @@ def truncation_ladder(system, potential, horizons, depth=1):
             lower=running,
             upper=upper,
             s=potential.s,
-            epsilon=potential.epsilon,
             horizon=hs[-1],
             depth=depth,
             scope="full",

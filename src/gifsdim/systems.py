@@ -40,6 +40,8 @@ PAIR_BUDGET = 300000
 # relative slack between consecutive partial-sum increments that a
 # divergent summability verdict still accepts as nondecreasing
 INCREMENT_TOL = 0.05
+# width at which summability_interval stops bisecting the threshold
+SUMMABILITY_RESOLUTION = 1e-3
 # report status of each separation verdict, one to one
 SEPARATION_STATUS = {
     "certified-separated": "satisfied",
@@ -296,9 +298,13 @@ class CheckEntry:
 
 @dataclass(frozen=True)
 class ConditionReport:
+    """Check entries by name; separation is the SSC SeparationReport behind
+    the separation-strong entry."""
+
     checks: dict
     horizon_vertices: int
     horizon_edges: int
+    separation: SeparationReport
 
     @property
     def passed(self):
@@ -472,8 +478,9 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
         checks["uniform-contraction"] = CheckEntry("violated", str(err), None)
 
     # separation, both flavors
+    reports = {}
     for mode, key in (("SSC", "separation-strong"), ("OSC", "separation-open")):
-        rep = check_separation(system, mode, horizon_edges)
+        rep = reports[mode] = check_separation(system, mode, horizon_edges)
         checks[key] = CheckEntry(
             SEPARATION_STATUS[rep.verdict],
             f"{rep.pairs_checked} sibling pairs, min gap {rep.min_gap:.3g}",
@@ -501,7 +508,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
         degenerate,
     )
 
-    return ConditionReport(checks, len(verts), len(edges))
+    return ConditionReport(checks, len(verts), len(edges), reports["SSC"])
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +639,10 @@ def summability_verdict(system, s, horizons, unit, divergence_threshold=1e3):
     return "inconclusive"
 
 
-def summability_interval(system, horizons=None, unit=None, s_max=None,
-                         resolution=1e-3, divergence_threshold=1e3):
-    """Estimate the summability threshold by bisecting the exponent line.
+def summability_interval(system, horizons=None, unit=None,
+                         divergence_threshold=1e3):
+    """Estimate the summability threshold by bisecting the exponent line
+    over (0, ambient_dim + 1] down to SUMMABILITY_RESOLUTION.
 
     theta_high is the infimum of exponents certified summable (via the tail
     witness); theta_low the supremum of exponents with a numeric divergence
@@ -648,8 +656,7 @@ def summability_interval(system, horizons=None, unit=None, s_max=None,
             unit = "vertex" if system.graph.simple else "edge"
     if horizons is None:
         horizons = (256, 1024, DEFAULT_EDGE_HORIZON)
-    if s_max is None:
-        s_max = system.ambient_dim + 1.0
+    s_max = system.ambient_dim + 1.0
     verdicts = []
 
     def classify(s):
@@ -668,7 +675,7 @@ def summability_interval(system, horizons=None, unit=None, s_max=None,
             hi_sum = min(hi_sum, s)
     if math.isfinite(hi_sum):
         lo, hi = lo_div, hi_sum
-        while hi - lo > resolution:
+        while hi - lo > SUMMABILITY_RESOLUTION:
             mid = 0.5 * (lo + hi)
             v = classify(mid)
             if v == "summable":

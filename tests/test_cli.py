@@ -326,6 +326,43 @@ GOLDEN_STDOUT = (
      '"lower": 0.08024816795537507, "s": 0.55, "scope": "full", '
      '"stalled": false, "tail_term": 0.0, "upper": 0.13935892564926286}, '
      '"horizon": 64, "scenario": "ladder_6_1", "seed": 0}\n'),
+    (["analyze", "--set", "scenario=cf", "--set", 'scenario_options={"letters": [1, 2]}'],
+     '{"checks": {"maps-into-seeds": {"detail": "2 edges, min containment margin 0", '
+     '"status": "satisfied"}, "neighborhood-domain": {"detail": "all derivative ranges '
+     'over neighborhoods finite", "status": "satisfied"}, "seed-contractibility": '
+     '{"detail": "c_CJ = 1 over 1 vertices (0 without materialized out-edges)", '
+     '"status": "satisfied"}, "seed-geometry": {"detail": "1 vertices, sup seed '
+     'diameter 1", "status": "satisfied"}, "seed-inside-neighborhood": {"detail": '
+     '"min margin 0.25", "status": "satisfied"}, "separation-open": {"detail": "1 '
+     'sibling pairs, min gap 0", "status": "satisfied"}, "separation-strong": '
+     '{"detail": "1 sibling pairs, min gap 0", "status": "inconclusive"}, '
+     '"uniform-contraction": {"detail": "depth-2 rate 0.852071 (effective '
+     '0.923077)", "status": "satisfied"}}, "command": "analyze", "config_digest": '
+     '"d4cdaa7bd79047c6f3f715f0c00e15fc2b85bb937824004a14bce6c167fe392d", '
+     '"findings": [], "scc": {"letters": 2, "nontrivial": 1, "sizes": [2]}, '
+     '"scenario": "cf", "seed": 0, "separation": {"min_gap": 0.0, "mode": "SSC", '
+     '"pairs_checked": 1, "verdict": "inconclusive"}}\n'),
+    (["analyze", "--set",
+      'scenario={"kind": "similarity", "ratios": [0.6, 0.6], "offsets": [0.0, 0.1]}'],
+     '{"checks": {"maps-into-seeds": {"detail": "2 edges, min containment margin 0", '
+     '"status": "satisfied"}, "neighborhood-domain": {"detail": "all derivative ranges '
+     'over neighborhoods finite", "status": "satisfied"}, "seed-contractibility": '
+     '{"detail": "c_CJ = 1.66667 over 1 vertices (0 without materialized '
+     'out-edges)", "status": "satisfied"}, "seed-geometry": {"detail": "1 vertices, '
+     'sup seed diameter 1", "status": "satisfied"}, "seed-inside-neighborhood": '
+     '{"detail": "min margin 0.25", "status": "satisfied"}, "separation-open": '
+     '{"detail": "1 sibling pairs, min gap -0.5", "status": "violated"}, '
+     '"separation-strong": {"detail": "1 sibling pairs, min gap -0.5", "status": '
+     '"violated"}, "uniform-contraction": {"detail": "declared depth-1 rate 0.6", '
+     '"status": "satisfied"}}, "command": "analyze", "config_digest": '
+     '"aae9f702254f7b88b51ee6333357ab7256fc5831f0ed0b28865f39ff7ee280b1", '
+     '"findings": [{"check": "separation-open", "detail": "1 sibling pairs, min gap '
+     '-0.5", "status": "violated"}, {"check": "separation-strong", "detail": "1 '
+     'sibling pairs, min gap -0.5", "status": "violated"}, {"check": "separation", '
+     '"detail": "witness pair (0, 1), gap -0.5", "status": "overlap-witness"}], '
+     '"scc": {"letters": 2, "nontrivial": 1, "sizes": [2]}, "scenario": '
+     '"inline-similarity", "seed": 0, "separation": {"min_gap": -0.49999999999999994, '
+     '"mode": "SSC", "pairs_checked": 1, "verdict": "overlap-witness"}}\n'),
 )
 
 
@@ -333,14 +370,17 @@ INSIDE = {"dimension-affine_demo": (0.43181116276980025, 0.43181118118191275),
           "components-affine_demo": (0.43181116276980025, 0.43181118118191275),
           "pressure-ladder_6_1": (0.0802481679134941, 0.13935892564926286)}
 GOLDEN_IDS = ("dimension-affine_demo", "dimension-cf12", "components-affine_demo",
-              "pressure-ladder_6_1")
+              "pressure-ladder_6_1", "analyze-cf12", "analyze-overlap")
+# analyze exits 2 when it reports a finding
+EXIT_CODE = {"analyze-overlap": 2}
 
 
-@pytest.mark.parametrize("argv, want, inside", [
-    (argv, want, INSIDE.get(name)) for (argv, want), name in zip(GOLDEN_STDOUT, GOLDEN_IDS)],
+@pytest.mark.parametrize("argv, want, inside, code", [
+    (argv, want, INSIDE.get(name), EXIT_CODE.get(name, 0))
+    for (argv, want), name in zip(GOLDEN_STDOUT, GOLDEN_IDS)],
     ids=GOLDEN_IDS)
-def test_records_match_golden_stdout(argv, want, inside, capsys):
-    assert main(argv) == 0
+def test_records_match_golden_stdout(argv, want, inside, code, capsys):
+    assert main(argv) == code
     out = capsys.readouterr().out
     assert out == want
     if inside is not None:

@@ -359,6 +359,10 @@ def test_stop_reason_names_why_refinement_ended():
     assert capped.stop_reason == "state_cap"
     assert capped.width > 1e-5
     assert "stop_reason" not in capped.record()
+    # depth m + 1 has 2**(m+1) states: the cap admits it exactly up to there
+    for cap, depth in ((3, 1), (4, 2), (7, 2), (8, 3)):
+        res = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5, state_cap=cap)
+        assert (res.stop_reason, res.depth) == ("state_cap", depth), cap
     cantor = bowen_dimension(moran_system([1 / 3, 1 / 3]), s_tol=1e-9)
     assert cantor.stop_reason == "tolerance"
 
@@ -367,7 +371,7 @@ def test_default_horizon_takes_every_letter_of_a_finite_system():
     # past 4,096 letters a prefix would be solved in truncated scope, and its
     # s_upper would bound that subsystem, not the system
     def horizon(system, given=None):
-        return dimension_module._resolve_defaults(system, "auto", None, given, None)[2]
+        return dimension_module._resolve_defaults(system, None, given, None)[2]
 
     big = moran_system([1e-4] * 5000)
     assert horizon(big) == 5000
@@ -591,6 +595,38 @@ def test_conformal_family_unavailable_without_contraction_off_the_pole(
     assert _gather_conditions(sysm, default_horizon(sysm)) == (
         ("validation", "violated"), ("separation", "certified-separated"),
         ("conformal-family", "unavailable"), ("summability", "finite-alphabet"))
+
+
+def _factory_cantor():
+    """The middle-thirds Cantor system over an edge enumeration built from a
+    factory: it reads as countable until a prefix runs the iterator out."""
+    graph = DirectedMultigraph(
+        vertices=Enumeration(items=(0,)),
+        edges=Enumeration(factory=lambda: iter((0, 1))),
+        initial=lambda e: 0,
+        terminal=lambda e: 0,
+    )
+    maps = {0: Similarity(1 / 3, (0.0,)), 1: Similarity(1 / 3, (2 / 3,))}
+    seeds = {0: SeedSet(0, Ball((0.5,), 0.5), Ball((0.5,), 0.75))}
+    return GifsSystem(graph, seeds, maps, 1, tail=finite_tail("edge"))
+
+
+@pytest.mark.parametrize("solve, lower, upper, evals", [
+    (bowen_dimension, "0x1.4309398353537p-1", "0x1.4309398353543p-1", 1),
+    (lower_estimate, "0x1.4309380000000p-1", "0x1.43093a0000000p-1", 27),
+    (upper_estimate, "0x1.4309380000000p-1", "0x1.43093a0000000p-1", 27),
+], ids=["bowen", "lower", "upper"])
+def test_factory_enumeration_that_runs_out_keeps_full_scope(
+        solve, lower, upper, evals):
+    # the system is countable at solve start, so the solve is in full scope,
+    # and it turns finite once a check or a bracket runs the edges out
+    sysm = _factory_cantor()
+    assert not sysm.is_finite
+    res = solve(sysm, s_tol=1e-7)
+    assert sysm.is_finite
+    assert res.scope == "full"
+    assert (res.s_lower.hex(), res.s_upper.hex(), res.evals) == (lower, upper, evals)
+    assert res.s_lower <= CANTOR <= res.s_upper
 
 
 def test_one_separation_pass_and_one_certificate_per_solve(monkeypatch):

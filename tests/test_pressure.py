@@ -54,6 +54,7 @@ from gifsdim.scenarios import (
     cf_system,
     gaussian_alphabet,
     ladder_system,
+    ladder_truncation,
     moran_system,
     perturbed_cf,
 )
@@ -75,8 +76,6 @@ def test_potential_spec_validation():
         PotentialSpec(-0.1)
     with pytest.raises(ValueError):
         PotentialSpec(math.inf)
-    with pytest.raises(ValueError):
-        PotentialSpec(1.0, epsilon=1.5)
 
 
 def test_estimate_lambda_bracket_and_record():
@@ -249,6 +248,23 @@ def test_array_geometry_matches_scalar_reference_bitwise():
             assert np.array_equal(geom.indptr, lo.indptr)
             assert geom.lower.tobytes() == lo.data.tobytes(), (make, m)
             assert geom.upper.tobytes() == hi.data.tobytes(), (make, m)
+
+
+def test_geometry_entries_count_the_next_depths_words():
+    # refinement sizes depth m + 1 by the depth-m entry count: each entry
+    # u -> w is the admissible (m+1)-letter word u + w[-1:]
+    for make, k in ((affine_demo, 8), (lambda: ladder_truncation(6), 64),
+                    (lambda: cf_system((1, 2, 3)), 3)):
+        sysm = make()
+        letters = sysm.letters(k)
+        g = sysm.graph
+        for m in (1, 2, 3):
+            words = sum(
+                all(g.terminal(a) == g.initial(b) for a, b in zip(w, w[1:]))
+                for w in itertools.product(letters, repeat=m + 1)
+            )
+            geom = build_weighted_matrix(sysm, PotentialSpec(1.0), k, m).geometry
+            assert len(geom.indices) == geom.indptr[-1] == words, (sysm.name, m)
 
 
 def test_float_power_rounds_as_libm_pow():
