@@ -58,10 +58,6 @@ class SummabilityWitnessMissing(GifsError):
 class IrregularSystem(GifsError):
     """No certified pressure sign change exists in the scanned s-range."""
 
-    def __init__(self, message, sign_pattern=None):
-        self.sign_pattern = sign_pattern
-        super().__init__(message)
-
 
 class CrossedBracket(GifsError):
     """A certified root enclosure missed the running root bracket.

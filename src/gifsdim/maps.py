@@ -147,15 +147,12 @@ class PerturbedMoebiusCF:
 
 @dataclass(frozen=True)
 class DerivativeRange:
-    """Certified enclosure [lower, upper] of ||T'|| over a set.
-
-    `certified` means the interval provably contains the whole range (it may
-    be wider than the true range).  `degenerate` marks identically-zero
+    """Certified enclosure [lower, upper] of ||T'|| over a set: it contains
+    the whole range and may be wider.  `degenerate` marks identically-zero
     derivatives (constant maps)."""
 
     lower: float
     upper: float
-    certified: bool = True
     degenerate: bool = False
 
     def __post_init__(self):
@@ -286,10 +283,10 @@ def derivative_range_over_set(spec, shape):
     circumscribed ball, still certified but conservative.
     """
     if isinstance(spec, Constant):
-        return DerivativeRange(0.0, 0.0, certified=True, degenerate=True)
+        return DerivativeRange(0.0, 0.0, degenerate=True)
     if isinstance(spec, _AFFINE_KINDS):
         a = abs(_linear_scalar(spec))
-        return DerivativeRange(a, a, certified=True, degenerate=(a == 0.0))
+        return DerivativeRange(a, a, degenerate=(a == 0.0))
     if isinstance(spec, _MOEBIUS_KINDS):
         if not isinstance(shape, (Ball, Box)):
             raise UnsupportedShape(type(shape).__name__)
@@ -297,7 +294,7 @@ def derivative_range_over_set(spec, shape):
             raise UnsupportedShape("Moebius maps act on the plane")
         ball = circumball(shape)
         lo, hi = moebius_derivative_range(spec, *ball.center, ball.radius)
-        return DerivativeRange(float(lo), float(hi), certified=True)
+        return DerivativeRange(float(lo), float(hi))
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 

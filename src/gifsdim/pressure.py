@@ -735,18 +735,9 @@ def _fekete_edge_upper(system, potential, k):
         raise ValueError(f"tail witness returned a negative bound {tail}")
     if not math.isfinite(tail):
         return math.inf, tail
-    g = system.graph
     s = potential.s
     a_star = FEKETE_BLOCK
-    weights = np.array(
-        [
-            mapslib.derivative_range_over_set(
-                system.map_of(e), system.seed(g.terminal(e)).seed
-            ).upper
-            for e in letters
-        ]
-    )
-    weights = weights**s if s != 0.0 else np.ones_like(weights)
+    weights = np.array([system.letter_range(e).upper for e in letters]) ** s
 
     nverts, ini, ter = _vertex_incidence(system, letters)
 

@@ -298,8 +298,8 @@ class CheckEntry:
 
 @dataclass(frozen=True)
 class ConditionReport:
-    """Check entries by name; separation is the SSC SeparationReport behind
-    the separation-strong entry."""
+    """Check entries by name; separation is the strong (SSC) report of the
+    one separation sweep, the one behind the separation-strong entry."""
 
     checks: dict
     horizon_vertices: int
@@ -321,31 +321,28 @@ class SeparationReport:
     horizon_edges: int = 0
 
 
-def check_separation(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
-    """Pairwise disjointness of sibling seed images.
+def check_separation(system, horizon_edges=DEFAULT_EDGE_HORIZON):
+    """Pairwise disjointness of sibling (same initial vertex) seed images:
+    one sweep gives the pair (strong, open_) of SeparationReports.
 
-    Sibling = same initial vertex.  The seed images stand in for the
-    limit-set-restricted images, which makes a `certified-separated` SSC
-    verdict conservative (stronger than needed).  Touching images
-    (gap within GEOM_TOL of 0) still certify the open variant, since interiors
-    of touching closed balls/boxes are disjoint, but leave the strong
-    variant inconclusive.  An `overlap-witness` needs exact enclosures;
-    overlap of a conservative enclosure proves nothing.
+    Seed images stand in for the limit-set-restricted ones, so a
+    `certified-separated` verdict is conservative.  An exact overlap ends
+    the sweep: both reports are `overlap-witness`, with that pair's gap
+    and (e, f, point).  Otherwise both share pairs_checked and min_gap; open
+    is `inconclusive` when inexact enclosures overlap (witness: the last
+    such pair); strong is `inconclusive` also when a pair touches (gap
+    within GEOM_TOL of 0: only the interiors are disjoint), witnessed by the
+    open witness if any, else the first touching pair.
     """
-    if mode not in ("SSC", "OSC"):
-        raise ValueError(f"mode {mode} is not SSC or OSC")
-    edges = system.letters(horizon_edges)
     groups = {}
-    for e in edges:
+    for e in system.letters(horizon_edges):
         groups.setdefault(system.graph.initial(e), []).append(e)
-    verdict = "certified-separated"
     min_gap = math.inf
-    witness = None
+    overlap = touch = None
     pairs = 0
     for group in groups.values():
         shapes = [system.seed_image(e) for e in group]
-        for i in range(len(group)):
-            si, exact_i = shapes[i]
+        for i, (si, exact_i) in enumerate(shapes):
             for j in range(i + 1, len(group)):
                 sj, exact_j = shapes[j]
                 pairs += 1
@@ -353,22 +350,22 @@ def check_separation(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
                 min_gap = min(min_gap, gap)
                 if gap < -GEOM_TOL:
                     if exact_i and exact_j:
-                        point = overlap_witness_point(si, sj)
-                        return SeparationReport(
-                            mode, "overlap-witness", pairs, gap,
-                            (group[i], group[j], point), horizon_edges,
+                        witness = (group[i], group[j], overlap_witness_point(si, sj))
+                        return tuple(
+                            SeparationReport(mode, "overlap-witness", pairs, gap,
+                                             witness, horizon_edges)
+                            for mode in ("SSC", "OSC")
                         )
-                    if verdict != "overlap-witness":
-                        verdict = "inconclusive"
-                        witness = (group[i], group[j], None)
-                elif mode == "SSC" and gap <= GEOM_TOL:
-                    # touching closed images: cannot certify strong disjointness
-                    if verdict == "certified-separated":
-                        verdict = "inconclusive"
-                        witness = (group[i], group[j], None)
-    if pairs == 0:
-        min_gap = math.inf
-    return SeparationReport(mode, verdict, pairs, min_gap, witness, horizon_edges)
+                    overlap = (group[i], group[j], None)
+                elif gap <= GEOM_TOL and touch is None:
+                    touch = (group[i], group[j], None)
+    strong = overlap or touch
+    return (
+        SeparationReport("SSC", "inconclusive" if strong else "certified-separated",
+                         pairs, min_gap, strong, horizon_edges),
+        SeparationReport("OSC", "inconclusive" if overlap else "certified-separated",
+                         pairs, min_gap, overlap, horizon_edges),
+    )
 
 
 def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
@@ -477,10 +474,9 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     except (ConditionViolation, DomainViolation) as err:
         checks["uniform-contraction"] = CheckEntry("violated", str(err), None)
 
-    # separation, both flavors
-    reports = {}
-    for mode, key in (("SSC", "separation-strong"), ("OSC", "separation-open")):
-        rep = reports[mode] = check_separation(system, mode, horizon_edges)
+    # separation, both flavors from one sweep of sibling pairs
+    strong, open_ = check_separation(system, horizon_edges)
+    for key, rep in (("separation-strong", strong), ("separation-open", open_)):
         checks[key] = CheckEntry(
             SEPARATION_STATUS[rep.verdict],
             f"{rep.pairs_checked} sibling pairs, min gap {rep.min_gap:.3g}",
@@ -508,7 +504,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
         degenerate,
     )
 
-    return ConditionReport(checks, len(verts), len(edges), reports["SSC"])
+    return ConditionReport(checks, len(verts), len(edges), strong)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ Frozen oracles used here:
 
 import gc
 import itertools
+import json
 import math
 import weakref
 from dataclasses import replace
@@ -31,6 +32,8 @@ from scipy.optimize import brentq
 
 import gifsdim.dimension as dimension_module
 import gifsdim.systems as systems_module
+from gifsdim.cli import parse_config
+from gifsdim.cli import run as cli_run
 from gifsdim.dimension import (
     DimensionResult,
     _gather_conditions,
@@ -629,7 +632,9 @@ def test_factory_enumeration_that_runs_out_keeps_full_scope(
     assert res.s_lower <= CANTOR <= res.s_upper
 
 
-def test_one_separation_pass_and_one_certificate_per_solve(monkeypatch):
+def count_condition_calls(monkeypatch):
+    """Record the name of every check_separation and contraction_certificate
+    call, wherever the package reaches either one."""
     calls = []
     for module in (systems_module, dimension_module):
         for name in ("check_separation", "contraction_certificate"):
@@ -637,16 +642,32 @@ def test_one_separation_pass_and_one_certificate_per_solve(monkeypatch):
             if fn is None:
                 continue
 
-            def counted(system, *args, fn=fn, name=name, **kwargs):
-                calls.append((name, kwargs.get("mode", args[0] if args else None)))
-                return fn(system, *args, **kwargs)
+            def counted(*args, fn=fn, name=name, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_one_separation_pass_and_one_certificate_per_solve(monkeypatch):
+    calls = count_condition_calls(monkeypatch)
     sysm = ladder_truncation(6)
     sysm.contraction = None  # certified, not declared
     bowen_dimension(sysm, s_tol=1e-3)
-    assert calls.count(("check_separation", "SSC")) == 1
-    assert sum(name == "contraction_certificate" for name, _ in calls) <= 1
+    # one sweep of sibling pairs gives both separation entries
+    assert calls.count("check_separation") == 1
+    assert calls.count("contraction_certificate") <= 1
+
+
+def test_one_separation_sweep_per_analyze(monkeypatch, capsys):
+    calls = count_condition_calls(monkeypatch)
+    config = parse_config('{"scenario": "cf", "scenario_options": {"letters": [1, 2]}}')
+    assert cli_run("analyze", config) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert calls.count("check_separation") == 1
+    assert checks["separation-open"]["status"] == "satisfied"
+    assert checks["separation-strong"]["status"] == "inconclusive"
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,6 @@ def test_cf_branch_range_on_standard_disk():
     rng = derivative_range_over_set(MoebiusCF(1), STANDARD_DISK)
     assert rng.lower == pytest.approx(0.25, abs=1e-15)
     assert rng.upper == pytest.approx(1.0, abs=1e-15)
-    assert rng.certified
 
 
 def test_perturbed_cf_range_frozen_values():

@@ -142,14 +142,14 @@ def test_build_perturbed_affine_rejects_bad_specs():
 
 def test_extended_system_keeps_strong_separation():
     base = three_gap_base()
-    assert check_separation(base, mode="SSC").verdict == "certified-separated"
+    assert check_separation(base)[0].verdict == "certified-separated"
     ext = build_perturbed_affine(
         base,
         {},
         {(1, 1): lambda eps: PerturbedAffine(0.0, 0.1, (0.5,), (0.0,), eps)},
         0.05,
     )
-    assert check_separation(ext, mode="SSC").verdict == "certified-separated"
+    assert check_separation(ext)[0].verdict == "certified-separated"
     assert validate_conditions(ext).passed
 
 

@@ -50,7 +50,7 @@ def test_ladder_hub_images_tile_exactly():
 
 
 def test_ladder_truncation_open_separation():
-    rep = check_separation(ladder_truncation(8), "OSC")
+    rep = check_separation(ladder_truncation(8))[1]
     assert rep.verdict == "certified-separated"
     assert rep.min_gap == 0.0
 
@@ -88,12 +88,12 @@ def test_affine_demo_validates_with_gap():
     rep = validate_conditions(demo, 4, 8)
     assert rep.passed
     assert rep.checks["separation-strong"].status == "satisfied"
-    sep = check_separation(demo, "SSC")
+    sep = check_separation(demo)[0]
     assert sep.min_gap == pytest.approx(0.35, abs=1e-12)
 
 
 def test_perturbed_affine_gap_shrinks_linearly():
-    sep1 = check_separation(perturbed_affine(1.0), "SSC")
+    sep1 = check_separation(perturbed_affine(1.0))[0]
     assert sep1.verdict == "certified-separated"
     assert sep1.min_gap == pytest.approx(0.3, abs=1e-12)
     assert validate_conditions(perturbed_affine(0.5), 4, 8).passed

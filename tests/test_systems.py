@@ -7,24 +7,41 @@ Frozen oracles used here:
   * tangent image disks of letters 1 and 2: T_1(J)=B(3/4,1/4),
     T_2(J)=B(5/12,1/12), touching at z=1/2.
   * ladder contractibility constant: diam(J_v)/sup = 2 for every vertex.
+
+separation_one_mode, one pass of sibling pairs per separation flavour, is
+the reference the one-sweep check_separation is compared against.
 """
 
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gifsdim.errors import ConditionViolation, NonAdmissibleWord
 from gifsdim.scenarios import (
+    affine_demo,
     cf_system,
+    gaussian_alphabet,
     ladder_system,
     ladder_truncation,
     moran_system,
+    perturbed_affine,
+    perturbed_cf,
 )
-from gifsdim.shapes import Ball, interior_margin
+from gifsdim.shapes import (
+    GEOM_TOL,
+    Ball,
+    interior_margin,
+    overlap_witness_point,
+    separation_gap,
+)
 from gifsdim.systems import (
+    DEFAULT_EDGE_HORIZON,
     ContractionBound,
     GifsSystem,
     SeedSet,
+    SeparationReport,
     check_separation,
     contraction_certificate,
     reduce_to_simple,
@@ -33,6 +50,61 @@ from gifsdim.systems import (
     translate_word,
     validate_conditions,
 )
+
+
+def separation_one_mode(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
+    """Pairwise disjointness of sibling seed images for one mode, SSC or OSC:
+    touching images (gap within GEOM_TOL of 0) certify OSC but leave SSC
+    inconclusive; an overlap-witness needs exact enclosures."""
+    if mode not in ("SSC", "OSC"):
+        raise ValueError(f"mode {mode} is not SSC or OSC")
+    edges = system.letters(horizon_edges)
+    groups = {}
+    for e in edges:
+        groups.setdefault(system.graph.initial(e), []).append(e)
+    verdict = "certified-separated"
+    min_gap = math.inf
+    witness = None
+    pairs = 0
+    for group in groups.values():
+        shapes = [system.seed_image(e) for e in group]
+        for i in range(len(group)):
+            si, exact_i = shapes[i]
+            for j in range(i + 1, len(group)):
+                sj, exact_j = shapes[j]
+                pairs += 1
+                gap = separation_gap(si, sj)
+                min_gap = min(min_gap, gap)
+                if gap < -GEOM_TOL:
+                    if exact_i and exact_j:
+                        point = overlap_witness_point(si, sj)
+                        return SeparationReport(
+                            mode, "overlap-witness", pairs, gap,
+                            (group[i], group[j], point), horizon_edges,
+                        )
+                    if verdict != "overlap-witness":
+                        verdict = "inconclusive"
+                        witness = (group[i], group[j], None)
+                elif mode == "SSC" and gap <= GEOM_TOL:
+                    # touching closed images: cannot certify strong disjointness
+                    if verdict == "certified-separated":
+                        verdict = "inconclusive"
+                        witness = (group[i], group[j], None)
+    if pairs == 0:
+        min_gap = math.inf
+    return SeparationReport(mode, verdict, pairs, min_gap, witness, horizon_edges)
+
+
+def _report_fields(rep):
+    return (rep.mode, rep.verdict, rep.pairs_checked, float(rep.min_gap).hex(),
+            rep.witness, rep.horizon_edges)
+
+
+def _assert_sweep_matches_two_passes(system, horizon_edges=DEFAULT_EDGE_HORIZON):
+    sweep = check_separation(system, horizon_edges)
+    reference = tuple(separation_one_mode(system, mode, horizon_edges)
+                      for mode in ("SSC", "OSC"))
+    assert tuple(map(_report_fields, sweep)) == tuple(map(_report_fields, reference))
 
 
 def test_interior_margin_oracles():
@@ -80,19 +152,18 @@ def test_validate_flags_declared_rate_contradiction():
 
 def test_separation_three_ways():
     cantor = moran_system([1 / 3, 1 / 3], offsets=[0.0, 2 / 3])
-    rep = check_separation(cantor, "SSC")
+    rep = check_separation(cantor)[0]
     assert rep.verdict == "certified-separated"
     assert rep.min_gap == pytest.approx(1 / 3, abs=1e-12)
 
     overlapping = moran_system([0.5, 0.5], offsets=[0.0, 0.25])
-    rep = check_separation(overlapping, "SSC")
+    rep, rep_open = check_separation(overlapping)
     assert rep.verdict == "overlap-witness"
     e1, e2, point = rep.witness
     assert {e1, e2} == {0, 1}
     assert 0.25 < point[0] < 0.5   # inside both images
 
-    rep = check_separation(overlapping, "OSC")
-    assert rep.verdict == "overlap-witness"
+    assert rep_open.verdict == "overlap-witness"
 
 
 def test_separation_cf_tangency():
@@ -105,20 +176,53 @@ def test_separation_cf_tangency():
     assert img2.center == pytest.approx((5 / 12, 0.0))
     assert img2.radius == pytest.approx(1 / 12)
 
-    osc = check_separation(sys, "OSC")
+    ssc, osc = check_separation(sys)
     assert osc.verdict == "certified-separated"
     assert abs(osc.min_gap) < 1e-12
-    ssc = check_separation(sys, "SSC")
     assert ssc.verdict == "inconclusive"
 
 
 def test_separation_stable_under_horizon_growth():
     sys = cf_system([1, 2, 3, complex(1, 1)])
-    small = check_separation(sys, "OSC", horizon_edges=2)
-    big = check_separation(sys, "OSC", horizon_edges=4)
+    small = check_separation(sys, horizon_edges=2)[1]
+    big = check_separation(sys, horizon_edges=4)[1]
     assert small.verdict == "certified-separated"
     assert big.verdict == "certified-separated"
     assert big.pairs_checked > small.pairs_checked
+
+
+@pytest.mark.parametrize("build", [
+    lambda: cf_system([1, 2]),
+    lambda: cf_system([1, 2, 3, complex(1, 1)]),
+    lambda: cf_system(tuple(gaussian_alphabet(4))),
+    lambda: moran_system([0.5, 0.5], offsets=[0.0, 0.25]),
+    lambda: ladder_truncation(6),
+    affine_demo,
+    lambda: perturbed_affine(0.5),
+    lambda: perturbed_cf([1, 2], gaussian_alphabet(2), epsilon=0.5),
+], ids=["cf12", "cf1231i", "cf-gauss4", "overlap", "ladder6", "affine",
+        "affine-0.5", "perturbed-cf"])
+def test_one_sweep_matches_two_mode_passes_on_shipped_systems(build):
+    _assert_sweep_matches_two_passes(build())
+
+
+# offsets on a 1/24 grid and ratios dividing it make touching images common
+MORAN_OFFSETS = st.integers(0, 23).map(lambda k: k / 24)
+
+
+@settings(max_examples=150, deadline=None)
+@given(letters=st.lists(
+           st.tuples(st.sampled_from([1 / 8, 1 / 4, 1 / 3, 1 / 2]), MORAN_OFFSETS,
+                     st.booleans()),
+           min_size=2, max_size=6),
+       horizon=st.integers(2, 6))
+def test_one_sweep_matches_two_mode_passes_on_moran_systems(letters, horizon):
+    ratios, offsets, exact = zip(*letters)
+    sysm = moran_system(ratios, offsets=offsets)
+    # a letter drawn inexact turns its overlaps inconclusive, not witnessed
+    seed_image = sysm.seed_image
+    sysm.seed_image = lambda e: (seed_image(e)[0], seed_image(e)[1] and exact[e])
+    _assert_sweep_matches_two_passes(sysm, horizon)
 
 
 def test_contraction_certificate_cf_pair_bound():
