@@ -9,22 +9,28 @@ Two routes, each valid at every finite stage rather than only in the limit:
   The graphs are not strongly connected, so the pressure is the max over
   the components.  The state-level components are read off the
   letter-level ones: each nontrivial letter class gives one, all m-words
-  over its letters, and is reported under that letter class.  The
+  over its letters, and is reported under that letter class, with the
+  period of its letter class.  A class of period 1 whose scaled entries
+  are all positive at this s is primitive, and its power iteration runs
+  on B/theta; any other runs on I + B/theta, whose shift makes it
+  converge whatever the period but mostly slows it (the cf-deep solve
+  takes 427 iterations, against 915 with the shift everywhere).  The
   geometry and each component's Collatz-Wielandt data (class pattern,
-  entry positions) do not depend on s and are built once per geometry;
-  each exponent only reweights them, and within a solve the iteration
-  starts from the previous exponent's scales and iterate.  A class of a
-  few hubs joined by chains (the countable ladder's) starts instead from
-  its Perron vector, which eliminating the chains gives (see chains.py):
-  the ladder's 511-state class at k = 512 then closes in one iteration,
-  not about 530, and the bracket still comes only from the iteration's
-  ratios.  When every entry's range is a single value (affine letters)
-  the two matrices are one, and one iteration gives both sides.  The
-  matrices are CsrWeights records of numpy arrays, and each class's power
-  iteration multiplies by numpy alone; every matvec sums each row from
-  0.0 in ascending column order, one rounded product and one rounded sum
-  per entry, exactly as scipy's CSR matvec does, so the bracket of each
-  class without chains is bit-identical to the one a scipy matrix gives.
+  entry positions, period) do not depend on s and are built once per
+  geometry; each exponent only reweights them, and within a solve the
+  iteration starts from the previous exponent's scales and iterate.  A
+  class of a few hubs joined by chains (the countable ladder's) starts
+  instead from its Perron vector, which eliminating the chains gives (see
+  chains.py): the ladder's 511-state class at k = 512 then closes in one
+  iteration, not about 530, and the bracket still comes only from the
+  iteration's ratios.  When every entry's range is a single value (affine
+  letters) the two matrices are one, and one iteration gives both sides.
+  The matrices are CsrWeights records of numpy arrays, and each class's
+  power iteration multiplies by numpy alone; every matvec sums each row
+  from 0.0 in ascending column order, one rounded product and one rounded
+  sum per entry, exactly as scipy's CSR matvec does, so the bracket of
+  each class without chains is bit-identical to the one a scipy matrix
+  gives under the same shift rule.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -35,6 +41,7 @@ import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -182,16 +189,20 @@ class WeightedMatrix:
     does (see _class_matvec).  Everything but the power of s comes from
     geometry, which is s-independent and shared by every exponent a solve
     probes at this horizon and depth.  When the geometry holds one array
-    for both sides, sup_weights is inf_weights.
+    for both sides, sup_weights is inf_weights.  states reads through to
+    the geometry's.
     """
 
-    states: tuple
     inf_weights: object
     sup_weights: object
     depth: int
     horizon: int
     potential: PotentialSpec
     geometry: object
+
+    @property
+    def states(self):
+        return self.geometry.states
 
 
 @dataclass(eq=False)
@@ -200,13 +211,15 @@ class StateGeometry:
 
     letter_graph is the transition structure of the letters and words the
     states as rows of letter positions; from these two _state_classes reads
-    off the state classes.  indices/indptr give the CSR pattern of the
-    transitions; lower/upper hold, per nonzero in that order, the derivative
-    range of the source state's first letter over the enclosure of the
-    target state, and are one array when the two coincide elementwise.
-    classes caches, once pressure_spectral has computed them, the nontrivial
-    state-level strongly connected classes as _ClassPlan objects: each
-    class's letter class and size, the positions of its entries among the
+    off the state classes.  states spells the words as tuples of letters on
+    first read; a solve never reads it, and counts its states by words.
+    indices/indptr give the CSR pattern of the transitions; lower/upper
+    hold, per nonzero in that order, the derivative range of the source
+    state's first letter over the enclosure of the target state, and are
+    one array when the two coincide elementwise.  classes caches, once
+    pressure_spectral has computed them, the nontrivial state-level
+    strongly connected classes as _ClassPlan objects: each class's letter
+    class, size and period, the positions of its entries among the
     nonzeros and its local CSR pattern, plus the scales and iterate of the
     last probe on each side, from which the next exponent's power iteration
     starts.  A geometry lives at most as long as the solve that built it
@@ -214,7 +227,6 @@ class StateGeometry:
     with no m-letter word has a geometry with no states.
     """
 
-    states: tuple
     letter_graph: FiniteTransition
     words: np.ndarray
     indices: np.ndarray
@@ -222,6 +234,12 @@ class StateGeometry:
     lower: np.ndarray
     upper: np.ndarray
     classes: tuple = None
+
+    @cached_property
+    def states(self):
+        letters = self.letter_graph.states
+        picked = np.fromiter(letters, dtype=object, count=len(letters))
+        return tuple(map(tuple, picked[self.words].tolist()))
 
 
 def _letter_transition(system, letters):
@@ -260,8 +278,6 @@ def _build_geometry(system, letters, m):
     adj = letter_graph.dense
     levels = word_levels(adj, m)
     words, tails, blocks = levels[-1]
-    picked = np.fromiter(letters, dtype=object, count=len(letters))
-    states = tuple(map(tuple, picked[words].tolist()))
 
     # u -> w exactly when w = u[1:] + c with c allowed after u's last letter.
     # At depth >= 2 the words extending one (m-1)-word form a contiguous block
@@ -315,7 +331,7 @@ def _build_geometry(system, letters, m):
     # the matrices of every exponent share these arrays
     for arr in arrays:
         arr.flags.writeable = False
-    return StateGeometry(states, letter_graph, *arrays)
+    return StateGeometry(letter_graph, *arrays)
 
 
 class _GeometrySlot:
@@ -381,7 +397,7 @@ def build_weighted_matrix(system, potential, k, m=1):
         raise NoAdmissibleWords(f"no letters within horizon {k}")
     geom = _geometry(system, letters, m)
     s = potential.s
-    shape = (len(geom.states), len(geom.states))
+    shape = (len(geom.words), len(geom.words))
     # np.float_power rounds as x**s does (libm pow per element); np.power's
     # vector kernels can differ from it in the last ulp
     inf_mat = CsrWeights(
@@ -394,7 +410,6 @@ def build_weighted_matrix(system, potential, k, m=1):
             np.float_power(geom.upper, s), geom.indices, geom.indptr, shape
         )
     return WeightedMatrix(
-        states=geom.states,
         inf_weights=inf_mat,
         sup_weights=sup_mat,
         depth=m,
@@ -440,7 +455,9 @@ class _ClassPlan:
     """The s-independent Collatz-Wielandt data of one nontrivial state class.
 
     letters is the letter class whose m-words the class holds, and size
-    the number of those words.
+    the number of those words.  period is the gcd of the class's cycle
+    lengths, which are those of its letter class (see _letter_period);
+    _cw_bracket drops the shift of its power iteration only at period 1.
 
     positions picks the class's entries out of the geometry's nonzeros in
     the order the class matvec reads them (see _class_matvec); row/col are
@@ -469,20 +486,21 @@ class _ClassPlan:
     row: np.ndarray
     col: np.ndarray
     fan: int
+    period: int
     chains: object = None
     warm: list = field(default_factory=lambda: [None, None])
 
 
-def _class_plan(geom, letters, idx):
+def _class_plan(geom, letters, idx, period):
     """The _ClassPlan of the class whose state indices, ascending, are idx,
-    labelled by its letter class.
+    labelled by its letter class and with the given period.
 
     The geometry's rows list their columns in ascending order, and local
     indices keep that order, so taking the class's entries row by row gives
     the class matrix's CSR order; a class with the complete pattern is then
     reordered b-major, and any other class gets its chains.
     """
-    local = np.full(len(geom.states), -1)
+    local = np.full(len(geom.indptr) - 1, -1)
     local[idx] = np.arange(len(idx))
     starts = geom.indptr[idx]
     counts = geom.indptr[idx + 1] - starts
@@ -501,8 +519,9 @@ def _class_plan(geom, letters, idx):
             and np.array_equal(col, row % (n // fan) * fan + entry % fan)):
         # CSR entry i*fan + b moves to b*n + i
         order = entry.reshape(n, fan).T.ravel()
-        return _ClassPlan(letters, n, positions[order], row[order], col[order], fan)
-    return _ClassPlan(letters, n, positions, row, col, 0,
+        return _ClassPlan(letters, n, positions[order], row[order], col[order],
+                          fan, period)
+    return _ClassPlan(letters, n, positions, row, col, 0, period,
                       chainlib.hub_chains(n, row, col))
 
 
@@ -539,13 +558,21 @@ def _cw_bracket(plan, side, weights, s):
     """Certified spectral-radius bracket for one class matrix.
 
     weights holds one side's entries in the geometry's nonzero order.
-    Power iteration on I + B/theta (the shift keeps iterates strictly
-    positive and defeats periodicity).  Every iterate gives Collatz-
-    Wielandt bounds min_i (Mv)_i/v_i <= rho(M) <= max_i (Mv)_i/v_i -- the
-    lower via a nonnegative left Perron vector u (u(Mv) >= min_ratio * uv
-    and uv > 0 since v > 0), the upper likewise -- so the running
-    intersection over iterations stays certified for any positive start
-    and any positive conjugation.  A probe after one at a positive s_prev
+    Power iteration on M = B/theta, theta the largest scaled entry, when B
+    is primitive: the class has period 1 and every scaled entry is
+    positive at this s.  Any other class, such as one whose entries vanish
+    or underflow at this s and may leave it reducible or periodic there,
+    iterates on M = I + B/theta, which converges whatever the period.  Where
+    both converge the shift mostly costs steps: a subdominant eigenvalue
+    lambda contracts at |1 + lambda/theta| / (1 + rho/theta), not at
+    |lambda| / rho (0.36 against 0.149 per step on CF {1, 2, 3} at depth 3,
+    s = 0.5), though a nearly periodic class can favour the shift.  Every
+    iterate gives Collatz-Wielandt bounds min_i (Mv)_i/v_i <= rho(M) <=
+    max_i (Mv)_i/v_i -- the lower via a nonnegative left Perron vector u
+    (u(Mv) >= min_ratio * uv and uv > 0 since v > 0), the upper likewise
+    -- so the running intersection over iterations stays certified for any
+    positive start and any positive conjugation; the ends are its bounds,
+    less the shift, times theta.  A probe after one at a positive s_prev
     on the same side starts the scale search from (s / s_prev) times the
     old scales (the max-plus eigenvector of s*L is s times that of L) and
     the power iteration from the old iterate; otherwise it starts cold,
@@ -555,9 +582,9 @@ def _cw_bracket(plan, side, weights, s):
     vector, while every entry stays within its row sum, about rho, where
     the vector itself may span past float64.  That start reads no warm
     state; the stored scales and iterate only serve a probe where the
-    elimination fails.  The iteration stops once the bracket is CW_TOL
-    wide, or stalls after CW_MAX_ITER steps.  Returns (lo, hi, stalled,
-    iterations).
+    elimination fails.  The iteration stops once the bracket of
+    rho(B/theta) is CW_TOL wide, or stalls after CW_MAX_ITER steps.
+    Returns (lo, hi, stalled, iterations).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
@@ -584,17 +611,21 @@ def _cw_bracket(plan, side, weights, s):
         d = np.zeros(nstates)
         data = np.exp(logw)
     theta = float(data.max())
-    matvec = _class_matvec(plan, data / theta)
-    # w, the ratios and the next iterate are buffers, and the reductions
-    # skip ndarray.min/max's Python wrapper
-    w, ratios, nxt = np.empty(nstates), np.empty(nstates), np.empty(nstates)
+    scaled = data / theta
+    # the ratios and the next iterate are buffers, and the reductions skip
+    # ndarray.min/max's Python wrapper
+    ratios, nxt = np.empty(nstates), np.empty(nstates)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
+    shift = 1.0 if plan.period != 1 or not lowest(scaled) > 0.0 else 0.0
+    matvec = _class_matvec(plan, scaled)
     best_lo = 0.0
     best_hi = math.inf
     stalled = True
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        np.add(matvec(v), v, out=w)
+        w = matvec(v)
+        if shift:
+            np.add(w, v, out=w)
         np.divide(w, v, out=ratios)
         cur_lo = float(lowest(ratios))
         cur_hi = float(highest(ratios))
@@ -611,8 +642,8 @@ def _cw_bracket(plan, side, weights, s):
         np.maximum(nxt, 1e-300, out=nxt)
         v, nxt = nxt, v
     plan.warm[side] = (s, d, v)
-    lo = max(best_lo - 1.0, 0.0) * theta
-    hi = max(best_hi - 1.0, 0.0) * theta
+    lo = max(best_lo - shift, 0.0) * theta
+    hi = max(best_hi - shift, 0.0) * theta
     if lo > hi:
         lo = hi
     return lo, hi, stalled, iterations
@@ -640,16 +671,47 @@ def _cycling_classes(letter_graph, words):
     return out
 
 
+def _letter_period(letter_graph, letters):
+    """The period of a nontrivial letter class: the gcd of its cycle lengths.
+
+    Levels from one breadth-first search inside the class make
+    level(u) + 1 - level(v) zero on its tree edges, and the gcd of that
+    difference over all its edges is the gcd of its cycle lengths.  The
+    state class of all m-words over these letters has the same cycle
+    lengths, so the same period: a closed walk of m-word states spells a
+    closed letter walk as long, and each closed letter walk, repeated,
+    slides an m-letter window back to where it started.
+    """
+    index, succ = letter_graph.index, letter_graph.succ
+    inside = {index[e] for e in letters}
+    level = {index[letters[0]]: 0}
+    queue = list(level)
+    period = 0
+    for u in queue:
+        for v in succ[u]:
+            if v not in inside:
+                continue
+            if v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+            else:
+                period = math.gcd(period, level[u] + 1 - level[v])
+                if period == 1:
+                    return 1
+    return period
+
+
 def _state_classes(geom):
     """Nontrivial state classes of geom in dependency order, each as its
     _ClassPlan; computed on first use and kept on the geometry, so the
     plans and their warm starts live exactly as long as the geometry.  The
-    classes come from the k letters, not from a search over the states
-    (see _cycling_classes)."""
+    classes and their periods come from the k letters, not from a search
+    over the states (see _cycling_classes and _letter_period)."""
     if geom.classes is None:
+        graph = geom.letter_graph
         geom.classes = tuple(
-            _class_plan(geom, cls, idx)
-            for cls, idx in _cycling_classes(geom.letter_graph, geom.words)
+            _class_plan(geom, cls, idx, _letter_period(graph, cls))
+            for cls, idx in _cycling_classes(graph, geom.words)
         )
     return geom.classes
 

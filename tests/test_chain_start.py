@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 from gifsdim import chains, pressure
 from gifsdim.chains import HUB_MAX
 from gifsdim.pressure import _class_plan, _cw_bracket
+from periods import pattern_period
 
 SETTINGS = settings(max_examples=40, deadline=None)
 SLACK = 1e-12
@@ -81,7 +82,8 @@ def hub_and_chain(rng, hubs, extra, max_len, zero_frac):
 
 
 def class_plan(geom):
-    return _class_plan(geom, geom.states, np.arange(len(geom.states)))
+    return _class_plan(geom, geom.states, np.arange(len(geom.states)),
+                       pattern_period(geom.indptr, geom.indices))
 
 
 def bracket(plan, weights):

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gifsdim.pressure import _class_matvec, _class_plan, _ClassPlan
+from periods import pattern_period
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
@@ -49,11 +50,12 @@ def check(geom, plan, rng, zero_frac):
 
 
 def csr_plan(geom):
-    """The same class with its entries in CSR order, for the bincount form."""
+    """The same complete class, so of period 1, with its entries in CSR
+    order, for the bincount form."""
     n = len(geom.states)
     row = np.repeat(np.arange(n), np.diff(geom.indptr))
     col = geom.indices.astype(np.intp)
-    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0)
+    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0, 1)
 
 
 @SETTINGS
@@ -61,12 +63,13 @@ def csr_plan(geom):
        zero_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
 def test_complete_class_matvecs_match_scipy_bytes(letters, depth, zero_frac, seed):
     # all m-words over letters that may all follow each other: word
-    # a*R + r goes to r*|C| + b for every letter b
+    # a*R + r goes to r*|C| + b for every letter b, and the self-loops of
+    # the letters make the period 1
     n = letters**depth
     tails = n // letters
     geom = geometry([[i % tails * letters + b for b in range(letters)]
                      for i in range(n)])
-    plan = _class_plan(geom, geom.states, np.arange(n))
+    plan = _class_plan(geom, geom.states, np.arange(n), 1)
     assert plan.fan == letters
     rng = np.random.default_rng(seed)
     check(geom, plan, rng, zero_frac)
@@ -88,7 +91,8 @@ def test_chain_class_matvecs_match_scipy_bytes(n, branch, zero_frac, seed):
         rows.append(sorted(cols))
     rows[-1] = sorted(set(rows[-1]) | set(range(0, n, 4)))
     geom = geometry(rows)
-    plan = _class_plan(geom, geom.states, np.arange(n))
+    plan = _class_plan(geom, geom.states, np.arange(n),
+                       pattern_period(geom.indptr, geom.indices))
     assert plan.fan == 0
     check(geom, plan, rng, zero_frac)
 
@@ -98,7 +102,7 @@ def test_class_plan_keeps_only_in_class_entries():
     # feeds into it, so its row is not the class's and its column is dropped
     rows = [[0, 1, 4], [2, 3], [0, 1], [2, 3, 4], [0]]
     geom = geometry(rows)
-    plan = _class_plan(geom, (0, 1, 2, 3), np.arange(4))
+    plan = _class_plan(geom, (0, 1, 2, 3), np.arange(4), 1)
     assert plan.fan == 2
     rng = np.random.default_rng(7)
     data = random_weights(rng, len(geom.indices), 0.2)

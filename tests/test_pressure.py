@@ -60,6 +60,7 @@ from gifsdim.scenarios import (
 )
 from gifsdim.shapes import Ball
 from gifsdim.systems import GifsSystem, SeedSet, subsystem
+from periods import pattern_period
 
 
 def two_loop():
@@ -313,7 +314,9 @@ def reference_equilibrate_scales(nstates, row, col, logw):
 
 def reference_cw_bracket(mat):
     """Cold Collatz-Wielandt bracket of one sliced class matrix: zeros
-    dropped, scales from zero, rebuilt from COO, iterated from v = 1."""
+    dropped, scales from zero, rebuilt from COO, iterated from v = 1.  The
+    iteration runs on B/theta when the sliced pattern has period 1 and no
+    entry is 0 or underflows once scaled, and on I + B/theta otherwise."""
     nstates = mat.shape[0]
     coo = mat.tocoo()
     keep = coo.data > 0.0
@@ -326,11 +329,13 @@ def reference_cw_bracket(mat):
     if not np.isfinite(data).all():
         data = np.exp(logw)
     theta = float(data.max())
+    primitive = (keep.all() and (data / theta > 0.0).all()
+                 and pattern_period(mat.indptr, mat.indices) == 1)
     scaled = sp.csr_matrix((data / theta, (row, col)), shape=(nstates, nstates))
     v = np.ones(nstates)
     best_lo, best_hi, stalled = 0.0, math.inf, True
     for _ in range(CW_MAX_ITER):
-        w = scaled @ v + v
+        w = scaled @ v if primitive else scaled @ v + v
         ratios = w / v
         best_lo = max(best_lo, float(ratios.min()))
         best_hi = min(best_hi, float(ratios.max()))
@@ -338,8 +343,9 @@ def reference_cw_bracket(mat):
             stalled = False
             break
         v = np.maximum(w / w.max(), 1e-300)
-    lo = max(best_lo - 1.0, 0.0) * theta
-    hi = max(best_hi - 1.0, 0.0) * theta
+    shift = 0.0 if primitive else 1.0
+    lo = max(best_lo - shift, 0.0) * theta
+    hi = max(best_hi - shift, 0.0) * theta
     return min(lo, hi), hi, stalled
 
 
@@ -755,6 +761,75 @@ def test_scc_max_attribution_matches_subsystems_at_depth():
             for cls, lo, hi in est.components:
                 ref = pressure_spectral(subsystem(sys, edges=cls), pot, len(cls), m)
                 assert (lo, hi) == (ref.lower, ref.upper)
+
+
+def test_plan_periods_match_the_sliced_class_matrices():
+    # each plan's period, read off its letter class, against scipy's period
+    # of the class matrix sliced out of the state matrix.  The dag's cycles
+    # of 2 and 3 letters are periodic at every depth: they keep the shift,
+    # close, and hold the geometric mean of their ratios
+    cases = [(lambda: cf_system(letters=(1, 2)), 2, range(1, 6)),
+             (lambda: cf_system(gaussian_alphabet(2)), 64, (1, 2)),
+             (ladder_system, 64, (1, 2)),
+             (ladder_system, 512, (1,)),
+             (lambda: ladder_truncation(12), 12, (1, 2)),
+             (lambda: moran_system([1 / 3, 1 / 3]), 2, (1, 2, 3)),
+             (affine_demo, 3, (1, 2, 3)),
+             (lambda: perturbed_cf((1, 2), (1, 2, 3), epsilon=0.5), 3, (1, 2))]
+    cases += [(lambda seed=seed: dag_of_cycles(seed)[0], 64, (1, 2, 3))
+              for seed in range(5)]
+    periods = set()
+    for make, k, depths in cases:
+        for m in depths:
+            wm = build_weighted_matrix(make(), PotentialSpec(1.0), k, m)
+            geom = wm.geometry
+            sliced = as_csr(wm.inf_weights)
+            classes = _cycling_classes(geom.letter_graph, geom.words)
+            for plan, (_, idx) in zip(_state_classes(geom), classes, strict=True):
+                mat = sliced[idx][:, idx]
+                want = pattern_period(mat.indptr, mat.indices)
+                assert plan.period == want, (make, k, m, plan.letters)
+                periods.add(plan.period)
+    assert periods == {1, 2, 3}
+    periodic = 0
+    for seed in range(5):
+        sys, ratios, groups = dag_of_cycles(seed)
+        for m in (1, 2, 3):
+            pot = PotentialSpec(1.0)
+            est = pressure_spectral(sys, pot, 64, m)
+            plans = _state_classes(build_weighted_matrix(sys, pot, 64, m).geometry)
+            assert not est.stalled
+            for plan, (cls, lo, hi), grp in zip(plans, est.components, groups,
+                                                strict=True):
+                assert plan.period == len(grp)
+                periodic += plan.period > 1
+                log_mean = sum(math.log(ratios[e]) for e in grp) / len(grp)
+                assert lo - 1e-12 <= log_mean <= hi + 1e-12, (seed, m, cls)
+    assert periodic > 0
+
+
+def test_planted_constant_letters_run_shifted(monkeypatch):
+    # at eps = 0 the planted letters of perturbed_cf have derivative 0, so
+    # at s > 0 every entry out of a state that starts with one weighs 0:
+    # the class has period 1, yet runs shifted, bit for bit as the same
+    # class given period 2 runs.  Such a class is reducible at this s, and
+    # its iteration stalls; the budget is cut to 10 steps, too few for an
+    # unshifted run to reach the shifted run's bits by converging (at 200
+    # it can)
+    monkeypatch.setattr(pressure, "CW_MAX_ITER", 10)
+    sys = perturbed_cf((1, 2), (1, 2, 3), epsilon=0.0)
+    wm = build_weighted_matrix(sys, PotentialSpec(0.5), 3, 2)
+    geom = wm.geometry
+    ((letters, idx),) = _cycling_classes(geom.letter_graph, geom.words)
+    (plan,) = _state_classes(geom)
+    assert plan.period == 1
+    assert (wm.inf_weights.data[plan.positions] == 0.0).any()
+    shifted = pressure._class_plan(geom, letters, idx, 2)
+    for side, weights in enumerate((wm.inf_weights, wm.sup_weights)):
+        got = _cw_bracket(plan, side, weights.data, 0.5)
+        want = _cw_bracket(shifted, side, weights.data, 0.5)
+        assert [x.hex() for x in got[:2]] == [x.hex() for x in want[:2]]
+        assert got[2:] == want[2:]
 
 
 # ---------------------------------------------------------------------------
