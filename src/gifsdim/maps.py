@@ -236,16 +236,16 @@ def _moebius_disk(spec, cx, cy, r):
 
 def moebius_derivative_range(spec, cx, cy, r):
     """(lower, upper) of |T'| over the disks B((cx, cy), r), elementwise:
-    |e+z| ranges over [|e+c|-rho, |e+c|+rho].  np.hypot and np.float_power
-    round as abs(complex) and libm pow do, so arrays and the scalar wrapper
-    give the same bits."""
+    |e+z| ranges over [|e+c|-rho, |e+c|+rho].  np.hypot rounds as
+    abs(complex) does and np.square as x*x does, so arrays and the scalar
+    wrapper give the same bits."""
     ar, ai, rho = _moebius_disk(spec, cx, cy, r)
     dist = np.hypot(ar, ai)
     gap = dist - rho
     if (gap <= _POLE_MARGIN).any():
         raise DomainViolation(f"set reaches within {np.min(gap):.3g} of the pole")
     scale = spec.epsilon if isinstance(spec, PerturbedMoebiusCF) else 1.0
-    return scale / np.float_power(dist + rho, 2), scale / np.float_power(gap, 2)
+    return scale / np.square(dist + rho), scale / np.square(gap)
 
 
 def disk_image(spec, cx, cy, r):
@@ -255,7 +255,7 @@ def disk_image(spec, cx, cy, r):
     when 0 is outside the disk; affine maps round as apply() does."""
     if isinstance(spec, _MOEBIUS_KINDS):
         ar, ai, rho = _moebius_disk(spec, cx, cy, r)
-        mod2 = np.float_power(np.hypot(ar, ai), 2) - np.float_power(rho, 2)
+        mod2 = np.square(np.hypot(ar, ai)) - np.square(rho)
         if (mod2 <= _POLE_MARGIN).any():
             raise DomainViolation("pole inside or touching the set")
         return ar / mod2, -ai / mod2, rho / mod2

@@ -16,21 +16,22 @@ Two routes, each valid at every finite stage rather than only in the limit:
   converge whatever the period but mostly slows it (the cf-deep solve
   takes 427 iterations, against 915 with the shift everywhere).  The
   geometry and each component's Collatz-Wielandt data (class pattern,
-  entry positions, period) do not depend on s and are built once per
-  geometry; each exponent only reweights them, and within a solve the
-  iteration starts from the previous exponent's scales and iterate.  A
-  class of a few hubs joined by chains (the countable ladder's) starts
-  instead from its Perron vector, which eliminating the chains gives (see
-  chains.py): the ladder's 511-state class at k = 512 then closes in one
-  iteration, not about 530, and the bracket still comes only from the
-  iteration's ratios.  When every entry's range is a single value (affine
-  letters) the two matrices are one, and one iteration gives both sides.
-  The matrices are CsrWeights records of numpy arrays, and each class's
-  power iteration multiplies by numpy alone; every matvec sums each row
-  from 0.0 in ascending column order, one rounded product and one rounded
-  sum per entry, exactly as scipy's CSR matvec does, so the bracket of
-  each class without chains is bit-identical to the one a scipy matrix
-  gives under the same shift rule.
+  entry positions, period, logs of its ranges) do not depend on s and are
+  built once per geometry; each exponent only reweights them, in logs,
+  and within a solve the iteration starts from the previous exponent's
+  scales and iterate.  A class of a few hubs joined by chains (the
+  countable ladder's) starts instead from its Perron vector, which
+  eliminating the chains gives (see chains.py): the ladder's 511-state
+  class at k = 512 then closes in one iteration, not about 530, and the
+  bracket still comes only from the iteration's ratios.  When every
+  entry's range is a single value (affine letters) the two matrices are
+  one, and one iteration gives both sides.  Each class's power iteration
+  multiplies by numpy alone: a complete class of more than one block
+  over _STACK_FAN or more letters by one stacked np.matmul, whose sums
+  round as the BLAS kernel adds them; every other class sums each row
+  from 0.0 in ascending column order, as scipy's CSR matvec does, so
+  without chains it keeps the bits of a scipy matrix under the same shift
+  rule.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -62,6 +63,10 @@ __all__ = [
 
 CW_TOL = 1e-10
 CW_MAX_ITER = 100000
+# complete classes of more than one block over at least this many letters
+# multiply by one stacked np.matmul, any other by a multiply-reduce
+# (measured in _class_matvec)
+_STACK_FAN = 8
 # block length a* of the Fekete bound on edge-unit tails
 FEKETE_BLOCK = 32
 
@@ -156,22 +161,24 @@ class PressureEstimate:
 
 @dataclass(frozen=True, eq=False)
 class CsrWeights:
-    """One side's transition weights in compressed sparse row (CSR) form.
+    """One side's derivative ranges in compressed sparse row (CSR) form.
 
-    Row i holds the weights data[indptr[i]:indptr[i + 1]] in the columns
+    Row i holds the ranges ranges[indptr[i]:indptr[i + 1]] in the columns
     indices[indptr[i]:indptr[i + 1]], ascending; shape is (states, states).
-    indices and indptr are the geometry's arrays, shared by both sides and
-    every exponent.
+    The transition weights at exponent s are the ranges raised to s, which
+    pressure_spectral forms per class in logs (see _cw_bracket) and never
+    as one array.  All three arrays are the geometry's, shared by every
+    exponent.
     """
 
-    data: np.ndarray
+    ranges: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
     shape: tuple
 
     @property
     def nnz(self):
-        return len(self.data)
+        return len(self.indices)
 
 
 @dataclass(frozen=True)
@@ -183,10 +190,10 @@ class WeightedMatrix:
     depth 1).  The entry is the derivative range of u's first letter over
     the enclosure of w (all m maps applied), raised to s, so transition
     products sandwich true cylinder weights: inf products below, sup
-    products above.  inf_weights and sup_weights are CsrWeights records
-    over the geometry's pattern; the class matvecs of pressure_spectral
-    sum each row of them in ascending column order, as a scipy CSR matvec
-    does (see _class_matvec).  Everything but the power of s comes from
+    products above.  inf_weights and sup_weights are CsrWeights records of
+    the ranges over the geometry's pattern, not yet raised to s;
+    pressure_spectral reads the geometry's class plans instead, which
+    raise them in logs.  Everything but the power of s comes from
     geometry, which is s-independent and shared by every exponent a solve
     probes at this horizon and depth.  When the geometry holds one array
     for both sides, sup_weights is inf_weights.  states reads through to
@@ -217,10 +224,10 @@ class StateGeometry:
     hold, per nonzero in that order, the derivative range of the source
     state's first letter over the enclosure of the target state, and are
     one array when the two coincide elementwise.  classes caches, once
-    pressure_spectral has computed them, the nontrivial state-level
-    strongly connected classes as _ClassPlan objects: each class's letter
-    class, size and period, the positions of its entries among the
-    nonzeros and its local CSR pattern, plus the scales and iterate of the
+    pressure_spectral has computed them, the nontrivial state-level strongly
+    connected classes as _ClassPlan objects: each class's letter class, size
+    and period, the positions of its entries among the nonzeros, its local
+    pattern and the logs of its ranges, plus the scales and iterate of the
     last probe on each side, from which the next exponent's power iteration
     starts.  A geometry lives at most as long as the solve that built it
     (see _reuse_geometry), so no warm start outlives a solve.  A truncation
@@ -385,8 +392,8 @@ def build_weighted_matrix(system, potential, k, m=1):
 
     The geometry (states, CSR pattern, derivative ranges) does not depend on
     s.  Within one solve (bowen_dimension, lower_estimate, upper_estimate)
-    it is built once per horizon and depth, and later calls only raise each
-    range to potential.s; outside a solve every call builds it afresh.
+    it is built once per horizon and depth, and later calls only pair it
+    with potential.s; outside a solve every call builds it afresh.
     No letter within the horizon raises NoAdmissibleWords; letters with no
     m-letter word give matrices with no states.
     """
@@ -396,19 +403,12 @@ def build_weighted_matrix(system, potential, k, m=1):
     if not letters:
         raise NoAdmissibleWords(f"no letters within horizon {k}")
     geom = _geometry(system, letters, m)
-    s = potential.s
     shape = (len(geom.words), len(geom.words))
-    # np.float_power rounds as x**s does (libm pow per element); np.power's
-    # vector kernels can differ from it in the last ulp
-    inf_mat = CsrWeights(
-        np.float_power(geom.lower, s), geom.indices, geom.indptr, shape
-    )
+    inf_mat = CsrWeights(geom.lower, geom.indices, geom.indptr, shape)
     if geom.upper is geom.lower:
         sup_mat = inf_mat
     else:
-        sup_mat = CsrWeights(
-            np.float_power(geom.upper, s), geom.indices, geom.indptr, shape
-        )
+        sup_mat = CsrWeights(geom.upper, geom.indices, geom.indptr, shape)
     return WeightedMatrix(
         inf_weights=inf_mat,
         sup_weights=sup_mat,
@@ -428,14 +428,19 @@ def _equilibrate_scales(plan, logw, d):
     every Collatz-Wielandt certificate, so a partially converged estimate
     is still safe; quality only affects conditioning.  logw holds the
     class's log-weights in plan order.  A maximum is exact in any order,
-    so a plan stored b-major takes its row maxima with one reduction.
+    so a complete-pattern plan takes its row maxima with one reduction.
     """
     nstates = len(d)
+    fan = plan.fan
+    stacked = _stacked(fan, nstates)
     for _ in range(min(nstates, 512)):
         terms = logw + d[plan.col]
-        if plan.fan:
+        if stacked:
+            # entry (r*fan + a)*fan + b lies in row a*R + r
+            nxt = np.maximum.reduce(terms.reshape(-1, fan, fan), axis=2).T.ravel()
+        elif fan:
             # entry b*n + i lies in row i
-            nxt = np.maximum.reduce(terms.reshape(plan.fan, nstates), axis=0)
+            nxt = np.maximum.reduce(terms.reshape(fan, nstates), axis=0)
         else:
             nxt = np.full(nstates, -np.inf)
             np.maximum.at(nxt, plan.row, terms)
@@ -464,20 +469,23 @@ class _ClassPlan:
     their local coordinates (intp, which numpy's gathers, np.bincount and
     np.maximum.at take without a per-call conversion).  fan selects the
     matvec form.  It is |C| when the class has the pattern of all m-words
-    over a letter class C in which every letter may follow every other:
-    with R = n/|C|, row a*R + r (a letter a, an (m-1)-word r) then holds
-    exactly the columns r*|C| + b, b = 0..|C|-1, and the entries are stored
-    b-major, (b, a, r).  Any other class has fan 0 and its entries in CSR
-    order (rows, then ascending columns).  Either way each row's entries
-    are summed in ascending column order, as scipy's csr_matvec sums them.
-    Entries that vanish at some exponent stay in the pattern as explicit
-    zeros, which leave every positive row sum's bits unchanged.  chains
-    holds a fan-0 class's hubs and chains (chains.HubChains) when it has
-    at most chains.HUB_MAX hubs, and is None otherwise; _cw_bracket then
-    starts from the Perron vector that eliminating the chains gives.
-    Complete-pattern classes never take that route.  warm holds, per side
-    (0 inf, 1 sup), the exponent, scales and final iterate of the last
-    probe; side 1 stays unused while the two sides are one array.
+    over a letter class C in which every letter may follow every other: with
+    R = n/|C|, row a*R + r (a letter a, an (m-1)-word r) then holds exactly
+    the columns r*|C| + b, b = 0..|C|-1.  When _stacked(|C|, n), that is
+    with _STACK_FAN or more letters and R > 1, the entries are stored as R
+    dense |C| x |C| blocks, (r, a, b), block r mapping the states r*|C| + b
+    to the states a*R + r; otherwise b-major, (b, a, r).  Any other class
+    has fan 0 and its entries in CSR order (rows, then ascending columns).
+    logs holds, per side (0 inf, 1 sup), the logs of the class's ranges in
+    plan order, one array when the geometry's two are one.  Entries that
+    vanish at some exponent stay in the pattern as explicit zeros, which
+    leave every positive row sum's bits unchanged.  chains holds a fan-0
+    class's hubs and chains (chains.HubChains) when it has at most
+    chains.HUB_MAX hubs, and is None otherwise; _cw_bracket then starts
+    from the Perron vector that eliminating the chains gives.
+    Complete-pattern classes never take that route.  warm holds, per side,
+    the exponent, scales and final iterate of the last probe; side 1 stays
+    unused while the two sides are one array.
     """
 
     letters: tuple
@@ -487,6 +495,7 @@ class _ClassPlan:
     col: np.ndarray
     fan: int
     period: int
+    logs: tuple
     chains: object = None
     warm: list = field(default_factory=lambda: [None, None])
 
@@ -498,7 +507,8 @@ def _class_plan(geom, letters, idx, period):
     The geometry's rows list their columns in ascending order, and local
     indices keep that order, so taking the class's entries row by row gives
     the class matrix's CSR order; a class with the complete pattern is then
-    reordered b-major, and any other class gets its chains.
+    reordered b-major or into its blocks, and any other class gets its
+    chains.  The logs of the class's ranges are gathered in that order.
     """
     local = np.full(len(geom.indptr) - 1, -1)
     local[idx] = np.arange(len(idx))
@@ -517,34 +527,77 @@ def _class_plan(geom, letters, idx, period):
     if (len(col) == n * fan and n % fan == 0
             and np.array_equal(row, entry // fan)
             and np.array_equal(col, row % (n // fan) * fan + entry % fan)):
-        # CSR entry i*fan + b moves to b*n + i
-        order = entry.reshape(n, fan).T.ravel()
-        return _ClassPlan(letters, n, positions[order], row[order], col[order],
-                          fan, period)
-    return _ClassPlan(letters, n, positions, row, col, 0, period,
-                      chainlib.hub_chains(n, row, col))
+        if _stacked(fan, n):
+            # CSR entry (a*R + r)*fan + b moves to (r*fan + a)*fan + b
+            order = entry.reshape(fan, n // fan, fan).transpose(1, 0, 2).ravel()
+        else:
+            # CSR entry i*fan + b moves to b*n + i
+            order = entry.reshape(n, fan).T.ravel()
+        positions, row, col = positions[order], row[order], col[order]
+        chains = None
+    else:
+        fan = 0
+        chains = chainlib.hub_chains(n, row, col)
+    with np.errstate(divide="ignore"):
+        lower = np.log(geom.lower[positions])
+        upper = (lower if geom.upper is geom.lower
+                 else np.log(geom.upper[positions]))
+    return _ClassPlan(letters, n, positions, row, col, fan, period,
+                      (lower, upper), chains)
+
+
+def _stacked(fan, size):
+    """Whether a class of size states with this fan (see _ClassPlan) takes
+    the stacked np.matmul form of _class_matvec."""
+    return fan >= _STACK_FAN and size > fan
 
 
 def _class_matvec(plan, data):
     """v -> B v for the class matrix B whose entries, in plan order, are data.
 
-    Each row is summed from 0.0 over its entries in ascending column order,
-    one rounded multiply and one rounded add per entry, as scipy's
-    csr_matvec does, so both forms are bit-identical to it.  With fan =
-    |C|, data viewed as W[b, a, r] is the weight of a*R + r -> r*|C| + b;
-    it is multiplied by v[r*|C| + b], broadcast over a, and reduced over b,
-    the outermost axis, which numpy adds in sequence.  Any other class
-    scatters data * v[col] with np.bincount, which adds in entry order.
-    The returned function reuses its output array.
+    Classes with fan 0, and complete classes off the stacked form (fewer
+    than _STACK_FAN letters, or a single block), keep scipy's row order:
+    each row is summed from 0.0 over its entries in ascending column order,
+    one rounded multiply and one rounded add per entry, as csr_matvec does.
+    Off the stacked form, data of a class with fan = |C| viewed as W[b, a,
+    r] is the weight of a*R + r -> r*|C| + b; it is multiplied by v[r*|C| +
+    b], broadcast over a, and reduced over b, the outermost axis, which
+    numpy adds in sequence.  Fan 0 scatters data * v[col] with np.bincount,
+    which adds in entry order.  On the stacked form (see _stacked), data
+    viewed as W[r, a, b] holds R dense blocks, and one np.matmul of W by v
+    viewed as (R, |C|, 1) gives entry a*R + r at [r, a], summed as the BLAS
+    kernel sums.  The multiply-reduce writes and rereads a temporary as
+    large as data, so it is memory-bound on wide classes.  Stacked over
+    multiply-reduce time (single-threaded OpenBLAS, 2-core Intel Xeon,
+    medians of 41 interleaved rounds): 1.04 at 7 letters and depth 3; 0.71,
+    0.93, 0.98 at 8 letters and depths 2, 3, 4; 0.59 at 12 letters, depth
+    3; 0.19 at 36 letters, depth 2 (12.6 against 65.8 us); about 5 at 2
+    letters, depth 11.  A single block (depth 1) stays on the
+    multiply-reduce: its product would be one BLAS matrix-vector call, 1 to
+    5 us faster (2.8 against 3.6 us at 8 letters, 2.7 against 8.2 at 40),
+    but a process's first BLAS call touches about 0.15 MB of buffers, which
+    a run whose wide classes are all single blocks (CF truncation ladders,
+    at depth 1) then never needs.  The returned function reuses its output
+    array.
     """
     n, c = plan.size, plan.fan
     if not c:
         row, col = plan.row, plan.col
         return lambda v: np.bincount(row, weights=data * v[col], minlength=n)
     r = n // c
+    out = np.empty(n)
+    if _stacked(c, n):
+        blocks = data.reshape(r, c, c)
+        prod = np.empty((r, c, 1))
+
+        def matvec(v):
+            np.matmul(blocks, v.reshape(r, c, 1), out=prod)
+            np.copyto(out.reshape(c, r), prod.reshape(r, c).T)
+            return out
+
+        return matvec
     weights = data.reshape(c, c, r)
     terms = np.empty((c, c, r))
-    out = np.empty(n)
 
     def matvec(v):
         np.multiply(weights, v.reshape(r, c).T[:, None, :], out=terms)
@@ -554,42 +607,45 @@ def _class_matvec(plan, data):
     return matvec
 
 
-def _cw_bracket(plan, side, weights, s):
-    """Certified spectral-radius bracket for one class matrix.
+def _cw_bracket(plan, side, logs, s):
+    """Certified spectral-radius bracket for one class matrix at exponent s.
 
-    weights holds one side's entries in the geometry's nonzero order.
-    Power iteration on M = B/theta, theta the largest scaled entry, when B
-    is primitive: the class has period 1 and every scaled entry is
-    positive at this s.  Any other class, such as one whose entries vanish
-    or underflow at this s and may leave it reducible or periodic there,
-    iterates on M = I + B/theta, which converges whatever the period.  Where
-    both converge the shift mostly costs steps: a subdominant eigenvalue
-    lambda contracts at |1 + lambda/theta| / (1 + rho/theta), not at
-    |lambda| / rho (0.36 against 0.149 per step on CF {1, 2, 3} at depth 3,
-    s = 0.5), though a nearly periodic class can favour the shift.  Every
-    iterate gives Collatz-Wielandt bounds min_i (Mv)_i/v_i <= rho(M) <=
-    max_i (Mv)_i/v_i -- the lower via a nonnegative left Perron vector u
-    (u(Mv) >= min_ratio * uv and uv > 0 since v > 0), the upper likewise
-    -- so the running intersection over iterations stays certified for any
+    logs holds the logs of one side's ranges in plan order, and the
+    class's entries are exp(s * logs), each 1 at s = 0 even for a range of
+    0 (as 0.0**0.0 == 1, and with no 0 * -inf).  Power iteration on
+    M = B/theta, theta the largest scaled entry, when B is primitive: the
+    class has period 1 and every scaled entry is positive at this s.  Any
+    other class, such as one whose entries vanish or underflow at this s
+    and may leave it reducible or periodic there, iterates on M = I +
+    B/theta, which converges whatever the period.  Where both converge the
+    shift mostly costs steps: a subdominant eigenvalue lambda contracts at
+    |1 + lambda/theta| / (1 + rho/theta), not at |lambda| / rho (0.36
+    against 0.149 per step on CF {1, 2, 3} at depth 3, s = 0.5), though a
+    nearly periodic class can favour the shift.  Every iterate gives
+    Collatz-Wielandt bounds min_i (Mv)_i/v_i <= rho(M) <= max_i
+    (Mv)_i/v_i -- the lower via a nonnegative left Perron vector u (u(Mv)
+    >= min_ratio * uv and uv > 0 since v > 0), the upper likewise -- so
+    the running intersection over iterations stays certified for any
     positive start and any positive conjugation; the ends are its bounds,
-    less the shift, times theta.  A probe after one at a positive s_prev
-    on the same side starts the scale search from (s / s_prev) times the
-    old scales (the max-plus eigenvector of s*L is s times that of L) and
-    the power iteration from the old iterate; otherwise it starts cold,
-    from zero scales and v = 1.  A class with chains takes as its scales
-    the log Perron vector that eliminating them gives (chains.perron_log)
-    and starts from v = 1: the same iteration as one started from that
-    vector, while every entry stays within its row sum, about rho, where
-    the vector itself may span past float64.  That start reads no warm
-    state; the stored scales and iterate only serve a probe where the
-    elimination fails.  The iteration stops once the bracket of
-    rho(B/theta) is CW_TOL wide, or stalls after CW_MAX_ITER steps.
-    Returns (lo, hi, stalled, iterations).
+    less the shift, times theta.  The conjugation by exp(d) is applied in
+    logs, so an entry whose weight underflows float64 (the ladder's deep
+    spine at s = 4.5) keeps its size once scaled.  A probe after one at a
+    positive s_prev on the same side starts the scale search from (s /
+    s_prev) times the old scales (the max-plus eigenvector of s*L is s times
+    that of L) and the power iteration from the old iterate; otherwise it
+    starts cold, from zero scales and v = 1.  A class with chains takes as
+    its scales the log Perron vector that eliminating them gives
+    (chains.perron_log) and starts from v = 1: the same iteration as one
+    started from that vector, while every entry stays within its row sum,
+    about rho, where the vector itself may span past float64.  That start
+    reads no warm state; the stored scales and iterate only serve a probe
+    where the elimination fails.  The iteration stops once the bracket of
+    rho(B/theta) is CW_TOL wide, or stalls after CW_MAX_ITER steps.  Returns
+    (lo, hi, stalled, iterations).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights[plan.positions])
+    logw = s * logs if s else np.zeros(len(logs))
     if logw.max() == -np.inf:
         return 0.0, 0.0, False, 0
     warm = plan.warm[side]
@@ -606,12 +662,16 @@ def _cw_bracket(plan, side, weights, s):
     else:
         d = _equilibrate_scales(plan, logw, np.zeros(nstates))
         v = np.ones(nstates)
-    data = np.exp(logw + d[plan.col] - d[plan.row])
+    # the scaled entries exp(logw + d[col] - d[row]) / theta, formed in one
+    # buffer, in the order of that expression
+    data = logw + d[plan.col]
+    data -= d[plan.row]
+    np.exp(data, out=data)
     if not np.isfinite(data).all():
         d = np.zeros(nstates)
         data = np.exp(logw)
     theta = float(data.max())
-    scaled = data / theta
+    scaled = np.divide(data, theta, out=data)
     # the ratios and the next iterate are buffers, and the reductions skip
     # ndarray.min/max's Python wrapper
     ratios, nxt = np.empty(nstates), np.empty(nstates)
@@ -703,16 +763,16 @@ def _letter_period(letter_graph, letters):
 
 def _state_classes(geom):
     """Nontrivial state classes of geom in dependency order, each as its
-    _ClassPlan; computed on first use and kept on the geometry, so the
-    plans and their warm starts live exactly as long as the geometry.  The
-    classes and their periods come from the k letters, not from a search
-    over the states (see _cycling_classes and _letter_period)."""
+    _ClassPlan with the logs of its ranges; computed on first use and kept
+    on the geometry, so the plans and their warm starts live exactly as
+    long as the geometry.  The classes and their periods come from the k
+    letters, not from a search over the states (see _cycling_classes and
+    _letter_period)."""
     if geom.classes is None:
         graph = geom.letter_graph
         geom.classes = tuple(
             _class_plan(geom, cls, idx, _letter_period(graph, cls))
-            for cls, idx in _cycling_classes(graph, geom.words)
-        )
+            for cls, idx in _cycling_classes(graph, geom.words))
     return geom.classes
 
 
@@ -742,12 +802,12 @@ def pressure_spectral(system, potential, k, m=1):
     comps = []
     stalled = False
     s = potential.s
-    shared = wm.sup_weights is wm.inf_weights
     for plan in _state_classes(wm.geometry):
-        lo_inf, hi_sup, st_a, _ = _cw_bracket(plan, 0, wm.inf_weights.data, s)
+        inf_logs, sup_logs = plan.logs
+        lo_inf, hi_sup, st_a, _ = _cw_bracket(plan, 0, inf_logs, s)
         st_b = False
-        if not shared:
-            _, hi_sup, st_b, _ = _cw_bracket(plan, 1, wm.sup_weights.data, s)
+        if sup_logs is not inf_logs:
+            _, hi_sup, st_b, _ = _cw_bracket(plan, 1, sup_logs, s)
         c_lower = _safe_log(lo_inf)
         c_upper = _safe_log(hi_sup)
         comps.append((plan.letters, c_lower, c_upper))

@@ -39,8 +39,9 @@ SLACK = 1e-12
 def weighted_class(rng, rows, zero=()):
     """(geometry, weights, rho) of the class whose state i has the
     successors rows[i], ascending: a stand-in StateGeometry holding its CSR
-    pattern, its weights in nonzero order, and its spectral radius.  The
-    entries listed in zero weigh 0; every row keeps a positive one."""
+    pattern, with the weights as the ranges of both sides; its weights in
+    nonzero order; and its spectral radius.  The entries listed in zero
+    weigh 0; every row keeps a positive one."""
     n = len(rows)
     indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows])))
     indices = np.array([j for r in rows for j in r])
@@ -53,7 +54,7 @@ def weighted_class(rng, rows, zero=()):
     with np.errstate(divide="ignore"):
         weights = np.exp(np.log(rho * share) + delta[row] - delta[indices])
     geom = SimpleNamespace(states=tuple(range(n)), indices=indices.astype(np.int32),
-                           indptr=indptr.astype(np.int32))
+                           indptr=indptr.astype(np.int32), lower=weights, upper=weights)
     return geom, weights, rho
 
 
@@ -87,9 +88,11 @@ def class_plan(geom):
 
 
 def bracket(plan, weights):
+    """The class's bracket at s = 1 from the logs of its weights."""
     assert plan.fan == 0 and plan.chains is not None
     assert 1 <= len(plan.chains.hubs) <= HUB_MAX
-    return _cw_bracket(plan, 0, weights, 1.0)
+    with np.errstate(divide="ignore"):
+        return _cw_bracket(plan, 0, np.log(weights[plan.positions]), 1.0)
 
 
 def drawn_class(hubs, extra, max_len, zero_frac, seed):
@@ -143,12 +146,12 @@ def test_a_vanished_cycle_entry_gives_no_start_and_no_warning(zero_at, monkeypat
     # vector: the elimination gives none, without a floating-point
     # warning, and the iteration from v = 1 still holds rho = 0
     length = 8
+    weights = np.exp(np.random.default_rng(zero_at).uniform(-300.0, 300.0, length))
+    weights[zero_at] = 0.0
     geom = SimpleNamespace(
         states=tuple(range(length)),
         indices=np.array([(i + 1) % length for i in range(length)], dtype=np.int32),
-        indptr=np.arange(length + 1, dtype=np.int32))
-    weights = np.exp(np.random.default_rng(zero_at).uniform(-300.0, 300.0, length))
-    weights[zero_at] = 0.0
+        indptr=np.arange(length + 1, dtype=np.int32), lower=weights, upper=weights)
     plan = class_plan(geom)
     with np.errstate(divide="ignore"):
         ldata = np.log(weights[plan.positions])

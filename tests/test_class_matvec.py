@@ -1,10 +1,13 @@
-"""The Collatz-Wielandt class matvecs against scipy's CSR matvec, by bytes.
+"""The Collatz-Wielandt class matvecs against scipy, by bytes.
 
-Both numpy forms in pressure._class_matvec promise to add each row's terms
-from 0.0 in ascending column order, as scipy's csr_matvec does.  The
+Both narrow numpy forms in pressure._class_matvec promise to add each row's
+terms from 0.0 in ascending column order, as scipy's csr_matvec does.  The
 weights span many binary orders of magnitude, so a sum taken in any other
 order (numpy's pairwise summation, a reversed or blocked loop) changes
-low bits and fails here.
+low bits and fails here.  A complete class of more than one block over
+pressure._STACK_FAN or more letters takes the stacked np.matmul form
+instead, and must give the bytes of the same np.matmul over the dense
+blocks that scipy slices out of its matrix.
 """
 
 from types import SimpleNamespace
@@ -14,19 +17,22 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gifsdim.pressure import _class_matvec, _class_plan, _ClassPlan
+from gifsdim.pressure import _STACK_FAN, _class_matvec, _class_plan, _ClassPlan, _stacked
 from periods import pattern_period
+from stacked import stacked_matvec
 
 SETTINGS = settings(max_examples=60, deadline=None)
 
 
 def geometry(cols_per_row):
-    """A stand-in for StateGeometry: just the CSR pattern _class_plan reads."""
+    """A stand-in for StateGeometry: just what _class_plan reads, the CSR
+    pattern and one array of unit ranges for both sides."""
     counts = [len(c) for c in cols_per_row]
     indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
     indices = np.array([j for c in cols_per_row for j in c], dtype=np.int32)
+    ranges = np.ones(len(indices))
     return SimpleNamespace(states=tuple(range(len(counts))), indices=indices,
-                           indptr=indptr)
+                           indptr=indptr, lower=ranges, upper=ranges)
 
 
 def random_weights(rng, nnz, zero_frac):
@@ -40,13 +46,16 @@ def check(geom, plan, rng, zero_frac):
     n = len(geom.states)
     data = random_weights(rng, len(geom.indices), zero_frac)
     v = np.maximum(rng.random(n) * np.exp2(-rng.integers(0, 40, n)), 1e-300)
-    want = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(n, n)) @ v
-    got = _class_matvec(plan, data[plan.positions])(v)
+    mat = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(n, n))
+    # the stacked form is checked on a class that is the whole geometry
+    want_of = stacked_matvec(mat, plan.fan) if _stacked(plan.fan, n) else mat.dot
+    want = want_of(v)
+    matvec = _class_matvec(plan, data[plan.positions])
+    got = matvec(v)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     # a second call reuses the output array and must not depend on the first
     v2 = v[::-1].copy()
-    want2 = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(n, n)) @ v2
-    assert _class_matvec(plan, data[plan.positions])(v2).tobytes() == want2.tobytes()
+    assert matvec(v2).tobytes() == want_of(v2).tobytes()
 
 
 def csr_plan(geom):
@@ -55,25 +64,57 @@ def csr_plan(geom):
     n = len(geom.states)
     row = np.repeat(np.arange(n), np.diff(geom.indptr))
     col = geom.indices.astype(np.intp)
-    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0, 1)
+    logs = np.zeros(len(col))
+    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0, 1, (logs, logs))
+
+
+def complete_geometry(letters, depth):
+    """All depth-words over letters that may all follow each other: word
+    a*R + r goes to r*|C| + b for every letter b, and the self-loops of the
+    letters make the period 1."""
+    n = letters**depth
+    tails = n // letters
+    return geometry([[i % tails * letters + b for b in range(letters)]
+                     for i in range(n)])
 
 
 @SETTINGS
 @given(letters=st.integers(2, 8), depth=st.integers(1, 4),
        zero_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
 def test_complete_class_matvecs_match_scipy_bytes(letters, depth, zero_frac, seed):
-    # all m-words over letters that may all follow each other: word
-    # a*R + r goes to r*|C| + b for every letter b, and the self-loops of
-    # the letters make the period 1
+    geom = complete_geometry(letters, depth)
     n = letters**depth
-    tails = n // letters
-    geom = geometry([[i % tails * letters + b for b in range(letters)]
-                     for i in range(n)])
     plan = _class_plan(geom, geom.states, np.arange(n), 1)
     assert plan.fan == letters
     rng = np.random.default_rng(seed)
     check(geom, plan, rng, zero_frac)
     check(geom, csr_plan(geom), rng, zero_frac)
+
+
+@SETTINGS
+@given(letters=st.integers(_STACK_FAN, 16), depth=st.integers(1, 2),
+       zero_frac=st.sampled_from([0.0, 0.1, 0.5]), seed=st.integers(0, 2**32 - 1))
+def test_wide_complete_classes_are_stored_as_blocks(letters, depth, zero_frac, seed):
+    # with more than one block, entry [r, a, b] of the plan is the CSR entry
+    # (a*R + r)*|C| + b, so the blocks need no transposed copy, and the
+    # matvec is the stacked product of the blocks that scipy slices; a
+    # single block (depth 1) keeps the b-major multiply-reduce
+    geom = complete_geometry(letters, depth)
+    n = letters**depth
+    tails = n // letters
+    plan = _class_plan(geom, geom.states, np.arange(n), 1)
+    assert plan.fan == letters
+    if depth == 1:
+        b, a = np.indices((letters, letters)).reshape(2, -1)
+        assert not _stacked(plan.fan, plan.size)
+        assert np.array_equal(plan.positions, a * letters + b)
+    else:
+        r, a, b = np.indices((tails, letters, letters)).reshape(3, -1)
+        assert _stacked(plan.fan, plan.size)
+        assert np.array_equal(plan.positions, (a * tails + r) * letters + b)
+        assert np.array_equal(plan.row, a * tails + r)
+        assert np.array_equal(plan.col, r * letters + b)
+    check(geom, plan, np.random.default_rng(seed), zero_frac)
 
 
 @SETTINGS

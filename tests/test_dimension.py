@@ -20,8 +20,12 @@ import gc
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -216,34 +220,83 @@ def test_solve_brackets_are_pinned_bitwise():
     # cantor and CF {1, 2}, the [two-loop floor, golden ceiling] for the
     # ladder.  The chain elimination then moved the ladder's inside its
     # earlier pin (within), and the unshifted power iteration on primitive
-    # classes moved CF {1, 2}'s and the ladder's off their mean-value pins
+    # classes moved CF {1, 2}'s and the ladder's off their mean-value pins,
+    # to the pins last in their olds.  Reweighting in the log domain,
+    # exp(s * log w) for w**s, then moved CF {1, 2}'s lower end down by
+    # 1 ulp and the ladder's by 3.9e-12: where the Collatz-Wielandt
+    # iteration stops inside CW_TOL moves a probe's pressure bounds by a
+    # few 1e-12 either way, and the root step carries that into s.  Those
+    # two brackets may be wider than an earlier pin by at most slack = 1e-9
+    # of its width (they are wider than the pins they replace by 5.5e-11
+    # and 6.3e-11 of it); cantor's did not move and may not widen at all
     pinned = (
         (moran_system([1 / 3, 1 / 3]), 1e-7,
          ("0x1.4309398353537p-1", "0x1.4309398353543p-1"),
-         (("0x1.4309380000000p-1", "0x1.43093a0000000p-1"),), (CANTOR, CANTOR), None),
+         (("0x1.4309380000000p-1", "0x1.43093a0000000p-1"),), (CANTOR, CANTOR), None,
+         0.0),
         (cf_system(letters=(1, 2)), 1e-5,
-         ("0x1.1003ea34a1c14p-1", "0x1.10042d74188c3p-1"),
+         ("0x1.1003ea34a1c13p-1", "0x1.10042d74188c3p-1"),
          (("0x1.1003ea34a274dp-1", "0x1.10042d7434200p-1"),
-          ("0x1.1003400000000p-1", "0x1.10040c0000000p-1")),
-         (CF_DIGITS_12, CF_DIGITS_12), None),
+          ("0x1.1003400000000p-1", "0x1.10040c0000000p-1"),
+          ("0x1.1003ea34a1c14p-1", "0x1.10042d74188c3p-1")),
+         (CF_DIGITS_12, CF_DIGITS_12), None, 1e-9),
         (ladder_system(), 1e-3,
-         ("0x1.4382fb19469f6p-1", "0x1.63847f395667cp-1"),
+         ("0x1.4382fb193df79p-1", "0x1.63847f395667cp-1"),
          (("0x1.4382fb1943bcap-1", "0x1.63847f395667cp-1"),
-          ("0x1.4380000000000p-1", "0x1.63a4000000000p-1")), (TWO_LOOP, GOLDEN),
-         ("0x1.4382fb18d8df4p-1", "0x1.63847f39566d1p-1")),
+          ("0x1.4380000000000p-1", "0x1.63a4000000000p-1"),
+          ("0x1.4382fb19469f6p-1", "0x1.63847f395667cp-1")), (TWO_LOOP, GOLDEN),
+         ("0x1.4382fb18d8df4p-1", "0x1.63847f39566d1p-1"), 1e-9),
     )
-    for sysm, s_tol, new, olds, (floor, ceiling), within in pinned:
+    for sysm, s_tol, new, olds, (floor, ceiling), within, slack in pinned:
         res = bowen_dimension(sysm, s_tol=s_tol)
         assert (res.s_lower.hex(), res.s_upper.hex()) == new, sysm.name
         lo, hi = map(float.fromhex, new)
         for old in olds:
             old_lo, old_hi = map(float.fromhex, old)
             assert lo <= old_hi and old_lo <= hi, sysm.name
-            assert hi - lo <= old_hi - old_lo, sysm.name
+            assert hi - lo <= (old_hi - old_lo) * (1.0 + slack), sysm.name
         assert lo <= ceiling and floor <= hi, sysm.name
         if within is not None:
             in_lo, in_hi = map(float.fromhex, within)
             assert in_lo <= lo and hi <= in_hi, sysm.name
+
+
+def test_solve_raises_no_weight_to_a_power(monkeypatch):
+    # the spectral layer reweights each class as exp(s * log w) from logs
+    # taken once per geometry, and the disk maths squares with np.square,
+    # so no libm pow runs on a solve's path
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.float_power called during a solve")
+
+    monkeypatch.setattr(np, "float_power", refuse)
+    res = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5)
+    assert contains(res, CF_DIGITS_12)
+
+
+BLAS_PROGRAM = """
+from gifsdim import bowen_dimension
+from gifsdim.scenarios import cf_system, gaussian_alphabet
+
+res = bowen_dimension(cf_system(gaussian_alphabet(2)))
+print(res.s_lower.hex(), res.s_upper.hex(), res.depth)
+"""
+
+
+def test_stacked_classes_give_the_same_bits_on_one_and_two_blas_threads():
+    # the 10-letter complete classes of gaussian_alphabet(2) multiply by
+    # np.matmul, so their sums round as the BLAS kernel adds them; the
+    # bracket must not depend on how many threads that kernel may use
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROGRAM], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out.append(proc.stdout)
+    assert out[0] == out[1]
+    lower, upper, depth = out[0].split()
+    assert float.fromhex(lower) < float.fromhex(upper) and int(depth) > 1
 
 
 def test_cf_pair_refines_only_until_the_enclosure_fits():

@@ -17,6 +17,7 @@ import itertools
 import math
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -61,6 +62,7 @@ from gifsdim.scenarios import (
 from gifsdim.shapes import Ball
 from gifsdim.systems import GifsSystem, SeedSet, subsystem
 from periods import pattern_period
+from stacked import stacked_matvec
 
 
 def two_loop():
@@ -162,11 +164,9 @@ def test_spectral_stall_flag_and_strictness(monkeypatch):
     assert est.lower - 1e-12 <= math.log(rho) <= est.upper + 1e-12
 
 
-def _same_bits(a, b):
-    return all(
-        x.dtype == y.dtype and x.tobytes() == y.tobytes()
-        for x, y in zip((a.data, a.indices, a.indptr), (b.data, b.indices, b.indptr))
-    )
+def _same_bits(xs, ys):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in zip(xs, ys, strict=True))
 
 
 def test_reweighting_matches_a_fresh_build_bitwise():
@@ -180,12 +180,18 @@ def test_reweighting_matches_a_fresh_build_bitwise():
         assert second.geometry is first.geometry is zero.geometry
         assert other.geometry is not first.geometry
         fresh = build_weighted_matrix(make(), PotentialSpec(0.7), k, m)
-        assert _same_bits(second.inf_weights, fresh.inf_weights)
-        assert _same_bits(second.sup_weights, fresh.sup_weights)
+        for side in ("inf_weights", "sup_weights"):
+            a, b = getattr(second, side), getattr(fresh, side)
+            assert _same_bits((a.ranges, a.indices, a.indptr),
+                              (b.ranges, b.indices, b.indptr))
+            assert getattr(zero, side).ranges is a.ranges
+            assert getattr(zero, side).nnz == b.nnz
         assert second.states == fresh.states
-        for mat in (zero.inf_weights, zero.sup_weights):
-            assert (mat.data == 1.0).all()
-            assert mat.nnz == fresh.sup_weights.nnz
+        # the log-weights each exponent is reweighted from, taken once per
+        # geometry, are those of a fresh build too
+        for got, want in zip(_state_classes(second.geometry),
+                             _state_classes(fresh.geometry), strict=True):
+            assert _same_bits((got.positions, *got.logs), (want.positions, *want.logs))
 
 
 def reference_geometry(system, k, m):
@@ -269,9 +275,10 @@ def test_geometry_entries_count_the_next_depths_words():
 
 
 def test_float_power_rounds_as_libm_pow():
-    # the reweight raises every derivative range with np.float_power and the
-    # disk maths takes |z| with np.hypot; a host where either rounds unlike
-    # x ** s or abs(complex) would move brackets by ulps
+    # as_csr raises the derivative ranges to s with np.float_power for the
+    # dense checks, and the disk maths takes |z| with np.hypot; a host where
+    # either rounds unlike x ** s or abs(complex) would move those weights
+    # or the brackets by ulps
     rng = np.random.default_rng(20261018)
     x = 1.0 - rng.random(50000)
     for s in (0, 0.3, 0.531, 1, 1.25, 2, 3):
@@ -312,16 +319,30 @@ def reference_equilibrate_scales(nstates, row, col, logw):
     return d
 
 
-def reference_cw_bracket(mat):
-    """Cold Collatz-Wielandt bracket of one sliced class matrix: zeros
+def complete_fan(indptr, indices):
+    """|C| when the CSR pattern is that of all m-words over |C| letters that
+    may all follow each other (row a*R + r holds the columns r*|C| + b), and
+    0 otherwise."""
+    n = len(indptr) - 1
+    fan = len(indices) // n
+    if len(indices) != n * fan or n % fan:
+        return 0
+    want = (np.arange(n) % (n // fan) * fan)[:, None] + np.arange(fan)
+    return fan if np.array_equal(indices, want.ravel()) else 0
+
+
+def reference_cw_bracket(cls, logw):
+    """Cold Collatz-Wielandt bracket of one sliced class from its
+    log-weights logw, in the order of cls's entries: vanished entries
     dropped, scales from zero, rebuilt from COO, iterated from v = 1.  The
     iteration runs on B/theta when the sliced pattern has period 1 and no
-    entry is 0 or underflows once scaled, and on I + B/theta otherwise."""
-    nstates = mat.shape[0]
-    coo = mat.tocoo()
-    keep = coo.data > 0.0
-    row, col = coo.row[keep], coo.col[keep]
-    logw = np.log(coo.data[keep])
+    entry is 0 or underflows once scaled, and on I + B/theta otherwise.  A
+    complete class of more than one block over pressure._STACK_FAN or more
+    letters multiplies by its stacked blocks, any other by scipy's CSR
+    matvec."""
+    nstates, row, col, indptr, indices = cls
+    keep = logw > -np.inf
+    row, col, logw = row[keep], col[keep], logw[keep]
     if logw.size == 0:
         return 0.0, 0.0, False
     d = reference_equilibrate_scales(nstates, row, col, logw)
@@ -330,12 +351,15 @@ def reference_cw_bracket(mat):
         data = np.exp(logw)
     theta = float(data.max())
     primitive = (keep.all() and (data / theta > 0.0).all()
-                 and pattern_period(mat.indptr, mat.indices) == 1)
+                 and pattern_period(indptr, indices) == 1)
     scaled = sp.csr_matrix((data / theta, (row, col)), shape=(nstates, nstates))
+    fan = complete_fan(indptr, indices)
+    stacked = fan >= pressure._STACK_FAN and nstates > fan
+    matvec = stacked_matvec(scaled, fan) if stacked else scaled.dot
     v = np.ones(nstates)
     best_lo, best_hi, stalled = 0.0, math.inf, True
     for _ in range(CW_MAX_ITER):
-        w = scaled @ v if primitive else scaled @ v + v
+        w = matvec(v) if primitive else matvec(v) + v
         ratios = w / v
         best_lo = max(best_lo, float(ratios.min()))
         best_hi = min(best_hi, float(ratios.max()))
@@ -349,39 +373,51 @@ def reference_cw_bracket(mat):
     return min(lo, hi), hi, stalled
 
 
-def as_csr(weights):
-    """The scipy CSR matrix of a CsrWeights record."""
-    return sp.csr_matrix((weights.data, weights.indices, weights.indptr),
-                         shape=weights.shape)
+def as_csr(weights, s):
+    """The scipy CSR matrix of a CsrWeights record's ranges raised to s,
+    each as x**s rounds."""
+    return sp.csr_matrix((np.float_power(weights.ranges, s), weights.indices,
+                          weights.indptr), shape=weights.shape)
 
 
-def dense_log_radius(mat):
-    """log rho of a sliced class matrix from numpy's dense eigenvalues,
-    after conjugating it by max-plus scales so that LAPACK sees entries
-    of one size; the conjugation rounds each entry by 1 ulp, which moves
-    rho by as little."""
-    coo = mat.tocoo()
-    keep = coo.data > 0.0
-    row, col = coo.row[keep], coo.col[keep]
+def dense_log_radius(nstates, row, col, logw):
+    """log rho of a class with log-weights logw on the entries row -> col
+    from numpy's dense eigenvalues, after conjugating it by max-plus scales
+    so that LAPACK sees entries of one size; the conjugation rounds each
+    entry by 1 ulp, which moves rho by as little."""
+    keep = logw > -np.inf
+    row, col, logw = row[keep], col[keep], logw[keep]
     if not keep.any():
         return -math.inf
-    logw = np.log(coo.data[keep])
-    d = reference_equilibrate_scales(mat.shape[0], row, col, logw)
-    dense = np.zeros(mat.shape)
+    d = reference_equilibrate_scales(nstates, row, col, logw)
+    dense = np.zeros((nstates, nstates))
     dense[row, col] = np.exp(logw + d[col] - d[row] - logw.max())
     return math.log(np.abs(np.linalg.eigvals(dense)).max()) + logw.max()
 
 
+def log_weights(ranges, s):
+    """The log-weights s * log(range) the spectral layer forms, 0 at s = 0."""
+    if not s:
+        return np.zeros(len(ranges))
+    with np.errstate(divide="ignore"):
+        return s * np.log(ranges)
+
+
 def reference_spectral(system, potential, k, m):
     """The route the per-class plans replaced: a state-level search for the
-    classes, then every class sliced out of the full weight matrices at each
-    exponent and bracketed cold, with scipy's slicing and matvec.  Each
-    class is named by the letters its states start with, in enumeration
-    order, and also carries its sliced inf and sup matrices."""
-    wm = build_weighted_matrix(system, potential, k, m)
-    inf_mat, sup_mat = as_csr(wm.inf_weights), as_csr(wm.sup_weights)
-    ptr, cols = wm.inf_weights.indptr.tolist(), wm.inf_weights.indices.tolist()
-    tr = FiniteTransition(wm.states, [cols[i:j] for i, j in zip(ptr, ptr[1:])])
+    classes, then every class sliced out of the full pattern at each
+    exponent and bracketed cold, with scipy's slicing and matvec.  A matrix
+    of entry numbers, sliced as the weights were, tells which of the
+    geometry's ranges each class entry holds, and the log-weights are
+    formed from those as the spectral layer forms them.  Each class is
+    named by the letters its states start with, in enumeration order, and
+    also carries, per side, its size, entries and log-weights."""
+    geom = build_weighted_matrix(system, potential, k, m).geometry
+    nnz, nstates = len(geom.indices), len(geom.words)
+    numbers = sp.csr_matrix((np.arange(1.0, nnz + 1.0), geom.indices, geom.indptr),
+                            shape=(nstates, nstates))
+    ptr, cols = geom.indptr.tolist(), geom.indices.tolist()
+    tr = FiniteTransition(geom.states, [cols[i:j] for i, j in zip(ptr, ptr[1:])])
     dec = strongly_connected_components(tr)
     position = {e: i for i, e in enumerate(system.letters(k))}
     lower = upper = -math.inf
@@ -391,13 +427,19 @@ def reference_spectral(system, potential, k, m):
         if trivial:
             continue
         idx = np.array([tr.index[st] for st in cls], dtype=int)
-        lo, _, st_a = reference_cw_bracket(inf_mat[idx][:, idx])
-        _, hi, st_b = reference_cw_bracket(sup_mat[idx][:, idx])
+        sliced = numbers[idx][:, idx]
+        coo = sliced.tocoo()
+        entries = coo.data.astype(np.intp) - 1
+        pattern = (len(idx), coo.row, coo.col, sliced.indptr, sliced.indices)
+        logs = [log_weights(ranges[entries], potential.s)
+                for ranges in (geom.lower, geom.upper)]
+        lo, _, st_a = reference_cw_bracket(pattern, logs[0])
+        _, hi, st_b = reference_cw_bracket(pattern, logs[1])
         c_lower = math.log(lo) if lo > 0.0 else -math.inf
         c_upper = math.log(hi) if hi > 0.0 else -math.inf
         first = tuple(sorted({state[0] for state in cls}, key=position.__getitem__))
         comps.append((first, c_lower, c_upper,
-                      (inf_mat[idx][:, idx], sup_mat[idx][:, idx])))
+                      [(len(idx), coo.row, coo.col, logw) for logw in logs]))
         stalled = stalled or st_a or st_b
         upper = max(upper, c_upper)
         lower = max(lower, c_lower)
@@ -464,9 +506,9 @@ def test_chain_start_meets_slicing_reference_and_dense_radius():
             routes += 1
             assert max(lo, rlo) <= min(hi, rhi), where
             assert hi - lo <= rhi - rlo, where
-            dense = [dense_log_radius(mats[0])]
-            same = (mats[0] != mats[1]).nnz == 0
-            dense.append(dense[0] if same else dense_log_radius(mats[1]))
+            dense = [dense_log_radius(*mats[0])]
+            same = np.array_equal(mats[0][3], mats[1][3])
+            dense.append(dense[0] if same else dense_log_radius(*mats[1]))
             assert lo - 1e-12 <= dense[0] and dense[1] <= hi + 1e-12, (where, dense)
         assert est.lower == max(lo for _, lo, _ in est.components), where
         assert est.upper == max(hi for _, _, hi in est.components), where
@@ -517,8 +559,8 @@ def two_side_spectral(system, potential, k, m):
     position = {e: i for i, e in enumerate(system.letters(k))}
     comps = []
     for plan in _state_classes(wm.geometry):
-        lo, _, st_a, _ = _cw_bracket(plan, 0, wm.inf_weights.data, potential.s)
-        _, hi, st_b, _ = _cw_bracket(plan, 1, wm.sup_weights.data, potential.s)
+        lo, _, st_a, _ = _cw_bracket(plan, 0, plan.logs[0], potential.s)
+        _, hi, st_b, _ = _cw_bracket(plan, 1, plan.logs[1], potential.s)
         # the geometry rows that hold the class's entries are its states
         rows = np.searchsorted(wm.geometry.indptr, plan.positions, side="right") - 1
         first = tuple(sorted({wm.states[i][0] for i in rows.tolist()},
@@ -612,8 +654,8 @@ def test_weighted_matrix_interval_order():
     cf = cf_system(letters=(1, 2))
     wm = build_weighted_matrix(cf, PotentialSpec(1.0), 2, 2)
     assert len(wm.states) == 4
-    inf_d = as_csr(wm.inf_weights).toarray()
-    sup_d = as_csr(wm.sup_weights).toarray()
+    inf_d = as_csr(wm.inf_weights, 1.0).toarray()
+    sup_d = as_csr(wm.sup_weights, 1.0).toarray()
     # each state (a, b) chains to exactly the two states (b, *)
     mask = sup_d > 0
     assert mask.sum() == 8
@@ -783,7 +825,7 @@ def test_plan_periods_match_the_sliced_class_matrices():
         for m in depths:
             wm = build_weighted_matrix(make(), PotentialSpec(1.0), k, m)
             geom = wm.geometry
-            sliced = as_csr(wm.inf_weights)
+            sliced = as_csr(wm.inf_weights, 1.0)
             classes = _cycling_classes(geom.letter_graph, geom.words)
             for plan, (_, idx) in zip(_state_classes(geom), classes, strict=True):
                 mat = sliced[idx][:, idx]
@@ -823,13 +865,53 @@ def test_planted_constant_letters_run_shifted(monkeypatch):
     ((letters, idx),) = _cycling_classes(geom.letter_graph, geom.words)
     (plan,) = _state_classes(geom)
     assert plan.period == 1
-    assert (wm.inf_weights.data[plan.positions] == 0.0).any()
+    assert (geom.lower[plan.positions] == 0.0).any()
     shifted = pressure._class_plan(geom, letters, idx, 2)
-    for side, weights in enumerate((wm.inf_weights, wm.sup_weights)):
-        got = _cw_bracket(plan, side, weights.data, 0.5)
-        want = _cw_bracket(shifted, side, weights.data, 0.5)
+    for side, logs in enumerate(plan.logs):
+        got = _cw_bracket(plan, side, logs, 0.5)
+        want = _cw_bracket(shifted, side, logs, 0.5)
         assert [x.hex() for x in got[:2]] == [x.hex() for x in want[:2]]
         assert got[2:] == want[2:]
+
+
+@pytest.mark.parametrize("s", [4.5, 6.0])
+def test_ladder_class_closes_where_its_spine_weights_underflow(s):
+    # at these exponents the deep spine weights 2**(-v*s) underflow float64
+    # (2**-1156 at v = 257), which left the class reducible and stalled its
+    # iteration for CW_MAX_ITER steps with lower = -inf; their logs do not
+    # underflow.  Every cycle of the truncation returns to vertex 1 along
+    # one spine: the loop (1, 1), and for n = 2..256 the path (1, n), (n,
+    # n - 1), ..., (2, 1), which weighs 2**(-s*n(n+1)/2) over n letters
+    # ((1, 257), the 512th letter, leads nowhere), so log rho is the root p
+    # of sum_n 2**(-s*n(n+1)/2) * exp(-n*p) = 1, found here with mpmath at
+    # 50 digits
+    sys = ladder_system()
+    assert sys.letters(512)[-1] == (1, 257)
+    est = pressure_spectral(sys, PotentialSpec(s), 512, 1)
+    assert not est.stalled
+    assert est.lower > -math.inf
+    with mpmath.workdps(50):
+        loops = [-mpmath.mpf(s) * n * (n + 1) / 2 * mpmath.log(2)
+                 for n in range(1, 257)]
+        log_rho = mpmath.findroot(
+            lambda p: mpmath.fsum(mpmath.exp(g - n * p)
+                                  for n, g in enumerate(loops, 1)) - 1,
+            loops[0])
+        assert est.lower <= log_rho <= est.upper, (est.lower, log_rho, est.upper)
+
+
+def test_every_admissible_entry_weighs_one_at_exponent_zero():
+    # at eps = 0 the planted letters have derivative 0, so some ranges are
+    # exactly 0 and their logs -inf; at s = 0 every entry still weighs 1,
+    # as 0.0**0.0 == 1, with no 0 * -inf turning into NaN: the class of all
+    # 2-words over three letters that may all follow each other has rho = 3
+    sys = perturbed_cf((1, 2), (1, 2, 3), epsilon=0.0)
+    geom = build_weighted_matrix(sys, PotentialSpec(0.0), 3, 2).geometry
+    assert (geom.lower == 0.0).any()
+    est = pressure_spectral(sys, PotentialSpec(0.0), 3, 2)
+    assert est.lower == est.upper == 1.0986122886681098 == math.log(3)
+    assert not est.stalled
+    assert not any(math.isnan(x) for _, lo, hi in est.components for x in (lo, hi))
 
 
 # ---------------------------------------------------------------------------

@@ -52,13 +52,21 @@ def class_plan(rows, period=None):
     alone closes the bracket."""
     indptr = np.concatenate(([0], np.cumsum([len(r) for r in rows]))).astype(np.int32)
     indices = np.array([j for r in rows for j in r], dtype=np.int32)
+    ranges = np.ones(len(indices))
     geom = SimpleNamespace(states=tuple(range(len(rows))), indices=indices,
-                           indptr=indptr)
+                           indptr=indptr, lower=ranges, upper=ranges)
     if period is None:
         period = pattern_period(indptr, indices)
     plan = _class_plan(geom, geom.states, np.arange(len(rows)), period)
     plan.chains = None
     return plan
+
+
+def bracket(plan, weights):
+    """The class's bracket at s = 1 from the logs of its weights, given in
+    rows order."""
+    with np.errstate(divide="ignore"):
+        return _cw_bracket(plan, 0, np.log(weights[plan.positions]), 1.0)
 
 
 def dense_root(rows, weights):
@@ -89,7 +97,7 @@ def test_primitive_and_periodic_brackets_hold_the_dense_root(groups, length, cho
     assert plan.period % groups == 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
-        lo, hi, _, _ = _cw_bracket(plan, 0, weights, 1.0)
+        lo, hi, _, _ = bracket(plan, weights)
     assert_contains(lo, hi, dense_root(rows, weights))
 
 
@@ -101,10 +109,10 @@ def test_periodic_class_keeps_the_shift():
     rows, weights = drawn_class(rng, 2, 4, 6, loop=False)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
-        lo, hi, stalled, _ = _cw_bracket(class_plan(rows), 0, weights, 1.0)
+        lo, hi, stalled, _ = bracket(class_plan(rows), weights)
         assert not stalled
         assert_contains(lo, hi, dense_root(rows, weights))
-        assert _cw_bracket(class_plan(rows, period=1), 0, weights, 1.0)[2]
+        assert bracket(class_plan(rows, period=1), weights)[2]
 
 
 def test_a_class_whose_entries_vanish_still_runs_shifted():
@@ -121,8 +129,8 @@ def test_a_class_whose_entries_vanish_still_runs_shifted():
         data = weights.copy()
         if vanish:
             data[loop] = 0.0
-        got = _cw_bracket(class_plan(rows), 0, data, 1.0)
-        shifted = _cw_bracket(class_plan(rows, period=2), 0, data, 1.0)
+        got = bracket(class_plan(rows), data)
+        shifted = bracket(class_plan(rows, period=2), data)
         assert not got[2]
         assert_contains(got[0], got[1], dense_root(rows, data))
         same = [x.hex() for x in got[:2]] == [x.hex() for x in shifted[:2]]
