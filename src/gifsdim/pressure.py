@@ -13,14 +13,21 @@ Two routes, each valid at every finite stage rather than only in the limit:
   period of its letter class.  A class of period 1 whose scaled entries
   are all positive at this s is primitive, and its power iteration runs
   on B/theta; any other runs on I + B/theta, whose shift makes it
-  converge whatever the period but mostly slows it (the cf-deep solve
-  takes 427 iterations, against 915 with the shift everywhere).  The
-  geometry and each component's Collatz-Wielandt data (class pattern,
-  entry positions, period, logs of its ranges) do not depend on s and are
-  built once per geometry; each exponent only reweights them, in logs,
-  and within a solve the iteration starts from the previous exponent's
-  scales and iterate.  A class of a few hubs joined by chains (the
-  countable ladder's) starts instead from its Perron vector, which
+  converge whatever the period but mostly slows it (with the shift on
+  every class the cf-deep solve took 915 iterations, and 427 without it
+  on primitive classes).  The geometry and each component's
+  Collatz-Wielandt data (class pattern, entry positions, period, logs of
+  its ranges) do not depend on s and are built once per geometry; each
+  exponent only reweights them, in logs.  A complete class, all m-words
+  over letters that may all follow each other (as in the continued-
+  fraction systems), iterates on its entries as they are while they span
+  at most e**(650/m); any other class is first conjugated by max-plus
+  scales, which keep Perron vectors that span past float64 in range.
+  Within a solve the iteration starts from the previous exponent's
+  iterate (and scales), and a complete class's first probe on a new
+  depth from the previous depth's final iterate, each m-word taking its
+  (m-1)-letter prefix's entry.  A class of a few hubs joined by chains
+  (the countable ladder's) starts instead from its Perron vector, which
   eliminating the chains gives (see chains.py): the ladder's 511-state
   class at k = 512 then closes in one iteration, not about 530, and the
   bracket still comes only from the iteration's ratios.  When every
@@ -29,9 +36,9 @@ Two routes, each valid at every finite stage rather than only in the limit:
   multiplies by numpy alone: a complete class of more than one block
   over _STACK_FAN or more letters by one stacked np.matmul, whose sums
   round as the BLAS kernel adds them; every other class sums each row
-  from 0.0 in ascending column order, as scipy's CSR matvec does, so
-  without chains it keeps the bits of a scipy matrix under the same shift
-  rule.
+  from 0.0 in ascending column order, as scipy's CSR matvec does, so a
+  class with neither chains nor the complete pattern keeps the bits of a
+  scipy matrix under the same scales and shift rule.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -61,8 +68,11 @@ __all__ = [
     "truncation_ladder",
 ]
 
-CW_TOL = 1e-10
+CW_TOL = 3e-11
 CW_MAX_ITER = 100000
+# a complete class of depth m iterates without scales while m times the
+# spread of its log-weights stays within this (see _cw_bracket)
+_UNSCALED_SPREAD = 650.0
 # complete classes of more than one block over at least this many letters
 # multiply by one stacked np.matmul, any other by a multiply-reduce
 # (measured in _class_matvec)
@@ -187,17 +197,17 @@ class WeightedMatrix:
 
     States are admissible m-letter words over the materialized alphabet;
     u -> w is admissible when u[1:] == w[:-1] (and the junction matches at
-    depth 1).  The entry is the derivative range of u's first letter over
-    the enclosure of w (all m maps applied), raised to s, so transition
-    products sandwich true cylinder weights: inf products below, sup
-    products above.  inf_weights and sup_weights are CsrWeights records of
-    the ranges over the geometry's pattern, not yet raised to s;
-    pressure_spectral reads the geometry's class plans instead, which
-    raise them in logs.  Everything but the power of s comes from
-    geometry, which is s-independent and shared by every exponent a solve
-    probes at this horizon and depth.  When the geometry holds one array
-    for both sides, sup_weights is inf_weights.  states reads through to
-    the geometry's.
+    depth 1).  Its weight at exponent s is the derivative range of u's
+    first letter over the enclosure of w (all m maps applied) raised to s,
+    so transition products sandwich true cylinder weights: inf products
+    below, sup products above.  inf_weights and sup_weights are CsrWeights
+    records of the ranges themselves over the geometry's pattern, with no
+    power taken; pressure_spectral reads the geometry's class plans
+    instead, which raise them to s in logs.  The ranges and the pattern
+    come from geometry, which is s-independent and shared by every
+    exponent a solve probes at this horizon and depth.  When the geometry
+    holds one array for both sides, sup_weights is inf_weights.  states
+    reads through to the geometry's.
     """
 
     inf_weights: object
@@ -229,9 +239,12 @@ class StateGeometry:
     and period, the positions of its entries among the nonzeros, its local
     pattern and the logs of its ranges, plus the scales and iterate of the
     last probe on each side, from which the next exponent's power iteration
-    starts.  A geometry lives at most as long as the solve that built it
-    (see _reuse_geometry), so no warm start outlives a solve.  A truncation
-    with no m-letter word has a geometry with no states.
+    starts.  carried holds, until the plans are made, the final iterates of
+    the complete classes of the solve's previous geometry when that was the
+    same system and letters one depth shallower (see _geometry and
+    _lift_iterates).  A geometry lives at most as long as the solve that
+    built it (see _reuse_geometry), so no warm start outlives a solve.  A
+    truncation with no m-letter word has a geometry with no states.
     """
 
     letter_graph: FiniteTransition
@@ -241,6 +254,7 @@ class StateGeometry:
     lower: np.ndarray
     upper: np.ndarray
     classes: tuple = None
+    carried: dict = None
 
     @cached_property
     def states(self):
@@ -362,9 +376,10 @@ def _reuse_geometry():
 
     Inside it, build_weighted_matrix hands the same StateGeometry back while
     the system, letters and depth stay the same, and builds a new one
-    (dropping the old) when any of them moves.  The solve entry points wrap
-    themselves in this, so no geometry outlives the solve that built it.
-    Outside any block every call builds afresh.
+    (dropping the old) when any of them moves; one depth deeper, only the
+    old complete classes' final iterates go over to the new geometry.  The
+    solve entry points wrap themselves in this, so no geometry outlives the
+    solve that built it.  Outside any block every call builds afresh.
     """
     token = _SOLVE_GEOMETRY.set(_GeometrySlot())
     try:
@@ -379,12 +394,40 @@ def _geometry(system, letters, m):
         return _build_geometry(system, letters, m)
     key = (tuple(letters), m)
     if slot.system is not system or slot.key != key:
+        finals = None
+        if slot.system is system and slot.key == (key[0], m - 1):
+            finals = _final_iterates(slot.geometry)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
         slot.system = slot.key = slot.geometry = None
-        slot.geometry = _build_geometry(system, letters, m)
+        geom = _build_geometry(system, letters, m)
+        geom.carried = finals
+        slot.geometry = geom
         slot.system, slot.key = system, key
     return slot.geometry
+
+
+def _final_iterates(geom):
+    """{letter class: per side, (s, iterate) of the last probe, or None} of
+    the complete classes of geom; a probe that ran scaled counts for none,
+    since its iterate is the conjugated one's."""
+    return {plan.letters: [None if w is None or w[1] is not None else (w[0], w[2])
+                           for w in plan.warm]
+            for plan in geom.classes or () if plan.fan}
+
+
+def _lift_iterates(plans, finals):
+    """Start each complete class among plans, one depth deeper than the
+    geometry finals came from (see _final_iterates), warm from its letter
+    class's final iterate there, lifted by prefix: the m-words extending
+    an (m-1)-word p are p*|C| + b, b = 0..|C|-1, and each takes p's entry.
+    """
+    for plan in plans:
+        sides = finals.get(plan.letters) if plan.fan else None
+        if sides is not None:
+            plan.warm = [None if it is None
+                         else (it[0], None, np.repeat(it[1], plan.fan))
+                         for it in sides]
 
 
 def build_weighted_matrix(system, potential, k, m=1):
@@ -427,23 +470,16 @@ def _equilibrate_scales(plan, logw, d):
     iterate.  Conjugating by a positive diagonal preserves the spectrum and
     every Collatz-Wielandt certificate, so a partially converged estimate
     is still safe; quality only affects conditioning.  logw holds the
-    class's log-weights in plan order.  A maximum is exact in any order,
-    so a complete-pattern plan takes its row maxima with one reduction.
+    class's log-weights in plan order.  Only the classes that _cw_bracket
+    does not run unscaled come here: those of fan 0, and complete classes
+    whose entries vanish or spread too wide at this s.  Each round takes
+    its row maxima with one scatter over plan.row; a maximum is exact in
+    any order, so the entry order of the plan does not matter.
     """
     nstates = len(d)
-    fan = plan.fan
-    stacked = _stacked(fan, nstates)
     for _ in range(min(nstates, 512)):
-        terms = logw + d[plan.col]
-        if stacked:
-            # entry (r*fan + a)*fan + b lies in row a*R + r
-            nxt = np.maximum.reduce(terms.reshape(-1, fan, fan), axis=2).T.ravel()
-        elif fan:
-            # entry b*n + i lies in row i
-            nxt = np.maximum.reduce(terms.reshape(fan, nstates), axis=0)
-        else:
-            nxt = np.full(nstates, -np.inf)
-            np.maximum.at(nxt, plan.row, terms)
+        nxt = np.full(nstates, -np.inf)
+        np.maximum.at(nxt, plan.row, logw + d[plan.col])
         nxt -= nxt.max()
         finite = np.isfinite(nxt)
         if not finite.all():
@@ -476,16 +512,21 @@ class _ClassPlan:
     dense |C| x |C| blocks, (r, a, b), block r mapping the states r*|C| + b
     to the states a*R + r; otherwise b-major, (b, a, r).  Any other class
     has fan 0 and its entries in CSR order (rows, then ascending columns).
-    logs holds, per side (0 inf, 1 sup), the logs of the class's ranges in
-    plan order, one array when the geometry's two are one.  Entries that
-    vanish at some exponent stay in the pattern as explicit zeros, which
-    leave every positive row sum's bits unchanged.  chains holds a fan-0
+    depth is m for a complete class, whose size is |C|**m, and 0 for any
+    other; it bounds _cw_bracket's unscaled route.  logs holds, per side
+    (0 inf, 1 sup), the logs of the class's ranges in plan order, one
+    array when the geometry's two are one.  Entries that vanish at some
+    exponent stay in the pattern as explicit zeros, which leave every
+    positive row sum's bits unchanged.  chains holds a fan-0
     class's hubs and chains (chains.HubChains) when it has at most
     chains.HUB_MAX hubs, and is None otherwise; _cw_bracket then starts
     from the Perron vector that eliminating the chains gives.
     Complete-pattern classes never take that route.  warm holds, per side,
-    the exponent, scales and final iterate of the last probe; side 1 stays
-    unused while the two sides are one array.
+    the exponent, scales and final iterate of the last probe, the scales
+    None when it ran unscaled; side 1 stays unused while the two sides are
+    one array.  A complete class's plan may also begin with a warm state:
+    the previous depth's final iterate, lifted by prefix (see
+    _lift_iterates).
     """
 
     letters: tuple
@@ -497,6 +538,7 @@ class _ClassPlan:
     period: int
     logs: tuple
     chains: object = None
+    depth: int = 0
     warm: list = field(default_factory=lambda: [None, None])
 
 
@@ -535,15 +577,18 @@ def _class_plan(geom, letters, idx, period):
             order = entry.reshape(n, fan).T.ravel()
         positions, row, col = positions[order], row[order], col[order]
         chains = None
+        depth = 1
+        while fan**depth < n:
+            depth += 1
     else:
-        fan = 0
+        fan = depth = 0
         chains = chainlib.hub_chains(n, row, col)
     with np.errstate(divide="ignore"):
         lower = np.log(geom.lower[positions])
         upper = (lower if geom.upper is geom.lower
                  else np.log(geom.upper[positions]))
     return _ClassPlan(letters, n, positions, row, col, fan, period,
-                      (lower, upper), chains)
+                      (lower, upper), chains, depth)
 
 
 def _stacked(fan, size):
@@ -627,57 +672,99 @@ def _cw_bracket(plan, side, logs, s):
     >= min_ratio * uv and uv > 0 since v > 0), the upper likewise -- so
     the running intersection over iterations stays certified for any
     positive start and any positive conjugation; the ends are its bounds,
-    less the shift, times theta.  The conjugation by exp(d) is applied in
-    logs, so an entry whose weight underflows float64 (the ladder's deep
-    spine at s = 4.5) keeps its size once scaled.  A probe after one at a
-    positive s_prev on the same side starts the scale search from (s /
-    s_prev) times the old scales (the max-plus eigenvector of s*L is s times
-    that of L) and the power iteration from the old iterate; otherwise it
-    starts cold, from zero scales and v = 1.  A class with chains takes as
-    its scales the log Perron vector that eliminating them gives
-    (chains.perron_log) and starts from v = 1: the same iteration as one
-    started from that vector, while every entry stays within its row sum,
-    about rho, where the vector itself may span past float64.  That start
-    reads no warm state; the stored scales and iterate only serve a probe
-    where the elimination fails.  The iteration stops once the bracket of
-    rho(B/theta) is CW_TOL wide, or stalls after CW_MAX_ITER steps.  Returns
-    (lo, hi, stalled, iterations).
+    less the shift, times theta.
+
+    A complete class (fan > 0) of depth m whose log-weights at s are all
+    finite and span at most _UNSCALED_SPREAD / m iterates on the entries
+    exp(s * logs - log theta) themselves, with no scales: two of its
+    states are joined by exactly one m-step path, so their Perron entries
+    differ by a factor of at most e**(m * spread) <= e**650, as do the
+    entries of every iterate from the m-th on, and e**-650 stays clear of
+    the 1e-300 floor below.  Any
+    other class is conjugated by exp(d), d from a max-plus scale search
+    (_equilibrate_scales), applied in logs, so that Perron vectors that
+    span past float64 (long chains) still converge and an entry whose
+    weight underflows float64 (the ladder's deep spine at s = 4.5) keeps
+    its size once scaled.
+
+    Starts.  A probe after one at a positive s_prev on the same side
+    starts warm.  Unscaled, it starts from exp((s / s_prev) * log v_prev),
+    the old iterate v_prev raised to s / s_prev in logs, with no pow; its
+    largest entry stays exactly 1.  Scaled, the scale search starts from
+    (s / s_prev) times the old scales (the max-plus eigenvector of s*L is
+    s times that of L) and the power iteration from the old iterate.  A
+    complete class's first probe on a new depth starts from the previous
+    depth's final iterate, lifted by prefix when _geometry carried it
+    over (see _lift_iterates).  Otherwise a probe starts cold, from zero
+    scales (none when unscaled) and v = 1; a warm state from the other
+    route counts for none.  A class with chains takes as its scales the
+    log Perron vector that eliminating them gives (chains.perron_log) and
+    starts from v = 1: the same iteration as one started from that vector,
+    while every entry stays within its row sum, about rho, where the
+    vector itself may span past float64.  That start reads no warm state;
+    the stored scales and iterate only serve a probe where the elimination
+    fails.  The iteration stops once the bracket of rho(B/theta) is CW_TOL
+    wide, or stalls after CW_MAX_ITER steps.  Scaled, theta is at most
+    about rho, as no scaled entry exceeds e**lambda, lambda the max-plus
+    eigenvalue, and e**lambda <= rho.  Unscaled, the largest entry may
+    exceed rho by up to e**(m * spread / (m + 1)), along the one (m+1)-cycle
+    through it, so the bracket must also be CW_TOL wide relative to its
+    lower end.  Returns (lo, hi, stalled, iterations).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
     logw = s * logs if s else np.zeros(len(logs))
-    if logw.max() == -np.inf:
+    lowest, highest = np.minimum.reduce, np.maximum.reduce
+    top = float(highest(logw))
+    if top == -np.inf:
         return 0.0, 0.0, False, 0
     warm = plan.warm[side]
-    logv = None
-    if plan.chains is not None:
-        logv = chainlib.perron_log(plan.chains, plan.row, logw)
-    if logv is not None:
-        d = logv
-        v = np.ones(nstates)
-    elif warm is not None and warm[0] > 0.0:
-        s_prev, d, v = warm
-        d = _equilibrate_scales(plan, logw, (s / s_prev) * d)
-        v = v.copy()  # the loop below reuses its iterates' storage
+    if warm is not None and not warm[0] > 0.0:
+        warm = None
+    if plan.fan and plan.depth * (top - lowest(logw)) <= _UNSCALED_SPREAD:
+        d = None
+        if warm is not None and warm[1] is None:
+            s_prev, _, v = warm
+            v = np.log(v)
+            v *= s / s_prev
+            np.exp(v, out=v)
+            np.maximum(v, 1e-300, out=v)
+        else:
+            v = np.ones(nstates)
+        # exp(s * logs) / theta, theta = e**top the largest entry, formed in
+        # logw's buffer
+        logw -= top
+        data = np.exp(logw, out=logw)
+        theta = float(np.exp(top))
     else:
-        d = _equilibrate_scales(plan, logw, np.zeros(nstates))
-        v = np.ones(nstates)
-    # the scaled entries exp(logw + d[col] - d[row]) / theta, formed in one
-    # buffer, in the order of that expression
-    data = logw + d[plan.col]
-    data -= d[plan.row]
-    np.exp(data, out=data)
-    if not np.isfinite(data).all():
-        d = np.zeros(nstates)
-        data = np.exp(logw)
-    theta = float(data.max())
-    scaled = np.divide(data, theta, out=data)
+        logv = None
+        if plan.chains is not None:
+            logv = chainlib.perron_log(plan.chains, plan.row, logw)
+        if logv is not None:
+            d = logv
+            v = np.ones(nstates)
+        elif warm is not None and warm[1] is not None:
+            s_prev, d, v = warm
+            d = _equilibrate_scales(plan, logw, (s / s_prev) * d)
+            v = v.copy()  # the loop below reuses its iterates' storage
+        else:
+            d = _equilibrate_scales(plan, logw, np.zeros(nstates))
+            v = np.ones(nstates)
+        # the scaled entries exp(logw + d[col] - d[row]) / theta, formed in
+        # one buffer, in the order of that expression
+        data = logw + d[plan.col]
+        data -= d[plan.row]
+        np.exp(data, out=data)
+        if not np.isfinite(data).all():
+            d = np.zeros(nstates)
+            data = np.exp(logw)
+        theta = float(data.max())
+        np.divide(data, theta, out=data)
     # the ratios and the next iterate are buffers, and the reductions skip
     # ndarray.min/max's Python wrapper
     ratios, nxt = np.empty(nstates), np.empty(nstates)
-    lowest, highest = np.minimum.reduce, np.maximum.reduce
-    shift = 1.0 if plan.period != 1 or not lowest(scaled) > 0.0 else 0.0
-    matvec = _class_matvec(plan, scaled)
+    shift = 1.0 if plan.period != 1 or not lowest(data) > 0.0 else 0.0
+    matvec = _class_matvec(plan, data)
     best_lo = 0.0
     best_hi = math.inf
     stalled = True
@@ -693,7 +780,8 @@ def _cw_bracket(plan, side, logs, s):
             best_lo = cur_lo
         if cur_hi < best_hi:
             best_hi = cur_hi
-        if best_hi - best_lo <= tol:
+        gap = best_hi - best_lo
+        if gap <= tol and (d is not None or gap <= tol * best_lo):
             stalled = False
             break
         # the floor keeps v strictly positive even if a component still
@@ -767,12 +855,17 @@ def _state_classes(geom):
     on the geometry, so the plans and their warm starts live exactly as
     long as the geometry.  The classes and their periods come from the k
     letters, not from a search over the states (see _cycling_classes and
-    _letter_period)."""
+    _letter_period).  The iterates geom.carried holds start its complete
+    classes (see _lift_iterates), and are dropped once the plans are
+    made."""
     if geom.classes is None:
         graph = geom.letter_graph
         geom.classes = tuple(
             _class_plan(geom, cls, idx, _letter_period(graph, cls))
             for cls, idx in _cycling_classes(graph, geom.words))
+        if geom.carried:
+            _lift_iterates(geom.classes, geom.carried)
+        geom.carried = None
     return geom.classes
 
 
