@@ -3,8 +3,8 @@
 Countable vertex/edge sets are handled through deterministic enumerations:
 every operation that needs concrete data materializes a finite prefix (a
 "horizon").  The solver reads one graph path: the letters of a truncation
-as a FiniteTransition, their strongly connected classes, and the word
-levels over them.  Nothing here mutates shared state.
+as a FiniteTransition, their strongly connected classes, and the words
+over them, one level at a time.  Nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -172,22 +172,18 @@ def strongly_connected_components(fin: FiniteTransition) -> SccDecomposition:
     return SccDecomposition(classes=classes, trivial=trivial, horizon=fin.n)
 
 
-def word_levels(adj, m):
-    """Admissible words of 1..m letters over letter positions, where adj[a, b]
-    says b may follow a.  Level j+1 is, for each letter a in order, a
-    followed by each level-j word whose first letter a may precede, so every
-    level is in lexicographic order.  Returns one (words, tails, blocks)
-    triple per level: the words as rows of positions, the index of each
-    word's tail (word[1:]) in the level below, and the offsets at which
-    each first letter's block of words starts and ends."""
+def extend_words(adj, words):
+    """One level of admissible words over letter positions, where adj[a, b]
+    says b may follow a: the words one letter longer than the rows of words,
+    each letter a in order followed by each word whose first letter a may
+    precede, so a level in lexicographic order gives one.  Returns (words,
+    tails, blocks): the new words as rows of positions, of words' dtype; the
+    index of each new word's tail (word[1:]) in words; and the offsets at
+    which each first letter's block of new words starts and ends.  Level 1
+    is the letters themselves, np.arange(len(adj))[:, None]."""
     n = len(adj)
-    words = np.arange(n)[:, None]
-    levels = [(words, None, np.arange(n + 1))]
-    for _ in range(m - 1):
-        groups = [np.flatnonzero(adj[a, words[:, 0]]) for a in range(n)]
-        blocks = np.cumsum([0] + [len(t) for t in groups])
-        tails = np.concatenate(groups)
-        first = np.repeat(np.arange(n), np.diff(blocks))
-        words = np.column_stack((first, words[tails]))
-        levels.append((words, tails, blocks))
-    return levels
+    groups = [np.flatnonzero(adj[a, words[:, 0]]) for a in range(n)]
+    blocks = np.cumsum([0] + [len(t) for t in groups])
+    tails = np.concatenate(groups)
+    first = np.repeat(np.arange(n, dtype=words.dtype), np.diff(blocks))
+    return np.column_stack((first, words[tails])), tails, blocks

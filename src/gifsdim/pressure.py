@@ -26,7 +26,9 @@ Two routes, each valid at every finite stage rather than only in the limit:
   Within a solve the iteration starts from the previous exponent's
   iterate (and scales), and a complete class's first probe on a new
   depth from the previous depth's final iterate, each m-word taking its
-  (m-1)-letter prefix's entry.  A class of a few hubs joined by chains
+  (m-1)-letter prefix's entry; the geometry itself gains just the one
+  level, on the shallower one's words, enclosure disks and letter classes
+  with their periods.  A class of a few hubs joined by chains
   (the countable ladder's) starts instead from its Perron vector, which
   eliminating the chains gives (see chains.py): the ladder's 511-state
   class at k = 512 then closes in one iteration, not about 530, and the
@@ -56,7 +58,7 @@ import numpy as np
 from . import chains as chainlib
 from . import maps as mapslib
 from .errors import NoAdmissibleWords
-from .graphs import FiniteTransition, strongly_connected_components, word_levels
+from .graphs import FiniteTransition, extend_words, strongly_connected_components
 from .shapes import circumball
 
 __all__ = [
@@ -227,13 +229,18 @@ class StateGeometry:
     """The s-independent part of the depth-m word-state matrices.
 
     letter_graph is the transition structure of the letters and words the
-    states as rows of letter positions; from these two _state_classes reads
-    off the state classes.  states spells the words as tuples of letters on
-    first read; a solve never reads it, and counts its states by words.
+    states as rows of letter positions, of dtype np.min_scalar_type(letter
+    count); letter_classes holds the nontrivial letter classes with their
+    periods (see _letter_classes), from which _state_classes reads off the
+    state classes.  states spells the words as tuples of letters on first
+    read; a solve never reads it, and counts its states by words.
     indices/indptr give the CSR pattern of the transitions; lower/upper
     hold, per nonzero in that order, the derivative range of the source
     state's first letter over the enclosure of the target state, and are
-    one array when the two coincide elementwise.  classes caches, once
+    one array when the two coincide elementwise.  disks holds the words'
+    enclosure disks as rows (cx, cy, r), or None with no Moebius letter;
+    with letter_graph, words and letter_classes it is all that a depth
+    step (see _geometry) builds on.  classes caches, once
     pressure_spectral has computed them, the nontrivial state-level strongly
     connected classes as _ClassPlan objects: each class's letter class, size
     and period, the positions of its entries among the nonzeros, its local
@@ -253,6 +260,8 @@ class StateGeometry:
     indptr: np.ndarray
     lower: np.ndarray
     upper: np.ndarray
+    disks: np.ndarray
+    letter_classes: tuple
     classes: tuple = None
     carried: dict = None
 
@@ -292,13 +301,42 @@ def _exhausts(system, k):
     return system.is_finite and len(system.letters(2 * k + 16)) == len(system.letters(k))
 
 
-def _build_geometry(system, letters, m):
+def _build_geometry(system, letters, m, below=None):
     """States, CSR pattern and derivative ranges as float64 arrays, built
-    one word length at a time with a Python loop over letters only."""
-    letter_graph = _letter_transition(system, letters)
+    one word length at a time with a Python loop over letters only: from
+    below, the (letter graph, words, disks, letter classes) of the same
+    letters at depth m - 1, when given, else from the letters and their
+    seed circumballs.  Either way every array comes out with the same bits."""
+    specs = [system.map_of(e) for e in letters]
+    moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
+    if below is None:
+        letter_graph = _letter_transition(system, letters)
+        words = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))[:, None]
+        disks = None
+        if any(moebius):
+            disks = np.array([
+                (*ball.center, ball.radius)
+                for ball in (circumball(system.seed_image(e)[0]) for e in letters)
+            ]).T
+        letter_classes = _letter_classes(letter_graph)
+        steps = m - 1
+    else:
+        letter_graph, words, disks, letter_classes = below
+        steps = 1
     adj = letter_graph.dense
-    levels = word_levels(adj, m)
-    words, tails, blocks = levels[-1]
+    blocks = np.arange(len(letters) + 1)
+    for _ in range(steps):
+        shorter = words
+        words, tails, blocks = extend_words(adj, words)
+        if disks is not None:
+            # a word's enclosure disk is its tail's disk mapped through its
+            # first letter
+            cx, cy, r = disks
+            disks = np.empty((3, len(tails)))
+            for a, spec in enumerate(specs):
+                rows = slice(blocks[a], blocks[a + 1])
+                t = tails[rows]
+                disks[:, rows] = mapslib.disk_image(spec, cx[t], cy[t], r[t])
 
     # u -> w exactly when w = u[1:] + c with c allowed after u's last letter.
     # At depth >= 2 the words extending one (m-1)-word form a contiguous block
@@ -309,28 +347,13 @@ def _build_geometry(system, letters, m):
     if m == 1:
         indices = np.flatnonzero(adj) % len(letters)
     else:
-        ext = n_succ[levels[-2][0][:, -1]]
+        ext = n_succ[shorter[:, -1]]
         starts = (np.cumsum(ext) - ext)[tails] - indptr[:-1]
         indices = np.repeat(starts, count) + np.arange(indptr[-1])
     indices = indices.astype(np.int32)
 
-    specs = [system.map_of(e) for e in letters]
-    moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
-    if any(moebius):
-        # the enclosure disk of every word, level by level: a word's disk is
-        # its tail's disk mapped through its first letter
-        cx, cy, r = np.array([
-            (*ball.center, ball.radius)
-            for ball in (circumball(system.seed_image(e)[0]) for e in letters)
-        ]).T
-        for _, tails_j, blocks_j in levels[1:]:
-            disks = np.empty((3, len(tails_j)))
-            for a, spec in enumerate(specs):
-                rows = slice(blocks_j[a], blocks_j[a + 1])
-                t = tails_j[rows]
-                disks[:, rows] = mapslib.disk_image(spec, cx[t], cy[t], r[t])
-            cx, cy, r = disks
-
+    if disks is not None:
+        cx, cy, r = disks
     lower, upper = np.empty((2, len(indices)))
     for a, spec in enumerate(specs):
         nz = slice(indptr[blocks[a]], indptr[blocks[a + 1]])
@@ -348,11 +371,12 @@ def _build_geometry(system, letters, m):
         # one array for both sides tells the spectral layer that one power
         # iteration serves both
         upper = lower
-    arrays = (words, indices, indptr, lower, upper)
-    # the matrices of every exponent share these arrays
+    arrays = (words, indices, indptr, lower, upper, disks)
+    # the matrices of every exponent, and the next depth, share these arrays
     for arr in arrays:
-        arr.flags.writeable = False
-    return StateGeometry(letter_graph, *arrays)
+        if arr is not None:
+            arr.flags.writeable = False
+    return StateGeometry(letter_graph, *arrays, letter_classes)
 
 
 class _GeometrySlot:
@@ -376,10 +400,10 @@ def _reuse_geometry():
 
     Inside it, build_weighted_matrix hands the same StateGeometry back while
     the system, letters and depth stay the same, and builds a new one
-    (dropping the old) when any of them moves; one depth deeper, only the
-    old complete classes' final iterates go over to the new geometry.  The
-    solve entry points wrap themselves in this, so no geometry outlives the
-    solve that built it.  Outside any block every call builds afresh.
+    (dropping the old) when any of them moves; one depth deeper, it extends
+    the old one by a level (see _geometry).  The solve entry points wrap
+    themselves in this, so no geometry outlives the solve that built it.
+    Outside any block every call builds afresh.
     """
     token = _SOLVE_GEOMETRY.set(_GeometrySlot())
     try:
@@ -389,18 +413,26 @@ def _reuse_geometry():
 
 
 def _geometry(system, letters, m):
+    """The StateGeometry of letters at depth m, kept in the solve's slot.
+    One depth deeper than the slot's, on the same system and letters, it
+    takes the old one's letter graph, words, disks and letter classes and
+    builds only level m on them, and its complete classes start from the
+    old ones' final iterates; the old geometry, with its plans, ranges and
+    logs, is dropped first.  Anything else builds from the letters up."""
     slot = _SOLVE_GEOMETRY.get()
     if slot is None:
         return _build_geometry(system, letters, m)
     key = (tuple(letters), m)
     if slot.system is not system or slot.key != key:
-        finals = None
+        finals = below = None
         if slot.system is system and slot.key == (key[0], m - 1):
-            finals = _final_iterates(slot.geometry)
+            old = slot.geometry
+            finals = _final_iterates(old)
+            below = (old.letter_graph, old.words, old.disks, old.letter_classes)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
-        slot.system = slot.key = slot.geometry = None
-        geom = _build_geometry(system, letters, m)
+        old = slot.system = slot.key = slot.geometry = None
+        geom = _build_geometry(system, letters, m, below)
         geom.carried = finals
         slot.geometry = geom
         slot.system, slot.key = system, key
@@ -797,9 +829,17 @@ def _cw_bracket(plan, side, logs, s):
     return lo, hi, stalled, iterations
 
 
-def _cycling_classes(letter_graph, words):
+def _letter_classes(letter_graph):
+    """(letters, period) of each nontrivial class of letter_graph, in
+    dependency order (see _letter_period)."""
+    return tuple((cls, _letter_period(letter_graph, cls))
+                 for cls in strongly_connected_components(letter_graph).nontrivial_classes())
+
+
+def _cycling_classes(letter_graph, words, letter_classes):
     """(letter class, indices) of each nontrivial state class of the word
-    states, in the dependency order of the letter classes: the indices,
+    states, in the dependency order of letter_classes, the nontrivial
+    letter classes with their periods (see _letter_classes): the indices,
     ascending, point into words.
 
     A word state lies on a cycle exactly when all its letters lie in one
@@ -812,7 +852,7 @@ def _cycling_classes(letter_graph, words):
     letter order is a dependency order of the state classes.
     """
     out = []
-    for cls in strongly_connected_components(letter_graph).nontrivial_classes():
+    for cls, _ in letter_classes:
         inside = np.zeros(letter_graph.n, dtype=bool)
         inside[[letter_graph.index[e] for e in cls]] = True
         out.append((cls, np.flatnonzero(inside[words].all(axis=1))))
@@ -853,16 +893,16 @@ def _state_classes(geom):
     """Nontrivial state classes of geom in dependency order, each as its
     _ClassPlan with the logs of its ranges; computed on first use and kept
     on the geometry, so the plans and their warm starts live exactly as
-    long as the geometry.  The classes and their periods come from the k
-    letters, not from a search over the states (see _cycling_classes and
-    _letter_period).  The iterates geom.carried holds start its complete
-    classes (see _lift_iterates), and are dropped once the plans are
-    made."""
+    long as the geometry.  The classes and their periods are the
+    geometry's letter classes, not a search over the states (see
+    _cycling_classes); only each class's words are picked out here.  The
+    iterates geom.carried holds start its complete classes (see
+    _lift_iterates), and are dropped once the plans are made."""
     if geom.classes is None:
-        graph = geom.letter_graph
+        periods = dict(geom.letter_classes)
         geom.classes = tuple(
-            _class_plan(geom, cls, idx, _letter_period(graph, cls))
-            for cls, idx in _cycling_classes(graph, geom.words))
+            _class_plan(geom, cls, idx, periods[cls]) for cls, idx in
+            _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes))
         if geom.carried:
             _lift_iterates(geom.classes, geom.carried)
         geom.carried = None

@@ -4,16 +4,18 @@ Claims checked here:
     - Tarjan classes match a brute-force reachability oracle on random digraphs
     - class order is dependency order; trivial classes are flagged
     - word levels are lexicographic, admissible, and counted by the
-      matrix-power oracle
+      matrix-power oracle; each step's tails and blocks locate every new
+      word's tail and first letter
 """
 
 import numpy as np
 
 from gifsdim.graphs import (
     FiniteTransition,
+    extend_words,
     strongly_connected_components,
-    word_levels,
 )
+from words import word_level
 
 
 def from_pairs(states, pairs):
@@ -91,8 +93,8 @@ def test_scc_against_reachability_oracle_random():
 # -- admissible words ---------------------------------------------------------
 
 def spelled_words(adj, length, alphabet):
-    """The words of the last level of word_levels, spelled over alphabet."""
-    words = word_levels(np.asarray(adj), length)[-1][0]
+    """The admissible words of the given length, spelled over alphabet."""
+    words = word_level(adj, length)
     return [tuple(alphabet[i] for i in w) for w in words.tolist()]
 
 
@@ -128,3 +130,22 @@ def test_admissible_words_respects_sub_alphabet():
     # the solver's letter transition covers exactly its letters
     words = spelled_words(fin.dense[:2, :2], 3, [0, 1])
     assert words == [(0, 1, 0), (1, 0, 1)]
+
+
+def test_one_step_locates_tails_and_first_letters():
+    # each new word is its block's first letter followed by the word its
+    # tail index names, and the words keep the dtype they were given
+    rng = np.random.default_rng(11)
+    for trial in range(20):
+        n = int(rng.integers(1, 6))
+        dense = (rng.random((n, n)) < 0.5).astype(np.int8)
+        words = np.arange(n, dtype=np.uint8)[:, None]
+        for length in (2, 3, 4):
+            longer, tails, blocks = extend_words(dense, words)
+            assert longer.dtype == np.uint8 and longer.shape[1] == length
+            assert np.array_equal(longer[:, 1:], words[tails])
+            assert blocks[0] == 0 and blocks[-1] == len(longer)
+            for a in range(n):
+                assert (longer[blocks[a]:blocks[a + 1], 0] == a).all()
+            assert np.array_equal(longer, word_level(dense, length))
+            words = longer

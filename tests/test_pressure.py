@@ -28,7 +28,6 @@ from gifsdim.graphs import (
     Enumeration,
     FiniteTransition,
     strongly_connected_components,
-    word_levels,
 )
 from gifsdim.maps import (
     ConformalAffine,
@@ -48,6 +47,7 @@ from gifsdim.pressure import (
     truncation_ladder,
     _cw_bracket,
     _cycling_classes,
+    _letter_classes,
     _state_classes,
 )
 from gifsdim.scenarios import (
@@ -63,6 +63,7 @@ from gifsdim.shapes import Ball
 from gifsdim.systems import GifsSystem, SeedSet, subsystem
 from periods import pattern_period
 from stacked import stacked_matvec
+from words import word_level
 
 
 def two_loop():
@@ -642,12 +643,12 @@ def test_derived_state_classes_match_state_search():
         k = int(rng.integers(1, 8))
         m = int(rng.integers(1, 5))
         adj = (rng.random((k, k)) < rng.uniform(0.0, 0.6)).astype(np.int8)
-        words = word_levels(adj, m)[-1][0]
+        words = word_level(adj, m)
         if not len(words):
             continue
         cases += 1
         letters = FiniteTransition(range(k), [np.flatnonzero(row).tolist() for row in adj])
-        derived = _cycling_classes(letters, words)
+        derived = _cycling_classes(letters, words, _letter_classes(letters))
         succ = state_graph(adj, words)
         dec = strongly_connected_components(FiniteTransition(range(len(words)), succ))
         derived_sets = {tuple(idx.tolist()) for _, idx in derived}
@@ -849,7 +850,7 @@ def test_plan_periods_match_the_sliced_class_matrices():
             wm = build_weighted_matrix(make(), PotentialSpec(1.0), k, m)
             geom = wm.geometry
             sliced = as_csr(wm.inf_weights, 1.0)
-            classes = _cycling_classes(geom.letter_graph, geom.words)
+            classes = _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes)
             for plan, (_, idx) in zip(_state_classes(geom), classes, strict=True):
                 mat = sliced[idx][:, idx]
                 want = pattern_period(mat.indptr, mat.indices)
@@ -885,7 +886,7 @@ def test_planted_constant_letters_run_shifted(monkeypatch):
     sys = perturbed_cf((1, 2), (1, 2, 3), epsilon=0.0)
     wm = build_weighted_matrix(sys, PotentialSpec(0.5), 3, 2)
     geom = wm.geometry
-    ((letters, idx),) = _cycling_classes(geom.letter_graph, geom.words)
+    ((letters, idx),) = _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes)
     (plan,) = _state_classes(geom)
     assert plan.period == 1
     assert (geom.lower[plan.positions] == 0.0).any()
