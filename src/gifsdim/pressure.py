@@ -23,24 +23,25 @@ Two routes, each valid at every finite stage rather than only in the limit:
   fraction systems), iterates on its entries as they are while they span
   at most e**(650/m); any other class is first conjugated by max-plus
   scales, which keep Perron vectors that span past float64 in range.
-  Within a solve the iteration starts from the previous exponent's
-  iterate (and scales), and a complete class's first probe on a new
+  Only the unscaled route keeps state: within a solve a complete class
+  starts from its previous unscaled iterate, and its first probe on a new
   depth from the previous depth's final iterate, each m-word taking its
-  (m-1)-letter prefix's entry; the geometry itself gains just the one
-  level, on the shallower one's words, enclosure disks and letter classes
-  with their periods.  A class of a few hubs joined by chains
-  (the countable ladder's) starts instead from its Perron vector, which
-  eliminating the chains gives (see chains.py): the ladder's 511-state
-  class at k = 512 then closes in one iteration, not about 530, and the
-  bracket still comes only from the iteration's ratios.  When every
-  entry's range is a single value (affine letters) the two matrices are
-  one, and one iteration gives both sides.  Each class's power iteration
-  multiplies by numpy alone: a complete class of more than one block
-  over _STACK_FAN or more letters by one stacked np.matmul, whose sums
-  round as the BLAS kernel adds them; every other class sums each row
-  from 0.0 in ascending column order, as scipy's CSR matvec does, so a
-  class with neither chains nor the complete pattern keeps the bits of a
-  scipy matrix under the same scales and shift rule.
+  (m-1)-letter prefix's entry; every scaled probe starts afresh.  The
+  geometry itself gains just the one level, on the shallower one's words,
+  enclosure disks and letter classes with their periods.  A class of a
+  few hubs joined by chains (the countable ladder's) takes its scales
+  from its Perron vector, which eliminating the chains gives (see
+  chains.py): the ladder's 511-state class at k = 512 then closes in one
+  iteration, not about 530, and the bracket still comes only from the
+  iteration's ratios.  When every entry's range is a single value (affine
+  letters) the two matrices are one, and one iteration gives both sides.
+  Each class's power iteration multiplies by numpy alone: a complete
+  class of more than one block over _STACK_FAN or more letters by one
+  stacked np.matmul, whose sums round as the BLAS kernel adds them; every
+  other class sums each row from 0.0 in ascending column order, as
+  scipy's CSR matvec does, so a class with neither chains nor the
+  complete pattern keeps the bits of a scipy matrix under the same scales
+  and shift rule.
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
@@ -159,17 +160,6 @@ class PressureEstimate:
     def width(self):
         return self.upper - self.lower
 
-    def record(self):
-        """JSON-style result record with stable key order."""
-        rec = {"s": float(self.s), "k": self.horizon, "m": self.depth,
-               "lower": self.lower, "upper": self.upper, "scope": self.scope}
-        if self.component is not None:
-            rec["component"] = [repr(state) for state in self.component]
-        rec["divergence_flag"] = bool(self.divergence)
-        if self.stalled:
-            rec["stalled"] = True
-        return rec
-
 
 @dataclass(frozen=True, eq=False)
 class CsrWeights:
@@ -244,11 +234,11 @@ class StateGeometry:
     pressure_spectral has computed them, the nontrivial state-level strongly
     connected classes as _ClassPlan objects: each class's letter class, size
     and period, the positions of its entries among the nonzeros, its local
-    pattern and the logs of its ranges, plus the scales and iterate of the
-    last probe on each side, from which the next exponent's power iteration
-    starts.  carried holds, until the plans are made, the final iterates of
-    the complete classes of the solve's previous geometry when that was the
-    same system and letters one depth shallower (see _geometry and
+    pattern and the logs of its ranges, plus a complete class's last
+    unscaled iterate on each side, from which the next exponent's power
+    iteration starts.  carried holds, until the plans are made, those
+    iterates of the solve's previous geometry when that was the same
+    system and letters one depth shallower (see _geometry and
     _lift_iterates).  A geometry lives at most as long as the solve that
     built it (see _reuse_geometry), so no warm start outlives a solve.  A
     truncation with no m-letter word has a geometry with no states.
@@ -427,7 +417,7 @@ def _geometry(system, letters, m):
         finals = below = None
         if slot.system is system and slot.key == (key[0], m - 1):
             old = slot.geometry
-            finals = _final_iterates(old)
+            finals = {plan.letters: plan.warm for plan in old.classes or ()}
             below = (old.letter_graph, old.words, old.disks, old.letter_classes)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
@@ -439,26 +429,16 @@ def _geometry(system, letters, m):
     return slot.geometry
 
 
-def _final_iterates(geom):
-    """{letter class: per side, (s, iterate) of the last probe, or None} of
-    the complete classes of geom; a probe that ran scaled counts for none,
-    since its iterate is the conjugated one's."""
-    return {plan.letters: [None if w is None or w[1] is not None else (w[0], w[2])
-                           for w in plan.warm]
-            for plan in geom.classes or () if plan.fan}
-
-
 def _lift_iterates(plans, finals):
-    """Start each complete class among plans, one depth deeper than the
-    geometry finals came from (see _final_iterates), warm from its letter
-    class's final iterate there, lifted by prefix: the m-words extending
-    an (m-1)-word p are p*|C| + b, b = 0..|C|-1, and each takes p's entry.
+    """Start each complete class among plans warm from finals, {letter
+    class: its plan's warm states one depth shallower}, lifted by prefix:
+    the m-words extending an (m-1)-word p are p*|C| + b, b = 0..|C|-1, and
+    each takes p's entry.
     """
     for plan in plans:
         sides = finals.get(plan.letters) if plan.fan else None
         if sides is not None:
-            plan.warm = [None if it is None
-                         else (it[0], None, np.repeat(it[1], plan.fan))
+            plan.warm = [None if it is None else (it[0], np.repeat(it[1], plan.fan))
                          for it in sides]
 
 
@@ -494,8 +474,9 @@ def build_weighted_matrix(system, potential, k, m=1):
     )
 
 
-def _equilibrate_scales(plan, logw, d):
-    """Diagonal scales from a max-plus eigenvector estimate, iterated from d.
+def _equilibrate_scales(plan, logw):
+    """Diagonal scales from a max-plus eigenvector estimate, iterated from
+    zero scales.
 
     Long-chain systems have Perron vectors spanning thousands of orders of
     magnitude, far past float64, which zeroes components of the power
@@ -504,11 +485,13 @@ def _equilibrate_scales(plan, logw, d):
     is still safe; quality only affects conditioning.  logw holds the
     class's log-weights in plan order.  Only the classes that _cw_bracket
     does not run unscaled come here: those of fan 0, and complete classes
-    whose entries vanish or spread too wide at this s.  Each round takes
-    its row maxima with one scatter over plan.row; a maximum is exact in
-    any order, so the entry order of the plan does not matter.
+    whose entries vanish or spread too wide at this s, and that have no
+    chains to eliminate; each search starts afresh.  Each round takes its
+    row maxima with one scatter over plan.row; a maximum is exact in any
+    order, so the entry order of the plan does not matter.
     """
-    nstates = len(d)
+    nstates = plan.size
+    d = np.zeros(nstates)
     for _ in range(min(nstates, 512)):
         nxt = np.full(nstates, -np.inf)
         np.maximum.at(nxt, plan.row, logw + d[plan.col])
@@ -554,11 +537,11 @@ class _ClassPlan:
     chains.HUB_MAX hubs, and is None otherwise; _cw_bracket then starts
     from the Perron vector that eliminating the chains gives.
     Complete-pattern classes never take that route.  warm holds, per side,
-    the exponent, scales and final iterate of the last probe, the scales
-    None when it ran unscaled; side 1 stays unused while the two sides are
-    one array.  A complete class's plan may also begin with a warm state:
-    the previous depth's final iterate, lifted by prefix (see
-    _lift_iterates).
+    None or the exponent and final iterate (s, v) of the last probe that
+    ran unscaled; scaled probes store nothing, so a class of fan 0 keeps
+    [None, None], and side 1 stays unused while the two sides are one
+    array.  A complete class's plan may also begin with a warm state: the
+    previous depth's final iterate, lifted by prefix (see _lift_iterates).
     """
 
     letters: tuple
@@ -719,29 +702,29 @@ def _cw_bracket(plan, side, logs, s):
     weight underflows float64 (the ladder's deep spine at s = 4.5) keeps
     its size once scaled.
 
-    Starts.  A probe after one at a positive s_prev on the same side
-    starts warm.  Unscaled, it starts from exp((s / s_prev) * log v_prev),
-    the old iterate v_prev raised to s / s_prev in logs, with no pow; its
-    largest entry stays exactly 1.  Scaled, the scale search starts from
-    (s / s_prev) times the old scales (the max-plus eigenvector of s*L is
-    s times that of L) and the power iteration from the old iterate.  A
-    complete class's first probe on a new depth starts from the previous
-    depth's final iterate, lifted by prefix when _geometry carried it
-    over (see _lift_iterates).  Otherwise a probe starts cold, from zero
-    scales (none when unscaled) and v = 1; a warm state from the other
-    route counts for none.  A class with chains takes as its scales the
-    log Perron vector that eliminating them gives (chains.perron_log) and
-    starts from v = 1: the same iteration as one started from that vector,
-    while every entry stays within its row sum, about rho, where the
-    vector itself may span past float64.  That start reads no warm state;
-    the stored scales and iterate only serve a probe where the elimination
-    fails.  The iteration stops once the bracket of rho(B/theta) is CW_TOL
-    wide, or stalls after CW_MAX_ITER steps.  Scaled, theta is at most
-    about rho, as no scaled entry exceeds e**lambda, lambda the max-plus
-    eigenvalue, and e**lambda <= rho.  Unscaled, the largest entry may
-    exceed rho by up to e**(m * spread / (m + 1)), along the one (m+1)-cycle
-    through it, so the bracket must also be CW_TOL wide relative to its
-    lower end.  Returns (lo, hi, stalled, iterations).
+    Starts.  Only the unscaled route keeps state.  An unscaled probe
+    stores (s, v), its exponent and final iterate, in plan.warm[side], and
+    the next unscaled probe on that side after one at a positive s_prev
+    starts from exp((s / s_prev) * log v_prev), the old iterate v_prev
+    raised to s / s_prev in logs, with no pow; its largest entry stays
+    exactly 1.  A complete class's first probe on a new depth starts the
+    same way from the previous depth's final iterate, lifted by prefix
+    when _geometry carried it over (see _lift_iterates).  Any other
+    unscaled probe starts from v = 1.  A scaled probe starts from v = 1,
+    reads no warm state and stores none.  A class with chains takes as its
+    scales the log Perron vector that eliminating them gives
+    (chains.perron_log): the same iteration as one started from that
+    vector, while every entry stays within its row sum, about rho, where
+    the vector itself may span past float64.  Any other scaled class, or
+    one where the elimination fails, searches its scales from zero
+    (_equilibrate_scales).  The iteration stops once the bracket of
+    rho(B/theta) is CW_TOL wide, or stalls after CW_MAX_ITER steps.
+    Scaled, theta is at most about rho, as no scaled entry exceeds
+    e**lambda, lambda the max-plus eigenvalue, and e**lambda <= rho.
+    Unscaled, the largest entry may exceed rho by up to e**(m * spread /
+    (m + 1)), along the one (m+1)-cycle through it, so the bracket must
+    also be CW_TOL wide relative to its lower end.  Returns (lo, hi,
+    stalled, iterations).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
@@ -750,13 +733,11 @@ def _cw_bracket(plan, side, logs, s):
     top = float(highest(logw))
     if top == -np.inf:
         return 0.0, 0.0, False, 0
-    warm = plan.warm[side]
-    if warm is not None and not warm[0] > 0.0:
-        warm = None
     if plan.fan and plan.depth * (top - lowest(logw)) <= _UNSCALED_SPREAD:
         d = None
-        if warm is not None and warm[1] is None:
-            s_prev, _, v = warm
+        warm = plan.warm[side]
+        if warm is not None and warm[0] > 0.0:
+            s_prev, v = warm
             v = np.log(v)
             v *= s / s_prev
             np.exp(v, out=v)
@@ -769,19 +750,12 @@ def _cw_bracket(plan, side, logs, s):
         data = np.exp(logw, out=logw)
         theta = float(np.exp(top))
     else:
-        logv = None
+        d = None
         if plan.chains is not None:
-            logv = chainlib.perron_log(plan.chains, plan.row, logw)
-        if logv is not None:
-            d = logv
-            v = np.ones(nstates)
-        elif warm is not None and warm[1] is not None:
-            s_prev, d, v = warm
-            d = _equilibrate_scales(plan, logw, (s / s_prev) * d)
-            v = v.copy()  # the loop below reuses its iterates' storage
-        else:
-            d = _equilibrate_scales(plan, logw, np.zeros(nstates))
-            v = np.ones(nstates)
+            d = chainlib.perron_log(plan.chains, plan.row, logw)
+        if d is None:
+            d = _equilibrate_scales(plan, logw)
+        v = np.ones(nstates)
         # the scaled entries exp(logw + d[col] - d[row]) / theta, formed in
         # one buffer, in the order of that expression
         data = logw + d[plan.col]
@@ -821,7 +795,8 @@ def _cw_bracket(plan, side, logs, s):
         np.divide(w, highest(w), out=nxt)
         np.maximum(nxt, 1e-300, out=nxt)
         v, nxt = nxt, v
-    plan.warm[side] = (s, d, v)
+    if d is None:
+        plan.warm[side] = (s, v)
     lo = max(best_lo - shift, 0.0) * theta
     hi = max(best_hi - shift, 0.0) * theta
     if lo > hi:
@@ -1081,7 +1056,7 @@ def truncation_ladder(system, potential, horizons, depth=1):
     pressure lower-bounds the full pressure, so the running max stays
     certified at every stage and is nondecreasing by construction.  The
     final entry (scope "full") pairs the best lower with the tail-corrected
-    upper from the largest horizon.
+    upper from the largest horizon, and is stalled when any stage was.
     """
     hs = list(horizons)
     if not hs:
@@ -1111,6 +1086,7 @@ def truncation_ladder(system, potential, horizons, depth=1):
             depth=depth,
             scope="full",
             divergence=divergence,
+            stalled=any(est.stalled for est in out),
             tail_term=tail_term,
             component=last.component,
         )

@@ -79,10 +79,6 @@ def generate_point_cloud(system, depth, horizon, cap=100000):
     if cap < 1:
         raise ValueError("cap must be >= 1")
     letters = system.letters(horizon)
-    by_initial = {}
-    for e in letters:
-        by_initial.setdefault(system.graph.initial(e), []).append(e)
-
     out = []
     stack = [(e,) for e in reversed(letters)]
     while stack and len(out) < cap:
@@ -91,8 +87,7 @@ def generate_point_cloud(system, depth, horizon, cap=100000):
             pt, radius = coding_map(system, prefix)
             out.append((pt, radius, prefix))
             continue
-        nxt = by_initial.get(system.graph.terminal(prefix[-1]), ())
-        for e in reversed(nxt):
+        for e in reversed(system.out_edges(system.graph.terminal(prefix[-1]), horizon)):
             stack.append(prefix + (e,))
     return PointCloud(tuple(out), system.name, depth, len(letters))
 

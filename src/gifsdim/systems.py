@@ -17,6 +17,7 @@ seeds under the supported map families.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import maps as mapslib
@@ -222,17 +223,23 @@ class GifsSystem:
 
     # ---- adjacency over a materialized horizon ---------------------------
 
-    def _ensure_adjacency(self, horizon_edges):
-        if self._adjacency is None or self._adjacency_horizon < horizon_edges:
-            adj = {}
-            for e in self.letters(horizon_edges):
-                adj.setdefault(self.graph.initial(e), []).append(e)
-            self._adjacency = adj
-            self._adjacency_horizon = horizon_edges
-
     def out_edges(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
-        self._ensure_adjacency(horizon_edges)
-        return self._adjacency.get(v, [])
+        """The out-letters of v among letters(horizon_edges), in enumeration
+        order.  The letters' positions are grouped by initial vertex once,
+        over the largest horizon asked for so far, and a smaller horizon,
+        whose letters are a prefix of those, takes each group's positions
+        below its letter count."""
+        if self._adjacency is None or self._adjacency_horizon < horizon_edges:
+            letters = self.letters(horizon_edges)
+            adj = {}
+            for j, e in enumerate(letters):
+                adj.setdefault(self.graph.initial(e), []).append(j)
+            self._adjacency = (letters, adj)
+            self._adjacency_horizon = horizon_edges
+        letters, adj = self._adjacency
+        positions = adj.get(v, ())
+        count = min(self.clamp_edges(horizon_edges), len(letters))
+        return [letters[j] for j in positions[:bisect_left(positions, count)]]
 
     def vertex_sup(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
         """sup over out-edges of the derivative sup on the terminal seed;
@@ -262,15 +269,12 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     r1 = max(sups.values())
     if r1 < 1.0:
         return ContractionBound(1, r1, r1, 1.0)
-    by_initial = {}
-    for e in edges:
-        by_initial.setdefault(g.initial(e), []).append(e)
     rho = 0.0
     checked = 0
     for f in edges:
         nb = system.seed(g.terminal(f)).neighborhood
         image, _ = mapslib.image_enclosure(system.map_of(f), nb)
-        for e in by_initial.get(g.terminal(f), ()):
+        for e in system.out_edges(g.terminal(f), horizon_edges):
             inner = mapslib.derivative_range_over_set(system.map_of(e), image)
             rho = max(rho, inner.upper * sups[f])
             checked += 1
@@ -334,13 +338,11 @@ def check_separation(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     within GEOM_TOL of 0: only the interiors are disjoint), witnessed by the
     open witness if any, else the first touching pair.
     """
-    groups = {}
-    for e in system.letters(horizon_edges):
-        groups.setdefault(system.graph.initial(e), []).append(e)
+    starts = dict.fromkeys(system.graph.initial(e) for e in system.letters(horizon_edges))
     min_gap = math.inf
     overlap = touch = None
     pairs = 0
-    for group in groups.values():
+    for group in (system.out_edges(v, horizon_edges) for v in starts):
         shapes = [system.seed_image(e) for e in group]
         for i, (si, exact_i) in enumerate(shapes):
             for j in range(i + 1, len(group)):
@@ -537,13 +539,8 @@ def reduce_to_simple(system):
         img, _ = system.seed_image(e)
         if interior_margin(system.seed(g.initial(e)).seed, img) < -GEOM_TOL:
             raise ConditionViolation(f"edge {e} image escapes its seed")
-    pairs = [
-        (e, f)
-        for e in base_edges
-        for f in base_edges
-        if g.terminal(e) == g.initial(f)
-    ]
-    succ = {e: [f for (a, f) in pairs if a == e] for e in base_edges}
+    succ = {e: system.out_edges(g.terminal(e), len(base_edges)) for e in base_edges}
+    pairs = [(e, f) for e in base_edges for f in succ[e]]
     dead = tuple(e for e in base_edges if not succ[e])
 
     seeds = {}

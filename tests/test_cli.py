@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from gifsdim import pressure
 from gifsdim.cli import RunConfig, main, parse_config, run
 from gifsdim.errors import SchemaViolation
 
@@ -131,6 +132,18 @@ def test_pressure_without_s_faults():
     assert code == 1
     assert lines[0]["error"] == "SchemaViolation"
     assert "s:" in lines[0]["message"]
+
+
+def test_pressure_reports_a_stalled_power_iteration(monkeypatch):
+    # two steps leave the CF {1, 2} class at depth 3 short of its
+    # tolerance; the printed full entry must say so
+    monkeypatch.setattr(pressure, "CW_MAX_ITER", 2)
+    cfg = parse_config(json.dumps({"scenario": "cf", "scenario_options": {"letters": [1, 2]},
+                                   "s": 0.5, "depth": 3}))
+    code, lines = capture("pressure", cfg)
+    assert code == 0
+    est = lines[0]["estimate"]
+    assert est["scope"] == "full" and est["stalled"] is True
 
 
 def test_unknown_command_faults():

@@ -84,13 +84,12 @@ def test_potential_spec_validation():
 
 def test_estimate_lambda_bracket_and_record():
     est = PressureEstimate(lower=-0.5, upper=-0.25, s=1.0, horizon=2)
-    rec = est.record()
-    assert rec["s"] == 1.0
-    assert rec["k"] == 2
-    assert rec["lower"] == -0.5
-    assert rec["scope"] == "truncated"
-    assert rec["divergence_flag"] is False
-    assert "epsilon" not in rec
+    assert est.s == 1.0
+    assert est.horizon == 2
+    assert est.lower == -0.5
+    assert est.scope == "truncated"
+    assert est.divergence is False
+    assert not hasattr(est, "epsilon")
     with pytest.raises(ValueError):
         PressureEstimate(lower=0.2, upper=0.1, s=1.0)
 
@@ -540,14 +539,15 @@ def test_chain_start_meets_slicing_reference_and_dense_radius():
 
 
 def test_warm_probes_agree_with_cold_ones(monkeypatch):
-    # with its chain elimination off, the ladder's class starts warm as the
-    # CF class does; with it on, every probe starts from the elimination,
-    # which reads no warm state, so warm probes repeat cold ones bit for bit
+    # only the CF class, which runs unscaled, starts warm; the ladder's
+    # class runs scaled, from its chain elimination or, with that off, from
+    # a scale search, and either start reads no warm state, so its probes
+    # repeat cold ones bit for bit
     sequence = (2.0, 0.0, 1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625, 0.671875)
-    cases = ((lambda: cf_system(letters=(1, 2)), (2, 10), (2, 9), 0),
-             (ladder_system, (512, 1), (256, 1), 0),
-             (ladder_system, (512, 1), (256, 1), chains.HUB_MAX))
-    for make, (k, m), (k2, m2), hub_max in cases:
+    cases = ((lambda: cf_system(letters=(1, 2)), (2, 10), (2, 9), 0, True),
+             (ladder_system, (512, 1), (256, 1), 0, False),
+             (ladder_system, (512, 1), (256, 1), chains.HUB_MAX, False))
+    for make, (k, m), (k2, m2), hub_max, unscaled in cases:
         monkeypatch.setattr(chains, "HUB_MAX", hub_max)
         cold = [pressure_spectral(make(), PotentialSpec(s), k, m) for s in sequence]
         sys = make()
@@ -566,13 +566,28 @@ def test_warm_probes_agree_with_cold_ones(monkeypatch):
         # the first probe on the geometry is cold; later ones start warm
         assert (_bits(warm[0].lower), _bits(warm[0].upper)) == (
             _bits(cold[0].lower), _bits(cold[0].upper))
-        assert differs == (hub_max == 0), make
+        assert differs == unscaled, make
         # a new horizon or depth is a new geometry, and its first probe cold
         fresh = pressure_spectral(make(), PotentialSpec(sequence[-1]), k2, m2)
         assert (_bits(moved.lower), _bits(moved.upper)) == (
             _bits(fresh.lower), _bits(fresh.upper))
         assert [(_bits(lo), _bits(hi)) for _, lo, hi in moved.components] == [
             (_bits(lo), _bits(hi)) for _, lo, hi in fresh.components]
+
+
+def test_a_scaled_probe_keeps_no_state(monkeypatch):
+    # with its chain elimination off, the ladder's class searches its
+    # scales at every probe: a second probe on the same geometry repeats a
+    # fresh one bit for bit, and neither leaves a warm state behind
+    monkeypatch.setattr(chains, "HUB_MAX", 0)
+    sys = ladder_system()
+    with _reuse_geometry():
+        pressure_spectral(sys, PotentialSpec(0.5), 512, 1)
+        again = pressure_spectral(sys, PotentialSpec(0.75), 512, 1)
+        plans = _state_classes(build_weighted_matrix(sys, PotentialSpec(0.75), 512, 1).geometry)
+    fresh = pressure_spectral(ladder_system(), PotentialSpec(0.75), 512, 1)
+    assert (_bits(again.lower), _bits(again.upper)) == (_bits(fresh.lower), _bits(fresh.upper))
+    assert plans and all(plan.fan == 0 and plan.warm == [None, None] for plan in plans)
 
 
 def two_side_spectral(system, potential, k, m):
@@ -999,6 +1014,15 @@ def test_cf_full_divergence_below_summability():
     assert final.upper == math.inf
     # truncated stages never carry the divergence flag
     assert not any(e.divergence for e in ests[:-1])
+
+
+def test_full_entry_is_stalled_when_a_stage_stalled(monkeypatch):
+    monkeypatch.setattr(pressure, "CW_MAX_ITER", 2)
+    cf = cf_system(letters=(1, 2))
+    assert pressure_spectral(cf, PotentialSpec(0.5), 2, 3).stalled
+    ests = truncation_ladder(cf, PotentialSpec(0.5), [2], depth=3)
+    assert [e.stalled for e in ests] == [True, True]
+    assert ests[-1].scope == "full"
 
 
 def test_truncation_ladder_rejects_bad_horizons():

@@ -248,6 +248,21 @@ def test_contraction_certificate_failure():
         contraction_certificate(wide, 1)
 
 
+def test_out_edges_do_not_depend_on_call_history():
+    assert affine_demo().out_edges(1, 1) == [(1, 1)]
+    seen = affine_demo()
+    assert seen.out_edges(1, 4096) == [(1, 1), (1, 2)]
+    assert seen.out_edges(1, 1) == [(1, 1)]
+    # each vertex's out-letters among letters(h), in enumeration order,
+    # after a larger horizon was asked for first
+    lad = ladder_system()
+    lad.out_edges(1, 4096)
+    for h in (1, 5, 64, 4096):
+        letters = lad.letters(h)
+        for v in lad.vertices_prefix(12):
+            assert lad.out_edges(v, h) == [e for e in letters if lad.graph.initial(e) == v]
+
+
 def test_validate_cf_full_report():
     rep = validate_conditions(cf_system([1, 2, 3]), 4, 16)
     assert rep.checks["maps-into-seeds"].status == "satisfied"

@@ -107,16 +107,18 @@ def test_cf_solves_run_no_scale_search(monkeypatch):
        seed=st.integers(0, 2**32 - 1))
 def test_unscaled_brackets_hold_the_dense_radius(letters, depth, seed):
     # log-weights in [-40, 0] span at most 120 over depth 3, inside the
-    # bound, so the bracket comes from the unscaled iteration, which keeps
-    # no scales for the next probe.  Two nearly equal eigenvalues (weak
-    # links between heavy loops) converge slowly with or without scales,
-    # so the budget is cut: a stalled bracket is wide, and still certified
+    # bound, so the bracket comes from the unscaled iteration, the one
+    # route that keeps its iterate for the next probe.  Two nearly equal
+    # eigenvalues (weak links between heavy loops) converge slowly with or
+    # without scales, so the budget is cut: a stalled bracket is wide, and
+    # still certified
     rng = np.random.default_rng(seed)
     plan = complete_class(letters, depth, rng.uniform(-40.0, 0.0, letters**(depth + 1)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
         lo, hi, _, _ = _cw_bracket(plan, 0, plan.logs[0], 1.0)
-    assert plan.warm[0][1] is None
+    (s_prev, _), unused = plan.warm
+    assert s_prev == 1.0 and unused is None
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) - SLACK <= want <= math.log(hi) + SLACK, (lo, want, hi)
 
@@ -131,7 +133,7 @@ def test_a_largest_entry_far_above_rho_still_gives_a_tight_bracket():
     logw[0, 0], logw[1, 2] = -100.0, 0.0
     plan = complete_class(3, 1, logw.ravel())
     lo, hi, stalled, _ = _cw_bracket(plan, 0, plan.logs[0], 1.0)
-    assert plan.warm[0][1] is None and not stalled
+    assert plan.warm[0] is not None and not stalled
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) - SLACK <= want <= math.log(hi) + SLACK, (lo, want, hi)
     assert math.log(hi) - math.log(lo) <= CW_TOL
@@ -160,15 +162,16 @@ def perron_class(rng, letters, depth, step):
 def test_complete_class_past_the_spread_bound_takes_the_scales(monkeypatch):
     # a Perron vector spanning e**750 over depth 3 lies past float64, so
     # the class's log-weights span more than the bound over its depth, and
-    # the scale search runs; its bracket closes and holds the known radius.
-    # Forced unscaled, the same class floors its iterate at 1e-300 and
-    # stalls
+    # the scale search runs; its bracket closes and holds the known radius,
+    # and the scaled run keeps no state.  Forced unscaled, the same class
+    # floors its iterate at 1e-300 and stalls
     calls = count_scale_searches(monkeypatch)
     logw, rho = perron_class(np.random.default_rng(20261019), 2, 3, 250.0)
     plan = complete_class(2, 3, logw)
     assert plan.depth * np.ptp(plan.logs[0]) > pressure._UNSCALED_SPREAD
     lo, hi, stalled, _ = _cw_bracket(plan, 0, plan.logs[0], 1.0)
     assert len(calls) == 1 and not stalled
+    assert plan.warm == [None, None]
     assert lo * (1.0 - SLACK) <= rho <= hi * (1.0 + SLACK), (lo, rho, hi)
     monkeypatch.setattr(pressure, "CW_MAX_ITER", 1000)
     monkeypatch.setattr(pressure, "_UNSCALED_SPREAD", math.inf)
@@ -190,14 +193,14 @@ def test_a_deeper_geometry_starts_from_the_lifted_iterate():
             pressure_spectral(cf, PotentialSpec(0.5), 2, 3)
             old = build_weighted_matrix(cf, PotentialSpec(0.5), 2, 3).geometry
             (plan,) = _state_classes(old)
-            finals = [w[2].copy() for w in plan.warm]
+            finals = [w[1].copy() for w in plan.warm]
             gone = weakref.ref(old)
             del old, plan
             geom = build_weighted_matrix(cf, PotentialSpec(0.6), 2, 4).geometry
             assert gone() is None
             (deep,) = _state_classes(geom)
-            for (s_prev, scales, start), final in zip(deep.warm, finals, strict=True):
-                assert s_prev == 0.5 and scales is None
+            for (s_prev, start), final in zip(deep.warm, finals, strict=True):
+                assert s_prev == 0.5
                 assert np.array_equal(start, np.repeat(final, 2))
             est = pressure_spectral(cf, PotentialSpec(0.6), 2, 4)
     finally:
