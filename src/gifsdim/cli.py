@@ -27,7 +27,6 @@ from .errors import (
     IrregularSystem,
     SchemaViolation,
 )
-from .graphs import strongly_connected_components
 from .maps import (
     ConformalAffine,
     Constant,
@@ -44,7 +43,7 @@ from .perturb import (
     dimension_sweep,
     sweep_csv,
 )
-from .pressure import PotentialSpec, _letter_transition
+from .pressure import PotentialSpec, _letter_classes
 from .render import generate_point_cloud, rasterize
 from .scenarios import (
     affine_demo,
@@ -418,10 +417,8 @@ def _cmd_analyze(config, stream):
         kwargs["horizon_edges"] = config.horizon
     report = validate_conditions(system, **kwargs)
     sep = report.separation
-    letters = system.letters(config.horizon or 64)
-    fin = _letter_transition(system, letters)
-    classes = strongly_connected_components(fin).nontrivial_classes()
-    sizes = [len(cls) for cls in classes]
+    letter_graph, classes = _letter_classes(system, default_horizon(system, config.horizon))
+    sizes = [len(cls) for cls, _ in classes]
 
     findings = [
         {"check": name, "status": entry.status, "detail": entry.detail}
@@ -447,7 +444,7 @@ def _cmd_analyze(config, stream):
             "pairs_checked": sep.pairs_checked,
             "min_gap": sep.min_gap,
         },
-        "scc": {"nontrivial": len(sizes), "sizes": sizes, "letters": len(letters)},
+        "scc": {"nontrivial": len(sizes), "sizes": sizes, "letters": letter_graph.n},
         "findings": findings,
     }
     _emit(config, stream, [_record(config, "analyze", payload, horizon=config.horizon)])

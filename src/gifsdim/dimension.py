@@ -44,12 +44,11 @@ from .errors import (
     NoAdmissibleWords,
     SummabilityWitnessMissing,
 )
-from .graphs import strongly_connected_components
 from .pressure import (
     PotentialSpec,
     _exhausts,
     _geometry,
-    _letter_transition,
+    _letter_classes,
     _reuse_geometry,
     truncation_ladder,
 )
@@ -664,10 +663,9 @@ def dimension_per_component(system, horizon=None, **opts):
     Returns {class: DimensionResult}; the global dimension is the interval
     max over the values (asserted against the unrestricted solve in tests).
     """
-    letters = system.letters(default_horizon(system, horizon))
-    fin = _letter_transition(system, letters)
+    _, classes = _letter_classes(system, default_horizon(system, horizon))
     out = {}
-    for cls in strongly_connected_components(fin).nontrivial_classes():
+    for cls, _ in classes:
         sub = subsystem(system, edges=cls, name=f"{system.name}-cls")
         out[cls] = bowen_dimension(sub, check_conditions=False, **opts)
     return out

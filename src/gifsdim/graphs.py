@@ -3,8 +3,9 @@
 Countable vertex/edge sets are handled through deterministic enumerations:
 every operation that needs concrete data materializes a finite prefix (a
 "horizon").  The solver reads one graph path: the letters of a truncation
-as a FiniteTransition, their strongly connected classes, and the words
-over them, one level at a time.  Nothing here mutates shared state.
+as a FiniteTransition, whose adjacency the system's letter-incidence table
+gives (see GifsSystem.incidence), their strongly connected classes, and the
+words over them, one level at a time.  Nothing here mutates shared state.
 """
 
 from __future__ import annotations
@@ -75,22 +76,19 @@ class DirectedMultigraph:
 
 
 class FiniteTransition:
-    """Materialized k-state view: index maps, successor lists, dense matrix."""
+    """Materialized n-state view: the states, their index map, the n x n
+    boolean adjacency matrix dense (dense[i, j] says state j may follow
+    state i), and the ascending successor lists read off it."""
 
-    def __init__(self, states, succ_indices):
+    def __init__(self, states, dense):
         self.states = list(states)
         self.index = {s: i for i, s in enumerate(self.states)}
-        self.succ = [sorted(row) for row in succ_indices]
+        self.dense = dense
         self.n = len(self.states)
-
-    @property
-    def dense(self):
-        """A new n x n int8 adjacency matrix; it is not cached, so an object
-        kept for its successor lists does not keep n**2 bytes alive."""
-        m = np.zeros((self.n, self.n), dtype=np.int8)
-        for i, row in enumerate(self.succ):
-            m[i, row] = 1
-        return m
+        rows, cols = np.nonzero(dense)
+        ends = np.searchsorted(rows, np.arange(self.n + 1)).tolist()
+        cols = cols.tolist()
+        self.succ = [cols[a:b] for a, b in zip(ends, ends[1:])]
 
 
 @dataclass(frozen=True)

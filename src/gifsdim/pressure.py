@@ -221,25 +221,24 @@ class StateGeometry:
     letter_graph is the transition structure of the letters and words the
     states as rows of letter positions, of dtype np.min_scalar_type(letter
     count); letter_classes holds the nontrivial letter classes with their
-    periods (see _letter_classes), from which _state_classes reads off the
-    state classes.  states spells the words as tuples of letters on first
-    read; a solve never reads it, and counts its states by words.
+    periods (see _letter_classes), from which the state classes are read off
+    (see _cycling_classes).  states spells the words as tuples of letters on
+    first read; a solve never reads it, and counts its states by words.
     indices/indptr give the CSR pattern of the transitions; lower/upper
     hold, per nonzero in that order, the derivative range of the source
-    state's first letter over the enclosure of the target state, and are
-    one array when the two coincide elementwise.  disks holds the words'
+    state's first letter over the enclosure of the target state, and are one
+    array when the two coincide elementwise.  disks holds the words'
     enclosure disks as rows (cx, cy, r), or None with no Moebius letter;
-    with letter_graph, words and letter_classes it is all that a depth
-    step (see _geometry) builds on.  classes caches, once
-    pressure_spectral has computed them, the nontrivial state-level strongly
-    connected classes as _ClassPlan objects: each class's letter class, size
-    and period, the positions of its entries among the nonzeros, its local
-    pattern and the logs of its ranges, plus a complete class's last
-    unscaled iterate on each side, from which the next exponent's power
-    iteration starts.  carried holds, until the plans are made, those
-    iterates of the solve's previous geometry when that was the same
-    system and letters one depth shallower (see _geometry and
-    _lift_iterates).  A geometry lives at most as long as the solve that
+    with letter_graph, words and letter_classes it is all that a depth step
+    (see _geometry) builds on.  classes holds the nontrivial state-level
+    strongly connected classes in dependency order as _ClassPlan objects,
+    made with the geometry: each class's letter class, size and period, the
+    positions of its entries among the nonzeros, its local pattern and the
+    logs of its ranges, plus a complete class's last unscaled iterate on
+    each side, from which the next exponent's power iteration starts; a
+    geometry one depth deeper than the solve's previous one, on the same
+    system and letters, starts from that one's final iterates (see _geometry
+    and _lift_iterates).  A geometry lives at most as long as the solve that
     built it (see _reuse_geometry), so no warm start outlives a solve.  A
     truncation with no m-letter word has a geometry with no states.
     """
@@ -252,8 +251,7 @@ class StateGeometry:
     upper: np.ndarray
     disks: np.ndarray
     letter_classes: tuple
-    classes: tuple = None
-    carried: dict = None
+    classes: tuple = ()
 
     @cached_property
     def states(self):
@@ -262,28 +260,22 @@ class StateGeometry:
         return tuple(map(tuple, picked[self.words].tolist()))
 
 
-def _letter_transition(system, letters):
-    """FiniteTransition over exactly these letters (enumeration order)."""
-    g = system.graph
-    by_initial = {}
-    for j, f in enumerate(letters):
-        by_initial.setdefault(g.initial(f), []).append(j)
-    succ = [by_initial.get(g.terminal(e), []) for e in letters]
-    return FiniteTransition(list(letters), succ)
+def _letter_transition(system, k):
+    """FiniteTransition over letters(k), in enumeration order: letter b may
+    follow letter a when a's terminal vertex is b's initial one, as the
+    system's incidence table gives them."""
+    letters, initial, terminal = system.incidence(k)
+    return FiniteTransition(letters, terminal[:, None] == initial[None, :])
 
 
-def _vertex_incidence(system, letters):
-    """(vertex count, initial, terminal): the vertices the letters touch,
-    numbered in order of first appearance, and each letter's endpoints as
-    arrays of those numbers."""
-    g = system.graph
-    verts = {}
-    for e in letters:
-        for v in (g.initial(e), g.terminal(e)):
-            verts.setdefault(v, len(verts))
-    ini = np.array([verts[g.initial(e)] for e in letters], dtype=int)
-    ter = np.array([verts[g.terminal(e)] for e in letters], dtype=int)
-    return len(verts), ini, ter
+def _letter_classes(system, k):
+    """(letter graph, letter classes) of letters(k): its FiniteTransition
+    and that graph's nontrivial classes in dependency order, each as
+    (letters, period) (see _letter_period)."""
+    letter_graph = _letter_transition(system, k)
+    return letter_graph, tuple(
+        (cls, _letter_period(letter_graph, cls))
+        for cls in strongly_connected_components(letter_graph).nontrivial_classes())
 
 
 def _exhausts(system, k):
@@ -295,12 +287,13 @@ def _build_geometry(system, letters, m, below=None):
     """States, CSR pattern and derivative ranges as float64 arrays, built
     one word length at a time with a Python loop over letters only: from
     below, the (letter graph, words, disks, letter classes) of the same
-    letters at depth m - 1, when given, else from the letters and their
-    seed circumballs.  Either way every array comes out with the same bits."""
+    letters at depth m - 1, when given, else from the letters, their letter
+    graph and classes (see _letter_classes) and their seed circumballs.
+    Either way every array comes out with the same bits."""
     specs = [system.map_of(e) for e in letters]
     moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
     if below is None:
-        letter_graph = _letter_transition(system, letters)
+        letter_graph, letter_classes = _letter_classes(system, len(letters))
         words = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))[:, None]
         disks = None
         if any(moebius):
@@ -308,7 +301,6 @@ def _build_geometry(system, letters, m, below=None):
                 (*ball.center, ball.radius)
                 for ball in (circumball(system.seed_image(e)[0]) for e in letters)
             ]).T
-        letter_classes = _letter_classes(letter_graph)
         steps = m - 1
     else:
         letter_graph, words, disks, letter_classes = below
@@ -354,7 +346,7 @@ def _build_geometry(system, letters, m, below=None):
             )
         else:
             # an affine range does not depend on the set it ranges over
-            rng = mapslib.derivative_range_over_set(spec, None)
+            rng = system.letter_range(letters[a])
             lower[nz], upper[nz] = rng.lower, rng.upper
 
     if np.array_equal(lower, upper):
@@ -403,27 +395,33 @@ def _reuse_geometry():
 
 
 def _geometry(system, letters, m):
-    """The StateGeometry of letters at depth m, kept in the solve's slot.
-    One depth deeper than the slot's, on the same system and letters, it
-    takes the old one's letter graph, words, disks and letter classes and
-    builds only level m on them, and its complete classes start from the
-    old ones' final iterates; the old geometry, with its plans, ranges and
-    logs, is dropped first.  Anything else builds from the letters up."""
-    slot = _SOLVE_GEOMETRY.get()
-    if slot is None:
-        return _build_geometry(system, letters, m)
+    """The StateGeometry of letters at depth m, with its class plans, kept
+    in the solve's slot (outside a solve, in a slot of its own).  One depth
+    deeper than the slot's, on the same system and letters, it takes the
+    old one's letter graph, words, disks and letter classes and builds only
+    level m on them, and its complete classes start from the old ones'
+    final iterates; the old geometry, with its plans, ranges and logs, is
+    dropped first.  Anything else builds from the letters up."""
+    slot = _SOLVE_GEOMETRY.get() or _GeometrySlot()
     key = (tuple(letters), m)
     if slot.system is not system or slot.key != key:
-        finals = below = None
+        finals, below = {}, None
         if slot.system is system and slot.key == (key[0], m - 1):
             old = slot.geometry
-            finals = {plan.letters: plan.warm for plan in old.classes or ()}
+            finals = {plan.letters: plan.warm for plan in old.classes}
             below = (old.letter_graph, old.words, old.disks, old.letter_classes)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
         old = slot.system = slot.key = slot.geometry = None
         geom = _build_geometry(system, letters, m, below)
-        geom.carried = finals
+        # the plans are made once the shallower words and disks are gone,
+        # which keeps them out of a solve's peak memory
+        below = None
+        periods = dict(geom.letter_classes)
+        geom.classes = tuple(
+            _class_plan(geom, cls, idx, periods[cls]) for cls, idx in
+            _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes))
+        _lift_iterates(geom.classes, finals)
         slot.geometry = geom
         slot.system, slot.key = system, key
     return slot.geometry
@@ -804,13 +802,6 @@ def _cw_bracket(plan, side, logs, s):
     return lo, hi, stalled, iterations
 
 
-def _letter_classes(letter_graph):
-    """(letters, period) of each nontrivial class of letter_graph, in
-    dependency order (see _letter_period)."""
-    return tuple((cls, _letter_period(letter_graph, cls))
-                 for cls in strongly_connected_components(letter_graph).nontrivial_classes())
-
-
 def _cycling_classes(letter_graph, words, letter_classes):
     """(letter class, indices) of each nontrivial state class of the word
     states, in the dependency order of letter_classes, the nontrivial
@@ -864,26 +855,6 @@ def _letter_period(letter_graph, letters):
     return period
 
 
-def _state_classes(geom):
-    """Nontrivial state classes of geom in dependency order, each as its
-    _ClassPlan with the logs of its ranges; computed on first use and kept
-    on the geometry, so the plans and their warm starts live exactly as
-    long as the geometry.  The classes and their periods are the
-    geometry's letter classes, not a search over the states (see
-    _cycling_classes); only each class's words are picked out here.  The
-    iterates geom.carried holds start its complete classes (see
-    _lift_iterates), and are dropped once the plans are made."""
-    if geom.classes is None:
-        periods = dict(geom.letter_classes)
-        geom.classes = tuple(
-            _class_plan(geom, cls, idx, periods[cls]) for cls, idx in
-            _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes))
-        if geom.carried:
-            _lift_iterates(geom.classes, geom.carried)
-        geom.carried = None
-    return geom.classes
-
-
 def pressure_spectral(system, potential, k, m=1):
     """Spectral pressure bracket of the truncation at depth m, as the max
     over its strongly connected letter classes, with per-class attribution.
@@ -910,7 +881,7 @@ def pressure_spectral(system, potential, k, m=1):
     comps = []
     stalled = False
     s = potential.s
-    for plan in _state_classes(wm.geometry):
+    for plan in wm.geometry.classes:
         inf_logs, sup_logs = plan.logs
         lo_inf, hi_sup, st_a, _ = _cw_bracket(plan, 0, inf_logs, s)
         st_b = False
@@ -957,7 +928,7 @@ def _fekete_edge_upper(system, potential, k):
     supremum.  If A_{a*} vanishes (nilpotent truncation) the variant
     Lambda' = max_t A_t^(1/t), C = 1 is used instead.
     """
-    letters = system.letters(k)
+    letters, ini, ter = system.incidence(k)
     count = len(letters)
     witness = system.tail
     tail = float(witness.bound(count, potential.s))
@@ -968,8 +939,8 @@ def _fekete_edge_upper(system, potential, k):
     s = potential.s
     a_star = FEKETE_BLOCK
     weights = np.array([system.letter_range(e).upper for e in letters]) ** s
-
-    nverts, ini, ter = _vertex_incidence(system, letters)
+    # every vertex a letter ends at gets a sum, though nothing starts there
+    nverts = int(ter.max(initial=-1)) + 1
 
     log_a = []
     x = weights.copy()
@@ -979,8 +950,7 @@ def _fekete_edge_upper(system, potential, k):
         log_a.append(_safe_log(total) + shift if total > 0.0 else -math.inf)
         if level == a_star or total <= 0.0:
             break
-        sums = np.zeros(nverts)
-        np.add.at(sums, ini, x)
+        sums = np.bincount(ini, weights=x, minlength=nverts)
         x = weights * sums[ter]
         peak = float(x.max(initial=0.0))
         if peak > 0.0 and not (1e-100 < peak < 1e100):

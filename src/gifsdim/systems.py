@@ -20,6 +20,8 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import maps as mapslib
 from .errors import (
     ConditionViolation,
@@ -121,8 +123,10 @@ def finite_tail(unit="edge"):
 
 
 class GifsSystem:
-    """Graph plus seeds plus edge maps, with cached derivative ranges and
-    seed images.
+    """Graph plus seeds plus edge maps, with cached derivative ranges, seed
+    images and one letter-incidence table (see incidence), from which the
+    letter graph of every truncation, out_edges and the Fekete tail bound
+    read the letters' endpoints.
 
     seeds/maps may be dicts (finite systems) or callables (countable ones).
     contraction, when given, is a declared ContractionBound that the
@@ -155,8 +159,12 @@ class GifsSystem:
         self._map_cache = {}
         self._range_cache = {}
         self._image_cache = {}
-        self._adjacency = None
-        self._adjacency_horizon = 0
+        # the letter-incidence table (see incidence)
+        self._letters = []
+        self._covered = 0
+        self._vertex_ids = {}
+        self._initial = self._terminal = np.zeros(0, dtype=np.intp)
+        self._out_groups = None
 
     # ---- basic accessors -------------------------------------------------
 
@@ -221,25 +229,50 @@ class GifsSystem:
             shape, _ = mapslib.image_enclosure(self.map_of(e), shape)
         return shape
 
-    # ---- adjacency over a materialized horizon ---------------------------
+    # ---- letter incidence over a materialized horizon --------------------
+
+    def incidence(self, count):
+        """(letters, initial, terminal): letters(count) and each letter's
+        initial and terminal vertex, as int arrays of vertex numbers.  One
+        table serves every count: it covers the largest count asked for so
+        far and only grows, appending rows, and vertices are numbered in
+        order of first appearance along the enumeration, so the arrays for
+        a count are that table's first rows whatever was asked before."""
+        n = self._cover(count)
+        return self._letters[:n], self._initial[:n], self._terminal[:n]
+
+    def _cover(self, count):
+        """The number of letters in letters(count), once the incidence table
+        covers them."""
+        count = self.clamp_edges(count)
+        if count > self._covered:
+            self._covered = count
+            letters, known = self.letters(count), len(self._letters)
+            if len(letters) > known:
+                g, ids = self.graph, self._vertex_ids
+                rows = np.array([(ids.setdefault(g.initial(e), len(ids)),
+                                  ids.setdefault(g.terminal(e), len(ids)))
+                                 for e in letters[known:]], dtype=np.intp)
+                self._letters = letters
+                self._initial = np.concatenate((self._initial, rows[:, 0]))
+                self._terminal = np.concatenate((self._terminal, rows[:, 1]))
+                self._initial.flags.writeable = self._terminal.flags.writeable = False
+                # the table's positions grouped by initial vertex, ascending
+                order = np.argsort(self._initial, kind="stable").tolist()
+                ends = np.cumsum(np.bincount(self._initial, minlength=len(ids))).tolist()
+                self._out_groups = [order[a:b] for a, b in zip([0] + ends, ends)]
+        return min(count, len(self._letters))
 
     def out_edges(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
         """The out-letters of v among letters(horizon_edges), in enumeration
-        order.  The letters' positions are grouped by initial vertex once,
-        over the largest horizon asked for so far, and a smaller horizon,
-        whose letters are a prefix of those, takes each group's positions
-        below its letter count."""
-        if self._adjacency is None or self._adjacency_horizon < horizon_edges:
-            letters = self.letters(horizon_edges)
-            adj = {}
-            for j, e in enumerate(letters):
-                adj.setdefault(self.graph.initial(e), []).append(j)
-            self._adjacency = (letters, adj)
-            self._adjacency_horizon = horizon_edges
-        letters, adj = self._adjacency
-        positions = adj.get(v, ())
-        count = min(self.clamp_edges(horizon_edges), len(letters))
-        return [letters[j] for j in positions[:bisect_left(positions, count)]]
+        order: v's group of the incidence table's positions, below the
+        letter count."""
+        n = self._cover(horizon_edges)
+        i = self._vertex_ids.get(v)
+        if i is None:
+            return []
+        positions = self._out_groups[i]
+        return [self._letters[j] for j in positions[:bisect_left(positions, n)]]
 
     def vertex_sup(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
         """sup over out-edges of the derivative sup on the terminal seed;

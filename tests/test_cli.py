@@ -13,6 +13,7 @@ import pytest
 from gifsdim import pressure
 from gifsdim.cli import RunConfig, main, parse_config, run
 from gifsdim.errors import SchemaViolation
+from gifsdim.scenarios import gaussian_alphabet
 
 TWO_LOOP = 0.5514630897455955
 GOLDEN = 0.6942419136306174
@@ -99,6 +100,19 @@ def test_analyze_reports_overlap_with_exit_2():
     assert code == 2
     findings = lines[0]["findings"]
     assert any(f["status"] == "overlap-witness" for f in findings)
+
+
+def test_analyze_classes_cover_every_letter_of_a_finite_system():
+    # the scc block reads the alphabet horizon a solve would use, every
+    # letter of a finite system, as the condition checks do; it once read
+    # only the first 64 of these 78
+    letters = [[int(e.real), int(e.imag)] for e in gaussian_alphabet(6)]
+    cfg = parse_config(json.dumps(
+        {"scenario": "cf", "scenario_options": {"letters": letters}}))
+    code, (rec,) = capture("analyze", cfg)
+    assert code == 0
+    assert rec["separation"]["pairs_checked"] == 78 * 77 // 2
+    assert rec["scc"] == {"letters": 78, "nontrivial": 1, "sizes": [78]}
 
 
 def test_dimension_two_loop_subsystem():

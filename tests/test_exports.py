@@ -1,10 +1,12 @@
-"""Export guard: no public name that only tests reach.
+"""Export guard: no public name that only tests reach, and no orphaned
+private helper.
 
 Every public top-level function and class of every module in src/gifsdim,
 and every name in a module's __all__, must either be re-exported by
 gifsdim.__all__ or be referenced somewhere in src/gifsdim outside its own
 definition and the __all__ lists.  A name that meets neither is library
-code that only tests call.
+code that only tests call.  Every private top-level function and class
+must be referenced somewhere in src/gifsdim outside its own definition.
 """
 
 import ast
@@ -21,13 +23,16 @@ def _all_names(tree):
     return []
 
 
-def _public_names(tree):
-    defined = [
+def _defined_names(tree, private):
+    return [
         node.name for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
+        and node.name.startswith("_") == private
     ]
-    return dict.fromkeys(defined + _all_names(tree))
+
+
+def _public_names(tree):
+    return dict.fromkeys(_defined_names(tree, False) + _all_names(tree))
 
 
 def _references(tree, skip):
@@ -47,18 +52,27 @@ def _references(tree, skip):
     return found
 
 
+def _trees():
+    return {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+
+
+def _used_in_package(trees, module, name):
+    return any(name in _references(tree, name if stem == module else None)
+               for stem, tree in trees.items())
+
+
 def test_every_guarded_public_name_is_exported_or_used():
-    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    trees = _trees()
     exported = set(_all_names(trees["__init__"]))
-    unreached = []
-    for module in sorted(trees):
-        for name in _public_names(trees[module]):
-            if name in exported:
-                continue
-            used = any(
-                name in _references(tree, name if stem == module else None)
-                for stem, tree in trees.items()
-            )
-            if not used:
-                unreached.append(f"{module}.{name}")
+    unreached = [f"{module}.{name}" for module in sorted(trees)
+                 for name in _public_names(trees[module])
+                 if name not in exported and not _used_in_package(trees, module, name)]
     assert unreached == []
+
+
+def test_every_private_helper_is_used():
+    trees = _trees()
+    orphaned = [f"{module}.{name}" for module in sorted(trees)
+                for name in _defined_names(trees[module], True)
+                if not _used_in_package(trees, module, name)]
+    assert orphaned == []

@@ -21,10 +21,10 @@ from words import word_level
 def from_pairs(states, pairs):
     """The FiniteTransition over states with an edge a -> b per pair."""
     index = {s: i for i, s in enumerate(states)}
-    succ = [[] for _ in states]
+    dense = np.zeros((len(states), len(states)), dtype=bool)
     for a, b in pairs:
-        succ[index[a]].append(index[b])
-    return FiniteTransition(states, succ)
+        dense[index[a], index[b]] = True
+    return FiniteTransition(states, dense)
 
 
 def reachability_oracle(dense):

@@ -47,8 +47,6 @@ from gifsdim.pressure import (
     truncation_ladder,
     _cw_bracket,
     _cycling_classes,
-    _letter_classes,
-    _state_classes,
 )
 from gifsdim.scenarios import (
     affine_demo,
@@ -189,8 +187,8 @@ def test_reweighting_matches_a_fresh_build_bitwise():
         assert second.states == fresh.states
         # the log-weights each exponent is reweighted from, taken once per
         # geometry, are those of a fresh build too
-        for got, want in zip(_state_classes(second.geometry),
-                             _state_classes(fresh.geometry), strict=True):
+        for got, want in zip(second.geometry.classes,
+                             fresh.geometry.classes, strict=True):
             assert _same_bits((got.positions, *got.logs), (want.positions, *want.logs))
 
 
@@ -416,8 +414,7 @@ def reference_spectral(system, potential, k, m):
     nnz, nstates = len(geom.indices), len(geom.words)
     numbers = sp.csr_matrix((np.arange(1.0, nnz + 1.0), geom.indices, geom.indptr),
                             shape=(nstates, nstates))
-    ptr, cols = geom.indptr.tolist(), geom.indices.tolist()
-    tr = FiniteTransition(geom.states, [cols[i:j] for i, j in zip(ptr, ptr[1:])])
+    tr = FiniteTransition(geom.states, numbers.toarray() > 0)
     dec = strongly_connected_components(tr)
     position = {e: i for i, e in enumerate(system.letters(k))}
     lower = upper = -math.inf
@@ -491,7 +488,7 @@ def test_cold_spectral_matches_slicing_reference_bitwise(monkeypatch):
     complete = 0
     for make, k, m, pot in slicing_cases():
         est = pressure_spectral(make(), pot, k, m)
-        plans = _state_classes(build_weighted_matrix(make(), pot, k, m).geometry)
+        plans = build_weighted_matrix(make(), pot, k, m).geometry.classes
         _, _, stalled, comps = reference_spectral(make(), pot, k, m)
         where = (make, k, m, pot.s)
         assert est.stalled == stalled, where
@@ -518,7 +515,7 @@ def test_chain_start_meets_slicing_reference_and_dense_radius():
     routes = 0
     for make, k, m, pot in slicing_cases():
         est = pressure_spectral(make(), pot, k, m)
-        plans = _state_classes(build_weighted_matrix(make(), pot, k, m).geometry)
+        plans = build_weighted_matrix(make(), pot, k, m).geometry.classes
         _, _, stalled, comps = reference_spectral(make(), pot, k, m)
         where = (make, k, m, pot.s)
         assert est.stalled == stalled, where
@@ -584,7 +581,7 @@ def test_a_scaled_probe_keeps_no_state(monkeypatch):
     with _reuse_geometry():
         pressure_spectral(sys, PotentialSpec(0.5), 512, 1)
         again = pressure_spectral(sys, PotentialSpec(0.75), 512, 1)
-        plans = _state_classes(build_weighted_matrix(sys, PotentialSpec(0.75), 512, 1).geometry)
+        plans = build_weighted_matrix(sys, PotentialSpec(0.75), 512, 1).geometry.classes
     fresh = pressure_spectral(ladder_system(), PotentialSpec(0.75), 512, 1)
     assert (_bits(again.lower), _bits(again.upper)) == (_bits(fresh.lower), _bits(fresh.upper))
     assert plans and all(plan.fan == 0 and plan.warm == [None, None] for plan in plans)
@@ -597,7 +594,7 @@ def two_side_spectral(system, potential, k, m):
     wm = build_weighted_matrix(system, potential, k, m)
     position = {e: i for i, e in enumerate(system.letters(k))}
     comps = []
-    for plan in _state_classes(wm.geometry):
+    for plan in wm.geometry.classes:
         lo, _, st_a, _ = _cw_bracket(plan, 0, plan.logs[0], potential.s)
         _, hi, st_b, _ = _cw_bracket(plan, 1, plan.logs[1], potential.s)
         # the geometry rows that hold the class's entries are its states
@@ -637,14 +634,14 @@ def test_shared_side_matches_two_side_calls_bitwise():
 
 
 def state_graph(adj, words):
-    """Successor lists of the word states, straight from the definition:
+    """Adjacency matrix of the word states, straight from the definition:
     u -> w when w continues u by one letter."""
     index = {tuple(w): i for i, w in enumerate(words.tolist())}
-    succ = []
-    for u in words.tolist():
+    dense = np.zeros((len(words), len(words)), dtype=bool)
+    for i, u in enumerate(words.tolist()):
         row = [index.get(tuple(u[1:]) + (c,)) for c in np.flatnonzero(adj[u[-1]]).tolist()]
-        succ.append([i for i in row if i is not None])
-    return succ
+        dense[i, [j for j in row if j is not None]] = True
+    return dense
 
 
 def test_derived_state_classes_match_state_search():
@@ -662,10 +659,12 @@ def test_derived_state_classes_match_state_search():
         if not len(words):
             continue
         cases += 1
-        letters = FiniteTransition(range(k), [np.flatnonzero(row).tolist() for row in adj])
-        derived = _cycling_classes(letters, words, _letter_classes(letters))
-        succ = state_graph(adj, words)
-        dec = strongly_connected_components(FiniteTransition(range(len(words)), succ))
+        letters = FiniteTransition(range(k), adj.astype(bool))
+        classes = [(cls, None)
+                   for cls in strongly_connected_components(letters).nontrivial_classes()]
+        derived = _cycling_classes(letters, words, classes)
+        states = FiniteTransition(range(len(words)), state_graph(adj, words))
+        dec = strongly_connected_components(states)
         derived_sets = {tuple(idx.tolist()) for _, idx in derived}
         assert derived_sets == set(dec.nontrivial_classes())
         several += len(derived) > 1
@@ -680,7 +679,7 @@ def test_derived_state_classes_match_state_search():
             seen = set(idx.tolist())
             stack = list(seen)
             while stack:
-                for j in succ[stack.pop()]:
+                for j in states.succ[stack.pop()]:
                     if j not in seen:
                         seen.add(j)
                         stack.append(j)
@@ -866,7 +865,7 @@ def test_plan_periods_match_the_sliced_class_matrices():
             geom = wm.geometry
             sliced = as_csr(wm.inf_weights, 1.0)
             classes = _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes)
-            for plan, (_, idx) in zip(_state_classes(geom), classes, strict=True):
+            for plan, (_, idx) in zip(geom.classes, classes, strict=True):
                 mat = sliced[idx][:, idx]
                 want = pattern_period(mat.indptr, mat.indices)
                 assert plan.period == want, (make, k, m, plan.letters)
@@ -878,7 +877,7 @@ def test_plan_periods_match_the_sliced_class_matrices():
         for m in (1, 2, 3):
             pot = PotentialSpec(1.0)
             est = pressure_spectral(sys, pot, 64, m)
-            plans = _state_classes(build_weighted_matrix(sys, pot, 64, m).geometry)
+            plans = build_weighted_matrix(sys, pot, 64, m).geometry.classes
             assert not est.stalled
             for plan, (cls, lo, hi), grp in zip(plans, est.components, groups,
                                                 strict=True):
@@ -902,7 +901,7 @@ def test_planted_constant_letters_run_shifted(monkeypatch):
     wm = build_weighted_matrix(sys, PotentialSpec(0.5), 3, 2)
     geom = wm.geometry
     ((letters, idx),) = _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes)
-    (plan,) = _state_classes(geom)
+    (plan,) = geom.classes
     assert plan.period == 1
     assert (geom.lower[plan.positions] == 0.0).any()
     shifted = pressure._class_plan(geom, letters, idx, 2)

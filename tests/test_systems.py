@@ -14,11 +14,13 @@ the reference the one-sweep check_separation is compared against.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gifsdim.errors import ConditionViolation, NonAdmissibleWord
+from gifsdim.pressure import PotentialSpec, _fekete_edge_upper, _letter_transition
 from gifsdim.scenarios import (
     affine_demo,
     cf_system,
@@ -261,6 +263,27 @@ def test_out_edges_do_not_depend_on_call_history():
         letters = lad.letters(h)
         for v in lad.vertices_prefix(12):
             assert lad.out_edges(v, h) == [e for e in letters if lad.graph.initial(e) == v]
+
+
+def test_incidence_table_does_not_depend_on_call_history():
+    # the letter graph and the Fekete tail bound at a small horizon read the
+    # first rows of a table already grown to 512 letters, and match a fresh
+    # system's, bit for bit
+    seen = ladder_system()
+    seen.incidence(512)
+    got, want = _letter_transition(seen, 64), _letter_transition(ladder_system(), 64)
+    assert got.states == want.states
+    assert np.array_equal(got.dense, want.dense)
+    assert got.succ == want.succ
+    # b follows a exactly when a ends where b starts
+    g = seen.graph
+    assert got.succ == [[j for j, b in enumerate(got.states) if g.terminal(a) == g.initial(b)]
+                        for a in got.states]
+    pot = PotentialSpec(1.5)
+    seen = cf_system()
+    seen.incidence(512)
+    got, want = _fekete_edge_upper(seen, pot, 40), _fekete_edge_upper(cf_system(), pot, 40)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_validate_cf_full_report():

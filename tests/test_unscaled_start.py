@@ -32,7 +32,6 @@ from gifsdim.pressure import (
     _class_plan,
     _cw_bracket,
     _reuse_geometry,
-    _state_classes,
     build_weighted_matrix,
     pressure_spectral,
 )
@@ -192,13 +191,13 @@ def test_a_deeper_geometry_starts_from_the_lifted_iterate():
         with _reuse_geometry():
             pressure_spectral(cf, PotentialSpec(0.5), 2, 3)
             old = build_weighted_matrix(cf, PotentialSpec(0.5), 2, 3).geometry
-            (plan,) = _state_classes(old)
+            (plan,) = old.classes
             finals = [w[1].copy() for w in plan.warm]
             gone = weakref.ref(old)
             del old, plan
             geom = build_weighted_matrix(cf, PotentialSpec(0.6), 2, 4).geometry
             assert gone() is None
-            (deep,) = _state_classes(geom)
+            (deep,) = geom.classes
             for (s_prev, start), final in zip(deep.warm, finals, strict=True):
                 assert s_prev == 0.5
                 assert np.array_equal(start, np.repeat(final, 2))
