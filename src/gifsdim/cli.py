@@ -417,8 +417,8 @@ def _cmd_analyze(config, stream):
         kwargs["horizon_edges"] = config.horizon
     report = validate_conditions(system, **kwargs)
     sep = report.separation
-    letter_graph, classes = _letter_classes(system, default_horizon(system, config.horizon))
-    sizes = [len(cls) for cls, _ in classes]
+    horizon = default_horizon(system, config.horizon)
+    sizes = [len(cls) for cls, _, _ in _letter_classes(system, horizon)]
 
     findings = [
         {"check": name, "status": entry.status, "detail": entry.detail}
@@ -444,7 +444,7 @@ def _cmd_analyze(config, stream):
             "pairs_checked": sep.pairs_checked,
             "min_gap": sep.min_gap,
         },
-        "scc": {"nontrivial": len(sizes), "sizes": sizes, "letters": letter_graph.n},
+        "scc": {"nontrivial": len(sizes), "sizes": sizes, "letters": len(system.letters(horizon))},
         "findings": findings,
     }
     _emit(config, stream, [_record(config, "analyze", payload, horizon=config.horizon)])

@@ -662,10 +662,11 @@ def dimension_per_component(system, horizon=None, **opts):
 
     Returns {class: DimensionResult}; the global dimension is the interval
     max over the values (asserted against the unrestricted solve in tests).
+    The keys come in a dependency order (see pressure._letter_classes), the
+    order in which pressure_spectral's component breaks an exact tie.
     """
-    _, classes = _letter_classes(system, default_horizon(system, horizon))
     out = {}
-    for cls, _ in classes:
+    for cls, _, _ in _letter_classes(system, default_horizon(system, horizon)):
         sub = subsystem(system, edges=cls, name=f"{system.name}-cls")
         out[cls] = bowen_dimension(sub, check_conditions=False, **opts)
     return out

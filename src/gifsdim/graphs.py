@@ -2,10 +2,11 @@
 
 Countable vertex/edge sets are handled through deterministic enumerations:
 every operation that needs concrete data materializes a finite prefix (a
-"horizon").  The solver reads one graph path: the letters of a truncation
-as a FiniteTransition, whose adjacency the system's letter-incidence table
-gives (see GifsSystem.incidence), their strongly connected classes, and the
-words over them, one level at a time.  Nothing here mutates shared state.
+"horizon").  The solver reads one graph path: the letters of a truncation,
+where b may follow a exactly when a ends where b starts (GifsSystem.incidence
+gives both ends), so classes are found on the vertices and words grow one
+level at a time, with no letter graph formed.  Nothing here mutates shared
+state.
 """
 
 from __future__ import annotations
@@ -75,29 +76,13 @@ class DirectedMultigraph:
         return self.vertices.prefix(k)
 
 
-class FiniteTransition:
-    """Materialized n-state view: the states, their index map, the n x n
-    boolean adjacency matrix dense (dense[i, j] says state j may follow
-    state i), and the ascending successor lists read off it."""
-
-    def __init__(self, states, dense):
-        self.states = list(states)
-        self.index = {s: i for i, s in enumerate(self.states)}
-        self.dense = dense
-        self.n = len(self.states)
-        rows, cols = np.nonzero(dense)
-        ends = np.searchsorted(rows, np.arange(self.n + 1)).tolist()
-        cols = cols.tolist()
-        self.succ = [cols[a:b] for a, b in zip(ends, ends[1:])]
-
-
 @dataclass(frozen=True)
 class SccDecomposition:
     """Strongly connected classes in dependency order (upstream first).
 
-    A class is trivial when it is a single state without a self-loop; such
+    A class is trivial when it is a single node without a self-loop; such
     classes carry no periodic words and are kept but flagged.  horizon is
-    the number of states searched.
+    the number of nodes searched.
     """
 
     classes: tuple
@@ -108,13 +93,14 @@ class SccDecomposition:
         return [c for c, t in zip(self.classes, self.trivial) if not t]
 
 
-def strongly_connected_components(fin: FiniteTransition) -> SccDecomposition:
-    """Tarjan's algorithm (iterative) on every state of fin.
+def strongly_connected_components(succ) -> SccDecomposition:
+    """Tarjan's algorithm (iterative) on the nodes 0..n-1, where succ[v]
+    lists the successors of node v.
 
-    Classes come out in dependency order: if any edge runs from class X to
-    class Y (X != Y) then X appears before Y.
+    Classes come out in dependency order, each as its nodes ascending: if
+    any edge runs from class X to class Y (X != Y) then X appears before Y.
     """
-    n = fin.n
+    n = len(succ)
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -133,7 +119,7 @@ def strongly_connected_components(fin: FiniteTransition) -> SccDecomposition:
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            row = fin.succ[v]
+            row = succ[v]
             while pi < len(row):
                 w = row[pi]
                 pi += 1
@@ -162,26 +148,26 @@ def strongly_connected_components(fin: FiniteTransition) -> SccDecomposition:
 
     # Tarjan emits sinks first; dependency order is the reverse.
     comps.reverse()
-    classes = tuple(tuple(fin.states[i] for i in comp) for comp in comps)
-    trivial = tuple(
-        len(comp) == 1 and comp[0] not in fin.succ[comp[0]]
-        for comp in comps
-    )
-    return SccDecomposition(classes=classes, trivial=trivial, horizon=fin.n)
+    trivial = tuple(len(comp) == 1 and comp[0] not in succ[comp[0]] for comp in comps)
+    return SccDecomposition(classes=tuple(map(tuple, comps)), trivial=trivial, horizon=n)
 
 
-def extend_words(adj, words):
-    """One level of admissible words over letter positions, where adj[a, b]
-    says b may follow a: the words one letter longer than the rows of words,
-    each letter a in order followed by each word whose first letter a may
-    precede, so a level in lexicographic order gives one.  Returns (words,
-    tails, blocks): the new words as rows of positions, of words' dtype; the
-    index of each new word's tail (word[1:]) in words; and the offsets at
-    which each first letter's block of new words starts and ends.  Level 1
-    is the letters themselves, np.arange(len(adj))[:, None]."""
-    n = len(adj)
-    groups = [np.flatnonzero(adj[a, words[:, 0]]) for a in range(n)]
-    blocks = np.cumsum([0] + [len(t) for t in groups])
-    tails = np.concatenate(groups)
-    first = np.repeat(np.arange(n, dtype=words.dtype), np.diff(blocks))
+def extend_words(initial, terminal, words):
+    """One level of admissible words over letter positions, where b may
+    follow a when terminal[a] == initial[b]: each letter a in order followed
+    by each word of words whose first letter may follow a, so a level in
+    lexicographic order gives one.  The words are grouped once by their
+    first letter's initial vertex, and a takes the group of terminal[a].
+    Returns (words, tails, blocks): the new words, of words' dtype; the
+    index of each one's tail (word[1:]) in words; and the offsets at which
+    each first letter's block starts and ends.  Level 1 is the letters
+    themselves, np.arange(len(initial))[:, None]."""
+    starts_at = initial[words[:, 0]]
+    order = np.argsort(starts_at, kind="stable")
+    sizes = np.bincount(starts_at, minlength=int(terminal.max(initial=-1)) + 1)
+    runs = sizes[terminal]
+    blocks = np.concatenate(([0], np.cumsum(runs)))
+    group = (np.cumsum(sizes) - sizes)[terminal]
+    tails = order[np.repeat(group - blocks[:-1], runs) + np.arange(blocks[-1])]
+    first = np.repeat(np.arange(len(initial), dtype=words.dtype), runs)
     return np.column_stack((first, words[tails])), tails, blocks

@@ -6,11 +6,13 @@ Two routes, each valid at every finite stage rather than only in the limit:
   and sup weight matrices sandwich the cylinder potential entrywise, so
   their spectral radii (enclosed per strongly connected component by
   Collatz-Wielandt ratios around a power iteration) bracket the pressure.
-  The graphs are not strongly connected, so the pressure is the max over
-  the components.  The state-level components are read off the
-  letter-level ones: each nontrivial letter class gives one, all m-words
-  over its letters, and is reported under that letter class, with the
-  period of its letter class.  A class of period 1 whose scaled entries
+  The graphs are not strongly connected, so the pressure is the max over the
+  components.  A letter-level component is the letters inside one vertex
+  class, found with its period on the vertex graph (letter b may follow a
+  exactly when a ends where b starts).  The state-level components are read
+  off the letter-level ones: each nontrivial letter class gives one, all
+  m-words over its letters, and is reported under that letter class, with
+  the period of its letter class.  A class of period 1 whose scaled entries
   are all positive at this s is primitive, and its power iteration runs
   on B/theta; any other runs on I + B/theta, whose shift makes it
   converge whatever the period but mostly slows it (with the shift on
@@ -59,7 +61,7 @@ import numpy as np
 from . import chains as chainlib
 from . import maps as mapslib
 from .errors import NoAdmissibleWords
-from .graphs import FiniteTransition, extend_words, strongly_connected_components
+from .graphs import extend_words, strongly_connected_components
 from .shapes import circumball
 
 __all__ = [
@@ -218,10 +220,10 @@ class WeightedMatrix:
 class StateGeometry:
     """The s-independent part of the depth-m word-state matrices.
 
-    letter_graph is the transition structure of the letters and words the
-    states as rows of letter positions, of dtype np.min_scalar_type(letter
-    count); letter_classes holds the nontrivial letter classes with their
-    periods (see _letter_classes), from which the state classes are read off
+    letters are the letters and words the states as rows of their positions,
+    of dtype np.min_scalar_type(letter count); letter_classes holds the
+    nontrivial letter classes with their positions and periods (see
+    _letter_classes), from which the state classes are read off
     (see _cycling_classes).  states spells the words as tuples of letters on
     first read; a solve never reads it, and counts its states by words.
     indices/indptr give the CSR pattern of the transitions; lower/upper
@@ -229,7 +231,7 @@ class StateGeometry:
     state's first letter over the enclosure of the target state, and are one
     array when the two coincide elementwise.  disks holds the words'
     enclosure disks as rows (cx, cy, r), or None with no Moebius letter;
-    with letter_graph, words and letter_classes it is all that a depth step
+    with words and letter_classes it is all that a depth step
     (see _geometry) builds on.  classes holds the nontrivial state-level
     strongly connected classes in dependency order as _ClassPlan objects,
     made with the geometry: each class's letter class, size and period, the
@@ -243,7 +245,7 @@ class StateGeometry:
     truncation with no m-letter word has a geometry with no states.
     """
 
-    letter_graph: FiniteTransition
+    letters: list
     words: np.ndarray
     indices: np.ndarray
     indptr: np.ndarray
@@ -255,27 +257,37 @@ class StateGeometry:
 
     @cached_property
     def states(self):
-        letters = self.letter_graph.states
-        picked = np.fromiter(letters, dtype=object, count=len(letters))
+        picked = np.fromiter(self.letters, dtype=object, count=len(self.letters))
         return tuple(map(tuple, picked[self.words].tolist()))
 
 
-def _letter_transition(system, k):
-    """FiniteTransition over letters(k), in enumeration order: letter b may
-    follow letter a when a's terminal vertex is b's initial one, as the
-    system's incidence table gives them."""
-    letters, initial, terminal = system.incidence(k)
-    return FiniteTransition(letters, terminal[:, None] == initial[None, :])
-
-
 def _letter_classes(system, k):
-    """(letter graph, letter classes) of letters(k): its FiniteTransition
-    and that graph's nontrivial classes in dependency order, each as
-    (letters, period) (see _letter_period)."""
-    letter_graph = _letter_transition(system, k)
-    return letter_graph, tuple(
-        (cls, _letter_period(letter_graph, cls))
-        for cls in strongly_connected_components(letter_graph).nontrivial_classes())
+    """The nontrivial letter classes of letters(k) in dependency order, each
+    as (letters, positions, period) (see _letter_period), its letters in
+    enumeration order.  Tarjan runs on the vertex graph, one edge per letter:
+    a letter u -> v lies on a letter cycle exactly when u and v share a
+    vertex class, inside which paths join any two letters, so a letter class
+    is the letters with both ends in one nontrivial vertex class.  Letter
+    paths run along vertex paths, so the vertex order is a dependency order,
+    in which classes no path joins come as Tarjan finds their vertex classes.
+    """
+    letters, initial, terminal = system.incidence(k)
+    nverts = int(max(initial.max(initial=-1), terminal.max(initial=-1))) + 1
+    # the vertex graph's successor lists, ascending and without repeats
+    edges = initial * nverts + terminal
+    edges = edges[np.argsort(edges, kind="stable")]
+    edges = edges[np.concatenate(([True], edges[1:] != edges[:-1]))]
+    ends = np.searchsorted(edges, np.arange(nverts + 1) * nverts).tolist()
+    heads = (edges % nverts).tolist()
+    succ = [heads[a:b] for a, b in zip(ends, ends[1:])]
+    out = []
+    for verts in strongly_connected_components(succ).nontrivial_classes():
+        inside = np.zeros(nverts, dtype=bool)
+        inside[list(verts)] = True
+        positions = np.flatnonzero(inside[initial] & inside[terminal])
+        period = _letter_period(succ, verts, initial[positions], terminal[positions])
+        out.append((tuple(letters[i] for i in positions), tuple(positions.tolist()), period))
+    return tuple(out)
 
 
 def _exhausts(system, k):
@@ -286,14 +298,15 @@ def _exhausts(system, k):
 def _build_geometry(system, letters, m, below=None):
     """States, CSR pattern and derivative ranges as float64 arrays, built
     one word length at a time with a Python loop over letters only: from
-    below, the (letter graph, words, disks, letter classes) of the same
-    letters at depth m - 1, when given, else from the letters, their letter
-    graph and classes (see _letter_classes) and their seed circumballs.
-    Either way every array comes out with the same bits."""
+    below, the (words, disks, letter classes) of the same letters at depth
+    m - 1, when given, else from the letters, their classes (see
+    _letter_classes) and their seed circumballs; either way on the system's
+    incidence table, and every array comes out with the same bits."""
     specs = [system.map_of(e) for e in letters]
     moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
+    _, initial, terminal = system.incidence(len(letters))
     if below is None:
-        letter_graph, letter_classes = _letter_classes(system, len(letters))
+        letter_classes = _letter_classes(system, len(letters))
         words = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))[:, None]
         disks = None
         if any(moebius):
@@ -303,13 +316,12 @@ def _build_geometry(system, letters, m, below=None):
             ]).T
         steps = m - 1
     else:
-        letter_graph, words, disks, letter_classes = below
+        words, disks, letter_classes = below
         steps = 1
-    adj = letter_graph.dense
     blocks = np.arange(len(letters) + 1)
     for _ in range(steps):
         shorter = words
-        words, tails, blocks = extend_words(adj, words)
+        words, tails, blocks = extend_words(initial, terminal, words)
         if disks is not None:
             # a word's enclosure disk is its tail's disk mapped through its
             # first letter
@@ -323,11 +335,12 @@ def _build_geometry(system, letters, m, below=None):
     # u -> w exactly when w = u[1:] + c with c allowed after u's last letter.
     # At depth >= 2 the words extending one (m-1)-word form a contiguous block
     # of the lexicographic level, so each row's successors are a range.
-    n_succ = adj.sum(axis=1)
+    n_succ = np.bincount(initial, minlength=int(terminal.max()) + 1)[terminal]
     count = n_succ[words[:, -1]]
     indptr = np.concatenate(([0], np.cumsum(count))).astype(np.int32)
     if m == 1:
-        indices = np.flatnonzero(adj) % len(letters)
+        # each letter's successors, the depth-1 states that may follow it
+        _, indices, _ = extend_words(initial, terminal, words)
     else:
         ext = n_succ[shorter[:, -1]]
         starts = (np.cumsum(ext) - ext)[tails] - indptr[:-1]
@@ -358,7 +371,7 @@ def _build_geometry(system, letters, m, below=None):
     for arr in arrays:
         if arr is not None:
             arr.flags.writeable = False
-    return StateGeometry(letter_graph, *arrays, letter_classes)
+    return StateGeometry(letters, *arrays, letter_classes)
 
 
 class _GeometrySlot:
@@ -398,7 +411,7 @@ def _geometry(system, letters, m):
     """The StateGeometry of letters at depth m, with its class plans, kept
     in the solve's slot (outside a solve, in a slot of its own).  One depth
     deeper than the slot's, on the same system and letters, it takes the
-    old one's letter graph, words, disks and letter classes and builds only
+    old one's words, disks and letter classes and builds only
     level m on them, and its complete classes start from the old ones'
     final iterates; the old geometry, with its plans, ranges and logs, is
     dropped first.  Anything else builds from the letters up."""
@@ -409,7 +422,7 @@ def _geometry(system, letters, m):
         if slot.system is system and slot.key == (key[0], m - 1):
             old = slot.geometry
             finals = {plan.letters: plan.warm for plan in old.classes}
-            below = (old.letter_graph, old.words, old.disks, old.letter_classes)
+            below = (old.words, old.disks, old.letter_classes)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
         old = slot.system = slot.key = slot.geometry = None
@@ -417,10 +430,10 @@ def _geometry(system, letters, m):
         # the plans are made once the shallower words and disks are gone,
         # which keeps them out of a solve's peak memory
         below = None
-        periods = dict(geom.letter_classes)
+        periods = {cls: period for cls, _, period in geom.letter_classes}
         geom.classes = tuple(
             _class_plan(geom, cls, idx, periods[cls]) for cls, idx in
-            _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes))
+            _cycling_classes(geom.words, geom.letter_classes))
         _lift_iterates(geom.classes, finals)
         slot.geometry = geom
         slot.system, slot.key = system, key
@@ -802,11 +815,11 @@ def _cw_bracket(plan, side, logs, s):
     return lo, hi, stalled, iterations
 
 
-def _cycling_classes(letter_graph, words, letter_classes):
+def _cycling_classes(words, letter_classes):
     """(letter class, indices) of each nontrivial state class of the word
     states, in the dependency order of letter_classes, the nontrivial
-    letter classes with their periods (see _letter_classes): the indices,
-    ascending, point into words.
+    letter classes with their positions and periods (see _letter_classes):
+    the indices, ascending, point into words.
 
     A word state lies on a cycle exactly when all its letters lie in one
     nontrivial letter class C: the letters of a cycling word lie on one
@@ -818,41 +831,36 @@ def _cycling_classes(letter_graph, words, letter_classes):
     letter order is a dependency order of the state classes.
     """
     out = []
-    for cls, _ in letter_classes:
-        inside = np.zeros(letter_graph.n, dtype=bool)
-        inside[[letter_graph.index[e] for e in cls]] = True
+    for cls, positions, _ in letter_classes:
+        # each letter of C lies on a cycle, so some word holds it
+        inside = np.zeros(int(words.max()) + 1, dtype=bool)
+        inside[list(positions)] = True
         out.append((cls, np.flatnonzero(inside[words].all(axis=1))))
     return out
 
 
-def _letter_period(letter_graph, letters):
-    """The period of a nontrivial letter class: the gcd of its cycle lengths.
-
-    Levels from one breadth-first search inside the class make
-    level(u) + 1 - level(v) zero on its tree edges, and the gcd of that
-    difference over all its edges is the gcd of its cycle lengths.  The
-    state class of all m-words over these letters has the same cycle
-    lengths, so the same period: a closed walk of m-word states spells a
-    closed letter walk as long, and each closed letter walk, repeated,
+def _letter_period(succ, vertices, initial, terminal):
+    """The period of a nontrivial letter class, the gcd of its cycle lengths,
+    from one breadth-first search over its vertex class, vertices, along the
+    vertex graph's successor lists succ.  Its levels make level(u) + 1 -
+    level(v) zero on tree edges, and the gcd of that over the class's
+    letters u -> v (initial, terminal) is the gcd of the closed vertex walks,
+    which are its closed letter walks.  The state class of all m-words over
+    these letters has the same period: a closed walk of m-word states spells
+    a closed letter walk as long, and each closed letter walk, repeated,
     slides an m-letter window back to where it started.
     """
-    index, succ = letter_graph.index, letter_graph.succ
-    inside = {index[e] for e in letters}
-    level = {index[letters[0]]: 0}
-    queue = list(level)
-    period = 0
+    inside = set(vertices)
+    level = [-1] * len(succ)
+    level[vertices[0]] = 0
+    queue = [vertices[0]]
     for u in queue:
         for v in succ[u]:
-            if v not in inside:
-                continue
-            if v not in level:
+            if level[v] < 0 and v in inside:
                 level[v] = level[u] + 1
                 queue.append(v)
-            else:
-                period = math.gcd(period, level[u] + 1 - level[v])
-                if period == 1:
-                    return 1
-    return period
+    level = np.array(level)
+    return int(np.gcd.reduce(level[initial] + 1 - level[terminal]))
 
 
 def pressure_spectral(system, potential, k, m=1):
@@ -866,13 +874,15 @@ def pressure_spectral(system, potential, k, m=1):
     is the max of theirs.  Each nontrivial letter class gives exactly one
     state class, all m-words over its letters (see _cycling_classes), so
     one bracket per letter class, and the max over them, brackets the max
-    of the true component pressures.  component holds the argmax letter
-    class (first in dependency order on ties); components holds (class,
-    lower, upper) for every nontrivial letter class, its letters in
-    enumeration order.  No nontrivial class, even with no m-letter word at
-    all, means no periodic word: bracket (-inf, -inf) and no component.
-    When the two matrices are one (affine letters) a single iteration per
-    class gives both ends, exactly as two would.
+    of the true component pressures.  components holds (class, lower, upper)
+    for every nontrivial letter class, its letters in enumeration order, in
+    a dependency order of their vertex classes (see _letter_classes);
+    component holds the argmax, the first on an exact tie, which between
+    classes no path joins is the one Tarjan finds first.  No nontrivial
+    class, even with no m-letter word at all, means no periodic word:
+    bracket (-inf, -inf) and no component.  When the two matrices are one
+    (affine letters) a single iteration per class gives both ends, exactly
+    as two would.
     """
     wm = build_weighted_matrix(system, potential, k, m)
     lower = -math.inf

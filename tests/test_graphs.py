@@ -3,28 +3,36 @@
 Claims checked here:
     - Tarjan classes match a brute-force reachability oracle on random digraphs
     - class order is dependency order; trivial classes are flagged
-    - word levels are lexicographic, admissible, and counted by the
-      matrix-power oracle; each step's tails and blocks locate every new
-      word's tail and first letter
+    - word levels over the letters of random multigraphs, where b may
+      follow a when a ends where b starts, are lexicographic, admissible,
+      and counted by the matrix-power oracle; each step's tails and blocks
+      locate every new word's tail and first letter
 """
+
+import itertools
 
 import numpy as np
 
 from gifsdim.graphs import (
-    FiniteTransition,
     extend_words,
     strongly_connected_components,
 )
-from words import word_level
+from words import letter_adjacency, random_multigraph, word_level
 
 
 def from_pairs(states, pairs):
-    """The FiniteTransition over states with an edge a -> b per pair."""
+    """The successor lists over the positions of states, an edge a -> b per
+    pair, each list ascending."""
     index = {s: i for i, s in enumerate(states)}
-    dense = np.zeros((len(states), len(states)), dtype=bool)
+    succ = [[] for _ in states]
     for a, b in pairs:
-        dense[index[a], index[b]] = True
-    return FiniteTransition(states, dense)
+        succ[index[a]].append(index[b])
+    return [sorted(row) for row in succ]
+
+
+def named(states, dec):
+    """The classes of dec, spelled over states."""
+    return tuple(tuple(states[i] for i in cls) for cls in dec.classes)
 
 
 def reachability_oracle(dense):
@@ -56,18 +64,17 @@ def scc_oracle(dense):
 # -- strongly connected components -------------------------------------------
 
 def test_scc_example_two_classes_in_dependency_order():
-    fin = from_pairs(
-        [1, 2, 3], [(1, 2), (2, 1), (2, 3), (3, 3)]
-    )
-    dec = strongly_connected_components(fin)
-    assert dec.classes == ((1, 2), (3,))
+    states = [1, 2, 3]
+    succ = from_pairs(states, [(1, 2), (2, 1), (2, 3), (3, 3)])
+    dec = strongly_connected_components(succ)
+    assert named(states, dec) == ((1, 2), (3,))
     assert dec.trivial == (False, False)
 
 
 def test_scc_trivial_class_flagged():
-    fin = from_pairs([1, 2], [(1, 2), (2, 2)])
-    dec = strongly_connected_components(fin)
-    assert dec.classes == ((1,), (2,))
+    states = [1, 2]
+    dec = strongly_connected_components(from_pairs(states, [(1, 2), (2, 2)]))
+    assert named(states, dec) == ((1,), (2,))
     assert dec.trivial == (True, False)
 
 
@@ -77,8 +84,7 @@ def test_scc_against_reachability_oracle_random():
         n = int(rng.integers(1, 9))
         dense = (rng.random((n, n)) < 0.28).astype(np.int8)
         pairs = [(i, j) for i in range(n) for j in range(n) if dense[i, j]]
-        fin = from_pairs(list(range(n)), pairs)
-        dec = strongly_connected_components(fin)
+        dec = strongly_connected_components(from_pairs(list(range(n)), pairs))
         got = {tuple(sorted(c)) for c in dec.classes}
         assert got == scc_oracle(dense), f"trial {trial}"
         # dependency order: no edge from a later class to an earlier one
@@ -92,31 +98,35 @@ def test_scc_against_reachability_oracle_random():
 
 # -- admissible words ---------------------------------------------------------
 
-def spelled_words(adj, length, alphabet):
+def spelled_words(initial, terminal, length, alphabet):
     """The admissible words of the given length, spelled over alphabet."""
-    words = word_level(adj, length)
+    words = word_level(initial, terminal, length)
     return [tuple(alphabet[i] for i in w) for w in words.tolist()]
 
 
 def test_admissible_words_cycle():
-    fin = from_pairs([1, 2], [(1, 2), (2, 1)])
-    words = spelled_words(fin.dense, 3, [1, 2])
+    # letter 1 runs from vertex 0 to 1 and letter 2 back
+    words = spelled_words([0, 1], [1, 0], 3, [1, 2])
     assert words == [(1, 2, 1), (2, 1, 2)]
 
 
 def test_admissible_words_lexicographic_and_counted():
     rng = np.random.default_rng(7)
     for trial in range(20):
-        n = int(rng.integers(2, 6))
-        dense = (rng.random((n, n)) < 0.5).astype(np.int8)
+        initial, terminal = random_multigraph(rng, 4, 6)
+        n = len(initial)
+        dense = letter_adjacency(initial, terminal)
         for length in (1, 2, 4):
-            words = spelled_words(dense, length, list(range(n)))
+            words = spelled_words(initial, terminal, length, list(range(n)))
             # every consecutive pair admissible
             for w in words:
                 for a, b in zip(w, w[1:]):
                     assert dense[a, b]
             # lexicographic order
             assert words == sorted(words)
+            # and every admissible word, once
+            assert words == [w for w in itertools.product(range(n), repeat=length)
+                             if all(dense[a, b] for a, b in zip(w, w[1:]))]
             # count oracle: number of length-L words = sum over entries of
             # the (L-1)-th matrix power
             power = np.linalg.matrix_power(dense.astype(np.int64), length - 1)
@@ -124,11 +134,10 @@ def test_admissible_words_lexicographic_and_counted():
 
 
 def test_admissible_words_respects_sub_alphabet():
-    fin = from_pairs(
-        [0, 1, 2], [(0, 1), (1, 0), (1, 2), (2, 0)]
-    )
+    # letters 0 -> 1, 1 -> 0 (from vertex 1 to 0) and 2, a loop at vertex 0
+    initial, terminal = np.array([0, 1, 0]), np.array([1, 0, 0])
     # the solver's letter transition covers exactly its letters
-    words = spelled_words(fin.dense[:2, :2], 3, [0, 1])
+    words = spelled_words(initial[:2], terminal[:2], 3, [0, 1])
     assert words == [(0, 1, 0), (1, 0, 1)]
 
 
@@ -137,15 +146,15 @@ def test_one_step_locates_tails_and_first_letters():
     # tail index names, and the words keep the dtype they were given
     rng = np.random.default_rng(11)
     for trial in range(20):
-        n = int(rng.integers(1, 6))
-        dense = (rng.random((n, n)) < 0.5).astype(np.int8)
+        initial, terminal = random_multigraph(rng, 4, 6)
+        n = len(initial)
         words = np.arange(n, dtype=np.uint8)[:, None]
         for length in (2, 3, 4):
-            longer, tails, blocks = extend_words(dense, words)
+            longer, tails, blocks = extend_words(initial, terminal, words)
             assert longer.dtype == np.uint8 and longer.shape[1] == length
             assert np.array_equal(longer[:, 1:], words[tails])
             assert blocks[0] == 0 and blocks[-1] == len(longer)
             for a in range(n):
                 assert (longer[blocks[a]:blocks[a + 1], 0] == a).all()
-            assert np.array_equal(longer, word_level(dense, length))
+            assert np.array_equal(longer, word_level(initial, terminal, length))
             words = longer

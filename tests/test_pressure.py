@@ -26,7 +26,6 @@ from gifsdim import chains, pressure
 from gifsdim.graphs import (
     DirectedMultigraph,
     Enumeration,
-    FiniteTransition,
     strongly_connected_components,
 )
 from gifsdim.maps import (
@@ -61,7 +60,7 @@ from gifsdim.shapes import Ball
 from gifsdim.systems import GifsSystem, SeedSet, subsystem
 from periods import pattern_period
 from stacked import stacked_matvec
-from words import word_level
+from words import Incidence, letter_adjacency, random_multigraph, word_level
 
 
 def two_loop():
@@ -414,8 +413,8 @@ def reference_spectral(system, potential, k, m):
     nnz, nstates = len(geom.indices), len(geom.words)
     numbers = sp.csr_matrix((np.arange(1.0, nnz + 1.0), geom.indices, geom.indptr),
                             shape=(nstates, nstates))
-    tr = FiniteTransition(geom.states, numbers.toarray() > 0)
-    dec = strongly_connected_components(tr)
+    succ = [geom.indices[a:b].tolist() for a, b in zip(geom.indptr, geom.indptr[1:])]
+    dec = strongly_connected_components(succ)
     position = {e: i for i, e in enumerate(system.letters(k))}
     lower = upper = -math.inf
     stalled = False
@@ -423,7 +422,7 @@ def reference_spectral(system, potential, k, m):
     for cls, trivial in zip(dec.classes, dec.trivial):
         if trivial:
             continue
-        idx = np.array([tr.index[st] for st in cls], dtype=int)
+        idx = np.array(cls, dtype=int)
         sliced = numbers[idx][:, idx]
         coo = sliced.tocoo()
         entries = coo.data.astype(np.intp) - 1
@@ -434,7 +433,7 @@ def reference_spectral(system, potential, k, m):
         _, hi, st_b = reference_cw_bracket(pattern, logs[1])
         c_lower = math.log(lo) if lo > 0.0 else -math.inf
         c_upper = math.log(hi) if hi > 0.0 else -math.inf
-        first = tuple(sorted({state[0] for state in cls}, key=position.__getitem__))
+        first = tuple(sorted({geom.states[i][0] for i in cls}, key=position.__getitem__))
         comps.append((first, c_lower, c_upper,
                       [(len(idx), coo.row, coo.col, logw) for logw in logs]))
         stalled = stalled or st_a or st_b
@@ -634,14 +633,14 @@ def test_shared_side_matches_two_side_calls_bitwise():
 
 
 def state_graph(adj, words):
-    """Adjacency matrix of the word states, straight from the definition:
+    """Successor lists of the word states, straight from the definition:
     u -> w when w continues u by one letter."""
     index = {tuple(w): i for i, w in enumerate(words.tolist())}
-    dense = np.zeros((len(words), len(words)), dtype=bool)
-    for i, u in enumerate(words.tolist()):
+    succ = []
+    for u in words.tolist():
         row = [index.get(tuple(u[1:]) + (c,)) for c in np.flatnonzero(adj[u[-1]]).tolist()]
-        dense[i, [j for j in row if j is not None]] = True
-    return dense
+        succ.append(sorted(j for j in row if j is not None))
+    return succ
 
 
 def test_derived_state_classes_match_state_search():
@@ -652,18 +651,15 @@ def test_derived_state_classes_match_state_search():
     rng = np.random.default_rng(20261018)
     cases = several = 0
     for _ in range(3800):
-        k = int(rng.integers(1, 8))
+        initial, terminal = random_multigraph(rng, 7, 7)
         m = int(rng.integers(1, 5))
-        adj = (rng.random((k, k)) < rng.uniform(0.0, 0.6)).astype(np.int8)
-        words = word_level(adj, m)
+        words = word_level(initial, terminal, m)
         if not len(words):
             continue
         cases += 1
-        letters = FiniteTransition(range(k), adj.astype(bool))
-        classes = [(cls, None)
-                   for cls in strongly_connected_components(letters).nontrivial_classes()]
-        derived = _cycling_classes(letters, words, classes)
-        states = FiniteTransition(range(len(words)), state_graph(adj, words))
+        classes = pressure._letter_classes(Incidence(initial, terminal), len(initial))
+        derived = _cycling_classes(words, classes)
+        states = state_graph(letter_adjacency(initial, terminal), words)
         dec = strongly_connected_components(states)
         derived_sets = {tuple(idx.tolist()) for _, idx in derived}
         assert derived_sets == set(dec.nontrivial_classes())
@@ -679,7 +675,7 @@ def test_derived_state_classes_match_state_search():
             seen = set(idx.tolist())
             stack = list(seen)
             while stack:
-                for j in states.succ[stack.pop()]:
+                for j in states[stack.pop()]:
                     if j not in seen:
                         seen.add(j)
                         stack.append(j)
@@ -864,7 +860,7 @@ def test_plan_periods_match_the_sliced_class_matrices():
             wm = build_weighted_matrix(make(), PotentialSpec(1.0), k, m)
             geom = wm.geometry
             sliced = as_csr(wm.inf_weights, 1.0)
-            classes = _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes)
+            classes = _cycling_classes(geom.words, geom.letter_classes)
             for plan, (_, idx) in zip(geom.classes, classes, strict=True):
                 mat = sliced[idx][:, idx]
                 want = pattern_period(mat.indptr, mat.indices)
@@ -900,7 +896,7 @@ def test_planted_constant_letters_run_shifted(monkeypatch):
     sys = perturbed_cf((1, 2), (1, 2, 3), epsilon=0.0)
     wm = build_weighted_matrix(sys, PotentialSpec(0.5), 3, 2)
     geom = wm.geometry
-    ((letters, idx),) = _cycling_classes(geom.letter_graph, geom.words, geom.letter_classes)
+    ((letters, idx),) = _cycling_classes(geom.words, geom.letter_classes)
     (plan,) = geom.classes
     assert plan.period == 1
     assert (geom.lower[plan.positions] == 0.0).any()

@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gifsdim.errors import ConditionViolation, NonAdmissibleWord
-from gifsdim.pressure import PotentialSpec, _fekete_edge_upper, _letter_transition
+from gifsdim.graphs import extend_words
+from gifsdim.pressure import PotentialSpec, _fekete_edge_upper, _letter_classes
 from gifsdim.scenarios import (
     affine_demo,
     cf_system,
@@ -266,19 +267,25 @@ def test_out_edges_do_not_depend_on_call_history():
 
 
 def test_incidence_table_does_not_depend_on_call_history():
-    # the letter graph and the Fekete tail bound at a small horizon read the
-    # first rows of a table already grown to 512 letters, and match a fresh
-    # system's, bit for bit
+    # the letter classes, the word steps and the Fekete tail bound at a
+    # small horizon read the first rows of a table already grown to 512
+    # letters, and match a fresh system's, bit for bit
     seen = ladder_system()
     seen.incidence(512)
-    got, want = _letter_transition(seen, 64), _letter_transition(ladder_system(), 64)
-    assert got.states == want.states
-    assert np.array_equal(got.dense, want.dense)
-    assert got.succ == want.succ
+    fresh = ladder_system()
+    assert _letter_classes(seen, 64) == _letter_classes(fresh, 64)
+    got, want = seen.incidence(64), fresh.incidence(64)
+    assert got[0] == want[0]
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
+    level = np.arange(len(got[0]))[:, None]
+    steps = extend_words(*got[1:], level), extend_words(*want[1:], level)
+    for a, b in zip(*steps):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
     # b follows a exactly when a ends where b starts
     g = seen.graph
-    assert got.succ == [[j for j, b in enumerate(got.states) if g.terminal(a) == g.initial(b)]
-                        for a in got.states]
+    _, tails, blocks = steps[0]
+    assert [tails[i:j].tolist() for i, j in zip(blocks, blocks[1:])] == [
+        [j for j, b in enumerate(got[0]) if g.terminal(a) == g.initial(b)] for a in got[0]]
     pot = PotentialSpec(1.5)
     seen = cf_system()
     seen.incidence(512)
