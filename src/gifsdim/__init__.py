@@ -18,7 +18,6 @@ from .dimension import (
     upper_estimate,
 )
 from .errors import (
-    AlphabetMismatch,
     BudgetExhausted,
     ConditionViolation,
     CrossedBracket,
@@ -42,21 +41,15 @@ from .maps import (
 from .perturb import (
     PerturbationFamily,
     affine_family,
-    build_perturbed_affine,
-    build_perturbed_cf,
     cf_family,
     degeneracy_divergence_probe,
-    degenerate_deviation,
     dimension_sweep,
-    pressure_convergence_probe,
-    shared_derivative_gap,
     sweep_csv,
 )
 from .pressure import PotentialSpec, PressureEstimate, truncation_ladder
 from .render import (
     PointCloud,
     RasterImage,
-    coding_convergence_probe,
     coding_map,
     generate_point_cloud,
     rasterize,
@@ -83,7 +76,6 @@ from .systems import (
 )
 
 __all__ = [
-    "AlphabetMismatch",
     "Ball",
     "Box",
     "BudgetExhausted",
@@ -116,15 +108,11 @@ __all__ = [
     "affine_demo",
     "affine_family",
     "bowen_dimension",
-    "build_perturbed_affine",
-    "build_perturbed_cf",
     "cf_family",
     "cf_system",
     "check_separation",
-    "coding_convergence_probe",
     "coding_map",
     "degeneracy_divergence_probe",
-    "degenerate_deviation",
     "dimension_per_component",
     "dimension_sweep",
     "gaussian_alphabet",
@@ -135,10 +123,8 @@ __all__ = [
     "moran_system",
     "perturbed_affine",
     "perturbed_cf",
-    "pressure_convergence_probe",
     "rasterize",
     "reduce_to_simple",
-    "shared_derivative_gap",
     "sweep_csv",
     "translate_word",
     "truncation_ladder",

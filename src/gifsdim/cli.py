@@ -36,14 +36,13 @@ from .maps import (
     Similarity,
 )
 from .perturb import (
-    _full_entry,
     affine_family,
     cf_family,
     degeneracy_divergence_probe,
     dimension_sweep,
     sweep_csv,
 )
-from .pressure import PotentialSpec, _letter_classes
+from .pressure import PotentialSpec, _letter_classes, truncation_ladder
 from .render import generate_point_cloud, rasterize
 from .scenarios import (
     affine_demo,
@@ -455,7 +454,8 @@ def _cmd_pressure(config, stream):
     _require(config, "s")
     system = _build_system(config)
     depth = config.depth or 1
-    est = _full_entry(system, PotentialSpec(config.s), depth, config.horizon)
+    horizon = default_horizon(system, config.horizon)
+    est = truncation_ladder(system, PotentialSpec(config.s), [horizon], depth=depth)[-1]
     payload = {
         "estimate": {
             "lower": est.lower,

@@ -43,10 +43,6 @@ class ConditionViolation(GifsError):
         super().__init__(message)
 
 
-class AlphabetMismatch(GifsError):
-    """Two systems expected to share an alphabet do not."""
-
-
 class InvalidAlphabet(GifsError):
     """An alphabet entry is outside the family's allowed letters."""
 

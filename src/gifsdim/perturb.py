@@ -2,8 +2,8 @@
 
 A family keeps a base system fixed and attaches extra branches whose
 derivative scale is proportional to eps, so letting eps drop to 0 collapses
-each extra branch image to a single declared limit point while the kept
-branches converge back to the base maps.
+each extra branch image to a single point while the kept branches converge
+back to the base maps.
 
 Experiments on top of a family:
 
@@ -17,8 +17,10 @@ Experiments on top of a family:
     every positive eps, hence a dimension lower bound of s per eps.  The
     report states that implication next to the raw evidence and never turns
     it into a solved bracket.
-  * pressure_convergence_probe and the deviation helpers quantify how fast
-    builder(eps) approaches the base as eps decreases.
+
+How fast builder(eps) approaches the base is read off the public calls
+directly: seed_image and letter_range for the branches, truncation_ladder
+for the pressure, coding_map for the limit set.
 """
 
 import csv
@@ -30,11 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dimension import bowen_dimension, default_horizon
-from .errors import GifsError, InvalidAlphabet, SummabilityWitnessMissing
-from .errors import ConditionViolation
-from .graphs import DirectedMultigraph, Enumeration
-from .pressure import PotentialSpec, truncation_ladder
+from .dimension import bowen_dimension
+from .errors import GifsError
 from .scenarios import (
     _canonical_letter,
     affine_demo,
@@ -43,7 +42,7 @@ from .scenarios import (
     perturbed_affine,
     perturbed_cf,
 )
-from .systems import ContractionBound, GifsSystem, finite_tail
+from .systems import GifsSystem
 
 # relative slack when comparing consecutive ladder increments; lattice
 # granularity makes annulus sums slightly noisy
@@ -56,17 +55,15 @@ class PerturbationFamily:
 
     degenerate_letters(horizon) materializes the extension-only letters up
     to a lattice horizon (finite families ignore the horizon and return
-    everything at once).  degenerate_limit(e) is the point the branch image
-    collapses to as eps -> 0.  builder(eps) is expected to pass validation
-    for every eps below epsilon0.  summable_above is the declared infimum
-    of exponents where the extension-wide sup-derivative sum converges
+    everything at once).  builder(eps) is expected to pass validation for
+    every eps in (0, epsilon0).  summable_above is the declared infimum of
+    exponents where the extension-wide sup-derivative sum converges
     uniformly in eps.
     """
 
     base: GifsSystem
     builder: object
     degenerate_letters: object
-    degenerate_limit: object
     epsilon0: float
     summable_above: float = 0.0
     infinite: bool = False
@@ -99,15 +96,10 @@ def cf_family(sub_letters=(1, 2), full_letters=None):
         def degenerate(horizon):
             return extras
 
-    def limit(e):
-        z = 1.0 / (complex(e) + 0.5)
-        return (z.real, z.imag)
-
     return PerturbationFamily(
         base=cf_system(letters=sub),
         builder=lambda eps: perturbed_cf(sub, full_letters, eps),
         degenerate_letters=degenerate,
-        degenerate_limit=limit,
         epsilon0=1.0,
         summable_above=1.0 if infinite else 0.0,
         infinite=infinite,
@@ -118,176 +110,17 @@ def cf_family(sub_letters=(1, 2), full_letters=None):
 def affine_family():
     """Two-vertex affine demo plus one loop that degenerates to (3.3, 0).
 
-    The loop image must stay inside the vertex-2 seed ball, which pins the
-    validated range to eps <= 0.6: the image reaches out to distance
-    0.7 + 0.5*eps from that seed's center.
+    The loop maps the vertex-2 seed B((4, 0), 1) onto B((3.3, 0), 0.1*eps),
+    which stays inside that seed for every eps in perturbed_affine's domain
+    [0, 1].
     """
     return PerturbationFamily(
         base=affine_demo(),
         builder=perturbed_affine,
         degenerate_letters=lambda horizon: ((2, 2),),
-        degenerate_limit=lambda e: (3.3, 0.0),
-        epsilon0=0.6,
+        epsilon0=1.0,
         name="affine-family",
     )
-
-
-# ---------------------------------------------------------------------------
-# constructors
-
-
-def build_perturbed_cf(sub_letters, full_letters, epsilon):
-    """Finite or countable continued-fraction extension at a fixed eps.
-
-    Kept letters keep their true branch, everything else in the full
-    alphabet gets the degenerating branch.  eps must sit strictly inside
-    (0, 1); the eps = 0 limit system is only reachable through a family's
-    builder, where the collapse to constants is intentional.
-    """
-    eps = float(epsilon)
-    if not (0.0 < eps < 1.0):
-        raise ValueError(f"epsilon {eps} outside the open interval (0,1)")
-    return perturbed_cf(sub_letters, full_letters, eps)
-
-
-def build_perturbed_affine(base, perturbations, extension, epsilon, name=None):
-    """Extend a finite affine system with eps-dependent edges.
-
-    perturbations maps existing edge labels to eps -> map replacements;
-    extension maps new edge labels to eps -> map factories.  A new label
-    must be a tuple whose first two entries name its initial and terminal
-    vertices.  The depth-1 contraction certificate is recomputed from the
-    resulting derivative ranges.
-    """
-    eps = float(epsilon)
-    if not (0.0 <= eps <= 1.0):
-        raise ValueError(f"epsilon {eps} outside [0,1]")
-    if base.tail is None or not base.is_finite:
-        raise SummabilityWitnessMissing(
-            "extending a countable or witness-free base needs its own "
-            "declared tail bound"
-        )
-    base_edges = tuple(base.letters(1 << 20))
-    base_set = set(base_edges)
-    verts = tuple(base.vertices_prefix(1 << 20))
-    vset = set(verts)
-    for e in perturbations:
-        if e not in base_set:
-            raise InvalidAlphabet(f"perturbed edge {e} is not in the base")
-    for e in extension:
-        if e in base_set:
-            raise InvalidAlphabet(f"extension edge {e} already exists")
-        if e[0] not in vset or e[1] not in vset:
-            raise InvalidAlphabet(f"extension edge {e} leaves the vertex set")
-
-    maps = {}
-    for e in base_edges:
-        maps[e] = perturbations[e](eps) if e in perturbations else base.map_of(e)
-    for e, make in extension.items():
-        maps[e] = make(eps)
-    edges = base_edges + tuple(extension)
-
-    def initial(e):
-        return base.graph.initial(e) if e in base_set else e[0]
-
-    def terminal(e):
-        return base.graph.terminal(e) if e in base_set else e[1]
-
-    graph = DirectedMultigraph(
-        vertices=Enumeration(items=verts),
-        edges=Enumeration(items=edges),
-        initial=initial,
-        terminal=terminal,
-        simple=None,
-    )
-    sysm = GifsSystem(
-        graph,
-        {v: base.seed(v) for v in verts},
-        maps,
-        base.ambient_dim,
-        tail=finite_tail("edge"),
-        name=name or f"{base.name}-extended(eps={eps:g})",
-    )
-    rate = max(sysm.letter_range(e).upper for e in edges)
-    if rate >= 1.0:
-        raise ConditionViolation(
-            f"depth-1 derivative sup {rate:.6g} >= 1 after perturbation"
-        )
-    sysm.contraction = ContractionBound(1, rate, rate, 1.0)
-    return sysm
-
-
-# ---------------------------------------------------------------------------
-# convergence probes
-
-
-def degenerate_deviation(family, epsilon, horizon=8):
-    """Certified sup over degenerate branches of sup_x |T_e(eps,x) - limit|.
-
-    Uses the branch image enclosure: distance from its center to the limit
-    point plus half its diameter dominates the pointwise deviation.
-    """
-    sysm = family.builder(epsilon)
-    worst = 0.0
-    for e in family.degenerate_letters(horizon):
-        encl, _ = sysm.seed_image(e)
-        a = family.degenerate_limit(e)
-        worst = max(worst, math.dist(encl.center, a) + 0.5 * encl.diameter)
-    return worst
-
-
-def shared_derivative_gap(family, epsilon, horizon=64):
-    """Largest endpoint move of a kept letter's derivative range at eps."""
-    sysm = family.builder(epsilon)
-    worst = 0.0
-    for e in family.base.letters(horizon):
-        a = family.base.letter_range(e)
-        b = sysm.letter_range(e)
-        worst = max(worst, abs(a.upper - b.upper), abs(a.lower - b.lower))
-    return worst
-
-
-@dataclass(frozen=True)
-class PressureRow:
-    epsilon: float
-    lower: float
-    upper: float
-
-    @property
-    def mid(self):
-        return 0.5 * (self.lower + self.upper)
-
-    @property
-    def width(self):
-        return self.upper - self.lower
-
-    def record(self):
-        return {
-            "epsilon": self.epsilon,
-            "lower": self.lower,
-            "upper": self.upper,
-        }
-
-
-def _full_entry(system, potential, depth, horizon=None):
-    """The closing full-scope entry of a one-horizon truncation ladder at
-    default_horizon(system, horizon)."""
-    horizon = default_horizon(system, horizon)
-    return truncation_ladder(system, potential, [horizon], depth=depth)[-1]
-
-
-def pressure_convergence_probe(family, s, epsilons, depth=2):
-    """Pressure brackets of builder(eps) against the base, at a fixed
-    exponent.  Row 0 is the base; eps rows follow in the given order."""
-    rows = [PressureRow(0.0, *_bracket(family.base, s, depth))]
-    for eps in map(float, epsilons):
-        rows.append(PressureRow(eps, *_bracket(family.builder(eps), s, depth)))
-    return rows
-
-
-def _bracket(system, s, depth):
-    est = _full_entry(system, PotentialSpec(s), depth)
-    return est.lower, est.upper
 
 
 # ---------------------------------------------------------------------------

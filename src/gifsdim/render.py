@@ -1,6 +1,5 @@
 """Limit-set geometry: coding points with certified radii, deterministic
-point clouds, portable-graymap rasterization, and probes comparing the
-coding maps of a perturbed system against its limit system.
+point clouds and portable-graymap rasterization.
 
 A depth-n coding point is the n-fold map composition applied to an anchor
 in the terminal seed; the composed enclosure's diameter is a certified
@@ -9,23 +8,20 @@ admissible words depth-first in alphabet order and truncate at a cap, so
 every artifact is reproducible byte for byte.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import maps as mapslib
-from .errors import AlphabetMismatch, DegenerateBounds, NonAdmissibleWord
+from .errors import DegenerateBounds, NonAdmissibleWord
 from .shapes import Box, contains_point
 
 __all__ = [
     "PointCloud",
     "RasterImage",
-    "CodingProbe",
     "coding_map",
     "generate_point_cloud",
     "rasterize",
-    "coding_convergence_probe",
 ]
 
 
@@ -157,97 +153,3 @@ def rasterize(cloud, bounds, resolution):
             row = min(int((y1 - pt[1]) / (y1 - y0) * height), height - 1)
         grid[row, col] += 1
     return RasterImage(width, height, bounds, grid)
-
-
-@dataclass(frozen=True)
-class CodingProbe:
-    """Measured coding-map gap between a perturbed system and its limit.
-
-    observed is the largest raw distance over the sampled words; certified
-    adds both truncation radii, so it bounds the gap for the sampled
-    INFINITE words; lemma_bound is the a-priori geometric-series bound
-    comparison / (1 - rate) * deviation, with deviation a certified
-    sup over edges of the pointwise map difference.
-    """
-
-    observed: float
-    certified: float
-    lemma_bound: float
-    deviation: float
-    epsilon: float
-    words: int
-
-    def record(self):
-        return {
-            "observed": self.observed,
-            "certified": self.certified,
-            "lemma_bound": self.lemma_bound,
-            "deviation": self.deviation,
-            "epsilon": self.epsilon,
-            "words": self.words,
-        }
-
-
-def _map_deviation(base, perturbed, e):
-    """Certified sup over the terminal seed of |T_p(x) - T_b(x)|.
-
-    Identical map specs short-circuit to zero; otherwise the triangle
-    inequality through both image enclosures bounds the pointwise
-    difference for arbitrary map kinds.
-    """
-    spec_b = base.map_of(e)
-    spec_p = perturbed.map_of(e)
-    if spec_b == spec_p:
-        return 0.0
-    img_b, _ = base.seed_image(e)
-    img_p, _ = perturbed.seed_image(e)
-    return (
-        math.dist(img_b.center, img_p.center)
-        + 0.5 * img_b.diameter
-        + 0.5 * img_p.diameter
-    )
-
-
-def coding_convergence_probe(base, perturbed, epsilon, sample, horizon=None):
-    """Compare coding maps word by word and against the geometric bound.
-
-    base must be the limit system on the same alphabet (degenerate edges
-    carried as constant maps).  sample is an iterable of admissible words,
-    evaluated on both systems.
-    """
-    words = [tuple(w) for w in sample]
-    if not words:
-        raise ValueError("need at least one sample word")
-    if horizon is None:
-        horizon = max(64, *(len(w) for w in words))
-    letters_b = base.letters(horizon)
-    letters_p = perturbed.letters(horizon)
-    if list(letters_b) != list(letters_p):
-        raise AlphabetMismatch(
-            f"alphabets differ at horizon {horizon}: "
-            f"{len(letters_b)} vs {len(letters_p)} letters"
-        )
-    observed = 0.0
-    certified = 0.0
-    for w in words:
-        pt_b, rad_b = coding_map(base, w)
-        pt_p, rad_p = coding_map(perturbed, w)
-        gap = math.dist(pt_b, pt_p)
-        observed = max(observed, gap)
-        certified = max(certified, gap + rad_b + rad_p)
-    deviation = max(_map_deviation(base, perturbed, e) for e in letters_p)
-    cb = perturbed.contraction or base.contraction
-    if cb is None or cb.effective_rate >= 1.0:
-        lemma_bound = math.inf
-    else:
-        # the mean-value constant of the lemma is 1: every seed is a Ball
-        # or a Box, and both are convex
-        lemma_bound = cb.comparison / (1.0 - cb.effective_rate) * deviation
-    return CodingProbe(
-        observed=observed,
-        certified=certified,
-        lemma_bound=lemma_bound,
-        deviation=deviation,
-        epsilon=float(epsilon),
-        words=len(words),
-    )

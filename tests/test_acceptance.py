@@ -25,10 +25,9 @@ from gifsdim.perturb import (
     cf_family,
     degeneracy_divergence_probe,
     dimension_sweep,
-    pressure_convergence_probe,
 )
 from gifsdim.pressure import PotentialSpec, pressure_spectral, truncation_ladder
-from gifsdim.render import coding_convergence_probe, coding_map, generate_point_cloud
+from gifsdim.render import coding_map, generate_point_cloud
 from gifsdim.scenarios import (
     cf_system,
     gaussian_alphabet,
@@ -46,6 +45,8 @@ from gifsdim.systems import (
     reduce_to_simple,
     translate_word,
 )
+
+from convergence import coding_gap, full_bracket, lemma_bound
 
 GOLDEN = 0.6942419136306174
 CANTOR = 0.6309297535714574
@@ -203,16 +204,17 @@ def test_c04_truncation_ladder_monotone():
 
 
 def test_c05_perturbed_pressure_converges():
-    rows = pressure_convergence_probe(
-        cf_family((1, 2)), 1.5, [2.0 ** -j for j in range(2, 8)], depth=2
-    )
+    family = cf_family((1, 2))
+    rows = [full_bracket(family.base, 1.5, 2)]
+    rows += [full_bracket(family.builder(2.0 ** -j), 1.5, 2) for j in range(2, 8)]
     assert len(rows) == 7
-    base = rows[0]
-    gaps = [abs(row.mid - base.mid) for row in rows[1:]]
+    mids = [0.5 * (lo + hi) for lo, hi in rows]
+    widths = [hi - lo for lo, hi in rows]
+    gaps = [abs(mid - mids[0]) for mid in mids[1:]]
     for a, b in zip(gaps, gaps[1:]):
         assert b <= a + 1e-15
     assert gaps[-1] < gaps[0]
-    assert gaps[-1] <= base.width + rows[-1].width
+    assert gaps[-1] <= widths[0] + widths[-1]
     print(
         f"c05 PASS pressure gap {gaps[0]:.2e} -> {gaps[-1]:.2e}"
         f" over eps = 2^-2 .. 2^-7"
@@ -279,11 +281,10 @@ def test_c08_coding_map_suite():
     sample = [
         tuple(abc[i] for i in wrng.integers(0, 3, size=12)) for _ in range(200)
     ]
-    probe = coding_convergence_probe(
-        full, perturbed_cf((1, 2), (1, 2, 3), 0.25), 0.25, sample
-    )
-    assert probe.words == 200
-    assert probe.observed <= probe.lemma_bound
+    pert = perturbed_cf((1, 2), (1, 2, 3), 0.25)
+    observed = coding_gap(full, pert, sample)
+    bound = lemma_bound(full, pert, pert.letters(64))
+    assert observed <= bound
 
     pairs = cf_system(tuple(gaussian_alphabet(2)))
     letters = list(pairs.letters(100))
@@ -300,8 +301,8 @@ def test_c08_coding_map_suite():
         p2, r2 = coding_map(pairs, prefix + (letters[b],) + t2)
         assert math.dist(p1, p2) <= c_cp * cb.effective_rate ** (j - 2) + r1 + r2
     print(
-        f"c08 PASS fixed points to 1e-6, probe {probe.observed:.2e} <="
-        f" {probe.lemma_bound:.2e} on 200 words, 1000 word pairs Lipschitz"
+        f"c08 PASS fixed points to 1e-6, gap {observed:.2e} <="
+        f" {bound:.2e} on 200 words, 1000 word pairs Lipschitz"
     )
 
 

@@ -1,18 +1,24 @@
-"""Export guard: no public name that only tests reach, and no orphaned
-private helper.
+"""Export guard: no public name that only tests reach, no orphaned
+private helper, and no unused import.
 
 Every public top-level function and class of every module in src/gifsdim,
 and every name in a module's __all__, must either be re-exported by
 gifsdim.__all__ or be referenced somewhere in src/gifsdim outside its own
 definition and the __all__ lists.  A name that meets neither is library
-code that only tests call.  Every private top-level function and class
-must be referenced somewhere in src/gifsdim outside its own definition.
+code that only tests call.  A re-export alone does not make a name used:
+every name in gifsdim.__all__ must also be referenced in src/gifsdim
+outside __init__.py and its own definition, or be named in README.md.
+Every private top-level function and class must be referenced somewhere
+in src/gifsdim outside its own definition, and every name a module
+imports must be read in that module.
 """
 
 import ast
+import re
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gifsdim"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gifsdim"
 
 
 def _all_names(tree):
@@ -76,3 +82,32 @@ def test_every_private_helper_is_used():
                 for name in _defined_names(trees[module], True)
                 if not _used_in_package(trees, module, name)]
     assert orphaned == []
+
+
+def test_every_export_is_used_or_documented():
+    trees = _trees()
+    readme = (ROOT / "README.md").read_text()
+    home = {alias.asname or alias.name: node.module
+            for node in trees["__init__"].body if isinstance(node, ast.ImportFrom)
+            for alias in node.names}
+    others = {stem: tree for stem, tree in trees.items() if stem != "__init__"}
+    unreached = [name for name in _all_names(trees["__init__"])
+                 if not _used_in_package(others, home[name], name)
+                 and not re.search(rf"\b{name}\b", readme)]
+    assert unreached == []
+
+
+def test_every_import_is_read():
+    unread = []
+    for stem, tree in _trees().items():
+        if stem == "__init__":
+            continue
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unread += [f"{stem}.{bound}" for alias in node.names
+                           if (bound := (alias.asname or alias.name).split(".")[0])
+                           not in read]
+    assert unread == []

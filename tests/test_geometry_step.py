@@ -19,7 +19,6 @@ import pytest
 
 from gifsdim import maps, pressure
 from gifsdim.dimension import bowen_dimension
-from gifsdim.perturb import build_perturbed_cf
 from gifsdim.pressure import (
     PotentialSpec,
     _build_geometry,
@@ -37,7 +36,7 @@ from gifsdim.scenarios import (
 
 CASES = {
     "cf12": (lambda: cf_system(letters=(1, 2)), 2, 11),
-    "perturbed-quarter": (lambda: build_perturbed_cf((1, 2), (1, 2, 3), 2.0**-2), 3, 5),
+    "perturbed-quarter": (lambda: perturbed_cf((1, 2), (1, 2, 3), 2.0**-2), 3, 5),
     # eps = 0 plants a constant letter, whose disks take disk_image's
     # Constant branch
     "perturbed-zero": (lambda: perturbed_cf((1, 2), (1, 2, 3), epsilon=0.0), 3, 5),

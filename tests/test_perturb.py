@@ -15,65 +15,45 @@ import math
 import pytest
 
 from gifsdim.dimension import bowen_dimension
-from gifsdim.errors import (
-    ConditionViolation,
-    InvalidAlphabet,
-    SummabilityWitnessMissing,
-)
-from gifsdim.graphs import DirectedMultigraph, Enumeration
-from gifsdim.maps import ConformalAffine, MoebiusCF, PerturbedAffine
+from gifsdim.errors import ConditionViolation
+from gifsdim.maps import MoebiusCF
 from gifsdim.perturb import (
     PerturbationFamily,
     SweepRecord,
     affine_family,
-    build_perturbed_affine,
-    build_perturbed_cf,
     cf_family,
     degeneracy_divergence_probe,
-    degenerate_deviation,
     dimension_sweep,
-    pressure_convergence_probe,
-    shared_derivative_gap,
     sweep_csv,
 )
-from gifsdim.scenarios import affine_demo, cf_system, moran_system
-from gifsdim.shapes import Ball
-from gifsdim.systems import (
-    ContractionBound,
-    GifsSystem,
-    SeedSet,
-    check_separation,
-    finite_tail,
-    validate_conditions,
-)
+from gifsdim.scenarios import cf_system, moran_system, perturbed_cf
+from gifsdim.systems import validate_conditions
+
+from convergence import full_bracket
 
 
-def three_gap_base():
-    """1D base on three vertices whose two sibling images at vertex 1 leave
-    the middle third open."""
-    edges = ((1, 2), (1, 3), (2, 1), (3, 1))
-    maps = {
-        (1, 2): ConformalAffine(1 / 3, (0.0,)),
-        (1, 3): ConformalAffine(1 / 3, (2 / 3,)),
-        (2, 1): ConformalAffine(1 / 3, (0.0,)),
-        (3, 1): ConformalAffine(1 / 3, (2 / 3,)),
-    }
-    graph = DirectedMultigraph(
-        vertices=Enumeration(items=(1, 2, 3)),
-        edges=Enumeration(items=edges),
-        initial=lambda e: e[0],
-        terminal=lambda e: e[1],
-        simple=True,
-    )
-    seeds = {
-        v: SeedSet(v, Ball((0.5,), 0.5), Ball((0.5,), 0.75)) for v in (1, 2, 3)
-    }
-    return GifsSystem(
-        graph, seeds, maps, 1,
-        contraction=ContractionBound(1, 1 / 3, 1 / 3, 1.0),
-        tail=finite_tail("edge"),
-        name="three-gap",
-    )
+def degenerate_deviation(family, epsilon, horizon=8):
+    """Largest distance from a degenerate branch image to its eps -> 0
+    limit point 1/(e + 1/2), read off the certified image enclosures."""
+    sysm = family.builder(epsilon)
+    worst = 0.0
+    for e in family.degenerate_letters(horizon):
+        encl, _ = sysm.seed_image(e)
+        z = 1.0 / (complex(e) + 0.5)
+        gap = math.dist(encl.center, (z.real, z.imag)) + 0.5 * encl.diameter
+        worst = max(worst, gap)
+    return worst
+
+
+def shared_derivative_gap(family, epsilon, horizon=64):
+    """Largest endpoint move of a kept letter's derivative range at eps."""
+    sysm = family.builder(epsilon)
+    worst = 0.0
+    for e in family.base.letters(horizon):
+        a = family.base.letter_range(e)
+        b = sysm.letter_range(e)
+        worst = max(worst, abs(a.upper - b.upper), abs(a.lower - b.lower))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -81,76 +61,12 @@ def three_gap_base():
 
 
 def test_build_perturbed_cf_degenerate_derivative():
-    sysm = build_perturbed_cf((1, 2), (1, 2, 3), 0.1)
+    sysm = perturbed_cf((1, 2), (1, 2, 3), 0.1)
     one, two, three = sysm.letters(3)
     rng = sysm.letter_range(three)
     assert rng.upper == pytest.approx(0.1 / 3.45 ** 2, rel=1e-12)
     assert isinstance(sysm.map_of(one), MoebiusCF)
     assert sysm.map_of(two) == cf_system(letters=(1, 2)).map_of(two)
-
-
-def test_build_perturbed_cf_rejects_bad_input():
-    with pytest.raises(ValueError):
-        build_perturbed_cf((1, 2), (1, 2, 3), 0.0)
-    with pytest.raises(ValueError):
-        build_perturbed_cf((1, 2), (1, 2, 3), 1.0)
-    with pytest.raises(InvalidAlphabet):
-        build_perturbed_cf((1, 5), (1, 2, 3), 0.1)
-    with pytest.raises(InvalidAlphabet):
-        build_perturbed_cf((0,), (0, 1), 0.1)
-
-
-def test_build_perturbed_affine_zero_change_is_base():
-    base = affine_demo()
-    ext = build_perturbed_affine(base, {}, {}, 0.37)
-    assert tuple(ext.letters(10)) == tuple(base.letters(10))
-    for e in base.letters(10):
-        assert ext.map_of(e) == base.map_of(e)
-    assert ext.contraction.rate == pytest.approx(0.4)
-
-
-def test_build_perturbed_affine_rotation_edge_range():
-    base = affine_demo()
-    ext = build_perturbed_affine(
-        base,
-        {},
-        {(2, 2): lambda eps: PerturbedAffine(0.0, 0.1j, (3.3, 0.0), (0.0, 0.0), eps)},
-        0.3,
-    )
-    rng = ext.letter_range((2, 2))
-    assert rng.lower == pytest.approx(0.03, rel=1e-12)
-    assert rng.upper == pytest.approx(0.03, rel=1e-12)
-
-
-def test_build_perturbed_affine_rejects_bad_specs():
-    base = affine_demo()
-    with pytest.raises(InvalidAlphabet):
-        build_perturbed_affine(base, {}, {(1, 1): lambda e: None}, 0.1)
-    with pytest.raises(InvalidAlphabet):
-        build_perturbed_affine(base, {}, {(9, 1): lambda e: None}, 0.1)
-    with pytest.raises(InvalidAlphabet):
-        build_perturbed_affine(base, {(7, 7): lambda e: None}, {}, 0.1)
-    with pytest.raises(ConditionViolation):
-        build_perturbed_affine(
-            base, {}, {(2, 2): lambda e: ConformalAffine(1.2, (0.0, 0.0))}, 0.1
-        )
-    bare = affine_demo()
-    bare.tail = None
-    with pytest.raises(SummabilityWitnessMissing):
-        build_perturbed_affine(bare, {}, {}, 0.1)
-
-
-def test_extended_system_keeps_strong_separation():
-    base = three_gap_base()
-    assert check_separation(base)[0].verdict == "certified-separated"
-    ext = build_perturbed_affine(
-        base,
-        {},
-        {(1, 1): lambda eps: PerturbedAffine(0.0, 0.1, (0.5,), (0.0,), eps)},
-        0.05,
-    )
-    assert check_separation(ext)[0].verdict == "certified-separated"
-    assert validate_conditions(ext).passed
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +75,8 @@ def test_extended_system_keeps_strong_separation():
 
 def test_families_validate_below_epsilon0():
     for family in (cf_family((1, 2), (1, 2, 3)), affine_family()):
-        for eps in (0.5, 0.25, 0.1):
-            assert eps < family.epsilon0 or family.epsilon0 >= 0.6
+        top = family.epsilon0
+        for eps in (0.01 * top, 0.25 * top, 0.5 * top, 0.75 * top, 0.99 * top):
             assert validate_conditions(family.builder(eps)).passed, (
                 family.name, eps,
             )
@@ -169,7 +85,7 @@ def test_families_validate_below_epsilon0():
 def test_degenerate_images_shrink_to_limit_points():
     family = cf_family((1, 2), (1, 2, 3))
     three = family.degenerate_letters(4)[0]
-    assert family.degenerate_limit(three) == pytest.approx((1 / 3.5, 0.0))
+    assert family.builder(0.0).map_of(three).target == pytest.approx((1 / 3.5, 0.0))
     schedule = [0.4, 0.2, 0.1, 0.05]
     devs = [degenerate_deviation(family, eps) for eps in schedule]
     assert all(b <= a for a, b in zip(devs, devs[1:]))
@@ -196,13 +112,15 @@ def test_shared_edges_converge_back_to_base():
 def test_pressure_brackets_converge_to_base():
     family = cf_family((1, 2), (1, 2, 3))
     epsilons = [2.0 ** -j for j in range(2, 8)]
-    rows = pressure_convergence_probe(family, 1.5, epsilons, depth=6)
-    assert rows[0].epsilon == 0.0
-    base = rows[0]
-    gaps = [abs(r.mid - base.mid) for r in rows[1:]]
+    base = full_bracket(family.base, 1.5, 6)
+    rows = [full_bracket(family.builder(eps), 1.5, 6) for eps in epsilons]
+
+    def mid(row):
+        return 0.5 * (row[0] + row[1])
+
+    gaps = [abs(mid(r) - mid(base)) for r in rows]
     assert all(b <= a + 1e-15 for a, b in zip(gaps, gaps[1:]))
-    assert gaps[-1] <= rows[-1].width + base.width
-    assert rows[-1].record()["epsilon"] == epsilons[-1]
+    assert gaps[-1] <= (rows[-1][1] - rows[-1][0]) + (base[1] - base[0])
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +178,6 @@ def test_sweep_records_per_row_errors():
         base=good,
         builder=flaky,
         degenerate_letters=lambda h: (),
-        degenerate_limit=lambda e: (0.0,),
         epsilon0=1.0,
         name="flaky",
     )
@@ -279,7 +196,6 @@ def test_sweep_labels_unverified_hypothesis():
         base=moran_system([0.5, 0.25]),
         builder=lambda eps: moran_system([0.5, 0.25]),
         degenerate_letters=lambda h: (),
-        degenerate_limit=lambda e: (0.0,),
         epsilon0=1.0,
         summable_above=1.0,
         infinite=True,

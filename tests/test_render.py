@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from gifsdim.errors import (
-    AlphabetMismatch,
     DegenerateBounds,
     NonAdmissibleWord,
 )
@@ -29,7 +28,6 @@ from gifsdim.graphs import DirectedMultigraph, Enumeration
 from gifsdim.maps import Similarity
 from gifsdim.render import (
     PointCloud,
-    coding_convergence_probe,
     coding_map,
     generate_point_cloud,
     rasterize,
@@ -50,6 +48,8 @@ from gifsdim.systems import (
     reduce_to_simple,
     translate_word,
 )
+
+from convergence import coding_gap, lemma_bound
 
 
 def cantor_pair():
@@ -243,17 +243,6 @@ def random_words(system, count, depth, seed):
     ]
 
 
-def test_probe_zero_perturbation():
-    base = perturbed_cf((1, 2), (1, 2, 3), 0.0)
-    words = random_words(base, 20, 12, seed=7)
-    probe = coding_convergence_probe(base, base, 0.0, words)
-    assert probe.observed == 0.0
-    assert probe.deviation == 0.0
-    assert probe.lemma_bound == 0.0
-    assert probe.certified <= 1e-1  # pure truncation radii
-    assert probe.words == 20
-
-
 def test_probe_bound_and_degenerate_derivative():
     base = perturbed_cf((1, 2), (1, 2, 3), 0.0)
     pert = perturbed_cf((1, 2), (1, 2, 3), 0.1)
@@ -262,31 +251,16 @@ def test_probe_bound_and_degenerate_derivative():
         0.1 / 3.45 ** 2, rel=1e-9
     )
     words = random_words(base, 200, 20, seed=11)
-    probe = coding_convergence_probe(base, pert, 0.1, words)
-    assert 0.0 < probe.observed <= probe.lemma_bound
-    assert probe.observed <= probe.certified
-    rec = probe.record()
-    assert rec["words"] == 200 and rec["epsilon"] == 0.1
+    observed = coding_gap(base, pert, words)
+    assert 0.0 < observed <= lemma_bound(base, pert, pert.letters(64))
 
 
 def test_probe_deviation_scales_linearly():
     base = perturbed_cf((1, 2), (1, 2, 3), 0.0)
     words = random_words(base, 60, 15, seed=3)
-    big = coding_convergence_probe(
-        base, perturbed_cf((1, 2), (1, 2, 3), 0.1), 0.1, words
-    )
-    small = coding_convergence_probe(
-        base, perturbed_cf((1, 2), (1, 2, 3), 0.05), 0.05, words
-    )
-    assert 1.8 <= big.observed / small.observed <= 2.2
-
-
-def test_probe_rejects_alphabet_mismatch():
-    base = cf_system(letters=(1, 2))
-    pert = perturbed_cf((1, 2), (1, 2, 3), 0.1)
-    words = random_words(base, 5, 6, seed=1)
-    with pytest.raises(AlphabetMismatch):
-        coding_convergence_probe(base, pert, 0.1, words)
+    big = coding_gap(base, perturbed_cf((1, 2), (1, 2, 3), 0.1), words)
+    small = coding_gap(base, perturbed_cf((1, 2), (1, 2, 3), 0.05), words)
+    assert 1.8 <= big / small <= 2.2
 
 
 def test_probe_lipschitz_pairs():
