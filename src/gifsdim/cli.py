@@ -53,27 +53,21 @@ from .scenarios import (
     perturbed_affine,
     perturbed_cf,
 )
-from .shapes import Ball, Box
+from .shapes import Box
 from .systems import reduce_to_simple, validate_conditions
 
-_SYSTEM_SCENARIOS = (
-    "ladder_6_1",
-    "cantor",
-    "golden",
-    "affine_demo",
-    "affine_perturbed",
-    "cf",
-    "cf_perturbed",
-)
-_FAMILY_SCENARIOS = ("cf_family", "affine_family")
-
-_OPTION_KEYS = (
-    "letters",
-    "sub_letters",
-    "full_letters",
-    "epsilon",
-    "truncate_vertices",
-)
+# the scenario_options each named scenario reads; inline scenarios read none
+_SCENARIO_OPTIONS = {
+    "ladder_6_1": ("truncate_vertices",),
+    "cantor": (),
+    "golden": (),
+    "affine_demo": (),
+    "affine_perturbed": ("epsilon",),
+    "cf": ("letters",),
+    "cf_perturbed": ("sub_letters", "full_letters", "epsilon"),
+    "cf_family": ("sub_letters", "full_letters"),
+    "affine_family": (),
+}
 
 
 @dataclass(frozen=True)
@@ -155,13 +149,13 @@ def _check_inline(sc, problems):
                     problems.append(f"scenario.offsets[{i}]: not a finite number")
 
 
-def _check_options(scenario, opts, problems):
+def _check_options(label, opts, problems):
     if not isinstance(opts, dict):
         problems.append("scenario_options: expected an object")
         return
     for key, value in opts.items():
-        if key not in _OPTION_KEYS:
-            problems.append(f"scenario_options.{key}: unknown field")
+        if key not in _SCENARIO_OPTIONS.get(label, ()):
+            problems.append(f"scenario_options.{key}: not read by scenario '{label}'")
         elif key in ("letters", "sub_letters", "full_letters"):
             _check_letters(value, f"scenario_options.{key}", problems)
         elif key == "epsilon":
@@ -170,7 +164,7 @@ def _check_options(scenario, opts, problems):
         elif key == "truncate_vertices":
             if not _is_int(value) or value < 1:
                 problems.append("scenario_options.truncate_vertices: expected an int >= 1")
-    if scenario in ("cf_perturbed", "cf_family") and "sub_letters" not in opts:
+    if label in ("cf_perturbed", "cf_family") and "sub_letters" not in opts:
         problems.append("scenario_options.sub_letters: required for this scenario")
 
 
@@ -193,18 +187,15 @@ def parse_config(text):
     if scenario is None:
         problems.append("scenario: required")
     elif isinstance(scenario, str):
-        if scenario not in _SYSTEM_SCENARIOS + _FAMILY_SCENARIOS:
+        if scenario not in _SCENARIO_OPTIONS:
             problems.append(f"scenario: unknown name {scenario!r}")
     elif isinstance(scenario, dict):
         _check_inline(scenario, problems)
     else:
         problems.append("scenario: expected a name or an inline object")
 
-    opts = obj.get("scenario_options", {})
-    if isinstance(scenario, str):
-        _check_options(scenario, opts, problems)
-    elif not isinstance(opts, dict):
-        problems.append("scenario_options: expected an object")
+    if isinstance(scenario, (str, dict)):
+        _check_options(_scenario_label(scenario), obj.get("scenario_options", {}), problems)
 
     def positive_num(key):
         v = obj.get(key)
@@ -365,8 +356,7 @@ def _jsonable(value):
     return value
 
 
-def _scenario_label(config):
-    sc = config.scenario
+def _scenario_label(sc):
     return sc if isinstance(sc, str) else "inline-similarity"
 
 
@@ -374,7 +364,7 @@ def _record(config, command, payload, **knobs):
     rec = {
         "command": command,
         "config_digest": config.digest,
-        "scenario": _scenario_label(config),
+        "scenario": _scenario_label(config.scenario),
         "seed": config.seed,
     }
     rec.update({k: v for k, v in knobs.items() if v is not None})
@@ -553,17 +543,11 @@ def _cmd_probe_divergence(config, stream):
 
 
 def _default_bounds(system):
-    los, his = None, None
-    for v in system.vertices_prefix(64):
-        shape = system.seed(v).seed
-        if isinstance(shape, Ball):
-            lo = [c - shape.radius for c in shape.center]
-            hi = [c + shape.radius for c in shape.center]
-        else:
-            lo, hi = list(shape.lo), list(shape.hi)
-        los = lo if los is None else [min(a, b) for a, b in zip(los, lo)]
-        his = hi if his is None else [max(a, b) for a, b in zip(his, hi)]
-    return Box(tuple(los), tuple(his))
+    """The box around the seed balls of the first 64 vertices."""
+    balls = [system.seed(v).seed for v in system.vertices_prefix(64)]
+    axes = range(balls[0].dim)
+    return Box(tuple(min(b.center[k] - b.radius for b in balls) for k in axes),
+               tuple(max(b.center[k] + b.radius for b in balls) for k in axes))
 
 
 def _cmd_render(config, stream):

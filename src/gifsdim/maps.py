@@ -13,7 +13,9 @@ Supported families (ambient dimension D in {1, 2}):
 
 Every family is conformal, so one number, the operator norm ||T'||, is the
 size of a derivative; it is zero for constant maps (the degenerate flag of
-a derivative range records that).
+a derivative range records that).  Sets are balls: every family sends a
+ball onto a ball, so image_enclosure returns the image itself, and in the
+plane disk_image is the one kernel behind it.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainViolation, MixedFamily, UnsupportedShape
-from .shapes import Ball, Box, as_complex, circumball
+from .shapes import Ball, as_complex
 
 _POLE_MARGIN = 1e-9     # refuse derivative/image math closer to a pole
 
@@ -275,12 +277,11 @@ def disk_image(spec, cx, cy, r):
     return x, y, abs(_linear_scalar(spec)) * r
 
 
-def derivative_range_over_set(spec, shape):
-    """Certified range of ||T'|| over a shape.
+def derivative_range_over_set(spec, ball):
+    """Certified range of ||T'|| over a ball.
 
-    Affine families give exact one-point ranges.  Moebius families on balls
-    use the closed-form |e+z| in [|e+c|-rho, |e+c|+rho]; boxes go through the
-    circumscribed ball, still certified but conservative.
+    Affine families give exact one-point ranges; Moebius families use the
+    closed-form |e+z| in [|e+c|-rho, |e+c|+rho].
     """
     if isinstance(spec, Constant):
         return DerivativeRange(0.0, 0.0, degenerate=True)
@@ -288,55 +289,19 @@ def derivative_range_over_set(spec, shape):
         a = abs(_linear_scalar(spec))
         return DerivativeRange(a, a, degenerate=(a == 0.0))
     if isinstance(spec, _MOEBIUS_KINDS):
-        if not isinstance(shape, (Ball, Box)):
-            raise UnsupportedShape(type(shape).__name__)
-        if shape.dim != 2:
+        if ball.dim != 2:
             raise UnsupportedShape("Moebius maps act on the plane")
-        ball = circumball(shape)
         lo, hi = moebius_derivative_range(spec, *ball.center, ball.radius)
         return DerivativeRange(float(lo), float(hi))
     raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
 
 
-def image_enclosure(spec, shape):
-    """(enclosure, exact) for the image of a shape.
-
-    exact=True means the returned shape IS the image, not just a superset.
-    """
-    if isinstance(spec, Constant):
-        return Ball(spec.target, 0.0), True
-    if isinstance(spec, _AFFINE_KINDS):
-        scale = abs(_linear_scalar(spec))
-        if isinstance(shape, Ball):
-            return Ball(apply(spec, shape.center), scale * shape.radius), True
-        if isinstance(shape, Box):
-            if shape.dim == 1:
-                a = apply(spec, (shape.lo[0],))[0]
-                b = apply(spec, (shape.hi[0],))[0]
-                return Box((min(a, b),), (max(a, b),)), True
-            corners = [
-                apply(spec, p)
-                for p in (
-                    (shape.lo[0], shape.lo[1]),
-                    (shape.lo[0], shape.hi[1]),
-                    (shape.hi[0], shape.lo[1]),
-                    (shape.hi[0], shape.hi[1]),
-                )
-            ]
-            xs = [p[0] for p in corners]
-            ys = [p[1] for p in corners]
-            lin = _linear_scalar(spec)
-            axis_aligned = (
-                abs(lin.imag if isinstance(lin, complex) else 0.0) < 1e-15
-                or abs(lin.real if isinstance(lin, complex) else lin) < 1e-15
-            )
-            return Box((min(xs), min(ys)), (max(xs), max(ys))), axis_aligned
-        raise UnsupportedShape(type(shape).__name__)
-    if isinstance(spec, _MOEBIUS_KINDS):
-        if shape.dim != 2:
-            raise UnsupportedShape("Moebius maps act on the plane")
-        # boxes go through their circumscribed ball: certified, not exact
-        ball = circumball(shape)
+def image_enclosure(spec, ball):
+    """The image T(ball), itself a ball: disk_image in the plane, apply at
+    the centre on the line."""
+    if ball.dim == 2:
         x, y, radius = disk_image(spec, *ball.center, ball.radius)
-        return Ball((x, y), float(radius)), isinstance(shape, Ball)
-    raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
+        return Ball((x, y), float(radius))
+    if isinstance(spec, _MOEBIUS_KINDS):
+        raise UnsupportedShape("Moebius maps act on the plane")
+    return Ball(apply(spec, ball.center), abs(_linear_scalar(spec)) * ball.radius)

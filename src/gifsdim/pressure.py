@@ -62,7 +62,6 @@ from . import chains as chainlib
 from . import maps as mapslib
 from .errors import NoAdmissibleWords
 from .graphs import extend_words, strongly_connected_components
-from .shapes import circumball
 
 __all__ = [
     "PotentialSpec",
@@ -300,7 +299,7 @@ def _build_geometry(system, letters, m, below=None):
     one word length at a time with a Python loop over letters only: from
     below, the (words, disks, letter classes) of the same letters at depth
     m - 1, when given, else from the letters, their classes (see
-    _letter_classes) and their seed circumballs; either way on the system's
+    _letter_classes) and their seed image disks; either way on the system's
     incidence table, and every array comes out with the same bits."""
     specs = [system.map_of(e) for e in letters]
     moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
@@ -310,10 +309,8 @@ def _build_geometry(system, letters, m, below=None):
         words = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))[:, None]
         disks = None
         if any(moebius):
-            disks = np.array([
-                (*ball.center, ball.radius)
-                for ball in (circumball(system.seed_image(e)[0]) for e in letters)
-            ]).T
+            disks = np.array([(*ball.center, ball.radius)
+                              for ball in map(system.seed_image, letters)]).T
         steps = m - 1
     else:
         words, disks, letter_classes = below

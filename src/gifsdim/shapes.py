@@ -1,10 +1,13 @@
-"""Shape primitives used for seeds, neighborhoods, and image enclosures.
+"""Shape primitives: balls for seeds, neighborhoods and image enclosures,
+boxes for raster bounds.
 
 Shapes are immutable and live in R^D for D in {1, 2}.  A Ball is an interval
-(D=1) or a disk (D=2); a Box is an axis-aligned product of intervals.  All
-predicates take an absolute geometric tolerance, default GEOM_TOL, because
-exactly tangent configurations occur in the built-in systems (two image disks
-of the continued-fraction family touch at a point).
+(D=1) or a disk (D=2); every seed and neighborhood is one, and every
+supported map sends a ball onto a ball.  A Box is an axis-aligned product of
+intervals and only bounds rasters.  All predicates take an absolute
+geometric tolerance, default GEOM_TOL, because exactly tangent
+configurations occur in the built-in systems (two image disks of the
+continued-fraction family touch at a point).
 """
 
 from __future__ import annotations
@@ -57,14 +60,6 @@ class Box:
     def dim(self):
         return len(self.lo)
 
-    @property
-    def center(self):
-        return tuple(0.5 * (l + h) for l, h in zip(self.lo, self.hi))
-
-    @property
-    def diameter(self):
-        return math.dist(self.lo, self.hi)
-
 
 def as_complex(point):
     """View a 2-D point as a complex number (1-D points map to the real line)."""
@@ -73,8 +68,6 @@ def as_complex(point):
     if len(point) == 2:
         return complex(point[0], point[1])
     raise UnsupportedShape(f"points of dimension {len(point)}")
-
-
 
 
 def contains_point(shape, point, tol=GEOM_TOL):
@@ -87,72 +80,22 @@ def contains_point(shape, point, tol=GEOM_TOL):
     raise UnsupportedShape(type(shape).__name__)
 
 
-
-
 def interior_margin(outer, inner):
-    """How deep `inner` sits inside `outer`: the largest delta such that the
-    delta-dilation of inner still fits (negative when inner pokes out)."""
-    if isinstance(outer, Ball) and isinstance(inner, Ball):
-        return outer.radius - (math.dist(outer.center, inner.center) + inner.radius)
-    if isinstance(outer, Box) and isinstance(inner, Box):
-        return min(
-            m
-            for ol, oh, il, ih in zip(outer.lo, outer.hi, inner.lo, inner.hi)
-            for m in (il - ol, oh - ih)
-        )
-    if isinstance(outer, Box) and isinstance(inner, Ball):
-        return min(
-            m
-            for l, h, c in zip(outer.lo, outer.hi, inner.center)
-            for m in (c - inner.radius - l, h - (c + inner.radius))
-        )
-    if isinstance(outer, Ball) and isinstance(inner, Box):
-        worst = max(math.dist(outer.center, c) for c in _corners(inner))
-        return outer.radius - worst
-    raise UnsupportedShape(f"{type(outer).__name__} vs {type(inner).__name__}")
-
-
-def _corners(box):
-    if box.dim == 1:
-        return [(box.lo[0],), (box.hi[0],)]
-    return [
-        (box.lo[0], box.lo[1]),
-        (box.lo[0], box.hi[1]),
-        (box.hi[0], box.lo[1]),
-        (box.hi[0], box.hi[1]),
-    ]
+    """How deep ball `inner` sits inside ball `outer`: the largest delta such
+    that the delta-dilation of inner still fits (negative when inner pokes
+    out)."""
+    return outer.radius - (math.dist(outer.center, inner.center) + inner.radius)
 
 
 def separation_gap(a, b):
-    """Signed distance between two shapes: positive = certified disjoint by
-    that margin, negative = penetration depth of the enclosures."""
-    if isinstance(a, Ball) and isinstance(b, Ball):
-        return math.dist(a.center, b.center) - (a.radius + b.radius)
-    if isinstance(a, Box) and isinstance(b, Box):
-        # Largest per-axis gap decides; overlap depth is the smallest overlap.
-        gaps = [
-            max(bl - ah, al - bh)
-            for al, ah, bl, bh in zip(a.lo, a.hi, b.lo, b.hi)
-        ]
-        return max(gaps)
-    if isinstance(a, Box):
-        a, b = b, a
-    if isinstance(a, Ball) and isinstance(b, Box):
-        clamped = tuple(
-            min(max(c, l), h) for c, l, h in zip(a.center, b.lo, b.hi)
-        )
-        return math.dist(a.center, clamped) - a.radius
-    raise UnsupportedShape(f"{type(a).__name__} vs {type(b).__name__}")
+    """Signed distance between two balls: positive = disjoint by that
+    margin, negative = penetration depth."""
+    return math.dist(a.center, b.center) - (a.radius + b.radius)
 
 
 def overlap_witness_point(a, b):
-    """A point in the interior of both shapes, or None.
-
-    Only implemented for ball pairs (the exact-enclosure case); the caller
-    treats None as `no constructive witness`.
-    """
-    if not (isinstance(a, Ball) and isinstance(b, Ball)):
-        return None
+    """A point in the interior of both balls, or None when they do not
+    overlap."""
     d = math.dist(a.center, b.center)
     if d >= a.radius + b.radius:
         return None
@@ -164,13 +107,3 @@ def overlap_witness_point(a, b):
     return tuple(
         ca + t * (cb - ca) for ca, cb in zip(a.center, b.center)
     )
-
-
-
-
-def circumball(shape):
-    if isinstance(shape, Ball):
-        return shape
-    if isinstance(shape, Box):
-        return Ball(shape.center, 0.5 * shape.diameter)
-    raise UnsupportedShape(type(shape).__name__)

@@ -1,8 +1,8 @@
 """System assembly and structural checks.
 
-A system couples a directed multigraph with one compact seed set plus open
-working neighborhood per vertex and one contraction map per edge (the map
-carries points of the terminal vertex's seed into the initial vertex's
+A system couples a directed multigraph with one compact seed ball plus open
+working neighborhood ball per vertex and one contraction map per edge (the
+map carries points of the terminal vertex's seed into the initial vertex's
 seed).  This module validates the defining conditions, certifies separation
 of sibling edge images, estimates summability thresholds for infinite
 alphabets, and reduces multigraph systems to simple ones.
@@ -10,8 +10,8 @@ alphabets, and reduces multigraph systems to simple ones.
 Symbolic conventions used throughout the package: words are tuples of EDGE
 labels read left to right; a word (e0, ..., en) is admissible when
 terminal(e_i) == initial(e_{i+1}); its enclosure is the set
-T_{e0} o ... o T_{en} (seed of terminal(e_n)), computed exactly for ball
-seeds under the supported map families.
+T_{e0} o ... o T_{en} (seed of terminal(e_n)), a ball, since every
+supported map family sends balls onto balls.
 """
 
 from __future__ import annotations
@@ -27,10 +27,12 @@ from .errors import (
     ConditionViolation,
     DomainViolation,
     NonAdmissibleWord,
+    UnsupportedShape,
 )
 from .graphs import DirectedMultigraph, Enumeration
 from .shapes import (
     GEOM_TOL,
+    Ball,
     interior_margin,
     overlap_witness_point,
     separation_gap,
@@ -55,11 +57,17 @@ SEPARATION_STATUS = {
 
 @dataclass(frozen=True)
 class SeedSet:
-    """Compact seed plus open working neighborhood of one vertex."""
+    """Compact seed plus open working neighborhood of one vertex, both
+    balls."""
 
     vertex: object
-    seed: object
-    neighborhood: object
+    seed: Ball
+    neighborhood: Ball
+
+    def __post_init__(self):
+        for shape in (self.seed, self.neighborhood):
+            if not isinstance(shape, Ball):
+                raise UnsupportedShape(f"seeds are balls, not {type(shape).__name__}")
 
 
 @dataclass(frozen=True)
@@ -211,14 +219,14 @@ class GifsSystem:
         return self._range_cache[key]
 
     def seed_image(self, e):
-        """(enclosure of T_e(seed of terminal), exact flag)."""
+        """The ball T_e(seed of terminal)."""
         if e not in self._image_cache:
             ss = self.seed(self.graph.terminal(e))
             self._image_cache[e] = mapslib.image_enclosure(self.map_of(e), ss.seed)
         return self._image_cache[e]
 
     def enclosure(self, word):
-        """Exact-or-super set for the cylinder of an edge word."""
+        """The ball of the cylinder of an edge word."""
         if not word:
             raise NonAdmissibleWord("empty word")
         for a, b in zip(word, word[1:]):
@@ -226,7 +234,7 @@ class GifsSystem:
                 raise NonAdmissibleWord(f"{a} cannot precede {b}")
         shape = self.seed(self.graph.terminal(word[-1])).seed
         for e in reversed(word):
-            shape, _ = mapslib.image_enclosure(self.map_of(e), shape)
+            shape = mapslib.image_enclosure(self.map_of(e), shape)
         return shape
 
     # ---- letter incidence over a materialized horizon --------------------
@@ -306,7 +314,7 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     checked = 0
     for f in edges:
         nb = system.seed(g.terminal(f)).neighborhood
-        image, _ = mapslib.image_enclosure(system.map_of(f), nb)
+        image = mapslib.image_enclosure(system.map_of(f), nb)
         for e in system.out_edges(g.terminal(f), horizon_edges):
             inner = mapslib.derivative_range_over_set(system.map_of(e), image)
             rho = max(rho, inner.upper * sups[f])
@@ -363,43 +371,39 @@ def check_separation(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     one sweep gives the pair (strong, open_) of SeparationReports.
 
     Seed images stand in for the limit-set-restricted ones, so a
-    `certified-separated` verdict is conservative.  An exact overlap ends
-    the sweep: both reports are `overlap-witness`, with that pair's gap
-    and (e, f, point).  Otherwise both share pairs_checked and min_gap; open
-    is `inconclusive` when inexact enclosures overlap (witness: the last
-    such pair); strong is `inconclusive` also when a pair touches (gap
-    within GEOM_TOL of 0: only the interiors are disjoint), witnessed by the
-    open witness if any, else the first touching pair.
+    `certified-separated` verdict is conservative.  An overlap ends the
+    sweep: both reports are `overlap-witness`, with that pair's gap and
+    (e, f, point).  Otherwise both share pairs_checked and min_gap; open is
+    `certified-separated`, and strong is `inconclusive` when a pair touches
+    (gap within GEOM_TOL of 0: only the interiors are disjoint), witnessed
+    by the first touching pair.  A seed that meets a pole of one of its maps
+    raises DomainViolation.
     """
     starts = dict.fromkeys(system.graph.initial(e) for e in system.letters(horizon_edges))
     min_gap = math.inf
-    overlap = touch = None
+    touch = None
     pairs = 0
     for group in (system.out_edges(v, horizon_edges) for v in starts):
-        shapes = [system.seed_image(e) for e in group]
-        for i, (si, exact_i) in enumerate(shapes):
+        balls = [system.seed_image(e) for e in group]
+        for i, bi in enumerate(balls):
             for j in range(i + 1, len(group)):
-                sj, exact_j = shapes[j]
                 pairs += 1
-                gap = separation_gap(si, sj)
+                gap = separation_gap(bi, balls[j])
                 min_gap = min(min_gap, gap)
                 if gap < -GEOM_TOL:
-                    if exact_i and exact_j:
-                        witness = (group[i], group[j], overlap_witness_point(si, sj))
-                        return tuple(
-                            SeparationReport(mode, "overlap-witness", pairs, gap,
-                                             witness, horizon_edges)
-                            for mode in ("SSC", "OSC")
-                        )
-                    overlap = (group[i], group[j], None)
-                elif gap <= GEOM_TOL and touch is None:
+                    witness = (group[i], group[j], overlap_witness_point(bi, balls[j]))
+                    return tuple(
+                        SeparationReport(mode, "overlap-witness", pairs, gap,
+                                         witness, horizon_edges)
+                        for mode in ("SSC", "OSC")
+                    )
+                if gap <= GEOM_TOL and touch is None:
                     touch = (group[i], group[j], None)
-    strong = overlap or touch
     return (
-        SeparationReport("SSC", "inconclusive" if strong else "certified-separated",
-                         pairs, min_gap, strong, horizon_edges),
-        SeparationReport("OSC", "inconclusive" if overlap else "certified-separated",
-                         pairs, min_gap, overlap, horizon_edges),
+        SeparationReport("SSC", "inconclusive" if touch else "certified-separated",
+                         pairs, min_gap, touch, horizon_edges),
+        SeparationReport("OSC", "certified-separated", pairs, min_gap, None,
+                         horizon_edges),
     )
 
 
@@ -445,7 +449,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     worst = math.inf
     for e in edges:
         try:
-            img, _ = system.seed_image(e)
+            img = system.seed_image(e)
         except DomainViolation:
             bad_edge = e    # singular set meets the seed itself
             break
@@ -509,12 +513,19 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     except (ConditionViolation, DomainViolation) as err:
         checks["uniform-contraction"] = CheckEntry("violated", str(err), None)
 
-    # separation, both flavors from one sweep of sibling pairs
-    strong, open_ = check_separation(system, horizon_edges)
+    # separation, both flavors from one sweep of sibling pairs; a seed that
+    # meets a pole has no image ball to compare
+    sep_detail = None
+    try:
+        strong, open_ = check_separation(system, horizon_edges)
+    except DomainViolation as err:
+        strong, open_ = (SeparationReport(mode, "inconclusive", 0, math.inf, None, horizon_edges)
+                         for mode in ("SSC", "OSC"))
+        sep_detail = str(err)
     for key, rep in (("separation-strong", strong), ("separation-open", open_)):
         checks[key] = CheckEntry(
             SEPARATION_STATUS[rep.verdict],
-            f"{rep.pairs_checked} sibling pairs, min gap {rep.min_gap:.3g}",
+            sep_detail or f"{rep.pairs_checked} sibling pairs, min gap {rep.min_gap:.3g}",
             rep.witness,
         )
 
@@ -522,9 +533,13 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     # derivative sup; reports the smallest admissible constant
     c_cj = 0.0
     skipped = 0
-    degenerate = None
+    degenerate = cj_detail = None
     for v in verts:
-        sup = system.vertex_sup(v, horizon_edges)
+        try:
+            sup = system.vertex_sup(v, horizon_edges)
+        except DomainViolation as err:
+            degenerate, cj_detail = v, str(err)
+            break
         if sup is None:
             skipped += 1
             continue
@@ -534,7 +549,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
         c_cj = max(c_cj, system.seed(v).seed.diameter / sup)
     checks["seed-contractibility"] = CheckEntry(
         "violated" if degenerate is not None else "satisfied",
-        f"c_CJ = {c_cj:.6g} over {len(verts) - skipped} vertices "
+        cj_detail or f"c_CJ = {c_cj:.6g} over {len(verts) - skipped} vertices "
         f"({skipped} without materialized out-edges)",
         degenerate,
     )
@@ -569,7 +584,7 @@ def reduce_to_simple(system):
     base_edges = g.edges.prefix(10 ** 9)
     # containment sanity before rebuilding
     for e in base_edges:
-        img, _ = system.seed_image(e)
+        img = system.seed_image(e)
         if interior_margin(system.seed(g.initial(e)).seed, img) < -GEOM_TOL:
             raise ConditionViolation(f"edge {e} image escapes its seed")
     succ = {e: system.out_edges(g.terminal(e), len(base_edges)) for e in base_edges}
@@ -578,7 +593,7 @@ def reduce_to_simple(system):
 
     seeds = {}
     for e in base_edges:
-        img, _ = system.seed_image(e)
+        img = system.seed_image(e)
         seeds[e] = SeedSet(e, img, system.seed(g.initial(e)).neighborhood)
     maps = {p: system.map_of(p[0]) for p in pairs}
     graph = DirectedMultigraph(

@@ -36,8 +36,8 @@ def lemma_bound(base, perturbed, letters):
     for e in letters:
         if base.map_of(e) == perturbed.map_of(e):
             continue
-        img_b, _ = base.seed_image(e)
-        img_p, _ = perturbed.seed_image(e)
+        img_b = base.seed_image(e)
+        img_p = perturbed.seed_image(e)
         deviation = max(
             deviation,
             math.dist(img_b.center, img_p.center)

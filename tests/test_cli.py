@@ -67,6 +67,28 @@ def test_schema_violations_are_collected():
     assert "epsilons[0]" not in paths
 
 
+def test_options_a_scenario_never_reads_are_violations():
+    with pytest.raises(SchemaViolation) as exc:
+        parse_config(json.dumps({"scenario": "cf", "s": -1, "scenario_options": {
+            "truncate_vertices": 3, "epsilon": 0.2, "sub_letters": [1], "letters": [1]}}))
+    assert sorted(exc.value.violations) == [
+        "s: expected a finite number >= 0",
+        "scenario_options.epsilon: not read by scenario 'cf'",
+        "scenario_options.sub_letters: not read by scenario 'cf'",
+        "scenario_options.truncate_vertices: not read by scenario 'cf'",
+    ]
+    with pytest.raises(SchemaViolation) as exc:
+        parse_config('{"scenario": {"kind": "similarity", "ratios": [0.5]},'
+                     ' "scenario_options": {"epsilon": 0.2}}')
+    assert exc.value.violations == [
+        "scenario_options.epsilon: not read by scenario 'inline-similarity'"]
+    for name, opts in (("cf_perturbed", {"sub_letters": [1], "full_letters": [1, 2],
+                                         "epsilon": 0.5}),
+                       ("cf_family", {"sub_letters": [1], "full_letters": [1, 2]}),
+                       ("affine_perturbed", {"epsilon": 0.5})):
+        parse_config(json.dumps({"scenario": name, "scenario_options": opts}))
+
+
 def test_inline_scenario_checked_fieldwise():
     with pytest.raises(SchemaViolation) as exc:
         parse_config('{"scenario": {"kind": "box", "ratios": [0.5, 1.2]}}')

@@ -10,6 +10,8 @@ Claims covered:
   * sampled derivative norms never escape a certified range
   * disk images under inversion are exact (sampled boundary points land on
     the image boundary); pole inside a set raises DomainViolation
+  * disk_image of a planar affine map is apply at the centre, as floats,
+    with radius |lambda| * r
   * an unsupported map spec raises MixedFamily
 
 derivative_norm, the pointwise ||T'|| these claims compare against, lives
@@ -21,6 +23,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gifsdim.errors import DomainViolation, MixedFamily, UnsupportedShape
 from gifsdim.maps import (
@@ -38,7 +42,7 @@ from gifsdim.maps import (
     disk_image,
     image_enclosure,
 )
-from gifsdim.shapes import Ball, Box, as_complex, contains_point, separation_gap
+from gifsdim.shapes import Ball, as_complex, contains_point, separation_gap
 
 STANDARD_DISK = Ball((0.5, 0.0), 0.5)
 
@@ -127,30 +131,26 @@ def test_norm_point_value():
 
 def test_sampled_norms_stay_inside_certified_range():
     rng_state = np.random.default_rng(20260816)
-    shapes = [STANDARD_DISK, Ball((0.4, 0.1), 0.3), Box((0.2, -0.2), (0.7, 0.3))]
+    shapes = [STANDARD_DISK, Ball((0.4, 0.1), 0.3)]
     for spec in _families():
         if spec.dim != 2:
             continue
         for shape in shapes:
             rng = derivative_range_over_set(spec, shape)
             for _ in range(200):
-                if isinstance(shape, Ball):
-                    t = rng_state.uniform(0, 2 * math.pi)
-                    r = shape.radius * math.sqrt(rng_state.uniform())
-                    p = (
-                        shape.center[0] + r * math.cos(t),
-                        shape.center[1] + r * math.sin(t),
-                    )
-                else:
-                    p = tuple(rng_state.uniform(shape.lo[k], shape.hi[k]) for k in range(2))
+                t = rng_state.uniform(0, 2 * math.pi)
+                r = shape.radius * math.sqrt(rng_state.uniform())
+                p = (
+                    shape.center[0] + r * math.cos(t),
+                    shape.center[1] + r * math.sin(t),
+                )
                 val = derivative_norm(spec, p)
                 assert rng.lower - 1e-12 <= val <= rng.upper + 1e-12, (spec, shape)
 
 
 def test_disk_image_is_exact_disk():
     spec = MoebiusCF(1)
-    img, exact = image_enclosure(spec, STANDARD_DISK)
-    assert exact
+    img = image_enclosure(spec, STANDARD_DISK)
     # 1/(1+z) with |z-1/2| <= 1/2 gives the disk about 3/4 of radius 1/4:
     # endpoints 1/(1+0)=1 and 1/(1+1)=1/2 on the real axis.
     assert img.center == pytest.approx((0.75, 0.0), abs=1e-14)
@@ -165,16 +165,15 @@ def test_off_axis_disk_images_are_exact():
     # complex letters and an off-axis disk: every boundary point maps onto
     # the boundary of the computed image disk
     for spec in (MoebiusCF(2 + 1j), PerturbedMoebiusCF(1 - 1j, 0.3)):
-        img, exact = image_enclosure(spec, Ball((0.4, 0.1), 0.3))
-        assert exact
+        img = image_enclosure(spec, Ball((0.4, 0.1), 0.3))
         for t in np.linspace(0.0, 2 * math.pi, 37):
             w = apply(spec, (0.4 + 0.3 * math.cos(t), 0.1 + 0.3 * math.sin(t)))
             assert abs(math.dist(w, img.center) - img.radius) < 1e-12
 
 
 def test_second_branch_tangent_to_first():
-    img1, _ = image_enclosure(MoebiusCF(1), STANDARD_DISK)
-    img2, _ = image_enclosure(MoebiusCF(2), STANDARD_DISK)
+    img1 = image_enclosure(MoebiusCF(1), STANDARD_DISK)
+    img2 = image_enclosure(MoebiusCF(2), STANDARD_DISK)
     assert img2.center == pytest.approx((5.0 / 12.0, 0.0), abs=1e-14)
     assert img2.radius == pytest.approx(1.0 / 12.0, abs=1e-14)
     # the two branch images meet exactly at 1/2
@@ -183,8 +182,7 @@ def test_second_branch_tangent_to_first():
 
 def test_perturbed_image_disk():
     spec = PerturbedMoebiusCF(2, 0.25)
-    img, exact = image_enclosure(spec, STANDARD_DISK)
-    assert exact
+    img = image_enclosure(spec, STANDARD_DISK)
     rng_state = np.random.default_rng(7)
     for _ in range(100):
         t = rng_state.uniform(0, 2 * math.pi)
@@ -200,17 +198,14 @@ def test_perturbed_image_disk():
 
 
 def test_affine_images():
-    box = Box((0.0,), (1.0,))
-    img, exact = image_enclosure(ConformalAffine(-0.5, (2.0,)), box)
-    assert exact
-    assert img.lo == pytest.approx((1.5,)) and img.hi == pytest.approx((2.0,))
+    img = image_enclosure(ConformalAffine(-0.5, (2.0,)), Ball((0.5,), 0.5))
+    assert img == Ball((1.75,), 0.25)
     ball = Ball((1.0, 1.0), 2.0)
     sim = Similarity(0.4, (0.0, -1.0), rotation=1.1)
-    img2, exact2 = image_enclosure(sim, ball)
-    assert exact2
+    img2 = image_enclosure(sim, ball)
     assert img2.radius == pytest.approx(0.8, abs=1e-14)
     assert img2.center == pytest.approx(apply(sim, (1.0, 1.0)), abs=1e-14)
-    img3, _ = image_enclosure(Constant((0.3, 0.4)), ball)
+    img3 = image_enclosure(Constant((0.3, 0.4)), ball)
     assert img3.radius == 0.0 and img3.center == (0.3, 0.4)
 
 
@@ -243,11 +238,13 @@ def test_mixed_family_rejected():
         disk_image(Weird(), 0.5, 0.0, 0.5)
 
 
-def test_box_through_circumball_is_conservative():
-    box = Box((0.3, -0.1), (0.6, 0.1))
-    rng = derivative_range_over_set(MoebiusCF(1), box)
-    rng_state = np.random.default_rng(3)
-    for _ in range(200):
-        p = tuple(rng_state.uniform(box.lo[k], box.hi[k]) for k in range(2))
-        v = derivative_norm(MoebiusCF(1), p)
-        assert rng.lower - 1e-12 <= v <= rng.upper + 1e-12
+PLANAR_AFFINE = [f for f in _families() if isinstance(f, _AFFINE_KINDS) and f.dim == 2]
+COORDINATE = st.floats(-1e3, 1e3)
+
+
+@given(spec=st.sampled_from(PLANAR_AFFINE + [Constant((0.3, 0.4))]),
+       cx=COORDINATE, cy=COORDINATE, r=st.floats(0.0, 1e3))
+def test_affine_disk_image_is_apply_at_the_centre(spec, cx, cy, r):
+    x, y, radius = disk_image(spec, cx, cy, r)
+    assert (float(x), float(y)) == apply(spec, (cx, cy))
+    assert float(radius) == abs(_linear_scalar(spec)) * r

@@ -38,7 +38,7 @@ def degenerate_deviation(family, epsilon, horizon=8):
     sysm = family.builder(epsilon)
     worst = 0.0
     for e in family.degenerate_letters(horizon):
-        encl, _ = sysm.seed_image(e)
+        encl = sysm.seed_image(e)
         z = 1.0 / (complex(e) + 0.5)
         gap = math.dist(encl.center, (z.real, z.imag)) + 0.5 * encl.diameter
         worst = max(worst, gap)

@@ -204,8 +204,8 @@ def reference_geometry(system, k, m):
 
     def enclosure(w):
         if w not in memo:
-            memo[w] = (system.seed_image(w[0])[0] if len(w) == 1 else
-                       image_enclosure(system.map_of(w[0]), enclosure(w[1:]))[0])
+            memo[w] = (system.seed_image(w[0]) if len(w) == 1 else
+                       image_enclosure(system.map_of(w[0]), enclosure(w[1:])))
         return memo[w]
 
     entries = [

@@ -23,6 +23,7 @@ import pytest
 from gifsdim.errors import (
     DegenerateBounds,
     NonAdmissibleWord,
+    UnsupportedShape,
 )
 from gifsdim.graphs import DirectedMultigraph, Enumeration
 from gifsdim.maps import Similarity
@@ -228,6 +229,15 @@ def test_rasterize_pgm_deterministic_and_bounds_checked():
         rasterize(cloud, Box((0.0,), (1.0,)), 0)
     with pytest.raises(DegenerateBounds):
         rasterize(cloud, ((0.0,), (1.0,)), 9)
+
+
+def test_boxes_bound_rasters_not_seeds():
+    box, ball = Box((0.0,), (1.0,)), Ball((0.5,), 0.5)
+    with pytest.raises(UnsupportedShape):
+        SeedSet(0, box, ball)
+    with pytest.raises(UnsupportedShape):
+        SeedSet(0, ball, Box((-1.0,), (2.0,)))
+    assert rasterize(fake_cloud([(0.5,)]), box, 3).occupancy().tolist() == [[False, True, False]]
 
 
 # ---------------------------------------------------------------------------

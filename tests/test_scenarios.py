@@ -36,16 +36,16 @@ from gifsdim.systems import check_separation, validate_conditions
 
 def test_ladder_image_positions():
     lad = ladder_system()
-    assert lad.seed_image((1, 1))[0] == Ball((-0.25,), 0.25)
-    assert lad.seed_image((1, 3))[0] == Ball((0.3125,), 0.0625)
-    assert lad.seed_image((3, 2))[0] == Ball((6.0,), 0.03125)
+    assert lad.seed_image((1, 1)) == Ball((-0.25,), 0.25)
+    assert lad.seed_image((1, 3)) == Ball((0.3125,), 0.0625)
+    assert lad.seed_image((3, 2)) == Ball((6.0,), 0.03125)
 
 
 def test_ladder_hub_images_tile_exactly():
     lad = ladder_system()
     for u in range(1, 6):
-        left = lad.seed_image((1, u))[0]
-        right = lad.seed_image((1, u + 1))[0]
+        left = lad.seed_image((1, u))
+        right = lad.seed_image((1, u + 1))
         assert separation_gap(left, right) == 0.0
 
 
@@ -69,8 +69,8 @@ def test_ladder_vertex_bounds_and_underflow_guard():
 
 def test_moran_default_packing():
     sys = moran_system([0.5, 0.25])
-    assert sys.seed_image(0)[0] == Ball((0.25,), 0.25)
-    assert sys.seed_image(1)[0] == Ball((0.625,), 0.125)
+    assert sys.seed_image(0) == Ball((0.25,), 0.25)
+    assert sys.seed_image(1) == Ball((0.625,), 0.125)
     with pytest.raises(InvalidAlphabet):
         moran_system([])
     with pytest.raises(InvalidAlphabet):
@@ -106,8 +106,7 @@ def test_perturbed_affine_degenerate_edge():
     rng = p0.letter_range((2, 2))
     assert rng.degenerate
     assert rng.upper == 0.0
-    img, exact = p0.seed_image((2, 2))
-    assert exact
+    img = p0.seed_image((2, 2))
     assert img.center == pytest.approx((3.3, 0.0))
     assert img.radius == 0.0
 
@@ -178,8 +177,8 @@ def test_perturbed_cf_full_strength_matches_base():
     r_base = derivative_range_over_set(MoebiusCF(e), seed)
     assert r_pert.lower == pytest.approx(r_base.lower, rel=1e-14)
     assert r_pert.upper == pytest.approx(r_base.upper, rel=1e-14)
-    img_pert, _ = sys.seed_image(e)
-    img_base, _ = image_enclosure(MoebiusCF(e), seed)
+    img_pert = sys.seed_image(e)
+    img_base = image_enclosure(MoebiusCF(e), seed)
     assert img_pert.center == pytest.approx(img_base.center, abs=1e-15)
 
 

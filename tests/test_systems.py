@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from gifsdim.errors import ConditionViolation, NonAdmissibleWord
 from gifsdim.graphs import extend_words
+from gifsdim.maps import MoebiusCF
 from gifsdim.pressure import PotentialSpec, _fekete_edge_upper, _letter_classes
 from gifsdim.scenarios import (
     affine_demo,
@@ -58,7 +59,7 @@ from gifsdim.systems import (
 def separation_one_mode(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
     """Pairwise disjointness of sibling seed images for one mode, SSC or OSC:
     touching images (gap within GEOM_TOL of 0) certify OSC but leave SSC
-    inconclusive; an overlap-witness needs exact enclosures."""
+    inconclusive; an overlap is witnessed."""
     if mode not in ("SSC", "OSC"):
         raise ValueError(f"mode {mode} is not SSC or OSC")
     edges = system.letters(horizon_edges)
@@ -70,25 +71,19 @@ def separation_one_mode(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
     witness = None
     pairs = 0
     for group in groups.values():
-        shapes = [system.seed_image(e) for e in group]
+        balls = [system.seed_image(e) for e in group]
         for i in range(len(group)):
-            si, exact_i = shapes[i]
             for j in range(i + 1, len(group)):
-                sj, exact_j = shapes[j]
                 pairs += 1
-                gap = separation_gap(si, sj)
+                gap = separation_gap(balls[i], balls[j])
                 min_gap = min(min_gap, gap)
                 if gap < -GEOM_TOL:
-                    if exact_i and exact_j:
-                        point = overlap_witness_point(si, sj)
-                        return SeparationReport(
-                            mode, "overlap-witness", pairs, gap,
-                            (group[i], group[j], point), horizon_edges,
-                        )
-                    if verdict != "overlap-witness":
-                        verdict = "inconclusive"
-                        witness = (group[i], group[j], None)
-                elif mode == "SSC" and gap <= GEOM_TOL:
+                    point = overlap_witness_point(balls[i], balls[j])
+                    return SeparationReport(
+                        mode, "overlap-witness", pairs, gap,
+                        (group[i], group[j], point), horizon_edges,
+                    )
+                if mode == "SSC" and gap <= GEOM_TOL:
                     # touching closed images: cannot certify strong disjointness
                     if verdict == "certified-separated":
                         verdict = "inconclusive"
@@ -144,6 +139,22 @@ def test_validate_reports_seed_equals_neighborhood():
     assert not rep.passed
 
 
+def test_validate_reports_a_seed_on_a_pole():
+    # the seed holds -1, the pole of 1/(1+z): nothing there has an image ball
+    seeds = {0: SeedSet(0, Ball((-1.0, 0.0), 0.5), Ball((-1.0, 0.0), 0.75))}
+    base = cf_system([1, 2])
+    sys = GifsSystem(base.graph, seeds, MoebiusCF, 2, name="pole")
+    rep = validate_conditions(sys)
+    assert not rep.passed
+    assert rep.checks["maps-into-seeds"].status == "violated"
+    for key in ("separation-strong", "separation-open"):
+        assert rep.checks[key].status == "inconclusive"
+        assert "pole" in rep.checks[key].detail
+    assert rep.separation.mode == "SSC" and rep.separation.verdict == "inconclusive"
+    entry = rep.checks["seed-contractibility"]
+    assert entry.status == "violated" and entry.witness == 0 and "pole" in entry.detail
+
+
 def test_validate_flags_declared_rate_contradiction():
     sys = moran_system([0.5, 0.6])
     sys.contraction = ContractionBound(1, 0.5, 0.5, 1.0)
@@ -171,9 +182,8 @@ def test_separation_three_ways():
 
 def test_separation_cf_tangency():
     sys = cf_system([1, 2])
-    img1, exact1 = sys.seed_image(complex(1, 0))
-    img2, exact2 = sys.seed_image(complex(2, 0))
-    assert exact1 and exact2
+    img1 = sys.seed_image(complex(1, 0))
+    img2 = sys.seed_image(complex(2, 0))
     assert img1.center == pytest.approx((0.75, 0.0))
     assert img1.radius == pytest.approx(0.25)
     assert img2.center == pytest.approx((5 / 12, 0.0))
@@ -215,17 +225,12 @@ MORAN_OFFSETS = st.integers(0, 23).map(lambda k: k / 24)
 
 @settings(max_examples=150, deadline=None)
 @given(letters=st.lists(
-           st.tuples(st.sampled_from([1 / 8, 1 / 4, 1 / 3, 1 / 2]), MORAN_OFFSETS,
-                     st.booleans()),
+           st.tuples(st.sampled_from([1 / 8, 1 / 4, 1 / 3, 1 / 2]), MORAN_OFFSETS),
            min_size=2, max_size=6),
        horizon=st.integers(2, 6))
 def test_one_sweep_matches_two_mode_passes_on_moran_systems(letters, horizon):
-    ratios, offsets, exact = zip(*letters)
-    sysm = moran_system(ratios, offsets=offsets)
-    # a letter drawn inexact turns its overlaps inconclusive, not witnessed
-    seed_image = sysm.seed_image
-    sysm.seed_image = lambda e: (seed_image(e)[0], seed_image(e)[1] and exact[e])
-    _assert_sweep_matches_two_passes(sysm, horizon)
+    ratios, offsets = zip(*letters)
+    _assert_sweep_matches_two_passes(moran_system(ratios, offsets=offsets), horizon)
 
 
 def test_contraction_certificate_cf_pair_bound():
@@ -311,7 +316,7 @@ def test_reduction_two_loop_multigraph():
     assert set(edges) == {(0, 0), (0, 1), (1, 0), (1, 1)}
     assert red.reduction.dead_ends == ()
     # new seed of vertex e is the exact old image of edge e
-    img0, _ = base.seed_image(0)
+    img0 = base.seed_image(0)
     assert red.seed(0).seed == img0
     rep = validate_conditions(red, 4, 8)
     assert rep.passed
@@ -352,7 +357,7 @@ def test_word_translation_matches_enclosures():
     # anchors map through the dropped last letter
     anchor = base.seed(0).seed.center
     pushed = push(anchor)
-    img, _ = base.seed_image(1)
+    img = base.seed_image(1)
     assert pushed == img.center
 
 
