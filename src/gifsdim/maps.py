@@ -3,19 +3,24 @@
 Supported families (ambient dimension D in {1, 2}):
 
   * Similarity / ConformalAffine / PerturbedAffine / Constant -- affine maps
-    whose linear part is a scalar times a rotation (a complex scalar in D=2,
-    a signed real in D=1).  Derivative norms are constant, so ranges are
-    exact points.
+    whose linear part is a scalar times a rotation.  Derivative norms are
+    constant, so ranges are exact points.
   * MoebiusCF / PerturbedMoebiusCF -- inverse-branch maps z -> 1/(e+z) of the
     complex continued-fraction algorithm and their degenerating relatives
     z -> 1/(e + 1/2 + eps*(z - 1/2)).  Disk geometry is exact: the image of a
     disk is a disk, and |T'| ranges over a disk are closed-form.
 
+Each family has one normal form, and the kernels read only that form.  An
+affine map is _affine_form's (lin, conj, shift): z -> lin * z + shift, z
+conjugated first when conj (a Constant has lin 0); a Moebius map inverts
+_moebius_disk's shifted disk.  The line is the plane's real axis: there lin
+is a signed real, whose sign is a reflection x -> -x.
+
 Every family is conformal, so one number, the operator norm ||T'||, is the
 size of a derivative; it is zero for constant maps (the degenerate flag of
 a derivative range records that).  Sets are balls: every family sends a
-ball onto a ball, so image_enclosure returns the image itself, and in the
-plane disk_image is the one kernel behind it.
+ball onto a ball, disk_image computes it in either dimension, and apply is
+its zero-radius case for affine maps.
 """
 
 from __future__ import annotations
@@ -166,74 +171,59 @@ class DerivativeRange:
         return self.upper - self.lower
 
 
-_AFFINE_KINDS = (Similarity, ConformalAffine, Constant, PerturbedAffine)
 _MOEBIUS_KINDS = (MoebiusCF, PerturbedMoebiusCF)
 
 
-def _linear_scalar(spec):
-    """Complex scalar (or real, D=1) of an affine map's derivative."""
+def _on_plane(point):
+    """(x, y) of a point of the plane or of the line, its real axis."""
+    return point[0], point[1] if len(point) == 2 else 0.0
+
+
+def _affine_form(spec):
+    """(lin, conj, shift) of an affine map x -> lin * x + shift, x conjugated
+    first when conj, with complex lin and shift.  On the line lin is real and
+    a reflection x -> -x is its sign.  The one reader of affine spec fields."""
     if isinstance(spec, Similarity):
-        if spec.dim == 1:
-            return -spec.ratio if spec.reflect else spec.ratio
-        return spec.ratio * cmath.exp(1j * spec.rotation)
-    if isinstance(spec, ConformalAffine):
-        return spec.linear
-    if isinstance(spec, PerturbedAffine):
-        return spec.effective_linear
-    if isinstance(spec, Constant):
-        return 0.0
-    raise MixedFamily(f"not an affine map: {type(spec).__name__}")
+        lin = spec.ratio * cmath.exp(1j * spec.rotation) if spec.dim == 2 else spec.ratio
+        conj, shift = spec.reflect, as_complex(spec.translation)
+    elif isinstance(spec, ConformalAffine):
+        lin, conj, shift = spec.linear, spec.reflect, as_complex(spec.translation)
+    elif isinstance(spec, PerturbedAffine):
+        lin, conj = spec.effective_linear, False
+        shift = as_complex(spec.translation) + spec.epsilon * as_complex(spec.drift)
+    elif isinstance(spec, Constant):
+        lin, conj, shift = 0.0, False, as_complex(spec.target)
+    else:
+        raise MixedFamily(f"not an affine map: {type(spec).__name__}")
+    if spec.dim == 1:
+        return complex(-lin.real if conj else lin.real), False, shift
+    return complex(lin), conj, shift
+
+
+def _moebius_disk(spec, cx, cy, r):
+    """(ar, ai, rho, scale): the disk B(ar + i ai, rho) that the inversion
+    sees, e + B(c, r) or e + 1/2 + eps*(B(c, r) - 1/2) when perturbed, and
+    the derivative scale, 1 or eps, of that inner affine step.  The one
+    reader of Moebius spec fields.  Real component arithmetic, elementwise
+    over floats or float64 arrays, rounds as the complex scalar formulas do."""
+    if isinstance(spec, MoebiusCF):
+        return spec.e.real + cx, spec.e.imag + cy, r, 1.0
+    eps = spec.epsilon
+    return (spec.e.real + 0.5) + eps * (cx - 0.5), spec.e.imag + eps * cy, eps * r, eps
 
 
 def apply(spec, point):
     """Evaluate the map at a point (tuples in, tuples out)."""
-    if isinstance(spec, Constant):
-        return spec.target
-    if isinstance(spec, _AFFINE_KINDS):
-        lin = _linear_scalar(spec)
-        if spec.dim == 1:
-            x = point[0]
-            if isinstance(spec, (ConformalAffine,)) and spec.reflect:
-                x = -x
-            shift = spec.translation[0]
-            if isinstance(spec, PerturbedAffine):
-                shift += spec.epsilon * spec.drift[0]
-            lin_r = lin.real if isinstance(lin, complex) else lin
-            return (lin_r * x + shift,)
-        z = as_complex(point)
-        if getattr(spec, "reflect", False):
-            z = z.conjugate()
-        shift = as_complex(spec.translation)
-        if isinstance(spec, PerturbedAffine):
-            shift += spec.epsilon * as_complex(spec.drift)
-        w = lin * z + shift
-        return (w.real, w.imag)
-    if isinstance(spec, MoebiusCF):
-        z = as_complex(point)
-        den = spec.e + z
+    x, y = _on_plane(point)
+    if isinstance(spec, _MOEBIUS_KINDS):
+        ar, ai, _, _ = _moebius_disk(spec, x, y, 0.0)
+        den = complex(ar, ai)
         if abs(den) < _POLE_MARGIN:
-            raise DomainViolation(f"point {point} too close to pole of 1/({spec.e}+z)")
+            raise DomainViolation(f"point {point} too close to a pole")
         w = 1.0 / den
         return (w.real, w.imag)
-    if isinstance(spec, PerturbedMoebiusCF):
-        z = as_complex(point)
-        den = spec.e + 0.5 + spec.epsilon * (z - 0.5)
-        if abs(den) < _POLE_MARGIN:
-            raise DomainViolation(f"point {point} too close to pole")
-        w = 1.0 / den
-        return (w.real, w.imag)
-    raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
-
-
-def _moebius_disk(spec, cx, cy, r):
-    """Centre (real, imaginary) and radius of the disk that the inversion
-    sees: e + B(c, r), or e + 1/2 + eps*(B(c, r) - 1/2) when perturbed.
-    Real component arithmetic, elementwise over floats or float64 arrays,
-    rounds as the complex scalar formulas do."""
-    if isinstance(spec, MoebiusCF):
-        return spec.e.real + cx, spec.e.imag + cy, r
-    eps = spec.epsilon
-    return (spec.e.real + 0.5) + eps * (cx - 0.5), spec.e.imag + eps * cy, eps * r
+    x, y, _ = disk_image(spec, x, y, 0.0)
+    return (x, y)[:len(point)]
 
 
 def moebius_derivative_range(spec, cx, cy, r):
@@ -241,67 +231,49 @@ def moebius_derivative_range(spec, cx, cy, r):
     |e+z| ranges over [|e+c|-rho, |e+c|+rho].  np.hypot rounds as
     abs(complex) does and np.square as x*x does, so arrays and the scalar
     wrapper give the same bits."""
-    ar, ai, rho = _moebius_disk(spec, cx, cy, r)
+    ar, ai, rho, scale = _moebius_disk(spec, cx, cy, r)
     dist = np.hypot(ar, ai)
     gap = dist - rho
     if (gap <= _POLE_MARGIN).any():
         raise DomainViolation(f"set reaches within {np.min(gap):.3g} of the pole")
-    scale = spec.epsilon if isinstance(spec, PerturbedMoebiusCF) else 1.0
     return scale / np.square(dist + rho), scale / np.square(gap)
 
 
 def disk_image(spec, cx, cy, r):
-    """Centre (cx, cy) and radius of the image disks of planar disks
-    B((cx, cy), r), elementwise over floats or float64 arrays.  Inversion
-    w -> 1/w sends B(a, rho) to B(conj(a)/(|a|^2-rho^2), rho/(|a|^2-rho^2))
-    when 0 is outside the disk; affine maps round as apply() does."""
+    """Centre (cx, cy) and radius of the image disks of disks B((cx, cy), r),
+    elementwise over floats or float64 arrays; on the line cy is 0.
+    Inversion w -> 1/w sends B(a, rho) to B(conj(a)/(|a|^2-rho^2),
+    rho/(|a|^2-rho^2)) when 0 is outside the disk; affine maps multiply out
+    lin * z componentwise, as complex arithmetic rounds it."""
     if isinstance(spec, _MOEBIUS_KINDS):
-        ar, ai, rho = _moebius_disk(spec, cx, cy, r)
+        ar, ai, rho, _ = _moebius_disk(spec, cx, cy, r)
         mod2 = np.square(np.hypot(ar, ai)) - np.square(rho)
         if (mod2 <= _POLE_MARGIN).any():
             raise DomainViolation("pole inside or touching the set")
         return ar / mod2, -ai / mod2, rho / mod2
-    if spec.dim != 2:
-        raise UnsupportedShape(f"disk images need a planar map, not dimension {spec.dim}")
-    if isinstance(spec, Constant):
-        x, y = spec.target
-        return np.full_like(cx, x), np.full_like(cy, y), np.zeros_like(r)
-    lin = complex(_linear_scalar(spec))
-    if getattr(spec, "reflect", False):
+    lin, conj, shift = _affine_form(spec)
+    if conj:
         cy = -cy
-    shift = as_complex(spec.translation)
-    if isinstance(spec, PerturbedAffine):
-        shift += spec.epsilon * as_complex(spec.drift)
-    x = lin.real * cx - lin.imag * cy + shift.real
-    y = lin.real * cy + lin.imag * cx + shift.imag
-    return x, y, abs(_linear_scalar(spec)) * r
+    return (lin.real * cx - lin.imag * cy + shift.real,
+            lin.real * cy + lin.imag * cx + shift.imag, abs(lin) * r)
 
 
 def derivative_range_over_set(spec, ball):
-    """Certified range of ||T'|| over a ball.
-
-    Affine families give exact one-point ranges; Moebius families use the
-    closed-form |e+z| in [|e+c|-rho, |e+c|+rho].
-    """
-    if isinstance(spec, Constant):
-        return DerivativeRange(0.0, 0.0, degenerate=True)
-    if isinstance(spec, _AFFINE_KINDS):
-        a = abs(_linear_scalar(spec))
-        return DerivativeRange(a, a, degenerate=(a == 0.0))
+    """Certified range of ||T'|| over a ball: the one point |lin| for affine
+    maps, degenerate when it is 0; moebius_derivative_range for Moebius."""
     if isinstance(spec, _MOEBIUS_KINDS):
         if ball.dim != 2:
             raise UnsupportedShape("Moebius maps act on the plane")
         lo, hi = moebius_derivative_range(spec, *ball.center, ball.radius)
         return DerivativeRange(float(lo), float(hi))
-    raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
+    a = abs(_affine_form(spec)[0])
+    return DerivativeRange(a, a, degenerate=(a == 0.0))
 
 
 def image_enclosure(spec, ball):
-    """The image T(ball), itself a ball: disk_image in the plane, apply at
-    the centre on the line."""
-    if ball.dim == 2:
-        x, y, radius = disk_image(spec, *ball.center, ball.radius)
-        return Ball((x, y), float(radius))
-    if isinstance(spec, _MOEBIUS_KINDS):
+    """The image T(ball), itself a ball: disk_image of the ball, a ball on
+    the line being a disk about the plane's real axis."""
+    if isinstance(spec, _MOEBIUS_KINDS) and ball.dim != 2:
         raise UnsupportedShape("Moebius maps act on the plane")
-    return Ball(apply(spec, ball.center), abs(_linear_scalar(spec)) * ball.radius)
+    x, y, radius = disk_image(spec, *_on_plane(ball.center), ball.radius)
+    return Ball((x, y)[:ball.dim], float(radius))

@@ -312,11 +312,12 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
         return ContractionBound(1, r1, r1, 1.0)
     rho = 0.0
     checked = 0
-    for f in edges:
-        nb = system.seed(g.terminal(f)).neighborhood
-        image = mapslib.image_enclosure(system.map_of(f), nb)
-        for e in system.out_edges(g.terminal(f), horizon_edges):
-            inner = mapslib.derivative_range_over_set(system.map_of(e), image)
+    images = {f: mapslib.image_enclosure(system.map_of(f), system.seed(g.terminal(f)).neighborhood)
+              for f in edges}
+    for e in edges:
+        # T_e o T_f is admissible when f starts where e ends
+        for f in system.out_edges(g.terminal(e), horizon_edges):
+            inner = mapslib.derivative_range_over_set(system.map_of(e), images[f])
             rho = max(rho, inner.upper * sups[f])
             checked += 1
             if checked > PAIR_BUDGET:
@@ -445,13 +446,13 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
 
     # every edge map sends the terminal seed into the initial seed and the
     # terminal neighborhood into the initial neighborhood
-    bad_edge = None
+    bad_edge = pole = None
     worst = math.inf
     for e in edges:
         try:
             img = system.seed_image(e)
-        except DomainViolation:
-            bad_edge = e    # singular set meets the seed itself
+        except DomainViolation as err:
+            bad_edge, pole = e, str(err)    # singular set meets the seed itself
             break
         m = interior_margin(system.seed(g.initial(e)).seed, img)
         worst = min(worst, m)
@@ -460,7 +461,7 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
             break
     checks["maps-into-seeds"] = CheckEntry(
         "violated" if bad_edge is not None else "satisfied",
-        f"{len(edges)} edges, min containment margin {worst:.3g}",
+        pole or f"{len(edges)} edges, min containment margin {worst:.3g}",
         bad_edge,
     )
     # every edge map must be well-defined with finite derivative on the whole

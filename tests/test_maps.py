@@ -10,9 +10,10 @@ Claims covered:
   * sampled derivative norms never escape a certified range
   * disk images under inversion are exact (sampled boundary points land on
     the image boundary); pole inside a set raises DomainViolation
-  * disk_image of a planar affine map is apply at the centre, as floats,
-    with radius |lambda| * r
-  * an unsupported map spec raises MixedFamily
+  * disk_image of an affine map, on the line or in the plane, is apply at
+    the centre, as floats, with radius |lambda| * r, and so is
+    image_enclosure on the line; a reflection of the line is x -> -x
+  * an unsupported map spec raises MixedFamily in every kernel
 
 derivative_norm, the pointwise ||T'|| these claims compare against, lives
 here: the package itself only ever needs ranges over sets.
@@ -26,9 +27,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gifsdim.errors import DomainViolation, MixedFamily, UnsupportedShape
+from gifsdim.errors import DomainViolation, MixedFamily
 from gifsdim.maps import (
-    _AFFINE_KINDS,
+    _MOEBIUS_KINDS,
     _POLE_MARGIN,
     Constant,
     ConformalAffine,
@@ -36,7 +37,7 @@ from gifsdim.maps import (
     PerturbedAffine,
     PerturbedMoebiusCF,
     Similarity,
-    _linear_scalar,
+    _affine_form,
     apply,
     derivative_range_over_set,
     disk_image,
@@ -49,10 +50,6 @@ STANDARD_DISK = Ball((0.5, 0.0), 0.5)
 
 def derivative_norm(spec, point):
     """||T'(point)|| (operator norm of the derivative)."""
-    if isinstance(spec, Constant):
-        return 0.0
-    if isinstance(spec, _AFFINE_KINDS):
-        return abs(_linear_scalar(spec))
     if isinstance(spec, MoebiusCF):
         den = spec.e + as_complex(point)
         if abs(den) < _POLE_MARGIN:
@@ -63,7 +60,7 @@ def derivative_norm(spec, point):
         if abs(den) < _POLE_MARGIN:
             raise DomainViolation("derivative at a pole")
         return spec.epsilon / abs(den) ** 2
-    raise UnsupportedShape(f"unknown map spec {type(spec).__name__}")
+    return abs(_affine_form(spec)[0])
 
 
 def _families():
@@ -200,6 +197,10 @@ def test_perturbed_image_disk():
 def test_affine_images():
     img = image_enclosure(ConformalAffine(-0.5, (2.0,)), Ball((0.5,), 0.5))
     assert img == Ball((1.75,), 0.25)
+    # a reflection of the line is x -> -x
+    for flipped in (ConformalAffine(0.5, (2.0,), reflect=True),
+                    Similarity(0.5, (2.0,), reflect=True)):
+        assert image_enclosure(flipped, Ball((0.5,), 0.5)) == Ball((1.75,), 0.25)
     ball = Ball((1.0, 1.0), 2.0)
     sim = Similarity(0.4, (0.0, -1.0), rotation=1.1)
     img2 = image_enclosure(sim, ball)
@@ -236,15 +237,31 @@ def test_mixed_family_rejected():
 
     with pytest.raises(MixedFamily):
         disk_image(Weird(), 0.5, 0.0, 0.5)
+    with pytest.raises(MixedFamily):
+        apply(Weird(), (0.5, 0.0))
+    with pytest.raises(MixedFamily):
+        image_enclosure(Weird(), STANDARD_DISK)
+    with pytest.raises(MixedFamily):
+        derivative_range_over_set(Weird(), STANDARD_DISK)
 
 
-PLANAR_AFFINE = [f for f in _families() if isinstance(f, _AFFINE_KINDS) and f.dim == 2]
+AFFINE = [f for f in _families() if not isinstance(f, _MOEBIUS_KINDS)] + [
+    Constant((0.3, 0.4)),
+    ConformalAffine(0.7, (0.5,), reflect=True),
+    Similarity(0.6, (-1.0,), reflect=True),
+]
 COORDINATE = st.floats(-1e3, 1e3)
 
 
-@given(spec=st.sampled_from(PLANAR_AFFINE + [Constant((0.3, 0.4))]),
-       cx=COORDINATE, cy=COORDINATE, r=st.floats(0.0, 1e3))
+@given(spec=st.sampled_from(AFFINE), cx=COORDINATE, cy=COORDINATE, r=st.floats(0.0, 1e3))
 def test_affine_disk_image_is_apply_at_the_centre(spec, cx, cy, r):
-    x, y, radius = disk_image(spec, cx, cy, r)
-    assert (float(x), float(y)) == apply(spec, (cx, cy))
-    assert float(radius) == abs(_linear_scalar(spec)) * r
+    ratio = abs(_affine_form(spec)[0])
+    if spec.dim == 1:
+        # the line is the plane's real axis
+        x, _, radius = disk_image(spec, cx, 0.0, r)
+        assert (float(x),) == apply(spec, (cx,))
+        assert image_enclosure(spec, Ball((cx,), r)) == Ball(apply(spec, (cx,)), ratio * r)
+    else:
+        x, y, radius = disk_image(spec, cx, cy, r)
+        assert (float(x), float(y)) == apply(spec, (cx, cy))
+    assert float(radius) == ratio * r

@@ -20,8 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gifsdim.errors import ConditionViolation, NonAdmissibleWord
-from gifsdim.graphs import extend_words
-from gifsdim.maps import MoebiusCF
+from gifsdim.graphs import DirectedMultigraph, Enumeration, extend_words
+from gifsdim.maps import ConformalAffine, MoebiusCF
 from gifsdim.pressure import PotentialSpec, _fekete_edge_upper, _letter_classes
 from gifsdim.scenarios import (
     affine_demo,
@@ -147,6 +147,7 @@ def test_validate_reports_a_seed_on_a_pole():
     rep = validate_conditions(sys)
     assert not rep.passed
     assert rep.checks["maps-into-seeds"].status == "violated"
+    assert "pole" in rep.checks["maps-into-seeds"].detail
     for key in ("separation-strong", "separation-open"):
         assert rep.checks[key].status == "inconclusive"
         assert "pole" in rep.checks[key].detail
@@ -256,6 +257,23 @@ def test_contraction_certificate_failure():
         contraction_certificate(wide, 1)
 
 
+def test_contraction_certificate_pairs_admissible_compositions():
+    # T_e o T_f is admissible when f starts where e ends.  Letters a: 0 -> 1
+    # and c: 0 -> 0 are 1/(1+z), b: 1 -> 0 expands by 2.5; the word (b, c)
+    # reaches |(T_b o T_c)'| = 2.5 * 16/9 on c's neighbourhood, so no
+    # depth-2 rate below 1 holds
+    seeds = {0: SeedSet(0, Ball((0.5, 0.0), 0.5), Ball((0.5, 0.0), 0.75)),
+             1: SeedSet(1, Ball((3.0, 0.0), 0.5), Ball((3.0, 0.0), 0.75))}
+    ends = {"a": (0, 1), "b": (1, 0), "c": (0, 0)}
+    maps = {"a": MoebiusCF(1), "b": ConformalAffine(2.5, (2.0, 0.0)), "c": MoebiusCF(1)}
+    graph = DirectedMultigraph(Enumeration(items=(0, 1)), Enumeration(items=tuple(ends)),
+                               lambda e: ends[e][0], lambda e: ends[e][1])
+    sys = GifsSystem(graph, seeds, maps, 2, name="expanding-pair")
+    with pytest.raises(ConditionViolation, match="4.44444"):
+        contraction_certificate(sys, 10)
+    assert validate_conditions(sys).checks["uniform-contraction"].status == "violated"
+
+
 def test_out_edges_do_not_depend_on_call_history():
     assert affine_demo().out_edges(1, 1) == [(1, 1)]
     seen = affine_demo()
@@ -324,7 +342,6 @@ def test_reduction_two_loop_multigraph():
 
 def test_reduction_flags_dead_end():
     graph_edges = ("loop", "exit")
-    from gifsdim.graphs import DirectedMultigraph, Enumeration
     from gifsdim.maps import Similarity
 
     graph = DirectedMultigraph(
