@@ -12,9 +12,16 @@ Supported families (ambient dimension D in {1, 2}):
 
 Each family has one normal form, and the kernels read only that form.  An
 affine map is _affine_form's (lin, conj, shift): z -> lin * z + shift, z
-conjugated first when conj (a Constant has lin 0); a Moebius map inverts
-_moebius_disk's shifted disk.  The line is the plane's real axis: there lin
-is a signed real, whose sign is a reflection x -> -x.
+conjugated first when conj (a Constant has lin 0); a Moebius map is
+_moebius_form's z -> 1/(a + scale*(z - c0)), one formula for both kinds.
+The line is the plane's real axis: there lin is a signed real, whose sign is
+a reflection x -> -x.  _map_form writes either form as FORM_SIZE floats,
+which a system keeps once per letter (GifsSystem.letter_table).  The kernels
+(moebius_disk_image, affine_disk_image, moebius_derivative_range) take each
+of those floats as one value or as one value per entry, so one call serves
+every entry of a family, and write their results over the arrays they are
+given, which are scratch; disk_images and derivative_ranges make that one
+call per family over entries of both.
 
 Every family is conformal, so one number, the operator norm ||T'||, is the
 size of a derivative; it is zero for constant maps (the degenerate flag of
@@ -172,6 +179,9 @@ class DerivativeRange:
 
 
 _MOEBIUS_KINDS = (MoebiusCF, PerturbedMoebiusCF)
+# a normal form's length (see _map_form), and the row of an affine one that
+# holds |lin|, the affine derivative size
+FORM_SIZE, ABS_LIN = 6, 5
 
 
 def _on_plane(point):
@@ -200,71 +210,193 @@ def _affine_form(spec):
     return complex(lin), conj, shift
 
 
-def _moebius_disk(spec, cx, cy, r):
-    """(ar, ai, rho, scale): the disk B(ar + i ai, rho) that the inversion
-    sees, e + B(c, r) or e + 1/2 + eps*(B(c, r) - 1/2) when perturbed, and
-    the derivative scale, 1 or eps, of that inner affine step.  The one
-    reader of Moebius spec fields.  Real component arithmetic, elementwise
-    over floats or float64 arrays, rounds as the complex scalar formulas do."""
+def _moebius_form(spec):
+    """(re a, im a, scale, c0) of a Moebius map z -> 1/(a + scale*(z - c0)):
+    a = e, scale 1 and c0 0 for MoebiusCF; a = e + 1/2, scale eps and c0
+    1/2 for PerturbedMoebiusCF.  The one reader of Moebius spec fields."""
     if isinstance(spec, MoebiusCF):
-        return spec.e.real + cx, spec.e.imag + cy, r, 1.0
-    eps = spec.epsilon
-    return (spec.e.real + 0.5) + eps * (cx - 0.5), spec.e.imag + eps * cy, eps * r, eps
+        return spec.e.real, spec.e.imag, 1.0, 0.0
+    return spec.e.real + 0.5, spec.e.imag, spec.epsilon, 0.5
+
+
+def _map_form(spec):
+    """(moebius, form): whether spec is a Moebius map, and its normal form as
+    the FORM_SIZE floats the kernels read: _moebius_form's four and two
+    zeros, or (re lin, im lin, flip, re shift, im shift, |lin|) from
+    _affine_form, flip -1 when x is conjugated first and 1 otherwise."""
+    if isinstance(spec, _MOEBIUS_KINDS):
+        return True, (*_moebius_form(spec), 0.0, 0.0)
+    lin, conj, shift = _affine_form(spec)
+    return False, (lin.real, lin.imag, -1.0 if conj else 1.0,
+                   shift.real, shift.imag, abs(lin))
+
+
+def _moebius_disk(form, cx, cy, r):
+    """(ar, ai, rho, scale): the disk B(ar + i ai, rho) that the inversion
+    sees, a + scale*(B(c, r) - c0) for a Moebius form (see _moebius_form),
+    and the derivative scale of that inner affine step.  One formula serves
+    both kinds: x - 0 and 1*x are x bit for bit, so a c0 of 0 or a scale of
+    1 that every entry shares is skipped.  Real component arithmetic,
+    elementwise over floats or float64 arrays in the form and the disks
+    alike, rounds as the complex scalar formulas do (x*s + a is a + s*x bit
+    for bit).  Arrays cx, cy, r are scratch: ar, ai, rho are written over
+    them."""
+    are, aim, scale, c0 = form[:4]
+    if isinstance(c0, np.ndarray) or c0:
+        cx -= c0
+    if isinstance(scale, np.ndarray) or scale != 1.0:
+        cx *= scale
+        cy *= scale
+        r *= scale
+    cx += are
+    cy += aim
+    return cx, cy, r, scale
 
 
 def apply(spec, point):
     """Evaluate the map at a point (tuples in, tuples out)."""
     x, y = _on_plane(point)
     if isinstance(spec, _MOEBIUS_KINDS):
-        ar, ai, _, _ = _moebius_disk(spec, x, y, 0.0)
+        ar, ai, _, _ = _moebius_disk(_moebius_form(spec), x, y, 0.0)
         den = complex(ar, ai)
         if abs(den) < _POLE_MARGIN:
             raise DomainViolation(f"point {point} too close to a pole")
         w = 1.0 / den
         return (w.real, w.imag)
-    x, y, _ = disk_image(spec, x, y, 0.0)
+    x, y, _ = affine_disk_image(_map_form(spec)[1], x, y, 0.0)
     return (x, y)[:len(point)]
 
 
-def moebius_derivative_range(spec, cx, cy, r):
-    """(lower, upper) of |T'| over the disks B((cx, cy), r), elementwise:
-    |e+z| ranges over [|e+c|-rho, |e+c|+rho].  np.hypot rounds as
-    abs(complex) does and np.square as x*x does, so arrays and the scalar
-    wrapper give the same bits."""
-    ar, ai, rho, scale = _moebius_disk(spec, cx, cy, r)
-    dist = np.hypot(ar, ai)
-    gap = dist - rho
+def moebius_derivative_range(form, cx, cy, r):
+    """(lower, upper) of |T'| over the disks B((cx, cy), r) under Moebius
+    forms, elementwise: |e+z| ranges over [|e+c|-rho, |e+c|+rho].  np.hypot
+    rounds as abs(complex) does and x*x as np.square does, so arrays and
+    floats give the same bits.  Arrays cx, cy, r are scratch: lower and
+    upper are written over cx and cy."""
+    ar, ai, rho, scale = _moebius_disk(form, cx, cy, r)
+    wide = isinstance(ar, np.ndarray)
+    dist = np.hypot(ar, ai, out=ar if wide else None)
+    gap = np.subtract(dist, rho, out=ai) if wide else dist - rho
     if (gap <= _POLE_MARGIN).any():
         raise DomainViolation(f"set reaches within {np.min(gap):.3g} of the pole")
-    return scale / np.square(dist + rho), scale / np.square(gap)
+    dist += rho
+    dist *= dist
+    gap *= gap
+    if wide:
+        return np.divide(scale, dist, out=dist), np.divide(scale, gap, out=gap)
+    return scale / dist, scale / gap
+
+
+def moebius_disk_image(form, cx, cy, r):
+    """Centre (cx, cy) and radius of the image disks of disks B((cx, cy), r)
+    under Moebius forms, elementwise.  Inversion w -> 1/w sends B(a, rho) to
+    B(conj(a)/(|a|^2-rho^2), rho/(|a|^2-rho^2)) when 0 is outside the disk,
+    and -1*(y/m) is (-y)/m bit for bit.  Arrays cx, cy, r are scratch: the
+    image disks are written over them."""
+    ar, ai, rho, _ = _moebius_disk(form, cx, cy, r)
+    mod2 = np.hypot(ar, ai)
+    mod2 *= mod2
+    mod2 -= rho * rho
+    if (mod2 <= _POLE_MARGIN).any():
+        raise DomainViolation("pole inside or touching the set")
+    ar /= mod2
+    ai /= mod2
+    ai *= -1.0
+    rho /= mod2
+    return ar, ai, rho
+
+
+def affine_disk_image(form, cx, cy, r):
+    """Centre (cx, cy) and radius of the image disks of disks B((cx, cy), r)
+    under affine forms (see _map_form), elementwise; on the line cy is 0.
+    lin * z is multiplied out componentwise, as complex arithmetic rounds
+    it, after flip * cy, an exact negation or copy."""
+    lre, lim, flip, sre, sim, size = form
+    cy = flip * cy
+    return lre * cx - lim * cy + sre, lre * cy + lim * cx + sim, size * r
+
+
+def _affine_range(form, cx, cy, r):
+    """(lower, upper) of ||T'|| over the disks under affine forms: |lin| on
+    any set."""
+    return form[ABS_LIN], form[ABS_LIN]
 
 
 def disk_image(spec, cx, cy, r):
-    """Centre (cx, cy) and radius of the image disks of disks B((cx, cy), r),
-    elementwise over floats or float64 arrays; on the line cy is 0.
-    Inversion w -> 1/w sends B(a, rho) to B(conj(a)/(|a|^2-rho^2),
-    rho/(|a|^2-rho^2)) when 0 is outside the disk; affine maps multiply out
-    lin * z componentwise, as complex arithmetic rounds it."""
-    if isinstance(spec, _MOEBIUS_KINDS):
-        ar, ai, rho, _ = _moebius_disk(spec, cx, cy, r)
-        mod2 = np.square(np.hypot(ar, ai)) - np.square(rho)
-        if (mod2 <= _POLE_MARGIN).any():
-            raise DomainViolation("pole inside or touching the set")
-        return ar / mod2, -ai / mod2, rho / mod2
-    lin, conj, shift = _affine_form(spec)
-    if conj:
-        cy = -cy
-    return (lin.real * cx - lin.imag * cy + shift.real,
-            lin.real * cy + lin.imag * cx + shift.imag, abs(lin) * r)
+    """Centre (cx, cy) and radius of the image disks of disks B((cx, cy), r)
+    under spec, elementwise over floats or float64 arrays, which are scratch
+    (see moebius_disk_image); on the line cy is 0."""
+    moebius, form = _map_form(spec)
+    return (moebius_disk_image if moebius else affine_disk_image)(form, cx, cy, r)
+
+
+def _by_family(kernels, moebius, form, counts, disks):
+    """kernels[family](form, cx, cy, r), kernels[0] for affine maps and
+    kernels[1] for Moebius ones, over the disks B((cx, cy), r), the rows of
+    disks, grouped by map: counts[i] consecutive disks go under map i.  Each
+    map's family is moebius, one bool for every map or one per map, and its
+    form a column of form, whose FORM_SIZE rows are each one float for every
+    map or one per map.  One kernel call serves each family, and its rows
+    are written over the first rows of disks, which are scratch.  With
+    equal groups the disks are viewed (a view of a 1-D array, never a copy)
+    as one row per map, over which its values broadcast; otherwise each
+    per-map value is repeated per disk."""
+    if (counts == counts[0]).all():
+        shape = (len(counts), int(counts[0]))
+
+        def spread(x):
+            return x[:, None]
+    else:
+        shape = (len(disks[0]),)
+
+        def spread(x):
+            return np.repeat(x, counts)
+
+    form = [spread(x) if isinstance(x, np.ndarray) else x for x in form]
+    views = [x.reshape(shape) for x in disks]
+    if isinstance(moebius, np.ndarray):
+        if len(shape) == 1:
+            moebius = spread(moebius)
+        if moebius.all() or not moebius.any():
+            moebius = bool(moebius.all())
+    if not isinstance(moebius, np.ndarray):
+        got = kernels[moebius](form, *views)
+        for view, values in zip(views, got):
+            if values is not view:
+                view[...] = values
+        return
+    for kernel, pick in ((kernels[1], moebius), (kernels[0], ~moebius)):
+        got = kernel([x[pick] if isinstance(x, np.ndarray) else x for x in form],
+                     *(x[pick] for x in views))
+        for view, values in zip(views, got):
+            view[pick] = values
+
+
+def disk_images(moebius, form, counts, disks):
+    """The image disks of the disks (cx, cy, r), the rows of the scratch
+    (3, n) array disks, grouped by map (see _by_family), each under its own
+    map, written over disks with one kernel call per family."""
+    _by_family((affine_disk_image, moebius_disk_image), moebius, form, counts, disks)
+    return disks
+
+
+def derivative_ranges(moebius, form, counts, disks):
+    """The ranges (lower, upper) of ||T'|| over the disks (cx, cy, r), the
+    rows of the scratch disks, grouped by map (see _by_family), each under
+    its own map, written over its first two rows with one
+    moebius_derivative_range call."""
+    _by_family((_affine_range, moebius_derivative_range), moebius, form, counts, disks)
+    return disks[:2]
 
 
 def derivative_range_over_set(spec, ball):
     """Certified range of ||T'|| over a ball: the one point |lin| for affine
-    maps, degenerate when it is 0; moebius_derivative_range for Moebius."""
+    maps, degenerate when it is 0, and read off the map alone, so ball may
+    be None; moebius_derivative_range for Moebius."""
     if isinstance(spec, _MOEBIUS_KINDS):
         if ball.dim != 2:
             raise UnsupportedShape("Moebius maps act on the plane")
-        lo, hi = moebius_derivative_range(spec, *ball.center, ball.radius)
+        lo, hi = moebius_derivative_range(_moebius_form(spec), *ball.center, ball.radius)
         return DerivativeRange(float(lo), float(hi))
     a = abs(_affine_form(spec)[0])
     return DerivativeRange(a, a, degenerate=(a == 0.0))

@@ -20,7 +20,12 @@ Two routes, each valid at every finite stage rather than only in the limit:
   on primitive classes).  The geometry and each component's
   Collatz-Wielandt data (class pattern, entry positions, period, logs of
   its ranges) do not depend on s and are built once per geometry; each
-  exponent only reweights them, in logs.  A complete class, all m-words
+  exponent only reweights them, in logs.  Each geometry gathers its
+  letters' data from the system's letter table (GifsSystem.letter_table):
+  map family, normal form, seed range and seed-image disk, filled once per
+  letter per system, so stepping the horizon maps no letter twice, and each
+  level maps its words' disks and ranges its nonzeros with one kernel call
+  per map family, with no loop over letters.  A complete class, all m-words
   over letters that may all follow each other (as in the continued-
   fraction systems), iterates on its entries as they are while they span
   at most e**(650/m); any other class is first conjugated by max-plus
@@ -47,7 +52,8 @@ Two routes, each valid at every finite stage rather than only in the limit:
 * full-system uppers: countable alphabets are exhausted from below by their
   finite truncations, so every truncated lower stands; uppers for the
   untruncated system fold in the declared tail witness (per-letter bound
-  sums for edge-unit tails, a family-proved spectral bound otherwise).
+  sums for edge-unit tails, over the letter table's seed sups, a
+  family-proved spectral bound otherwise).
 """
 
 import math
@@ -228,10 +234,14 @@ class StateGeometry:
     indices/indptr give the CSR pattern of the transitions; lower/upper
     hold, per nonzero in that order, the derivative range of the source
     state's first letter over the enclosure of the target state, and are one
-    array when the two coincide elementwise.  disks holds the words'
-    enclosure disks as rows (cx, cy, r), or None with no Moebius letter;
-    with words and letter_classes it is all that a depth step
-    (see _geometry) builds on.  classes holds the nontrivial state-level
+    array when the two coincide elementwise; with no Moebius letter they are
+    each entry's first letter's |lin|, gathered from the system's letter
+    table.  disks holds the words' enclosure disks as rows (cx, cy, r), or
+    None with no Moebius letter; at depth 1 it is a view of the letter
+    table's seed-image disks (GifsSystem.seed_disks).  form_columns holds
+    the letters' map families and normal forms (see _form_columns); with
+    words, disks and letter_classes it is all that a depth step (see
+    _geometry) builds on.  classes holds the nontrivial state-level
     strongly connected classes in dependency order as _ClassPlan objects,
     made with the geometry: each class's letter class, size and period, the
     positions of its entries among the nonzeros, its local pattern and the
@@ -252,6 +262,7 @@ class StateGeometry:
     upper: np.ndarray
     disks: np.ndarray
     letter_classes: tuple
+    form_columns: tuple
     classes: tuple = ()
 
     @cached_property
@@ -296,38 +307,39 @@ def _exhausts(system, k):
 
 def _build_geometry(system, letters, m, below=None):
     """States, CSR pattern and derivative ranges as float64 arrays, built
-    one word length at a time with a Python loop over letters only: from
-    below, the (words, disks, letter classes) of the same letters at depth
-    m - 1, when given, else from the letters, their classes (see
-    _letter_classes) and their seed image disks; either way on the system's
-    incidence table, and every array comes out with the same bits."""
-    specs = [system.map_of(e) for e in letters]
-    moebius = [isinstance(f, mapslib._MOEBIUS_KINDS) for f in specs]
-    _, initial, terminal = system.incidence(len(letters))
+    one word length at a time from the system's letter table (see
+    GifsSystem.letter_table), with no loop over letters: from below, the
+    (words, disks, letter classes) of the same letters at depth m - 1, when
+    given, with their form columns (see _form_columns), else from the
+    letters, their classes (see _letter_classes), their form columns and
+    their seed image disks (GifsSystem.seed_disks); either way on the
+    system's incidence table, and every array comes out with the same bits.
+    Words and nonzeros come grouped by their first letter, so each level
+    spreads that letter's normal form over its words or nonzeros and maps
+    every disk, and then ranges every nonzero, with one kernel call per map
+    family (maps.disk_images, maps.derivative_ranges).  An affine range is |lin| on any set, so with
+    no Moebius letter there are no disks, and the ranges are gathered."""
+    n = len(letters)
+    moebius, forms = system.letter_table(n)
+    _, initial, terminal = system.incidence(n)
     if below is None:
-        letter_classes = _letter_classes(system, len(letters))
-        words = np.arange(len(letters), dtype=np.min_scalar_type(len(letters)))[:, None]
-        disks = None
-        if any(moebius):
-            disks = np.array([(*ball.center, ball.radius)
-                              for ball in map(system.seed_image, letters)]).T
+        letter_classes = _letter_classes(system, n)
+        family, columns = _form_columns(moebius, forms)
+        words = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+        disks = system.seed_disks(n) if moebius.any() else None
         steps = m - 1
     else:
-        words, disks, letter_classes = below
+        words, disks, letter_classes, (family, columns) = below
         steps = 1
-    blocks = np.arange(len(letters) + 1)
+    blocks = np.arange(n + 1)
     for _ in range(steps):
         shorter = words
         words, tails, blocks = extend_words(initial, terminal, words)
         if disks is not None:
             # a word's enclosure disk is its tail's disk mapped through its
             # first letter
-            cx, cy, r = disks
-            disks = np.empty((3, len(tails)))
-            for a, spec in enumerate(specs):
-                rows = slice(blocks[a], blocks[a + 1])
-                t = tails[rows]
-                disks[:, rows] = mapslib.disk_image(spec, cx[t], cy[t], r[t])
+            disks = mapslib.disk_images(family, columns, blocks[1:] - blocks[:-1],
+                                        np.take(disks, tails, axis=1))
 
     # u -> w exactly when w = u[1:] + c with c allowed after u's last letter.
     # At depth >= 2 the words extending one (m-1)-word form a contiguous block
@@ -342,23 +354,18 @@ def _build_geometry(system, letters, m, below=None):
         ext = n_succ[shorter[:, -1]]
         starts = (np.cumsum(ext) - ext)[tails] - indptr[:-1]
         indices = np.repeat(starts, count) + np.arange(indptr[-1])
-    indices = indices.astype(np.int32)
+    # the targets gather each disk row faster as intp
+    targets, indices = indices, indices.astype(np.int32)
 
-    if disks is not None:
-        cx, cy, r = disks
-    lower, upper = np.empty((2, len(indices)))
-    for a, spec in enumerate(specs):
-        nz = slice(indptr[blocks[a]], indptr[blocks[a + 1]])
-        if moebius[a]:
-            t = indices[nz]
-            lower[nz], upper[nz] = mapslib.moebius_derivative_range(
-                spec, cx[t], cy[t], r[t]
-            )
-        else:
-            # an affine range does not depend on the set it ranges over
-            rng = system.letter_range(letters[a])
-            lower[nz], upper[nz] = rng.lower, rng.upper
-
+    # the nonzeros of each letter's rows, in row order
+    per_letter = indptr[blocks[1:]] - indptr[blocks[:-1]]
+    if disks is None:
+        lower = upper = np.repeat(forms[mapslib.ABS_LIN], per_letter)
+    else:
+        # the two sides come out as the rows of one array
+        lower, upper = mapslib.derivative_ranges(
+            family, columns, per_letter,
+            (*np.take(disks[:2], targets, axis=1), disks[2][targets]))
     if np.array_equal(lower, upper):
         # one array for both sides tells the spectral layer that one power
         # iteration serves both
@@ -368,7 +375,18 @@ def _build_geometry(system, letters, m, below=None):
     for arr in arrays:
         if arr is not None:
             arr.flags.writeable = False
-    return StateGeometry(letters, *arrays, letter_classes)
+    return StateGeometry(letters, *arrays, letter_classes, (family, columns))
+
+
+def _form_columns(moebius, forms):
+    """(family, columns) of the letters whose map families and normal forms
+    moebius and forms give (see GifsSystem.letter_table): the family as one
+    bool when every letter shares it, else moebius, and each form row as
+    one float when every letter has the same bits there, else the row."""
+    family = bool(moebius[0]) if (moebius == moebius[0]).all() else moebius
+    bits = forms.view(np.int64)
+    shared = (bits == bits[:, :1]).all(axis=1).tolist()
+    return family, [forms[i, 0] if same else forms[i] for i, same in enumerate(shared)]
 
 
 class _GeometrySlot:
@@ -419,7 +437,7 @@ def _geometry(system, letters, m):
         if slot.system is system and slot.key == (key[0], m - 1):
             old = slot.geometry
             finals = {plan.letters: plan.warm for plan in old.classes}
-            below = (old.words, old.disks, old.letter_classes)
+            below = (old.words, old.disks, old.letter_classes, old.form_columns)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
         old = slot.system = slot.key = slot.geometry = None
@@ -736,7 +754,13 @@ def _cw_bracket(plan, side, logs, s):
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
-    logw = s * logs if s else np.zeros(len(logs))
+    # a stacked class's weights start on a 64-byte boundary (see _aligned)
+    buffer = _aligned if plan.fan and _stacked(plan.fan, nstates) else np.empty
+    logw = buffer(len(logs))
+    if s:
+        np.multiply(logs, s, out=logw)
+    else:
+        logw.fill(0.0)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
     top = float(highest(logw))
     if top == -np.inf:
@@ -766,12 +790,12 @@ def _cw_bracket(plan, side, logs, s):
         v = np.ones(nstates)
         # the scaled entries exp(logw + d[col] - d[row]) / theta, formed in
         # one buffer, in the order of that expression
-        data = logw + d[plan.col]
+        data = np.add(logw, d[plan.col], out=buffer(len(logw)))
         data -= d[plan.row]
         np.exp(data, out=data)
         if not np.isfinite(data).all():
             d = np.zeros(nstates)
-            data = np.exp(logw)
+            data = np.exp(logw, out=data)
         theta = float(data.max())
         np.divide(data, theta, out=data)
     # the ratios and the next iterate are buffers, and the reductions skip
@@ -810,6 +834,16 @@ def _cw_bracket(plan, side, logs, s):
     if lo > hi:
         lo = hi
     return lo, hi, stalled, iterations
+
+
+def _aligned(size):
+    """An uninitialised float64 array of size entries that starts on a
+    64-byte boundary.  The stacked np.matmul reads its weights from one
+    (see _cw_bracket), so where the heap places them cannot change the
+    speed of its BLAS kernel, nor, through it, a solve's."""
+    raw = np.empty(size + 7)
+    start = -raw.ctypes.data % 64 // 8
+    return raw[start:start + size]
 
 
 def _cycling_classes(words, letter_classes):
@@ -945,7 +979,7 @@ def _fekete_edge_upper(system, potential, k):
         return math.inf, tail
     s = potential.s
     a_star = FEKETE_BLOCK
-    weights = np.array([system.letter_range(e).upper for e in letters]) ** s
+    weights = system.seed_ranges(count)[1] ** s
     # every vertex a letter ends at gets a sum, though nothing starts there
     nverts = int(ter.max(initial=-1)) + 1
 

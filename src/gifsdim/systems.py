@@ -17,6 +17,7 @@ supported map family sends balls onto balls.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -131,10 +132,15 @@ def finite_tail(unit="edge"):
 
 
 class GifsSystem:
-    """Graph plus seeds plus edge maps, with cached derivative ranges, seed
-    images and one letter-incidence table (see incidence), from which the
-    letter graph of every truncation, out_edges and the Fekete tail bound
-    read the letters' endpoints.
+    """Graph plus seeds plus edge maps, with cached derivative ranges and
+    seed images per letter, one letter-incidence table (see incidence), from
+    which the letter graph of every truncation, out_edges and the Fekete
+    tail bound read the letters' endpoints, and beside it one letter table
+    (see letter_table, seed_disks and seed_ranges) of each letter's map
+    family, normal form, seed range and seed-image disk, which every state
+    geometry gathers from.  Both tables grow over the same rows and never
+    shrink, so each letter's row is filled once per system, however many
+    horizons a solve steps through.
 
     seeds/maps may be dicts (finite systems) or callables (countable ones).
     contraction, when given, is a declared ContractionBound that the
@@ -142,6 +148,9 @@ class GifsSystem:
     the TailWitness of a countable alphabet.  vertex_bound, when given, must
     return sup over ALL out-edges of a vertex of the derivative sup on the
     terminal seed; it is required for vertices of infinite out-degree.
+    edge_horizon_cap bounds the letters any horizon materializes; a finite
+    alphabet must fit under it, since a solve takes a finite system's
+    horizon as the whole system (ConditionViolation otherwise).
     The system carries no distortion constants: every map family is
     conformal, so bounded distortion follows from uniform contraction on
     pole-free neighborhoods (Mauldin and Urbanski, Graph Directed Markov
@@ -163,6 +172,12 @@ class GifsSystem:
         # deepest materialization that stays inside float64 (seed radii or
         # map ratios of countable families can underflow); None = no cap
         self.edge_horizon_cap = edge_horizon_cap
+        if edge_horizon_cap is not None and graph.edges.is_finite:
+            size = len(graph.edge_prefix(sys.maxsize))
+            if size > edge_horizon_cap:
+                raise ConditionViolation(
+                    f"edge_horizon_cap {edge_horizon_cap} cuts a finite alphabet "
+                    f"of {size} letters")
         self._seed_cache = {}
         self._map_cache = {}
         self._range_cache = {}
@@ -173,6 +188,11 @@ class GifsSystem:
         self._vertex_ids = {}
         self._initial = self._terminal = np.zeros(0, dtype=np.intp)
         self._out_groups = None
+        # the letter table (see letter_table), over the incidence table's
+        # first rows; each column fills when first read
+        self._moebius = np.zeros(0, dtype=bool)
+        self._forms = np.zeros((mapslib.FORM_SIZE, 0))
+        self._columns = {"disks": np.zeros((3, 0)), "ranges": np.zeros((2, 0))}
 
     # ---- basic accessors -------------------------------------------------
 
@@ -208,14 +228,16 @@ class GifsSystem:
 
     def letter_range(self, e, on="seed"):
         """Certified derivative range of the edge map over the terminal
-        vertex's seed (default) or neighborhood."""
+        vertex's seed (default) or neighborhood.  An affine range is |lin| on
+        any set, so only a Moebius letter builds the seed."""
         key = (e, on)
         if key not in self._range_cache:
-            ss = self.seed(self.graph.terminal(e))
-            shape = ss.seed if on == "seed" else ss.neighborhood
-            self._range_cache[key] = mapslib.derivative_range_over_set(
-                self.map_of(e), shape
-            )
+            spec = self.map_of(e)
+            shape = None
+            if isinstance(spec, mapslib._MOEBIUS_KINDS):
+                ss = self.seed(self.graph.terminal(e))
+                shape = ss.seed if on == "seed" else ss.neighborhood
+            self._range_cache[key] = mapslib.derivative_range_over_set(spec, shape)
         return self._range_cache[key]
 
     def seed_image(self, e):
@@ -262,14 +284,62 @@ class GifsSystem:
                                   ids.setdefault(g.terminal(e), len(ids)))
                                  for e in letters[known:]], dtype=np.intp)
                 self._letters = letters
-                self._initial = np.concatenate((self._initial, rows[:, 0]))
-                self._terminal = np.concatenate((self._terminal, rows[:, 1]))
-                self._initial.flags.writeable = self._terminal.flags.writeable = False
+                self._initial = _grown(self._initial, rows[:, 0])
+                self._terminal = _grown(self._terminal, rows[:, 1])
                 # the table's positions grouped by initial vertex, ascending
                 order = np.argsort(self._initial, kind="stable").tolist()
                 ends = np.cumsum(np.bincount(self._initial, minlength=len(ids))).tolist()
                 self._out_groups = [order[a:b] for a, b in zip([0] + ends, ends)]
         return min(count, len(self._letters))
+
+    # ---- the letter table over a materialized horizon --------------------
+
+    def letter_table(self, count):
+        """(moebius, forms) of letters(count): each letter's map family,
+        True for a Moebius map, and its normal form (maps._map_form) as a
+        column of a (FORM_SIZE, n) array.  Like the incidence table it
+        covers the largest count asked for so far and only grows, each
+        letter's row filled once, and the arrays for a count are read-only
+        views of its first rows."""
+        n = self._cover(count)
+        known = len(self._moebius)
+        if n > known:
+            rows = [mapslib._map_form(self.map_of(e)) for e in self._letters[known:n]]
+            self._moebius = _grown(self._moebius, np.array([m for m, _ in rows], dtype=bool))
+            self._forms = _grown(self._forms, np.array([f for _, f in rows]).T)
+        return self._moebius[:n], self._forms[:, :n]
+
+    def seed_disks(self, count):
+        """(3, n) array of the seed images of letters(count): the disks (cx,
+        cy, r) of T_e(seed of terminal(e)), cy 0 on the line, as seed_image
+        gives them (see _seed_column)."""
+        return self._seed_column("disks", mapslib.disk_images, count)
+
+    def seed_ranges(self, count):
+        """(2, n) array of the derivative ranges (lower, upper) of
+        letters(count) on their terminal seeds, as letter_range gives them
+        (see _seed_column)."""
+        return self._seed_column("ranges", mapslib.derivative_ranges, count)
+
+    def _seed_column(self, name, kernel, count):
+        """The letter table's column name over letters(count): kernel
+        (maps.disk_images or maps.derivative_ranges) over each letter's
+        terminal seed, computed once per letter when first read, with one
+        kernel call per family, and grown like letter_table."""
+        moebius, forms = self.letter_table(count)
+        column = self._columns[name]
+        n, known = len(moebius), column.shape[1]
+        if n > known:
+            labels = list(self._vertex_ids)
+            ends = self._terminal[known:n].tolist()
+            seeds = {v: self.seed(labels[v]).seed for v in dict.fromkeys(ends)}
+            if any(seeds[v].dim != 2 for v, m in zip(ends, moebius[known:]) if m):
+                raise UnsupportedShape("Moebius maps act on the plane")
+            disks = np.array([(*mapslib._on_plane(seeds[v].center), seeds[v].radius)
+                              for v in ends]).T
+            column = self._columns[name] = _grown(column, kernel(
+                moebius[known:], forms[:, known:], np.ones(n - known, dtype=np.intp), disks))
+        return column[:, :n]
 
     def out_edges(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
         """The out-letters of v among letters(horizon_edges), in enumeration
@@ -291,6 +361,13 @@ class GifsSystem:
         if not outs:
             return None
         return max(self.letter_range(e).upper for e in outs)
+
+
+def _grown(table, rows):
+    """table with rows appended along its last axis, read-only."""
+    table = np.concatenate((table, rows), axis=-1)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ Claims checked here:
     - inside a solve, a geometry one depth deeper than the last is built on
       its words, disks and letter classes, and equals a fresh build at that
       depth bit for bit
-    - a CF {1, 2} solve maps each word's disk once, and finds the letter
-      classes and their periods once
+    - a CF {1, 2} solve maps each word's disk once, one kernel call per
+      level, and finds the letter classes and their periods once
     - a depth step frees the shallower geometry, and the deeper one holds
       only its own level's disks
 """
@@ -99,14 +99,25 @@ def count_calls(monkeypatch, module, name, calls):
 
 def test_a_cf_solve_maps_each_disk_and_finds_each_class_once(monkeypatch):
     # the solve deepens from 1 to 11 letters; rebuilt at every depth the
-    # word disks took 114 images, the letter classes 11 searches
-    calls = Counter()
-    count_calls(monkeypatch, maps, "disk_image", calls)
+    # word disks took 114 images, the letter classes 11 searches.  Each
+    # level now maps all its words' disks in one kernel call, the seed
+    # images included, so the calls count the levels and the disks the
+    # words of every length up to the final depth.  The condition pass
+    # maps its seed images one at a time, so it is left out.
+    system = cf_system(letters=(1, 2))
+    calls, disks = Counter(), []
+    image = maps.moebius_disk_image
+
+    def mapped(form, cx, cy, r):
+        disks.append(np.size(cx))
+        return image(form, cx, cy, r)
+
+    monkeypatch.setattr(maps, "moebius_disk_image", mapped)
     count_calls(monkeypatch, pressure, "strongly_connected_components", calls)
     count_calls(monkeypatch, pressure, "_letter_period", calls)
-    res = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5)
+    res = bowen_dimension(system, s_tol=1e-5, check_conditions=False)
     assert res.s_upper - res.s_lower <= 1e-5
-    assert calls["disk_image"] <= 24
+    assert disks == [2**m for m in range(1, res.depth + 1)]
     assert calls["strongly_connected_components"] == 1
     assert calls["_letter_period"] == 1
 

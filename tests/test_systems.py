@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gifsdim.dimension import bowen_dimension
 from gifsdim.errors import ConditionViolation, NonAdmissibleWord
 from gifsdim.graphs import DirectedMultigraph, Enumeration, extend_words
 from gifsdim.maps import ConformalAffine, MoebiusCF
@@ -312,8 +313,27 @@ def test_incidence_table_does_not_depend_on_call_history():
     pot = PotentialSpec(1.5)
     seen = cf_system()
     seen.incidence(512)
+    # and the letter table's sup column, grown past the horizon
+    seen.seed_ranges(512)
     got, want = _fekete_edge_upper(seen, pot, 40), _fekete_edge_upper(cf_system(), pot, 40)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+def test_a_horizon_cap_below_a_finite_alphabet_is_refused():
+    # a cap of 2 on these four letters used to solve their 2-letter
+    # truncation, dimension 1/2, as the whole system, of dimension 1
+    base = moran_system([0.25] * 4, offsets=[0.0, 0.25, 0.5, 0.75])
+
+    def rebuilt(cap):
+        return GifsSystem(base.graph, base._seed_fn, base._map_fn, 1,
+                          contraction=base.contraction, tail=base.tail,
+                          edge_horizon_cap=cap)
+
+    with pytest.raises(ConditionViolation, match="cuts a finite alphabet of 4 letters"):
+        rebuilt(2)
+    res = bowen_dimension(rebuilt(4))
+    assert res.scope == "truncated"
+    assert res.s_lower <= 1.0 <= res.s_upper
 
 
 def test_validate_cf_full_report():
