@@ -17,11 +17,11 @@ _moebius_form's z -> 1/(a + scale*(z - c0)), one formula for both kinds.
 The line is the plane's real axis: there lin is a signed real, whose sign is
 a reflection x -> -x.  _map_form writes either form as FORM_SIZE floats,
 which a system keeps once per letter (GifsSystem.letter_table).  The kernels
-(moebius_disk_image, affine_disk_image, moebius_derivative_range) take each
-of those floats as one value or as one value per entry, so one call serves
-every entry of a family, and write their results over the arrays they are
-given, which are scratch; disk_images and derivative_ranges make that one
-call per family over entries of both.
+(moebius_disk_image, affine_disk_image, moebius_derivative_range) are
+elementwise over floats, or over arrays with one form column per entry, so
+one call serves every entry of a family; they write their results over the
+arrays they are given, which are scratch.  disk_images and
+derivative_ranges make that one call per family over entries of both.
 
 Every family is conformal, so one number, the operator norm ||T'||, is the
 size of a derivative; it is zero for constant maps (the degenerate flag of
@@ -179,9 +179,10 @@ class DerivativeRange:
 
 
 _MOEBIUS_KINDS = (MoebiusCF, PerturbedMoebiusCF)
-# a normal form's length (see _map_form), and the row of an affine one that
-# holds |lin|, the affine derivative size
-FORM_SIZE, ABS_LIN = 6, 5
+# a normal form's length (see _map_form), the row of an affine one that
+# holds |lin|, the affine derivative size, and the leading rows that a
+# range reads, so that a range over many disks repeats no others
+FORM_SIZE, ABS_LIN, RANGE_ROWS = 6, 3, 4
 
 
 def _on_plane(point):
@@ -222,32 +223,29 @@ def _moebius_form(spec):
 def _map_form(spec):
     """(moebius, form): whether spec is a Moebius map, and its normal form as
     the FORM_SIZE floats the kernels read: _moebius_form's four and two
-    zeros, or (re lin, im lin, flip, re shift, im shift, |lin|) from
+    zeros, or (re lin, im lin, flip, |lin|, re shift, im shift) from
     _affine_form, flip -1 when x is conjugated first and 1 otherwise."""
     if isinstance(spec, _MOEBIUS_KINDS):
         return True, (*_moebius_form(spec), 0.0, 0.0)
     lin, conj, shift = _affine_form(spec)
-    return False, (lin.real, lin.imag, -1.0 if conj else 1.0,
-                   shift.real, shift.imag, abs(lin))
+    return False, (lin.real, lin.imag, -1.0 if conj else 1.0, abs(lin),
+                   shift.real, shift.imag)
 
 
 def _moebius_disk(form, cx, cy, r):
     """(ar, ai, rho, scale): the disk B(ar + i ai, rho) that the inversion
     sees, a + scale*(B(c, r) - c0) for a Moebius form (see _moebius_form),
     and the derivative scale of that inner affine step.  One formula serves
-    both kinds: x - 0 and 1*x are x bit for bit, so a c0 of 0 or a scale of
-    1 that every entry shares is skipped.  Real component arithmetic,
-    elementwise over floats or float64 arrays in the form and the disks
-    alike, rounds as the complex scalar formulas do (x*s + a is a + s*x bit
-    for bit).  Arrays cx, cy, r are scratch: ar, ai, rho are written over
-    them."""
+    both kinds bit for bit, since x - 0 and 1*x are x.  Real component
+    arithmetic, elementwise over floats or float64 arrays in the form and
+    the disks alike, rounds as the complex scalar formulas do (x*s + a is
+    a + s*x bit for bit).  Arrays cx, cy, r are scratch: ar, ai, rho are
+    written over them."""
     are, aim, scale, c0 = form[:4]
-    if isinstance(c0, np.ndarray) or c0:
-        cx -= c0
-    if isinstance(scale, np.ndarray) or scale != 1.0:
-        cx *= scale
-        cy *= scale
-        r *= scale
+    cx -= c0
+    cx *= scale
+    cy *= scale
+    r *= scale
     cx += are
     cy += aim
     return cx, cy, r, scale
@@ -311,7 +309,7 @@ def affine_disk_image(form, cx, cy, r):
     under affine forms (see _map_form), elementwise; on the line cy is 0.
     lin * z is multiplied out componentwise, as complex arithmetic rounds
     it, after flip * cy, an exact negation or copy."""
-    lre, lim, flip, sre, sim, size = form
+    lre, lim, flip, size, sre, sim = form
     cy = flip * cy
     return lre * cx - lim * cy + sre, lre * cy + lim * cx + sim, size * r
 
@@ -330,62 +328,40 @@ def disk_image(spec, cx, cy, r):
     return (moebius_disk_image if moebius else affine_disk_image)(form, cx, cy, r)
 
 
-def _by_family(kernels, moebius, form, counts, disks):
+def _by_family(kernels, moebius, form, disks):
     """kernels[family](form, cx, cy, r), kernels[0] for affine maps and
     kernels[1] for Moebius ones, over the disks B((cx, cy), r), the rows of
-    disks, grouped by map: counts[i] consecutive disks go under map i.  Each
-    map's family is moebius, one bool for every map or one per map, and its
-    form a column of form, whose FORM_SIZE rows are each one float for every
-    map or one per map.  One kernel call serves each family, and its rows
-    are written over the first rows of disks, which are scratch.  With
-    equal groups the disks are viewed (a view of a 1-D array, never a copy)
-    as one row per map, over which its values broadcast; otherwise each
-    per-map value is repeated per disk."""
-    if (counts == counts[0]).all():
-        shape = (len(counts), int(counts[0]))
-
-        def spread(x):
-            return x[:, None]
-    else:
-        shape = (len(disks[0]),)
-
-        def spread(x):
-            return np.repeat(x, counts)
-
-    form = [spread(x) if isinstance(x, np.ndarray) else x for x in form]
-    views = [x.reshape(shape) for x in disks]
-    if isinstance(moebius, np.ndarray):
-        if len(shape) == 1:
-            moebius = spread(moebius)
-        if moebius.all() or not moebius.any():
-            moebius = bool(moebius.all())
-    if not isinstance(moebius, np.ndarray):
-        got = kernels[moebius](form, *views)
-        for view, values in zip(views, got):
-            if values is not view:
-                view[...] = values
+    disks, each under its own map: entry i is a Moebius map when moebius[i],
+    and its normal form is the column form[:, i] (see _map_form).  One
+    kernel call serves each family, on every entry when they share one, and
+    its rows are written over the first rows of disks, which are scratch."""
+    rows = list(disks)
+    if moebius.all() or not moebius.any():
+        got = kernels[int(moebius.all())](form, *rows)
+        for row, values in zip(rows, got):
+            if values is not row:
+                row[...] = values
         return
     for kernel, pick in ((kernels[1], moebius), (kernels[0], ~moebius)):
-        got = kernel([x[pick] if isinstance(x, np.ndarray) else x for x in form],
-                     *(x[pick] for x in views))
-        for view, values in zip(views, got):
-            view[pick] = values
+        got = kernel(form[:, pick], *(row[pick] for row in rows))
+        for row, values in zip(rows, got):
+            row[pick] = values
 
 
-def disk_images(moebius, form, counts, disks):
+def disk_images(moebius, form, disks):
     """The image disks of the disks (cx, cy, r), the rows of the scratch
-    (3, n) array disks, grouped by map (see _by_family), each under its own
-    map, written over disks with one kernel call per family."""
-    _by_family((affine_disk_image, moebius_disk_image), moebius, form, counts, disks)
+    (3, n) array disks, each under its own map (see _by_family), written
+    over disks with one kernel call per family."""
+    _by_family((affine_disk_image, moebius_disk_image), moebius, form, disks)
     return disks
 
 
-def derivative_ranges(moebius, form, counts, disks):
+def derivative_ranges(moebius, form, disks):
     """The ranges (lower, upper) of ||T'|| over the disks (cx, cy, r), the
-    rows of the scratch disks, grouped by map (see _by_family), each under
-    its own map, written over its first two rows with one
-    moebius_derivative_range call."""
-    _by_family((_affine_range, moebius_derivative_range), moebius, form, counts, disks)
+    rows of the scratch disks, each under its own map (see _by_family),
+    written over its first two rows with one kernel call per family.  Only
+    the first RANGE_ROWS rows of form are read."""
+    _by_family((_affine_range, moebius_derivative_range), moebius, form, disks)
     return disks[:2]
 
 

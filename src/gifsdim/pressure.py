@@ -235,23 +235,22 @@ class StateGeometry:
     hold, per nonzero in that order, the derivative range of the source
     state's first letter over the enclosure of the target state, and are one
     array when the two coincide elementwise; with no Moebius letter they are
-    each entry's first letter's |lin|, gathered from the system's letter
-    table.  disks holds the words' enclosure disks as rows (cx, cy, r), or
-    None with no Moebius letter; at depth 1 it is a view of the letter
-    table's seed-image disks (GifsSystem.seed_disks).  form_columns holds
-    the letters' map families and normal forms (see _form_columns); with
-    words, disks and letter_classes it is all that a depth step (see
-    _geometry) builds on.  classes holds the nontrivial state-level
-    strongly connected classes in dependency order as _ClassPlan objects,
-    made with the geometry: each class's letter class, size and period, the
-    positions of its entries among the nonzeros, its local pattern and the
-    logs of its ranges, plus a complete class's last unscaled iterate on
-    each side, from which the next exponent's power iteration starts; a
-    geometry one depth deeper than the solve's previous one, on the same
-    system and letters, starts from that one's final iterates (see _geometry
-    and _lift_iterates).  A geometry lives at most as long as the solve that
-    built it (see _reuse_geometry), so no warm start outlives a solve.  A
-    truncation with no m-letter word has a geometry with no states.
+    each entry's first letter's |lin|, read off the system's letter table.
+    disks holds the words' enclosure disks as rows (cx, cy, r), or None with
+    no Moebius letter; at depth 1 it is a view of the letter table's
+    seed-image disks (GifsSystem.seed_disks).  With words and
+    letter_classes it is all that a depth step (see _geometry) builds on.
+    classes holds the nontrivial state-level strongly connected classes in
+    dependency order as _ClassPlan objects, made with the geometry: each
+    class's letter class, size and period, the positions of its entries
+    among the nonzeros, its local pattern and the logs of its ranges, plus
+    a complete class's last unscaled iterate on each side, from which the
+    next exponent's power iteration starts; a geometry one depth deeper
+    than the solve's previous one, on the same system and letters, starts
+    from that one's final iterates (see _geometry and _lift_iterates).  A
+    geometry lives at most as long as the solve that built it (see
+    _reuse_geometry), so no warm start outlives a solve.  A truncation with
+    no m-letter word has a geometry with no states.
     """
 
     letters: list
@@ -262,7 +261,6 @@ class StateGeometry:
     upper: np.ndarray
     disks: np.ndarray
     letter_classes: tuple
-    form_columns: tuple
     classes: tuple = ()
 
     @cached_property
@@ -310,26 +308,25 @@ def _build_geometry(system, letters, m, below=None):
     one word length at a time from the system's letter table (see
     GifsSystem.letter_table), with no loop over letters: from below, the
     (words, disks, letter classes) of the same letters at depth m - 1, when
-    given, with their form columns (see _form_columns), else from the
-    letters, their classes (see _letter_classes), their form columns and
+    given, else from the letters, their classes (see _letter_classes) and
     their seed image disks (GifsSystem.seed_disks); either way on the
     system's incidence table, and every array comes out with the same bits.
     Words and nonzeros come grouped by their first letter, so each level
-    spreads that letter's normal form over its words or nonzeros and maps
-    every disk, and then ranges every nonzero, with one kernel call per map
-    family (maps.disk_images, maps.derivative_ranges).  An affine range is |lin| on any set, so with
-    no Moebius letter there are no disks, and the ranges are gathered."""
+    repeats that letter's family and normal form over its words or
+    nonzeros, and maps every disk, then ranges every nonzero, with one
+    kernel call per map family (maps.disk_images, maps.derivative_ranges).
+    An affine range is |lin| on any set, so with no Moebius letter there
+    are no disks, and the ranges are |lin| repeated."""
     n = len(letters)
     moebius, forms = system.letter_table(n)
     _, initial, terminal = system.incidence(n)
     if below is None:
         letter_classes = _letter_classes(system, n)
-        family, columns = _form_columns(moebius, forms)
         words = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
         disks = system.seed_disks(n) if moebius.any() else None
         steps = m - 1
     else:
-        words, disks, letter_classes, (family, columns) = below
+        words, disks, letter_classes = below
         steps = 1
     blocks = np.arange(n + 1)
     for _ in range(steps):
@@ -338,7 +335,9 @@ def _build_geometry(system, letters, m, below=None):
         if disks is not None:
             # a word's enclosure disk is its tail's disk mapped through its
             # first letter
-            disks = mapslib.disk_images(family, columns, blocks[1:] - blocks[:-1],
+            counts = blocks[1:] - blocks[:-1]
+            disks = mapslib.disk_images(np.repeat(moebius, counts),
+                                        np.repeat(forms, counts, axis=1),
                                         np.take(disks, tails, axis=1))
 
     # u -> w exactly when w = u[1:] + c with c allowed after u's last letter.
@@ -364,7 +363,8 @@ def _build_geometry(system, letters, m, below=None):
     else:
         # the two sides come out as the rows of one array
         lower, upper = mapslib.derivative_ranges(
-            family, columns, per_letter,
+            np.repeat(moebius, per_letter),
+            np.repeat(forms[:mapslib.RANGE_ROWS], per_letter, axis=1),
             (*np.take(disks[:2], targets, axis=1), disks[2][targets]))
     if np.array_equal(lower, upper):
         # one array for both sides tells the spectral layer that one power
@@ -375,18 +375,7 @@ def _build_geometry(system, letters, m, below=None):
     for arr in arrays:
         if arr is not None:
             arr.flags.writeable = False
-    return StateGeometry(letters, *arrays, letter_classes, (family, columns))
-
-
-def _form_columns(moebius, forms):
-    """(family, columns) of the letters whose map families and normal forms
-    moebius and forms give (see GifsSystem.letter_table): the family as one
-    bool when every letter shares it, else moebius, and each form row as
-    one float when every letter has the same bits there, else the row."""
-    family = bool(moebius[0]) if (moebius == moebius[0]).all() else moebius
-    bits = forms.view(np.int64)
-    shared = (bits == bits[:, :1]).all(axis=1).tolist()
-    return family, [forms[i, 0] if same else forms[i] for i, same in enumerate(shared)]
+    return StateGeometry(letters, *arrays, letter_classes)
 
 
 class _GeometrySlot:
@@ -437,7 +426,7 @@ def _geometry(system, letters, m):
         if slot.system is system and slot.key == (key[0], m - 1):
             old = slot.geometry
             finals = {plan.letters: plan.warm for plan in old.classes}
-            below = (old.words, old.disks, old.letter_classes, old.form_columns)
+            below = (old.words, old.disks, old.letter_classes)
         # drop the old geometry before building its successor, and leave
         # the slot empty should the build raise
         old = slot.system = slot.key = slot.geometry = None
@@ -754,7 +743,8 @@ def _cw_bracket(plan, side, logs, s):
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     nstates = plan.size
-    # a stacked class's weights start on a 64-byte boundary (see _aligned)
+    # a stacked class's weights start on a 64-byte boundary (see _aligned);
+    # the other classes keep np.empty, on which cf-deep's solves ran faster
     buffer = _aligned if plan.fan and _stacked(plan.fan, nstates) else np.empty
     logw = buffer(len(logs))
     if s:

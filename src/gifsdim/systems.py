@@ -17,7 +17,6 @@ supported map family sends balls onto balls.
 from __future__ import annotations
 
 import math
-import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -132,15 +131,16 @@ def finite_tail(unit="edge"):
 
 
 class GifsSystem:
-    """Graph plus seeds plus edge maps, with cached derivative ranges and
-    seed images per letter, one letter-incidence table (see incidence), from
-    which the letter graph of every truncation, out_edges and the Fekete
-    tail bound read the letters' endpoints, and beside it one letter table
-    (see letter_table, seed_disks and seed_ranges) of each letter's map
-    family, normal form, seed range and seed-image disk, which every state
-    geometry gathers from.  Both tables grow over the same rows and never
-    shrink, so each letter's row is filled once per system, however many
-    horizons a solve steps through.
+    """Graph plus seeds plus edge maps, with one letter-incidence table (see
+    incidence), from which the letter graph of every truncation, out_edges
+    and the Fekete tail bound read the letters' endpoints, and beside it one
+    letter table (see letter_table, seed_disks and seed_ranges) of each
+    letter's map family, normal form, seed range and seed-image disk, which
+    every state geometry gathers from and seed_image and letter_range read.
+    Both tables grow over the same rows and never shrink, so each letter's
+    row is filled once per system, however many horizons a solve steps
+    through; letters(count) materializes its letters in the incidence
+    table.  Only the ranges over neighborhoods are cached per letter.
 
     seeds/maps may be dicts (finite systems) or callables (countable ones).
     contraction, when given, is a declared ContractionBound that the
@@ -148,9 +148,10 @@ class GifsSystem:
     the TailWitness of a countable alphabet.  vertex_bound, when given, must
     return sup over ALL out-edges of a vertex of the derivative sup on the
     terminal seed; it is required for vertices of infinite out-degree.
-    edge_horizon_cap bounds the letters any horizon materializes; a finite
-    alphabet must fit under it, since a solve takes a finite system's
-    horizon as the whole system (ConditionViolation otherwise).
+    edge_horizon_cap bounds the letters any horizon materializes.  A finite
+    alphabet, item-listed or declared by a finite_tail, must fit under it,
+    since a solve takes its capped horizon as the whole system
+    (ConditionViolation otherwise).
     The system carries no distortion constants: every map family is
     conformal, so bounded distortion follows from uniform contraction on
     pole-free neighborhoods (Mauldin and Urbanski, Graph Directed Markov
@@ -172,27 +173,29 @@ class GifsSystem:
         # deepest materialization that stays inside float64 (seed radii or
         # map ratios of countable families can underflow); None = no cap
         self.edge_horizon_cap = edge_horizon_cap
-        if edge_horizon_cap is not None and graph.edges.is_finite:
-            size = len(graph.edge_prefix(sys.maxsize))
-            if size > edge_horizon_cap:
-                raise ConditionViolation(
-                    f"edge_horizon_cap {edge_horizon_cap} cuts a finite alphabet "
-                    f"of {size} letters")
+        finite = graph.edges.is_finite or (tail is not None and tail.kind == "finite")
+        if (edge_horizon_cap is not None and finite
+                and len(graph.edge_prefix(edge_horizon_cap + 1)) > edge_horizon_cap):
+            raise ConditionViolation(
+                f"edge_horizon_cap {edge_horizon_cap} cuts a finite alphabet "
+                f"of more than {edge_horizon_cap} letters")
         self._seed_cache = {}
         self._map_cache = {}
         self._range_cache = {}
-        self._image_cache = {}
-        # the letter-incidence table (see incidence)
+        # the letter-incidence table (see incidence), with each letter's row
         self._letters = []
+        self._rows = {}
         self._covered = 0
         self._vertex_ids = {}
         self._initial = self._terminal = np.zeros(0, dtype=np.intp)
         self._out_groups = None
         # the letter table (see letter_table), over the incidence table's
-        # first rows; each column fills when first read
+        # first rows; each column fills when first read, and keeps the
+        # error of each letter whose row raised (see _filled)
         self._moebius = np.zeros(0, dtype=bool)
         self._forms = np.zeros((mapslib.FORM_SIZE, 0))
         self._columns = {"disks": np.zeros((3, 0)), "ranges": np.zeros((2, 0))}
+        self._faults = {"disks": {}, "ranges": {}}
 
     # ---- basic accessors -------------------------------------------------
 
@@ -210,7 +213,8 @@ class GifsSystem:
         return self._map_cache[e]
 
     def letters(self, count):
-        return self.graph.edge_prefix(self.clamp_edges(count))
+        n = self._cover(count)
+        return self._letters[:n]
 
     def clamp_edges(self, count):
         if self.edge_horizon_cap is None:
@@ -228,24 +232,26 @@ class GifsSystem:
 
     def letter_range(self, e, on="seed"):
         """Certified derivative range of the edge map over the terminal
-        vertex's seed (default) or neighborhood.  An affine range is |lin| on
-        any set, so only a Moebius letter builds the seed."""
-        key = (e, on)
-        if key not in self._range_cache:
+        vertex's seed (default), the letter's row of seed_ranges (see
+        _letter_row), or over its neighborhood, cached per letter.  An
+        affine range is |lin| on any set, so only a Moebius letter reads
+        the seed."""
+        if on == "seed":
+            moebius, (lower, upper) = self._letter_row("ranges", e)
+            return mapslib.DerivativeRange(lower, upper, degenerate=not moebius and upper == 0.0)
+        if e not in self._range_cache:
             spec = self.map_of(e)
             shape = None
             if isinstance(spec, mapslib._MOEBIUS_KINDS):
-                ss = self.seed(self.graph.terminal(e))
-                shape = ss.seed if on == "seed" else ss.neighborhood
-            self._range_cache[key] = mapslib.derivative_range_over_set(spec, shape)
-        return self._range_cache[key]
+                shape = self.seed(self.graph.terminal(e)).neighborhood
+            self._range_cache[e] = mapslib.derivative_range_over_set(spec, shape)
+        return self._range_cache[e]
 
     def seed_image(self, e):
-        """The ball T_e(seed of terminal)."""
-        if e not in self._image_cache:
-            ss = self.seed(self.graph.terminal(e))
-            self._image_cache[e] = mapslib.image_enclosure(self.map_of(e), ss.seed)
-        return self._image_cache[e]
+        """The ball T_e(seed of terminal): the letter's row of seed_disks
+        (see _letter_row)."""
+        _, (cx, cy, r) = self._letter_row("disks", e)
+        return Ball((cx, cy)[:self.seed(self.graph.terminal(e)).seed.dim], r)
 
     def enclosure(self, word):
         """The ball of the cylinder of an edge word."""
@@ -277,13 +283,14 @@ class GifsSystem:
         count = self.clamp_edges(count)
         if count > self._covered:
             self._covered = count
-            letters, known = self.letters(count), len(self._letters)
+            letters, known = self.graph.edge_prefix(count), len(self._letters)
             if len(letters) > known:
                 g, ids = self.graph, self._vertex_ids
                 rows = np.array([(ids.setdefault(g.initial(e), len(ids)),
                                   ids.setdefault(g.terminal(e), len(ids)))
                                  for e in letters[known:]], dtype=np.intp)
                 self._letters = letters
+                self._rows.update(zip(letters[known:], range(known, len(letters))))
                 self._initial = _grown(self._initial, rows[:, 0])
                 self._terminal = _grown(self._terminal, rows[:, 1])
                 # the table's positions grouped by initial vertex, ascending
@@ -301,7 +308,10 @@ class GifsSystem:
         covers the largest count asked for so far and only grows, each
         letter's row filled once, and the arrays for a count are read-only
         views of its first rows."""
-        n = self._cover(count)
+        return self._table(self._cover(count))
+
+    def _table(self, n):
+        """letter_table over the incidence table's first n rows."""
         known = len(self._moebius)
         if n > known:
             rows = [mapslib._map_form(self.map_of(e)) for e in self._letters[known:n]]
@@ -311,35 +321,92 @@ class GifsSystem:
 
     def seed_disks(self, count):
         """(3, n) array of the seed images of letters(count): the disks (cx,
-        cy, r) of T_e(seed of terminal(e)), cy 0 on the line, as seed_image
-        gives them (see _seed_column)."""
-        return self._seed_column("disks", mapslib.disk_images, count)
+        cy, r) of T_e(seed of terminal(e)), cy 0 on the line (see
+        _seed_rows), each letter's computed once; raises the error of the
+        first letter whose image raised."""
+        return self._column("disks", self._cover(count))
 
     def seed_ranges(self, count):
         """(2, n) array of the derivative ranges (lower, upper) of
-        letters(count) on their terminal seeds, as letter_range gives them
-        (see _seed_column)."""
-        return self._seed_column("ranges", mapslib.derivative_ranges, count)
+        letters(count) on their terminal seeds (see _seed_rows), each
+        letter's computed once; raises the error of the first letter whose
+        range raised."""
+        return self._column("ranges", self._cover(count))
 
-    def _seed_column(self, name, kernel, count):
-        """The letter table's column name over letters(count): kernel
-        (maps.disk_images or maps.derivative_ranges) over each letter's
-        terminal seed, computed once per letter when first read, with one
-        kernel call per family, and grown like letter_table."""
-        moebius, forms = self.letter_table(count)
-        column = self._columns[name]
-        n, known = len(moebius), column.shape[1]
-        if n > known:
-            labels = list(self._vertex_ids)
-            ends = self._terminal[known:n].tolist()
-            seeds = {v: self.seed(labels[v]).seed for v in dict.fromkeys(ends)}
-            if any(seeds[v].dim != 2 for v, m in zip(ends, moebius[known:]) if m):
-                raise UnsupportedShape("Moebius maps act on the plane")
-            disks = np.array([(*mapslib._on_plane(seeds[v].center), seeds[v].radius)
-                              for v in ends]).T
-            column = self._columns[name] = _grown(column, kernel(
-                moebius[known:], forms[:, known:], np.ones(n - known, dtype=np.intp), disks))
+    def _column(self, name, n):
+        """The column name over the table's first n rows (see _filled),
+        raising the error of the first of those letters whose row raised."""
+        column = self._filled(name, n)
+        for i, err in self._faults[name].items():
+            if i < n:
+                raise err.with_traceback(None)
         return column[:, :n]
+
+    def _letter_row(self, name, e):
+        """(moebius, row) of letter e: its map family and its row of the
+        letter table's column name (see _filled) as floats, the column
+        first filled over the whole incidence table, which first grows until
+        it holds e (see _row).  A row that raised raises again."""
+        i = self._row(e)
+        column = self._filled(name, len(self._letters))
+        if i in self._faults[name]:
+            raise self._faults[name][i].with_traceback(None)
+        return bool(self._moebius[i]), column[:, i].tolist()
+
+    def _row(self, e):
+        """Letter e's row of the incidence table, which grows, doubling its
+        letter count, until it holds e.  Raises NonAdmissibleWord once the
+        alphabet, or the edge_horizon_cap, ends without e; on an uncapped
+        countable alphabet e must be a letter."""
+        i = self._rows.get(e)
+        while i is None:
+            count = 2 * max(self._covered, 32)
+            ended = self._cover(count) < count
+            i = self._rows.get(e)
+            if i is None and ended:
+                raise NonAdmissibleWord(f"{e!r} is not a letter of {self.name}")
+        return i
+
+    def _filled(self, name, n):
+        """The column name ("disks" or "ranges") of the letter table, filled
+        over its first n rows: each letter's row computed once, all of them
+        with one _seed_rows call.  Should that call raise, a letter whose own
+        row raises fails alone: the rows are then computed one by one, and
+        each error is kept in _faults, its row left NaN."""
+        column = self._columns[name]
+        known = column.shape[1]
+        if n > known:
+            moebius, forms = self._table(n)
+            moebius, forms = moebius[known:], forms[:, known:]
+            labels = list(self._vertex_ids)
+            ends = [labels[v] for v in self._terminal[known:n].tolist()]
+            try:
+                rows = self._seed_rows(name, moebius, forms, ends)
+            except (DomainViolation, UnsupportedShape):
+                rows = np.full((len(column), n - known), np.nan)
+                for i in range(n - known):
+                    try:
+                        rows[:, i] = self._seed_rows(name, moebius[i:i + 1], forms[:, i:i + 1],
+                                                     ends[i:i + 1])[:, 0]
+                    except (DomainViolation, UnsupportedShape) as err:
+                        self._faults[name][known + i] = err
+            column = self._columns[name] = _grown(column, rows)
+        return column
+
+    def _seed_rows(self, name, moebius, forms, ends):
+        """The column name's rows for letters of families moebius and normal
+        forms forms that end at the vertices ends: their seed-image disks
+        (maps.disk_images) or seed ranges (maps.derivative_ranges), with one
+        kernel call per family.  A range reads no affine letter's seed."""
+        flags = moebius.tolist()
+        seeds = [self.seed(v).seed if m or name == "disks" else None
+                 for v, m in zip(ends, flags)]
+        if any(m and ball.dim != 2 for m, ball in zip(flags, seeds)):
+            raise UnsupportedShape("Moebius maps act on the plane")
+        disks = np.array([(*mapslib._on_plane(ball.center), ball.radius) if ball else (0.0,) * 3
+                          for ball in seeds]).T
+        kernel = mapslib.disk_images if name == "disks" else mapslib.derivative_ranges
+        return kernel(moebius, forms, disks)
 
     def out_edges(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
         """The out-letters of v among letters(horizon_edges), in enumeration
@@ -659,7 +726,7 @@ def reduce_to_simple(system):
     if not system.is_finite:
         raise ConditionViolation("reduction needs a materializable edge set")
     g = system.graph
-    base_edges = g.edges.prefix(10 ** 9)
+    base_edges = system.letters(10 ** 9)
     # containment sanity before rebuilding
     for e in base_edges:
         img = system.seed_image(e)
@@ -726,7 +793,7 @@ def _unit_terms(system, unit, count, s):
             sup = system.vertex_sup(v)
             out.append(0.0 if sup is None else sup ** s)
         return out
-    return [system.letter_range(e).upper ** s for e in system.letters(count)]
+    return [upper ** s for upper in system.seed_ranges(count)[1].tolist()]
 
 
 def summability_verdict(system, s, horizons, unit, divergence_threshold=1e3):

@@ -1,14 +1,27 @@
 """The state geometry built letter by letter: every word's disk and every
 nonzero's range come from one map kernel call per first letter, on that
-letter's spec, with the depth-1 disks and the affine ranges read from the
-system's per-letter accessors (seed_image, letter_range).  The reference for
-the table-driven pressure._build_geometry, which gathers every letter's
-normal form from the system's letter table instead."""
+letter's spec, with the depth-1 disks and the affine ranges from the scalar
+per-letter routes (seed_image, letter_range below).  The reference for the
+table-driven pressure._build_geometry and the system's letter table, which
+gather every letter's normal form and map all letters at once instead."""
 
 import numpy as np
 
 from gifsdim import maps
 from gifsdim.graphs import extend_words
+
+
+def seed_image(system, e):
+    """The ball T_e(seed of terminal(e)), mapped alone."""
+    seed = system.seed(system.graph.terminal(e)).seed
+    return maps.image_enclosure(system.map_of(e), seed)
+
+
+def letter_range(system, e):
+    """The derivative range of letter e over its terminal seed, ranged
+    alone."""
+    return maps.derivative_range_over_set(
+        system.map_of(e), system.seed(system.graph.terminal(e)).seed)
 
 
 def per_letter_geometry(system, letters, m):
@@ -22,7 +35,7 @@ def per_letter_geometry(system, letters, m):
     disks = None
     if any(moebius):
         disks = np.array([(*ball.center, ball.radius)
-                          for ball in map(system.seed_image, letters)]).T
+                          for ball in (seed_image(system, e) for e in letters)]).T
     blocks = np.arange(len(letters) + 1)
     for _ in range(m - 1):
         shorter = words
@@ -55,7 +68,7 @@ def per_letter_geometry(system, letters, m):
             lower[nz], upper[nz] = maps.moebius_derivative_range(
                 maps._moebius_form(spec), cx[t], cy[t], r[t])
         else:
-            rng = system.letter_range(letters[a])
+            rng = letter_range(system, letters[a])
             lower[nz], upper[nz] = rng.lower, rng.upper
     if np.array_equal(lower, upper):
         upper = lower

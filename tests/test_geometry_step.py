@@ -100,10 +100,10 @@ def count_calls(monkeypatch, module, name, calls):
 def test_a_cf_solve_maps_each_disk_and_finds_each_class_once(monkeypatch):
     # the solve deepens from 1 to 11 letters; rebuilt at every depth the
     # word disks took 114 images, the letter classes 11 searches.  Each
-    # level now maps all its words' disks in one kernel call, the seed
-    # images included, so the calls count the levels and the disks the
-    # words of every length up to the final depth.  The condition pass
-    # maps its seed images one at a time, so it is left out.
+    # level now maps all its words' disks in one kernel call, so the calls
+    # count the levels and the disks the words of every length up to the
+    # final depth; the seed images, which the condition pass reads first,
+    # are mapped once.
     system = cf_system(letters=(1, 2))
     calls, disks = Counter(), []
     image = maps.moebius_disk_image
@@ -115,7 +115,7 @@ def test_a_cf_solve_maps_each_disk_and_finds_each_class_once(monkeypatch):
     monkeypatch.setattr(maps, "moebius_disk_image", mapped)
     count_calls(monkeypatch, pressure, "strongly_connected_components", calls)
     count_calls(monkeypatch, pressure, "_letter_period", calls)
-    res = bowen_dimension(system, s_tol=1e-5, check_conditions=False)
+    res = bowen_dimension(system, s_tol=1e-5)
     assert res.s_upper - res.s_lower <= 1e-5
     assert disks == [2**m for m in range(1, res.depth + 1)]
     assert calls["strongly_connected_components"] == 1

@@ -7,10 +7,13 @@ Claims checked here:
       a Gaussian alphabet, perturbed CF systems that mix both Moebius kinds
       or plant Constant letters, planar affine systems and a reflected 1-D
       Moran system
-    - the table's seed disks and seed ranges are the per-letter seed_image
-      and letter_range, bit for bit
+    - the table's seed disks and seed ranges, and seed_image and
+      letter_range, which read them, are the per-letter routes of
+      geometry_reference bit for bit, for letters the table holds and for
+      letters beyond it
     - a word disk or a range that reaches a pole still raises
-      DomainViolation
+      DomainViolation, and a letter whose seed image or range meets a pole
+      fails alone, and a letter the alphabet lacks is not a letter
     - a build calls each map kernel at most once per family per level, and
       the table calls a system's map callback once per letter, however many
       horizons and exponents ask for it
@@ -27,7 +30,7 @@ import pytest
 
 from gifsdim import maps, pressure
 from gifsdim.dimension import bowen_dimension
-from gifsdim.errors import DomainViolation
+from gifsdim.errors import DomainViolation, NonAdmissibleWord
 from gifsdim.graphs import DirectedMultigraph, Enumeration
 from gifsdim.maps import ConformalAffine, MoebiusCF, Similarity
 from gifsdim.pressure import (
@@ -46,6 +49,7 @@ from gifsdim.scenarios import (
 )
 from gifsdim.shapes import Ball
 from gifsdim.systems import ContractionBound, GifsSystem, SeedSet, finite_tail
+import geometry_reference as reference_routes
 from geometry_reference import per_letter_geometry
 
 
@@ -120,26 +124,60 @@ def test_the_table_build_equals_the_per_letter_build(name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_the_table_columns_are_the_per_letter_accessors(name):
+def test_the_table_columns_are_the_per_letter_routes(name):
     make, horizons, _ = CASES[name]
     system, reference = make(), make()
     k = horizons[-1]
     letters = reference.letters(k)
+    ranges = [reference_routes.letter_range(reference, e) for e in letters]
+    images = [reference_routes.seed_image(reference, e) for e in letters]
+    # a letter beyond the table grows it, doubling, to the letter
+    assert system.seed_image(letters[-1]) == images[-1]
+    assert len(system._letters) >= k
+    assert [system.letter_range(e) for e in letters] == ranges
+    assert [system.seed_image(e) for e in letters] == images
     # a short prefix first, so the columns also grow
+    system = make()
     system.seed_ranges(1)
     lower, upper = system.seed_ranges(k)
-    want = [reference.letter_range(e) for e in letters]
-    assert same_bits(lower, np.array([w.lower for w in want]))
-    assert same_bits(upper, np.array([w.upper for w in want]))
+    assert same_bits(lower, np.array([w.lower for w in ranges]))
+    assert same_bits(upper, np.array([w.upper for w in ranges]))
+    assert [system.letter_range(e) for e in letters] == ranges
     moebius, _ = system.letter_table(k)
     assert moebius.tolist() == [isinstance(reference.map_of(e), maps._MOEBIUS_KINDS)
                                 for e in letters]
+    assert [system.seed_image(e) for e in letters] == images
     if reference.ambient_dim == 2:
         system.seed_disks(2)
         disks = system.seed_disks(k)
-        balls = [reference.seed_image(e) for e in letters]
         assert same_bits(np.ascontiguousarray(disks),
-                         np.array([(*b.center, b.radius) for b in balls]).T.copy())
+                         np.array([(*b.center, b.radius) for b in images]).T.copy())
+
+
+def test_a_letter_whose_seed_meets_a_pole_fails_alone():
+    # the seed B(-1, 1/2) holds the pole -1 of letter 1, not the pole -2 of
+    # letter 2, which comes first
+    base = cf_system([2, 1])
+    seeds = {0: SeedSet(0, Ball((-1.0, 0.0), 0.5), Ball((-1.0, 0.0), 0.75))}
+    system = GifsSystem(base.graph, seeds, MoebiusCF, 2, name="pole")
+    reference = GifsSystem(base.graph, seeds, MoebiusCF, 2, name="pole")
+    assert system.letters(2) == [2, 1]
+    assert system.seed_image(2) == reference_routes.seed_image(reference, 2)
+    assert system.letter_range(2) == reference_routes.letter_range(reference, 2)
+    for _ in range(2):
+        with pytest.raises(DomainViolation, match="pole inside"):
+            system.seed_image(1)
+        with pytest.raises(DomainViolation, match="reaches within"):
+            system.letter_range(1)
+    assert system.seed_disks(1).shape == (3, 1)
+    assert system.seed_ranges(1).shape == (2, 1)
+    with pytest.raises(DomainViolation, match="pole inside"):
+        system.seed_disks(2)
+    with pytest.raises(DomainViolation, match="reaches within"):
+        system.seed_ranges(2)
+    # the alphabet ends without letter 3
+    with pytest.raises(NonAdmissibleWord):
+        system.seed_image(3)
 
 
 def test_a_word_disk_through_a_pole_still_raises():

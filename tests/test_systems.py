@@ -321,19 +321,28 @@ def test_incidence_table_does_not_depend_on_call_history():
 
 def test_a_horizon_cap_below_a_finite_alphabet_is_refused():
     # a cap of 2 on these four letters used to solve their 2-letter
-    # truncation, dimension 1/2, as the whole system, of dimension 1
+    # truncation, dimension 1/2, as the whole system, of dimension 1; the
+    # alphabet may be item-listed or given by a factory under a finite tail
     base = moran_system([0.25] * 4, offsets=[0.0, 0.25, 0.5, 0.75])
+    g = base.graph
 
-    def rebuilt(cap):
-        return GifsSystem(base.graph, base._seed_fn, base._map_fn, 1,
+    def rebuilt(cap, listed):
+        if listed:
+            edges = Enumeration(items=range(4))
+        else:
+            edges = Enumeration(factory=lambda: iter(range(4)))
+        graph = DirectedMultigraph(g.vertices, edges, g.initial, g.terminal, g.simple)
+        return GifsSystem(graph, base._seed_fn, base._map_fn, 1,
                           contraction=base.contraction, tail=base.tail,
                           edge_horizon_cap=cap)
 
-    with pytest.raises(ConditionViolation, match="cuts a finite alphabet of 4 letters"):
-        rebuilt(2)
-    res = bowen_dimension(rebuilt(4))
-    assert res.scope == "truncated"
-    assert res.s_lower <= 1.0 <= res.s_upper
+    for listed in (True, False):
+        with pytest.raises(ConditionViolation,
+                           match="cap 2 cuts a finite alphabet of more than 2 letters"):
+            rebuilt(2, listed)
+        res = bowen_dimension(rebuilt(4, listed))
+        assert res.scope == "truncated"
+        assert res.s_lower <= 1.0 <= res.s_upper
 
 
 def test_validate_cf_full_report():
