@@ -336,32 +336,23 @@ def _cf_graph(letters_enum):
     )
 
 
-def _cf_contraction(system, probe_letters):
-    """Depth-2 certificate via a finite probe alphabet.
-
-    Both composition factors shrink as either letter grows (the image disks
-    stay in the right half-plane and |f+1/2| only increases), so the probe
-    maximum, attained at the pair (1, 1) when 1 is present, bounds every
-    pair of the full alphabet.  Exact value at (1,1): 144/169.
-    """
-    probe = GifsSystem(
-        _cf_graph(Enumeration(items=tuple(probe_letters))),
-        {0: _CF_SEED},
-        {e: system._map_fn(e) for e in probe_letters},
-        2,
-        name="cf-probe",
-    )
-    return contraction_certificate(probe, len(probe_letters))
-
-
 def cf_system(letters=None, name=None):
     """Inverse continued-fraction branches over an alphabet of Gaussian
     integers with positive real part; letters=None takes the whole countable
-    family in shell order."""
+    family in shell order.
+
+    The system certifies its depth-2 contraction on a probe alphabet, its
+    first letters: the whole of a finite one, and gaussian_alphabet(2), the
+    first ten shell-ordered letters, of the countable family.  Both
+    composition factors shrink as either letter grows (the image disks stay
+    in the right half-plane and |f+1/2| only increases), so the probe
+    maximum, attained at the pair (1, 1) when 1 is present, bounds every
+    pair of the full alphabet.  Exact value at (1,1): 144/169.
+    """
     if letters is None:
         enum = Enumeration(factory=_gaussian_shells)
         tail = _cf_tail_witness(enum, 0, 1.0)
-        probe = gaussian_alphabet(2)
+        probe = len(gaussian_alphabet(2))
         sys_name = name or "cf-full"
     else:
         canon = [_canonical_letter(e) for e in letters]
@@ -369,7 +360,7 @@ def cf_system(letters=None, name=None):
             raise InvalidAlphabet("duplicate letters")
         enum = Enumeration(items=tuple(canon))
         tail = finite_tail("edge")
-        probe = tuple(canon)
+        probe = len(canon)
         sys_name = name or f"cf-{len(canon)}"
     system = GifsSystem(
         _cf_graph(enum),
@@ -379,7 +370,7 @@ def cf_system(letters=None, name=None):
         tail=tail,
         name=sys_name,
     )
-    system.contraction = _cf_contraction(system, probe)
+    system.contraction = contraction_certificate(system, probe)
     return system
 
 
@@ -387,7 +378,9 @@ def perturbed_cf(sub_letters, full_letters=None, epsilon=1.0):
     """Keep the sub-alphabet's true branches, attach every remaining letter
     of the full alphabet with the degenerating branch
     z -> 1/(e + 1/2 + eps*(z - 1/2)); eps=0 plants the limit constants
-    1/(e+1/2) instead (zero derivative, geometry preserved).
+    1/(e+1/2) instead (zero derivative, geometry preserved).  Certifies
+    contraction as cf_system does, on the sub-alphabet and gaussian_alphabet(2)
+    (or the finite full alphabet), the first letters of its order.
     """
     eps = float(epsilon)
     if not (0.0 <= eps <= 1.0):
@@ -405,7 +398,7 @@ def perturbed_cf(sub_letters, full_letters=None, epsilon=1.0):
                     yield e
         enum = Enumeration(factory=chained)
         tail = _cf_tail_witness(enum, len(sub), max(eps, 1e-300))
-        probe_extra = [e for e in gaussian_alphabet(2) if e not in sub_set]
+        probe = len(sub) + sum(e not in sub_set for e in gaussian_alphabet(2))
     else:
         full = [_canonical_letter(e) for e in full_letters]
         if not sub_set <= set(full):
@@ -413,7 +406,7 @@ def perturbed_cf(sub_letters, full_letters=None, epsilon=1.0):
         extra = [e for e in full if e not in sub_set]
         enum = Enumeration(items=sub + tuple(extra))
         tail = finite_tail("edge")
-        probe_extra = extra
+        probe = len(sub) + len(extra)
 
     def map_for(e):
         if e in sub_set:
@@ -431,7 +424,5 @@ def perturbed_cf(sub_letters, full_letters=None, epsilon=1.0):
         tail=tail,
         name=f"cf-perturbed(eps={eps:g})",
     )
-    system.contraction = _cf_contraction(
-        system, tuple(sub) + tuple(probe_extra)
-    )
+    system.contraction = contraction_certificate(system, probe)
     return system

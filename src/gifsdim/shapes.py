@@ -87,12 +87,6 @@ def interior_margin(outer, inner):
     return outer.radius - (math.dist(outer.center, inner.center) + inner.radius)
 
 
-def separation_gap(a, b):
-    """Signed distance between two balls: positive = disjoint by that
-    margin, negative = penetration depth."""
-    return math.dist(a.center, b.center) - (a.radius + b.radius)
-
-
 def overlap_witness_point(a, b):
     """A point in the interior of both balls, or None when they do not
     overlap."""

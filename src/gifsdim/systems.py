@@ -29,14 +29,8 @@ from .errors import (
     NonAdmissibleWord,
     UnsupportedShape,
 )
-from .graphs import DirectedMultigraph, Enumeration
-from .shapes import (
-    GEOM_TOL,
-    Ball,
-    interior_margin,
-    overlap_witness_point,
-    separation_gap,
-)
+from .graphs import DirectedMultigraph, Enumeration, extend_words
+from .shapes import GEOM_TOL, Ball, interior_margin, overlap_witness_point
 
 DEFAULT_VERTEX_HORIZON = 64
 DEFAULT_EDGE_HORIZON = 4096
@@ -144,10 +138,12 @@ class GifsSystem:
 
     seeds/maps may be dicts (finite systems) or callables (countable ones).
     contraction, when given, is a declared ContractionBound that the
-    condition checks re-check instead of certifying from scratch; tail is
-    the TailWitness of a countable alphabet.  vertex_bound, when given, must
-    return sup over ALL out-edges of a vertex of the derivative sup on the
-    terminal seed; it is required for vertices of infinite out-degree.
+    condition checks take in place of certifying one: they re-check a
+    depth-1 rate against each letter's neighborhood sup and report a
+    depth-2 rate as given.  tail is the TailWitness of a countable alphabet.
+    vertex_bound, when given, must return sup over ALL out-edges of a vertex
+    of the derivative sup on the terminal seed; it is required for vertices
+    of infinite out-degree.
     edge_horizon_cap bounds the letters any horizon materializes.  A finite
     alphabet, item-listed or declared by a finite_tail, must fit under it,
     since a solve takes its capped horizon as the whole system
@@ -376,31 +372,29 @@ class GifsSystem:
         column = self._columns[name]
         known = column.shape[1]
         if n > known:
-            moebius, forms = self._table(n)
-            moebius, forms = moebius[known:], forms[:, known:]
-            labels = list(self._vertex_ids)
-            ends = [labels[v] for v in self._terminal[known:n].tolist()]
             try:
-                rows = self._seed_rows(name, moebius, forms, ends)
+                rows = self._seed_rows(name, known, n)
             except (DomainViolation, UnsupportedShape):
                 rows = np.full((len(column), n - known), np.nan)
-                for i in range(n - known):
+                for i in range(known, n):
                     try:
-                        rows[:, i] = self._seed_rows(name, moebius[i:i + 1], forms[:, i:i + 1],
-                                                     ends[i:i + 1])[:, 0]
+                        rows[:, i - known] = self._seed_rows(name, i, i + 1)[:, 0]
                     except (DomainViolation, UnsupportedShape) as err:
-                        self._faults[name][known + i] = err
+                        self._faults[name][i] = err
             column = self._columns[name] = _grown(column, rows)
         return column
 
-    def _seed_rows(self, name, moebius, forms, ends):
-        """The column name's rows for letters of families moebius and normal
-        forms forms that end at the vertices ends: their seed-image disks
-        (maps.disk_images) or seed ranges (maps.derivative_ranges), with one
-        kernel call per family.  A range reads no affine letter's seed."""
+    def _seed_rows(self, name, a, b, on="seed"):
+        """The column name's rows a to b of the letter table: the letters'
+        seed-image disks (maps.disk_images) or seed ranges
+        (maps.derivative_ranges), with one kernel call per family, or the
+        same over their terminal neighborhoods when on is "neighborhood".  A
+        range reads no affine letter's set."""
+        moebius, forms = self._table(b)
+        moebius, forms, labels = moebius[a:], forms[:, a:], list(self._vertex_ids)
         flags = moebius.tolist()
-        seeds = [self.seed(v).seed if m or name == "disks" else None
-                 for v, m in zip(ends, flags)]
+        seeds = [getattr(self.seed(labels[v]), on) if m or name == "disks" else None
+                 for v, m in zip(self._terminal[a:b].tolist(), flags)]
         if any(m and ball.dim != 2 for m, ball in zip(flags, seeds)):
             raise UnsupportedShape("Moebius maps act on the plane")
         disks = np.array([(*mapslib._on_plane(ball.center), ball.radius) if ball else (0.0,) * 3
@@ -416,8 +410,13 @@ class GifsSystem:
         i = self._vertex_ids.get(v)
         if i is None:
             return []
+        return [self._letters[j] for j in self._out_positions(i, n)]
+
+    def _out_positions(self, i, n):
+        """The incidence table's positions below n of the out-letters of
+        vertex number i, ascending."""
         positions = self._out_groups[i]
-        return [self._letters[j] for j in positions[:bisect_left(positions, n)]]
+        return positions[:bisect_left(positions, n)]
 
     def vertex_sup(self, v, horizon_edges=DEFAULT_EDGE_HORIZON):
         """sup over out-edges of the derivative sup on the terminal seed;
@@ -445,33 +444,28 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     """Certify uniform contraction on working neighborhoods over the
     materialized edges: depth 1 when the plain sup is below 1, else depth 2
     via pairwise composition bounds sup||(T_e o T_f)'|| <=
-    sup_{T_f(O)}||T_e'|| * sup_O||T_f'||, over at most PAIR_BUDGET pairs."""
-    edges = system.letters(horizon_edges)
-    if not edges:
+    sup_{T_f(O)}||T_e'|| * sup_O||T_f'|| over the admissible pairs (e, f),
+    the depth-2 words of graphs.extend_words, if at most PAIR_BUDGET: one
+    maps.disk_images call maps every O, and one maps.derivative_ranges call
+    ranges every pair."""
+    letters, initial, terminal = system.incidence(horizon_edges)
+    if not letters:
         raise ConditionViolation("no edges to certify")
-    g = system.graph
-    sups = {e: system.letter_range(e, on="neighborhood").upper for e in edges}
-    r1 = max(sups.values())
+    sups = np.array([system.letter_range(e, on="neighborhood").upper for e in letters])
+    r1 = float(sups.max())
     if r1 < 1.0:
         return ContractionBound(1, r1, r1, 1.0)
-    rho = 0.0
-    checked = 0
-    images = {f: mapslib.image_enclosure(system.map_of(f), system.seed(g.terminal(f)).neighborhood)
-              for f in edges}
-    for e in edges:
-        # T_e o T_f is admissible when f starts where e ends
-        for f in system.out_edges(g.terminal(e), horizon_edges):
-            inner = mapslib.derivative_range_over_set(system.map_of(e), images[f])
-            rho = max(rho, inner.upper * sups[f])
-            checked += 1
-            if checked > PAIR_BUDGET:
-                raise ConditionViolation(
-                    f"pair budget {PAIR_BUDGET} exhausted at rho={rho:.4g}"
-                )
+    # T_e o T_f is admissible when f starts where e ends
+    pairs = int(np.bincount(initial, minlength=int(terminal.max()) + 1)[terminal].sum())
+    if pairs > PAIR_BUDGET:
+        raise ConditionViolation(f"pair budget {PAIR_BUDGET} exceeded by {pairs} letter pairs")
+    images = system._seed_rows("disks", 0, len(letters), on="neighborhood")
+    moebius, forms = system.letter_table(len(letters))
+    e, f = extend_words(initial, terminal, np.arange(len(letters))[:, None])[0].T
+    _, inner = mapslib.derivative_ranges(moebius[e], forms[:mapslib.RANGE_ROWS, e], images[:, f])
+    rho = float((inner * sups[f]).max(initial=0.0))
     if rho >= 1.0:
-        raise ConditionViolation(
-            f"no contraction at depth 2: pairwise bound {rho:.6g} >= 1"
-        )
+        raise ConditionViolation(f"no contraction at depth 2: pairwise bound {rho:.6g} >= 1")
     return ContractionBound(2, rho, math.sqrt(rho), 1.0 / math.sqrt(rho))
 
 
@@ -522,28 +516,34 @@ def check_separation(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     `certified-separated`, and strong is `inconclusive` when a pair touches
     (gap within GEOM_TOL of 0: only the interiors are disjoint), witnessed
     by the first touching pair.  A seed that meets a pole of one of its maps
-    raises DomainViolation.
+    raises DomainViolation.  The sweep reads the seed_disks column, a letter
+    against all its later siblings at once (see _by_distance).
     """
-    starts = dict.fromkeys(system.graph.initial(e) for e in system.letters(horizon_edges))
-    min_gap = math.inf
-    touch = None
-    pairs = 0
-    for group in (system.out_edges(v, horizon_edges) for v in starts):
-        balls = [system.seed_image(e) for e in group]
-        for i, bi in enumerate(balls):
-            for j in range(i + 1, len(group)):
-                pairs += 1
-                gap = separation_gap(bi, balls[j])
-                min_gap = min(min_gap, gap)
-                if gap < -GEOM_TOL:
-                    witness = (group[i], group[j], overlap_witness_point(bi, balls[j]))
-                    return tuple(
-                        SeparationReport(mode, "overlap-witness", pairs, gap,
-                                         witness, horizon_edges)
-                        for mode in ("SSC", "OSC")
-                    )
-                if gap <= GEOM_TOL and touch is None:
-                    touch = (group[i], group[j], None)
+    letters, initial, _ = system.incidence(horizon_edges)
+    cx, cy, r = system.seed_disks(len(letters))
+    min_gap, touch, pairs = math.inf, None, 0
+    for v in dict.fromkeys(initial.tolist()):
+        group = system._out_positions(v, len(letters))
+        gx, gy, gr = cx[group], cy[group], r[group]
+        for i in range(len(group) - 1):
+            radii = gr[i] + gr[i + 1:]
+            gaps = _by_distance(gx[i + 1:] - gx[i], gy[i + 1:] - gy[i], radii,
+                                lambda d: d - radii, GEOM_TOL)
+            over = np.flatnonzero(gaps < -GEOM_TOL)
+            if over.size:
+                j = int(over[0])
+                e, f = letters[group[i]], letters[group[i + 1 + j]]
+                witness = (e, f, overlap_witness_point(system.seed_image(e), system.seed_image(f)))
+                return tuple(
+                    SeparationReport(mode, "overlap-witness", pairs + j + 1, float(gaps[j]),
+                                     witness, horizon_edges)
+                    for mode in ("SSC", "OSC")
+                )
+            touching = np.flatnonzero(gaps <= GEOM_TOL)
+            if touching.size and touch is None:
+                touch = (letters[group[i]], letters[group[i + 1 + int(touching[0])]], None)
+            min_gap = min(min_gap, float(gaps.min()))
+            pairs += len(gaps)
     return (
         SeparationReport("SSC", "inconclusive" if touch else "certified-separated",
                          pairs, min_gap, touch, horizon_edges),
@@ -552,13 +552,51 @@ def check_separation(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     )
 
 
+def _by_distance(dx, dy, size, value, bound):
+    """value(d) of the distances d = |(dx, dy)|, rounded by np.hypot, and
+    by math.hypot (as math.dist) where value may be at most bound or the
+    least value.  Both round within one ulp of d, so a gap d - r or margin
+    R - (d + r), with radii summing to size, moves by less than 4e-15 *
+    (d + size) between them, and no other entry can decide a check."""
+    dist = np.hypot(dx, dy)
+    got = value(dist)
+    slack = 4e-15 * (dist + size)
+    near = np.flatnonzero(got - slack <= max(bound, float((got + slack).min(initial=math.inf))))
+    dist[near] = list(map(math.hypot, dx[near].tolist(), dy[near].tolist()))
+    return value(dist)
+
+
+def _containment(system, count):
+    """(letter, detail) of the maps-into-seeds check over letters(count),
+    read off the seed_disks column: the first letter whose image pokes out
+    of its initial vertex's seed by more than GEOM_TOL (letter None when
+    none does), with the least margin up to it (shapes.interior_margin, see
+    _by_distance), or whose seed meets a pole, with that error."""
+    letters, initial, _ = system.incidence(count)
+    n = len(letters)
+    cx, cy, r = system._filled("disks", n)[:, :n]
+    faults = system._faults["disks"]
+    fits = min((i for i in faults if i < n), default=n)
+    labels = list(system._vertex_ids)
+    balls = [system.seed(labels[v]).seed for v in initial[:fits].tolist()]
+    ox, oy, outer = np.array([(*mapslib._on_plane(b.center), b.radius)
+                              for b in balls]).reshape(-1, 3).T
+    margins = _by_distance(cx[:fits] - ox, cy[:fits] - oy, outer + r[:fits],
+                           lambda d: outer - (d + r[:fits]), -GEOM_TOL)
+    out = np.flatnonzero(margins < -GEOM_TOL)
+    stop = int(out[0]) + 1 if out.size else fits
+    detail = f"{n} edges, min containment margin {margins[:stop].min(initial=math.inf):.3g}"
+    if out.size:
+        return letters[stop - 1], detail
+    return (letters[fits], str(faults[fits])) if fits < n else (None, detail)
+
+
 def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
                         horizon_edges=DEFAULT_EDGE_HORIZON):
     """Evaluate the defining conditions on a finite horizon.
 
     Violations are report entries with witnesses, never exceptions."""
     checks = {}
-    g = system.graph
     verts = system.vertices_prefix(horizon_vertices)
     edges = system.letters(horizon_edges)
 
@@ -588,43 +626,25 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
         bad_margin,
     )
 
-    # every edge map sends the terminal seed into the initial seed and the
-    # terminal neighborhood into the initial neighborhood
-    bad_edge = pole = None
-    worst = math.inf
-    for e in edges:
-        try:
-            img = system.seed_image(e)
-        except DomainViolation as err:
-            bad_edge, pole = e, str(err)    # singular set meets the seed itself
-            break
-        m = interior_margin(system.seed(g.initial(e)).seed, img)
-        worst = min(worst, m)
-        if m < -GEOM_TOL:
-            bad_edge = e
-            break
+    # every edge map sends the terminal seed into the initial seed (a pole
+    # on the seed itself leaves no image)
+    bad_edge, detail = _containment(system, horizon_edges)
     checks["maps-into-seeds"] = CheckEntry(
-        "violated" if bad_edge is not None else "satisfied",
-        pole or f"{len(edges)} edges, min containment margin {worst:.3g}",
-        bad_edge,
-    )
+        "violated" if bad_edge is not None else "satisfied", detail, bad_edge)
     # every edge map must be well-defined with finite derivative on the whole
     # working neighborhood of its terminal vertex (its singular set, if any,
     # must stay clear); strict image-in-neighborhood containment is NOT
     # required -- the hub letter of the continued-fraction family genuinely
     # spills over while every quantity we compute stays sound
-    bad_nb = None
-    detail_nb = "all derivative ranges over neighborhoods finite"
+    bad_nb, detail_nb = None, "all derivative ranges over neighborhoods finite"
     for e in edges:
         try:
             rng = system.letter_range(e, on="neighborhood")
         except DomainViolation as err:
-            bad_nb = e
-            detail_nb = str(err)
+            bad_nb, detail_nb = e, str(err)
             break
         if not math.isfinite(rng.upper):
-            bad_nb = e
-            detail_nb = "infinite derivative bound"
+            bad_nb, detail_nb = e, "infinite derivative bound"
             break
     checks["neighborhood-domain"] = CheckEntry(
         "violated" if bad_nb is not None else "satisfied",
@@ -636,12 +656,8 @@ def validate_conditions(system, horizon_vertices=DEFAULT_VERTEX_HORIZON,
     declared = system.contraction
     try:
         if declared is not None and declared.depth == 1:
-            offender = None
-            for e in edges:
-                rng = system.letter_range(e, on="neighborhood")
-                if rng.upper > declared.rate + GEOM_TOL:
-                    offender = e
-                    break
+            offender = next((e for e in edges if system.letter_range(
+                e, on="neighborhood").upper > declared.rate + GEOM_TOL), None)
             checks["uniform-contraction"] = CheckEntry(
                 "violated" if offender is not None else "satisfied",
                 f"declared depth-1 rate {declared.rate}",
@@ -727,19 +743,15 @@ def reduce_to_simple(system):
         raise ConditionViolation("reduction needs a materializable edge set")
     g = system.graph
     base_edges = system.letters(10 ** 9)
-    # containment sanity before rebuilding
-    for e in base_edges:
-        img = system.seed_image(e)
-        if interior_margin(system.seed(g.initial(e)).seed, img) < -GEOM_TOL:
-            raise ConditionViolation(f"edge {e} image escapes its seed")
+    # a seed on a pole raises here, and an image that escapes its seed next
+    seeds = {e: SeedSet(e, system.seed_image(e), system.seed(g.initial(e)).neighborhood)
+             for e in base_edges}
+    bad, _ = _containment(system, len(base_edges))
+    if bad is not None:
+        raise ConditionViolation(f"edge {bad} image escapes its seed")
     succ = {e: system.out_edges(g.terminal(e), len(base_edges)) for e in base_edges}
     pairs = [(e, f) for e in base_edges for f in succ[e]]
     dead = tuple(e for e in base_edges if not succ[e])
-
-    seeds = {}
-    for e in base_edges:
-        img = system.seed_image(e)
-        seeds[e] = SeedSet(e, img, system.seed(g.initial(e)).neighborhood)
     maps = {p: system.map_of(p[0]) for p in pairs}
     graph = DirectedMultigraph(
         vertices=Enumeration(items=tuple(base_edges)),

@@ -423,6 +423,16 @@ GOLDEN_STDOUT = (
 )
 
 
+def test_analyze_sweeps_every_sibling_pair_of_the_countable_cf(capsys):
+    # the default 4,096 letters on one vertex: 4096 * 4095 / 2 pairs, the
+    # first touching pair leaving SSC inconclusive
+    assert main(["analyze", "--set", "scenario=cf"]) == 0
+    sep = json.loads(capsys.readouterr().out)["separation"]
+    assert sep["pairs_checked"] == 8386560
+    assert sep["verdict"] == "inconclusive"
+    assert sep["min_gap"].hex() == "-0x1.4000000000000p-54"
+
+
 CF_DIGITS_12 = 0.5312805062772051
 EARLIER = {"dimension-affine_demo": (((0.431811162786498, 0.43181118117734735),), None),
            "components-affine_demo": (((0.431811162786498, 0.43181118117734735),), None),

@@ -14,9 +14,11 @@ Claims checked here:
     - a word disk or a range that reaches a pole still raises
       DomainViolation, and a letter whose seed image or range meets a pole
       fails alone, and a letter the alphabet lacks is not a letter
-    - a build calls each map kernel at most once per family per level, and
-      the table calls a system's map callback once per letter, however many
-      horizons and exponents ask for it
+    - a build calls each map kernel at most once per family per level, a
+      CF system's certificate maps and ranges its letter pairs with one
+      kernel call each, and the table calls a system's map callback once
+      per letter, from construction on, however many horizons and
+      exponents ask for it
     - an affine letter's range builds no seed: a ladder solve without its
       condition pass builds none
     - a stacked class's weights start on a 64-byte boundary, and the
@@ -28,7 +30,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gifsdim import maps, pressure
+from gifsdim import maps, pressure, scenarios
 from gifsdim.dimension import bowen_dimension
 from gifsdim.errors import DomainViolation, NonAdmissibleWord
 from gifsdim.graphs import DirectedMultigraph, Enumeration
@@ -227,16 +229,28 @@ def test_a_build_calls_each_kernel_once_per_family_and_level(monkeypatch):
                      "moebius_derivative_range": 1}
 
 
-def test_cf_truncation_ladders_map_each_letter_once():
-    system = cf_system()
+def test_a_cf_build_maps_no_letter_pair_alone(monkeypatch):
+    calls = count_calls(monkeypatch, maps, KERNELS)
+    cf_system(gaussian_alphabet(4))
+    # the certificate ranges each letter over its neighbourhood alone, then
+    # maps the 36 neighbourhoods and ranges the 1,296 pairs with one kernel
+    # call each
+    assert calls == {"derivative_range_over_set": 36, "moebius_derivative_range": 37,
+                     "moebius_disk_image": 1}
+
+
+def test_cf_truncation_ladders_map_each_letter_once(monkeypatch):
+    # counted from construction, whose certificate maps the first ten
+    # letters, through the ladders' 40
     calls = Counter()
-    callback = system._map_fn
 
     def counted(e):
         calls[e] += 1
-        return callback(e)
+        return MoebiusCF(e)
 
-    system._map_fn = counted
+    monkeypatch.setattr(scenarios, "MoebiusCF", counted)
+    system = cf_system()
+    assert sum(calls.values()) == 10
     for s in (1.25, 1.5, 1.75):
         truncation_ladder(system, PotentialSpec(s), [5, 10, 20, 40])
     assert sum(calls.values()) == 40

@@ -43,7 +43,8 @@ from gifsdim.maps import (
     disk_image,
     image_enclosure,
 )
-from gifsdim.shapes import Ball, as_complex, contains_point, separation_gap
+from gifsdim.shapes import Ball, as_complex, contains_point
+from geometry_reference import separation_gap
 
 STANDARD_DISK = Ball((0.5, 0.0), 0.5)
 

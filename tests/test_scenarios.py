@@ -27,8 +27,9 @@ from gifsdim.scenarios import (
     perturbed_affine,
     perturbed_cf,
 )
-from gifsdim.shapes import Ball, separation_gap
+from gifsdim.shapes import Ball
 from gifsdim.systems import check_separation, validate_conditions
+from geometry_reference import separation_gap
 
 
 # ---- ladder ----------------------------------------------------------------

@@ -9,7 +9,12 @@ Frozen oracles used here:
   * ladder contractibility constant: diam(J_v)/sup = 2 for every vertex.
 
 separation_one_mode, one pass of sibling pairs per separation flavour, is
-the reference the one-sweep check_separation is compared against.
+the reference the one-sweep check_separation is compared against; the
+per-letter and per-pair routes of geometry_reference are the references
+for the containment check and the contraction certificate, which read the
+letter table.  planar_systems draws multi-vertex planar systems that mix
+Moebius and affine letters, with coordinates often on a 1/10 grid, so that
+gaps and margins often round near 0 and math.dist's rounding decides them.
 """
 
 import math
@@ -19,10 +24,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gifsdim import maps as maps_module
+from gifsdim import scenarios
+from gifsdim import systems as systems_module
 from gifsdim.dimension import bowen_dimension
-from gifsdim.errors import ConditionViolation, NonAdmissibleWord
+from gifsdim.errors import ConditionViolation, DomainViolation, NonAdmissibleWord
 from gifsdim.graphs import DirectedMultigraph, Enumeration, extend_words
-from gifsdim.maps import ConformalAffine, MoebiusCF
+from gifsdim.maps import Constant, ConformalAffine, MoebiusCF, PerturbedMoebiusCF
 from gifsdim.pressure import PotentialSpec, _fekete_edge_upper, _letter_classes
 from gifsdim.scenarios import (
     affine_demo,
@@ -34,13 +42,7 @@ from gifsdim.scenarios import (
     perturbed_affine,
     perturbed_cf,
 )
-from gifsdim.shapes import (
-    GEOM_TOL,
-    Ball,
-    interior_margin,
-    overlap_witness_point,
-    separation_gap,
-)
+from gifsdim.shapes import GEOM_TOL, Ball, interior_margin, overlap_witness_point
 from gifsdim.systems import (
     DEFAULT_EDGE_HORIZON,
     ContractionBound,
@@ -55,6 +57,8 @@ from gifsdim.systems import (
     translate_word,
     validate_conditions,
 )
+import geometry_reference as reference
+from geometry_reference import separation_gap
 
 
 def separation_one_mode(system, mode="SSC", horizon_edges=DEFAULT_EDGE_HORIZON):
@@ -273,6 +277,154 @@ def test_contraction_certificate_pairs_admissible_compositions():
     with pytest.raises(ConditionViolation, match="4.44444"):
         contraction_certificate(sys, 10)
     assert validate_conditions(sys).checks["uniform-contraction"].status == "violated"
+
+
+COORDS = st.one_of(st.integers(-20, 20).map(lambda k: k / 10), st.floats(-2, 2))
+GAUSSIAN = st.builds(complex, st.integers(1, 3), st.integers(-2, 2))
+PLANAR_MAPS = st.one_of(
+    st.builds(MoebiusCF, GAUSSIAN),
+    st.builds(PerturbedMoebiusCF, GAUSSIAN, st.sampled_from([0.25, 0.5, 1.0])),
+    st.builds(ConformalAffine, st.builds(complex, COORDS, COORDS).map(lambda z: z / 2),
+              st.tuples(COORDS, COORDS)),
+    st.builds(Constant, st.tuples(COORDS, COORDS)),
+)
+
+
+@st.composite
+def planar_systems(draw):
+    """(make, k): a maker of fresh copies of one drawn system, with 1 to 3
+    vertices and 1 to 8 letters, and a horizon."""
+    count = draw(st.integers(1, 3))
+    vertex = st.integers(0, count - 1)
+    letters = draw(st.lists(st.tuples(vertex, vertex, PLANAR_MAPS), min_size=1, max_size=8))
+    seeds = {v: SeedSet(v, Ball((0.5 + 3 * v, 0.0), 0.5), Ball((0.5 + 3 * v, 0.0), 0.75))
+             for v in range(count)}
+
+    def make():
+        graph = DirectedMultigraph(Enumeration(items=range(count)),
+                                   Enumeration(items=range(len(letters))),
+                                   lambda e: letters[e][0], lambda e: letters[e][1])
+        return GifsSystem(graph, seeds, {e: f for e, (_, _, f) in enumerate(letters)}, 2,
+                          name="drawn")
+
+    return make, draw(st.integers(1, len(letters)))
+
+
+def certificate_bits(certify, system, k):
+    """The certificate's fields in float.hex, or the type of its error and,
+    for a ConditionViolation, its message.  A pairwise bound of 0 (no
+    admissible pair, or only constant successors) divides by zero."""
+    try:
+        cb = certify(system, k)
+    except ConditionViolation as err:
+        return ConditionViolation, str(err)
+    except (DomainViolation, ValueError, ZeroDivisionError) as err:
+        return type(err)
+    return bound_bits(cb)
+
+
+def bound_bits(cb):
+    return cb.depth, cb.rate.hex(), cb.effective_rate.hex(), cb.comparison.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=planar_systems())
+def test_the_batched_certificate_is_the_per_pair_one(drawn):
+    make, k = drawn
+    assert (certificate_bits(contraction_certificate, make(), k)
+            == certificate_bits(reference.contraction_certificate, make(), k))
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn=planar_systems())
+def test_the_batched_conditions_are_the_per_letter_ones_on_planar_systems(drawn):
+    make, k = drawn
+    # the separation sweep and the containment check round each gap and
+    # margin as math.dist does
+    _assert_sweep_matches_two_passes(make(), k)
+    assert systems_module._containment(make(), k) == reference.containment(make(), k)
+
+
+def test_gaps_and_margins_round_as_math_dist_where_they_decide():
+    # np.hypot and math.hypot differ in the last bit on about 1 pair in 200;
+    # every gap here is within rounding of 0, so each one decides
+    rng = np.random.default_rng(0)
+    dx, dy = rng.uniform(-1, 1, (2, 2000))
+    radii = np.hypot(dx, dy)
+    gaps = systems_module._by_distance(dx, dy, radii, lambda d: d - radii, GEOM_TOL)
+    want = [math.dist((0.0, 0.0), (x, y)) - r for x, y, r in zip(dx, dy, radii)]
+    assert [g.hex() for g in gaps.tolist()] == [g.hex() for g in want]
+    # margins near 1 decide nothing but their least value, which rounds as
+    # math.dist's does
+    outer = radii + 1.0
+    margins = systems_module._by_distance(dx, dy, outer, lambda d: outer - d, -GEOM_TOL)
+    assert margins.min() == min(o - math.dist((0.0, 0.0), (x, y))
+                                for x, y, o in zip(dx, dy, outer))
+
+
+def old_probe_certificate(system, probe_letters):
+    """The certificate of the probe system each CF scenario used to build:
+    the probe letters alone, on the CF seed, certified pair by pair."""
+    probe = GifsSystem(scenarios._cf_graph(Enumeration(items=tuple(probe_letters))),
+                       {0: scenarios._CF_SEED},
+                       {e: system._map_fn(e) for e in probe_letters}, 2, name="cf-probe")
+    return reference.contraction_certificate(probe, len(probe_letters))
+
+
+def _probe_extra(sub):
+    return tuple(sub) + tuple(e for e in gaussian_alphabet(2) if e not in sub)
+
+
+CF_PROBES = {
+    "cf-full": (cf_system, gaussian_alphabet(2)),
+    "cf12": (lambda: cf_system((1, 2)), (1, 2)),
+    "gaussian-4": (lambda: cf_system(gaussian_alphabet(4)), gaussian_alphabet(4)),
+    "perturbed-full": (lambda: perturbed_cf((1, 2)), _probe_extra((1, 2))),
+    "perturbed-full-quarter": (lambda: perturbed_cf((1, 2), epsilon=0.25), _probe_extra((1, 2))),
+    "perturbed-full-zero": (lambda: perturbed_cf((1, 2), epsilon=0.0), _probe_extra((1, 2))),
+    "perturbed-full-outer": (lambda: perturbed_cf((complex(1, 1), 3), epsilon=0.5),
+                             _probe_extra((complex(1, 1), 3))),
+    "perturbed-three": (lambda: perturbed_cf((1, 2), (1, 2, 3), 0.25), (1, 2, 3)),
+    "perturbed-three-zero": (lambda: perturbed_cf((1, 2), (1, 2, 3), 0.0), (1, 2, 3)),
+    "perturbed-gaussian-2": (lambda: perturbed_cf((1, 2), gaussian_alphabet(2), 0.5),
+                             _probe_extra((1, 2))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CF_PROBES))
+def test_cf_systems_certify_what_their_probe_systems_did(name):
+    make, probe = CF_PROBES[name]
+    system = make()
+    # the probe alphabet is the system's first letters
+    assert system.letters(len(probe)) == [complex(e) for e in probe]
+    got = system.contraction
+    assert bound_bits(got) == bound_bits(old_probe_certificate(system, probe))
+    if name.startswith("cf"):
+        assert got.rate.hex() == "0x1.b442a6a0916b8p-1"
+
+
+def test_the_pair_budget_is_checked_before_any_pair_is_mapped(monkeypatch):
+    system = cf_system(gaussian_alphabet(2))   # 10 letters, 100 pairs
+    calls = []
+
+    def counted(name, kernel):
+        def call(*args):
+            calls.append(name)
+            return kernel(*args)
+        return call
+
+    for name in ("disk_images", "derivative_ranges", "moebius_disk_image",
+                 "moebius_derivative_range", "derivative_range_over_set"):
+        monkeypatch.setattr(maps_module, name, counted(name, getattr(maps_module, name)))
+    monkeypatch.setattr(systems_module, "PAIR_BUDGET", 99)
+    with pytest.raises(ConditionViolation, match="pair budget 99 exceeded by 100"):
+        contraction_certificate(system, 10)
+    # the letters' own sups were ranged when the system certified itself
+    assert calls == []
+    monkeypatch.setattr(systems_module, "PAIR_BUDGET", 100)
+    assert contraction_certificate(system, 10) == system.contraction
+    assert calls == ["disk_images", "moebius_disk_image",
+                     "derivative_ranges", "moebius_derivative_range"]
 
 
 def test_out_edges_do_not_depend_on_call_history():
