@@ -40,9 +40,12 @@ Two routes, each valid at every finite stage rather than only in the limit:
   from its Perron vector, which eliminating the chains gives (see
   chains.py): the ladder's 511-state class at k = 512 then closes in one
   iteration, not about 530, and the bracket still comes only from the
-  iteration's ratios.  When every entry's range is a single value (affine
-  letters) the two matrices are one, and one iteration gives both sides.
-  Each class's power iteration multiplies by numpy alone: a complete
+  iteration's ratios.  A class's two sides, its inf and sup matrices,
+  iterate as the two rows of one array in one loop, each with its own
+  route, start, shift and stop test (see _cw_bracket); when every entry's
+  range is a single value (affine letters) the two matrices are one, and
+  the loop has one row.  Each class's power iteration multiplies by numpy
+  alone, both rows in one call: a complete
   class of more than one block over _STACK_FAN or more letters by one
   stacked np.matmul, whose sums round as the BLAS kernel adds them; every
   other class sums each row from 0.0 in ascending column order, as
@@ -367,8 +370,8 @@ def _build_geometry(system, letters, m, below=None):
             np.repeat(forms[:mapslib.RANGE_ROWS], per_letter, axis=1),
             (*np.take(disks[:2], targets, axis=1), disks[2][targets]))
     if np.array_equal(lower, upper):
-        # one array for both sides tells the spectral layer that one power
-        # iteration serves both
+        # one array for both sides tells the spectral layer that one row
+        # of its Collatz-Wielandt loop serves both
         upper = lower
     arrays = (words, indices, indptr, lower, upper, disks)
     # the matrices of every exponent, and the next depth, share these arrays
@@ -543,17 +546,19 @@ class _ClassPlan:
     to the states a*R + r; otherwise b-major, (b, a, r).  Any other class
     has fan 0 and its entries in CSR order (rows, then ascending columns).
     depth is m for a complete class, whose size is |C|**m, and 0 for any
-    other; it bounds _cw_bracket's unscaled route.  logs holds, per side
-    (0 inf, 1 sup), the logs of the class's ranges in plan order, one
-    array when the geometry's two are one.  Entries that vanish at some
+    other; it bounds _cw_bracket's unscaled route.  logs holds the logs of
+    the class's ranges in plan order as one row per side, row 0 the inf
+    side's and row 1 the sup side's, or a single row for both when the
+    geometry's two are one.  Entries that vanish at some
     exponent stay in the pattern as explicit zeros, which leave every
     positive row sum's bits unchanged.  chains holds a fan-0
     class's hubs and chains (chains.HubChains) when it has at most
     chains.HUB_MAX hubs, and is None otherwise; _cw_bracket then starts
     from the Perron vector that eliminating the chains gives.
     Complete-pattern classes never take that route.  warm holds, per side,
-    None or the exponent and final iterate (s, v) of the last probe that
-    ran unscaled; scaled probes store nothing, so a class of fan 0 keeps
+    None or the exponent and final iterate (s, v) of that side's last
+    probe that ran unscaled: its row of the joint loop's iterate, which is
+    written no more once that side stops (see _cw_bracket).  Scaled probes store nothing, so a class of fan 0 keeps
     [None, None], and side 1 stays unused while the two sides are one
     array.  A complete class's plan may also begin with a warm state: the
     previous depth's final iterate, lifted by prefix (see _lift_iterates).
@@ -566,7 +571,7 @@ class _ClassPlan:
     col: np.ndarray
     fan: int
     period: int
-    logs: tuple
+    logs: np.ndarray
     chains: object = None
     depth: int = 0
     warm: list = field(default_factory=lambda: [None, None])
@@ -613,12 +618,12 @@ def _class_plan(geom, letters, idx, period):
     else:
         fan = depth = 0
         chains = chainlib.hub_chains(n, row, col)
+    sides = (geom.lower,) if geom.upper is geom.lower else (geom.lower, geom.upper)
+    logs = np.empty((len(sides), len(positions)))
     with np.errstate(divide="ignore"):
-        lower = np.log(geom.lower[positions])
-        upper = (lower if geom.upper is geom.lower
-                 else np.log(geom.upper[positions]))
-    return _ClassPlan(letters, n, positions, row, col, fan, period,
-                      (lower, upper), chains, depth)
+        for side, ranges in enumerate(sides):
+            np.log(ranges[positions], out=logs[side])
+    return _ClassPlan(letters, n, positions, row, col, fan, period, logs, chains, depth)
 
 
 def _stacked(fan, size):
@@ -627,82 +632,153 @@ def _stacked(fan, size):
     return fan >= _STACK_FAN and size > fan
 
 
-def _class_matvec(plan, data):
-    """v -> B v for the class matrix B whose entries, in plan order, are data.
+def _class_matvec(plan, data, v):
+    """The step v -> B v, row by row, as a function of no arguments: B is
+    the class matrix of each side, whose entries, in plan order, are the
+    rows of data, and v the (sides, size) iterate, one row per side, whose
+    current contents each call reads.  v must be C-contiguous, as the step
+    reads it through views made once.
 
-    Classes with fan 0, and complete classes off the stacked form (fewer
-    than _STACK_FAN letters, or a single block), keep scipy's row order:
-    each row is summed from 0.0 over its entries in ascending column order,
-    one rounded multiply and one rounded add per entry, as csr_matvec does.
-    Off the stacked form, data of a class with fan = |C| viewed as W[b, a,
+    Each row is multiplied as it would be alone, so a side's product keeps
+    its bits beside the other side or without it.  Classes with fan 0, and
+    complete classes off the stacked form (fewer than _STACK_FAN letters,
+    or a single block), keep scipy's row order: each row of B is summed
+    from 0.0 over its entries in ascending column order, one rounded
+    multiply and one rounded add per entry, as csr_matvec does.  Off the
+    stacked form, a side's data of a class with fan = |C| viewed as W[b, a,
     r] is the weight of a*R + r -> r*|C| + b; it is multiplied by v[r*|C| +
-    b], broadcast over a, and reduced over b, the outermost axis, which
-    numpy adds in sequence.  Fan 0 scatters data * v[col] with np.bincount,
-    which adds in entry order.  On the stacked form (see _stacked), data
-    viewed as W[r, a, b] holds R dense blocks, and one np.matmul of W by v
-    viewed as (R, |C|, 1) gives entry a*R + r at [r, a], summed as the BLAS
-    kernel sums.  The multiply-reduce writes and rereads a temporary as
-    large as data, so it is memory-bound on wide classes.  Stacked over
-    multiply-reduce time (single-threaded OpenBLAS, 2-core Intel Xeon,
-    medians of 41 interleaved rounds): 1.04 at 7 letters and depth 3; 0.71,
-    0.93, 0.98 at 8 letters and depths 2, 3, 4; 0.59 at 12 letters, depth
-    3; 0.19 at 36 letters, depth 2 (12.6 against 65.8 us); about 5 at 2
-    letters, depth 11.  A single block (depth 1) stays on the
+    b], broadcast over a, and the (sides, b, a, r) terms are reduced over
+    b, which numpy adds in sequence.  Fan 0 scatters data * v[col] with one
+    np.bincount over the rows offset by side * size, which adds in entry
+    order.  On the stacked form (see _stacked), a side's data viewed as
+    W[r, a, b] holds R dense blocks, and one np.matmul of the (sides, R,
+    |C|, |C|) blocks by v viewed as (sides, R, |C|, 1) gives entry a*R + r
+    of each side at [side, r, a], each block summed as the BLAS kernel sums
+    it.  The multiply-reduce writes and rereads a temporary as large as
+    data, so it is memory-bound on wide classes.  Times of one step on two
+    rows over two one-row steps (single-threaded OpenBLAS, 2-core Intel
+    Xeon, medians of 41 interleaved rounds): 0.52, 0.57, 0.70, 0.82 at 2
+    letters and depths 3, 7, 9, 11 (8 to 2,048 states); 1.00 at 3 letters
+    and depth 9 (19,683 states); stacked, 0.83 at 8 letters and depth 3,
+    0.88 at 36 letters and depth 2.  Stacked over multiply-reduce on two
+    rows: 0.76 at 7 letters and depth 3 (1.04 on one row, which keeps
+    _STACK_FAN at 8); 0.66, 0.74, 0.74 at 8 letters and depths 2, 3, 4;
+    0.55 at 12 letters and depth 3; 0.15 at 36 letters and depth 2 (16.5
+    against 108 us).  A single block (depth 1) stays on the
     multiply-reduce: its product would be one BLAS matrix-vector call, 1 to
-    5 us faster (2.8 against 3.6 us at 8 letters, 2.7 against 8.2 at 40),
-    but a process's first BLAS call touches about 0.15 MB of buffers, which
-    a run whose wide classes are all single blocks (CF truncation ladders,
-    at depth 1) then never needs.  The returned function reuses its output
-    array.
+    5 us faster on one row (2.8 against 3.6 us at 8 letters, 2.7 against
+    8.2 at 40), but a process's first BLAS call touches about 0.15 MB of
+    buffers, which a run whose wide classes are all single blocks (CF
+    truncation ladders, at depth 1) then never needs.  The returned
+    function reuses its output array.
     """
+    sides = len(data)
     n, c = plan.size, plan.fan
     if not c:
-        row, col = plan.row, plan.col
-        return lambda v: np.bincount(row, weights=data * v[col], minlength=n)
+        col = plan.col
+        row = (plan.row + n * np.arange(sides)[:, None]).ravel()
+        return lambda: np.bincount(row, weights=(data * v[:, col]).ravel(),
+                                   minlength=sides * n).reshape(sides, n)
     r = n // c
-    out = np.empty(n)
+    out = np.empty((sides, n))
     if _stacked(c, n):
-        blocks = data.reshape(r, c, c)
-        prod = np.empty((r, c, 1))
+        blocks = data.reshape(sides, r, c, c)
+        prod = np.empty((sides, r, c, 1))
+        right, left = v.reshape(sides, r, c, 1), out.reshape(sides, c, r)
+        products = prod.reshape(sides, r, c).transpose(0, 2, 1)
 
-        def matvec(v):
-            np.matmul(blocks, v.reshape(r, c, 1), out=prod)
-            np.copyto(out.reshape(c, r), prod.reshape(r, c).T)
+        def matvec():
+            np.matmul(blocks, right, out=prod)
+            np.copyto(left, products)
             return out
 
         return matvec
-    weights = data.reshape(c, c, r)
-    terms = np.empty((c, c, r))
+    weights = data.reshape(sides, c, c, r)
+    terms = np.empty((sides, c, c, r))
+    right = v.reshape(sides, r, c).transpose(0, 2, 1)[:, :, None, :]
+    left = out.reshape(sides, c, r)
 
-    def matvec(v):
-        np.multiply(weights, v.reshape(r, c).T[:, None, :], out=terms)
-        np.add.reduce(terms, axis=0, out=out.reshape(c, r))
+    def matvec():
+        np.multiply(weights, right, out=terms)
+        # reduce over b into left, positionally (see _cw_bracket)
+        np.add.reduce(terms, 1, None, left)
         return out
 
     return matvec
 
 
-def _cw_bracket(plan, side, logs, s):
-    """Certified spectral-radius bracket for one class matrix at exponent s.
+def _cw_start(plan, side, s, data, v, top, low):
+    """Set up one side's power iteration at exponent s (see _cw_bracket):
+    data is the side's row of the class weights, holding its log-weights
+    s * logs, whose largest and smallest are top and low; fill it with its
+    entries over theta, scaled or not, and v with its start.  Returns
+    (theta, shift, relative), relative when the side runs unscaled and so
+    stops on a relative bracket and keeps its iterate, or None when every
+    entry vanishes at s."""
+    if top == -math.inf:
+        return None
+    relative = bool(plan.fan and plan.depth * (top - low) <= _UNSCALED_SPREAD)
+    if relative:
+        warm = plan.warm[side]
+        if warm is not None and warm[0] > 0.0:
+            s_prev, prev = warm
+            np.log(prev, out=v)
+            v *= s / s_prev
+            np.exp(v, out=v)
+            np.maximum(v, 1e-300, out=v)
+        else:
+            v.fill(1.0)
+        # exp(s * logs) / theta, theta = e**top the largest entry; each is
+        # at least e**-650 > 0
+        data -= top
+        np.exp(data, out=data)
+        theta = float(np.exp(top))
+        positive = True
+    else:
+        # the log-weights, kept until the scaled entries are formed
+        logw = data.copy()
+        d = None
+        if plan.chains is not None:
+            d = chainlib.perron_log(plan.chains, plan.row, logw)
+        if d is None:
+            d = _equilibrate_scales(plan, logw)
+        v.fill(1.0)
+        # the scaled entries exp(logw + d[col] - d[row]) / theta, in the
+        # order of that expression
+        np.add(logw, d[plan.col], out=data)
+        data -= d[plan.row]
+        np.exp(data, out=data)
+        if not np.isfinite(data).all():
+            np.exp(logw, out=data)
+        theta = float(np.maximum.reduce(data))
+        np.divide(data, theta, out=data)
+        positive = np.minimum.reduce(data) > 0.0
+    shift = 1.0 if plan.period != 1 or not positive else 0.0
+    return theta, shift, relative
 
-    logs holds the logs of one side's ranges in plan order, and the
-    class's entries are exp(s * logs), each 1 at s = 0 even for a range of
-    0 (as 0.0**0.0 == 1, and with no 0 * -inf).  Power iteration on
-    M = B/theta, theta the largest scaled entry, when B is primitive: the
-    class has period 1 and every scaled entry is positive at this s.  Any
-    other class, such as one whose entries vanish or underflow at this s
-    and may leave it reducible or periodic there, iterates on M = I +
-    B/theta, which converges whatever the period.  Where both converge the
-    shift mostly costs steps: a subdominant eigenvalue lambda contracts at
-    |1 + lambda/theta| / (1 + rho/theta), not at |lambda| / rho (0.36
-    against 0.149 per step on CF {1, 2, 3} at depth 3, s = 0.5), though a
-    nearly periodic class can favour the shift.  Every iterate gives
-    Collatz-Wielandt bounds min_i (Mv)_i/v_i <= rho(M) <= max_i
-    (Mv)_i/v_i -- the lower via a nonnegative left Perron vector u (u(Mv)
-    >= min_ratio * uv and uv > 0 since v > 0), the upper likewise -- so
-    the running intersection over iterations stays certified for any
-    positive start and any positive conjugation; the ends are its bounds,
-    less the shift, times theta.
+
+def _cw_bracket(plan, s):
+    """Certified spectral-radius brackets for a class's matrices at exponent
+    s, one per side: the inf side's, then the sup side's, or one bracket
+    for both when the plan holds one row of logs for both.
+
+    Each side's entries are exp(s * logs), logs its logs in plan order, and
+    each is 1 at s = 0 even for a range of 0 (as 0.0**0.0 == 1, and with no
+    0 * -inf).  Power iteration on M = B/theta, theta the largest scaled
+    entry, when B is primitive: the class has period 1 and every scaled
+    entry is positive at this s.  Any other class, such as one whose
+    entries vanish or underflow at this s and may leave it reducible or
+    periodic there, iterates on M = I + B/theta, which converges whatever
+    the period.  Where both converge the shift mostly costs steps: a
+    subdominant eigenvalue lambda contracts at |1 + lambda/theta| / (1 +
+    rho/theta), not at |lambda| / rho (0.36 against 0.149 per step on CF
+    {1, 2, 3} at depth 3, s = 0.5), though a nearly periodic class can
+    favour the shift.  Every iterate gives Collatz-Wielandt bounds min_i
+    (Mv)_i/v_i <= rho(M) <= max_i (Mv)_i/v_i -- the lower via a nonnegative
+    left Perron vector u (u(Mv) >= min_ratio * uv and uv > 0 since v > 0),
+    the upper likewise -- so the running intersection over iterations
+    stays certified for any positive start and any positive conjugation;
+    the ends are its bounds, less the shift, times theta.
 
     A complete class (fan > 0) of depth m whose log-weights at s are all
     finite and span at most _UNSCALED_SPREAD / m iterates on the entries
@@ -710,12 +786,11 @@ def _cw_bracket(plan, side, logs, s):
     states are joined by exactly one m-step path, so their Perron entries
     differ by a factor of at most e**(m * spread) <= e**650, as do the
     entries of every iterate from the m-th on, and e**-650 stays clear of
-    the 1e-300 floor below.  Any
-    other class is conjugated by exp(d), d from a max-plus scale search
-    (_equilibrate_scales), applied in logs, so that Perron vectors that
-    span past float64 (long chains) still converge and an entry whose
-    weight underflows float64 (the ladder's deep spine at s = 4.5) keeps
-    its size once scaled.
+    the 1e-300 floor below.  Any other class is conjugated by exp(d), d
+    from a max-plus scale search (_equilibrate_scales), applied in logs, so
+    that Perron vectors that span past float64 (long chains) still
+    converge and an entry whose weight underflows float64 (the ladder's
+    deep spine at s = 4.5) keeps its size once scaled.
 
     Starts.  Only the unscaled route keeps state.  An unscaled probe
     stores (s, v), its exponent and final iterate, in plan.warm[side], and
@@ -732,108 +807,127 @@ def _cw_bracket(plan, side, logs, s):
     vector, while every entry stays within its row sum, about rho, where
     the vector itself may span past float64.  Any other scaled class, or
     one where the elimination fails, searches its scales from zero
-    (_equilibrate_scales).  The iteration stops once the bracket of
-    rho(B/theta) is CW_TOL wide, or stalls after CW_MAX_ITER steps.
-    Scaled, theta is at most about rho, as no scaled entry exceeds
-    e**lambda, lambda the max-plus eigenvalue, and e**lambda <= rho.
-    Unscaled, the largest entry may exceed rho by up to e**(m * spread /
-    (m + 1)), along the one (m+1)-cycle through it, so the bracket must
-    also be CW_TOL wide relative to its lower end.  Returns (lo, hi,
-    stalled, iterations).
+    (_equilibrate_scales).  Each side takes its route, theta, shift and
+    start alone (_cw_start).
+
+    One loop.  The sides then iterate as the rows of one array, one
+    _class_matvec and one set of ufunc calls per pass for both, which on
+    these classes costs little more than one side's pass does.  Each side
+    stops once the bracket of its rho(B/theta) is CW_TOL wide, or stalls
+    after CW_MAX_ITER passes.  Scaled, theta is at most about rho, as no
+    scaled entry exceeds e**lambda, lambda the max-plus eigenvalue, and
+    e**lambda <= rho.  Unscaled, the largest entry may exceed rho by up to
+    e**(m * spread / (m + 1)), along the one (m+1)-cycle through it, so the
+    bracket must also be CW_TOL wide relative to its lower end.  A side
+    that stops freezes its bracket, iterate and count, and the other runs
+    on alone on a one-row view; every operation acts on each row as on
+    that side alone, so each side's bits and count are those of a loop of
+    its own.  A side whose entries all vanish at s gives (0, 0) with no
+    iteration.  Returns one (lo, hi, stalled, iterations) per side.
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
-    nstates = plan.size
-    # a stacked class's weights start on a 64-byte boundary (see _aligned);
-    # the other classes keep np.empty, on which cf-deep's solves ran faster
-    buffer = _aligned if plan.fan and _stacked(plan.fan, nstates) else np.empty
-    logw = buffer(len(logs))
-    if s:
-        np.multiply(logs, s, out=logw)
-    else:
-        logw.fill(0.0)
+    sides, n = len(plan.logs), plan.size
     lowest, highest = np.minimum.reduce, np.maximum.reduce
-    top = float(highest(logw))
-    if top == -np.inf:
-        return 0.0, 0.0, False, 0
-    if plan.fan and plan.depth * (top - lowest(logw)) <= _UNSCALED_SPREAD:
-        d = None
-        warm = plan.warm[side]
-        if warm is not None and warm[0] > 0.0:
-            s_prev, v = warm
-            v = np.log(v)
-            v *= s / s_prev
-            np.exp(v, out=v)
+    # a stacked class's weights start each row on a 64-byte boundary (see
+    # _aligned); the other classes keep np.empty, on which cf-deep's solves
+    # ran faster
+    shape = plan.logs.shape
+    data = _aligned(*shape) if plan.fan and _stacked(plan.fan, n) else np.empty(shape)
+    # every side's log-weights, and their extremes, in one call each; a
+    # row's extremes are exact, so each is the one side's alone
+    if s:
+        np.multiply(plan.logs, s, out=data)
+    else:
+        data.fill(0.0)
+    tops, lows = highest(data, axis=1).tolist(), lowest(data, axis=1).tolist()
+    v = np.empty((sides, n))
+    starts = [_cw_start(plan, side, s, data[side], v[side], tops[side], lows[side])
+              for side in range(sides)]
+    live = [side for side in range(sides) if starts[side] is not None]
+    best_lo, best_hi = [0.0] * sides, [math.inf] * sides
+    stalled, counts, finals = [False] * sides, [0] * sides, [None] * sides
+    if live:
+        if len(live) < sides:
+            # one side vanished, and the other runs alone
+            data, v = (a[live[0]:live[0] + 1] for a in (data, v))
+        # v is normalised in place, so the matvec reads it through views
+        # made once; the ratios and the row peaks are buffers, the
+        # reductions skip ndarray.min/max's Python wrapper, and positional
+        # arguments skip the ufuncs' keyword parsing
+        ratios, peak = np.empty_like(v), np.empty((len(live), 1))
+        matvec = _class_matvec(plan, data, v)
+        shifted = _shifted_rows([starts[side][1] for side in live])
+        for iterations in range(1, max_iter + 1):
+            w = matvec()
+            if shifted is not None:
+                np.add(w, v, out=w, where=shifted)
+            np.divide(w, v, ratios)
+            cur_lo = lowest(ratios, 1).tolist()
+            cur_hi = highest(ratios, 1).tolist()
+            keep = []
+            for k, side in enumerate(live):
+                if cur_lo[k] > best_lo[side]:
+                    best_lo[side] = cur_lo[k]
+                if cur_hi[k] < best_hi[side]:
+                    best_hi[side] = cur_hi[k]
+                gap = best_hi[side] - best_lo[side]
+                if gap <= tol and (not starts[side][2] or gap <= tol * best_lo[side]):
+                    counts[side], finals[side] = iterations, v[k]
+                else:
+                    keep.append(k)
+            if len(keep) < len(live):
+                if not keep:
+                    break
+                # the other side runs on alone, so the stopped side's row of
+                # v is written no more; the two-row matvec's temporaries go
+                # before the one-row one's are made
+                (k,) = keep
+                live = [live[k]]
+                data, w, v, ratios, peak = (a[k:k + 1] for a in (data, w, v, ratios, peak))
+                shifted = _shifted_rows([starts[live[0]][1]])
+                matvec = None
+                matvec = _class_matvec(plan, data, v)
+            # the floor keeps v strictly positive even if a component still
+            # underflows; any positive test vector certifies, just loosely
+            highest(w, 1, None, peak, True)
+            np.divide(w, peak, v)
             np.maximum(v, 1e-300, out=v)
         else:
-            v = np.ones(nstates)
-        # exp(s * logs) / theta, theta = e**top the largest entry, formed in
-        # logw's buffer
-        logw -= top
-        data = np.exp(logw, out=logw)
-        theta = float(np.exp(top))
-    else:
-        d = None
-        if plan.chains is not None:
-            d = chainlib.perron_log(plan.chains, plan.row, logw)
-        if d is None:
-            d = _equilibrate_scales(plan, logw)
-        v = np.ones(nstates)
-        # the scaled entries exp(logw + d[col] - d[row]) / theta, formed in
-        # one buffer, in the order of that expression
-        data = np.add(logw, d[plan.col], out=buffer(len(logw)))
-        data -= d[plan.row]
-        np.exp(data, out=data)
-        if not np.isfinite(data).all():
-            d = np.zeros(nstates)
-            data = np.exp(logw, out=data)
-        theta = float(data.max())
-        np.divide(data, theta, out=data)
-    # the ratios and the next iterate are buffers, and the reductions skip
-    # ndarray.min/max's Python wrapper
-    ratios, nxt = np.empty(nstates), np.empty(nstates)
-    shift = 1.0 if plan.period != 1 or not lowest(data) > 0.0 else 0.0
-    matvec = _class_matvec(plan, data)
-    best_lo = 0.0
-    best_hi = math.inf
-    stalled = True
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        w = matvec(v)
-        if shift:
-            np.add(w, v, out=w)
-        np.divide(w, v, out=ratios)
-        cur_lo = float(lowest(ratios))
-        cur_hi = float(highest(ratios))
-        if cur_lo > best_lo:
-            best_lo = cur_lo
-        if cur_hi < best_hi:
-            best_hi = cur_hi
-        gap = best_hi - best_lo
-        if gap <= tol and (d is not None or gap <= tol * best_lo):
-            stalled = False
-            break
-        # the floor keeps v strictly positive even if a component still
-        # underflows; any positive test vector certifies, just loosely
-        np.divide(w, highest(w), out=nxt)
-        np.maximum(nxt, 1e-300, out=nxt)
-        v, nxt = nxt, v
-    if d is None:
-        plan.warm[side] = (s, v)
-    lo = max(best_lo - shift, 0.0) * theta
-    hi = max(best_hi - shift, 0.0) * theta
-    if lo > hi:
-        lo = hi
-    return lo, hi, stalled, iterations
+            for k, side in enumerate(live):
+                stalled[side], counts[side], finals[side] = True, max_iter, v[k]
+    out = []
+    for side, start in enumerate(starts):
+        if start is None:
+            out.append((0.0, 0.0, False, 0))
+            continue
+        theta, shift, relative = start
+        if relative:
+            plan.warm[side] = (s, finals[side])
+        lo = max(best_lo[side] - shift, 0.0) * theta
+        hi = max(best_hi[side] - shift, 0.0) * theta
+        out.append((min(lo, hi), hi, stalled[side], counts[side]))
+    return tuple(out)
 
 
-def _aligned(size):
-    """An uninitialised float64 array of size entries that starts on a
-    64-byte boundary.  The stacked np.matmul reads its weights from one
-    (see _cw_bracket), so where the heap places them cannot change the
-    speed of its BLAS kernel, nor, through it, a solve's."""
-    raw = np.empty(size + 7)
+def _shifted_rows(shifts):
+    """The where argument of np.add that adds v to the rows of the sides
+    whose shift, in shifts, is 1: True when all are, None when none is."""
+    if all(shifts):
+        return True
+    if not any(shifts):
+        return None
+    return np.array(shifts, dtype=bool)[:, None]
+
+
+def _aligned(sides, size):
+    """An uninitialised (sides, size) float64 array each of whose rows
+    starts on a 64-byte boundary.  The stacked np.matmul reads its weights
+    from one (see _cw_bracket), so where the heap places them cannot change
+    the speed of its BLAS kernel, nor, through it, a solve's."""
+    step = -(-size // 8) * 8
+    raw = np.empty(sides * step + 7)
     start = -raw.ctypes.data % 64 // 8
-    return raw[start:start + size]
+    return raw[start:start + sides * step].reshape(sides, step)[:, :size]
 
 
 def _cycling_classes(words, letter_classes):
@@ -901,9 +995,10 @@ def pressure_spectral(system, potential, k, m=1):
     component holds the argmax, the first on an exact tie, which between
     classes no path joins is the one Tarjan finds first.  No nontrivial
     class, even with no m-letter word at all, means no periodic word:
-    bracket (-inf, -inf) and no component.  When the two matrices are one
-    (affine letters) a single iteration per class gives both ends, exactly
-    as two would.
+    bracket (-inf, -inf) and no component.  Both ends of a class come from
+    one Collatz-Wielandt loop over its two sides (see _cw_bracket), each
+    as a loop of its own would give it; when the two matrices are one
+    (affine letters) that loop runs one row for both.
     """
     wm = build_weighted_matrix(system, potential, k, m)
     lower = -math.inf
@@ -913,15 +1008,11 @@ def pressure_spectral(system, potential, k, m=1):
     stalled = False
     s = potential.s
     for plan in wm.geometry.classes:
-        inf_logs, sup_logs = plan.logs
-        lo_inf, hi_sup, st_a, _ = _cw_bracket(plan, 0, inf_logs, s)
-        st_b = False
-        if sup_logs is not inf_logs:
-            _, hi_sup, st_b, _ = _cw_bracket(plan, 1, sup_logs, s)
-        c_lower = _safe_log(lo_inf)
-        c_upper = _safe_log(hi_sup)
+        brackets = _cw_bracket(plan, s)
+        c_lower = _safe_log(brackets[0][0])
+        c_upper = _safe_log(brackets[-1][1])
         comps.append((plan.letters, c_lower, c_upper))
-        stalled = stalled or st_a or st_b
+        stalled = stalled or any(b[2] for b in brackets)
         if c_upper > upper:
             upper = c_upper
             best = plan.letters

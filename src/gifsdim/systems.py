@@ -73,7 +73,9 @@ class ContractionBound:
     rate; single steps may reach 1.  effective_rate is the per-step decay
     usable in geometric estimates (rate, or sqrt(rate) at depth 2) and
     comparison >= 1 is the constant in sup-of-n-step-products <=
-    comparison * effective_rate**n.
+    comparison * effective_rate**n.  A rate of 0 says that every map (depth
+    1) or every admissible composition of two (depth 2) is constant, so
+    every product of that many steps or more has derivative 0.
     """
 
     depth: int
@@ -84,8 +86,8 @@ class ContractionBound:
     def __post_init__(self):
         if self.depth not in (1, 2):
             raise ValueError("depth must be 1 or 2")
-        if not (0.0 < self.rate < 1.0):
-            raise ValueError(f"rate {self.rate} outside (0,1)")
+        if not (0.0 <= self.rate < 1.0):
+            raise ValueError(f"rate {self.rate} outside [0,1)")
 
 
 @dataclass(frozen=True)
@@ -466,6 +468,9 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     rho = float((inner * sups[f]).max(initial=0.0))
     if rho >= 1.0:
         raise ConditionViolation(f"no contraction at depth 2: pairwise bound {rho:.6g} >= 1")
+    if rho == 0.0:
+        # every admissible pair composes to a constant map
+        return ContractionBound(2, 0.0, 0.0, 1.0)
     return ContractionBound(2, rho, math.sqrt(rho), 1.0 / math.sqrt(rho))
 
 

@@ -74,6 +74,8 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
                     f"pair budget {systems.PAIR_BUDGET} exhausted at rho={rho:.4g}")
     if rho >= 1.0:
         raise ConditionViolation(f"no contraction at depth 2: pairwise bound {rho:.6g} >= 1")
+    if rho == 0.0:
+        return ContractionBound(2, 0.0, 0.0, 1.0)
     return ContractionBound(2, rho, math.sqrt(rho), 1.0 / math.sqrt(rho))
 
 

@@ -87,23 +87,25 @@ def class_plan(geom):
                        pattern_period(geom.indptr, geom.indices))
 
 
-def bracket(plan, weights):
-    """The class's bracket at s = 1 from the logs of its weights."""
+def bracket(plan):
+    """The class's bracket at s = 1, where its entries are its weights, the
+    ranges of its one array for both sides."""
     assert plan.fan == 0 and plan.chains is not None
     assert 1 <= len(plan.chains.hubs) <= HUB_MAX
-    with np.errstate(divide="ignore"):
-        return _cw_bracket(plan, 0, np.log(weights[plan.positions]), 1.0)
+    assert len(plan.logs) == 1
+    (side,) = _cw_bracket(plan, 1.0)
+    return side
 
 
 def drawn_class(hubs, extra, max_len, zero_frac, seed):
-    """(rng, plan, weights, rho) of a drawn class with chains."""
+    """(rng, plan, rho) of a drawn class with chains."""
     rng = np.random.default_rng(seed)
-    geom, weights, rho = hub_and_chain(rng, hubs, extra, max_len, zero_frac)
+    geom, _, rho = hub_and_chain(rng, hubs, extra, max_len, zero_frac)
     plan = class_plan(geom)
     # a few draws, such as one hub with only a self-loop, have the complete
     # pattern instead
     assume(plan.fan == 0)
-    return rng, plan, weights, rho
+    return rng, plan, rho
 
 
 def assert_contains(lo, hi, rho):
@@ -122,8 +124,8 @@ CLASSES = dict(hubs=st.integers(1, HUB_MAX), extra=st.integers(0, 6),
 @example(hubs=2, extra=4, max_len=8, zero_frac=0.0, seed=3)
 def test_chain_start_brackets_the_known_root_at_once(hubs, extra, max_len, zero_frac,
                                                      seed):
-    _, plan, weights, rho = drawn_class(hubs, extra, max_len, zero_frac, seed)
-    lo, hi, stalled, iterations = bracket(plan, weights)
+    _, plan, rho = drawn_class(hubs, extra, max_len, zero_frac, seed)
+    lo, hi, stalled, iterations = bracket(plan)
     assert not stalled and iterations <= 2, (iterations, plan.size)
     assert_contains(lo, hi, rho)
 
@@ -131,10 +133,10 @@ def test_chain_start_brackets_the_known_root_at_once(hubs, extra, max_len, zero_
 @pytest.mark.parametrize("length", [2, 3, 37, 300])
 def test_single_cycle_takes_state_zero_as_its_hub(length):
     rng = np.random.default_rng(length)
-    geom, weights, rho = weighted_class(rng, [[(i + 1) % length] for i in range(length)])
+    geom, _, rho = weighted_class(rng, [[(i + 1) % length] for i in range(length)])
     plan = class_plan(geom)
     assert plan.chains.hubs.tolist() == [0]
-    lo, hi, stalled, iterations = bracket(plan, weights)
+    lo, hi, stalled, iterations = bracket(plan)
     assert not stalled and iterations <= 2
     assert_contains(lo, hi, rho)
 
@@ -159,7 +161,7 @@ def test_a_vanished_cycle_entry_gives_no_start_and_no_warning(zero_at, monkeypat
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert chains.perron_log(plan.chains, plan.row, ldata) is None
-        lo, hi, _, _ = bracket(plan, weights)
+        lo, hi, _, _ = bracket(plan)
     assert lo == 0.0 <= hi
 
 
@@ -169,8 +171,8 @@ def test_long_legs_bracket_the_known_root_at_once(length):
     # hub count: the ladder's class has two hubs and spines of up to 256
     rng = np.random.default_rng(length)
     for hubs in range(1, HUB_MAX + 1):
-        geom, weights, rho = hub_and_chain(rng, hubs, 2, length, 0.3)
-        lo, hi, stalled, iterations = bracket(class_plan(geom), weights)
+        geom, _, rho = hub_and_chain(rng, hubs, 2, length, 0.3)
+        lo, hi, stalled, iterations = bracket(class_plan(geom))
         assert not stalled and iterations <= 2, (hubs, iterations)
         assert_contains(lo, hi, rho)
 
@@ -181,7 +183,7 @@ def test_a_poor_start_still_brackets_the_known_root(hubs, extra, max_len, zero_f
                                                     seed, noise):
     # a start off by up to a factor e**+-noise per state only costs steps;
     # the budget is cut so that a slow class stalls, still certified
-    rng, plan, weights, rho = drawn_class(hubs, extra, max_len, zero_frac, seed)
+    rng, plan, rho = drawn_class(hubs, extra, max_len, zero_frac, seed)
     exact = chains.perron_log
 
     def poor(hub_chains, row, ldata):
@@ -191,5 +193,5 @@ def test_a_poor_start_still_brackets_the_known_root(hubs, extra, max_len, zero_f
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(chains, "perron_log", poor)
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
-        lo, hi, _, _ = bracket(plan, weights)
+        lo, hi, _, _ = bracket(plan)
     assert_contains(lo, hi, rho)

@@ -1,13 +1,13 @@
 """The Collatz-Wielandt class matvecs against scipy, by bytes.
 
 Both narrow numpy forms in pressure._class_matvec promise to add each row's
-terms from 0.0 in ascending column order, as scipy's csr_matvec does.  The
-weights span many binary orders of magnitude, so a sum taken in any other
-order (numpy's pairwise summation, a reversed or blocked loop) changes
-low bits and fails here.  A complete class of more than one block over
-pressure._STACK_FAN or more letters takes the stacked np.matmul form
-instead, and must give the bytes of the same np.matmul over the dense
-blocks that scipy slices out of its matrix.
+terms from 0.0 in ascending column order, as scipy's csr_matvec does, on
+each side of the class alike.  The weights span many binary orders of
+magnitude, so a sum taken in any other order (numpy's pairwise summation,
+a reversed or blocked loop) changes low bits and fails here.  A complete
+class of more than one block over pressure._STACK_FAN or more letters
+takes the stacked np.matmul form instead, and must give the bytes of the
+same np.matmul over the dense blocks that scipy slices out of its matrix.
 """
 
 from types import SimpleNamespace
@@ -17,7 +17,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gifsdim.pressure import _STACK_FAN, _class_matvec, _class_plan, _ClassPlan, _stacked
+from gifsdim.pressure import (
+    _STACK_FAN,
+    _aligned,
+    _class_matvec,
+    _class_plan,
+    _ClassPlan,
+    _stacked,
+)
 from periods import pattern_period
 from stacked import stacked_matvec
 
@@ -43,19 +50,32 @@ def random_weights(rng, nnz, zero_frac):
 
 
 def check(geom, plan, rng, zero_frac):
+    # two sides, each row of weights on a 64-byte boundary as the spectral
+    # layer lays them out, and each side's product must have the bytes of
+    # that side's alone
     n = len(geom.states)
-    data = random_weights(rng, len(geom.indices), zero_frac)
-    v = np.maximum(rng.random(n) * np.exp2(-rng.integers(0, 40, n)), 1e-300)
-    mat = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(n, n))
+    data = np.stack([random_weights(rng, len(geom.indices), zero_frac) for _ in range(2)])
+    v = np.maximum(rng.random((2, n)) * np.exp2(-rng.integers(0, 40, (2, n))), 1e-300)
+    rows = _aligned(2, len(plan.positions))
+    rows[...] = data[:, plan.positions]
     # the stacked form is checked on a class that is the whole geometry
-    want_of = stacked_matvec(mat, plan.fan) if _stacked(plan.fan, n) else mat.dot
-    want = want_of(v)
-    matvec = _class_matvec(plan, data[plan.positions])
-    got = matvec(v)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
-    # a second call reuses the output array and must not depend on the first
-    v2 = v[::-1].copy()
-    assert matvec(v2).tobytes() == want_of(v2).tobytes()
+    want_of = []
+    for side in data:
+        mat = sp.csr_matrix((side, geom.indices, geom.indptr), shape=(n, n))
+        want_of.append(stacked_matvec(mat, plan.fan) if _stacked(plan.fan, n) else mat.dot)
+    iterate = v.copy()
+    matvec = _class_matvec(plan, rows, iterate)
+    # a second call reads the iterate's new contents, reuses the output
+    # array and must not depend on the first
+    for vs in (v, v[:, ::-1].copy()):
+        iterate[...] = vs
+        got = matvec()
+        assert got.shape == vs.shape and got.dtype == np.float64
+        for side, want in enumerate(want_of):
+            assert got[side].tobytes() == want(vs[side]).tobytes()
+    # the second side on its own row, as it runs once the first has stopped
+    alone = _class_matvec(plan, rows[1:], iterate[1:])()
+    assert alone.tobytes() == want_of[1](iterate[1]).tobytes()
 
 
 def csr_plan(geom):
@@ -64,8 +84,8 @@ def csr_plan(geom):
     n = len(geom.states)
     row = np.repeat(np.arange(n), np.diff(geom.indptr))
     col = geom.indices.astype(np.intp)
-    logs = np.zeros(len(col))
-    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0, 1, (logs, logs))
+    return _ClassPlan(geom.states, n, np.arange(len(col)), row, col, 0, 1,
+                      np.zeros((1, len(col))))
 
 
 def complete_geometry(letters, depth):
@@ -149,5 +169,5 @@ def test_class_plan_keeps_only_in_class_entries():
     data = random_weights(rng, len(geom.indices), 0.2)
     v = rng.random(4) + 0.5
     inner = sp.csr_matrix((data, geom.indices, geom.indptr), shape=(5, 5))[:4][:, :4]
-    got = _class_matvec(plan, data[plan.positions])(v)
+    (got,) = _class_matvec(plan, data[None, plan.positions], v[None])()
     assert got.tobytes() == (inner @ v).tobytes()

@@ -319,19 +319,33 @@ def test_cf_pair_solve_stays_within_its_iteration_budget(monkeypatch):
     # class iterated on I + B/theta, 427 with its primitive classes on
     # B/theta, and 448 once its complete classes ran without scales from
     # lifted starts, at a tighter CW_TOL; a change that brings the shift
-    # back to them fails here
-    counts = []
-    inner = pressure_module._cw_bracket
+    # back to them fails here.  Both sides of each class iterate in one
+    # loop, whose passes number the larger side's count: 232 over the 18
+    # calls, where the sides take 448; a return to one loop per side fails
+    # here too
+    counts, passes = [], []
+    inner, matvec = pressure_module._cw_bracket, pressure_module._class_matvec
 
-    def counted(*args):
-        out = inner(*args)
-        counts.append(out[3])
+    def counted(plan, s):
+        out = inner(plan, s)
+        counts.extend(side[3] for side in out)
         return out
 
+    def counted_matvec(plan, data, v):
+        step = matvec(plan, data, v)
+
+        def counted_step():
+            passes.append(None)
+            return step()
+
+        return counted_step
+
     monkeypatch.setattr(pressure_module, "_cw_bracket", counted)
+    monkeypatch.setattr(pressure_module, "_class_matvec", counted_matvec)
     res = bowen_dimension(cf_system(letters=(1, 2)), s_tol=1e-5)
     assert contains(res, CF_DIGITS_12)
     assert sum(counts) <= 500, sum(counts)
+    assert len(passes) <= 240, len(passes)
 
 
 def test_cf_pair_meets_a_tolerance_no_sign_can_reach():

@@ -279,17 +279,20 @@ def test_stacked_weights_are_aligned_and_keep_their_bits(monkeypatch):
     offsets = Counter()
     matvec = pressure._class_matvec
 
-    def watched(plan, data):
+    def watched(plan, data, v):
         if pressure._stacked(plan.fan, plan.size):
-            offsets[data.ctypes.data % 64] += 1
-        return matvec(plan, data)
+            offsets.update(row.ctypes.data % 64 for row in data)
+        return matvec(plan, data, v)
 
     monkeypatch.setattr(pressure, "_class_matvec", watched)
     est = pressure_spectral(system, PotentialSpec(1.5), 36, 2)
-    # one product per side
-    assert offsets == {0: 2}
-    assert all(pressure._aligned(n).ctypes.data % 64 == 0 for n in range(1, 40))
+    # one product with a row per side, until one side stops and the other
+    # runs on alone on its own row
+    assert offsets == {0: 3}
+    assert all(row.ctypes.data % 64 == 0 for sides in (1, 2) for n in range(1, 40)
+               for row in pressure._aligned(sides, n))
     # the same bracket on an unaligned copy of the weights
-    monkeypatch.setattr(pressure, "_aligned", lambda n: np.empty(n + 1)[1:])
+    monkeypatch.setattr(pressure, "_aligned",
+                        lambda sides, n: np.empty((sides, n + 1))[:, 1:])
     again = pressure_spectral(cf_system(gaussian_alphabet(4)), PotentialSpec(1.5), 36, 2)
     assert (est.lower, est.upper) == (again.lower, again.upper)

@@ -16,6 +16,7 @@ import gc
 import itertools
 import math
 import weakref
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
@@ -586,26 +587,152 @@ def test_a_scaled_probe_keeps_no_state(monkeypatch):
     assert plans and all(plan.fan == 0 and plan.warm == [None, None] for plan in plans)
 
 
+def one_side_matvec(plan, data):
+    """v -> B v for one side's class entries data, in plan order, each in
+    the form pressure._class_matvec gives that class, on one side alone."""
+    n, c = plan.size, plan.fan
+    if not c:
+        return lambda v: np.bincount(plan.row, weights=data * v[plan.col], minlength=n)
+    r = n // c
+    if pressure._stacked(c, n):
+        blocks = data.reshape(r, c, c)
+        return lambda v: np.matmul(blocks, v.reshape(r, c, 1)).reshape(r, c).T.ravel()
+    weights = data.reshape(c, c, r)
+    return lambda v: np.add.reduce(weights * v.reshape(r, c).T[:, None, :], axis=0).ravel()
+
+
+def reference_cw_side(plan, side, s):
+    """One side's Collatz-Wielandt bracket (lo, hi, stalled, iterations) at
+    exponent s, from a loop of its own: the reference for
+    pressure._cw_bracket, which iterates both sides in one loop and must
+    keep each side's bits, count and stored iterate.  It takes the same
+    route, theta, shift, start and stop test, and reads and writes
+    plan.warm[side] as the joint loop does."""
+    # a plan with one row of logs has it for both sides
+    logs = plan.logs[min(side, len(plan.logs) - 1)]
+    logw = logs * s if s else np.zeros(len(logs))
+    top = float(logw.max())
+    if top == -np.inf:
+        return 0.0, 0.0, False, 0
+    relative = bool(plan.fan) and plan.depth * (top - logw.min()) <= pressure._UNSCALED_SPREAD
+    if relative:
+        warm = plan.warm[side]
+        if warm is not None and warm[0] > 0.0:
+            s_prev, v = warm
+            v = np.maximum(np.exp(np.log(v) * (s / s_prev)), 1e-300)
+        else:
+            v = np.ones(plan.size)
+        data = np.exp(logw - top)
+        theta = float(np.exp(top))
+    else:
+        d = None
+        if plan.chains is not None:
+            d = chains.perron_log(plan.chains, plan.row, logw)
+        if d is None:
+            d = reference_equilibrate_scales(plan.size, plan.row, plan.col, logw)
+        v = np.ones(plan.size)
+        data = np.exp(logw + d[plan.col] - d[plan.row])
+        if not np.isfinite(data).all():
+            data = np.exp(logw)
+        theta = float(data.max())
+        data = data / theta
+    shift = 1.0 if plan.period != 1 or not data.min() > 0.0 else 0.0
+    matvec = one_side_matvec(plan, data)
+    best_lo, best_hi, stalled = 0.0, math.inf, True
+    for iterations in range(1, pressure.CW_MAX_ITER + 1):
+        w = matvec(v) + v if shift else matvec(v)
+        ratios = w / v
+        best_lo = max(best_lo, float(ratios.min()))
+        best_hi = min(best_hi, float(ratios.max()))
+        gap = best_hi - best_lo
+        if gap <= CW_TOL and (not relative or gap <= CW_TOL * best_lo):
+            stalled = False
+            break
+        v = np.maximum(w / w.max(), 1e-300)
+    if relative:
+        plan.warm[side] = (s, v)
+    lo = max(best_lo - shift, 0.0) * theta
+    hi = max(best_hi - shift, 0.0) * theta
+    return min(lo, hi), hi, stalled, iterations
+
+
+def side_bits(result):
+    lo, hi, stalled, iterations = result
+    return _bits(lo), _bits(hi), stalled, iterations
+
+
+def warm_bits(plans):
+    """Each plan's stored iterates, per side: None or (s, bytes of v)."""
+    return [[None if w is None else (_bits(w[0]), w[1].tobytes()) for w in plan.warm]
+            for plan in plans]
+
+
 def two_side_spectral(system, potential, k, m):
-    """pressure_spectral's components with one Collatz-Wielandt call per
-    side, on the same plans and warm starts, each named by the letters its
-    states start with."""
-    wm = build_weighted_matrix(system, potential, k, m)
-    position = {e: i for i, e in enumerate(system.letters(k))}
-    comps = []
-    for plan in wm.geometry.classes:
-        lo, _, st_a, _ = _cw_bracket(plan, 0, plan.logs[0], potential.s)
-        _, hi, st_b, _ = _cw_bracket(plan, 1, plan.logs[1], potential.s)
-        # the geometry rows that hold the class's entries are its states
-        rows = np.searchsorted(wm.geometry.indptr, plan.positions, side="right") - 1
-        first = tuple(sorted({wm.states[i][0] for i in rows.tolist()},
-                             key=position.__getitem__))
-        comps.append((first, _bits(math.log(lo) if lo > 0.0 else -math.inf),
-                      _bits(math.log(hi) if hi > 0.0 else -math.inf), st_a or st_b))
-    return comps
+    """Per class of the depth-m geometry: its letters and, per side, the
+    one-side reference's (lo, hi, stalled, iterations) in bits, on the
+    geometry's own plans and warm starts; then the stored iterates."""
+    plans = build_weighted_matrix(system, potential, k, m).geometry.classes
+    comps = [(plan.letters, [side_bits(reference_cw_side(plan, side, potential.s))
+                             for side in (0, 1)]) for plan in plans]
+    return comps, warm_bits(plans)
 
 
-def test_shared_side_matches_two_side_calls_bitwise():
+def joint_spectral(system, potential, k, m, monkeypatch):
+    """What pressure_spectral gives and what its _cw_bracket calls return:
+    the estimate, then per class its letters, per side (lo, hi, stalled,
+    iterations) in bits and whether its plan holds one array of logs for
+    both sides, then the stored iterates."""
+    calls = []
+    inner = pressure._cw_bracket
+    with monkeypatch.context() as patch:
+        patch.setattr(pressure, "_cw_bracket",
+                      lambda plan, s: calls.append(inner(plan, s)) or calls[-1])
+        est = pressure_spectral(system, potential, k, m)
+    plans = build_weighted_matrix(system, potential, k, m).geometry.classes
+    comps = [(plan.letters, [side_bits(r) for r in out], len(plan.logs) == 1)
+             for plan, out in zip(plans, calls, strict=True)]
+    return est, comps, warm_bits(plans)
+
+
+def assert_joint_loop_keeps_one_side_bits(make, k, depths, sequence, monkeypatch,
+                                          warm=True):
+    """Probe each exponent of sequence at each depth in depths, in that
+    order, with pressure_spectral and with the one-side reference, each on
+    its own system: within one solve when warm, so that unscaled sides
+    start from the previous probe's iterate and a deeper geometry from the
+    shallower one's, and else on a fresh system per probe.  Every class's
+    per-side brackets, stall flags and iteration counts, the components and
+    stored iterates must match the reference bit for bit.  A plan with one
+    array of logs runs one side, which must match both reference sides."""
+    probes = [(m, s) for m in depths for s in sequence]
+    sys, ref = make(), make()
+    with _reuse_geometry():
+        got = [joint_spectral(sys if warm else make(), PotentialSpec(s), k, m, monkeypatch)
+               for m, s in probes]
+    with _reuse_geometry():
+        want = [two_side_spectral(ref if warm else make(), PotentialSpec(s), k, m)
+                for m, s in probes]
+    for (m, s), (est, comps, warms), (rcomps, rwarms) in zip(probes, got, want):
+        where = (make, k, m, s, warm)
+        assert len(comps) == len(rcomps) == len(est.components), where
+        one = [shares for _, _, shares in comps]
+        for (cls, sides, shares), (rcls, rsides), (ecls, lo, hi) in zip(
+                comps, rcomps, est.components):
+            assert cls == rcls == ecls, where
+            assert sides == (rsides[:1] if shares else rsides), where
+            if shares:
+                assert rsides[1] == rsides[0], where
+            for x, y in ((lo, rsides[0][0]), (hi, rsides[1][1])):
+                ref_bracket = float.fromhex(y)
+                assert _bits(x) == _bits(math.log(ref_bracket) if ref_bracket > 0.0
+                                         else -math.inf), where
+        assert est.stalled == any(side[2] for _, rsides in rcomps for side in rsides), where
+        for ws, rws, shares in zip(warms, rwarms, one):
+            assert ws[0] == rws[0], where
+            assert ws[1] == (None if shares else rws[1]), where
+
+
+def test_shared_side_matches_two_side_calls_bitwise(monkeypatch):
     # affine letters give equal inf and sup ranges, and then one power
     # iteration per class stands in for both sides
     sequence = (2.0, 0.0, 1.0, 0.5, 0.75, 0.625, 0.6875, 0.65625)
@@ -616,20 +743,66 @@ def test_shared_side_matches_two_side_calls_bitwise():
         assert wm.geometry.upper is wm.geometry.lower
         assert wm.sup_weights is wm.inf_weights
         for warm in (False, True):
-            sys, ref_sys = make(), make()
-            with _reuse_geometry():
-                got = [pressure_spectral(sys if warm else make(), PotentialSpec(s), k, m)
-                       for s in sequence]
-            with _reuse_geometry():
-                want = [two_side_spectral(ref_sys if warm else make(), PotentialSpec(s), k, m)
-                        for s in sequence]
-            for s, est, comps in zip(sequence, got, want):
-                where = (make, k, warm, s)
-                assert [(cls, _bits(lo), _bits(hi)) for cls, lo, hi in est.components] == [
-                    c[:3] for c in comps], where
-                assert est.stalled == any(c[3] for c in comps), where
+            assert_joint_loop_keeps_one_side_bits(make, k, (m,), sequence, monkeypatch,
+                                                  warm)
     cf = build_weighted_matrix(cf_system(letters=(1, 2)), PotentialSpec(0.5), 2, 3)
     assert cf.sup_weights is not cf.inf_weights
+
+
+@pytest.mark.parametrize("case", ["cf-pair", "gaussian-4", "planted", "ladder", "ladder-scan"])
+def test_joint_loop_keeps_each_sides_bits(case, monkeypatch):
+    # both sides of a class iterate as the rows of one array, and each side
+    # keeps the bracket, stall flag, count and iterate that a loop of its
+    # own gives: on the multiply-reduce (the CF pair, every depth, warm
+    # and lifted), on the stacked np.matmul (36 letters at depth 2), with
+    # one side scaled and shifted and the other not (the planted letters,
+    # on a cut budget that stalls the scaled side), and on one array with
+    # chains and with a scale search (the ladder)
+    sequence = (2.0, 0.0, 1.0, 0.5, 0.75, 0.5625, 0.53125)
+    if case == "cf-pair":
+        args = (lambda: cf_system(letters=(1, 2)), 2, range(1, 12), sequence)
+    elif case == "gaussian-4":
+        args = (lambda: cf_system(gaussian_alphabet(4)), 36, (2,), (2.0, 0.0, 1.75, 1.5))
+    elif case == "planted":
+        monkeypatch.setattr(pressure, "CW_MAX_ITER", 10)
+        args = (lambda: perturbed_cf((1, 2), (1, 2, 3), epsilon=0.0), 3, (2,), sequence)
+    else:
+        if case == "ladder-scan":
+            monkeypatch.setattr(chains, "HUB_MAX", 0)
+        args = (ladder_system, 512, (1,), sequence)
+    assert_joint_loop_keeps_one_side_bits(*args, monkeypatch)
+
+
+def test_joint_loop_keeps_each_sides_bits_on_mixed_routes():
+    # a stand-in complete class over three letters at depth 2 whose inf
+    # ranges hold zeros and whose sup ranges are positive: the inf side runs
+    # scaled and shifted, with the absolute stop test, and the sup side
+    # unscaled and unshifted, with the relative one, so the two stop apart.
+    # With every inf range 0 the inf side gives (0, 0) at s > 0, and the
+    # sup side runs alone
+    rng = np.random.default_rng(11)
+    n, letters = 9, 3
+    indices = ((np.arange(n) % 3 * letters)[:, None] + np.arange(letters)).ravel()
+    indptr = np.arange(0, len(indices) + 1, letters)
+    upper = np.exp(rng.uniform(-3.0, 0.0, len(indices)))
+    lowers = (np.where(np.arange(len(indices)) % 4 == 1, 0.0, 0.5 * upper),
+              np.zeros(len(indices)))
+    routes = set()
+    for lower in lowers:
+        geom = SimpleNamespace(indices=indices.astype(np.int32),
+                               indptr=indptr.astype(np.int32), lower=lower, upper=upper)
+        plan, ref = (pressure._class_plan(geom, (0, 1, 2), np.arange(n), 1)
+                     for _ in range(2))
+        assert plan.fan == letters and len(plan.logs) == 2
+        for s in (2.0, 0.0, 1.0, 0.5, 0.75, 0.625):
+            got = _cw_bracket(plan, s)
+            want = [reference_cw_side(ref, side, s) for side in (0, 1)]
+            assert [side_bits(r) for r in got] == [side_bits(r) for r in want], (s, got)
+            assert warm_bits([plan]) == warm_bits([ref]), s
+            routes.add(tuple(r[3] for r in got))
+    # the sides stopped apart, and a vanished side took no step
+    assert any(a and b and a != b for a, b in routes)
+    assert any(a == 0 < b for a, b in routes)
 
 
 def state_graph(adj, words):
@@ -901,11 +1074,8 @@ def test_planted_constant_letters_run_shifted(monkeypatch):
     assert plan.period == 1
     assert (geom.lower[plan.positions] == 0.0).any()
     shifted = pressure._class_plan(geom, letters, idx, 2)
-    for side, logs in enumerate(plan.logs):
-        got = _cw_bracket(plan, side, logs, 0.5)
-        want = _cw_bracket(shifted, side, logs, 0.5)
-        assert [x.hex() for x in got[:2]] == [x.hex() for x in want[:2]]
-        assert got[2:] == want[2:]
+    got, want = _cw_bracket(plan, 0.5), _cw_bracket(shifted, 0.5)
+    assert [side_bits(r) for r in got] == [side_bits(r) for r in want]
 
 
 @pytest.mark.parametrize("s", [4.5, 6.0])

@@ -64,9 +64,12 @@ def class_plan(rows, period=None):
 
 def bracket(plan, weights):
     """The class's bracket at s = 1 from the logs of its weights, given in
-    rows order."""
+    rows order, as the plan's one row of logs for both sides."""
     with np.errstate(divide="ignore"):
-        return _cw_bracket(plan, 0, np.log(weights[plan.positions]), 1.0)
+        logs = np.log(weights[plan.positions])
+    plan.logs = logs[None]
+    (side,) = _cw_bracket(plan, 1.0)
+    return side
 
 
 def dense_root(rows, weights):

@@ -279,6 +279,32 @@ def test_contraction_certificate_pairs_admissible_compositions():
     assert validate_conditions(sys).checks["uniform-contraction"].status == "violated"
 
 
+def test_a_zero_pairwise_bound_certifies_contraction():
+    # a: 0 -> 1 expands by 1.5, and c: 1 -> 0 is constant, so the only
+    # admissible pairs, (a, c) and (c, a), compose to constants: the
+    # pairwise bound is 0, and needs no division.  The certificate is
+    # depth 2 at rate 0, the batched one as the per-pair one, and the
+    # condition pass reports every entry without raising
+    seeds = {v: SeedSet(v, Ball((0.5 + 3 * v, 0.0), 0.5), Ball((0.5 + 3 * v, 0.0), 0.75))
+             for v in (0, 1)}
+    ends = {"a": (0, 1), "c": (1, 0)}
+    maps = {"a": ConformalAffine(1.5, (0.0, 0.0)), "c": Constant((0.5, 0.0))}
+    graph = DirectedMultigraph(Enumeration(items=(0, 1)), Enumeration(items=tuple(ends)),
+                               lambda e: ends[e][0], lambda e: ends[e][1])
+
+    def make():
+        return GifsSystem(graph, seeds, maps, 2, name="zero-pair")
+
+    cb = contraction_certificate(make(), 2)
+    assert (cb.depth, cb.rate, cb.effective_rate) == (2, 0.0, 0.0)
+    assert bound_bits(cb) == certificate_bits(reference.contraction_certificate, make(), 2)
+    report = validate_conditions(make())
+    assert report.checks["uniform-contraction"].status == "satisfied"
+    assert {entry.status for entry in report.checks.values()} <= {
+        "satisfied", "violated", "inconclusive", "skipped"}
+    assert len(report.checks) > 1
+
+
 COORDS = st.one_of(st.integers(-20, 20).map(lambda k: k / 10), st.floats(-2, 2))
 GAUSSIAN = st.builds(complex, st.integers(1, 3), st.integers(-2, 2))
 PLANAR_MAPS = st.one_of(
@@ -312,13 +338,12 @@ def planar_systems(draw):
 
 def certificate_bits(certify, system, k):
     """The certificate's fields in float.hex, or the type of its error and,
-    for a ConditionViolation, its message.  A pairwise bound of 0 (no
-    admissible pair, or only constant successors) divides by zero."""
+    for a ConditionViolation, its message."""
     try:
         cb = certify(system, k)
     except ConditionViolation as err:
         return ConditionViolation, str(err)
-    except (DomainViolation, ValueError, ZeroDivisionError) as err:
+    except (DomainViolation, ValueError) as err:
         return type(err)
     return bound_bits(cb)
 

@@ -115,7 +115,7 @@ def test_unscaled_brackets_hold_the_dense_radius(letters, depth, seed):
     plan = complete_class(letters, depth, rng.uniform(-40.0, 0.0, letters**(depth + 1)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
-        lo, hi, _, _ = _cw_bracket(plan, 0, plan.logs[0], 1.0)
+        ((lo, hi, _, _),) = _cw_bracket(plan, 1.0)
     (s_prev, _), unused = plan.warm
     assert s_prev == 1.0 and unused is None
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
@@ -131,7 +131,7 @@ def test_a_largest_entry_far_above_rho_still_gives_a_tight_bracket():
     logw = np.full((3, 3), -300.0)
     logw[0, 0], logw[1, 2] = -100.0, 0.0
     plan = complete_class(3, 1, logw.ravel())
-    lo, hi, stalled, _ = _cw_bracket(plan, 0, plan.logs[0], 1.0)
+    ((lo, hi, stalled, _),) = _cw_bracket(plan, 1.0)
     assert plan.warm[0] is not None and not stalled
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) - SLACK <= want <= math.log(hi) + SLACK, (lo, want, hi)
@@ -168,14 +168,14 @@ def test_complete_class_past_the_spread_bound_takes_the_scales(monkeypatch):
     logw, rho = perron_class(np.random.default_rng(20261019), 2, 3, 250.0)
     plan = complete_class(2, 3, logw)
     assert plan.depth * np.ptp(plan.logs[0]) > pressure._UNSCALED_SPREAD
-    lo, hi, stalled, _ = _cw_bracket(plan, 0, plan.logs[0], 1.0)
+    ((lo, hi, stalled, _),) = _cw_bracket(plan, 1.0)
     assert len(calls) == 1 and not stalled
     assert plan.warm == [None, None]
     assert lo * (1.0 - SLACK) <= rho <= hi * (1.0 + SLACK), (lo, rho, hi)
     monkeypatch.setattr(pressure, "CW_MAX_ITER", 1000)
     monkeypatch.setattr(pressure, "_UNSCALED_SPREAD", math.inf)
     forced = complete_class(2, 3, logw)
-    assert _cw_bracket(forced, 0, forced.logs[0], 1.0)[2]
+    assert _cw_bracket(forced, 1.0)[0][2]
     assert len(calls) == 1
 
 
