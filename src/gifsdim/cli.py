@@ -7,6 +7,10 @@ stdout.  Identical configs produce byte-identical outputs, and every JSON
 record embeds the sha256 digest of the canonicalized config next to the
 knobs that shaped the run.
 
+A config names a scenario of the registry _SCENARIOS, or gives an inline
+similarity system.  A scenario's one entry there is all that parse_config
+and _build read of it: its kind, its options and its builder.
+
 Exit codes: 0 means the command ran and certified nothing wrong, 2 means it
 ran and produced certified findings against the system (overlap witnesses,
 violated validity checks, certified irregularity), 1 means a fault (bad
@@ -18,7 +22,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dimension import bowen_dimension, default_horizon, dimension_per_component
 from .errors import (
@@ -56,18 +60,58 @@ from .scenarios import (
 from .shapes import Box
 from .systems import reduce_to_simple, validate_conditions
 
-# the scenario_options each named scenario reads; inline scenarios read none
-_SCENARIO_OPTIONS = {
-    "ladder_6_1": ("truncate_vertices",),
-    "cantor": (),
-    "golden": (),
-    "affine_demo": (),
-    "affine_perturbed": ("epsilon",),
-    "cf": ("letters",),
-    "cf_perturbed": ("sub_letters", "full_letters", "epsilon"),
-    "cf_family": ("sub_letters", "full_letters"),
-    "affine_family": (),
+# ---------------------------------------------------------------------------
+# scenario registry
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    """A named scenario: build(**options) makes its system, or its
+    perturbation family when family is set.  It must be given each option
+    in requires and may be given each in accepts, which maps it to its
+    default; any other option is a config violation."""
+
+    build: object
+    family: bool = False
+    requires: tuple = ()
+    accepts: dict = field(default_factory=dict)
+
+
+_SCENARIOS = {
+    "ladder_6_1": _Scenario(
+        lambda truncate_vertices: ladder_system() if truncate_vertices is None
+        else ladder_truncation(truncate_vertices),
+        accepts={"truncate_vertices": None}),
+    "cantor": _Scenario(lambda: moran_system([1 / 3, 1 / 3], offsets=[0.0, 2 / 3], name="cantor")),
+    "golden": _Scenario(lambda: moran_system([0.5, 0.25], name="golden")),
+    "affine_demo": _Scenario(affine_demo),
+    "affine_perturbed": _Scenario(perturbed_affine, accepts={"epsilon": 0.1}),
+    "cf": _Scenario(cf_system, accepts={"letters": None}),
+    "cf_perturbed": _Scenario(perturbed_cf, requires=("sub_letters",),
+                              accepts={"full_letters": None, "epsilon": 0.5}),
+    "cf_family": _Scenario(cf_family, family=True, requires=("sub_letters",),
+                           accepts={"full_letters": None}),
+    "affine_family": _Scenario(affine_family, family=True),
 }
+# options whose values are letter lists, each letter an int or an [m, n] pair
+_LETTER_OPTIONS = ("letters", "sub_letters", "full_letters")
+
+
+def _build(config, family=False):
+    """The system the config's scenario names, or with family its
+    perturbation family; a scenario of the other kind is a fault."""
+    sc = config.scenario
+    entry = _SCENARIOS.get(sc) if isinstance(sc, str) else None
+    if (entry is not None and entry.family) != family:
+        kind = "perturbation family" if family else "single system"
+        raise SchemaViolation([f"scenario: {sc!r} does not name a {kind}"])
+    if entry is None:
+        return moran_system(
+            [float(r) for r in sc["ratios"]],
+            offsets=sc.get("offsets"),
+            name="inline-similarity",
+        )
+    return entry.build(**{**entry.accepts, **config.scenario_options})
 
 
 @dataclass(frozen=True)
@@ -96,8 +140,6 @@ class RunConfig:
     render_depth: object = None
     cap: object = None
     binary: bool = False
-    seed: int = 0
-    threads: int = 1
     output: object = None
     digest: str = ""
 
@@ -153,10 +195,12 @@ def _check_options(label, opts, problems):
     if not isinstance(opts, dict):
         problems.append("scenario_options: expected an object")
         return
+    # inline systems, and names the registry lacks, read no option
+    entry = _SCENARIOS.get(label, _Scenario(None))
     for key, value in opts.items():
-        if key not in _SCENARIO_OPTIONS.get(label, ()):
+        if key not in entry.requires and key not in entry.accepts:
             problems.append(f"scenario_options.{key}: not read by scenario '{label}'")
-        elif key in ("letters", "sub_letters", "full_letters"):
+        elif key in _LETTER_OPTIONS:
             _check_letters(value, f"scenario_options.{key}", problems)
         elif key == "epsilon":
             if not _is_num(value) or not (0.0 <= value <= 1.0):
@@ -164,8 +208,9 @@ def _check_options(label, opts, problems):
         elif key == "truncate_vertices":
             if not _is_int(value) or value < 1:
                 problems.append("scenario_options.truncate_vertices: expected an int >= 1")
-    if label in ("cf_perturbed", "cf_family") and "sub_letters" not in opts:
-        problems.append("scenario_options.sub_letters: required for this scenario")
+    for key in entry.requires:
+        if key not in opts:
+            problems.append(f"scenario_options.{key}: required for this scenario")
 
 
 def parse_config(text):
@@ -187,7 +232,7 @@ def parse_config(text):
     if scenario is None:
         problems.append("scenario: required")
     elif isinstance(scenario, str):
-        if scenario not in _SCENARIO_OPTIONS:
+        if scenario not in _SCENARIOS:
             problems.append(f"scenario: unknown name {scenario!r}")
     elif isinstance(scenario, dict):
         _check_inline(scenario, problems)
@@ -197,30 +242,20 @@ def parse_config(text):
     if isinstance(scenario, (str, dict)):
         _check_options(_scenario_label(scenario), obj.get("scenario_options", {}), problems)
 
-    def positive_num(key):
-        v = obj.get(key)
-        if v is not None and (not _is_num(v) or v <= 0.0):
-            problems.append(f"{key}: expected a positive number")
+    def check(key, ok, message):
+        # an unset (or null) field takes the command's default
+        if obj.get(key) is not None and not ok(obj[key]):
+            problems.append(f"{key}: {message}")
 
-    def positive_int(key):
-        v = obj.get(key)
-        if v is not None and (not _is_int(v) or v < 1):
-            problems.append(f"{key}: expected an int >= 1")
-
-    s = obj.get("s")
-    if s is not None and (not _is_num(s) or s < 0.0):
-        problems.append("s: expected a finite number >= 0")
+    check("s", lambda v: _is_num(v) and v >= 0.0, "expected a finite number >= 0")
     for key in ("s_tol", "s_max"):
-        positive_num(key)
+        check(key, lambda v: _is_num(v) and v > 0.0, "expected a positive number")
     for key in (
         "depth", "horizon", "horizon_cap", "state_cap", "max_evals",
-        "resolution", "render_depth", "cap", "threads",
+        "resolution", "render_depth", "cap",
     ):
-        positive_int(key)
-
-    epsilon = obj.get("epsilon")
-    if epsilon is not None and (not _is_num(epsilon) or not (0.0 < epsilon < 1.0)):
-        problems.append("epsilon: outside (0,1)")
+        check(key, lambda v: _is_int(v) and v >= 1, "expected an int >= 1")
+    check("epsilon", lambda v: _is_num(v) and 0.0 < v < 1.0, "outside (0,1)")
     epsilons = obj.get("epsilons")
     if epsilons is not None:
         if not isinstance(epsilons, list) or not epsilons:
@@ -229,15 +264,9 @@ def parse_config(text):
             for i, e in enumerate(epsilons):
                 if not _is_num(e) or not (0.0 < e < 1.0):
                     problems.append(f"epsilons[{i}]: outside (0,1)")
-    horizons = obj.get("horizons")
-    if horizons is not None:
-        if (
-            not isinstance(horizons, list)
-            or not horizons
-            or not all(_is_int(h) and h >= 1 for h in horizons)
-            or any(b <= a for a, b in zip(horizons, horizons[1:]))
-        ):
-            problems.append("horizons: expected increasing ints >= 1")
+    check("horizons", lambda v: isinstance(v, list) and v
+          and all(_is_int(h) and h >= 1 for h in v)
+          and all(a < b for a, b in zip(v, v[1:])), "expected increasing ints >= 1")
 
     bounds = obj.get("bounds")
     if bounds is not None:
@@ -254,15 +283,10 @@ def parse_config(text):
         elif any(hi <= lo for lo, hi in zip(bounds[0], bounds[1])):
             problems.append("bounds: upper must exceed lower in every coordinate")
 
-    seed = obj.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        problems.append("seed: expected an int >= 0")
     binary = obj.get("binary", False)
     if not isinstance(binary, bool):
         problems.append("binary: expected true or false")
-    output = obj.get("output")
-    if output is not None and not isinstance(output, str):
-        problems.append("output: expected a path string")
+    check("output", lambda v: isinstance(v, str), "expected a path string")
 
     if problems:
         raise SchemaViolation(problems)
@@ -271,73 +295,17 @@ def parse_config(text):
         json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
     fields = {k: obj[k] for k in known if k in obj}
-    fields.setdefault("scenario_options", {})
-    fields.setdefault("seed", 0)
-    fields.setdefault("threads", 1)
-    fields.setdefault("binary", False)
+    # the builders take the letter m + ni of an [m, n] pair as a complex
+    opts = dict(obj.get("scenario_options", {}))
+    for key in _LETTER_OPTIONS:
+        if key in opts:
+            opts[key] = tuple(complex(*e) if isinstance(e, list) else e for e in opts[key])
+    fields["scenario_options"] = opts
     if "epsilons" in fields:
         fields["epsilons"] = tuple(fields["epsilons"])
     if "horizons" in fields:
         fields["horizons"] = tuple(fields["horizons"])
     return RunConfig(digest=digest, **fields)
-
-
-# ---------------------------------------------------------------------------
-# scenario registry
-
-
-def _as_letters(raw):
-    return tuple(
-        complex(item[0], item[1]) if isinstance(item, list) else complex(item)
-        for item in raw
-    )
-
-
-def _build_system(config):
-    sc = config.scenario
-    opts = config.scenario_options
-    if isinstance(sc, dict):
-        return moran_system(
-            [float(r) for r in sc["ratios"]],
-            offsets=sc.get("offsets"),
-            name="inline-similarity",
-        )
-    if sc == "ladder_6_1":
-        k = opts.get("truncate_vertices")
-        return ladder_truncation(k) if k is not None else ladder_system()
-    if sc == "cantor":
-        return moran_system([1 / 3, 1 / 3], offsets=[0.0, 2 / 3], name="cantor")
-    if sc == "golden":
-        return moran_system([0.5, 0.25], name="golden")
-    if sc == "affine_demo":
-        return affine_demo()
-    if sc == "affine_perturbed":
-        return perturbed_affine(opts.get("epsilon", 0.1))
-    if sc == "cf":
-        letters = opts.get("letters")
-        return cf_system(letters=_as_letters(letters) if letters is not None else None)
-    if sc == "cf_perturbed":
-        full = opts.get("full_letters")
-        return perturbed_cf(
-            _as_letters(opts["sub_letters"]),
-            _as_letters(full) if full is not None else None,
-            opts.get("epsilon", 0.5),
-        )
-    raise SchemaViolation([f"scenario: {sc!r} does not name a single system"])
-
-
-def _build_family(config):
-    sc = config.scenario
-    opts = config.scenario_options
-    if sc == "cf_family":
-        full = opts.get("full_letters")
-        return cf_family(
-            _as_letters(opts["sub_letters"]),
-            _as_letters(full) if full is not None else None,
-        )
-    if sc == "affine_family":
-        return affine_family()
-    raise SchemaViolation([f"scenario: {sc!r} does not name a perturbation family"])
 
 
 # ---------------------------------------------------------------------------
@@ -365,17 +333,17 @@ def _record(config, command, payload, **knobs):
         "command": command,
         "config_digest": config.digest,
         "scenario": _scenario_label(config.scenario),
-        "seed": config.seed,
     }
     rec.update({k: v for k, v in knobs.items() if v is not None})
     rec.update(payload)
     return _jsonable(rec)
 
 
-def _emit(config, stream, records):
+def _emit(stream, records, path=None):
+    """Write records as JSON lines to the file at path, or to stream."""
     text = "".join(json.dumps(r, sort_keys=True) + "\n" for r in records)
-    if config.output:
-        with open(config.output, "w") as fh:
+    if path:
+        with open(path, "w") as fh:
             fh.write(text)
     else:
         stream.write(text)
@@ -400,7 +368,7 @@ def _solver_kwargs(config):
 
 
 def _cmd_analyze(config, stream):
-    system = _build_system(config)
+    system = _build(config)
     kwargs = {}
     if config.horizon is not None:
         kwargs["horizon_edges"] = config.horizon
@@ -436,13 +404,13 @@ def _cmd_analyze(config, stream):
         "scc": {"nontrivial": len(sizes), "sizes": sizes, "letters": len(system.letters(horizon))},
         "findings": findings,
     }
-    _emit(config, stream, [_record(config, "analyze", payload, horizon=config.horizon)])
+    _emit(stream, [_record(config, "analyze", payload, horizon=config.horizon)], config.output)
     return 2 if findings else 0
 
 
 def _cmd_pressure(config, stream):
     _require(config, "s")
-    system = _build_system(config)
+    system = _build(config)
     depth = config.depth or 1
     horizon = default_horizon(system, config.horizon)
     est = truncation_ladder(system, PotentialSpec(config.s), [horizon], depth=depth)[-1]
@@ -460,18 +428,18 @@ def _cmd_pressure(config, stream):
         }
     }
     _emit(
-        config, stream,
-        [_record(config, "pressure", payload, horizon=est.horizon, depth=depth)],
+        stream, [_record(config, "pressure", payload, horizon=est.horizon, depth=depth)],
+        config.output,
     )
     return 0
 
 
 def _cmd_dimension(config, stream):
-    system = _build_system(config)
+    system = _build(config)
     result = bowen_dimension(system, **_solver_kwargs(config))
     payload = {"result": result.record()}
     _emit(
-        config, stream,
+        stream,
         [
             _record(
                 config, "dimension", payload,
@@ -479,12 +447,13 @@ def _cmd_dimension(config, stream):
                 max_evals=config.max_evals,
             )
         ],
+        config.output,
     )
     return 0
 
 
 def _cmd_components(config, stream):
-    system = _build_system(config)
+    system = _build(config)
     results = dimension_per_component(system, **_solver_kwargs(config))
     records = [
         _record(
@@ -498,17 +467,15 @@ def _cmd_components(config, stream):
         records = [
             _record(config, "components", {"component": [], "result": None})
         ]
-    _emit(config, stream, records)
+    _emit(stream, records, config.output)
     return 0
 
 
 def _cmd_sweep(config, stream):
     _require(config, "output")
-    family = _build_family(config)
+    family = _build(config, family=True)
     epsilons = config.epsilons or tuple(2.0 ** -j for j in range(2, 8))
-    records = dimension_sweep(
-        family, epsilons, workers=config.threads, **_solver_kwargs(config)
-    )
+    records = dimension_sweep(family, epsilons, **_solver_kwargs(config))
     text = sweep_csv(records)
     with open(config.output, "w", newline="") as fh:
         fh.write(text)
@@ -519,15 +486,15 @@ def _cmd_sweep(config, stream):
             "rows": len(records),
             "statuses": [r.status for r in records],
         },
-        s_tol=config.s_tol, threads=config.threads,
+        s_tol=config.s_tol,
     )
-    stream.write(json.dumps(meta, sort_keys=True) + "\n")
+    _emit(stream, [meta])
     return 0
 
 
 def _cmd_probe_divergence(config, stream):
     _require(config, "s")
-    family = _build_family(config)
+    family = _build(config, family=True)
     horizons = config.horizons or (5, 10, 20)
     epsilons = config.epsilons or ((config.epsilon,) if config.epsilon else (None,))
     records = [
@@ -538,7 +505,7 @@ def _cmd_probe_divergence(config, stream):
         )
         for eps in epsilons
     ]
-    _emit(config, stream, records)
+    _emit(stream, records, config.output)
     return 0
 
 
@@ -552,7 +519,7 @@ def _default_bounds(system):
 
 def _cmd_render(config, stream):
     _require(config, "output")
-    system = _build_system(config)
+    system = _build(config)
     horizon = default_horizon(system, config.horizon)
     cloud = generate_point_cloud(
         system, config.render_depth or 6, horizon, cap=config.cap or 100000
@@ -578,7 +545,7 @@ def _cmd_render(config, stream):
         render_depth=config.render_depth or 6, horizon=horizon,
         resolution=config.resolution or 256,
     )
-    stream.write(json.dumps(meta, sort_keys=True) + "\n")
+    _emit(stream, [meta])
     return 0
 
 
@@ -611,7 +578,7 @@ def _map_description(spec):
 
 
 def _cmd_reduce(config, stream):
-    system = _build_system(config)
+    system = _build(config)
     reduced = reduce_to_simple(system)
     edges = list(reduced.letters(1 << 20))
     notes = reduced.reduction
@@ -631,7 +598,7 @@ def _cmd_reduce(config, stream):
         "dead_ends": [str(e) for e in (notes.dead_ends if notes else ())],
         "reduced_from": notes.base_name if notes else system.name,
     }
-    _emit(config, stream, [_record(config, "reduce", payload)])
+    _emit(stream, [_record(config, "reduce", payload)], config.output)
     return 0
 
 
@@ -648,20 +615,12 @@ _HANDLERS = {
 
 
 def _fault(config, stream, command, err):
-    stream.write(
-        json.dumps(
-            _jsonable(
-                {
-                    "command": command,
-                    "config_digest": getattr(config, "digest", ""),
-                    "error": type(err).__name__,
-                    "message": str(err),
-                }
-            ),
-            sort_keys=True,
-        )
-        + "\n"
-    )
+    _emit(stream, [_jsonable({
+        "command": command,
+        "config_digest": getattr(config, "digest", ""),
+        "error": type(err).__name__,
+        "message": str(err),
+    })])
 
 
 def run(command, config, stream=None):
@@ -680,10 +639,7 @@ def run(command, config, stream=None):
         # the run certified that the system breaks a stated assumption
         _fault(config, stream, command, err)
         return 2
-    except GifsError as err:
-        _fault(config, stream, command, err)
-        return 1
-    except (ValueError, OSError) as err:
+    except (GifsError, ValueError, OSError) as err:
         _fault(config, stream, command, err)
         return 1
 
@@ -715,24 +671,18 @@ def main(argv=None):
         "values parse as JSON, falling back to plain strings)",
     )
     parser.add_argument("--output", help="shortcut for --set output=PATH")
-    parser.add_argument("--threads", type=int, help="worker cap; never changes results")
     args = parser.parse_args(argv)
 
     obj = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as err:
-            _fault(None, sys.stdout, args.command, SchemaViolation([f"config: {err}"]))
-            return 1
-        if not isinstance(obj, dict):
-            _fault(
-                None, sys.stdout, args.command,
-                SchemaViolation(["config: top level must be an object"]),
-            )
-            return 1
     try:
+        if args.config:
+            try:
+                with open(args.config) as fh:
+                    obj = json.load(fh)
+            except (OSError, ValueError) as err:  # ValueError: not JSON, or not UTF-8
+                raise SchemaViolation([f"config: {err}"])
+            if not isinstance(obj, dict):
+                raise SchemaViolation(["config: top level must be an object"])
         for item in args.set:
             key, sep, raw = item.partition("=")
             if not sep:
@@ -744,8 +694,6 @@ def main(argv=None):
             _assign(obj, key, value)
         if args.output is not None:
             obj["output"] = args.output
-        if args.threads is not None:
-            obj["threads"] = args.threads
         config = parse_config(json.dumps(obj))
     except SchemaViolation as err:
         _fault(None, sys.stdout, args.command, err)

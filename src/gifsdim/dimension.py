@@ -596,6 +596,24 @@ def _boolean_bisect(above, floor, ceil, tol):
     return lo, hi
 
 
+def _sign_threshold(system, s_tol, horizon, depth, s_max, positive):
+    """(lo, hi, probe): _boolean_bisect's bracket, over [0, s_max], of the
+    exponent where positive(pressure bracket) turns false, a system with no
+    returning words counting as false; probe holds the scope and evals."""
+    finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
+    probe = _PressureProbe(
+        system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
+    )
+
+    def above(s):
+        try:
+            return positive(probe.bracket(s))
+        except NoAdmissibleWords:
+            return False
+
+    return (*_boolean_bisect(above, 0.0, s_max, s_tol), probe)
+
+
 @_reuse_geometry()
 def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     """Certified upper dimension estimate: the larger of the pressure-root
@@ -606,18 +624,8 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     same computed quantity from below (useful for reporting, not itself a
     dimension bound).
     """
-    finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
-    probe = _PressureProbe(
-        system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
-    )
-
-    def above(s):
-        try:
-            return probe.bracket(s).upper > 0.0
-        except NoAdmissibleWords:
-            return False
-
-    root_lo, root_hi = _boolean_bisect(above, 0.0, s_max, s_tol)
+    root_lo, root_hi, probe = _sign_threshold(
+        system, s_tol, horizon, depth, s_max, lambda est: est.upper > 0.0)
 
     summ = summability_interval(system)
     c_lo = summ.theta_low
@@ -642,18 +650,8 @@ def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     a true dimension lower bound.  Systems with no returning words report
     zero.
     """
-    finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
-    probe = _PressureProbe(
-        system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
-    )
-
-    def above(s):
-        try:
-            return probe.bracket(s).lower >= 0.0
-        except NoAdmissibleWords:
-            return False
-
-    lo, hi = _boolean_bisect(above, 0.0, s_max, s_tol)
+    lo, hi, probe = _sign_threshold(
+        system, s_tol, horizon, depth, s_max, lambda est: est.lower >= 0.0)
     return DimensionResult(s_lower=lo, s_upper=hi, scope=probe.scope, evals=probe.evals)
 
 

@@ -471,7 +471,10 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     if rho == 0.0:
         # every admissible pair composes to a constant map
         return ContractionBound(2, 0.0, 0.0, 1.0)
-    return ContractionBound(2, rho, math.sqrt(rho), 1.0 / math.sqrt(rho))
+    eff = math.sqrt(rho)
+    # a product of an odd number n of steps is one step, sup r1, after
+    # (n - 1) / 2 pairs, so comparison * eff**n must reach r1 * eff**(n - 1)
+    return ContractionBound(2, rho, eff, max(1.0, math.nextafter(r1 / eff, math.inf)))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,22 @@ Frozen values used here:
 
 import io
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gifsdim import pressure
-from gifsdim.cli import RunConfig, main, parse_config, run
+from gifsdim.cli import _SCENARIOS, RunConfig, _build, main, parse_config, run
 from gifsdim.errors import SchemaViolation
+from gifsdim.perturb import PerturbationFamily
 from gifsdim.scenarios import gaussian_alphabet
+from gifsdim.systems import GifsSystem
 
+README = Path(__file__).resolve().parent.parent / "README.md"
 TWO_LOOP = 0.5514630897455955
 GOLDEN = 0.6942419136306174
 
@@ -31,9 +39,19 @@ def test_minimal_config_defaults():
     assert cfg.scenario == "ladder_6_1"
     assert cfg.scenario_options == {}
     assert cfg.s is None and cfg.output is None
-    assert cfg.seed == 0 and cfg.threads == 1 and cfg.binary is False
+    assert cfg.binary is False
     assert len(cfg.digest) == 64
     assert set(cfg.digest) <= set("0123456789abcdef")
+
+
+def test_seed_and_threads_are_not_config_fields():
+    # neither changed any result: no command draws a random number, and
+    # sweeps run on one worker
+    with pytest.raises(SchemaViolation) as exc:
+        parse_config('{"scenario": "golden", "seed": 0, "threads": 2}')
+    assert exc.value.violations == ["seed: unknown field", "threads: unknown field"]
+    with pytest.raises(SystemExit):
+        main(["analyze", "--threads", "2", "--set", "scenario=golden"])
 
 
 def test_digest_ignores_key_order_but_not_values():
@@ -304,11 +322,14 @@ def test_main_rejects_bad_epsilon(capsys):
     assert "epsilon" in rec["message"]
 
 
-def test_main_missing_config_file(capsys):
-    code = main(["analyze", "--config", "/nonexistent/nope.json"])
-    assert code == 1
-    rec = json.loads(capsys.readouterr().out)
-    assert rec["error"] == "SchemaViolation"
+def test_main_missing_config_file(tmp_path, capsys):
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in ("/nonexistent/nope.json", str(binary)):
+        code = main(["analyze", "--config", path])
+        assert code == 1
+        rec = json.loads(capsys.readouterr().out)
+        assert rec["error"] == "SchemaViolation"
 
 
 def test_output_redirects_records(tmp_path):
@@ -358,7 +379,7 @@ GOLDEN_STDOUT = (
      '"separation": "certified-separated", "summability": "finite-alphabet", '
      '"validation": "passed"}, "evals": 5, "s_lower": 0.43181116278649795, '
      '"s_upper": 0.43181118117734735, "scope": "truncated", "theta": [0.0, '
-     '0.0]}, "scenario": "affine_demo", "seed": 0}\n'),
+     '0.0]}, "scenario": "affine_demo"}\n'),
     (["dimension", "--set", "scenario=cf", "--set", 'scenario_options={"letters": [1, 2]}',
       "--set", "s_tol=1e-3"],
      '{"command": "dimension", '
@@ -368,21 +389,20 @@ GOLDEN_STDOUT = (
      '"separation": "inconclusive", "summability": "finite-alphabet", '
      '"validation": "passed"}, "evals": 12, "s_lower": 0.5310907111483115, '
      '"s_upper": 0.5313638327365373, "scope": "truncated", "theta": [0.0, '
-     '0.0]}, "s_tol": 0.001, "scenario": "cf", "seed": 0}\n'),
+     '0.0]}, "s_tol": 0.001, "scenario": "cf"}\n'),
     (["components", "--set", "scenario=affine_demo"],
      '{"command": "components", "component": ["(1, 1)", "(1, 2)", "(2, 1)"], '
      '"config_digest": "39de30c407bdb7c47177f4f9478ab3808872763fda94f0c55ce327ac081598cb", '
      '"result": {"component": ["(1, 1)", "(1, 2)", "(2, 1)"], "evals": 5, '
      '"s_lower": 0.43181116278649795, "s_upper": 0.43181118117734735, '
-     '"scope": "truncated", "theta": [0.0, 0.0]}, "scenario": "affine_demo", '
-     '"seed": 0}\n'),
+     '"scope": "truncated", "theta": [0.0, 0.0]}, "scenario": "affine_demo"}\n'),
     (["pressure", "--set", "scenario=ladder_6_1", "--set", "s=0.55"],
      '{"command": "pressure", '
      '"config_digest": "20cfb04fd7e98b255cdd2f7098f9720e04c7c7000a60e1e1f1c5a0aaa965bd97", '
      '"depth": 1, "estimate": {"depth": 1, "divergence": false, "horizon": 64, '
      '"lower": 0.08024816795537507, "s": 0.55, "scope": "full", '
      '"stalled": false, "tail_term": 0.0, "upper": 0.13935892564926286}, '
-     '"horizon": 64, "scenario": "ladder_6_1", "seed": 0}\n'),
+     '"horizon": 64, "scenario": "ladder_6_1"}\n'),
     (["analyze", "--set", "scenario=cf", "--set", 'scenario_options={"letters": [1, 2]}'],
      '{"checks": {"maps-into-seeds": {"detail": "2 edges, min containment margin 0", '
      '"status": "satisfied"}, "neighborhood-domain": {"detail": "all derivative ranges '
@@ -397,7 +417,7 @@ GOLDEN_STDOUT = (
      '0.923077)", "status": "satisfied"}}, "command": "analyze", "config_digest": '
      '"d4cdaa7bd79047c6f3f715f0c00e15fc2b85bb937824004a14bce6c167fe392d", '
      '"findings": [], "scc": {"letters": 2, "nontrivial": 1, "sizes": [2]}, '
-     '"scenario": "cf", "seed": 0, "separation": {"min_gap": 0.0, "mode": "SSC", '
+     '"scenario": "cf", "separation": {"min_gap": 0.0, "mode": "SSC", '
      '"pairs_checked": 1, "verdict": "inconclusive"}}\n'),
     (["analyze", "--set",
       'scenario={"kind": "similarity", "ratios": [0.6, 0.6], "offsets": [0.0, 0.1]}'],
@@ -418,7 +438,7 @@ GOLDEN_STDOUT = (
      'sibling pairs, min gap -0.5", "status": "violated"}, {"check": "separation", '
      '"detail": "witness pair (0, 1), gap -0.5", "status": "overlap-witness"}], '
      '"scc": {"letters": 2, "nontrivial": 1, "sizes": [2]}, "scenario": '
-     '"inline-similarity", "seed": 0, "separation": {"min_gap": -0.49999999999999994, '
+     '"inline-similarity", "separation": {"min_gap": -0.49999999999999994, '
      '"mode": "SSC", "pairs_checked": 1, "verdict": "overlap-witness"}}\n'),
 )
 
@@ -478,3 +498,91 @@ def test_records_match_golden_stdout(argv, want, inside, earlier, code, capsys):
         else:
             lo, hi = rec["result"]["s_lower"], rec["result"]["s_upper"]
         assert inside[0] <= lo <= hi <= inside[1]
+
+
+# ---------------------------------------------------------------------------
+# the scenario registry against the README
+
+
+def readme_scenarios():
+    """{name: (kind, required options, {optional option: default text})}
+    from the README's table of built-in scenarios."""
+    text = README.read_text()
+    table = text[text.index("| scenario | kind |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        name, kind, requires, accepts = (cell.strip() for cell in line.strip("|").split("|"))
+        rows[name.strip("`")] = (kind, set(re.findall(r"`(\w+)`", requires)),
+                                 dict(re.findall(r"`(\w+)` \(([^)]*)\)", accepts)))
+    return rows
+
+
+def test_the_readme_names_each_scenario_with_its_options():
+    rows = readme_scenarios()
+    assert rows.keys() == _SCENARIOS.keys()
+    for name, entry in _SCENARIOS.items():
+        kind, requires, accepts = rows[name]
+        assert kind == ("family" if entry.family else "system"), name
+        assert requires == set(entry.requires), name
+        assert accepts.keys() == entry.accepts.keys(), name
+        for key, default in entry.accepts.items():
+            if default is not None:
+                assert accepts[key] == str(default), (name, key)
+
+
+# a value for each option some scenario requires
+REQUIRED_VALUES = {"sub_letters": [1, [2, 1]]}
+
+
+@pytest.mark.parametrize("name", sorted(_SCENARIOS))
+def test_every_scenario_builds_from_its_required_options_alone(name):
+    entry = _SCENARIOS[name]
+    cfg = parse_config(json.dumps({"scenario": name, "scenario_options": {
+        key: REQUIRED_VALUES[key] for key in entry.requires}}))
+    built = _build(cfg, family=entry.family)
+    assert isinstance(built, PerturbationFamily if entry.family else GifsSystem)
+    with pytest.raises(SchemaViolation, match="does not name a"):
+        _build(cfg, family=not entry.family)
+
+
+# ---------------------------------------------------------------------------
+# inline configs never escape as untyped exceptions
+
+
+@st.composite
+def inline_configs(draw):
+    """An inline similarity config: 1-4 ratios in (0, 1), down to the least
+    subnormal, with offsets absent, all at 0 (overlapping), packed end to
+    end (touching), or far outside the seed [0, 1]."""
+    ratios = draw(st.lists(st.one_of(
+        st.floats(5e-324, 1.0, exclude_max=True),
+        st.sampled_from([5e-324, 1e-300, 1e-9, 0.5, 1.0 - 2.0 ** -53])), min_size=1, max_size=4))
+    scenario = {"kind": "similarity", "ratios": ratios}
+    placement = draw(st.sampled_from(["absent", "overlapping", "touching", "far"]))
+    if placement == "overlapping":
+        scenario["offsets"] = [0.0] * len(ratios)
+    elif placement == "touching":
+        scenario["offsets"] = [math.fsum(ratios[:i]) for i in range(len(ratios))]
+    elif placement == "far":
+        far = st.floats(2.0, 1e300) | st.floats(-1e300, -2.0)
+        scenario["offsets"] = draw(st.lists(far, min_size=len(ratios), max_size=len(ratios)))
+    return {"scenario": scenario, "s": draw(st.floats(0.0, 2.0)), "s_tol": 1e-3}
+
+
+# one record per run, and one per component for components (at least one)
+ONE_RECORD = ("analyze", "pressure", "dimension", "reduce")
+
+
+@settings(max_examples=100, deadline=None)
+@given(obj=inline_configs())
+def test_inline_configs_exit_with_a_code_and_json_lines(obj):
+    cfg = parse_config(json.dumps(obj))
+    for command in ONE_RECORD + ("components",):
+        stream = io.StringIO()
+        code = run(command, cfg, stream=stream)
+        assert code in (0, 1, 2), command
+        text = stream.getvalue()
+        assert text.endswith("\n"), command
+        lines = [json.loads(line) for line in text.splitlines()]
+        assert all(isinstance(rec, dict) for rec in lines), command
+        assert len(lines) == 1 if command in ONE_RECORD or code == 1 else len(lines) >= 1

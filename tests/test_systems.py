@@ -252,6 +252,18 @@ def test_contraction_certificate_cf_pair_bound():
     assert cb1.rate == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize("letters", [(1, 2), gaussian_alphabet(2)], ids=["cf12", "gaussian-2"])
+def test_one_step_sups_lie_under_the_depth_2_comparison(letters):
+    # the product bound comparison * effective_rate**n must hold at n = 1,
+    # where a depth-2 certificate lets a single step reach 1 and above
+    system = cf_system(letters)
+    cb = system.contraction
+    assert cb.depth == 2
+    sups = [system.letter_range(e, on="neighborhood").upper for e in system.letters(len(letters))]
+    assert max(sups) > 1.0
+    assert all(sup <= cb.comparison * cb.effective_rate for sup in sups)
+
+
 def test_contraction_certificate_failure():
     # a neighborhood so wide that even pair compositions expand: the
     # certificate must refuse rather than return a rate >= 1
