@@ -35,8 +35,8 @@ import numpy as np
 from .dimension import bowen_dimension
 from .errors import GifsError
 from .scenarios import (
-    _canonical_letter,
     affine_demo,
+    cf_split,
     cf_system,
     gaussian_alphabet,
     perturbed_affine,
@@ -76,34 +76,26 @@ def cf_family(sub_letters=(1, 2), full_letters=None):
 
     full_letters=None extends over the whole Gaussian half-lattice; the
     extension-wide derivative sum then behaves like sum |e|^(-2s), summable
-    exactly above s = 1.
+    exactly above s = 1.  The family and its builder share one split of the
+    letters (scenarios.cf_split), so a kept alphabet that perturbed_cf
+    refuses is refused here, when the family is built.
     """
-    sub = tuple(_canonical_letter(e) for e in sub_letters)
-    sub_set = set(sub)
-    infinite = full_letters is None
-    if infinite:
-        def degenerate(horizon):
-            return tuple(
-                e for e in gaussian_alphabet(horizon) if e not in sub_set
-            )
-    else:
-        extras = tuple(
-            e
-            for e in (_canonical_letter(x) for x in full_letters)
-            if e not in sub_set
-        )
+    kept, extension = cf_split(sub_letters, full_letters)
+    infinite = extension is None
 
-        def degenerate(horizon):
-            return extras
+    def degenerate(horizon):
+        if infinite:
+            return tuple(e for e in gaussian_alphabet(horizon) if e not in kept)
+        return extension
 
     return PerturbationFamily(
-        base=cf_system(letters=sub),
-        builder=lambda eps: perturbed_cf(sub, full_letters, eps),
+        base=cf_system(letters=kept),
+        builder=lambda eps: perturbed_cf(kept, full_letters, eps),
         degenerate_letters=degenerate,
         epsilon0=1.0,
         summable_above=1.0 if infinite else 0.0,
         infinite=infinite,
-        name="cf-family" if infinite else f"cf-family({len(sub_set)}+{len(extras)})",
+        name="cf-family" if infinite else f"cf-family({len(kept)}+{len(extension)})",
     )
 
 

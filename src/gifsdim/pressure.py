@@ -60,6 +60,7 @@ Two routes, each valid at every finite stage rather than only in the limit:
 """
 
 import math
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
@@ -83,6 +84,13 @@ __all__ = [
 
 CW_TOL = 3e-11
 CW_MAX_ITER = 100000
+# theta, the entry a class's weights are divided by, is carried in logs
+# outside [_TINY, e**_LOG_MAX], float64's normal range, and the bracket
+# then widened by _LOG_PAD, eight unit roundoffs, of each log it came from
+# (see _cw_start)
+_TINY = sys.float_info.min
+_LOG_MAX = math.log(sys.float_info.max)
+_LOG_PAD = 2.0**-50
 # a complete class of depth m iterates without scales while m times the
 # spread of its log-weights stays within this (see _cw_bracket)
 _UNSCALED_SPREAD = 650.0
@@ -712,9 +720,17 @@ def _cw_start(plan, side, s, data, v, top, low):
     data is the side's row of the class weights, holding its log-weights
     s * logs, whose largest and smallest are top and low; fill it with its
     entries over theta, scaled or not, and v with its start.  Returns
-    (theta, shift, relative), relative when the side runs unscaled and so
-    stops on a relative bracket and keeps its iterate, or None when every
-    entry vanishes at s."""
+    (low_factor, high_factor, scale, shift, relative), relative when the
+    side runs unscaled and so stops on a relative bracket and keeps its
+    iterate, or None when every entry vanishes at s.
+
+    When theta is a normal float, both factors are theta and scale is 0.
+    When theta would leave float64's normal range (a class whose weights
+    all underflow), the side's bracket is carried in logs: scale is log
+    theta, and the factors are e**-pad and e**pad, pad _LOG_PAD times the
+    largest log the entries were formed from.  The pad covers the rounding
+    of those logs; in the normal range theta = e**log_theta carries the
+    same rounding unpadded, as no bracket end is rounded outward there."""
     if top == -math.inf:
         return None
     relative = bool(plan.fan and plan.depth * (top - low) <= _UNSCALED_SPREAD)
@@ -732,7 +748,8 @@ def _cw_start(plan, side, s, data, v, top, low):
         # at least e**-650 > 0
         data -= top
         np.exp(data, out=data)
-        theta = float(np.exp(top))
+        log_theta, size = top, max(top, -low)
+        theta = float(np.exp(top)) if top <= _LOG_MAX else math.inf
         positive = True
     else:
         # the log-weights, kept until the scaled entries are formed
@@ -744,17 +761,30 @@ def _cw_start(plan, side, s, data, v, top, low):
             d = _equilibrate_scales(plan, logw)
         v.fill(1.0)
         # the scaled entries exp(logw + d[col] - d[row]) / theta, in the
-        # order of that expression
-        np.add(logw, d[plan.col], out=data)
-        data -= d[plan.row]
-        np.exp(data, out=data)
-        if not np.isfinite(data).all():
+        # order of that expression, theta the largest; in logs, less log
+        # theta, when theta leaves the normal range
+        logw += d[plan.col]
+        logw -= d[plan.row]
+        log_theta = float(np.maximum.reduce(logw))
+        theta = math.inf
+        if log_theta <= _LOG_MAX:
             np.exp(logw, out=data)
-        theta = float(np.maximum.reduce(data))
-        np.divide(data, theta, out=data)
+            theta = float(np.maximum.reduce(data))
+        if _TINY <= theta < math.inf:
+            np.divide(data, theta, out=data)
+        else:
+            # no log formed on the way exceeds the largest scaled log, in
+            # size, by more than twice the largest scale
+            least = float(np.minimum.reduce(logw, where=logw > -math.inf, initial=math.inf))
+            size = max(log_theta, -least) + 2.0 * float(np.abs(d).max())
+            logw -= log_theta
+            np.exp(logw, out=data)
         positive = np.minimum.reduce(data) > 0.0
     shift = 1.0 if plan.period != 1 or not positive else 0.0
-    return theta, shift, relative
+    if _TINY <= theta < math.inf:
+        return theta, theta, 0.0, shift, relative
+    pad = _LOG_PAD * size
+    return math.exp(-pad), math.exp(pad), log_theta, shift, relative
 
 
 def _cw_bracket(plan, s):
@@ -823,7 +853,11 @@ def _cw_bracket(plan, s):
     on alone on a one-row view; every operation acts on each row as on
     that side alone, so each side's bits and count are those of a loop of
     its own.  A side whose entries all vanish at s gives (0, 0) with no
-    iteration.  Returns one (lo, hi, stalled, iterations) per side.
+    iteration.  Returns one (lo, hi, stalled, iterations, scale) per side:
+    its radius lies in [lo, hi] * e**scale.  scale is 0 unless theta
+    leaves float64's normal range, as it does for a class whose weights
+    all underflow; [lo, hi] is then the padded bracket over theta and
+    scale is log theta (see _cw_start).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     sides, n = len(plan.logs), plan.size
@@ -856,7 +890,7 @@ def _cw_bracket(plan, s):
         # arguments skip the ufuncs' keyword parsing
         ratios, peak = np.empty_like(v), np.empty((len(live), 1))
         matvec = _class_matvec(plan, data, v)
-        shifted = _shifted_rows([starts[side][1] for side in live])
+        shifted = _shifted_rows([starts[side][3] for side in live])
         for iterations in range(1, max_iter + 1):
             w = matvec()
             if shifted is not None:
@@ -871,7 +905,7 @@ def _cw_bracket(plan, s):
                 if cur_hi[k] < best_hi[side]:
                     best_hi[side] = cur_hi[k]
                 gap = best_hi[side] - best_lo[side]
-                if gap <= tol and (not starts[side][2] or gap <= tol * best_lo[side]):
+                if gap <= tol and (not starts[side][4] or gap <= tol * best_lo[side]):
                     counts[side], finals[side] = iterations, v[k]
                 else:
                     keep.append(k)
@@ -884,7 +918,7 @@ def _cw_bracket(plan, s):
                 (k,) = keep
                 live = [live[k]]
                 data, w, v, ratios, peak = (a[k:k + 1] for a in (data, w, v, ratios, peak))
-                shifted = _shifted_rows([starts[live[0]][1]])
+                shifted = _shifted_rows([starts[live[0]][3]])
                 matvec = None
                 matvec = _class_matvec(plan, data, v)
             # the floor keeps v strictly positive even if a component still
@@ -898,14 +932,14 @@ def _cw_bracket(plan, s):
     out = []
     for side, start in enumerate(starts):
         if start is None:
-            out.append((0.0, 0.0, False, 0))
+            out.append((0.0, 0.0, False, 0, 0.0))
             continue
-        theta, shift, relative = start
+        low_factor, high_factor, scale, shift, relative = start
         if relative:
             plan.warm[side] = (s, finals[side])
-        lo = max(best_lo[side] - shift, 0.0) * theta
-        hi = max(best_hi[side] - shift, 0.0) * theta
-        out.append((min(lo, hi), hi, stalled[side], counts[side]))
+        lo = max(best_lo[side] - shift, 0.0) * low_factor
+        hi = max(best_hi[side] - shift, 0.0) * high_factor
+        out.append((min(lo, hi), hi, stalled[side], counts[side], scale))
     return tuple(out)
 
 
@@ -1009,8 +1043,8 @@ def pressure_spectral(system, potential, k, m=1):
     s = potential.s
     for plan in wm.geometry.classes:
         brackets = _cw_bracket(plan, s)
-        c_lower = _safe_log(brackets[0][0])
-        c_upper = _safe_log(brackets[-1][1])
+        c_lower = _safe_log(brackets[0][0]) + brackets[0][4]
+        c_upper = _safe_log(brackets[-1][1]) + brackets[-1][4]
         comps.append((plan.letters, c_lower, c_upper))
         stalled = stalled or any(b[2] for b in brackets)
         if c_upper > upper:

@@ -41,6 +41,11 @@ from .systems import (
 )
 
 
+def _pair_graph(vertices, edges):
+    """The simple graph whose edges are the pairs (u, v) from u to v."""
+    return DirectedMultigraph(vertices, edges, lambda e: e[0], lambda e: e[1], simple=True)
+
+
 # ---------------------------------------------------------------------------
 # ladder
 
@@ -95,13 +100,8 @@ def ladder_system():
     """Countable one-dimensional system with a hub vertex of infinite
     out-degree; dimension bounds must combine truncations with the
     vertex-indexed geometric tail."""
-    graph = DirectedMultigraph(
-        vertices=Enumeration(factory=lambda: itertools.count(1)),
-        edges=Enumeration(factory=_ladder_edges),
-        initial=lambda e: e[0],
-        terminal=lambda e: e[1],
-        simple=True,
-    )
+    graph = _pair_graph(Enumeration(factory=lambda: itertools.count(1)),
+                        Enumeration(factory=_ladder_edges))
     tail = TailWitness(
         kind="geometric",
         unit="vertex",
@@ -136,6 +136,11 @@ def ladder_truncation(k, name=None):
 # Moran-type multigraph loops
 
 
+def _one_vertex_graph(edges, simple):
+    """The graph of the loops edges on the one vertex 0."""
+    return DirectedMultigraph(Enumeration(items=(0,)), edges, lambda e: 0, lambda e: 0, simple)
+
+
 def moran_system(ratios, offsets=None, name="moran"):
     """Single vertex, one similarity loop per ratio; default placement packs
     the images left-to-right on the unit interval (touching).  The
@@ -155,13 +160,8 @@ def moran_system(ratios, offsets=None, name="moran"):
             acc += r
     elif len(offsets) != len(ratios):
         raise InvalidAlphabet("offsets/ratios length mismatch")
-    graph = DirectedMultigraph(
-        vertices=Enumeration(items=(0,)),
-        edges=Enumeration(items=tuple(range(len(ratios)))),
-        initial=lambda e: 0,
-        terminal=lambda e: 0,
-        simple=(len(ratios) == 1),
-    )
+    graph = _one_vertex_graph(Enumeration(items=tuple(range(len(ratios)))),
+                              simple=(len(ratios) == 1))
     maps = {i: Similarity(r, (t,)) for i, (r, t) in enumerate(zip(ratios, offsets))}
     seeds = {0: SeedSet(0, Ball((0.5,), 0.5), Ball((0.5,), 0.75))}
     return GifsSystem(
@@ -176,35 +176,33 @@ def moran_system(ratios, offsets=None, name="moran"):
 # planar affine demo
 
 
-def _affine_seeds():
-    return {
-        1: SeedSet(1, Ball((0.0, 0.0), 1.0), Ball((0.0, 0.0), 1.5)),
-        2: SeedSet(2, Ball((4.0, 0.0), 1.0), Ball((4.0, 0.0), 1.5)),
+def _affine_system(loop_1, loop_2, rate, name):
+    """The two-vertex planar system with the loop loop_1 at vertex 1, the
+    2-cycle between the vertices, and the loop loop_2 at vertex 2 unless it
+    is None; with its two seeds, the finite vertex tail and the declared
+    depth-1 rate."""
+    maps = {
+        (1, 1): loop_1,
+        (1, 2): ConformalAffine(0.25, (-0.5, 0.0)),
+        (2, 1): ConformalAffine(0.3, (4.0, 0.0)),
     }
+    if loop_2 is not None:
+        maps[(2, 2)] = loop_2
+    graph = _pair_graph(Enumeration(items=(1, 2)), Enumeration(items=tuple(maps)))
+    seeds = {v: SeedSet(v, Ball((x, 0.0), 1.0), Ball((x, 0.0), 1.5))
+             for v, x in ((1, 0.0), (2, 4.0))}
+    return GifsSystem(
+        graph, seeds, maps, 2,
+        contraction=ContractionBound(1, rate, rate, 1.0),
+        tail=finite_tail("vertex"),
+        name=name,
+    )
 
 
 def affine_demo():
     """Two-vertex planar base system, strongly separated; the loop at 1 and
     the 2-cycle give the dimension equation 0.4**s + 0.075**s = 1."""
-    edges = ((1, 1), (1, 2), (2, 1))
-    maps = {
-        (1, 1): ConformalAffine(0.4, (-0.5, 0.0)),
-        (1, 2): ConformalAffine(0.25, (-0.5, 0.0)),
-        (2, 1): ConformalAffine(0.3, (4.0, 0.0)),
-    }
-    graph = DirectedMultigraph(
-        vertices=Enumeration(items=(1, 2)),
-        edges=Enumeration(items=edges),
-        initial=lambda e: e[0],
-        terminal=lambda e: e[1],
-        simple=True,
-    )
-    return GifsSystem(
-        graph, _affine_seeds(), maps, 2,
-        contraction=ContractionBound(1, 0.4, 0.4, 1.0),
-        tail=finite_tail("vertex"),
-        name="affine-demo",
-    )
+    return _affine_system(ConformalAffine(0.4, (-0.5, 0.0)), None, 0.4, "affine-demo")
 
 
 def perturbed_affine(epsilon):
@@ -214,25 +212,11 @@ def perturbed_affine(epsilon):
     eps = float(epsilon)
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"epsilon {eps} outside [0,1]")
-    edges = ((1, 1), (1, 2), (2, 1), (2, 2))
-    maps = {
-        (1, 1): PerturbedAffine(0.4, 0.05, (-0.5, 0.0), (0.0, 0.0), eps),
-        (1, 2): ConformalAffine(0.25, (-0.5, 0.0)),
-        (2, 1): ConformalAffine(0.3, (4.0, 0.0)),
-        (2, 2): PerturbedAffine(0.0, 0.1, (3.3, 0.0), (-0.4, 0.0), eps),
-    }
-    graph = DirectedMultigraph(
-        vertices=Enumeration(items=(1, 2)),
-        edges=Enumeration(items=edges),
-        initial=lambda e: e[0],
-        terminal=lambda e: e[1],
-        simple=True,
-    )
-    return GifsSystem(
-        graph, _affine_seeds(), maps, 2,
-        contraction=ContractionBound(1, 0.4 + 0.05 * eps, 0.4 + 0.05 * eps, 1.0),
-        tail=finite_tail("vertex"),
-        name=f"affine-demo-perturbed(eps={eps:g})",
+    return _affine_system(
+        PerturbedAffine(0.4, 0.05, (-0.5, 0.0), (0.0, 0.0), eps),
+        PerturbedAffine(0.0, 0.1, (3.3, 0.0), (-0.4, 0.0), eps),
+        0.4 + 0.05 * eps,
+        f"affine-demo-perturbed(eps={eps:g})",
     )
 
 
@@ -248,20 +232,6 @@ def _canonical_letter(e):
     if m < 1:
         raise InvalidAlphabet(f"letter {e} has real part {m} < 1")
     return complex(m, n)
-
-
-def gaussian_alphabet(n):
-    """Gaussian integers m+ni with 1 <= m <= n_max and |n| <= n_max, sorted
-    by (|e|^2, Re, Im)."""
-    if n < 1:
-        raise InvalidAlphabet("empty alphabet")
-    letters = [
-        (m * m + q * q, m, q)
-        for m in range(1, n + 1)
-        for q in range(-n, n + 1)
-    ]
-    letters.sort()
-    return tuple(complex(m, q) for _, m, q in letters)
 
 
 def _gaussian_shells():
@@ -283,7 +253,33 @@ def _gaussian_shells():
             yield complex(m, n)
 
 
-_CF_SEED = SeedSet(0, Ball((0.5, 0.0), 0.5), Ball((0.5, 0.0), 0.75))
+def gaussian_alphabet(n):
+    """Gaussian integers m+ni with 1 <= m <= n_max and |n| <= n_max, in the
+    shell order, by (|e|^2, Re, Im): the shells up to the box's corner
+    norm 2 * n_max**2, less the letters outside the box."""
+    if n < 1:
+        raise InvalidAlphabet("empty alphabet")
+    shells = itertools.takewhile(lambda e: e.real ** 2 + e.imag ** 2 <= 2 * n * n,
+                                 _gaussian_shells())
+    return tuple(e for e in shells if e.real <= n and abs(e.imag) <= n)
+
+
+def cf_split(sub_letters, full_letters=None):
+    """The split of a perturbed continued-fraction alphabet into its kept
+    letters, in order, and its extension, the letters that degenerate:
+    every full letter not kept, in order, or None when full_letters is None
+    and the extension is every other letter of the half-lattice.  Every
+    letter is canonicalised; a duplicate kept letter, or a kept letter
+    outside the full alphabet, raises InvalidAlphabet."""
+    kept = tuple(_canonical_letter(e) for e in sub_letters)
+    if len(set(kept)) != len(kept):
+        raise InvalidAlphabet("duplicate letters in the kept alphabet")
+    if full_letters is None:
+        return kept, None
+    full = [_canonical_letter(e) for e in full_letters]
+    if not set(kept) <= set(full):
+        raise InvalidAlphabet("kept alphabet is not inside the full one")
+    return kept, tuple(e for e in full if e not in kept)
 
 
 def _annulus_tail(m_floor, s):
@@ -326,103 +322,75 @@ def _cf_tail_witness(enum, skip, prefactor_base):
     )
 
 
-def _cf_graph(letters_enum):
-    return DirectedMultigraph(
-        vertices=Enumeration(items=(0,)),
-        edges=letters_enum,
-        initial=lambda e: 0,
-        terminal=lambda e: 0,
-        simple=False,
+def _cf_system(kept, extension, extension_map, prefactor, name):
+    """The one-vertex continued-fraction system on the CF seed: the kept
+    letters with their true branches z -> 1/(e+z), then the extension
+    letters, each with extension_map(e).  extension is a tuple of letters,
+    or None for every other letter of the half-lattice in shell order,
+    under the annulus tail that exempts the kept letters and scales each
+    term by prefactor**s.
+
+    The system certifies its depth-2 contraction on a probe alphabet, its
+    first letters: the whole of a finite one, and the kept letters plus the
+    others of gaussian_alphabet(2), the first ten shell-ordered letters, of
+    a countable one.  Both composition factors shrink as either letter
+    grows (the image disks stay in the right half-plane and |f+1/2| only
+    increases), so the probe maximum, attained at the pair (1, 1) when 1 is
+    present, bounds every pair of the full alphabet.  Exact value at
+    (1,1): 144/169.
+    """
+    kept_set = set(kept)
+    if extension is None:
+        enum = Enumeration(factory=lambda: itertools.chain(
+            kept, (e for e in _gaussian_shells() if e not in kept_set)))
+        tail = _cf_tail_witness(enum, len(kept), prefactor)
+        probe = len(kept) + sum(e not in kept_set for e in gaussian_alphabet(2))
+    else:
+        enum = Enumeration(items=kept + extension)
+        tail = finite_tail("edge")
+        probe = len(kept) + len(extension)
+    system = GifsSystem(
+        _one_vertex_graph(enum, simple=False),
+        {0: SeedSet(0, Ball((0.5, 0.0), 0.5), Ball((0.5, 0.0), 0.75))},
+        lambda e: MoebiusCF(e) if e in kept_set else extension_map(e),
+        2,
+        tail=tail,
+        name=name,
     )
+    system.contraction = contraction_certificate(system, probe)
+    return system
 
 
 def cf_system(letters=None, name=None):
     """Inverse continued-fraction branches over an alphabet of Gaussian
     integers with positive real part; letters=None takes the whole countable
-    family in shell order.
-
-    The system certifies its depth-2 contraction on a probe alphabet, its
-    first letters: the whole of a finite one, and gaussian_alphabet(2), the
-    first ten shell-ordered letters, of the countable family.  Both
-    composition factors shrink as either letter grows (the image disks stay
-    in the right half-plane and |f+1/2| only increases), so the probe
-    maximum, attained at the pair (1, 1) when 1 is present, bounds every
-    pair of the full alphabet.  Exact value at (1,1): 144/169.
+    family in shell order.  Certifies its contraction as _cf_system does.
     """
     if letters is None:
-        enum = Enumeration(factory=_gaussian_shells)
-        tail = _cf_tail_witness(enum, 0, 1.0)
-        probe = len(gaussian_alphabet(2))
-        sys_name = name or "cf-full"
-    else:
-        canon = [_canonical_letter(e) for e in letters]
-        if len(set(canon)) != len(canon):
-            raise InvalidAlphabet("duplicate letters")
-        enum = Enumeration(items=tuple(canon))
-        tail = finite_tail("edge")
-        probe = len(canon)
-        sys_name = name or f"cf-{len(canon)}"
-    system = GifsSystem(
-        _cf_graph(enum),
-        {0: _CF_SEED},
-        lambda e: MoebiusCF(e),
-        2,
-        tail=tail,
-        name=sys_name,
-    )
-    system.contraction = contraction_certificate(system, probe)
-    return system
+        return _cf_system((), None, MoebiusCF, 1.0, name or "cf-full")
+    canon = tuple(_canonical_letter(e) for e in letters)
+    if len(set(canon)) != len(canon):
+        raise InvalidAlphabet("duplicate letters")
+    return _cf_system(canon, (), MoebiusCF, 1.0, name or f"cf-{len(canon)}")
 
 
 def perturbed_cf(sub_letters, full_letters=None, epsilon=1.0):
     """Keep the sub-alphabet's true branches, attach every remaining letter
-    of the full alphabet with the degenerating branch
+    of the full alphabet (cf_split) with the degenerating branch
     z -> 1/(e + 1/2 + eps*(z - 1/2)); eps=0 plants the limit constants
     1/(e+1/2) instead (zero derivative, geometry preserved).  Certifies
-    contraction as cf_system does, on the sub-alphabet and gaussian_alphabet(2)
-    (or the finite full alphabet), the first letters of its order.
+    contraction as cf_system does.
     """
     eps = float(epsilon)
     if not (0.0 <= eps <= 1.0):
         raise ValueError(f"epsilon {eps} outside [0,1]")
-    sub = tuple(_canonical_letter(e) for e in sub_letters)
-    if len(set(sub)) != len(sub):
-        raise InvalidAlphabet("duplicate letters in the kept alphabet")
-    sub_set = set(sub)
+    kept, extension = cf_split(sub_letters, full_letters)
 
-    if full_letters is None:
-        def chained():
-            yield from sub
-            for e in _gaussian_shells():
-                if e not in sub_set:
-                    yield e
-        enum = Enumeration(factory=chained)
-        tail = _cf_tail_witness(enum, len(sub), max(eps, 1e-300))
-        probe = len(sub) + sum(e not in sub_set for e in gaussian_alphabet(2))
-    else:
-        full = [_canonical_letter(e) for e in full_letters]
-        if not sub_set <= set(full):
-            raise InvalidAlphabet("kept alphabet is not inside the full one")
-        extra = [e for e in full if e not in sub_set]
-        enum = Enumeration(items=sub + tuple(extra))
-        tail = finite_tail("edge")
-        probe = len(sub) + len(extra)
-
-    def map_for(e):
-        if e in sub_set:
-            return MoebiusCF(e)
+    def degenerating(e):
         if eps == 0.0:
             z = 1.0 / (e + 0.5)
             return Constant((z.real, z.imag))
         return PerturbedMoebiusCF(e, eps)
 
-    system = GifsSystem(
-        _cf_graph(enum),
-        {0: _CF_SEED},
-        map_for,
-        2,
-        tail=tail,
-        name=f"cf-perturbed(eps={eps:g})",
-    )
-    system.contraction = contraction_certificate(system, probe)
-    return system
+    return _cf_system(kept, extension, degenerating, max(eps, 1e-300),
+                      f"cf-perturbed(eps={eps:g})")

@@ -71,7 +71,8 @@ class ContractionBound:
     depth=1: every edge map has derivative sup <= rate < 1 on the working
     neighborhoods.  depth=2: only pairwise compositions are certified below
     rate; single steps may reach 1.  effective_rate is the per-step decay
-    usable in geometric estimates (rate, or sqrt(rate) at depth 2) and
+    usable in geometric estimates (rate, or sqrt(rate) rounded up at depth
+    2, so that its square reaches rate) and
     comparison >= 1 is the constant in sup-of-n-step-products <=
     comparison * effective_rate**n.  A rate of 0 says that every map (depth
     1) or every admissible composition of two (depth 2) is constant, so
@@ -471,7 +472,7 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
     if rho == 0.0:
         # every admissible pair composes to a constant map
         return ContractionBound(2, 0.0, 0.0, 1.0)
-    eff = math.sqrt(rho)
+    eff = math.nextafter(math.sqrt(rho), math.inf)
     # a product of an odd number n of steps is one step, sup r1, after
     # (n - 1) / 2 pairs, so comparison * eff**n must reach r1 * eff**(n - 1)
     return ContractionBound(2, rho, eff, max(1.0, math.nextafter(r1 / eff, math.inf)))

@@ -76,7 +76,7 @@ def contraction_certificate(system, horizon_edges=DEFAULT_EDGE_HORIZON):
         raise ConditionViolation(f"no contraction at depth 2: pairwise bound {rho:.6g} >= 1")
     if rho == 0.0:
         return ContractionBound(2, 0.0, 0.0, 1.0)
-    eff = math.sqrt(rho)
+    eff = math.nextafter(math.sqrt(rho), math.inf)
     return ContractionBound(2, rho, eff, max(1.0, math.nextafter(r1 / eff, math.inf)))
 
 

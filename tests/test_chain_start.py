@@ -94,7 +94,8 @@ def bracket(plan):
     assert 1 <= len(plan.chains.hubs) <= HUB_MAX
     assert len(plan.logs) == 1
     (side,) = _cw_bracket(plan, 1.0)
-    return side
+    assert side[4] == 0.0   # theta stays a normal float
+    return side[:4]
 
 
 def drawn_class(hubs, extra, max_len, zero_frac, seed):

@@ -259,6 +259,21 @@ def test_sweep_writes_reproducible_csv(tmp_path):
     assert data.startswith(b"epsilon,s_lower,s_upper,base_lower,base_upper,status\r\n")
 
 
+def test_sweep_faults_once_on_a_kept_letter_outside_the_full_alphabet(tmp_path, capsys):
+    # the family refuses the split as its builder would, before any row
+    out = tmp_path / "x.csv"
+    code = main(["sweep", "--set", "scenario=cf_family",
+                 "--set", "scenario_options.sub_letters=[3]",
+                 "--set", "scenario_options.full_letters=[1,2]",
+                 "--set", "epsilons=[0.5,0.25]", "--output", str(out)])
+    assert code == 1
+    (line,) = capsys.readouterr().out.splitlines()
+    rec = json.loads(line)
+    assert rec["error"] == "InvalidAlphabet"
+    assert rec["message"] == "kept alphabet is not inside the full one"
+    assert not out.exists()
+
+
 def test_sweep_requires_output():
     cfg = parse_config('{"scenario": "affine_family"}')
     code, lines = capture("sweep", cfg)

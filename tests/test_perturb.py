@@ -15,7 +15,7 @@ import math
 import pytest
 
 from gifsdim.dimension import bowen_dimension
-from gifsdim.errors import ConditionViolation
+from gifsdim.errors import ConditionViolation, InvalidAlphabet
 from gifsdim.maps import MoebiusCF
 from gifsdim.perturb import (
     PerturbationFamily,
@@ -67,6 +67,23 @@ def test_build_perturbed_cf_degenerate_derivative():
     assert rng.upper == pytest.approx(0.1 / 3.45 ** 2, rel=1e-12)
     assert isinstance(sysm.map_of(one), MoebiusCF)
     assert sysm.map_of(two) == cf_system(letters=(1, 2)).map_of(two)
+
+
+@pytest.mark.parametrize("sub, full", [
+    ((3,), (1, 2)),
+    ((1, 1), None),
+    ((1, 1), (1, 2)),
+    ((0.5,), None),
+    ((1,), (1, 0)),
+], ids=["outside-full", "duplicate", "duplicate-finite", "not-gaussian", "bad-full"])
+def test_cf_family_refuses_what_perturbed_cf_refuses(sub, full):
+    # the family and its builder share one split, so a kept alphabet the
+    # builder refuses is refused when the family is built, with its message
+    with pytest.raises(InvalidAlphabet) as want:
+        perturbed_cf(sub, full, 0.5)
+    with pytest.raises(InvalidAlphabet) as got:
+        cf_family(sub, full)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------

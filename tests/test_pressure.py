@@ -15,6 +15,7 @@ Frozen oracles used here:
 import gc
 import itertools
 import math
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -601,9 +602,12 @@ def one_side_matvec(plan, data):
     return lambda v: np.add.reduce(weights * v.reshape(r, c).T[:, None, :], axis=0).ravel()
 
 
+# np.exp overflows above this (see pressure._cw_start)
+LOG_MAX = math.log(sys.float_info.max)
+
 def reference_cw_side(plan, side, s):
-    """One side's Collatz-Wielandt bracket (lo, hi, stalled, iterations) at
-    exponent s, from a loop of its own: the reference for
+    """One side's Collatz-Wielandt bracket (lo, hi, stalled, iterations,
+    scale) at exponent s, from a loop of its own: the reference for
     pressure._cw_bracket, which iterates both sides in one loop and must
     keep each side's bits, count and stored iterate.  It takes the same
     route, theta, shift, start and stop test, and reads and writes
@@ -613,7 +617,7 @@ def reference_cw_side(plan, side, s):
     logw = logs * s if s else np.zeros(len(logs))
     top = float(logw.max())
     if top == -np.inf:
-        return 0.0, 0.0, False, 0
+        return 0.0, 0.0, False, 0, 0.0
     relative = bool(plan.fan) and plan.depth * (top - logw.min()) <= pressure._UNSCALED_SPREAD
     if relative:
         warm = plan.warm[side]
@@ -623,7 +627,8 @@ def reference_cw_side(plan, side, s):
         else:
             v = np.ones(plan.size)
         data = np.exp(logw - top)
-        theta = float(np.exp(top))
+        log_theta, size = top, max(top, -float(logw.min()))
+        theta = float(np.exp(top)) if top <= LOG_MAX else math.inf
     else:
         d = None
         if plan.chains is not None:
@@ -631,11 +636,18 @@ def reference_cw_side(plan, side, s):
         if d is None:
             d = reference_equilibrate_scales(plan.size, plan.row, plan.col, logw)
         v = np.ones(plan.size)
-        data = np.exp(logw + d[plan.col] - d[plan.row])
-        if not np.isfinite(data).all():
-            data = np.exp(logw)
-        theta = float(data.max())
-        data = data / theta
+        scaled = logw + d[plan.col] - d[plan.row]
+        log_theta = float(scaled.max())
+        theta = float(np.exp(scaled).max()) if log_theta <= LOG_MAX else math.inf
+        normal = sys.float_info.min <= theta < math.inf
+        data = np.exp(scaled) / theta if normal else np.exp(scaled - log_theta)
+        size = float(np.abs(scaled[np.isfinite(scaled)]).max() + 2.0 * np.abs(d).max())
+    factors, scale = (theta, theta), 0.0
+    if not sys.float_info.min <= theta < math.inf:
+        # theta leaves the normal range: the bracket is carried in logs,
+        # padded by pressure._LOG_PAD of the largest log formed
+        pad = pressure._LOG_PAD * size
+        factors, scale = (math.exp(-pad), math.exp(pad)), log_theta
     shift = 1.0 if plan.period != 1 or not data.min() > 0.0 else 0.0
     matvec = one_side_matvec(plan, data)
     best_lo, best_hi, stalled = 0.0, math.inf, True
@@ -651,14 +663,14 @@ def reference_cw_side(plan, side, s):
         v = np.maximum(w / w.max(), 1e-300)
     if relative:
         plan.warm[side] = (s, v)
-    lo = max(best_lo - shift, 0.0) * theta
-    hi = max(best_hi - shift, 0.0) * theta
-    return min(lo, hi), hi, stalled, iterations
+    lo = max(best_lo - shift, 0.0) * factors[0]
+    hi = max(best_hi - shift, 0.0) * factors[1]
+    return min(lo, hi), hi, stalled, iterations, scale
 
 
 def side_bits(result):
-    lo, hi, stalled, iterations = result
-    return _bits(lo), _bits(hi), stalled, iterations
+    lo, hi, stalled, iterations, scale = result
+    return _bits(lo), _bits(hi), stalled, iterations, _bits(scale)
 
 
 def warm_bits(plans):
@@ -722,10 +734,10 @@ def assert_joint_loop_keeps_one_side_bits(make, k, depths, sequence, monkeypatch
             assert sides == (rsides[:1] if shares else rsides), where
             if shares:
                 assert rsides[1] == rsides[0], where
-            for x, y in ((lo, rsides[0][0]), (hi, rsides[1][1])):
-                ref_bracket = float.fromhex(y)
-                assert _bits(x) == _bits(math.log(ref_bracket) if ref_bracket > 0.0
-                                         else -math.inf), where
+            for x, end, side in ((lo, 0, rsides[0]), (hi, 1, rsides[1])):
+                ref_bracket = float.fromhex(side[end])
+                want = math.log(ref_bracket) if ref_bracket > 0.0 else -math.inf
+                assert _bits(x) == _bits(want + float.fromhex(side[4])), where
         assert est.stalled == any(side[2] for _, rsides in rcomps for side in rsides), where
         for ws, rws, shares in zip(warms, rwarms, one):
             assert ws[0] == rws[0], where

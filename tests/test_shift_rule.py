@@ -69,7 +69,8 @@ def bracket(plan, weights):
         logs = np.log(weights[plan.positions])
     plan.logs = logs[None]
     (side,) = _cw_bracket(plan, 1.0)
-    return side
+    assert side[4] == 0.0   # theta stays a normal float
+    return side[:4]
 
 
 def dense_root(rows, weights):

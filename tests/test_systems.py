@@ -18,6 +18,7 @@ gaps and margins often round near 0 and math.dist's rounding decides them.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gifsdim import maps as maps_module
-from gifsdim import scenarios
 from gifsdim import systems as systems_module
 from gifsdim.dimension import bowen_dimension
 from gifsdim.errors import ConditionViolation, DomainViolation, NonAdmissibleWord
@@ -264,6 +264,22 @@ def test_one_step_sups_lie_under_the_depth_2_comparison(letters):
     assert all(sup <= cb.comparison * cb.effective_rate for sup in sups)
 
 
+@pytest.mark.parametrize("make", [lambda: cf_system((1, 2)),
+                                  lambda: cf_system(gaussian_alphabet(2)),
+                                  lambda: cf_system(gaussian_alphabet(4)),
+                                  cf_system], ids=["cf12", "gaussian-2", "gaussian-4", "cf-full"])
+def test_the_depth_2_rates_hold_in_exact_arithmetic(make):
+    # effective_rate is rounded up from sqrt(rate), so that its square
+    # reaches rate as exact rationals; comparison * effective_rate must
+    # still reach the largest one-step sup, letter 1's
+    system = make()
+    cb = system.contraction
+    assert cb.depth == 2
+    assert Fraction(cb.effective_rate) ** 2 >= Fraction(cb.rate)
+    r1 = max(system.letter_range(e, on="neighborhood").upper for e in system.letters(64))
+    assert Fraction(cb.comparison) * Fraction(cb.effective_rate) >= Fraction(r1)
+
+
 def test_contraction_certificate_failure():
     # a neighborhood so wide that even pair compositions expand: the
     # certificate must refuse rather than return a rate >= 1
@@ -402,8 +418,9 @@ def test_gaps_and_margins_round_as_math_dist_where_they_decide():
 def old_probe_certificate(system, probe_letters):
     """The certificate of the probe system each CF scenario used to build:
     the probe letters alone, on the CF seed, certified pair by pair."""
-    probe = GifsSystem(scenarios._cf_graph(Enumeration(items=tuple(probe_letters))),
-                       {0: scenarios._CF_SEED},
+    graph = DirectedMultigraph(Enumeration(items=(0,)), Enumeration(items=tuple(probe_letters)),
+                               lambda e: 0, lambda e: 0, simple=False)
+    probe = GifsSystem(graph, {0: system.seed(0)},
                        {e: system._map_fn(e) for e in probe_letters}, 2, name="cf-probe")
     return reference.contraction_certificate(probe, len(probe_letters))
 

@@ -17,6 +17,7 @@ entries on one scale for LAPACK, and containment is checked to 1e-12.
 
 import gc
 import math
+import sys
 import weakref
 from types import SimpleNamespace
 
@@ -115,9 +116,9 @@ def test_unscaled_brackets_hold_the_dense_radius(letters, depth, seed):
     plan = complete_class(letters, depth, rng.uniform(-40.0, 0.0, letters**(depth + 1)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
-        ((lo, hi, _, _),) = _cw_bracket(plan, 1.0)
+        ((lo, hi, _, _, scale),) = _cw_bracket(plan, 1.0)
     (s_prev, _), unused = plan.warm
-    assert s_prev == 1.0 and unused is None
+    assert s_prev == 1.0 and unused is None and scale == 0.0
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) - SLACK <= want <= math.log(hi) + SLACK, (lo, want, hi)
 
@@ -131,8 +132,8 @@ def test_a_largest_entry_far_above_rho_still_gives_a_tight_bracket():
     logw = np.full((3, 3), -300.0)
     logw[0, 0], logw[1, 2] = -100.0, 0.0
     plan = complete_class(3, 1, logw.ravel())
-    ((lo, hi, stalled, _),) = _cw_bracket(plan, 1.0)
-    assert plan.warm[0] is not None and not stalled
+    ((lo, hi, stalled, _, scale),) = _cw_bracket(plan, 1.0)
+    assert plan.warm[0] is not None and not stalled and scale == 0.0
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) - SLACK <= want <= math.log(hi) + SLACK, (lo, want, hi)
     assert math.log(hi) - math.log(lo) <= CW_TOL
@@ -168,8 +169,8 @@ def test_complete_class_past_the_spread_bound_takes_the_scales(monkeypatch):
     logw, rho = perron_class(np.random.default_rng(20261019), 2, 3, 250.0)
     plan = complete_class(2, 3, logw)
     assert plan.depth * np.ptp(plan.logs[0]) > pressure._UNSCALED_SPREAD
-    ((lo, hi, stalled, _),) = _cw_bracket(plan, 1.0)
-    assert len(calls) == 1 and not stalled
+    ((lo, hi, stalled, _, scale),) = _cw_bracket(plan, 1.0)
+    assert len(calls) == 1 and not stalled and scale == 0.0
     assert plan.warm == [None, None]
     assert lo * (1.0 - SLACK) <= rho <= hi * (1.0 + SLACK), (lo, rho, hi)
     monkeypatch.setattr(pressure, "CW_MAX_ITER", 1000)
@@ -208,3 +209,21 @@ def test_a_deeper_geometry_starts_from_the_lifted_iterate():
     assert max(est.lower, cold.lower) <= min(est.upper, cold.upper)
     for got, want in ((est.lower, cold.lower), (est.upper, cold.upper)):
         assert abs(got - want) <= 4 * CW_TOL
+
+
+@pytest.mark.parametrize("low, high", [(790.0, 800.0), (-810.0, -800.0),
+                                       (700.0, 1400.0), (-1400.0, -700.0)],
+                         ids=["overflow", "underflow", "scaled-overflow", "scaled-underflow"])
+def test_a_class_past_float64s_range_is_bracketed_in_logs(low, high):
+    # entries of e**800 overflow float64 and entries of e**-800 underflow
+    # it, so theta does too; the last two spread past the bound and take
+    # the scales, whose largest entry still leaves the range.  The bracket
+    # comes back over theta with log theta as its scale, and holds the
+    # dense radius
+    rng = np.random.default_rng(29)
+    plan = complete_class(3, 2, np.zeros(27))
+    plan.logs = rng.uniform(low, high, (1, 27))
+    ((lo, hi, stalled, _, scale),) = _cw_bracket(plan, 1.0)
+    assert not stalled and not math.log(sys.float_info.min) <= scale <= math.log(sys.float_info.max)
+    want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
+    assert math.log(lo) + scale - SLACK <= want <= math.log(hi) + scale + SLACK, (lo, hi, scale)
