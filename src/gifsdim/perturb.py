@@ -27,7 +27,6 @@ import csv
 import io
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -187,6 +186,10 @@ def dimension_sweep(family, epsilons, workers=1, **options):
         )
 
     if workers > 1 and len(schedule) > 1:
+        # imported here, as it loads logging, queue and traceback besides,
+        # which a serial sweep and every other use of gifsdim never need
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             records.extend(pool.map(one, schedule))
     else:

@@ -20,8 +20,13 @@ Two routes, each valid at every finite stage rather than only in the limit:
   on primitive classes).  The geometry and each component's
   Collatz-Wielandt data (class pattern, entry positions, period, logs of
   its ranges) do not depend on s and are built once per geometry; each
-  exponent only reweights them, in logs.  Each geometry gathers its
-  letters' data from the system's letter table (GifsSystem.letter_table):
+  exponent only reweights them, in logs.  A class that is every state of
+  its geometry, as in the one-vertex continued-fraction systems, is
+  planned in closed form once the geometry's CSR pattern compares equal to
+  the complete one: its entry order is a transpose of the entry numbers,
+  and its row and column lists are formed only if the scaled route reads
+  them.  Each geometry gathers its letters' data from the system's letter
+  table (GifsSystem.letter_table):
   map family, normal form, seed range and seed-image disk, filled once per
   letter per system, so stepping the horizon maps no letter twice, and each
   level maps its words' disks and ranges its nonzeros with one kernel call
@@ -518,9 +523,10 @@ def _equilibrate_scales(plan, logw):
     """
     nstates = plan.size
     d = np.zeros(nstates)
+    row, col = plan.row, plan.col
     for _ in range(min(nstates, 512)):
         nxt = np.full(nstates, -np.inf)
-        np.maximum.at(nxt, plan.row, logw + d[plan.col])
+        np.maximum.at(nxt, row, logw + d[col])
         nxt -= nxt.max()
         finite = np.isfinite(nxt)
         if not finite.all():
@@ -544,8 +550,11 @@ class _ClassPlan:
     positions picks the class's entries out of the geometry's nonzeros in
     the order the class matvec reads them (see _class_matvec); row/col are
     their local coordinates (intp, which numpy's gathers, np.bincount and
-    np.maximum.at take without a per-call conversion).  fan selects the
-    matvec form.  It is |C| when the class has the pattern of all m-words
+    np.maximum.at take without a per-call conversion).  A plan made in
+    closed form (see _complete_plan) is built without them and forms them
+    from positions on first read, which only the scaled route makes
+    (_cw_start, _equilibrate_scales).  fan selects the matvec form.  It is
+    |C| when the class has the pattern of all m-words
     over a letter class C in which every letter may follow every other: with
     R = n/|C|, row a*R + r (a letter a, an (m-1)-word r) then holds exactly
     the columns r*|C| + b, b = 0..|C|-1.  When _stacked(|C|, n), that is
@@ -575,8 +584,8 @@ class _ClassPlan:
     letters: tuple
     size: int
     positions: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
+    _row: np.ndarray
+    _col: np.ndarray
     fan: int
     period: int
     logs: np.ndarray
@@ -584,17 +593,39 @@ class _ClassPlan:
     depth: int = 0
     warm: list = field(default_factory=lambda: [None, None])
 
+    @property
+    def row(self):
+        if self._row is None:
+            # a class of every state (see _complete_plan) holds the entry
+            # (a*R + r, r*fan + b) at position (a*R + r)*fan + b
+            self._row = self.positions // self.fan
+        return self._row
+
+    @property
+    def col(self):
+        if self._col is None:
+            tails = self.size // self.fan
+            self._col = self.row % tails * self.fan + self.positions % self.fan
+        return self._col
+
 
 def _class_plan(geom, letters, idx, period):
     """The _ClassPlan of the class whose state indices, ascending, are idx,
     labelled by its letter class and with the given period.
 
-    The geometry's rows list their columns in ascending order, and local
+    A class of every state of the geometry (idx ascending, one per row) is
+    planned in closed form when the geometry's pattern compares equal to
+    the complete one (see _complete_plan).  For any other class, the
+    geometry's rows list their columns in ascending order, and local
     indices keep that order, so taking the class's entries row by row gives
     the class matrix's CSR order; a class with the complete pattern is then
     reordered b-major or into its blocks, and any other class gets its
     chains.  The logs of the class's ranges are gathered in that order.
     """
+    if len(idx) == len(geom.indptr) - 1:
+        plan = _complete_plan(geom, letters, period)
+        if plan is not None:
+            return plan
     local = np.full(len(geom.indptr) - 1, -1)
     local[idx] = np.arange(len(idx))
     starts = geom.indptr[idx]
@@ -612,17 +643,10 @@ def _class_plan(geom, letters, idx, period):
     if (len(col) == n * fan and n % fan == 0
             and np.array_equal(row, entry // fan)
             and np.array_equal(col, row % (n // fan) * fan + entry % fan)):
-        if _stacked(fan, n):
-            # CSR entry (a*R + r)*fan + b moves to (r*fan + a)*fan + b
-            order = entry.reshape(fan, n // fan, fan).transpose(1, 0, 2).ravel()
-        else:
-            # CSR entry i*fan + b moves to b*n + i
-            order = entry.reshape(n, fan).T.ravel()
+        shape, axes, depth = _complete_layout(fan, n)
+        order = entry.reshape(shape).transpose(axes).ravel()
         positions, row, col = positions[order], row[order], col[order]
         chains = None
-        depth = 1
-        while fan**depth < n:
-            depth += 1
     else:
         fan = depth = 0
         chains = chainlib.hub_chains(n, row, col)
@@ -632,6 +656,59 @@ def _class_plan(geom, letters, idx, period):
         for side, ranges in enumerate(sides):
             np.log(ranges[positions], out=logs[side])
     return _ClassPlan(letters, n, positions, row, col, fan, period, logs, chains, depth)
+
+
+def _complete_plan(geom, letters, period):
+    """The _ClassPlan of a class that is every state of geom, when geom's
+    CSR pattern is the complete one, and None otherwise.
+
+    The pattern is complete when every row holds fan entries and row
+    a*R + r (R = n/fan) the columns r*fan + b, b = 0..fan-1, in order; the
+    geometry's indptr and indices are compared with that directly.  CSR
+    entry (a*R + r)*fan + b is then the class's own, so the b-major or
+    stacked order of _class_plan is a transpose of the entry numbers, and
+    the ranges are read in that order by a strided copy, not a gather,
+    before their logs are taken as _class_plan takes them.  row and col are
+    left for the plan to form from positions on first use, which only the
+    scaled route makes (see _cw_start).
+    """
+    indptr, indices = geom.indptr, geom.indices
+    n = len(indptr) - 1
+    fan = len(indices) // n
+    if n % fan:
+        return None
+    tails = n // fan
+    if not (np.array_equal(indptr, np.arange(0, len(indices) + 1, fan))
+            and (indices.reshape(fan, tails, fan)
+                 == np.arange(n).reshape(tails, fan)).all()):
+        return None
+    shape, axes, depth = _complete_layout(fan, n)
+    order = np.arange(len(indices)).reshape(shape).transpose(axes)
+    positions = order.ravel()
+    sides = (geom.lower,) if geom.upper is geom.lower else (geom.lower, geom.upper)
+    logs = np.empty((len(sides), len(positions)))
+    ranges = np.empty(order.shape)
+    with np.errstate(divide="ignore"):
+        for side, values in enumerate(sides):
+            np.copyto(ranges, values.reshape(shape).transpose(axes))
+            np.log(ranges.ravel(), out=logs[side])
+    return _ClassPlan(letters, n, positions, None, None, fan, period, logs, None, depth)
+
+
+def _complete_layout(fan, size):
+    """(shape, axes, depth) of a complete class of size states with this
+    fan (see _ClassPlan): its CSR entries, viewed with shape and transposed
+    by axes, come in plan order, and depth is m, size = fan**m."""
+    if _stacked(fan, size):
+        # CSR entry (a*R + r)*fan + b moves to (r*fan + a)*fan + b
+        shape, axes = (fan, size // fan, fan), (1, 0, 2)
+    else:
+        # CSR entry i*fan + b moves to b*n + i
+        shape, axes = (size, fan), (1, 0)
+    depth = 1
+    while fan**depth < size:
+        depth += 1
+    return shape, axes, depth
 
 
 def _stacked(fan, size):
@@ -977,12 +1054,18 @@ def _cycling_classes(words, letter_classes):
     over C as well, so C gives exactly one state class, all m-words over C,
     and every other state is trivial.  A state path from one class to
     another spells a letter path between their letter classes, so the
-    letter order is a dependency order of the state classes.
+    letter order is a dependency order of the state classes.  Each letter
+    of C lies on a cycle, so some word holds it, and C lies among the
+    positions 0..max(words); a C of max(words) + 1 letters is all of them,
+    and its class is every word, with no per-word test.
     """
     out = []
+    used = int(words.max()) + 1 if letter_classes else 0
     for cls, positions, _ in letter_classes:
-        # each letter of C lies on a cycle, so some word holds it
-        inside = np.zeros(int(words.max()) + 1, dtype=bool)
+        if len(positions) == used:
+            out.append((cls, np.arange(len(words))))
+            continue
+        inside = np.zeros(used, dtype=bool)
         inside[list(positions)] = True
         out.append((cls, np.flatnonzero(inside[words].all(axis=1))))
     return out

@@ -6,7 +6,9 @@ typical solve costs, so importing gifsdim, solving and running a
 truncation ladder must leave every scipy module unloaded.  A solve also
 calls no numpy.linalg function: the first LAPACK call adds about 1.3 MB
 of resident memory, and the ladder's chain elimination (gifsdim.chains)
-solves its small Perron problems without one.
+solves its small Perron problems without one.  Nor does the import load
+concurrent.futures, with its logging, queue and traceback imports: only
+a sweep over several workers uses it.
 """
 
 import os
@@ -59,11 +61,20 @@ print("linalg", linalg_calls)
 """
 
 
-def test_import_and_solve_load_no_scipy():
+def run(program):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    out = subprocess.run([sys.executable, "-c", PROGRAM], env=env,
-                         capture_output=True, text=True, check=True)
+    return subprocess.run([sys.executable, "-c", program], env=env,
+                          capture_output=True, text=True, check=True)
+
+
+def test_import_and_solve_load_no_scipy():
+    out = run(PROGRAM)
     assert out.stdout.split("\n")[:4] == [
         "import []", "solve []", "ladder []", "linalg []"], out.stdout + out.stderr
+
+
+def test_import_loads_no_thread_pool():
+    out = run("import sys\nimport gifsdim\nprint('concurrent.futures' in sys.modules)")
+    assert out.stdout.strip() == "False", out.stdout + out.stderr
