@@ -79,7 +79,12 @@ class DimensionResult:
     finite at solve start and "full" otherwise.  pressure_at_lower / pressure_at_upper are
     the estimates that last moved the endpoints, by sign or by a
     mean-value step, so an estimate may sit at another s than its endpoint
-    (None when an endpoint came from a declared floor).  conditions carries
+    (None when an endpoint came from a declared floor).  An endpoint the
+    squeeze moved holds a half estimate: its own end only, the other
+    infinite (upper +inf at the lower endpoint, lower -inf at the upper).
+    evals counts pressure evaluations, one per probe: a joint half-probe,
+    which bounds the two ends at two exponents in one evaluation, counts
+    one toward evals and toward bowen_dimension's max_evals.  conditions carries
     (check, status) provenance pairs.  summability_part is the threshold
     term that competed inside an upper estimate's max; root_bracket the raw
     pressure-root bracket before that max.  stop_reason (bowen_dimension
@@ -198,6 +203,16 @@ class _PressureProbe:
         ests = truncation_ladder(self.system, PotentialSpec(s), [self.k], depth=self.m)
         return ests[0] if self.finite else ests[-1]
 
+    def halves(self, s_lower, s_upper):
+        """One eval, a half-probe: the HalfEstimates of the lower end at
+        s_lower and the upper end at s_upper, either None to leave it out
+        (see truncation_ladder), in the solve's scope."""
+        self.evals += 1
+        potential = PotentialSpec(s_upper if s_lower is None else s_lower)
+        ests = truncation_ladder(self.system, potential, [self.k], depth=self.m,
+                                 halves=(s_lower, s_upper))
+        return ests[0] if self.finite else ests[-1]
+
     def geometry(self):
         """The state geometry at the current horizon and depth: the one the
         last bracket was built on, so a solve builds it once."""
@@ -312,33 +327,51 @@ def _next_probe(root, trail, chi_min, chi_max):
 
 
 def _squeeze_point(lo, hi, seen, side, tol):
-    """Next probe of the endpoint squeeze, over the search interval [lo, hi]
-    that holds the sign change of the lowers (side 0) or uppers (side 1).
+    """Next probe of one end's squeeze, over the search interval [lo, hi]
+    that holds the sign change of the lowers (side 0) or uppers (side 1) at
+    the final knobs; of the (s, estimate) pairs in seen it reads only that
+    side's finite bounds.
 
-    Aims tol/8 inside the squeezed end's side of the secant root through
-    the nearest probes in seen on either side of the change, and, once
-    that end sits near the root, closes the search from the other side;
-    bisects while seen has no such pair.  Every probe keeps tol/8 from
-    both ends, so each one shrinks the search by at least that much.
+    It aims at the root of the secant through the nearest probes on either
+    side of the change, or, with none on one side, through the two nearest
+    probes of one sign.  The pressure is convex, so the first secant lands
+    at or above the root and the second at or below it.  Side 0 probes
+    tol/32 below the secant's root, side 1 tol/32 above: the first
+    secant's overshoot is second order in its distance to the root, so a
+    small offset still lands where the sign certifies, and the end that
+    probe certifies sits closer to the root.  Once that end sits within
+    tol/8 of the probe, the probe closes the search from the other side
+    instead; with no pair it bisects.  Every probe keeps tol/8 from both
+    ends, so each one shrinks the search by at least that much.
     """
-    step = tol / 8.0
-    pos = neg = None
+    step, aim = tol / 8.0, tol / 32.0
+    pos, neg = [], []
     for s, est in seen:
         f = est.upper if side else est.lower
         if not math.isfinite(f):
             continue
         if f > 0.0 or (f == 0.0 and side == 0):
-            if pos is None or s > pos[0]:
-                pos = (s, f)
-        elif neg is None or s < neg[0]:
-            neg = (s, f)
-    t = 0.5 * (lo + hi)
-    if pos is not None and neg is not None and pos[0] < neg[0]:
-        r = pos[0] + pos[1] * (neg[0] - pos[0]) / (pos[1] - neg[1])
-        if side == 0:
-            t = r - step if r - step > lo + step else lo + 0.9 * tol
+            pos.append((s, f))
         else:
-            t = r + step if r + step < hi - step else hi - 0.9 * tol
+            neg.append((s, f))
+    # nearest the sign change first
+    pos.sort(reverse=True)
+    neg.sort()
+    pair = None
+    if pos and neg and pos[0][0] < neg[0][0]:
+        pair = pos[0], neg[0]
+    elif len(neg) > 1:
+        pair = neg[0], neg[1]
+    elif len(pos) > 1:
+        pair = pos[1], pos[0]
+    t = 0.5 * (lo + hi)
+    if pair is not None and pair[0][0] < pair[1][0] and pair[0][1] > pair[1][1]:
+        (a, fa), (b, fb) = pair
+        r = a + fa * (b - a) / (fa - fb)
+        if side == 0:
+            t = r - aim if r - aim > lo + step else lo + 0.9 * tol
+        else:
+            t = r + aim if r + aim < hi - step else hi - 0.9 * tol
     return min(max(t, lo + step), hi - step)
 
 
@@ -429,10 +462,21 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
     secant slope through an earlier probe.  A probe that straddles zero
     and leaves the bracket wider than s_tol/2 (the working target; a
     straddling probe's own enclosure is (b - a) / chi_min wide) refines
-    the horizon, then the depth, and is repeated at the same s.  When
-    refinement stops (state_cap, depth_limit) or stops buying width
-    ("stuck"), each end is squeezed separately at the final knobs.  An
-    empty intersection raises CrossedBracket rather than being collapsed.
+    the horizon, then the depth, and is repeated at the same s.
+
+    When refinement stops (state_cap, depth_limit) or stops buying width
+    ("stuck") with the bracket still wider than s_tol, both ends are
+    squeezed at the final knobs in one loop.  Each eval is a joint
+    half-probe (see pressure.truncation_ladder): the inf side's lower at
+    the lower end's point and the sup side's upper at the upper end's, the
+    two as rows of one Collatz-Wielandt loop, and a countable system's
+    full upper from its tail witness alone, with no loop.  The lower end
+    cannot pass a probe whose lower is negative, nor the upper end one
+    whose upper is positive, so each end searches up to its nearest such
+    probe, starting from the signs of the finite bounds the trail holds at
+    the final knobs; an end stops once its search is s_tol wide.  Points
+    come from _squeeze_point.  An empty intersection raises CrossedBracket
+    rather than being collapsed.
     IrregularSystem when no certified sign change exists in [floor,
     s_max]; BudgetExhausted when the eval budget dies before the ceiling
     is certified.
@@ -550,25 +594,39 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
     if root.width > s_tol:
         # refinement is spent and the probes straddle: the leftover gap
-        # belongs to the bounds themselves, not to the search.  Squeeze
-        # each endpoint separately at the final knobs so the reported
-        # bracket matches what the bounds can actually certify.
-        seen = trail[-1:]  # the last probe ran at the final knobs
-        for side in (0, 1):
-            lo, hi = root.lower, root.upper
-            while hi - lo > s_tol and not out_of_budget():
-                s = _squeeze_point(lo, hi, seen, side, s_tol)
-                est = probe_at(s)
-                root.narrow(s, est, probe.enclosure(s, est))
-                seen.append((s, est))
-                if side == 0:
-                    lo = root.lower
-                    hi = min(s if est.lower < 0.0 else hi, root.upper)
-                else:
-                    lo = max(s if est.upper > 0.0 else lo, root.lower)
-                    hi = root.upper
-            if hi - lo > s_tol:
+        # belongs to the bounds themselves, not to the search.  Squeeze both
+        # ends at the final knobs, each joint half-probe asking each end
+        # that is still open for its own bound only.  The lower end cannot
+        # pass a probe whose lower is negative, nor the upper end one whose
+        # upper is positive, so each search runs up to the nearest such
+        # probe; the trail's probes at the final knobs seed both, by the
+        # signs of their finite bounds.
+        final = trail[-1][1]
+        seen = [(s, est) for s, est in trail
+                if (est.horizon, est.depth) == (final.horizon, final.depth)]
+        cut_lower = min((s for s, est in seen if -math.inf < est.lower < 0.0),
+                        default=math.inf)
+        cut_upper = max((s for s, est in seen if 0.0 < est.upper < math.inf),
+                        default=-math.inf)
+        while True:
+            searches = ((root.lower, min(cut_lower, root.upper)),
+                        (max(cut_upper, root.lower), root.upper))
+            points = [_squeeze_point(lo, hi, seen, side, s_tol) if hi - lo > s_tol else None
+                      for side, (lo, hi) in enumerate(searches)]
+            if points == [None, None]:
+                break
+            if out_of_budget():
                 stop = "budget"
+                break
+            halves = probe.halves(*points)
+            for s, est in zip(points, halves):
+                if s is not None:
+                    root.narrow(s, est, probe.enclosure(s, est))
+                    seen.append((s, est))
+            if points[0] is not None and halves.lower.lower < 0.0:
+                cut_lower = points[0]
+            if points[1] is not None and halves.upper.upper > 0.0:
+                cut_upper = points[1]
 
     component = None
     for src in (root.at_upper, root.at_lower):
@@ -596,10 +654,12 @@ def _boolean_bisect(above, floor, ceil, tol):
     return lo, hi
 
 
-def _sign_threshold(system, s_tol, horizon, depth, s_max, positive):
+def _sign_threshold(system, s_tol, horizon, depth, s_max, side):
     """(lo, hi, probe): _boolean_bisect's bracket, over [0, s_max], of the
-    exponent where positive(pressure bracket) turns false, a system with no
-    returning words counting as false; probe holds the scope and evals."""
+    exponent where the certified pressure lower (side 0) stops being
+    nonnegative, or the certified upper (side 1) stops being positive, a
+    system with no returning words counting as neither.  Each probe is a
+    half-probe of that side alone; probe holds the scope and evals."""
     finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
     probe = _PressureProbe(
         system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
@@ -607,9 +667,10 @@ def _sign_threshold(system, s_tol, horizon, depth, s_max, positive):
 
     def above(s):
         try:
-            return positive(probe.bracket(s))
+            half = probe.halves(*((s, None) if side == 0 else (None, s)))[side]
         except NoAdmissibleWords:
             return False
+        return half.lower >= 0.0 if side == 0 else half.upper > 0.0
 
     return (*_boolean_bisect(above, 0.0, s_max, s_tol), probe)
 
@@ -624,8 +685,7 @@ def upper_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     same computed quantity from below (useful for reporting, not itself a
     dimension bound).
     """
-    root_lo, root_hi, probe = _sign_threshold(
-        system, s_tol, horizon, depth, s_max, lambda est: est.upper > 0.0)
+    root_lo, root_hi, probe = _sign_threshold(system, s_tol, horizon, depth, s_max, 1)
 
     summ = summability_interval(system)
     c_lo = summ.theta_low
@@ -650,8 +710,7 @@ def lower_estimate(system, s_tol=None, horizon=None, depth=1, s_max=None):
     a true dimension lower bound.  Systems with no returning words report
     zero.
     """
-    lo, hi, probe = _sign_threshold(
-        system, s_tol, horizon, depth, s_max, lambda est: est.lower >= 0.0)
+    lo, hi, probe = _sign_threshold(system, s_tol, horizon, depth, s_max, 0)
     return DimensionResult(s_lower=lo, s_upper=hi, scope=probe.scope, evals=probe.evals)
 
 

@@ -49,8 +49,9 @@ Two routes, each valid at every finite stage rather than only in the limit:
   iterate as the two rows of one array in one loop, each with its own
   route, start, shift and stop test (see _cw_bracket); when every entry's
   range is a single value (affine letters) the two matrices are one, and
-  the loop has one row.  Each class's power iteration multiplies by numpy
-  alone, both rows in one call: a complete
+  the loop has one row.  A half-probe gives each side its own exponent,
+  or leaves one out (see pressure_spectral).  Each class's power
+  iteration multiplies by numpy alone, both rows in one call: a complete
   class of more than one block over _STACK_FAN or more letters by one
   stacked np.matmul, whose sums round as the BLAS kernel adds them; every
   other class sums each row from 0.0 in ascending column order, as
@@ -70,6 +71,7 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +83,7 @@ from .graphs import extend_words, strongly_connected_components
 __all__ = [
     "PotentialSpec",
     "PressureEstimate",
+    "HalfEstimates",
     "WeightedMatrix",
     "build_weighted_matrix",
     "pressure_spectral",
@@ -182,6 +185,22 @@ class PressureEstimate:
     @property
     def width(self):
         return self.upper - self.lower
+
+
+class HalfEstimates(NamedTuple):
+    """What a half-probe returns (see pressure_spectral): lower, the inf
+    side's PressureEstimate at its own exponent, whose upper is +inf, and
+    upper, the sup side's at its own, whose lower is -inf; either is None
+    when that side was not asked for."""
+
+    lower: object
+    upper: object
+
+    @property
+    def stalled(self):
+        # as a bracket answers it, so a half-probe reads like one to a
+        # caller that asks only whether an iteration stalled
+        return any(half is not None and half.stalled for half in self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -869,6 +888,16 @@ def _cw_bracket(plan, s):
     s, one per side: the inf side's, then the sup side's, or one bracket
     for both when the plan holds one row of logs for both.
 
+    Half-probes.  s may instead be a pair (s_inf, s_sup) that gives each
+    side its own exponent, None leaving that side out.  Each side asked for
+    is then one row of the loop, reading its row of logs (a one-row plan's
+    one row, for either side) and its warm slot at its own exponent, and
+    the result is a pair, the inf side's bracket then the sup side's, None
+    for a side left out.  Rows are independent (see One loop below), so a
+    side's bracket has the bits that side has in a probe at its exponent
+    alone, from the same start.  On a one-row plan both rows read the one
+    warm slot and write it in order, so the sup row's iterate is kept.
+
     Each side's entries are exp(s * logs), logs its logs in plan order, and
     each is 1 at s = 0 even for a range of 0 (as 0.0**0.0 == 1, and with no
     0 * -inf).  Power iteration on M = B/theta, theta the largest scaled
@@ -937,23 +966,36 @@ def _cw_bracket(plan, s):
     scale is log theta (see _cw_start).
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
-    sides, n = len(plan.logs), plan.size
+    n, last = plan.size, len(plan.logs) - 1
+    # each row's (row of logs, which is also its warm slot; exponent)
+    if isinstance(s, tuple):
+        asked = [side for side in (0, 1) if s[side] is not None]
+        rows = [(min(side, last), s[side]) for side in asked]
+    else:
+        asked = None
+        rows = [(side, s) for side in range(last + 1)]
+    sides = len(rows)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
     # a stacked class's weights start each row on a 64-byte boundary (see
     # _aligned); the other classes keep np.empty, on which cf-deep's solves
     # ran faster
-    shape = plan.logs.shape
+    shape = (sides, plan.logs.shape[1])
     data = _aligned(*shape) if plan.fan and _stacked(plan.fan, n) else np.empty(shape)
-    # every side's log-weights, and their extremes, in one call each; a
-    # row's extremes are exact, so each is the one side's alone
-    if s:
+    # every row's log-weights, in one call at one exponent, and their
+    # extremes in one call each; a row's extremes are exact, so each is the
+    # one side's alone
+    if asked is None and s:
         np.multiply(plan.logs, s, out=data)
     else:
-        data.fill(0.0)
+        for row, (slot, exponent) in enumerate(rows):
+            if exponent:
+                np.multiply(plan.logs[slot], exponent, out=data[row])
+            else:
+                data[row].fill(0.0)
     tops, lows = highest(data, axis=1).tolist(), lowest(data, axis=1).tolist()
     v = np.empty((sides, n))
-    starts = [_cw_start(plan, side, s, data[side], v[side], tops[side], lows[side])
-              for side in range(sides)]
+    starts = [_cw_start(plan, slot, exponent, data[row], v[row], tops[row], lows[row])
+              for row, (slot, exponent) in enumerate(rows)]
     live = [side for side in range(sides) if starts[side] is not None]
     best_lo, best_hi = [0.0] * sides, [math.inf] * sides
     stalled, counts, finals = [False] * sides, [0] * sides, [None] * sides
@@ -1007,17 +1049,23 @@ def _cw_bracket(plan, s):
             for k, side in enumerate(live):
                 stalled[side], counts[side], finals[side] = True, max_iter, v[k]
     out = []
-    for side, start in enumerate(starts):
+    for row, start in enumerate(starts):
         if start is None:
             out.append((0.0, 0.0, False, 0, 0.0))
             continue
         low_factor, high_factor, scale, shift, relative = start
         if relative:
-            plan.warm[side] = (s, finals[side])
-        lo = max(best_lo[side] - shift, 0.0) * low_factor
-        hi = max(best_hi[side] - shift, 0.0) * high_factor
-        out.append((min(lo, hi), hi, stalled[side], counts[side], scale))
-    return tuple(out)
+            slot, exponent = rows[row]
+            plan.warm[slot] = (exponent, finals[row])
+        lo = max(best_lo[row] - shift, 0.0) * low_factor
+        hi = max(best_hi[row] - shift, 0.0) * high_factor
+        out.append((min(lo, hi), hi, stalled[row], counts[row], scale))
+    if asked is None:
+        return tuple(out)
+    pair = [None, None]
+    for side, bracket in zip(asked, out):
+        pair[side] = bracket
+    return tuple(pair)
 
 
 def _shifted_rows(shifts):
@@ -1095,7 +1143,7 @@ def _letter_period(succ, vertices, initial, terminal):
     return int(np.gcd.reduce(level[initial] + 1 - level[terminal]))
 
 
-def pressure_spectral(system, potential, k, m=1):
+def pressure_spectral(system, potential, k, m=1, *, halves=None):
     """Spectral pressure bracket of the truncation at depth m, as the max
     over its strongly connected letter classes, with per-class attribution.
 
@@ -1116,8 +1164,20 @@ def pressure_spectral(system, potential, k, m=1):
     one Collatz-Wielandt loop over its two sides (see _cw_bracket), each
     as a loop of its own would give it; when the two matrices are one
     (affine letters) that loop runs one row for both.
+
+    halves=(s_lower, s_upper) makes the call a half-probe: only the inf
+    side's lower bound at s_lower and the sup side's upper bound at
+    s_upper, either None to leave that side out, each class's two as the
+    rows of one loop at their own exponents (see _cw_bracket).  The result
+    is a HalfEstimates of one PressureEstimate per side asked for, at its
+    own exponent, its other end infinite, and its component the argmax of
+    its own end; each end has the bits it has in a probe at its exponent
+    from the same start.  The geometry is s-independent, so potential then
+    only labels its build.
     """
     wm = build_weighted_matrix(system, potential, k, m)
+    if halves is not None:
+        return _spectral_halves(wm, m, *halves)
     lower = -math.inf
     upper = -math.inf
     best = None
@@ -1146,6 +1206,38 @@ def pressure_spectral(system, potential, k, m=1):
         component=best,
         components=tuple(comps),
     )
+
+
+def _spectral_halves(wm, m, s_lower, s_upper):
+    """pressure_spectral's half-probe over the classes of wm at s_lower and
+    s_upper."""
+    asked = tuple(None if e is None else PotentialSpec(e).s for e in (s_lower, s_upper))
+    # per side: the max over classes of its log bound, the first class that
+    # attains it, whether any stalled, and each class's bound
+    bounds, best, stalled = [-math.inf, -math.inf], [None, None], [False, False]
+    ends = ([], [])
+    for plan in wm.geometry.classes:
+        for side, bracket in enumerate(_cw_bracket(plan, asked)):
+            if bracket is None:
+                continue
+            end = _safe_log(bracket[side]) + bracket[4]
+            ends[side].append((plan.letters, end))
+            stalled[side] = stalled[side] or bracket[2]
+            if end > bounds[side]:
+                bounds[side], best[side] = end, plan.letters
+    common = {"horizon": wm.horizon, "depth": m, "scope": "truncated"}
+    lower = upper = None
+    if asked[0] is not None:
+        lower = PressureEstimate(
+            lower=bounds[0], upper=math.inf, s=asked[0], stalled=stalled[0],
+            component=best[0],
+            components=tuple((c, end, math.inf) for c, end in ends[0]), **common)
+    if asked[1] is not None:
+        upper = PressureEstimate(
+            lower=-math.inf, upper=bounds[1], s=asked[1], stalled=stalled[1],
+            component=best[1],
+            components=tuple((c, -math.inf, end) for c, end in ends[1]), **common)
+    return HalfEstimates(lower, upper)
 
 
 def _fekete_edge_upper(system, potential, k):
@@ -1257,7 +1349,7 @@ def _full_upper(system, potential, k, exhausted_upper):
     return upper, tail_term, False
 
 
-def truncation_ladder(system, potential, horizons, depth=1):
+def truncation_ladder(system, potential, horizons, depth=1, *, halves=None):
     """Pressure brackets along nested truncations plus a closing full entry.
 
     Reported lowers are running maxima over completed stages: a smaller
@@ -1266,12 +1358,21 @@ def truncation_ladder(system, potential, horizons, depth=1):
     certified at every stage and is nondecreasing by construction.  The
     final entry (scope "full") pairs the best lower with the tail-corrected
     upper from the largest horizon, and is stalled when any stage was.
+
+    halves=(s_lower, s_upper) makes it a ladder of half-probes (see
+    pressure_spectral), each entry a HalfEstimates: the same running lowers
+    at s_lower, and the closing upper, at s_upper, the full upper.  A stage
+    forms its own upper half only while the system is finite: a countable
+    system's full upper is the tail witness's (see _full_upper), which
+    reads no truncation's, so its upper half runs no Collatz-Wielandt loop.
     """
     hs = list(horizons)
     if not hs:
         raise ValueError("need at least one horizon")
     if hs[0] < 1 or any(b <= a for a, b in zip(hs, hs[1:])):
         raise ValueError(f"horizons must be positive and strictly increasing: {hs}")
+    if halves is not None:
+        return _half_ladder(system, potential, hs, depth, *halves)
     out = []
     running = -math.inf
     last = None
@@ -1300,4 +1401,40 @@ def truncation_ladder(system, potential, horizons, depth=1):
             component=last.component,
         )
     )
+    return out
+
+
+def _half_ladder(system, potential, hs, depth, s_lower, s_upper):
+    """truncation_ladder's entries as half-probes at s_lower and s_upper."""
+    out = []
+    running = -math.inf
+    for k in hs:
+        # a factory enumeration turns finite once letters(k) runs it out
+        system.letters(k)
+        sup = s_upper if system.is_finite else None
+        low, high = pressure_spectral(system, potential, k, depth, halves=(s_lower, sup))
+        if low is not None:
+            if low.lower < running:
+                low = replace(low, lower=running)
+            else:
+                running = low.lower
+        out.append(HalfEstimates(low, high))
+    closing = {"horizon": hs[-1], "depth": depth, "scope": "full"}
+    low = high = None
+    if s_lower is not None:
+        low = PressureEstimate(
+            lower=running, upper=math.inf, s=s_lower,
+            stalled=any(h.lower.stalled for h in out),
+            component=out[-1].lower.component, **closing)
+    if s_upper is not None:
+        last = out[-1].upper
+        upper, tail_term, divergence = _full_upper(
+            system, PotentialSpec(s_upper), hs[-1],
+            exhausted_upper=None if last is None else last.upper)
+        high = PressureEstimate(
+            lower=-math.inf, upper=upper, s=s_upper, divergence=divergence,
+            stalled=any(h.upper is not None and h.upper.stalled for h in out),
+            tail_term=tail_term,
+            component=None if last is None else last.component, **closing)
+    out.append(HalfEstimates(low, high))
     return out

@@ -230,7 +230,9 @@ def test_solve_brackets_are_pinned_bitwise():
     # of its width (they are wider than the pins they replace by 5.5e-11
     # and 6.3e-11 of it); cantor's did not move and may not widen at all.
     # Running complete classes without scales, at CW_TOL = 3e-11, then
-    # moved both of CF {1, 2}'s ends in
+    # moved both of CF {1, 2}'s ends in.  Squeezing both ends with joint
+    # half-probes, seeded by the trail's signs, then moved the ladder's
+    # ends in (its width fell from 0.0625116 to 0.0622288).
     pinned = (
         (moran_system([1 / 3, 1 / 3]), 1e-7,
          ("0x1.4309398353537p-1", "0x1.4309398353543p-1"),
@@ -244,10 +246,11 @@ def test_solve_brackets_are_pinned_bitwise():
           ("0x1.1003ea34a1c13p-1", "0x1.10042d74188c3p-1")),
          (CF_DIGITS_12, CF_DIGITS_12), None, 1e-9),
         (ladder_system(), 1e-3,
-         ("0x1.4382fb193df79p-1", "0x1.63847f395667cp-1"),
+         ("0x1.439b78e892c9ep-1", "0x1.6377ebbe4421bp-1"),
          (("0x1.4382fb1943bcap-1", "0x1.63847f395667cp-1"),
           ("0x1.4380000000000p-1", "0x1.63a4000000000p-1"),
-          ("0x1.4382fb19469f6p-1", "0x1.63847f395667cp-1")), (TWO_LOOP, GOLDEN),
+          ("0x1.4382fb19469f6p-1", "0x1.63847f395667cp-1"),
+          ("0x1.4382fb193df79p-1", "0x1.63847f395667cp-1")), (TWO_LOOP, GOLDEN),
          ("0x1.4382fb18d8df4p-1", "0x1.63847f39566d1p-1"), 1e-9),
     )
     for sysm, s_tol, new, olds, (floor, ceiling), within, slack in pinned:
@@ -725,6 +728,21 @@ def test_factory_enumeration_that_runs_out_keeps_full_scope(
     assert res.scope == "full"
     assert (res.s_lower.hex(), res.s_upper.hex(), res.evals) == (lower, upper, evals)
     assert res.s_lower <= CANTOR <= res.s_upper
+
+
+@pytest.mark.parametrize("solve, make, lower, upper", [
+    (lower_estimate, lambda: cf_system((1, 2)), "0x1.cb30000000000p-2", "0x1.cb48000000000p-2"),
+    (upper_estimate, lambda: cf_system((1, 2)), "0x1.2e94000000000p-1", "0x1.2ea0000000000p-1"),
+    (lower_estimate, lambda: cf_system(gaussian_alphabet(2)),
+     "0x1.6416000000000p+0", "0x1.641c000000000p+0"),
+    (upper_estimate, lambda: cf_system(gaussian_alphabet(2)),
+     "0x1.b774000000000p+0", "0x1.b77a000000000p+0"),
+], ids=["cf12-lower", "cf12-upper", "gaussian2-lower", "gaussian2-upper"])
+def test_sign_thresholds_on_cf_systems_are_pinned_bitwise(solve, make, lower, upper):
+    # each probe is a half-probe of the one side the threshold reads; the
+    # pins were taken when every probe still bracketed both sides
+    res = solve(make(), s_tol=1e-4)
+    assert (res.s_lower.hex(), res.s_upper.hex(), res.evals) == (lower, upper, 17)
 
 
 def count_condition_calls(monkeypatch):
