@@ -76,15 +76,15 @@ class DimensionResult:
 
     theta is the summability-threshold bracket that was consulted (zero
     width for finite alphabets).  scope is "truncated" when the system was
-    finite at solve start and "full" otherwise.  pressure_at_lower / pressure_at_upper are
-    the estimates that last moved the endpoints, by sign or by a
-    mean-value step, so an estimate may sit at another s than its endpoint
-    (None when an endpoint came from a declared floor).  An endpoint the
-    squeeze moved holds a half estimate: its own end only, the other
-    infinite (upper +inf at the lower endpoint, lower -inf at the upper).
-    evals counts pressure evaluations, one per probe: a joint half-probe,
-    which bounds the two ends at two exponents in one evaluation, counts
-    one toward evals and toward bowen_dimension's max_evals.  conditions carries
+    finite at solve start and "full" otherwise.  pressure_at_lower /
+    pressure_at_upper are the estimates that last moved the endpoints, by
+    sign or by a mean-value step, so an estimate may sit at another s than
+    its endpoint (None when an endpoint came from a declared floor).  An
+    endpoint the squeeze moved holds a joint estimate, its lower certified
+    at s and its upper at s_upper, an end the probe left out infinite.
+    evals counts pressure evaluations, one per probe: a joint probe, which
+    bounds the two ends at two exponents in one evaluation, counts one
+    toward evals and toward bowen_dimension's max_evals.  conditions carries
     (check, status) provenance pairs.  summability_part is the threshold
     term that competed inside an upper estimate's max; root_bracket the raw
     pressure-root bracket before that max.  stop_reason (bowen_dimension
@@ -198,19 +198,15 @@ class _PressureProbe:
     def scope(self):
         return "truncated" if self.finite else "full"
 
-    def bracket(self, s):
-        self.evals += 1
-        ests = truncation_ladder(self.system, PotentialSpec(s), [self.k], depth=self.m)
-        return ests[0] if self.finite else ests[-1]
-
-    def halves(self, s_lower, s_upper):
-        """One eval, a half-probe: the HalfEstimates of the lower end at
-        s_lower and the upper end at s_upper, either None to leave it out
-        (see truncation_ladder), in the solve's scope."""
+    def eval(self, s_lower, s_upper):
+        """One eval: the PressureEstimate of the lower end at s_lower and
+        the upper end at s_upper, either None to leave it out (see
+        truncation_ladder), in the solve's scope; a full probe at s asks
+        for (s, s)."""
         self.evals += 1
         potential = PotentialSpec(s_upper if s_lower is None else s_lower)
         ests = truncation_ladder(self.system, potential, [self.k], depth=self.m,
-                                 halves=(s_lower, s_upper))
+                                 ends=(s_lower, s_upper))
         return ests[0] if self.finite else ests[-1]
 
     def geometry(self):
@@ -231,24 +227,26 @@ class _PressureProbe:
             self._slopes = ((self.k, self.m), value)
         return value
 
-    def enclosure(self, s, est):
-        """Certified root enclosure from the bracket est at s.
+    def enclosure(self, est):
+        """Certified root enclosure from the estimate est, each end stepped
+        from its own exponent.
 
-        The root lies in s + [est.lower, est.upper] / [chi_min, chi_max]
-        (see the module docstring), each end rounded outward, and on the side a
-        sign certifies, within s.  The upper end takes no step unless the
-        geometry's truncation is the whole system.
+        The root lies at or above est.s + est.lower / [chi_min, chi_max]
+        and at or below est.s_upper + est.upper / [chi_min, chi_max] (see
+        the module docstring), each end rounded outward, and on the side a
+        sign certifies, beyond that end's exponent.  The upper end takes no
+        step unless the geometry's truncation is the whole system.
         """
         chi_min, chi_max, whole = self.slopes()
         a, b = est.lower, est.upper
-        lo = _outward_step(s, a, chi_min if a < 0.0 else chi_max, -math.inf)
+        lo = _outward_step(est.s, a, chi_min if a < 0.0 else chi_max, -math.inf)
         hi = math.inf
         if whole:
-            hi = _outward_step(s, b, chi_min if b > 0.0 else chi_max, math.inf)
+            hi = _outward_step(est.s_upper, b, chi_min if b > 0.0 else chi_max, math.inf)
         if a >= 0.0:
-            lo = max(lo, s)
+            lo = max(lo, est.s)
         if b <= 0.0:
-            hi = min(hi, s)
+            hi = min(hi, est.s_upper)
         return lo, hi
 
     def refine(self):
@@ -283,8 +281,8 @@ class _RootBracket:
     def width(self):
         return self.upper - self.lower
 
-    def narrow(self, s, est, enclosure):
-        """Intersect with the root enclosure est gave at s; an empty
+    def narrow(self, est, enclosure):
+        """Intersect with the root enclosure est gave; an empty
         intersection raises CrossedBracket instead of being collapsed."""
         lo, hi = enclosure
         if lo > self.lower:
@@ -293,7 +291,7 @@ class _RootBracket:
             self.upper, self.at_upper = hi, est
         if self.lower > self.upper:
             raise CrossedBracket(
-                s, est.lower, est.upper, self.lower, self.upper)
+                est.s, est.lower, est.upper, self.lower, self.upper)
 
 
 def _centre(est):
@@ -302,7 +300,8 @@ def _centre(est):
 
 def _next_probe(root, trail, chi_min, chi_max):
     """Where to probe next: the Newton point of the last bracket's centre,
-    clipped into the middle (1 - 2/16) of the running bracket.
+    clipped into the middle (1 - 2/16) of the running bracket.  trail holds
+    the estimates of the full probes so far, in order.
 
     The slope is the secant through that centre and the one of the latest
     probe at another s when it is positive, else the middle of the
@@ -312,12 +311,12 @@ def _next_probe(root, trail, chi_min, chi_max):
     """
     lo, hi = root.lower, root.upper
     t = 0.5 * (lo + hi)
-    s, centre = trail[-1][0], _centre(trail[-1][1])
+    s, centre = trail[-1].s, _centre(trail[-1])
     if math.isfinite(centre):
         chi = 0.0
-        prev = next((p for p in reversed(trail) if p[0] != s), None)
-        if prev is not None and math.isfinite(_centre(prev[1])):
-            chi = (_centre(prev[1]) - centre) / (s - prev[0])
+        prev = next((p for p in reversed(trail) if p.s != s), None)
+        if prev is not None and math.isfinite(_centre(prev)):
+            chi = (_centre(prev) - centre) / (s - prev.s)
         if not chi > 0.0 and math.isfinite(chi_max):
             chi = 0.5 * (chi_min + chi_max)
         if chi > 0.0:
@@ -329,8 +328,8 @@ def _next_probe(root, trail, chi_min, chi_max):
 def _squeeze_point(lo, hi, seen, side, tol):
     """Next probe of one end's squeeze, over the search interval [lo, hi]
     that holds the sign change of the lowers (side 0) or uppers (side 1) at
-    the final knobs; of the (s, estimate) pairs in seen it reads only that
-    side's finite bounds.
+    the final knobs; seen holds that side's finite bounds there, as (s,
+    bound) pairs, each at the exponent it is certified at.
 
     It aims at the root of the secant through the nearest probes on either
     side of the change, or, with none on one side, through the two nearest
@@ -346,10 +345,7 @@ def _squeeze_point(lo, hi, seen, side, tol):
     """
     step, aim = tol / 8.0, tol / 32.0
     pos, neg = [], []
-    for s, est in seen:
-        f = est.upper if side else est.lower
-        if not math.isfinite(f):
-            continue
+    for s, f in seen:
         if f > 0.0 or (f == 0.0 and side == 0):
             pos.append((s, f))
         else:
@@ -466,17 +462,18 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
     When refinement stops (state_cap, depth_limit) or stops buying width
     ("stuck") with the bracket still wider than s_tol, both ends are
-    squeezed at the final knobs in one loop.  Each eval is a joint
-    half-probe (see pressure.truncation_ladder): the inf side's lower at
-    the lower end's point and the sup side's upper at the upper end's, the
-    two as rows of one Collatz-Wielandt loop, and a countable system's
-    full upper from its tail witness alone, with no loop.  The lower end
-    cannot pass a probe whose lower is negative, nor the upper end one
-    whose upper is positive, so each end searches up to its nearest such
-    probe, starting from the signs of the finite bounds the trail holds at
-    the final knobs; an end stops once its search is s_tol wide.  Points
-    come from _squeeze_point.  An empty intersection raises CrossedBracket
-    rather than being collapsed.
+    squeezed at the final knobs in one loop.  Each eval is a joint probe
+    (see pressure.truncation_ladder): one estimate of the inf side's lower
+    at the lower end's point s and the sup side's upper at the upper end's
+    point s_upper, the two as rows of one Collatz-Wielandt loop, and a
+    countable system's full upper from its tail witness alone, with no
+    loop.  The lower end cannot pass a probe whose lower is negative, nor
+    the upper end one whose upper is positive, so each end searches up to
+    its nearest such probe, starting from the signs of the finite bounds
+    the trail holds at the final knobs; an end stops once its search is
+    s_tol wide, and its later probes leave it out.  Points come from
+    _squeeze_point.  An empty intersection raises CrossedBracket rather
+    than being collapsed.
     IrregularSystem when no certified sign change exists in [floor,
     s_max]; BudgetExhausted when the eval budget dies before the ceiling
     is certified.
@@ -513,11 +510,11 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
     # certify the ceiling: pressure upper <= 0 at s_max
     root = _RootBracket(floor, s_max)
-    trail = []  # (s, estimate) of every probe, for probe placement
+    trail = []  # the estimate of every full probe, for probe placement
 
     def probe_at(s):
-        est = probe.bracket(s)
-        trail.append((s, est))
+        est = probe.eval(s, s)
+        trail.append(est)
         return est
 
     try:
@@ -533,7 +530,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
                 f"pressure certified positive at s={s_max:.6g} "
                 f"(bracket [{est.lower:.4g}, {est.upper:.4g}])"
             )
-        root.narrow(s_max, est, probe.enclosure(s_max, est))
+        root.narrow(est, probe.enclosure(est))
         if out_of_budget():
             raise BudgetExhausted(
                 f"no certified ceiling within {max_evals} pressure evals "
@@ -546,7 +543,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
             )
         est = probe_at(s_max)
     root.at_upper = est
-    root.narrow(s_max, est, probe.enclosure(s_max, est))
+    root.narrow(est, probe.enclosure(est))
 
     if root.lower <= floor:
         est = probe_at(floor)
@@ -554,7 +551,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
             # the whole range is at or below zero: dimension sits at the floor
             root.upper, root.at_upper = floor, est
             return result("tolerance", est.component)
-        root.narrow(floor, est, probe.enclosure(floor, est))
+        root.narrow(est, probe.enclosure(est))
 
     # The working target is half the tolerance, about what bisection ends
     # at; a probe whose own enclosure is wider than that while straddling
@@ -572,7 +569,7 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
             s = _next_probe(root, trail, chi_min, chi_max)
         refined_at = None
         est = probe_at(s)
-        root.narrow(s, est, probe.enclosure(s, est))
+        root.narrow(est, probe.enclosure(est))
         if not (est.lower < 0.0 < est.upper) or root.width <= target:
             straddle_width, stuck = None, 0
             continue
@@ -595,37 +592,42 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
     if root.width > s_tol:
         # refinement is spent and the probes straddle: the leftover gap
         # belongs to the bounds themselves, not to the search.  Squeeze both
-        # ends at the final knobs, each joint half-probe asking each end
-        # that is still open for its own bound only.  The lower end cannot
-        # pass a probe whose lower is negative, nor the upper end one whose
-        # upper is positive, so each search runs up to the nearest such
-        # probe; the trail's probes at the final knobs seed both, by the
-        # signs of their finite bounds.
-        final = trail[-1][1]
-        seen = [(s, est) for s, est in trail
-                if (est.horizon, est.depth) == (final.horizon, final.depth)]
-        cut_lower = min((s for s, est in seen if -math.inf < est.lower < 0.0),
-                        default=math.inf)
-        cut_upper = max((s for s, est in seen if 0.0 < est.upper < math.inf),
-                        default=-math.inf)
+        # ends at the final knobs, each joint probe asking each end that is
+        # still open for its own bound only.  The lower end cannot pass a
+        # probe whose lower is negative, nor the upper end one whose upper
+        # is positive, so each search runs up to the nearest such probe;
+        # the trail's probes at the final knobs seed both, by the signs of
+        # their finite bounds, kept per side as (s, bound).
+        final = trail[-1]
+        seen = ([], [])
+
+        def remember(est):
+            for side, s, f in ((0, est.s, est.lower), (1, est.s_upper, est.upper)):
+                if math.isfinite(f):
+                    seen[side].append((s, f))
+
+        for est in trail:
+            if (est.horizon, est.depth) == (final.horizon, final.depth):
+                remember(est)
+        cut_lower = min((s for s, f in seen[0] if f < 0.0), default=math.inf)
+        cut_upper = max((s for s, f in seen[1] if f > 0.0), default=-math.inf)
         while True:
             searches = ((root.lower, min(cut_lower, root.upper)),
                         (max(cut_upper, root.lower), root.upper))
-            points = [_squeeze_point(lo, hi, seen, side, s_tol) if hi - lo > s_tol else None
+            points = [_squeeze_point(lo, hi, seen[side], side, s_tol)
+                      if hi - lo > s_tol else None
                       for side, (lo, hi) in enumerate(searches)]
             if points == [None, None]:
                 break
             if out_of_budget():
                 stop = "budget"
                 break
-            halves = probe.halves(*points)
-            for s, est in zip(points, halves):
-                if s is not None:
-                    root.narrow(s, est, probe.enclosure(s, est))
-                    seen.append((s, est))
-            if points[0] is not None and halves.lower.lower < 0.0:
+            est = probe.eval(*points)
+            root.narrow(est, probe.enclosure(est))
+            remember(est)
+            if points[0] is not None and est.lower < 0.0:
                 cut_lower = points[0]
-            if points[1] is not None and halves.upper.upper > 0.0:
+            if points[1] is not None and est.upper > 0.0:
                 cut_upper = points[1]
 
     component = None
@@ -658,8 +660,9 @@ def _sign_threshold(system, s_tol, horizon, depth, s_max, side):
     """(lo, hi, probe): _boolean_bisect's bracket, over [0, s_max], of the
     exponent where the certified pressure lower (side 0) stops being
     nonnegative, or the certified upper (side 1) stops being positive, a
-    system with no returning words counting as neither.  Each probe is a
-    half-probe of that side alone; probe holds the scope and evals."""
+    system with no returning words counting as neither.  Each probe asks
+    for that side's end alone, the other left out; probe holds the scope
+    and evals."""
     finite, s_tol, horizon, s_max = _resolve_defaults(system, s_tol, horizon, s_max)
     probe = _PressureProbe(
         system, finite, horizon, depth, DEFAULT_HORIZON_CAP, DEFAULT_STATE_CAP
@@ -667,10 +670,10 @@ def _sign_threshold(system, s_tol, horizon, depth, s_max, side):
 
     def above(s):
         try:
-            half = probe.halves(*((s, None) if side == 0 else (None, s)))[side]
+            est = probe.eval(*((s, None) if side == 0 else (None, s)))
         except NoAdmissibleWords:
             return False
-        return half.lower >= 0.0 if side == 0 else half.upper > 0.0
+        return est.lower >= 0.0 if side == 0 else est.upper > 0.0
 
     return (*_boolean_bisect(above, 0.0, s_max, s_tol), probe)
 

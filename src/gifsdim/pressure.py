@@ -49,8 +49,8 @@ Two routes, each valid at every finite stage rather than only in the limit:
   iterate as the two rows of one array in one loop, each with its own
   route, start, shift and stop test (see _cw_bracket); when every entry's
   range is a single value (affine letters) the two matrices are one, and
-  the loop has one row.  A half-probe gives each side its own exponent,
-  or leaves one out (see pressure_spectral).  Each class's power
+  the loop has one row.  A probe may give each side its own exponent,
+  or leave one out (see pressure_spectral).  Each class's power
   iteration multiplies by numpy alone, both rows in one call: a complete
   class of more than one block over _STACK_FAN or more letters by one
   stacked np.matmul, whose sums round as the BLAS kernel adds them; every
@@ -71,7 +71,6 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -83,7 +82,6 @@ from .graphs import extend_words, strongly_connected_components
 __all__ = [
     "PotentialSpec",
     "PressureEstimate",
-    "HalfEstimates",
     "WeightedMatrix",
     "build_weighted_matrix",
     "pressure_spectral",
@@ -146,19 +144,26 @@ class PressureEstimate:
     """Certified pressure bracket plus the horizon and depth that produced
     it.
 
-    scope "truncated": the bracket holds for the materialized subsystem.
-    scope "full": it holds for the untruncated system (lowers come from
-    truncations, which exhaust the full pressure from below; the upper folds
-    in the tail witness).  lower may be -inf (no periodic word in the
-    truncation) and upper +inf (no usable tail bound at this exponent).
+    lower is certified at the exponent s and upper at s_upper, which
+    defaults to s: a joint estimate (see pressure_spectral) bounds the two
+    ends at two exponents.  scope "truncated": the bracket holds for the
+    materialized subsystem.  scope "full": it holds for the untruncated
+    system (lowers come from truncations, which exhaust the full pressure
+    from below; the upper folds in the tail witness).  lower may be -inf (no
+    periodic word in the truncation, or no lower asked for) and upper +inf
+    (no usable tail bound at this exponent, or no upper asked for).
     divergence marks exponents where the witness proves the level-1 tail
     sum infinite.  stalled marks a power iteration that hit its budget; the
-    bracket is still certified, just wide.
+    bracket is still certified, just wide.  A crossed bracket at one
+    exponent can only be roundoff, and is collapsed to its midpoint when
+    within 1e-9 and refused otherwise; at two exponents lower(s) >=
+    upper(s_upper) may hold, and the ends are kept as given.
     """
 
     lower: float
     upper: float
     s: float
+    s_upper: float = None
     horizon: object = None
     depth: object = None
     scope: str = "truncated"
@@ -169,7 +174,9 @@ class PressureEstimate:
     tail_term: float = 0.0
 
     def __post_init__(self):
-        if self.lower > self.upper:
+        if self.s_upper is None:
+            object.__setattr__(self, "s_upper", self.s)
+        if self.lower > self.upper and self.s == self.s_upper:
             # both sides are individually certified, so a crossing can only
             # be roundoff; collapse tiny ones, refuse real ones
             gap = self.lower - self.upper
@@ -185,22 +192,6 @@ class PressureEstimate:
     @property
     def width(self):
         return self.upper - self.lower
-
-
-class HalfEstimates(NamedTuple):
-    """What a half-probe returns (see pressure_spectral): lower, the inf
-    side's PressureEstimate at its own exponent, whose upper is +inf, and
-    upper, the sup side's at its own, whose lower is -inf; either is None
-    when that side was not asked for."""
-
-    lower: object
-    upper: object
-
-    @property
-    def stalled(self):
-        # as a bracket answers it, so a half-probe reads like one to a
-        # caller that asks only whether an iteration stalled
-        return any(half is not None and half.stalled for half in self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -883,20 +874,20 @@ def _cw_start(plan, side, s, data, v, top, low):
     return math.exp(-pad), math.exp(pad), log_theta, shift, relative
 
 
-def _cw_bracket(plan, s):
-    """Certified spectral-radius brackets for a class's matrices at exponent
-    s, one per side: the inf side's, then the sup side's, or one bracket
-    for both when the plan holds one row of logs for both.
+def _cw_bracket(plan, s_inf, s_sup):
+    """Certified spectral-radius brackets for a class's matrices, the inf
+    side's at exponent s_inf and the sup side's at s_sup, as the pair (inf
+    bracket, sup bracket); a side whose exponent is None is left out, and
+    its bracket is None.
 
-    Half-probes.  s may instead be a pair (s_inf, s_sup) that gives each
-    side its own exponent, None leaving that side out.  Each side asked for
-    is then one row of the loop, reading its row of logs (a one-row plan's
-    one row, for either side) and its warm slot at its own exponent, and
-    the result is a pair, the inf side's bracket then the sup side's, None
-    for a side left out.  Rows are independent (see One loop below), so a
-    side's bracket has the bits that side has in a probe at its exponent
-    alone, from the same start.  On a one-row plan both rows read the one
-    warm slot and write it in order, so the sup row's iterate is kept.
+    Each side asked for is one row of the loop, reading its row of logs (a
+    one-row plan's one row, for either side) and its warm slot at its own
+    exponent.  Rows are independent (see One loop below), so a side's
+    bracket has the bits it has in a call that asks for it alone, from the
+    same start.  A plan with one row of logs for both sides, asked at one
+    exponent, runs one row and returns its bracket for both; asked at two,
+    both rows read the one warm slot and write it in order, so the sup
+    row's iterate is kept.
 
     Each side's entries are exp(s * logs), logs its logs in plan order, and
     each is 1 at s = 0 even for a range of 0 (as 0.0**0.0 == 1, and with no
@@ -967,13 +958,10 @@ def _cw_bracket(plan, s):
     """
     tol, max_iter = CW_TOL, CW_MAX_ITER
     n, last = plan.size, len(plan.logs) - 1
+    # each side's exponent, one for both when one row serves both
+    asked = (s_inf,) if not last and s_inf == s_sup else (s_inf, s_sup)
     # each row's (row of logs, which is also its warm slot; exponent)
-    if isinstance(s, tuple):
-        asked = [side for side in (0, 1) if s[side] is not None]
-        rows = [(min(side, last), s[side]) for side in asked]
-    else:
-        asked = None
-        rows = [(side, s) for side in range(last + 1)]
+    rows = [(min(side, last), e) for side, e in enumerate(asked) if e is not None]
     sides = len(rows)
     lowest, highest = np.minimum.reduce, np.maximum.reduce
     # a stacked class's weights start each row on a 64-byte boundary (see
@@ -981,17 +969,13 @@ def _cw_bracket(plan, s):
     # ran faster
     shape = (sides, plan.logs.shape[1])
     data = _aligned(*shape) if plan.fan and _stacked(plan.fan, n) else np.empty(shape)
-    # every row's log-weights, in one call at one exponent, and their
-    # extremes in one call each; a row's extremes are exact, so each is the
-    # one side's alone
-    if asked is None and s:
-        np.multiply(plan.logs, s, out=data)
-    else:
-        for row, (slot, exponent) in enumerate(rows):
-            if exponent:
-                np.multiply(plan.logs[slot], exponent, out=data[row])
-            else:
-                data[row].fill(0.0)
+    # each row's log-weights at its exponent, and every row's extremes in
+    # one call each; a row's extremes are exact, so each is its side's alone
+    for row, (slot, exponent) in enumerate(rows):
+        if exponent:
+            np.multiply(plan.logs[slot], exponent, out=data[row])
+        else:
+            data[row].fill(0.0)
     tops, lows = highest(data, axis=1).tolist(), lowest(data, axis=1).tolist()
     v = np.empty((sides, n))
     starts = [_cw_start(plan, slot, exponent, data[row], v[row], tops[row], lows[row])
@@ -1060,12 +1044,9 @@ def _cw_bracket(plan, s):
         lo = max(best_lo[row] - shift, 0.0) * low_factor
         hi = max(best_hi[row] - shift, 0.0) * high_factor
         out.append((min(lo, hi), hi, stalled[row], counts[row], scale))
-    if asked is None:
-        return tuple(out)
-    pair = [None, None]
-    for side, bracket in zip(asked, out):
-        pair[side] = bracket
-    return tuple(pair)
+    brackets = iter(out)
+    pair = [None if e is None else next(brackets) for e in asked]
+    return pair[0], pair[-1]
 
 
 def _shifted_rows(shifts):
@@ -1143,7 +1124,7 @@ def _letter_period(succ, vertices, initial, terminal):
     return int(np.gcd.reduce(level[initial] + 1 - level[terminal]))
 
 
-def pressure_spectral(system, potential, k, m=1, *, halves=None):
+def pressure_spectral(system, potential, k, m=1, *, ends=None):
     """Spectral pressure bracket of the truncation at depth m, as the max
     over its strongly connected letter classes, with per-class attribution.
 
@@ -1163,81 +1144,51 @@ def pressure_spectral(system, potential, k, m=1, *, halves=None):
     bracket (-inf, -inf) and no component.  Both ends of a class come from
     one Collatz-Wielandt loop over its two sides (see _cw_bracket), each
     as a loop of its own would give it; when the two matrices are one
-    (affine letters) that loop runs one row for both.
+    (affine letters) and the ends share an exponent, that loop runs one row
+    for both.
 
-    halves=(s_lower, s_upper) makes the call a half-probe: only the inf
-    side's lower bound at s_lower and the sup side's upper bound at
-    s_upper, either None to leave that side out, each class's two as the
-    rows of one loop at their own exponents (see _cw_bracket).  The result
-    is a HalfEstimates of one PressureEstimate per side asked for, at its
-    own exponent, its other end infinite, and its component the argmax of
-    its own end; each end has the bits it has in a probe at its exponent
-    from the same start.  The geometry is s-independent, so potential then
-    only labels its build.
+    ends=(s_lower, s_upper) asks for the inf side's lower bound at s_lower
+    and the sup side's upper bound at s_upper, each class's two as the rows
+    of one loop at their own exponents; it defaults to (potential.s,
+    potential.s).  The result is one PressureEstimate whose lower is
+    certified at s = s_lower and whose upper at s_upper.  Either end may be
+    None to leave it out: its bound is then the trivial one, -inf or +inf,
+    it is labelled potential.s, and component is the argmax of the lower.
+    Each end has the bits it has in a probe at its exponent alone from the
+    same start.  The geometry is s-independent, so potential then only
+    labels its build.
     """
     wm = build_weighted_matrix(system, potential, k, m)
-    if halves is not None:
-        return _spectral_halves(wm, m, *halves)
-    lower = -math.inf
-    upper = -math.inf
-    best = None
+    s_lower, s_upper = (potential.s, potential.s) if ends is None else (
+        None if e is None else PotentialSpec(e).s for e in ends)
+    # per end, the max over classes of its log bound and the first class
+    # that attains it
+    bounds, best = [-math.inf, -math.inf], [None, None]
     comps = []
     stalled = False
-    s = potential.s
     for plan in wm.geometry.classes:
-        brackets = _cw_bracket(plan, s)
-        c_lower = _safe_log(brackets[0][0]) + brackets[0][4]
-        c_upper = _safe_log(brackets[-1][1]) + brackets[-1][4]
-        comps.append((plan.letters, c_lower, c_upper))
-        stalled = stalled or any(b[2] for b in brackets)
-        if c_upper > upper:
-            upper = c_upper
-            best = plan.letters
-        if c_lower > lower:
-            lower = c_lower
+        # an end left out keeps its trivial bound
+        c_ends = [-math.inf, math.inf]
+        for side, bracket in enumerate(_cw_bracket(plan, s_lower, s_upper)):
+            if bracket is None:
+                continue
+            c_ends[side] = _safe_log(bracket[side]) + bracket[4]
+            stalled = stalled or bracket[2]
+            if c_ends[side] > bounds[side]:
+                bounds[side], best[side] = c_ends[side], plan.letters
+        comps.append((plan.letters, *c_ends))
     return PressureEstimate(
-        lower=lower,
-        upper=upper,
-        s=potential.s,
+        lower=bounds[0],
+        upper=math.inf if s_upper is None else bounds[1],
+        s=potential.s if s_lower is None else s_lower,
+        s_upper=potential.s if s_upper is None else s_upper,
         horizon=wm.horizon,
         depth=m,
         scope="truncated",
         stalled=stalled,
-        component=best,
+        component=best[0] if s_upper is None else best[1],
         components=tuple(comps),
     )
-
-
-def _spectral_halves(wm, m, s_lower, s_upper):
-    """pressure_spectral's half-probe over the classes of wm at s_lower and
-    s_upper."""
-    asked = tuple(None if e is None else PotentialSpec(e).s for e in (s_lower, s_upper))
-    # per side: the max over classes of its log bound, the first class that
-    # attains it, whether any stalled, and each class's bound
-    bounds, best, stalled = [-math.inf, -math.inf], [None, None], [False, False]
-    ends = ([], [])
-    for plan in wm.geometry.classes:
-        for side, bracket in enumerate(_cw_bracket(plan, asked)):
-            if bracket is None:
-                continue
-            end = _safe_log(bracket[side]) + bracket[4]
-            ends[side].append((plan.letters, end))
-            stalled[side] = stalled[side] or bracket[2]
-            if end > bounds[side]:
-                bounds[side], best[side] = end, plan.letters
-    common = {"horizon": wm.horizon, "depth": m, "scope": "truncated"}
-    lower = upper = None
-    if asked[0] is not None:
-        lower = PressureEstimate(
-            lower=bounds[0], upper=math.inf, s=asked[0], stalled=stalled[0],
-            component=best[0],
-            components=tuple((c, end, math.inf) for c, end in ends[0]), **common)
-    if asked[1] is not None:
-        upper = PressureEstimate(
-            lower=-math.inf, upper=bounds[1], s=asked[1], stalled=stalled[1],
-            component=best[1],
-            components=tuple((c, -math.inf, end) for c, end in ends[1]), **common)
-    return HalfEstimates(lower, upper)
 
 
 def _fekete_edge_upper(system, potential, k):
@@ -1349,7 +1300,7 @@ def _full_upper(system, potential, k, exhausted_upper):
     return upper, tail_term, False
 
 
-def truncation_ladder(system, potential, horizons, depth=1, *, halves=None):
+def truncation_ladder(system, potential, horizons, depth=1, *, ends=None):
     """Pressure brackets along nested truncations plus a closing full entry.
 
     Reported lowers are running maxima over completed stages: a smaller
@@ -1359,39 +1310,45 @@ def truncation_ladder(system, potential, horizons, depth=1, *, halves=None):
     final entry (scope "full") pairs the best lower with the tail-corrected
     upper from the largest horizon, and is stalled when any stage was.
 
-    halves=(s_lower, s_upper) makes it a ladder of half-probes (see
-    pressure_spectral), each entry a HalfEstimates: the same running lowers
-    at s_lower, and the closing upper, at s_upper, the full upper.  A stage
-    forms its own upper half only while the system is finite: a countable
-    system's full upper is the tail witness's (see _full_upper), which
-    reads no truncation's, so its upper half runs no Collatz-Wielandt loop.
+    ends=(s_lower, s_upper) gives the two ends their own exponents, either
+    None to leave it out (see pressure_spectral): the same running lowers
+    at s_lower, and the closing full upper at s_upper.  With ends given, a
+    stage forms its own upper only while the system is finite: a countable
+    system's full upper is the tail witness's (see _full_upper), which reads
+    no truncation's, so its upper runs no Collatz-Wielandt loop.
     """
     hs = list(horizons)
     if not hs:
         raise ValueError("need at least one horizon")
     if hs[0] < 1 or any(b <= a for a, b in zip(hs, hs[1:])):
         raise ValueError(f"horizons must be positive and strictly increasing: {hs}")
-    if halves is not None:
-        return _half_ladder(system, potential, hs, depth, *halves)
+    s_upper = potential.s if ends is None else ends[1]
     out = []
     running = -math.inf
-    last = None
     for k in hs:
-        est = pressure_spectral(system, potential, k, depth)
+        stage = ends
+        if ends is not None:
+            # a factory enumeration turns finite once letters(k) runs it out
+            system.letters(k)
+            stage = (ends[0], s_upper if system.is_finite else None)
+        est = pressure_spectral(system, potential, k, depth, ends=stage)
         last = est
         if est.lower < running:
             est = replace(est, lower=running)
         else:
             running = est.lower
         out.append(est)
-    upper, tail_term, divergence = _full_upper(
-        system, potential, hs[-1], exhausted_upper=last.upper
-    )
+    upper, tail_term, divergence = math.inf, 0.0, False
+    if s_upper is not None:
+        upper, tail_term, divergence = _full_upper(
+            system, PotentialSpec(s_upper), hs[-1], exhausted_upper=last.upper
+        )
     out.append(
         PressureEstimate(
             lower=running,
             upper=upper,
-            s=potential.s,
+            s=last.s,
+            s_upper=last.s_upper if s_upper is None else s_upper,
             horizon=hs[-1],
             depth=depth,
             scope="full",
@@ -1401,40 +1358,4 @@ def truncation_ladder(system, potential, horizons, depth=1, *, halves=None):
             component=last.component,
         )
     )
-    return out
-
-
-def _half_ladder(system, potential, hs, depth, s_lower, s_upper):
-    """truncation_ladder's entries as half-probes at s_lower and s_upper."""
-    out = []
-    running = -math.inf
-    for k in hs:
-        # a factory enumeration turns finite once letters(k) runs it out
-        system.letters(k)
-        sup = s_upper if system.is_finite else None
-        low, high = pressure_spectral(system, potential, k, depth, halves=(s_lower, sup))
-        if low is not None:
-            if low.lower < running:
-                low = replace(low, lower=running)
-            else:
-                running = low.lower
-        out.append(HalfEstimates(low, high))
-    closing = {"horizon": hs[-1], "depth": depth, "scope": "full"}
-    low = high = None
-    if s_lower is not None:
-        low = PressureEstimate(
-            lower=running, upper=math.inf, s=s_lower,
-            stalled=any(h.lower.stalled for h in out),
-            component=out[-1].lower.component, **closing)
-    if s_upper is not None:
-        last = out[-1].upper
-        upper, tail_term, divergence = _full_upper(
-            system, PotentialSpec(s_upper), hs[-1],
-            exhausted_upper=None if last is None else last.upper)
-        high = PressureEstimate(
-            lower=-math.inf, upper=upper, s=s_upper, divergence=divergence,
-            stalled=any(h.upper is not None and h.upper.stalled for h in out),
-            tail_term=tail_term,
-            component=None if last is None else last.component, **closing)
-    out.append(HalfEstimates(low, high))
     return out

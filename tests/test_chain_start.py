@@ -93,7 +93,8 @@ def bracket(plan):
     assert plan.fan == 0 and plan.chains is not None
     assert 1 <= len(plan.chains.hubs) <= HUB_MAX
     assert len(plan.logs) == 1
-    (side,) = _cw_bracket(plan, 1.0)
+    side, same = _cw_bracket(plan, 1.0, 1.0)
+    assert same is side     # one row serves both sides
     assert side[4] == 0.0   # theta stays a normal float
     return side[:4]
 

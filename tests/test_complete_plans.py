@@ -146,7 +146,7 @@ def test_a_scaled_complete_class_forms_its_pattern_with_the_same_bits(monkeypatc
     geom = geometry(make(), 3, 3)
     (plan,) = geom.classes
     assert plan._row is None
-    pressure._cw_bracket(plan, 0.5)
+    pressure._cw_bracket(plan, 0.5, 0.5)
     assert plan._row is not None and plan._col is not None
     (want,) = reference_plans(geom)
     assert_same_plan(plan, want)

@@ -231,7 +231,7 @@ def test_solve_brackets_are_pinned_bitwise():
     # and 6.3e-11 of it); cantor's did not move and may not widen at all.
     # Running complete classes without scales, at CW_TOL = 3e-11, then
     # moved both of CF {1, 2}'s ends in.  Squeezing both ends with joint
-    # half-probes, seeded by the trail's signs, then moved the ladder's
+    # probes, seeded by the trail's signs, then moved the ladder's
     # ends in (its width fell from 0.0625116 to 0.0622288).
     pinned = (
         (moran_system([1 / 3, 1 / 3]), 1e-7,
@@ -329,8 +329,8 @@ def test_cf_pair_solve_stays_within_its_iteration_budget(monkeypatch):
     counts, passes = [], []
     inner, matvec = pressure_module._cw_bracket, pressure_module._class_matvec
 
-    def counted(plan, s):
-        out = inner(plan, s)
+    def counted(plan, s_inf, s_sup):
+        out = inner(plan, s_inf, s_sup)
         counts.extend(side[3] for side in out)
         return out
 
@@ -739,8 +739,8 @@ def test_factory_enumeration_that_runs_out_keeps_full_scope(
      "0x1.b774000000000p+0", "0x1.b77a000000000p+0"),
 ], ids=["cf12-lower", "cf12-upper", "gaussian2-lower", "gaussian2-upper"])
 def test_sign_thresholds_on_cf_systems_are_pinned_bitwise(solve, make, lower, upper):
-    # each probe is a half-probe of the one side the threshold reads; the
-    # pins were taken when every probe still bracketed both sides
+    # each probe asks for the one side the threshold reads, the other left
+    # out; the pins were taken when every probe still bracketed both sides
     res = solve(make(), s_tol=1e-4)
     assert (res.s_lower.hex(), res.s_upper.hex(), res.evals) == (lower, upper, 17)
 

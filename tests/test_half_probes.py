@@ -1,13 +1,17 @@
-"""Half-probes and the endpoint squeeze.
+"""Joint probes and the endpoint squeeze.
 
-A half-probe asks a class's Collatz-Wielandt loop for one side's bound
-only, or for each side at its own exponent (pressure._cw_bracket with a
-pair of exponents).  Each row of that loop must keep the bits the side
-has in a probe at its exponent alone, from the same start, on every kind
-of class: complete, stacked, chains, and one row for both sides.  The
-squeeze of bowen_dimension runs on such joint probes; its brackets must
-still hold the root, and its lower end must start below every negative
-lower the trail already holds at the final knobs.
+Every pressure eval asks for a pair of exponents (s_lower, s_upper), a
+full probe at s being (s, s), and either may be None to leave that end
+out: pressure._cw_bracket(plan, s_inf, s_sup) runs one row of a class's
+Collatz-Wielandt loop per side asked for, and pressure_spectral and
+truncation_ladder return one PressureEstimate whose lower is certified at
+s and whose upper at s_upper.  Each row must keep the bits the side has
+in a probe at its exponent alone, from the same start, on every kind of
+class: complete, stacked, chains, and one row for both sides; a full
+probe must equal the default call, and run one row on a plan with one row
+of logs.  The squeeze of bowen_dimension runs on joint probes; its
+brackets must still hold the root, and its lower end must start below
+every negative lower the trail already holds at the final knobs.
 """
 
 import itertools
@@ -25,7 +29,6 @@ from gifsdim.dimension import _squeeze_point, bowen_dimension, lower_estimate, u
 from gifsdim.graphs import DirectedMultigraph, Enumeration
 from gifsdim.maps import Similarity
 from gifsdim.pressure import (
-    HalfEstimates,
     PotentialSpec,
     PressureEstimate,
     _cw_bracket,
@@ -52,11 +55,11 @@ def class_plan(name):
     return plan
 
 
-def from_start(plan, start, s):
-    """_cw_bracket(plan, s) from the warm state start, and the warm state
-    it leaves."""
+def from_start(plan, start, s_inf, s_sup):
+    """_cw_bracket(plan, s_inf, s_sup) from the warm state start, and the
+    warm state it leaves."""
     plan.warm = list(start)
-    out = _cw_bracket(plan, s)
+    out = _cw_bracket(plan, s_inf, s_sup)
     return out, list(plan.warm)
 
 
@@ -74,15 +77,18 @@ def test_a_half_probe_keeps_each_sides_bits(name):
     assert two == (name in ("complete", "stacked"))
     # warm the class up, so each call below starts from a stored iterate
     # where the class keeps one
-    _cw_bracket(plan, 0.5 * (s + t))
+    _cw_bracket(plan, 0.5 * (s + t), 0.5 * (s + t))
     start = list(plan.warm)
-    full_s, warm_s = from_start(plan, start, s)
-    full_t, warm_t = from_start(plan, start, t)
-    want = (full_s[0], full_t[-1])
+    full_s, warm_s = from_start(plan, start, s, s)
+    full_t, warm_t = from_start(plan, start, t, t)
+    if not two:
+        # one row serves both sides
+        assert full_s[1] is full_s[0] and full_t[1] is full_t[0]
+    want = (full_s[0], full_t[1])
     for ask, got_sides in (((s, None), (want[0], None)),
                            ((None, t), (None, want[1])),
                            ((s, t), want)):
-        got, warm = from_start(plan, start, ask)
+        got, warm = from_start(plan, start, *ask)
         assert [bits(x) for x in got] == [bits(x) for x in got_sides], ask
         if ask == (s, t) and two:
             # each side's row leaves the iterate its own probe leaves
@@ -104,22 +110,84 @@ def test_half_estimates_match_a_full_probes_ends(name):
     # probe below starts cold
     full_s = pressure_spectral(system, PotentialSpec(s), k, m)
     full_t = pressure_spectral(system, PotentialSpec(t), k, m)
-    low, high = pressure_spectral(system, PotentialSpec(s), k, m, halves=(s, t))
+    joint = pressure_spectral(system, PotentialSpec(s), k, m, ends=(s, t))
+    assert (joint.s, joint.lower.hex()) == (s, full_s.lower.hex())
+    assert (joint.s_upper, joint.upper.hex()) == (t, full_t.upper.hex())
+    assert joint.component == full_t.component
+    assert [(c, lo.hex(), hi.hex()) for c, lo, hi in joint.components] == [
+        (c, lo.hex(), hi.hex()) for (c, lo, _), (_, _, hi) in
+        zip(full_s.components, full_t.components, strict=True)]
+    low = pressure_spectral(system, PotentialSpec(s), k, m, ends=(s, None))
     assert (low.s, low.lower.hex(), low.upper) == (s, full_s.lower.hex(), math.inf)
-    assert (high.s, high.lower, high.upper.hex()) == (t, -math.inf, full_t.upper.hex())
-    assert high.component == full_t.component
-    alone = pressure_spectral(system, PotentialSpec(t), k, m, halves=(None, t))
-    assert alone.lower is None and alone.upper.upper.hex() == full_t.upper.hex()
+    alone = pressure_spectral(system, PotentialSpec(t), k, m, ends=(None, t))
+    assert alone.lower == -math.inf and alone.upper.hex() == full_t.upper.hex()
+
+
+@pytest.mark.parametrize("name", list(CLASSES))
+def test_a_full_probe_request_is_the_default_call(name):
+    make, k, m, s, _ = CLASSES[name]
+    default = pressure_spectral(make(), PotentialSpec(s), k, m)
+    asked = pressure_spectral(make(), PotentialSpec(s), k, m, ends=(s, s))
+    # repr spells every float exactly, components included
+    assert repr(asked) == repr(default)
+    assert asked.s_upper == asked.s == s
+
+
+def test_a_one_row_full_probe_runs_one_row(monkeypatch):
+    make, k, m, s, t = CLASSES["one-row"]
+    rows = []
+    matvec = pressure_module._class_matvec
+
+    def counted(plan, data, v):
+        rows.append(len(data))
+        return matvec(plan, data, v)
+
+    monkeypatch.setattr(pressure_module, "_class_matvec", counted)
+    pressure_spectral(make(), PotentialSpec(s), k, m, ends=(s, s))
+    assert rows == [1]
+    rows.clear()
+    # at two exponents the one row of logs runs as two rows
+    pressure_spectral(make(), PotentialSpec(s), k, m, ends=(s, t))
+    assert rows[0] == 2
+
+
+def test_a_joint_estimate_keeps_its_ends_where_one_exponent_would_cross():
+    # lower(s) >= 0 >= upper(s_upper) with s < s_upper is what a squeeze
+    # may certify; collapsing it would move a certified end
+    est = PressureEstimate(lower=0.01, upper=-0.02, s=0.6, s_upper=0.7)
+    assert (est.lower, est.upper, est.s, est.s_upper) == (0.01, -0.02, 0.6, 0.7)
+    # at one exponent a crossing wider than roundoff is refused, and a
+    # tiny one collapses to its midpoint
+    with pytest.raises(ValueError):
+        PressureEstimate(lower=0.01, upper=-0.02, s=0.6)
+    with pytest.raises(ValueError):
+        PressureEstimate(lower=0.01, upper=-0.02, s=0.6, s_upper=0.6)
+    tiny = PressureEstimate(lower=1e-12, upper=-1e-12, s=0.6)
+    assert tiny.lower == tiny.upper == 0.0 and tiny.s_upper == 0.6
+
+
+@pytest.mark.parametrize("ends", [(0.5, -1.0), (math.nan, 0.5), (0.5, math.inf)],
+                         ids=["negative", "nan", "inf"])
+def test_both_exponents_are_validated(ends):
+    make, k, m, _, _ = CLASSES["complete"]
+    with pytest.raises(ValueError):
+        pressure_spectral(make(), PotentialSpec(0.5), k, m, ends=ends)
+    with pytest.raises(ValueError):
+        truncation_ladder(make(), PotentialSpec(0.5), [k], m, ends=ends)
+    # a countable ladder forms no stage upper, and still checks s_upper
+    with pytest.raises(ValueError):
+        truncation_ladder(ladder_system(), PotentialSpec(0.5), [8], ends=ends)
 
 
 def count_cw_rows(monkeypatch):
-    """Record the exponents every _cw_bracket call is asked for."""
+    """Record the exponents (s_inf, s_sup) every _cw_bracket call is asked
+    for."""
     asked = []
     cw = pressure_module._cw_bracket
 
-    def counted(plan, s):
-        asked.append(s)
-        return cw(plan, s)
+    def counted(plan, s_inf, s_sup):
+        asked.append((s_inf, s_sup))
+        return cw(plan, s_inf, s_sup)
 
     monkeypatch.setattr(pressure_module, "_cw_bracket", counted)
     return asked
@@ -129,26 +197,25 @@ def test_a_countable_full_upper_runs_no_collatz_wielandt_loop(monkeypatch):
     system = ladder_system()
     full = truncation_ladder(system, PotentialSpec(0.69), [64])[-1]
     asked = count_cw_rows(monkeypatch)
-    low, high = truncation_ladder(system, PotentialSpec(0.63), [64],
-                                  halves=(0.63, 0.69))[-1]
+    est = truncation_ladder(system, PotentialSpec(0.63), [64], ends=(0.63, 0.69))[-1]
     assert asked and all(ask == (0.63, None) for ask in asked)
-    assert (high.upper, high.scope, high.tail_term) == (full.upper, "full", full.tail_term)
+    assert (est.upper, est.s_upper, est.scope, est.tail_term) == (
+        full.upper, 0.69, "full", full.tail_term)
     asked.clear()
-    low, high = truncation_ladder(system, PotentialSpec(0.69), [64],
-                                  halves=(None, 0.69))[-1]
-    assert low is None and high.upper == full.upper
+    est = truncation_ladder(system, PotentialSpec(0.69), [64], ends=(None, 0.69))[-1]
+    assert est.lower == -math.inf and est.upper == full.upper
     assert all(ask == (None, None) for ask in asked)
 
 
 def test_a_finite_ladder_of_halves_keeps_the_truncations_upper():
     system = cf_system((1, 2, 3))
-    ests = truncation_ladder(system, PotentialSpec(0.7), [2, 3], halves=(0.7, 0.8))
+    ests = truncation_ladder(system, PotentialSpec(0.7), [2, 3], ends=(0.7, 0.8))
     full = truncation_ladder(system, PotentialSpec(0.8), [2, 3])
-    assert all(isinstance(h, HalfEstimates) for h in ests)
+    assert all((e.s, e.s_upper) == (0.7, 0.8) for e in ests)
     # the horizon exhausts the alphabet: the full upper is the truncation's
-    assert ests[-1].upper.upper == full[-1].upper == full[1].upper
-    assert [h.upper.upper for h in ests[:-1]] == [e.upper for e in full[:-1]]
-    lowers = [h.lower.lower for h in ests]
+    assert ests[-1].upper == full[-1].upper == full[1].upper
+    assert [e.upper for e in ests[:-1]] == [e.upper for e in full[:-1]]
+    lowers = [e.lower for e in ests]
     assert lowers == sorted(lowers)
 
 
@@ -178,36 +245,32 @@ def geometric_moran(q):
 
 
 class Spy:
-    """Every probe of a solve, in order: ("full", s, estimate) and
-    ("half", (s_lower, s_upper), HalfEstimates), each with its (k, m)."""
+    """Every eval of a solve, in order: ("full", s, estimate) for a full
+    probe, asked for (s, s), and ("joint", (s_lower, s_upper), estimate)
+    for any other, each with its (k, m)."""
 
     def __init__(self):
         self.events = []
-        probe = dimension_module._PressureProbe
-        self._bracket, self._halves = probe.bracket, probe.halves
+        self._eval = dimension_module._PressureProbe.eval
 
     def __enter__(self):
         spy = self
 
-        def bracket(probe, s):
-            est = spy._bracket(probe, s)
-            spy.events.append(("full", s, est, (probe.k, probe.m)))
+        def eval(probe, s_lower, s_upper):
+            est = spy._eval(probe, s_lower, s_upper)
+            if s_lower == s_upper:
+                event = ("full", s_lower)
+            else:
+                event = ("joint", (s_lower, s_upper))
+            spy.events.append((*event, est, (probe.k, probe.m)))
             return est
 
-        def halves(probe, s_lower, s_upper):
-            got = spy._halves(probe, s_lower, s_upper)
-            spy.events.append(("half", (s_lower, s_upper), got, (probe.k, probe.m)))
-            return got
-
-        self._patches = [mock.patch.object(dimension_module._PressureProbe, name, fn)
-                         for name, fn in (("bracket", bracket), ("halves", halves))]
-        for patch in self._patches:
-            patch.start()
+        self._patch = mock.patch.object(dimension_module._PressureProbe, "eval", eval)
+        self._patch.start()
         return self
 
     def __exit__(self, *exc):
-        for patch in self._patches:
-            patch.stop()
+        self._patch.stop()
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,7 +286,7 @@ def test_a_squeezed_moran_bracket_holds_its_root(q, horizon, horizon_cap, state_
                               horizon=min(horizon, horizon_cap), horizon_cap=horizon_cap,
                               state_cap=state_cap, check_conditions=False)
     assert res.stop_reason in ("state_cap", "stuck")
-    assert any(kind == "half" for kind, *_ in spy.events)
+    assert any(kind == "joint" for kind, *_ in spy.events)
     with mpmath.workdps(40):
         root = mpmath.log(2) / -mpmath.log(mpmath.mpf(q))
         assert res.s_lower <= root <= res.s_upper
@@ -245,7 +308,7 @@ def test_the_ladders_lower_end_starts_below_the_trails_negative_lowers():
         if s_lower is not None:
             assert s_lower < negative
             squeezed.append(s_lower)
-            if got.lower.lower < 0.0:
+            if got.lower < 0.0:
                 negative = min(negative, s_lower)
     # the trail's probe at 0.671 (k = 512) already has a negative lower, so
     # the squeeze never bisects down from the ceiling
@@ -260,20 +323,21 @@ def test_the_squeeze_counts_one_eval_per_joint_probe():
     kinds = [kind for kind, *_ in spy.events]
     assert res.evals == len(kinds)
     # the squeeze comes last, and each of its evals is one joint probe
-    squeeze = kinds.index("half")
-    assert set(kinds[:squeeze]) == {"full"} and set(kinds[squeeze:]) == {"half"}
-    # each end the squeeze moved holds a half estimate, the other end infinite
-    assert res.pressure_at_lower.upper == math.inf
-    assert res.pressure_at_upper.lower == -math.inf
+    squeeze = kinds.index("joint")
+    assert set(kinds[:squeeze]) == {"full"} and set(kinds[squeeze:]) == {"joint"}
+    # each end the squeeze moved holds the joint estimate of the probe that
+    # moved it, that end certified at the exponent asked for it
+    joint = {id(est): ask for kind, ask, est, _ in spy.events if kind == "joint"}
+    assert joint[id(res.pressure_at_lower)][0] == res.pressure_at_lower.s
+    assert joint[id(res.pressure_at_upper)][1] == res.pressure_at_upper.s_upper
 
 
 def moran_pressure(ratios, s):
     return math.log(math.fsum(r**s for r in ratios))
 
 
-def as_estimates(ratios, points):
-    return [(s, PressureEstimate(lower=p, upper=p, s=s))
-            for s, p in ((s, moran_pressure(ratios, s)) for s in points)]
+def as_bounds(ratios, points):
+    return [(s, moran_pressure(ratios, s)) for s in points]
 
 
 def test_a_secant_through_two_probes_of_one_sign_lands_below_the_root():
@@ -284,13 +348,13 @@ def test_a_secant_through_two_probes_of_one_sign_lands_below_the_root():
         root = float(mpmath.findroot(lambda s: 0.3**s + 0.5**s - 1, 0.8))
     # side 0 probes tol/32 below the secant root through two probes above
     # the root, so its probe is below the root: a certified lower end
-    t = _squeeze_point(0.5, 0.95, as_estimates(ratios, (0.95, 1.05)), 0, tol)
+    t = _squeeze_point(0.5, 0.95, as_bounds(ratios, (0.95, 1.05)), 0, tol)
     assert t <= root - tol / 32
     # side 1, from two probes below the root, moves its search up
-    t = _squeeze_point(0.6, 1.1, as_estimates(ratios, (0.55, 0.6)), 1, tol)
+    t = _squeeze_point(0.6, 1.1, as_bounds(ratios, (0.55, 0.6)), 1, tol)
     assert 0.6 < t <= root + tol / 32
     # with no pair it bisects
-    assert _squeeze_point(0.5, 1.0, as_estimates(ratios, (1.05,)), 1, tol) == 0.75
+    assert _squeeze_point(0.5, 1.0, as_bounds(ratios, (1.05,)), 1, tol) == 0.75
 
 
 @pytest.mark.parametrize("make", [lambda: cf_system((1, 2)),

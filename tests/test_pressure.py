@@ -698,11 +698,17 @@ def joint_spectral(system, potential, k, m, monkeypatch):
     inner = pressure._cw_bracket
     with monkeypatch.context() as patch:
         patch.setattr(pressure, "_cw_bracket",
-                      lambda plan, s: calls.append(inner(plan, s)) or calls[-1])
+                      lambda plan, *ends: calls.append(inner(plan, *ends)) or calls[-1])
         est = pressure_spectral(system, potential, k, m)
     plans = build_weighted_matrix(system, potential, k, m).geometry.classes
-    comps = [(plan.letters, [side_bits(r) for r in out], len(plan.logs) == 1)
-             for plan, out in zip(plans, calls, strict=True)]
+    comps = []
+    for plan, out in zip(plans, calls, strict=True):
+        shares = len(plan.logs) == 1
+        if shares:
+            # one row served both sides, and its bracket came back for each
+            assert out[1] is out[0]
+            out = out[:1]
+        comps.append((plan.letters, [side_bits(r) for r in out], shares))
     return est, comps, warm_bits(plans)
 
 
@@ -807,7 +813,7 @@ def test_joint_loop_keeps_each_sides_bits_on_mixed_routes():
                      for _ in range(2))
         assert plan.fan == letters and len(plan.logs) == 2
         for s in (2.0, 0.0, 1.0, 0.5, 0.75, 0.625):
-            got = _cw_bracket(plan, s)
+            got = _cw_bracket(plan, s, s)
             want = [reference_cw_side(ref, side, s) for side in (0, 1)]
             assert [side_bits(r) for r in got] == [side_bits(r) for r in want], (s, got)
             assert warm_bits([plan]) == warm_bits([ref]), s
@@ -1086,7 +1092,7 @@ def test_planted_constant_letters_run_shifted(monkeypatch):
     assert plan.period == 1
     assert (geom.lower[plan.positions] == 0.0).any()
     shifted = pressure._class_plan(geom, letters, idx, 2)
-    got, want = _cw_bracket(plan, 0.5), _cw_bracket(shifted, 0.5)
+    got, want = _cw_bracket(plan, 0.5, 0.5), _cw_bracket(shifted, 0.5, 0.5)
     assert [side_bits(r) for r in got] == [side_bits(r) for r in want]
 
 

@@ -68,7 +68,8 @@ def bracket(plan, weights):
     with np.errstate(divide="ignore"):
         logs = np.log(weights[plan.positions])
     plan.logs = logs[None]
-    (side,) = _cw_bracket(plan, 1.0)
+    side, same = _cw_bracket(plan, 1.0, 1.0)
+    assert same is side     # one row serves both sides
     assert side[4] == 0.0   # theta stays a normal float
     return side[:4]
 

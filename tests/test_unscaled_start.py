@@ -73,6 +73,14 @@ def complete_class(letters, depth, logw):
     return plan
 
 
+def one_row(plan, s):
+    """The bracket of a plan with one row of logs at exponent s: asked for
+    both sides at s, one row serves both."""
+    inf_side, sup_side = _cw_bracket(plan, s, s)
+    assert sup_side is inf_side
+    return inf_side
+
+
 def dense_log_radius(n, row, col, logw):
     """log rho from numpy's dense eigenvalues, after conjugating by the
     max-plus eigenvector estimate, so that LAPACK sees entries of one
@@ -116,7 +124,7 @@ def test_unscaled_brackets_hold_the_dense_radius(letters, depth, seed):
     plan = complete_class(letters, depth, rng.uniform(-40.0, 0.0, letters**(depth + 1)))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(pressure, "CW_MAX_ITER", 2000)
-        ((lo, hi, _, _, scale),) = _cw_bracket(plan, 1.0)
+        lo, hi, _, _, scale = one_row(plan, 1.0)
     (s_prev, _), unused = plan.warm
     assert s_prev == 1.0 and unused is None and scale == 0.0
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
@@ -132,7 +140,7 @@ def test_a_largest_entry_far_above_rho_still_gives_a_tight_bracket():
     logw = np.full((3, 3), -300.0)
     logw[0, 0], logw[1, 2] = -100.0, 0.0
     plan = complete_class(3, 1, logw.ravel())
-    ((lo, hi, stalled, _, scale),) = _cw_bracket(plan, 1.0)
+    lo, hi, stalled, _, scale = one_row(plan, 1.0)
     assert plan.warm[0] is not None and not stalled and scale == 0.0
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) - SLACK <= want <= math.log(hi) + SLACK, (lo, want, hi)
@@ -169,14 +177,14 @@ def test_complete_class_past_the_spread_bound_takes_the_scales(monkeypatch):
     logw, rho = perron_class(np.random.default_rng(20261019), 2, 3, 250.0)
     plan = complete_class(2, 3, logw)
     assert plan.depth * np.ptp(plan.logs[0]) > pressure._UNSCALED_SPREAD
-    ((lo, hi, stalled, _, scale),) = _cw_bracket(plan, 1.0)
+    lo, hi, stalled, _, scale = one_row(plan, 1.0)
     assert len(calls) == 1 and not stalled and scale == 0.0
     assert plan.warm == [None, None]
     assert lo * (1.0 - SLACK) <= rho <= hi * (1.0 + SLACK), (lo, rho, hi)
     monkeypatch.setattr(pressure, "CW_MAX_ITER", 1000)
     monkeypatch.setattr(pressure, "_UNSCALED_SPREAD", math.inf)
     forced = complete_class(2, 3, logw)
-    assert _cw_bracket(forced, 1.0)[0][2]
+    assert one_row(forced, 1.0)[2]
     assert len(calls) == 1
 
 
@@ -223,7 +231,7 @@ def test_a_class_past_float64s_range_is_bracketed_in_logs(low, high):
     rng = np.random.default_rng(29)
     plan = complete_class(3, 2, np.zeros(27))
     plan.logs = rng.uniform(low, high, (1, 27))
-    ((lo, hi, stalled, _, scale),) = _cw_bracket(plan, 1.0)
+    lo, hi, stalled, _, scale = one_row(plan, 1.0)
     assert not stalled and not math.log(sys.float_info.min) <= scale <= math.log(sys.float_info.max)
     want = dense_log_radius(plan.size, plan.row, plan.col, plan.logs[0])
     assert math.log(lo) + scale - SLACK <= want <= math.log(hi) + scale + SLACK, (lo, hi, scale)
