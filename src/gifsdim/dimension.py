@@ -301,7 +301,8 @@ def _centre(est):
 def _next_probe(root, trail, chi_min, chi_max):
     """Where to probe next: the Newton point of the last bracket's centre,
     clipped into the middle (1 - 2/16) of the running bracket.  trail holds
-    the estimates of the full probes so far, in order.
+    the estimate of every eval so far, in order: full probes only, as the
+    squeeze's joint probes come after the last call.
 
     The slope is the secant through that centre and the one of the latest
     probe at another s when it is positive, else the middle of the
@@ -425,6 +426,8 @@ def _resolve_defaults(system, s_tol, horizon, s_max):
     finite = system.is_finite
     if s_tol is None:
         s_tol = FINITE_S_TOL if finite else INFINITE_S_TOL
+    if not (math.isfinite(s_tol) and s_tol > 0.0):
+        raise ValueError(f"s_tol must be finite and positive, got {s_tol!r}")
     horizon = default_horizon(system, horizon)
     if s_max is None:
         s_max = system.ambient_dim + 1.0
@@ -469,11 +472,12 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
     countable system's full upper from its tail witness alone, with no
     loop.  The lower end cannot pass a probe whose lower is negative, nor
     the upper end one whose upper is positive, so each end searches up to
-    its nearest such probe, starting from the signs of the finite bounds
-    the trail holds at the final knobs; an end stops once its search is
-    s_tol wide, and its later probes leave it out.  Points come from
-    _squeeze_point.  An empty intersection raises CrossedBracket rather
-    than being collapsed.
+    its nearest such probe.  The solve's trail holds the estimate of every
+    eval, joint probes included, and each squeeze step reads its searches
+    from the signs of the finite bounds the trail holds at the final knobs;
+    an end stops once its search is s_tol wide, and its later probes leave
+    it out.  Points come from _squeeze_point.  An empty intersection raises
+    CrossedBracket rather than being collapsed.
     IrregularSystem when no certified sign change exists in [floor,
     s_max]; BudgetExhausted when the eval budget dies before the ceiling
     is certified.
@@ -510,15 +514,15 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
 
     # certify the ceiling: pressure upper <= 0 at s_max
     root = _RootBracket(floor, s_max)
-    trail = []  # the estimate of every full probe, for probe placement
+    trail = []  # the estimate of every eval, in order
 
-    def probe_at(s):
-        est = probe.eval(s, s)
+    def probe_at(s_lower, s_upper):
+        est = probe.eval(s_lower, s_upper)
         trail.append(est)
         return est
 
     try:
-        est = probe_at(s_max)
+        est = probe_at(s_max, s_max)
     except NoAdmissibleWords:
         # no admissible words at all: empty pressure, dimension collapses
         root.upper = floor
@@ -541,12 +545,12 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
                 f"pressure stays above zero up to s={s_max:.6g} "
                 f"(upper {est.upper:.4g}); no certified sign change"
             )
-        est = probe_at(s_max)
+        est = probe_at(s_max, s_max)
     root.at_upper = est
     root.narrow(est, probe.enclosure(est))
 
     if root.lower <= floor:
-        est = probe_at(floor)
+        est = probe_at(floor, floor)
         if est.upper <= 0.0:
             # the whole range is at or below zero: dimension sits at the floor
             root.upper, root.at_upper = floor, est
@@ -559,19 +563,16 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
     target = 0.5 * s_tol
     straddle_width = None
     stuck = 0
-    stop = None
-    refined_at = None
+    stop = s = None
     while root.width > target and not out_of_budget():
-        if refined_at is not None and root.lower < refined_at < root.upper:
-            s = refined_at
-        else:
+        # a refinement repeats its probe at the same s while s stays inside
+        if s is None or not root.lower < s < root.upper:
             chi_min, chi_max, _ = probe.slopes()
             s = _next_probe(root, trail, chi_min, chi_max)
-        refined_at = None
-        est = probe_at(s)
+        est = probe_at(s, s)
         root.narrow(est, probe.enclosure(est))
         if not (est.lower < 0.0 < est.upper) or root.width <= target:
-            straddle_width, stuck = None, 0
+            straddle_width, stuck, s = None, 0, None
             continue
         # straddling zero: refine, but give up once refinement stops
         # buying width (the leftover gap is then a property of the
@@ -585,7 +586,6 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
         if stuck >= 3 or not probe.refine():
             stop = "stuck" if stuck >= 3 else probe.limit
             break
-        refined_at = s
     if stop is None:
         stop = "tolerance" if root.width <= s_tol else "budget"
 
@@ -595,23 +595,20 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
         # ends at the final knobs, each joint probe asking each end that is
         # still open for its own bound only.  The lower end cannot pass a
         # probe whose lower is negative, nor the upper end one whose upper
-        # is positive, so each search runs up to the nearest such probe;
-        # the trail's probes at the final knobs seed both, by the signs of
-        # their finite bounds, kept per side as (s, bound).
-        final = trail[-1]
-        seen = ([], [])
-
-        def remember(est):
-            for side, s, f in ((0, est.s, est.lower), (1, est.s_upper, est.upper)):
-                if math.isfinite(f):
-                    seen[side].append((s, f))
-
-        for est in trail:
-            if (est.horizon, est.depth) == (final.horizon, final.depth):
-                remember(est)
-        cut_lower = min((s for s, f in seen[0] if f < 0.0), default=math.inf)
-        cut_upper = max((s for s, f in seen[1] if f > 0.0), default=-math.inf)
+        # is positive, so each search runs up to the nearest such probe.
+        # Each step reads both from the trail's estimates at the final
+        # knobs, by the signs of their finite bounds, kept per side as
+        # (s, bound).
+        knobs = (trail[-1].horizon, trail[-1].depth)
         while True:
+            seen = ([], [])
+            for est in trail:
+                if (est.horizon, est.depth) == knobs:
+                    for side, s, f in ((0, est.s, est.lower), (1, est.s_upper, est.upper)):
+                        if math.isfinite(f):
+                            seen[side].append((s, f))
+            cut_lower = min((s for s, f in seen[0] if f < 0.0), default=math.inf)
+            cut_upper = max((s for s, f in seen[1] if f > 0.0), default=-math.inf)
             searches = ((root.lower, min(cut_lower, root.upper)),
                         (max(cut_upper, root.lower), root.upper))
             points = [_squeeze_point(lo, hi, seen[side], side, s_tol)
@@ -622,13 +619,8 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
             if out_of_budget():
                 stop = "budget"
                 break
-            est = probe.eval(*points)
+            est = probe_at(*points)
             root.narrow(est, probe.enclosure(est))
-            remember(est)
-            if points[0] is not None and est.lower < 0.0:
-                cut_lower = points[0]
-            if points[1] is not None and est.upper > 0.0:
-                cut_upper = points[1]
 
     component = None
     for src in (root.at_upper, root.at_lower):
@@ -641,7 +633,8 @@ def bowen_dimension(system, s_tol=None, horizon=None, depth=1, s_max=None,
 def _boolean_bisect(above, floor, ceil, tol):
     """Threshold of a monotone predicate: above(s) true means the threshold
     lies above s.  Returns (lo, hi) with lo the last true point (or floor)
-    and hi the first false point (or ceil when never false)."""
+    and hi the first false point (or ceil when never false), once hi - lo
+    is at most tol or no float lies between them."""
     if not above(floor):
         return floor, floor
     if above(ceil):
@@ -649,6 +642,9 @@ def _boolean_bisect(above, floor, ceil, tol):
     lo, hi = floor, ceil
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            # the ends are adjacent floats
+            break
         if above(mid):
             lo = mid
         else:

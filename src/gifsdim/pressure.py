@@ -20,13 +20,13 @@ Two routes, each valid at every finite stage rather than only in the limit:
   on primitive classes).  The geometry and each component's
   Collatz-Wielandt data (class pattern, entry positions, period, logs of
   its ranges) do not depend on s and are built once per geometry; each
-  exponent only reweights them, in logs.  A class that is every state of
-  its geometry, as in the one-vertex continued-fraction systems, is
-  planned in closed form once the geometry's CSR pattern compares equal to
-  the complete one: its entry order is a transpose of the entry numbers,
-  and its row and column lists are formed only if the scaled route reads
-  them.  Each geometry gathers its letters' data from the system's letter
-  table (GifsSystem.letter_table):
+  exponent only reweights them, in logs.  Every plan is made by
+  _class_plan: a class that is every state of its geometry, as in the
+  one-vertex continued-fraction systems, reads the geometry's own CSR
+  pattern once it compares equal to the complete one, so its entry order
+  is a transpose of the entry numbers and its row and column lists are
+  formed only if the scaled route reads them.  Each geometry gathers its
+  letters' data from the system's letter table (GifsSystem.letter_table):
   map family, normal form, seed range and seed-image disk, filled once per
   letter per system, so stepping the horizon maps no letter twice, and each
   level maps its words' disks and ranges its nonzeros with one kernel call
@@ -560,11 +560,11 @@ class _ClassPlan:
     positions picks the class's entries out of the geometry's nonzeros in
     the order the class matvec reads them (see _class_matvec); row/col are
     their local coordinates (intp, which numpy's gathers, np.bincount and
-    np.maximum.at take without a per-call conversion).  A plan made in
-    closed form (see _complete_plan) is built without them and forms them
-    from positions on first read, which only the scaled route makes
-    (_cw_start, _equilibrate_scales).  fan selects the matvec form.  It is
-    |C| when the class has the pattern of all m-words
+    np.maximum.at take without a per-call conversion).  The plan of a
+    complete class of every state (see _class_plan) is built without them
+    and forms them from positions on first read, which only the scaled
+    route makes (_cw_start, _equilibrate_scales).  fan selects the matvec
+    form.  It is |C| when the class has the pattern of all m-words
     over a letter class C in which every letter may follow every other: with
     R = n/|C|, row a*R + r (a letter a, an (m-1)-word r) then holds exactly
     the columns r*|C| + b, b = 0..|C|-1.  When _stacked(|C|, n), that is
@@ -606,7 +606,7 @@ class _ClassPlan:
     @property
     def row(self):
         if self._row is None:
-            # a class of every state (see _complete_plan) holds the entry
+            # a complete class of every state (see _class_plan) holds the entry
             # (a*R + r, r*fan + b) at position (a*R + r)*fan + b
             self._row = self.positions // self.fan
         return self._row
@@ -623,43 +623,42 @@ def _class_plan(geom, letters, idx, period):
     """The _ClassPlan of the class whose state indices, ascending, are idx,
     labelled by its letter class and with the given period.
 
-    A class of every state of the geometry (idx ascending, one per row) is
-    planned in closed form when the geometry's pattern compares equal to
-    the complete one (see _complete_plan).  For any other class, the
-    geometry's rows list their columns in ascending order, and local
-    indices keep that order, so taking the class's entries row by row gives
-    the class matrix's CSR order; a class with the complete pattern is then
-    reordered b-major or into its blocks, and any other class gets its
-    chains.  The logs of the class's ranges are gathered in that order.
+    A class of every state of the geometry (idx ascending, one per row)
+    whose pattern is complete (see _complete_order) reads the geometry's
+    own pattern, with no gather: CSR entry (a*R + r)*fan + b is the class's
+    own, and its row and col are left for the plan to form from positions,
+    which only the scaled route asks for (see _cw_start).  Any other class
+    gathers its local pattern: the geometry's rows list their columns in
+    ascending order, and local indices keep that order, so taking the
+    class's entries row by row gives the class matrix's CSR order.  Either
+    way a complete pattern is then reordered b-major or into its blocks,
+    and any other class gets its chains.  The logs of the class's ranges
+    are taken in that order.
     """
-    if len(idx) == len(geom.indptr) - 1:
-        plan = _complete_plan(geom, letters, period)
-        if plan is not None:
-            return plan
-    local = np.full(len(geom.indptr) - 1, -1)
-    local[idx] = np.arange(len(idx))
-    starts = geom.indptr[idx]
-    counts = geom.indptr[idx + 1] - starts
-    # every nonzero of the class's rows, row by row in column order
-    positions = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    positions += np.arange(counts.sum())
-    col = local[geom.indices[positions]]
-    inside = col >= 0
-    positions, col = positions[inside], col[inside]
-    row = np.repeat(np.arange(len(idx)), counts)[inside]
     n = len(idx)
-    fan = len(col) // n
-    entry = np.arange(len(col))
-    if (len(col) == n * fan and n % fan == 0
-            and np.array_equal(row, entry // fan)
-            and np.array_equal(col, row % (n // fan) * fan + entry % fan)):
-        shape, axes, depth = _complete_layout(fan, n)
-        order = entry.reshape(shape).transpose(axes).ravel()
-        positions, row, col = positions[order], row[order], col[order]
-        chains = None
+    row = col = chains = None
+    whole = n == len(geom.indptr) - 1 and _complete_order(geom.indptr, geom.indices, n)
+    if whole:
+        fan, positions, depth = whole
     else:
-        fan = depth = 0
-        chains = chainlib.hub_chains(n, row, col)
+        local = np.full(len(geom.indptr) - 1, -1)
+        local[idx] = np.arange(n)
+        starts = geom.indptr[idx]
+        counts = geom.indptr[idx + 1] - starts
+        # every nonzero of the class's rows, row by row in column order
+        positions = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        positions += np.arange(counts.sum())
+        col = local[geom.indices[positions]]
+        inside = col >= 0
+        positions, col = positions[inside], col[inside]
+        row = np.repeat(np.arange(n), counts)[inside]
+        complete = _complete_order(np.searchsorted(row, np.arange(n + 1)), col, n)
+        if complete is None:
+            fan = depth = 0
+            chains = chainlib.hub_chains(n, row, col)
+        else:
+            fan, order, depth = complete
+            positions, row, col = positions[order], row[order], col[order]
     sides = (geom.lower,) if geom.upper is geom.lower else (geom.lower, geom.upper)
     logs = np.empty((len(sides), len(positions)))
     with np.errstate(divide="ignore"):
@@ -668,57 +667,33 @@ def _class_plan(geom, letters, idx, period):
     return _ClassPlan(letters, n, positions, row, col, fan, period, logs, chains, depth)
 
 
-def _complete_plan(geom, letters, period):
-    """The _ClassPlan of a class that is every state of geom, when geom's
-    CSR pattern is the complete one, and None otherwise.
+def _complete_order(indptr, indices, n):
+    """(fan, order, depth) of a class of n states with this CSR pattern when
+    the pattern is complete, and None otherwise.
 
     The pattern is complete when every row holds fan entries and row
-    a*R + r (R = n/fan) the columns r*fan + b, b = 0..fan-1, in order; the
-    geometry's indptr and indices are compared with that directly.  CSR
-    entry (a*R + r)*fan + b is then the class's own, so the b-major or
-    stacked order of _class_plan is a transpose of the entry numbers, and
-    the ranges are read in that order by a strided copy, not a gather,
-    before their logs are taken as _class_plan takes them.  row and col are
-    left for the plan to form from positions on first use, which only the
-    scaled route makes (see _cw_start).
+    a*R + r (R = n/fan) the columns r*fan + b, b = 0..fan-1, in order: all
+    m-words over fan letters that may all follow each other (see
+    _ClassPlan).  order lists the CSR entry numbers in plan order, b-major
+    or stacked, a transpose of the entry numbers; depth is m, n = fan**m.
     """
-    indptr, indices = geom.indptr, geom.indices
-    n = len(indptr) - 1
     fan = len(indices) // n
-    if n % fan:
+    if not fan or n % fan:
         return None
     tails = n // fan
     if not (np.array_equal(indptr, np.arange(0, len(indices) + 1, fan))
-            and (indices.reshape(fan, tails, fan)
-                 == np.arange(n).reshape(tails, fan)).all()):
+            and (indices.reshape(fan, tails, fan) == np.arange(n).reshape(tails, fan)).all()):
         return None
-    shape, axes, depth = _complete_layout(fan, n)
-    order = np.arange(len(indices)).reshape(shape).transpose(axes)
-    positions = order.ravel()
-    sides = (geom.lower,) if geom.upper is geom.lower else (geom.lower, geom.upper)
-    logs = np.empty((len(sides), len(positions)))
-    ranges = np.empty(order.shape)
-    with np.errstate(divide="ignore"):
-        for side, values in enumerate(sides):
-            np.copyto(ranges, values.reshape(shape).transpose(axes))
-            np.log(ranges.ravel(), out=logs[side])
-    return _ClassPlan(letters, n, positions, None, None, fan, period, logs, None, depth)
-
-
-def _complete_layout(fan, size):
-    """(shape, axes, depth) of a complete class of size states with this
-    fan (see _ClassPlan): its CSR entries, viewed with shape and transposed
-    by axes, come in plan order, and depth is m, size = fan**m."""
-    if _stacked(fan, size):
+    if _stacked(fan, n):
         # CSR entry (a*R + r)*fan + b moves to (r*fan + a)*fan + b
-        shape, axes = (fan, size // fan, fan), (1, 0, 2)
+        shape, axes = (fan, tails, fan), (1, 0, 2)
     else:
         # CSR entry i*fan + b moves to b*n + i
-        shape, axes = (size, fan), (1, 0)
+        shape, axes = (n, fan), (1, 0)
     depth = 1
-    while fan**depth < size:
+    while fan**depth < n:
         depth += 1
-    return shape, axes, depth
+    return fan, np.arange(len(indices)).reshape(shape).transpose(axes).ravel(), depth
 
 
 def _stacked(fan, size):
@@ -1262,11 +1237,13 @@ def _full_upper(system, potential, k, exhausted_upper):
     """(upper, tail_term, divergence) for the untruncated system.
 
     Finite alphabets that the horizon exhausts need no correction: their
-    upper is exhausted_upper, the truncation's own.  Edge-unit witnesses
-    get the Fekete-composition bound; any witness may also
-    declare a family-proved pressure_upper(s), and the minimum of the
-    available certified uppers is reported.  No witness, or no finite route,
-    means upper = +inf.
+    upper is exhausted_upper, the truncation's own.  Otherwise the upper
+    starts from the Fekete-composition bound when the witness is
+    edge-unit, with its tail term, and from +inf with an infinite tail term
+    when it is not.  A family-proved pressure_upper(s) the witness declares
+    replaces it only when strictly smaller, with tail term 0; on a tie the
+    Fekete bound and its tail term are kept.  No witness, or no finite
+    route, means upper = +inf.
     """
     if _exhausts(system, k):
         return exhausted_upper, 0.0, False
@@ -1276,27 +1253,15 @@ def _full_upper(system, potential, k, exhausted_upper):
     s = potential.s
     if witness.diverges_below is not None and s < witness.diverges_below:
         return math.inf, math.inf, True
-    candidates = []
-    tail_term = math.inf
+    upper, tail_term = math.inf, math.inf
     # an empty-tail witness only certifies a sum once the horizon covers
     # the whole alphabet, and that case returned above
     if witness.unit == "edge" and witness.kind != "finite":
-        upper, tail = _fekete_edge_upper(system, potential, k)
-        candidates.append(upper)
-        tail_term = tail
+        upper, tail_term = _fekete_edge_upper(system, potential, k)
     declared = getattr(witness, "pressure_upper", None)
-    if declared is not None:
-        candidates.append(float(declared(s)))
-    if not candidates:
-        return math.inf, math.inf, False
-    upper = min(candidates)
-    if upper == math.inf:
-        return math.inf, tail_term, False
-    if math.isfinite(tail_term) and upper != candidates[0]:
-        # the declared bound won; the edge tail term was not used
-        tail_term = 0.0
-    if not math.isfinite(tail_term):
-        tail_term = 0.0
+    bound = math.inf if declared is None else float(declared(s))
+    if bound < upper:
+        upper, tail_term = bound, 0.0
     return upper, tail_term, False
 
 

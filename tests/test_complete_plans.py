@@ -1,12 +1,13 @@
 """Closed-form class plans against the generic derivation, field for field.
 
 A class that is every state of its geometry, with the complete pattern,
-is planned in closed form (pressure._complete_plan): its entry order is a
-transpose of the CSR entry numbers, its ranges are read by a strided copy,
-and its row and col are formed only on first use.  reference_class_plan
-below is the generic derivation every class took before, gathering the
-class's entries through a local map; each closed-form plan must give its
-bits, and each class off the closed form must keep taking it.
+is planned in closed form by pressure._class_plan: it reads the
+geometry's own CSR pattern with no gather, its entry order is a transpose
+of the CSR entry numbers, and its row and col are formed only on first
+use.  reference_class_plan below is the generic derivation every class
+took before, gathering the class's entries through a local map; each
+closed-form plan must give its bits, and each class off the closed form
+must keep taking it.
 """
 
 import numpy as np

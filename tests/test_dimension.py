@@ -566,6 +566,48 @@ def test_cf_lower_estimate_bracket():
     assert res.s_lower <= res.s_upper <= 3.0
 
 
+def test_sign_bisection_stops_at_adjacent_floats():
+    # with a tolerance below the float spacing the midpoint of two adjacent
+    # floats is one of them, and the bisection must stop there; a predicate
+    # that cuts off calls keeps a regression from looping forever
+    calls = []
+
+    def above(s):
+        calls.append(s)
+        if len(calls) > 2000:
+            raise RuntimeError("the bisection does not stop")
+        return s < 0.7
+
+    for tol in (0.0, 1e-300):
+        calls.clear()
+        lo, hi = dimension_module._boolean_bisect(above, 0.0, 1.0, tol)
+        assert (lo, hi) == (math.nextafter(0.7, 0.0), 0.7)
+        assert len(calls) < 100
+
+
+@pytest.mark.parametrize("s_tol", (1e-16, 1e-300))
+def test_sign_thresholds_stop_within_two_ulps(s_tol):
+    # the root of 2**-s + 4**-s = 1 is log2 of the golden ratio, where
+    # floats are 1.1e-16 apart.  Each bracket ends within 2 ulps, and its
+    # certified end holds the root: lower_estimate's s_lower and
+    # upper_estimate's s_upper (each other end is only where the computed
+    # bound changes sign)
+    low = lower_estimate(moran_system([0.5, 0.25]), s_tol=s_tol)
+    high = upper_estimate(moran_system([0.5, 0.25]), s_tol=s_tol)
+    with mpmath.workdps(40):
+        root = mpmath.log(mpmath.phi) / mpmath.log(2)
+        assert low.s_lower <= root <= high.s_upper
+    for res in (low, high):
+        assert 0.0 < res.s_upper - res.s_lower <= 2 * math.ulp(res.s_lower)
+
+
+@pytest.mark.parametrize("s_tol", (0.0, -1.0, math.nan, math.inf))
+@pytest.mark.parametrize("solve", (bowen_dimension, lower_estimate, upper_estimate))
+def test_a_tolerance_that_is_not_finite_and_positive_is_refused(solve, s_tol):
+    with pytest.raises(ValueError, match="s_tol"):
+        solve(cf_system((1, 2)), s_tol=s_tol)
+
+
 def test_solves_share_no_geometry_across_calls(monkeypatch):
     # one system object through a lower_estimate solve and two
     # bowen_dimension solves must probe exactly what fresh systems probe:

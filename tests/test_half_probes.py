@@ -367,3 +367,74 @@ def test_sign_thresholds_read_one_side_each(make, monkeypatch):
     asked.clear()
     upper_estimate(make(), s_tol=1e-4)
     assert asked and all(ask[0] is None and ask[1] is not None for ask in asked)
+
+
+def full(s, k, m):
+    """A full probe at the exponent float.fromhex(s), at horizon k and depth m."""
+    return (s, s, k, m)
+
+
+PROBE_SEQUENCES = {
+    "cf-12": (lambda: cf_system((1, 2)), 1e-5, (
+        full("0x1.8000000000000p+1", 2, 1),
+        full("0x0.0p+0", 2, 1),
+        full("0x1.1a9172459f565p-1", 2, 1),
+        full("0x1.1a9172459f565p-1", 2, 2),
+        full("0x1.1a9172459f565p-1", 2, 3),
+        full("0x1.0f4f6c278b779p-1", 2, 3),
+        full("0x1.0f4f6c278b779p-1", 2, 4),
+        full("0x1.0f4f6c278b779p-1", 2, 5),
+        full("0x1.0fdeb456681dep-1", 2, 5),
+        full("0x1.0fdeb456681dep-1", 2, 6),
+        full("0x1.10187338a4b1ep-1", 2, 6),
+        full("0x1.10187338a4b1ep-1", 2, 7),
+        full("0x1.100506491ee34p-1", 2, 7),
+        full("0x1.100506491ee34p-1", 2, 8),
+        full("0x1.100506491ee34p-1", 2, 9),
+        full("0x1.1003e9262425fp-1", 2, 9),
+        full("0x1.1003e9262425fp-1", 2, 10),
+        full("0x1.1003e9262425fp-1", 2, 11),
+    )),
+    "gaussian-4": (lambda: cf_system(gaussian_alphabet(4)), 1e-4, (
+        full("0x1.8000000000000p+1", 36, 1),
+        full("0x0.0p+0", 36, 1),
+        full("0x1.004e163e0d762p+1", 36, 1),
+        full("0x1.ce43b22bcd6fcp+0", 36, 1),
+        full("0x1.ce43b22bcd6fcp+0", 36, 2),
+        full("0x1.be255cbe6d705p+0", 36, 2),
+        ("0x1.b8b4f21685890p+0", "0x1.c7860fc836560p+0", 36, 2),
+        ("0x1.b8c15dc437482p+0", "0x1.c77cd4b554b5ap+0", 36, 2),
+        ("0x1.b8c758050bd02p+0", "0x1.c776d3f2f15e2p+0", 36, 2),
+    )),
+    "ladder": (ladder_system, 1e-3, (
+        full("0x1.0000000000000p+1", 64, 1),
+        full("0x1.e484de336d2a3p+0", 64, 1),
+        full("0x1.244626f5deb98p-1", 64, 1),
+        full("0x1.57a3549042278p-1", 64, 1),
+        full("0x1.57a3549042278p-1", 128, 1),
+        full("0x1.57a3549042278p-1", 256, 1),
+        full("0x1.57a3549042278p-1", 512, 1),
+        ("0x1.49c22697a2fd0p-1", "0x1.482b443dc71f0p+0", 512, 1),
+        ("0x1.439b693678a9ep-1", "0x1.63e0985d664f1p-1", 512, 1),
+        ("0x1.44116fe5b4c91p-1", "0x1.6377ebbe4421bp-1", 512, 1),
+        (None, "0x1.6301f4c122228p-1", 512, 1),
+    )),
+}
+
+
+@pytest.mark.parametrize("name", PROBE_SEQUENCES)
+def test_each_solves_probe_sequence_is_pinned_bitwise(name):
+    # every eval of the solve, in order, as (s_lower, s_upper) in float.hex,
+    # None for an end left out, with the horizon and depth it ran at: CF
+    # {1, 2} refines to depth 11 on full probes alone, gaussian(4) ends on
+    # a joint squeeze of both ends, and the ladder on one that asks for its
+    # upper end alone
+    make, s_tol, want = PROBE_SEQUENCES[name]
+    with Spy() as spy:
+        res = bowen_dimension(make(), s_tol=s_tol)
+    got = []
+    for kind, s, _, knobs in spy.events:
+        ends = (s, s) if kind == "full" else s
+        got.append((*(None if e is None else float.hex(e) for e in ends), *knobs))
+    assert tuple(got) == want
+    assert res.evals == len(want)

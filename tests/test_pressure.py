@@ -17,6 +17,7 @@ import itertools
 import math
 import sys
 import weakref
+from dataclasses import replace
 from types import SimpleNamespace
 
 import mpmath
@@ -1187,6 +1188,22 @@ def test_cf_truncation_lowers_grow_with_alphabet():
     assert math.isfinite(final.upper)
     assert final.tail_term > 0.0
     assert final.upper >= ests[-2].upper
+
+
+def test_a_declared_upper_replaces_the_fekete_bound_only_when_smaller():
+    # the one full-upper rule: an edge-unit witness starts from the Fekete
+    # bound with its tail term, and a declared pressure_upper replaces it,
+    # with tail term 0, only when strictly smaller; a tie keeps Fekete's
+    cf = cf_system()
+    fekete, tail = pressure._fekete_edge_upper(cf, PotentialSpec(1.2), 8)
+    assert math.isfinite(fekete) and tail > 0.0
+    witness, below = cf.tail, math.nextafter(fekete, 0.0)
+    cases = ((fekete, (fekete, tail)), (below, (below, 0.0)),
+             (fekete + 1.0, (fekete, tail)), (math.inf, (fekete, tail)))
+    for declared, want in cases:
+        cf.tail = replace(witness, pressure_upper=lambda s, d=declared: d)
+        got = pressure._full_upper(cf, PotentialSpec(1.2), 8, math.nan)
+        assert got == (*want, False)
 
 
 def test_cf_full_divergence_below_summability():
